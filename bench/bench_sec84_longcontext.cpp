@@ -38,6 +38,8 @@ main(int argc, char **argv)
                    "the shared session prefix");
     if (!args.parse(argc, argv))
         return args.exitCode();
+    if (!bench::validBlockTokens(args))
+        return 1;
 
     const auto m = model::llama2_7b();
     bench::banner("Section 8.4.1: long-context capacity on 16 GB DRAM "

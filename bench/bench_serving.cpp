@@ -189,6 +189,14 @@ main(int argc, char **argv)
                      mix_text.c_str());
         return 1;
     }
+    if (!bench::validBlockTokens(args))
+        return 1;
+    const long long kv_quant = args.getInt("kv-quant");
+    if (kv_quant != 0 && kv_quant != 4 && kv_quant != 8) {
+        std::fprintf(stderr, "unsupported --kv-quant %lld (0|4|8)\n",
+                     kv_quant);
+        return 1;
+    }
 
     std::vector<serving::SchedulePolicy> policies;
     const std::string policy_text = args.getString("policy");

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared helpers for the bench harnesses: headers and run banners.
+ * Shared helpers for the bench harnesses: headers, run banners and
+ * shared flag checks.
  */
 
 #ifndef KELLE_BENCH_BENCH_UTIL_HPP
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/arg_parser.hpp"
 #include "common/table.hpp"
 #include "obs/attribution.hpp"
 
@@ -28,6 +30,18 @@ inline void
 note(const std::string &text)
 {
     std::printf("note: %s\n", text.c_str());
+}
+
+/** A KV page must hold at least one token: false, after a one-line
+ *  stderr message, when `--block-tokens` does not. */
+inline bool
+validBlockTokens(const common::ArgParser &args)
+{
+    const long long block = args.getInt("block-tokens");
+    if (block >= 1)
+        return true;
+    std::fprintf(stderr, "--block-tokens must be >= 1, got %lld\n", block);
+    return false;
 }
 
 /**

@@ -338,6 +338,39 @@ DeviceEngine::reclaimRunningTails()
     return freed;
 }
 
+KvBudgetAllocator::Grant
+DeviceEngine::attemptGrant(std::size_t requested, std::size_t floor_tokens,
+                           std::uint64_t prefix_key, std::size_t prefix_len)
+{
+    if (allocator_.paged() &&
+        allocator_.availableTokens() < floor_tokens) {
+        // Page-granular admission pressure: before deferring, harvest
+        // whole idle tail pages from running grants (their budgets
+        // shrink to what they actually hold — eviction pressure at
+        // page granularity instead of preempting the whole victim).
+        reclaimRunningTails();
+    }
+    return allocator_.tryAdmit(requested, floor_tokens, prefix_key,
+                               prefix_len);
+}
+
+DeviceEngine::PoolMark
+DeviceEngine::poolMark() const
+{
+    PoolMark m;
+    if (const kv::KvPagePool *pool = allocator_.pagePool()) {
+        m.freePages = pool->freePages();
+        m.cachedPages = pool->cachedPages();
+        m.peakUsedPages = pool->peakUsedPages();
+        m.cowCopies = pool->cowCopies();
+        m.cachedReclaims = pool->cachedReclaims();
+    }
+    m.tailReclaims = allocator_.tailReclaims();
+    m.budgetClips = allocator_.budgetClips();
+    m.shrunkGrants = allocator_.shrunkGrants();
+    return m;
+}
+
 void
 DeviceEngine::tracePagedCounters(Time t)
 {
@@ -418,20 +451,12 @@ DeviceEngine::tryAdmitAt(std::size_t pos, std::size_t idx)
         erase_at(pos, idx);
         return true;
     }
-    if (allocator_.paged() &&
-        allocator_.availableTokens() < floor_tokens) {
-        // Page-granular admission pressure: before deferring, harvest
-        // whole idle tail pages from running grants (their budgets
-        // shrink to what they actually hold — eviction pressure at
-        // page granularity instead of preempting the whole victim).
-        reclaimRunningTails();
-    }
-    const auto grant = allocator_.tryAdmit(
-        requested, floor_tokens, r.prefixKey,
-        std::min(r.prefixLen, r.task.ctxLen));
+    const std::size_t prefix_len = std::min(r.prefixLen, r.task.ctxLen);
+    const auto grant =
+        attemptGrant(requested, floor_tokens, r.prefixKey, prefix_len);
     if (!grant.admitted) {
-        deferScratch_.push_back(
-            DeferredAdmit{requested, floor_tokens, r.id});
+        deferScratch_.push_back(DeferredAdmit{
+            requested, floor_tokens, r.prefixKey, prefix_len, r.id});
         // Deferrals after the first token live inside c7 (preempt /
         // fault loss), so only pre-first-token ones open the
         // kv_stall interval. (Preemption victims always carry a
@@ -534,13 +559,13 @@ DeviceEngine::admitWaiting()
     // A round that attempted candidates and deferred every one of
     // them (none admitted, none rejected — the waiting queue is
     // unchanged) left no observable state behind except the
-    // deferrals just recorded in deferScratch_, and from this frozen
-    // state the next round must do exactly the same: the allocator's
-    // verdict is a pure function of (requested, floor) against
-    // unchanged pool state, so even the time-dependent admission
-    // orders replay to the identical deferral multiset. The decode
-    // fast-forward uses this to replay KV-blocked boundaries for
-    // every policy, including the reordering ones.
+    // deferrals just recorded in deferScratch_ (and, in paged mode,
+    // whatever idle-tail reclaim the attempts ran), and from this
+    // frozen queue the next round attempts the same candidates: even
+    // the time-dependent admission orders replay to the identical
+    // deferral multiset. The decode fast-forward uses this to replay
+    // KV-blocked boundaries for every policy, including the
+    // reordering ones, and in both pool modes.
     lastRoundAllDeferred_ = admitted_now.empty() &&
                             waiting_.size() == waiting_before &&
                             !deferScratch_.empty();
@@ -693,8 +718,9 @@ DeviceEngine::silentStepBudget(bool *replay_deferrals) const
         // KV-blocked case — batch slots free but no waiter's floor
         // fitting the free bytes — is replayable whenever the round
         // that just ran was pure deferrals: the fast-forward
-        // re-performs the recorded (requested, floor) attempts per
-        // boundary so the deferral accounting stays identical. This
+        // re-performs the recorded attempts per boundary (up to their
+        // fixpoint, see runDecodeStep) so the deferral accounting
+        // stays identical. This
         // covers arrival-order head-of-line blocking (the round
         // attempted exactly the head) and the reordering policies'
         // all-blocked rounds alike. Preemption no longer disables
@@ -702,11 +728,7 @@ DeviceEngine::silentStepBudget(bool *replay_deferrals) const
         // first boundary whose preemption scan would fire.
         if (admitted_.size() + running_.size() <
             policy_->admissionCap(cfg_.maxBatch)) {
-            // Paged mode mutates pool state *inside* windows (lazy
-            // chain growth), so a deferral round is not replayable
-            // from frozen state — the KV-blocked case falls back to
-            // the event-driven path.
-            if (!lastRoundAllDeferred_ || allocator_.paged())
+            if (!lastRoundAllDeferred_)
                 return 0;
             *replay_deferrals = true;
         }
@@ -872,6 +894,9 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         for (std::size_t n : residentScratch_)
             n_sum += n;
         const std::size_t batch_size = inFlightBatch_.size();
+        // The last replayed round and pagedEnsure pass left the pool
+        // untouched: the next round may stand in for itself.
+        bool round_fixpoint = false;
         while (silent > 0) {
             const Time tn = t + lat;
             if (bounded && !(tn < horizon))
@@ -903,20 +928,43 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 if (r.task.ctxLen + r.generated < r.budgetGranted)
                     ++growth; // resident grows again next step
             }
+            PoolMark mark_before;
             if (replay_deferrals) {
-                // The admission round from frozen state: re-attempt
-                // the recorded (requested, floor) pairs; each must
-                // keep failing — allocator state is frozen inside the
-                // window — and each failure records the same deferral
-                // the event-driven round would.
-                for (const auto &defer : deferScratch_) {
-                    const auto grant = allocator_.tryAdmit(
-                        defer.requested, defer.floor);
-                    KELLE_ASSERT(!grant.admitted,
-                                 "fast-forward window admitted a "
-                                 "request the event-driven round had "
-                                 "deferred");
-                    if (trace_ != nullptr)
+                mark_before = poolMark();
+                // The admission round on the frozen queue: re-attempt
+                // the recorded deferrals in order, exactly as
+                // tryAdmitAt does. Each must keep failing — no member
+                // leaves the batch inside the window, so nothing
+                // returns its grant — and each failure records the
+                // same deferral the event-driven round would.
+                //
+                // Once a round and the pagedEnsure pass after it leave
+                // the pool as they found it, the next round starts
+                // from the same counts and prefix index and fails the
+                // same way again (members' growing residents only
+                // raise what a tail reclaim must keep), so the round
+                // collapses to its deferral count until the pool next
+                // changes. The only state that then differs from the
+                // event path is the free list's order — each failed
+                // acquire pushes its popped pages back reversed — and
+                // free pages are interchangeable (refs 0, not
+                // indexed), so no report, trace or digest sees it.
+                if (round_fixpoint) {
+                    allocator_.addDeferrals(deferScratch_.size());
+                } else {
+                    for (const auto &defer : deferScratch_) {
+                        const auto grant =
+                            attemptGrant(defer.requested, defer.floor,
+                                         defer.prefixKey,
+                                         defer.prefixLen);
+                        KELLE_ASSERT(!grant.admitted,
+                                     "fast-forward window admitted a "
+                                     "request the event-driven round "
+                                     "had deferred");
+                    }
+                }
+                if (trace_ != nullptr) {
+                    for (const auto &defer : deferScratch_)
                         trace_->deferred(t, defer.req,
                                          defer.requested, defer.floor);
                 }
@@ -965,6 +1013,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     step = &decodeStepCost(residentScratch_);
                 }
             }
+            if (replay_deferrals)
+                round_fixpoint = poolMark() == mark_before;
             // Mirror the event path's per-boundary decode slice: the
             // step *starting* at this boundary, costed after any
             // resident growth.

@@ -401,6 +401,28 @@ class DeviceEngine
     /** Paged admission pressure: reclaim whole idle tail pages from
      *  running grants (youngest first); returns pages freed. */
     std::size_t reclaimRunningTails();
+    /** One allocator attempt as an admission round makes it: paged
+     *  mode first harvests idle tails when the floor does not fit. */
+    KvBudgetAllocator::Grant attemptGrant(std::size_t requested,
+                                          std::size_t floor_tokens,
+                                          std::uint64_t prefix_key,
+                                          std::size_t prefix_len);
+    /** Every pool count a deferral round or a pagedEnsure pass can
+     *  move; equal marks around a boundary mean neither changed the
+     *  pool (the free-list order aside — see runDecodeStep). */
+    struct PoolMark
+    {
+        std::size_t freePages = 0;
+        std::size_t cachedPages = 0;
+        std::size_t peakUsedPages = 0;
+        std::uint64_t cowCopies = 0;
+        std::uint64_t cachedReclaims = 0;
+        std::uint64_t tailReclaims = 0;
+        std::uint64_t budgetClips = 0;
+        std::uint64_t shrunkGrants = 0;
+        bool operator==(const PoolMark &) const = default;
+    };
+    PoolMark poolMark() const;
     /** Paged-pool counter samples next to each kvInUse emission. */
     void tracePagedCounters(Time t);
     EngineView view() const;
@@ -451,13 +473,16 @@ class DeviceEngine
     std::size_t inFlightPrefillIdx_ = 0;
     std::size_t inFlightPrefillTokens_ = 0;
     accel::StepReport stepScratch_; ///< fastSim-off cost slot
-    /** One blocked admission attempt of the last round (tryAdmitAt);
-     *  the request id rides along so a fast-forward replay emits the
-     *  same defer trace events as the event-driven round. */
+    /** One blocked admission attempt of the last round (tryAdmitAt):
+     *  the attemptGrant arguments, plus the request id so a
+     *  fast-forward replay emits the same defer trace events as the
+     *  event-driven round. */
     struct DeferredAdmit
     {
         std::size_t requested;
         std::size_t floor;
+        std::uint64_t prefixKey;
+        std::size_t prefixLen; ///< clamped to the prompt
         std::uint64_t req;
     };
     /** The last admission round's blocked attempts, appended by

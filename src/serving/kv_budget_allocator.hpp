@@ -142,6 +142,10 @@ class KvBudgetAllocator
     std::uint64_t shrunkGrants() const { return shrunkGrants_; }
     /** Failed attempts (request stays queued). */
     std::uint64_t deferrals() const { return deferrals_; }
+    /** Count `n` failed attempts without making them: the decode
+     *  fast-forward's stand-in for a deferral round it has proven
+     *  would fail again with no other effect on the pool. */
+    void addDeferrals(std::uint64_t n) { deferrals_ += n; }
     /** Budget clamps after failed page growth (paged mode). */
     std::uint64_t budgetClips() const { return budgetClips_; }
     /** shrinkChainTo calls that freed pages / pages they freed. */

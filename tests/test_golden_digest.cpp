@@ -15,12 +15,17 @@
  * re-record with the commands in each test and update the constants
  * in the same commit.
  *
+ * The HostileFlags suite drives the same binaries with out-of-range
+ * flag values and requires a clean one-line error exit.
+ *
  * Binaries are located through KELLE_BIN_DIR (the CMake binary dir,
  * injected by tests/CMakeLists.txt); a test skips when its binary was
  * not built (e.g. -DKELLE_BUILD_BENCH=OFF).
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -349,6 +354,45 @@ TEST(GoldenDigest, KelleTraceDiffThreadsIsEmpty)
     EXPECT_NE(out.find("identical"), std::string::npos) << out;
     std::remove(traces[0].c_str());
     std::remove(traces[1].c_str());
+}
+
+/** Out-of-range flag values must end in exit 1 with a one-line
+ *  message naming the flag, never a run on a silently clamped value
+ *  (or, for a zero page size, UB and `-nan` tables). */
+void
+expectFlagRejected(const std::string &binary, const std::string &flags,
+                   const std::string &flag)
+{
+    const std::string path = std::string(KELLE_BIN_DIR) + "/" + binary;
+    if (!fileExists(path))
+        GTEST_SKIP() << path << " not built";
+    int status = 0;
+    const std::string out = capture(path + " " + flags, &status);
+    const std::string what = binary + " " + flags;
+    ASSERT_TRUE(WIFEXITED(status)) << what << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << what << "\n" << out;
+    EXPECT_NE(out.find(flag), std::string::npos) << what << "\n" << out;
+    EXPECT_EQ(out.find('\n'), out.size() - 1)
+        << what << ": expected exactly one line\n" << out;
+}
+
+TEST(HostileFlags, ZeroPageSizeIsRejected)
+{
+    expectFlagRejected("bench/bench_sec84_longcontext",
+                       "--paged --block-tokens 0", "--block-tokens");
+    expectFlagRejected("bench/bench_serving",
+                       "--paged --block-tokens 0 --requests 4 --sweep 0 "
+                       "--study 0",
+                       "--block-tokens");
+}
+
+TEST(HostileFlags, UnsupportedKvQuantIsRejected)
+{
+    for (const char *bits : {"3", "-1", "16"})
+        expectFlagRejected("bench/bench_serving",
+                           std::string("--paged --kv-quant ") + bits +
+                               " --requests 4 --sweep 0 --study 0",
+                           "--kv-quant");
 }
 
 } // namespace

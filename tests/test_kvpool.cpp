@@ -17,6 +17,11 @@
  *    across thread counts and fastSim on/off, reports and trace bytes
  *    alike (the contract that lets paged mode ride the parallel
  *    engine and the fast-forward path).
+ *  - PagedFastForward: a KV-blocked paged config (sessions_paged shape)
+ *    fast-forwards nearly every decode boundary — the deferral round
+ *    replayed to its fixpoint — and stays bit-identical to the event
+ *    path under every policy and under preemption: reports, request
+ *    lifecycles, trace bytes and attribution waterfalls.
  */
 
 #include <string>
@@ -26,6 +31,7 @@
 
 #include "cluster/cluster_engine.hpp"
 #include "kvcache/kv_page_pool.hpp"
+#include "obs/attribution.hpp"
 #include "obs/trace.hpp"
 #include "serving/kv_budget_allocator.hpp"
 #include "serving/request_generator.hpp"
@@ -524,6 +530,172 @@ TEST(PagedDeterminism, TraceBytesIdenticalAcrossThreadsAndFastSim)
     EXPECT_EQ(serial, traced(4, true));
     EXPECT_EQ(serial, traced(1, false));
     EXPECT_EQ(serial, traced(4, false));
+}
+
+// ---- PagedFastForward ----------------------------------------------
+
+/** The benchmark's sessions_paged shape at test scale: bursty
+ *  PG19-heavy traffic on two 12000-token paged pools keeps devices
+ *  KV-blocked — batch slots free, no waiter's floor fitting — for long
+ *  decode stretches. */
+cluster::ClusterConfig
+kvBlockedPagedConfig(serving::SchedulePolicy policy, bool preempt,
+                     bool fast_sim, std::size_t requests)
+{
+    cluster::ClusterConfig cfg;
+    cfg.engine.traffic.numRequests = requests;
+    cfg.engine.traffic.sessions = 8;
+    cfg.engine.traffic.process = serving::ArrivalProcess::Bursty;
+    cfg.engine.traffic.mix = serving::pg19HeavyMix();
+    cfg.engine.traffic.ratePerSec = 0.01;
+    cfg.engine.policy = policy;
+    cfg.engine.chunkTokens = 256;
+    cfg.engine.paged.enabled = true;
+    cfg.engine.paged.blockTokens = 64;
+    cfg.engine.paged.sharePrefixes = true;
+    cfg.engine.preempt.enabled = preempt;
+    cfg.engine.fastSim = fast_sim;
+    cfg.devices = cluster::homogeneousFleet(
+        2, accel::kelleEdramSystem(2048), 12000, 16);
+    return cfg;
+}
+
+/** A full-length run serializes to hundreds of MB of trace JSON (one
+ *  slice per decode step, one instant per deferral), so trace bytes
+ *  are compared on a shorter run of the same traffic shape. */
+constexpr std::size_t kKvBlockedRequests = 300;
+constexpr std::size_t kKvBlockedTraceRequests = 40;
+
+struct KvBlockedRun
+{
+    cluster::ClusterReport report;
+    std::vector<serving::Request> requests;
+    std::string trace; ///< empty unless traced
+    std::vector<obs::WaterfallEntry> waterfall;
+    std::uint64_t decodeSteps = 0;
+    std::uint64_t fastForwarded = 0;
+};
+
+KvBlockedRun
+runKvBlocked(serving::SchedulePolicy policy, bool preempt, bool fast_sim,
+             std::size_t requests = kKvBlockedRequests, bool traced = false)
+{
+    obs::TraceRecorder rec;
+    obs::LatencyWaterfall wf;
+    cluster::ClusterConfig cfg =
+        kvBlockedPagedConfig(policy, preempt, fast_sim, requests);
+    if (traced)
+        cfg.engine.trace = &rec;
+    cfg.engine.waterfall = &wf;
+    cluster::ClusterEngine engine(cfg);
+    KvBlockedRun out;
+    out.report = engine.run();
+    out.requests = engine.requests();
+    if (traced)
+        out.trace = rec.toJson();
+    out.waterfall = wf.entries();
+    for (std::size_t i = 0; i < engine.deviceCount(); ++i) {
+        out.decodeSteps += engine.device(i).decodeSteps();
+        out.fastForwarded += engine.device(i).fastForwardedSteps();
+    }
+    return out;
+}
+
+void
+expectLifecyclesEqual(const std::vector<serving::Request> &a,
+                      const std::vector<serving::Request> &b,
+                      const std::string &label)
+{
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::string at = label + " req " + std::to_string(a[i].id);
+        EXPECT_EQ(a[i].state, b[i].state) << at;
+        EXPECT_EQ(a[i].arrival.sec(), b[i].arrival.sec()) << at;
+        EXPECT_EQ(a[i].admitted.sec(), b[i].admitted.sec()) << at;
+        EXPECT_EQ(a[i].firstToken.sec(), b[i].firstToken.sec()) << at;
+        EXPECT_EQ(a[i].lastToken.sec(), b[i].lastToken.sec()) << at;
+        EXPECT_EQ(a[i].completed.sec(), b[i].completed.sec()) << at;
+        EXPECT_EQ(a[i].budgetGranted, b[i].budgetGranted) << at;
+        EXPECT_EQ(a[i].maxTokenGapSec, b[i].maxTokenGapSec) << at;
+    }
+}
+
+void
+expectWaterfallsEqual(const std::vector<obs::WaterfallEntry> &a,
+                      const std::vector<obs::WaterfallEntry> &b,
+                      const std::string &label)
+{
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::string at = label + " req " + std::to_string(a[i].reqId);
+        EXPECT_EQ(a[i].terminal, b[i].terminal) << at;
+        EXPECT_EQ(a[i].deferred, b[i].deferred) << at;
+        EXPECT_EQ(a[i].preempted, b[i].preempted) << at;
+        EXPECT_EQ(a[i].cause, b[i].cause) << at;
+        EXPECT_EQ(a[i].firstDefer.sec(), b[i].firstDefer.sec()) << at;
+        EXPECT_EQ(a[i].ttftSec, b[i].ttftSec) << at;
+        EXPECT_EQ(a[i].e2eSec, b[i].e2eSec) << at;
+        for (std::size_t c = 0; c < obs::kLatencyComponentCount; ++c)
+            EXPECT_EQ(a[i].components[c], b[i].components[c])
+                << at << " component " << c;
+    }
+}
+
+void
+expectFastSimInvariant(serving::SchedulePolicy policy, bool preempt)
+{
+    const std::string label =
+        toString(policy) + (preempt ? "/preempt" : "");
+    // fcfs admits one request at a time, so it never blocks on KV.
+    const bool batches = policy != serving::SchedulePolicy::Fcfs;
+    const KvBlockedRun fast = runKvBlocked(policy, preempt, true);
+    const KvBlockedRun slow = runKvBlocked(policy, preempt, false);
+    if (batches) {
+        EXPECT_GT(fast.report.aggregate.deferrals, 0u) << label;
+    }
+    expectPagedReportsEqual(fast.report.aggregate,
+                            slow.report.aggregate, label);
+    expectLifecyclesEqual(fast.requests, slow.requests, label);
+    expectWaterfallsEqual(fast.waterfall, slow.waterfall, label);
+    EXPECT_EQ(slow.fastForwarded, 0u) << label;
+
+    const KvBlockedRun fast_traced = runKvBlocked(
+        policy, preempt, true, kKvBlockedTraceRequests, true);
+    const KvBlockedRun slow_traced = runKvBlocked(
+        policy, preempt, false, kKvBlockedTraceRequests, true);
+    if (batches) {
+        EXPECT_GT(fast_traced.report.aggregate.deferrals, 0u) << label;
+    }
+    // Not EXPECT_EQ: a mismatch would print both multi-MB strings.
+    EXPECT_TRUE(fast_traced.trace == slow_traced.trace)
+        << label << ": trace bytes differ";
+}
+
+TEST(PagedFastForward, EveryPolicyMatchesTheEventPath)
+{
+    for (serving::SchedulePolicy policy :
+         serving::allSchedulePolicies())
+        expectFastSimInvariant(policy, false);
+}
+
+TEST(PagedFastForward, PreemptionMatchesTheEventPath)
+{
+    expectFastSimInvariant(serving::SchedulePolicy::EdfChunked, true);
+}
+
+TEST(PagedFastForward, KvBlockedBoundariesFastForward)
+{
+    // Paged KV-blocked windows must replay inline: with the deferral
+    // round skipped at its fixpoint, 99.8% of this config's decode
+    // boundaries fast-forward (91% when paged mode fell back to the
+    // event path at every blocked boundary).
+    const KvBlockedRun run = runKvBlocked(
+        serving::SchedulePolicy::EdfChunked, false, true);
+    ASSERT_GT(run.decodeSteps, 0u);
+    EXPECT_GT(run.report.aggregate.deferrals, 0u);
+    EXPECT_GE(static_cast<double>(run.fastForwarded) /
+                  static_cast<double>(run.decodeSteps),
+              0.95);
 }
 
 } // namespace
