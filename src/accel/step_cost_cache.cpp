@@ -1,6 +1,9 @@
 #include "accel/step_cost_cache.hpp"
 
 #include <algorithm>
+#include <limits>
+
+#include "common/log.hpp"
 
 namespace kelle {
 namespace accel {
@@ -8,7 +11,11 @@ namespace accel {
 StepCostCache::StepCostCache(const SystemConfig &sys,
                              const model::ModelConfig &m,
                              std::size_t max_entries)
-    : sys_(sys), model_(m), maxEntries_(max_entries)
+    // Decode slots are 32-bit; a cap past that is unbounded in
+    // practice anyway.
+    : sys_(sys), model_(m),
+      maxEntries_(std::min<std::size_t>(
+          max_entries, std::numeric_limits<std::uint32_t>::max()))
 {
 }
 
@@ -19,14 +26,12 @@ StepCostCache::batchedDecodeStep(
     std::size_t n_sum = 0;
     for (std::size_t n : resident_tokens)
         n_sum += n;
-    const std::pair<std::size_t, std::size_t> key{
-        resident_tokens.size(), n_sum};
-    const auto it = decode_.find(key);
-    if (it != decode_.end()) {
+    const std::size_t batch = resident_tokens.size();
+    if (const StepReport *hit = lookupDecode(batch, n_sum)) {
         ++stats_.hits;
-        return it->second;
+        return *hit;
     }
-    if (decode_.size() >= maxEntries_) {
+    if (decodeReports_.size() >= maxEntries_) {
         ++stats_.bypasses;
         overflow_ =
             simulateBatchedDecodeStep(sys_, model_, resident_tokens);
@@ -36,25 +41,29 @@ StepCostCache::batchedDecodeStep(
     // Computed from the caller's member distribution; any batch with
     // the same (B, N) key produces these exact doubles (see the
     // header note on the exact affine summation).
-    const StepReport rep =
-        simulateBatchedDecodeStep(sys_, model_, resident_tokens);
-    return decode_.emplace(key, rep).first->second;
-}
-
-const StepReport *
-StepCostCache::findBatchedDecode(std::size_t batch, std::size_t n_sum)
-{
-    const auto it = decode_.find({batch, n_sum});
-    if (it == decode_.end())
-        return nullptr;
-    ++stats_.hits;
-    return &it->second;
+    decodeReports_.push_back(
+        simulateBatchedDecodeStep(sys_, model_, resident_tokens));
+    if (batch >= decodeIndex_.size())
+        decodeIndex_.resize(batch + 1);
+    auto &pages = decodeIndex_[batch];
+    const std::size_t p = n_sum >> kPageBits;
+    if (p >= pages.size())
+        pages.resize(p + 1);
+    if (pages[p] == nullptr)
+        pages[p] = std::make_unique<IndexPage>(); // zeroed: all absent
+    (*pages[p])[n_sum & (kPageTokens - 1)] =
+        static_cast<std::uint32_t>(decodeReports_.size());
+    return decodeReports_.back();
 }
 
 const StepReport &
 StepCostCache::prefillChunk(std::size_t kv_offset, std::size_t chunk_len)
 {
-    const std::pair<std::size_t, std::size_t> key{kv_offset, chunk_len};
+    constexpr std::size_t kHalf = std::size_t{1} << 32;
+    KELLE_ASSERT(kv_offset < kHalf && chunk_len < kHalf,
+                 "prefill chunk shape exceeds the 32-bit key halves");
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(kv_offset) << 32 | chunk_len;
     const auto it = chunk_.find(key);
     if (it != chunk_.end()) {
         ++stats_.hits;

@@ -10,7 +10,7 @@
  * every step boundary even though step shapes repeat for long
  * stretches. `StepCostCache` binds one (system, model) pair at
  * construction and memoizes the resulting `StepReport`s, so a
- * repeated shape costs one hash lookup instead of a full
+ * repeated shape costs an index read instead of a full
  * analytic-model evaluation.
  *
  * Decode key: the resident multiset collapses further. Every
@@ -34,6 +34,15 @@
  * multisets with equal sums), and the golden-digest tier-1 test
  * pins the end-to-end outputs.
  *
+ * Decode index: the key space is dense. Inside a decode window the
+ * batch size is fixed and N climbs by at most B per step, so the
+ * decode memo is a per-batch-size paged array,
+ * `index_[B][N >> kPageBits][N & (kPageTokens - 1)]`, whose entries
+ * are 1-based slots into a deque of reports (0 = absent). Consecutive
+ * lookups read neighbouring words of one page; a page is allocated on
+ * its first insert, and the deque keeps every returned reference
+ * stable. Prefill chunk keys are sparse and keep a hash map.
+ *
  * The cache never evicts: shapes seen past `maxEntries` are computed
  * uncached (counted as `bypasses`) so memory stays bounded without
  * perturbing results.
@@ -42,10 +51,12 @@
 #ifndef KELLE_ACCEL_STEP_COST_CACHE_HPP
 #define KELLE_ACCEL_STEP_COST_CACHE_HPP
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "accel/timing_model.hpp"
@@ -95,9 +106,9 @@ class StepCostCache
                   std::size_t max_entries = kDefaultMaxEntries);
 
     /**
-     * Memoized simulateBatchedDecodeStep. The reference stays valid
-     * until the next bypassing (cache-full) call; callers that hold
-     * it across steps should copy.
+     * Memoized simulateBatchedDecodeStep. A memoized report's
+     * reference stays valid for the cache's lifetime; a bypassing
+     * (cache-full) call returns a slot the next bypass overwrites.
      */
     const StepReport &
     batchedDecodeStep(const std::vector<std::size_t> &resident_tokens);
@@ -114,47 +125,60 @@ class StepCostCache
      * the caller builds the vector and calls batchedDecodeStep, which
      * accounts the miss.
      */
-    const StepReport *findBatchedDecode(std::size_t batch,
-                                        std::size_t n_sum);
+    const StepReport *
+    findBatchedDecode(std::size_t batch, std::size_t n_sum)
+    {
+        const StepReport *hit = lookupDecode(batch, n_sum);
+        if (hit != nullptr)
+            ++stats_.hits;
+        return hit;
+    }
 
     const Stats &stats() const { return stats_; }
     std::size_t
     entries() const
     {
-        return decode_.size() + chunk_.size();
+        return decodeReports_.size() + chunk_.size();
     }
 
-    /** Shapes memoized before new ones bypass the cache (~150 B per
-     *  entry; the decode lattice (B <= maxBatch, N <= B*budget) stays
-     *  far below this for any realistic serving run). */
+    /** Shapes memoized before new ones bypass the cache (~100 B per
+     *  report plus 4 B per index word; the decode lattice
+     *  (B <= maxBatch, N <= B*budget) stays far below this for any
+     *  realistic serving run). */
     static constexpr std::size_t kDefaultMaxEntries = 1u << 18;
 
   private:
-    struct PairHash
+    static constexpr std::size_t kPageBits = 10;
+    static constexpr std::size_t kPageTokens = std::size_t{1}
+                                               << kPageBits;
+    /** N & (kPageTokens - 1) -> 1-based slot in decodeReports_. */
+    using IndexPage = std::array<std::uint32_t, kPageTokens>;
+
+    const StepReport *
+    lookupDecode(std::size_t batch, std::size_t n_sum) const
     {
-        std::size_t
-        operator()(const std::pair<std::size_t, std::size_t> &p) const
-        {
-            std::uint64_t h = static_cast<std::uint64_t>(p.first) *
-                              0x9e3779b97f4a7c15ull;
-            h ^= static_cast<std::uint64_t>(p.second) +
-                 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-            return static_cast<std::size_t>(h);
-        }
-    };
+        if (batch >= decodeIndex_.size())
+            return nullptr;
+        const auto &pages = decodeIndex_[batch];
+        const std::size_t p = n_sum >> kPageBits;
+        if (p >= pages.size() || pages[p] == nullptr)
+            return nullptr;
+        const std::uint32_t slot =
+            (*pages[p])[n_sum & (kPageTokens - 1)];
+        return slot != 0 ? &decodeReports_[slot - 1] : nullptr;
+    }
 
     const SystemConfig &sys_;
     const model::ModelConfig &model_;
     std::size_t maxEntries_;
     Stats stats_;
-    /** (batch size, total resident tokens) -> step report. */
-    std::unordered_map<std::pair<std::size_t, std::size_t>, StepReport,
-                       PairHash>
-        decode_;
-    /** (KV offset, chunk length) -> step report. */
-    std::unordered_map<std::pair<std::size_t, std::size_t>, StepReport,
-                       PairHash>
-        chunk_;
+    /** Decode memo, (batch size, total resident tokens) -> report:
+     *  decodeIndex_[B][N >> kPageBits] is null until its first
+     *  insert. */
+    std::vector<std::vector<std::unique_ptr<IndexPage>>> decodeIndex_;
+    std::deque<StepReport> decodeReports_;
+    /** (KV offset << 32 | chunk length) -> step report. */
+    std::unordered_map<std::uint64_t, StepReport> chunk_;
     /** Result slot for bypassing calls (cache at capacity). */
     StepReport overflow_;
 };

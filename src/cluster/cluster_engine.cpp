@@ -5,30 +5,12 @@
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 
 namespace kelle {
 namespace cluster {
-
-namespace {
-
-/**
- * SplitMix64-style hash of (a, b) to a uniform double in [0, 1) —
- * the fault-retry backoff jitter. A pure hash instead of a shared RNG
- * stream, so retries cannot perturb the fault or arrival draws.
- */
-double
-hashUnit(std::uint64_t a, std::uint64_t b)
-{
-    std::uint64_t x = a * 0x9E3779B97F4A7C15ull + b;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-} // namespace
 
 std::vector<DeviceSpec>
 homogeneousFleet(std::size_t n, const accel::SystemConfig &system,

@@ -115,6 +115,22 @@ class Rng
     std::uint64_t state_[4] = {};
 };
 
+/**
+ * SplitMix64-style hash of (a, b) to a uniform double in [0, 1) — the
+ * retry backoff jitter (client retries, fault re-dispatch). A pure
+ * hash instead of a shared Rng stream, so enabling retries cannot
+ * perturb any other draw.
+ */
+inline double
+hashUnit(std::uint64_t a, std::uint64_t b)
+{
+    std::uint64_t x = a * 0x9E3779B97F4A7C15ull + b;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    x ^= x >> 31;
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
 } // namespace kelle
 
 #endif // KELLE_COMMON_RNG_HPP

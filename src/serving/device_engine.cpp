@@ -7,6 +7,7 @@
 
 #include "accel/capacity.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "tensor/quant.hpp"
 
@@ -20,21 +21,6 @@ constexpr std::size_t kFloorSlackTokens = 8;
 
 /** Group size for quantized page storage (KvCacheConfig default). */
 constexpr std::size_t kPageQuantGroup = 32;
-
-/**
- * SplitMix64-style hash of (a, b) to a uniform double in [0, 1) —
- * the client-retry backoff jitter. A pure hash instead of a shared
- * RNG stream, so enabling retries cannot perturb any other draw.
- */
-double
-hashUnit(std::uint64_t a, std::uint64_t b)
-{
-    std::uint64_t x = a * 0x9E3779B97F4A7C15ull + b;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
 
 /**
  * Page quantization flows through the whole stack by overriding the
@@ -897,6 +883,22 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // The last replayed round and pagedEnsure pass left the pool
         // untouched: the next round may stand in for itself.
         bool round_fixpoint = false;
+        // Deferred member bookkeeping. With a contiguous pool and no
+        // waterfall nothing inside the window reads a member's token
+        // counters, so after the first boundary (applied per member:
+        // each member's gap differs there) the window tracks only
+        // what the members share — every later gap is the same
+        // `t_k - t_{k-1}`, so one running max is exact, and a member
+        // stops growing at a fixed step (`clampScratch_`, sorted) —
+        // and applies the `deferred` boundaries to the members when
+        // it ends. Paged mode keeps per-boundary updates (pagedEnsure
+        // and the tail reclaim read them), and so does a waterfall
+        // (it accumulates per member).
+        const bool defer_members = !paged && wf_ == nullptr;
+        bool first_applied = false;
+        std::size_t deferred = 0;
+        std::size_t clamped = 0; ///< clampScratch_ entries <= deferred
+        double gap_max = 0.0;
         while (silent > 0) {
             const Time tn = t + lat;
             if (bounded && !(tn < horizon))
@@ -910,23 +912,51 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             }
             if (doomed)
                 break;
+            const Time prev = t;
             t = tn;
             // Waterfall shares are charged from the step that just
             // ended — `step` is re-costed only below.
             const double ended_step_sec = lat.sec();
             std::size_t growth = 0;
-            for (std::size_t idx : inFlightBatch_) {
-                Request &r = requests_[idx];
-                ++r.generated;
-                r.maxTokenGapSec = std::max(r.maxTokenGapSec,
-                                            (t - r.lastToken).sec());
-                r.lastToken = t;
-                if (wf_ != nullptr)
-                    wf_->onDecodeBoundary(
-                        idx, ended_step_sec,
-                        static_cast<double>(batch_size));
-                if (r.task.ctxLen + r.generated < r.budgetGranted)
-                    ++growth; // resident grows again next step
+            if (defer_members && first_applied) {
+                // Every member's last token is `prev`.
+                const double gap = (t - prev).sec();
+                gap_max = deferred == 0 ? gap : std::max(gap_max, gap);
+                ++deferred;
+                while (clamped < batch_size &&
+                       clampScratch_[clamped] <= deferred)
+                    ++clamped;
+                growth = batch_size - clamped;
+            } else {
+                for (std::size_t idx : inFlightBatch_) {
+                    Request &r = requests_[idx];
+                    ++r.generated;
+                    r.maxTokenGapSec = std::max(
+                        r.maxTokenGapSec, (t - r.lastToken).sec());
+                    r.lastToken = t;
+                    if (wf_ != nullptr)
+                        wf_->onDecodeBoundary(
+                            idx, ended_step_sec,
+                            static_cast<double>(batch_size));
+                    if (r.task.ctxLen + r.generated < r.budgetGranted)
+                        ++growth; // resident grows again next step
+                }
+                if (defer_members) {
+                    // Deferred boundary j grows a member while
+                    // ctx + generated + j < budget.
+                    clampScratch_.clear();
+                    for (std::size_t idx : inFlightBatch_) {
+                        const Request &r = requests_[idx];
+                        const std::size_t held =
+                            r.task.ctxLen + r.generated;
+                        clampScratch_.push_back(
+                            r.budgetGranted > held
+                                ? r.budgetGranted - held
+                                : 0);
+                    }
+                    std::sort(clampScratch_.begin(), clampScratch_.end());
+                    first_applied = true;
+                }
             }
             PoolMark mark_before;
             if (replay_deferrals) {
@@ -1009,7 +1039,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     residentScratch_.clear();
                     for (std::size_t idx : inFlightBatch_)
                         residentScratch_.push_back(
-                            requests_[idx].residentTokens());
+                            requests_[idx].residentTokens(deferred));
                     step = &decodeStepCost(residentScratch_);
                 }
             }
@@ -1025,6 +1055,14 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             metrics_.addEnergy(step->energy);
             busy_ = busy_ + lat;
             --silent;
+        }
+        if (deferred > 0) {
+            for (std::size_t idx : inFlightBatch_) {
+                Request &r = requests_[idx];
+                r.generated += deferred;
+                r.maxTokenGapSec = std::max(r.maxTokenGapSec, gap_max);
+                r.lastToken = t;
+            }
         }
         if (profiler_ != nullptr)
             profiler_->add(

@@ -39,8 +39,10 @@
  * decode boundaries nothing can observe — no member completing, no
  * admission or preemption possible, no pending event before the
  * boundary — are fast-forwarded inline without re-entering the event
- * queue, replaying exactly the per-boundary updates and cost lookups
- * the step-at-a-time loop would perform. `fastSim = false` keeps the
+ * queue, replaying the per-boundary cost lookups and accumulations the
+ * step-at-a-time loop would perform (member token counters are applied
+ * in bulk where nothing inside the window reads them — see
+ * runDecodeStep). `fastSim = false` keeps the
  * straight-line path; the FastPathEquivalence tests drive both to the
  * same traces and require field-for-field identical reports.
  */
@@ -493,6 +495,10 @@ class DeviceEngine
      *  the fast-forward stops before any boundary where the event
      *  path's preemption scan would fire. */
     std::vector<std::pair<Time, double>> doomScratch_;
+    /** Per batch member, the deferred fast-forward boundary from
+     *  which its resident stops growing (budget - ctx - generated
+     *  after the window's first boundary, floored at 0), sorted. */
+    std::vector<std::size_t> clampScratch_;
     /** @} */
 
     /** Last admitWaiting round attempted >= 1 candidate and every

@@ -110,11 +110,12 @@ struct Request
      */
     double maxTokenGapSec = 0.0;
 
-    /** KV-resident tokens at attention time of the next decode step. */
+    /** KV-resident tokens at attention time of the next decode step,
+     *  or of the one after `ahead` more generated tokens. */
     std::size_t
-    residentTokens() const
+    residentTokens(std::size_t ahead = 0) const
     {
-        const std::size_t n = task.ctxLen + generated + 1;
+        const std::size_t n = task.ctxLen + generated + ahead + 1;
         return budgetGranted ? std::min(n, budgetGranted) : n;
     }
 

@@ -386,6 +386,28 @@ TEST(HostileFlags, ZeroPageSizeIsRejected)
                        "--block-tokens");
 }
 
+TEST(HostileFlags, EmptyFleetOrBatchIsRejected)
+{
+    expectFlagRejected("bench/bench_cluster",
+                       "--devices 0 --requests 4 --sweep 0 --study 0",
+                       "--devices");
+    expectFlagRejected("bench/bench_cluster",
+                       "--maxbatch 0 --requests 4 --sweep 0 --study 0",
+                       "--maxbatch");
+}
+
+TEST(HostileFlags, NonPositiveFaultTimesAreRejected)
+{
+    expectFlagRejected("bench/bench_cluster",
+                       "--faults --mtbf 0 --requests 4 --sweep 0 "
+                       "--study 0",
+                       "--mtbf");
+    expectFlagRejected("bench/bench_cluster",
+                       "--faults --mttr -5 --requests 4 --sweep 0 "
+                       "--study 0",
+                       "--mttr");
+}
+
 TEST(HostileFlags, UnsupportedKvQuantIsRejected)
 {
     for (const char *bits : {"3", "-1", "16"})

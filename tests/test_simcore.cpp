@@ -29,12 +29,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -179,6 +181,23 @@ expectReportEq(const serving::ServingReport &a,
     EXPECT_EQ(a.drained, b.drained);
 }
 
+/** Every request field the decode fast-forward writes, bitwise. */
+void
+expectRequestsEq(const std::vector<serving::Request> &a,
+                 const std::vector<serving::Request> &b)
+{
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        EXPECT_EQ(a[i].generated, b[i].generated);
+        EXPECT_EQ(bits(a[i].lastToken.sec()), bits(b[i].lastToken.sec()));
+        EXPECT_EQ(bits(a[i].maxTokenGapSec), bits(b[i].maxTokenGapSec));
+        EXPECT_EQ(bits(a[i].completed.sec()), bits(b[i].completed.sec()));
+        EXPECT_EQ(a[i].preemptions, b[i].preemptions);
+    }
+}
+
 /** The config axes the cache must be exact over. */
 std::vector<accel::SystemConfig>
 cacheSystems()
@@ -296,6 +315,106 @@ TEST(StepCostCache, CapacityCapBypassesWithoutPerturbingValues)
     EXPECT_EQ(cache.stats().bypasses, 16u);
 }
 
+/** A B-member resident vector summing to n (requires n >= b). */
+std::vector<std::size_t>
+spread(std::size_t b, std::size_t n)
+{
+    std::vector<std::size_t> r(b, n / b);
+    r.back() += n % b;
+    return r;
+}
+
+TEST(StepCostCache, DenseIndexAcrossPageEdges)
+{
+    // The decode index pages N by 1024: keys on both sides of an
+    // edge, for two batch sizes interleaved, must land in their own
+    // slots and read back exactly.
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    accel::StepCostCache cache(sys, m);
+    const std::size_t ns[] = {1023, 1024, 1025, 2047, 2048};
+    for (std::size_t n : ns) {
+        for (std::size_t b : {std::size_t{1}, std::size_t{16}}) {
+            const auto resident = spread(b, n);
+            expectStepEq(cache.batchedDecodeStep(resident),
+                         accel::simulateBatchedDecodeStep(sys, m,
+                                                          resident));
+        }
+    }
+    EXPECT_EQ(cache.stats().misses, 10u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.entries(), 10u);
+    for (std::size_t n : ns) {
+        for (std::size_t b : {std::size_t{16}, std::size_t{1}}) {
+            const accel::StepReport *hit = cache.findBatchedDecode(b, n);
+            ASSERT_NE(hit, nullptr) << "B " << b << " N " << n;
+            expectStepEq(*hit, accel::simulateBatchedDecodeStep(
+                                   sys, m, spread(b, n)));
+        }
+    }
+    EXPECT_EQ(cache.stats().hits, 10u);
+    // Neighbours of stored keys, an untouched page and an unseen
+    // batch size all miss without being counted.
+    EXPECT_EQ(cache.findBatchedDecode(1, 1022), nullptr);
+    EXPECT_EQ(cache.findBatchedDecode(16, 1026), nullptr);
+    EXPECT_EQ(cache.findBatchedDecode(1, 5000), nullptr);
+    EXPECT_EQ(cache.findBatchedDecode(2, 1024), nullptr);
+    EXPECT_EQ(cache.findBatchedDecode(40, 1024), nullptr);
+    EXPECT_EQ(cache.stats().lookups(), 20u);
+}
+
+TEST(StepCostCache, ReferencesStayStableAcrossLaterInserts)
+{
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    accel::StepCostCache cache(sys, m);
+    const accel::StepReport &ref = cache.batchedDecodeStep({700, 300});
+    const accel::StepReport copy = ref;
+    for (std::size_t i = 0; i < 1000; ++i)
+        cache.batchedDecodeStep(spread(1 + i % 16, 2000 + 7 * i));
+    EXPECT_EQ(cache.entries(), 1001u);
+    EXPECT_EQ(&ref, cache.findBatchedDecode(2, 1000));
+    expectStepEq(ref, copy);
+}
+
+TEST(StepCostCache, ProbeMissThenInsertCountsOneMiss)
+{
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    accel::StepCostCache cache(sys, m);
+    EXPECT_EQ(cache.findBatchedDecode(4, 4096), nullptr);
+    EXPECT_EQ(cache.stats().lookups(), 0u);
+    const accel::StepReport &rep = cache.batchedDecodeStep(spread(4, 4096));
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.findBatchedDecode(4, 4096), &rep);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(StepCostCache, EntriesCountDecodeAndChunkShapes)
+{
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    accel::StepCostCache cache(sys, m, /*max_entries=*/3);
+    EXPECT_EQ(cache.entries(), 0u);
+    cache.batchedDecodeStep({10});
+    cache.batchedDecodeStep({10}); // hit
+    cache.batchedDecodeStep({5, 5}); // same N, new B
+    cache.prefillChunk(0, 256);
+    cache.prefillChunk(256, 256);
+    EXPECT_EQ(cache.entries(), 4u);
+    cache.batchedDecodeStep({11});
+    cache.batchedDecodeStep({12}); // decode memo full: bypass
+    cache.prefillChunk(512, 256);
+    cache.prefillChunk(768, 256); // chunk memo full: bypass
+    EXPECT_EQ(cache.entries(), 6u);
+    EXPECT_EQ(cache.stats().misses, 6u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().bypasses, 2u);
+    EXPECT_EQ(cache.findBatchedDecode(1, 12), nullptr);
+}
+
 // ---- TimingTelescoping ---------------------------------------------
 
 TEST(TimingTelescoping, GroupedBatchedDecodeEqualsLoopForm)
@@ -405,7 +524,171 @@ TEST(FastPathEquivalence, ClusterFastVsSlowHeteroFleet)
             }
             EXPECT_EQ(fr.loadImbalanceCv, sr.loadImbalanceCv);
             EXPECT_EQ(fr.refreshEnergyJ, sr.refreshEnergyJ);
+            expectRequestsEq(fast.requests(), slow.requests());
         }
+    }
+}
+
+/** One DeviceEngine run over hand-built requests, each enqueued at
+ *  its arrival, with no-op events at `noops` bounding fast-forward
+ *  windows and, when `crash_at` > 0, a device crash whose victims are
+ *  not re-dispatched. */
+struct DeviceRun
+{
+    std::vector<serving::Request> requests;
+    std::uint64_t decodeSteps = 0;
+    std::uint64_t fastForwarded = 0;
+    double busySec = 0.0;
+    serving::ServingSummary summary;
+};
+
+DeviceRun
+runDevice(serving::DeviceConfig cfg, bool fast,
+          std::vector<serving::Request> requests,
+          const std::vector<double> &noops, double crash_at)
+{
+    cfg.fastSim = fast;
+    DeviceRun run;
+    run.requests = std::move(requests);
+    sim::EventQueue queue;
+    serving::DeviceEngine engine(cfg, queue, run.requests);
+    for (double t : noops)
+        queue.schedule(Time::seconds(t), [] {});
+    std::vector<std::size_t> victims;
+    std::uint64_t lost = 0;
+    if (crash_at > 0.0)
+        queue.schedule(Time::seconds(crash_at), [&] {
+            engine.crashAt(queue.now(), &victims, &lost);
+        });
+    for (std::size_t i = 0; i < run.requests.size(); ++i)
+        queue.schedule(run.requests[i].arrival,
+                       [&engine, i] { engine.enqueue(i); });
+    while (queue.runNext()) {
+    }
+    EXPECT_TRUE(engine.drained());
+    run.decodeSteps = engine.decodeSteps();
+    run.fastForwarded = engine.fastForwardedSteps();
+    run.busySec = engine.busyTime().sec();
+    run.summary = engine.metrics().summarize(engine.lastCompletion());
+    return run;
+}
+
+serving::Request
+decodeRequest(std::uint64_t id, std::size_t ctx, std::size_t dec,
+              std::size_t budget, double tpot_target = 0.0,
+              double arrival = 0.0)
+{
+    serving::Request r;
+    r.id = id;
+    r.task = sim::triviaQa();
+    r.task.ctxLen = ctx;
+    r.task.decLen = dec;
+    r.task.budget = budget;
+    r.task.recentWindow = 64; // floor 82 tokens: budgets stay as given
+    r.tpotTargetSec = tpot_target;
+    r.arrival = Time::seconds(arrival);
+    return r;
+}
+
+/** Fast and slow runs of one scenario agree on every request field
+ *  and report; returns the fast run for scenario-specific checks. */
+DeviceRun
+expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
+                           const std::vector<serving::Request> &requests,
+                           const std::vector<double> &noops = {},
+                           double crash_at = 0.0)
+{
+    const DeviceRun fast = runDevice(cfg, true, requests, noops, crash_at);
+    const DeviceRun slow =
+        runDevice(cfg, false, requests, noops, crash_at);
+    expectRequestsEq(fast.requests, slow.requests);
+    expectSummaryEq(fast.summary, slow.summary);
+    EXPECT_EQ(fast.decodeSteps, slow.decodeSteps);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.busySec),
+              std::bit_cast<std::uint64_t>(slow.busySec));
+    EXPECT_EQ(slow.fastForwarded, 0u);
+    return fast;
+}
+
+TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
+{
+    // Contiguous pool, no waterfall: inside a fast-forward window the
+    // members' token counters are applied at the first boundary and
+    // again when the window ends.
+    serving::DeviceConfig cfg;
+    cfg.poolTokens = 16384;
+    const double step_sec =
+        accel::simulateBatchedDecodeStep(cfg.system, cfg.model,
+                                         {513, 513})
+            .latency.sec();
+
+    // Members clamping at different boundaries of one window
+    // (generated 48, 100 and 200), so the growth count and the
+    // resident rebuild on cache misses walk the sorted clamp steps.
+    // A second, identical wave replays the same cost keys as cache
+    // hits, which only a correct growth count finds.
+    {
+        SCOPED_TRACE("staggered clamps");
+        std::vector<serving::Request> waves;
+        for (double at : {0.0, 60.0}) {
+            const auto id = static_cast<std::uint64_t>(waves.size());
+            waves.push_back(decodeRequest(id, 512, 300, 560, 0.0, at));
+            waves.push_back(decodeRequest(id + 1, 600, 300, 700, 0.0, at));
+            waves.push_back(decodeRequest(id + 2, 700, 300, 900, 0.0, at));
+        }
+        const DeviceRun run = expectDeviceFastEqualsSlow(cfg, waves);
+        EXPECT_GT(run.fastForwarded, 500u);
+    }
+
+    // A crash orphans the step after a window: growing residents
+    // make the window's last deferred gap each member's longest, and
+    // no event-path boundary follows to re-record it.
+    {
+        SCOPED_TRACE("crash after window");
+        const double crash_at = 5.0 + 150.0 * step_sec;
+        const DeviceRun run = expectDeviceFastEqualsSlow(
+            cfg,
+            {decodeRequest(0, 512, 400, 1000),
+             decodeRequest(1, 512, 400, 1000)},
+            {}, crash_at);
+        EXPECT_GT(run.fastForwarded, 100u);
+        EXPECT_GT(run.requests[1].maxTokenGapSec, step_sec);
+    }
+
+    // A preemption doom stop mid-window: request 0 is doomed after
+    // ~200 of its 400 steps while request 2 waits on the batch cap,
+    // so the window stops there and the event path preempts it
+    // (resetting its progress) from the flushed counters.
+    {
+        SCOPED_TRACE("doom stop");
+        auto pcfg = cfg;
+        pcfg.maxBatch = 2;
+        pcfg.preempt.enabled = true;
+        const DeviceRun run = expectDeviceFastEqualsSlow(
+            pcfg, {decodeRequest(0, 512, 400, 600, 0.5 * step_sec),
+                   decodeRequest(1, 512, 400, 600),
+                   decodeRequest(2, 512, 50, 600)});
+        EXPECT_EQ(run.requests[0].preemptions, 1u);
+        EXPECT_GT(run.fastForwarded, 300u);
+    }
+
+    // Windows cut by pending events after 0, 1, or a few boundaries:
+    // no-ops spaced 0.4, 1.7 and 3.5 steps apart, then a free run.
+    {
+        SCOPED_TRACE("short windows");
+        std::vector<double> noops;
+        double t = 0.0;
+        for (int i = 0; i < 300; ++i) {
+            t += step_sec * (i % 3 == 0 ? 0.4 : i % 3 == 1 ? 1.7 : 3.5);
+            noops.push_back(t);
+        }
+        const DeviceRun run = expectDeviceFastEqualsSlow(
+            cfg,
+            {decodeRequest(0, 512, 600, 560),
+             decodeRequest(1, 512, 600, 900)},
+            noops);
+        EXPECT_GT(run.fastForwarded, 0u);
+        EXPECT_LT(run.fastForwarded + 150, run.decodeSteps);
     }
 }
 
