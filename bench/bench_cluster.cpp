@@ -203,22 +203,15 @@ main(int argc, char **argv)
     if (!args.parse(argc, argv))
         return args.exitCode();
     for (const char *flag : {"devices", "maxbatch"}) {
-        const long long v = args.getInt(flag);
-        if (v < 1) {
-            std::fprintf(stderr, "--%s must be >= 1, got %lld\n", flag,
-                         v);
+        if (!bench::atLeastOne(args, flag))
             return 1;
-        }
     }
+    if (!bench::positiveFinite(args, "rate"))
+        return 1;
     if (args.getBool("faults")) {
         for (const char *flag : {"mtbf", "mttr"}) {
-            const double v = args.getDouble(flag);
-            if (!(v > 0.0)) {
-                std::fprintf(stderr,
-                             "--%s must be > 0 with --faults, got %g\n",
-                             flag, v);
+            if (!bench::positiveFinite(args, flag))
                 return 1;
-            }
         }
     }
 

@@ -38,7 +38,7 @@ main(int argc, char **argv)
                    "the shared session prefix");
     if (!args.parse(argc, argv))
         return args.exitCode();
-    if (!bench::validBlockTokens(args))
+    if (!bench::atLeastOne(args, "block-tokens"))
         return 1;
 
     const auto m = model::llama2_7b();

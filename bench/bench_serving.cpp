@@ -189,8 +189,14 @@ main(int argc, char **argv)
                      mix_text.c_str());
         return 1;
     }
-    if (!bench::validBlockTokens(args))
-        return 1;
+    for (const char *flag : {"block-tokens", "maxbatch"}) {
+        if (!bench::atLeastOne(args, flag))
+            return 1;
+    }
+    for (const char *flag : {"rate", "slo-scale"}) {
+        if (!bench::positiveFinite(args, flag))
+            return 1;
+    }
     const long long kv_quant = args.getInt("kv-quant");
     if (kv_quant != 0 && kv_quant != 4 && kv_quant != 8) {
         std::fprintf(stderr, "unsupported --kv-quant %lld (0|4|8)\n",

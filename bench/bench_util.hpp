@@ -7,6 +7,7 @@
 #ifndef KELLE_BENCH_BENCH_UTIL_HPP
 #define KELLE_BENCH_BENCH_UTIL_HPP
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,15 +33,29 @@ note(const std::string &text)
     std::printf("note: %s\n", text.c_str());
 }
 
-/** A KV page must hold at least one token: false, after a one-line
- *  stderr message, when `--block-tokens` does not. */
+/** A count flag (page size, batch cap, fleet size): false, after a
+ *  one-line stderr message, when `--name` is below 1. */
 inline bool
-validBlockTokens(const common::ArgParser &args)
+atLeastOne(const common::ArgParser &args, const char *name)
 {
-    const long long block = args.getInt("block-tokens");
-    if (block >= 1)
+    const long long v = args.getInt(name);
+    if (v >= 1)
         return true;
-    std::fprintf(stderr, "--block-tokens must be >= 1, got %lld\n", block);
+    std::fprintf(stderr, "--%s must be >= 1, got %lld\n", name, v);
+    return false;
+}
+
+/** A rate, scale or mean-time flag: false, after a one-line stderr
+ *  message, when `--name` is not a finite number above 0 (0, negative,
+ *  nan and inf alike). */
+inline bool
+positiveFinite(const common::ArgParser &args, const char *name)
+{
+    const double v = args.getDouble(name);
+    if (v > 0.0 && std::isfinite(v))
+        return true;
+    std::fprintf(stderr, "--%s must be a finite number > 0, got %g\n",
+                 name, v);
     return false;
 }
 

@@ -819,9 +819,10 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // the boundary. Replay those boundaries inline instead of
     // re-entering the event queue, performing exactly the operations
     // the event-driven loop would, in the same order: member token
-    // updates at the boundary, then the next step's resident total,
-    // cost lookup, and energy/busy/counter accumulations, with the
-    // same repeated-addition timestamps. The (batch, total-resident)
+    // updates at the boundary (batched between sync boundaries, see
+    // below), then the next step's resident total, cost lookup, and
+    // energy/busy/counter accumulations, with the same
+    // repeated-addition timestamps. The (batch, total-resident)
     // cost key is tracked incrementally — it grows by the number of
     // members still below their budget clamp, and stops changing (no
     // lookup at all) once every member is clamped. Only the final,
@@ -883,21 +884,28 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // The last replayed round and pagedEnsure pass left the pool
         // untouched: the next round may stand in for itself.
         bool round_fixpoint = false;
-        // Deferred member bookkeeping. With a contiguous pool and no
-        // waterfall nothing inside the window reads a member's token
-        // counters, so after the first boundary (applied per member:
-        // each member's gap differs there) the window tracks only
-        // what the members share — every later gap is the same
-        // `t_k - t_{k-1}`, so one running max is exact, and a member
-        // stops growing at a fixed step (`clampScratch_`, sorted) —
-        // and applies the `deferred` boundaries to the members when
-        // it ends. Paged mode keeps per-boundary updates (pagedEnsure
-        // and the tail reclaim read them), and so does a waterfall
-        // (it accumulates per member).
-        const bool defer_members = !paged && wf_ == nullptr;
-        bool first_applied = false;
-        std::size_t deferred = 0;
-        std::size_t clamped = 0; ///< clampScratch_ entries <= deferred
+        // Deferred member bookkeeping. Members are written only at
+        // *sync* boundaries: the window's first (each member's gap
+        // differs there), a page edge (some member's resident passes
+        // its chain's capacity, so the pagedEnsure pass has work), and
+        // a replayed deferral round not at its fixpoint (its tail
+        // reclaim reads residents and may shrink budgets). Between
+        // syncs nothing reads a member's counters and the pool cannot
+        // move: every gap is the same `t_k - t_{k-1}`, so one running
+        // max is exact; budgets and chains stay put, so a member stops
+        // growing at a fixed boundary (`clampScratch_`, sorted) and no
+        // chain grows before `page_edge`. A sync flushes the
+        // `deferred` boundaries (this one included) before the round,
+        // then runs the round and the pagedEnsure pass, and rebases
+        // the clamp steps and the next page edge on what they left. A
+        // waterfall accumulates per member, so with one attached every
+        // boundary syncs.
+        const bool defer_members = wf_ == nullptr;
+        bool synced = false; ///< the window's first boundary is applied
+        std::size_t deferred = 0; ///< boundaries since the last sync
+        std::size_t clamped = 0;  ///< clampScratch_ entries <= deferred
+        // `deferred` at the next page edge; max when none is due
+        std::size_t page_edge = std::numeric_limits<std::size_t>::max();
         double gap_max = 0.0;
         while (silent > 0) {
             const Time tn = t + lat;
@@ -912,125 +920,130 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             }
             if (doomed)
                 break;
-            const Time prev = t;
+            const double gap = (tn - t).sec();
+            gap_max = deferred == 0 ? gap : std::max(gap_max, gap);
+            ++deferred;
             t = tn;
-            // Waterfall shares are charged from the step that just
-            // ended — `step` is re-costed only below.
-            const double ended_step_sec = lat.sec();
-            std::size_t growth = 0;
-            if (defer_members && first_applied) {
-                // Every member's last token is `prev`.
-                const double gap = (t - prev).sec();
-                gap_max = deferred == 0 ? gap : std::max(gap_max, gap);
-                ++deferred;
-                while (clamped < batch_size &&
-                       clampScratch_[clamped] <= deferred)
-                    ++clamped;
-                growth = batch_size - clamped;
-            } else {
-                for (std::size_t idx : inFlightBatch_) {
-                    Request &r = requests_[idx];
-                    ++r.generated;
-                    r.maxTokenGapSec = std::max(
-                        r.maxTokenGapSec, (t - r.lastToken).sec());
-                    r.lastToken = t;
-                    if (wf_ != nullptr)
-                        wf_->onDecodeBoundary(
-                            idx, ended_step_sec,
-                            static_cast<double>(batch_size));
-                    if (r.task.ctxLen + r.generated < r.budgetGranted)
-                        ++growth; // resident grows again next step
-                }
-                if (defer_members) {
-                    // Deferred boundary j grows a member while
-                    // ctx + generated + j < budget.
-                    clampScratch_.clear();
-                    for (std::size_t idx : inFlightBatch_) {
-                        const Request &r = requests_[idx];
-                        const std::size_t held =
-                            r.task.ctxLen + r.generated;
-                        clampScratch_.push_back(
-                            r.budgetGranted > held
-                                ? r.budgetGranted - held
-                                : 0);
-                    }
-                    std::sort(clampScratch_.begin(), clampScratch_.end());
-                    first_applied = true;
-                }
-            }
-            PoolMark mark_before;
-            if (replay_deferrals) {
-                mark_before = poolMark();
-                // The admission round on the frozen queue: re-attempt
-                // the recorded deferrals in order, exactly as
-                // tryAdmitAt does. Each must keep failing — no member
-                // leaves the batch inside the window, so nothing
-                // returns its grant — and each failure records the
-                // same deferral the event-driven round would.
-                //
-                // Once a round and the pagedEnsure pass after it leave
-                // the pool as they found it, the next round starts
-                // from the same counts and prefix index and fails the
-                // same way again (members' growing residents only
-                // raise what a tail reclaim must keep), so the round
-                // collapses to its deferral count until the pool next
-                // changes. The only state that then differs from the
-                // event path is the free list's order — each failed
-                // acquire pushes its popped pages back reversed — and
-                // free pages are interchangeable (refs 0, not
-                // indexed), so no report, trace or digest sees it.
-                if (round_fixpoint) {
-                    allocator_.addDeferrals(deferScratch_.size());
-                } else {
-                    for (const auto &defer : deferScratch_) {
-                        const auto grant =
-                            attemptGrant(defer.requested, defer.floor,
-                                         defer.prefixKey,
-                                         defer.prefixLen);
-                        KELLE_ASSERT(!grant.admitted,
-                                     "fast-forward window admitted a "
-                                     "request the event-driven round "
-                                     "had deferred");
-                    }
-                }
-                if (trace_ != nullptr) {
-                    for (const auto &defer : deferScratch_)
-                        trace_->deferred(t, defer.req,
-                                         defer.requested, defer.floor);
-                }
-            }
             ++engineSteps_;
             ++decodeSteps_;
             ++fastForwarded_;
-            if (paged) {
+            std::size_t ns = n_sum; // the next step's resident total
+            if (defer_members && synced && deferred != page_edge &&
+                (!replay_deferrals || round_fixpoint)) {
+                // The round stands in for itself; the resident total
+                // grows by the members still below their clamp.
+                if (replay_deferrals)
+                    allocator_.addDeferrals(deferScratch_.size());
+                while (clamped < batch_size &&
+                       clampScratch_[clamped] <= deferred)
+                    ++clamped;
+                ns += batch_size - clamped;
+            } else {
+                // Flush the deferred boundaries, this one included.
+                // Waterfall shares are charged from the step that just
+                // ended — `step` is re-costed only below. By-value
+                // captures keep the loop's locals in registers.
+                const double batch = static_cast<double>(batch_size);
+                const auto flush = [this, add = deferred, first = !synced,
+                                    gap = gap_max, now = t, batch,
+                                    ended_step_sec = lat.sec()](
+                                       std::size_t idx) {
+                    Request &r = requests_[idx];
+                    r.generated += add;
+                    r.maxTokenGapSec = std::max(
+                        r.maxTokenGapSec,
+                        first ? (now - r.lastToken).sec() : gap);
+                    r.lastToken = now;
+                    if (wf_ != nullptr)
+                        wf_->onDecodeBoundary(idx, ended_step_sec, batch);
+                };
+                // A real round's tail reclaim reads the residents, so
+                // the flush precedes it; otherwise it rides the
+                // pagedEnsure pass below (members are independent).
+                const bool real_round = replay_deferrals && !round_fixpoint;
+                if (real_round) {
+                    for (std::size_t idx : inFlightBatch_)
+                        flush(idx);
+                }
+                PoolMark mark_before;
+                if (replay_deferrals) {
+                    mark_before = poolMark();
+                    // The admission round on the frozen queue:
+                    // re-attempt the recorded deferrals in order,
+                    // exactly as tryAdmitAt does. Each must keep
+                    // failing — no member leaves the batch inside the
+                    // window, so nothing returns its grant — and each
+                    // failure records the same deferral the
+                    // event-driven round would.
+                    //
+                    // Once a round and the pagedEnsure pass after it
+                    // leave the pool as they found it, the next round
+                    // starts from the same counts and prefix index and
+                    // fails the same way again (members' growing
+                    // residents only raise what a tail reclaim must
+                    // keep), so the round collapses to its deferral
+                    // count until the pool next changes. The only
+                    // state that then differs from the event path is
+                    // the free list's order — each failed acquire
+                    // pushes its popped pages back reversed — and free
+                    // pages are interchangeable (refs 0, not indexed),
+                    // so no report, trace or digest sees it.
+                    if (!real_round) {
+                        allocator_.addDeferrals(deferScratch_.size());
+                    } else {
+                        for (const auto &defer : deferScratch_) {
+                            const auto grant = attemptGrant(
+                                defer.requested, defer.floor,
+                                defer.prefixKey, defer.prefixLen);
+                            KELLE_ASSERT(!grant.admitted,
+                                         "fast-forward window admitted "
+                                         "a request the event-driven "
+                                         "round had deferred");
+                        }
+                    }
+                }
                 // Mirror the event path: grow each member's chain to
-                // its new resident count, then re-cost. Budget clamps
-                // from failed growth can change any member's clamp,
-                // so the resident vector is rebuilt per boundary; the
-                // (batch, total-resident) cost key stays exact, so an
-                // unchanged total skips the lookup.
-                for (std::size_t idx : inFlightBatch_)
-                    pagedEnsure(idx,
-                                requests_[idx].residentTokens());
-                residentScratch_.clear();
-                std::size_t ns = 0;
+                // its new resident count (failed growth clamps the
+                // budget, so residents are re-read after it), then
+                // rebase. Deferred boundary j grows a member while
+                // ctx + generated + j < budget, and passes its chain
+                // at j = capacity - (ctx + generated) when the budget
+                // lies beyond the chain.
+                clampScratch_.clear();
+                page_edge = std::numeric_limits<std::size_t>::max();
+                ns = 0;
                 for (std::size_t idx : inFlightBatch_) {
-                    const std::size_t n =
-                        requests_[idx].residentTokens();
-                    residentScratch_.push_back(n);
-                    ns += n;
+                    if (!real_round)
+                        flush(idx);
+                    if (paged)
+                        pagedEnsure(idx, requests_[idx].residentTokens());
+                    const Request &r = requests_[idx];
+                    ns += r.residentTokens();
+                    if (!defer_members)
+                        continue;
+                    const std::size_t held = r.task.ctxLen + r.generated;
+                    clampScratch_.push_back(
+                        r.budgetGranted > held ? r.budgetGranted - held
+                                               : 0);
+                    const std::size_t cap = grants_[idx].chainCapacityTokens;
+                    if (paged && r.budgetGranted > cap) {
+                        KELLE_ASSERT(cap > held,
+                                     "chain behind its resident tokens");
+                        page_edge = std::min(page_edge, cap - held);
+                    }
                 }
-                if (ns != n_sum) {
-                    n_sum = ns;
-                    const accel::StepReport *hit =
-                        costCache_.findBatchedDecode(batch_size,
-                                                     n_sum);
-                    step = hit != nullptr
-                               ? hit
-                               : &decodeStepCost(residentScratch_);
-                }
-            } else if (growth > 0) {
-                n_sum += growth;
+                std::sort(clampScratch_.begin(), clampScratch_.end());
+                clamped = 0;
+                deferred = 0;
+                synced = true;
+                if (replay_deferrals)
+                    round_fixpoint = poolMark() == mark_before;
+            }
+            // The (batch, total-resident) cost key stays exact, so an
+            // unchanged total skips the lookup, and only a cache miss
+            // needs the members' residents, `deferred` boundaries on.
+            if (ns != n_sum) {
+                n_sum = ns;
                 const accel::StepReport *hit =
                     costCache_.findBatchedDecode(batch_size, n_sum);
                 if (hit != nullptr) {
@@ -1043,8 +1056,11 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     step = &decodeStepCost(residentScratch_);
                 }
             }
-            if (replay_deferrals)
-                round_fixpoint = poolMark() == mark_before;
+            if (replay_deferrals && trace_ != nullptr) {
+                for (const auto &defer : deferScratch_)
+                    trace_->deferred(t, defer.req, defer.requested,
+                                     defer.floor);
+            }
             // Mirror the event path's per-boundary decode slice: the
             // step *starting* at this boundary, costed after any
             // resident growth.

@@ -496,8 +496,9 @@ class DeviceEngine
      *  path's preemption scan would fire. */
     std::vector<std::pair<Time, double>> doomScratch_;
     /** Per batch member, the deferred fast-forward boundary from
-     *  which its resident stops growing (budget - ctx - generated
-     *  after the window's first boundary, floored at 0), sorted. */
+     *  which its resident stops growing (budget - ctx - generated,
+     *  floored at 0), sorted; rebased at each sync boundary of the
+     *  window, whose flush and pool work move generated and budgets. */
     std::vector<std::size_t> clampScratch_;
     /** @} */
 

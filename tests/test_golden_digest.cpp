@@ -417,4 +417,33 @@ TEST(HostileFlags, UnsupportedKvQuantIsRejected)
                            "--kv-quant");
 }
 
+TEST(HostileFlags, NonPositiveOrNonFiniteRateIsRejected)
+{
+    // 0, -1 and nan used to trip an assertion in the request generator
+    // (exit 134); inf ran silently with every arrival at t = 0.
+    for (const char *rate : {"0", "-1", "nan", "inf"}) {
+        const std::string flags = std::string("--rate ") + rate +
+                                  " --requests 4 --sweep 0 --study 0";
+        expectFlagRejected("bench/bench_serving", flags, "--rate");
+        expectFlagRejected("bench/bench_cluster", flags, "--rate");
+    }
+}
+
+TEST(HostileFlags, ServingZeroBatchCapIsRejected)
+{
+    expectFlagRejected("bench/bench_serving",
+                       "--maxbatch 0 --requests 4 --sweep 0 --study 0",
+                       "--maxbatch");
+}
+
+TEST(HostileFlags, NonFiniteSloScaleIsRejected)
+{
+    // nan deadlines made every SLO check false: 0.0% attainment.
+    for (const char *scale : {"nan", "inf", "0"})
+        expectFlagRejected("bench/bench_serving",
+                           std::string("--slo-scale ") + scale +
+                               " --requests 4 --sweep 0 --study 0",
+                           "--slo-scale");
+}
+
 } // namespace

@@ -33,6 +33,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <new>
 #include <random>
@@ -191,6 +192,9 @@ expectRequestsEq(const std::vector<serving::Request> &a,
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE("request " + std::to_string(i));
         EXPECT_EQ(a[i].generated, b[i].generated);
+        EXPECT_EQ(a[i].prefilled, b[i].prefilled);
+        EXPECT_EQ(a[i].budgetGranted, b[i].budgetGranted);
+        EXPECT_EQ(bits(a[i].firstToken.sec()), bits(b[i].firstToken.sec()));
         EXPECT_EQ(bits(a[i].lastToken.sec()), bits(b[i].lastToken.sec()));
         EXPECT_EQ(bits(a[i].maxTokenGapSec), bits(b[i].maxTokenGapSec));
         EXPECT_EQ(bits(a[i].completed.sec()), bits(b[i].completed.sec()));
@@ -531,8 +535,8 @@ TEST(FastPathEquivalence, ClusterFastVsSlowHeteroFleet)
 
 /** One DeviceEngine run over hand-built requests, each enqueued at
  *  its arrival, with no-op events at `noops` bounding fast-forward
- *  windows and, when `crash_at` > 0, a device crash whose victims are
- *  not re-dispatched. */
+ *  windows, when `crash_at` > 0 a device crash whose victims are not
+ *  re-dispatched, and whatever further events `extra` schedules. */
 struct DeviceRun
 {
     std::vector<serving::Request> requests;
@@ -540,12 +544,20 @@ struct DeviceRun
     std::uint64_t fastForwarded = 0;
     double busySec = 0.0;
     serving::ServingSummary summary;
+    std::uint64_t deferrals = 0;
+    std::uint64_t budgetClips = 0;
+    std::uint64_t tailReclaims = 0;
 };
+
+using ExtraEvents =
+    std::function<void(sim::EventQueue &, serving::DeviceEngine &,
+                       std::vector<serving::Request> &)>;
 
 DeviceRun
 runDevice(serving::DeviceConfig cfg, bool fast,
           std::vector<serving::Request> requests,
-          const std::vector<double> &noops, double crash_at)
+          const std::vector<double> &noops, double crash_at,
+          const ExtraEvents &extra)
 {
     cfg.fastSim = fast;
     DeviceRun run;
@@ -560,6 +572,8 @@ runDevice(serving::DeviceConfig cfg, bool fast,
         queue.schedule(Time::seconds(crash_at), [&] {
             engine.crashAt(queue.now(), &victims, &lost);
         });
+    if (extra)
+        extra(queue, engine, run.requests);
     for (std::size_t i = 0; i < run.requests.size(); ++i)
         queue.schedule(run.requests[i].arrival,
                        [&engine, i] { engine.enqueue(i); });
@@ -570,6 +584,9 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     run.fastForwarded = engine.fastForwardedSteps();
     run.busySec = engine.busyTime().sec();
     run.summary = engine.metrics().summarize(engine.lastCompletion());
+    run.deferrals = engine.allocator().deferrals();
+    run.budgetClips = engine.allocator().budgetClips();
+    run.tailReclaims = engine.allocator().tailReclaims();
     return run;
 }
 
@@ -596,14 +613,19 @@ DeviceRun
 expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
                            const std::vector<serving::Request> &requests,
                            const std::vector<double> &noops = {},
-                           double crash_at = 0.0)
+                           double crash_at = 0.0,
+                           const ExtraEvents &extra = {})
 {
-    const DeviceRun fast = runDevice(cfg, true, requests, noops, crash_at);
+    const DeviceRun fast =
+        runDevice(cfg, true, requests, noops, crash_at, extra);
     const DeviceRun slow =
-        runDevice(cfg, false, requests, noops, crash_at);
+        runDevice(cfg, false, requests, noops, crash_at, extra);
     expectRequestsEq(fast.requests, slow.requests);
     expectSummaryEq(fast.summary, slow.summary);
     EXPECT_EQ(fast.decodeSteps, slow.decodeSteps);
+    EXPECT_EQ(fast.deferrals, slow.deferrals);
+    EXPECT_EQ(fast.budgetClips, slow.budgetClips);
+    EXPECT_EQ(fast.tailReclaims, slow.tailReclaims);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.busySec),
               std::bit_cast<std::uint64_t>(slow.busySec));
     EXPECT_EQ(slow.fastForwarded, 0u);
@@ -612,9 +634,10 @@ expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
 
 TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
 {
-    // Contiguous pool, no waterfall: inside a fast-forward window the
-    // members' token counters are applied at the first boundary and
-    // again when the window ends.
+    // No waterfall: inside a fast-forward window the members' token
+    // counters are applied at sync boundaries (the first; with a paged
+    // pool also page edges and deferral rounds not at their fixpoint)
+    // and again when the window ends.
     serving::DeviceConfig cfg;
     cfg.poolTokens = 16384;
     const double step_sec =
@@ -690,6 +713,105 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
         EXPECT_GT(run.fastForwarded, 0u);
         EXPECT_LT(run.fastForwarded + 150, run.decodeSteps);
     }
+
+    // Paged pools sync the members at page edges and at replayed
+    // deferral rounds not at their fixpoint, and defer in between.
+    serving::DeviceConfig paged = cfg;
+    paged.paged.enabled = true;
+    paged.paged.blockTokens = 16;
+
+    // 16-token pages put a page edge every 16 boundaries of each
+    // member, so one window crosses many of them, while the clamps
+    // stay staggered as above.
+    {
+        SCOPED_TRACE("paged page edges");
+        std::vector<serving::Request> waves;
+        for (double at : {0.0, 60.0}) {
+            const auto id = static_cast<std::uint64_t>(waves.size());
+            waves.push_back(decodeRequest(id, 512, 300, 560, 0.0, at));
+            waves.push_back(decodeRequest(id + 1, 600, 300, 700, 0.0, at));
+            waves.push_back(decodeRequest(id + 2, 700, 300, 900, 0.0, at));
+        }
+        const DeviceRun run = expectDeviceFastEqualsSlow(paged, waves);
+        EXPECT_GT(run.fastForwarded, 500u);
+        EXPECT_EQ(run.budgetClips, 0u);
+    }
+
+    // A pool too small for every budget: chain growth fails inside a
+    // window and clamps the members' budgets there (at staggered
+    // boundaries), moving both their clamp steps and the next page
+    // edge. A stale clamp step only skews the cost key, and a miss
+    // re-costs from the true residents, so a second, identical wave
+    // replays the keys as cache hits, where a skewed key lands on a
+    // wrong entry.
+    {
+        SCOPED_TRACE("paged growth failure");
+        auto tight = paged;
+        tight.poolTokens = 1700;
+        std::vector<serving::Request> waves;
+        for (double at : {0.0, 60.0}) {
+            const auto id = static_cast<std::uint64_t>(waves.size());
+            waves.push_back(decodeRequest(id, 512, 300, 900, 0.0, at));
+            waves.push_back(decodeRequest(id + 1, 520, 300, 900, 0.0, at));
+            waves.push_back(decodeRequest(id + 2, 530, 300, 900, 0.0, at));
+        }
+        const DeviceRun run = expectDeviceFastEqualsSlow(tight, waves);
+        EXPECT_GT(run.budgetClips, 0u);
+        EXPECT_GT(run.fastForwarded, 500u);
+    }
+
+    // A KV-blocked waiter whose replayed round, not at its fixpoint,
+    // reclaims a running member's idle tail: the round reads the
+    // members' residents, so the flush must precede it. No request
+    // grows an idle tail by itself (chains grow lazily to exactly what
+    // a reclaim keeps, max(floor, resident)), so this one is built by
+    // hand: request 0 acquires a 518-token floor (33 of the 76 pages),
+    // then its recent window, and with it its floor, drops to 34
+    // tokens. A pool-shrink fault defers waiter 2 on the degraded
+    // capacity while the free pages still cover its 218-token floor,
+    // so the event-path rounds reclaim nothing; inside the next window
+    // request 1's page edges push the free pages below that floor,
+    // and the round after such an edge harvests request 0's tail.
+    {
+        SCOPED_TRACE("paged tail reclaim");
+        auto tight = paged;
+        tight.poolTokens = 1216;
+        std::vector<serving::Request> reqs = {
+            decodeRequest(0, 32, 600, 700),
+            decodeRequest(1, 400, 600, 1200),
+            decodeRequest(2, 100, 50, 300, 0.0, 20.0 * step_sec)};
+        reqs[0].task.recentWindow = 500;
+        reqs[2].task.recentWindow = 200;
+        const ExtraEvents extra = [step_sec](
+                                      sim::EventQueue &q,
+                                      serving::DeviceEngine &e,
+                                      std::vector<serving::Request> &r) {
+            q.schedule(Time::seconds(10.0 * step_sec), [&q, &e, &r] {
+                r[0].task.recentWindow = 16;
+                e.shrinkPoolAt(q.now(), 0.5);
+            });
+        };
+        const DeviceRun run =
+            expectDeviceFastEqualsSlow(tight, reqs, {}, 0.0, extra);
+        EXPECT_GT(run.tailReclaims, 0u);
+        EXPECT_GT(run.deferrals, 100u);
+        EXPECT_GT(run.fastForwarded, 500u);
+    }
+
+    // A crash right after a paged window: the flush at the window's
+    // end, not a later boundary, must leave the counters the crash
+    // reads.
+    {
+        SCOPED_TRACE("paged crash after window");
+        const double crash_at = 5.0 + 150.0 * step_sec;
+        const DeviceRun run = expectDeviceFastEqualsSlow(
+            paged,
+            {decodeRequest(0, 512, 400, 1000),
+             decodeRequest(1, 512, 400, 1000)},
+            {}, crash_at);
+        EXPECT_GT(run.fastForwarded, 100u);
+        EXPECT_GT(run.requests[1].maxTokenGapSec, step_sec);
+    }
 }
 
 // ---- AllocationFree ------------------------------------------------
@@ -700,37 +822,54 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
     // budget (QP: ctx 1024, budget 1024), so the resident multiset is
     // pinned from the first decode step and the cost cache hits from
     // step two on. Dummy events pace the queue so both real and
-    // fast-forwarded boundaries are exercised.
-    sim::EventQueue queue;
-    queue.reserve(2048);
-    std::vector<serving::Request> requests;
-    serving::Request r;
-    r.id = 0;
-    r.task = sim::qasper();
-    r.arrival = Time::seconds(0);
-    requests.push_back(r);
+    // fast-forwarded boundaries are exercised. In the paged run the
+    // member is clamped inside its chain (prefill grew it to the
+    // budget), so its windows sync only at their first boundary.
+    for (const bool paged : {false, true}) {
+        SCOPED_TRACE(paged ? "paged" : "contiguous");
+        sim::EventQueue queue;
+        queue.reserve(2048);
+        std::vector<serving::Request> requests;
+        serving::Request r;
+        r.id = 0;
+        r.task = sim::qasper();
+        r.arrival = Time::seconds(0);
+        requests.push_back(r);
 
-    serving::DeviceConfig cfg;
-    cfg.poolTokens = 4096;
-    serving::DeviceEngine engine(cfg, queue, requests);
-    for (int i = 1; i <= 1200; ++i)
-        queue.schedule(Time::seconds(0.3 * i), [] {});
-    engine.enqueue(0);
+        serving::DeviceConfig cfg;
+        cfg.poolTokens = 4096;
+        cfg.paged.enabled = paged;
+        serving::DeviceEngine engine(cfg, queue, requests);
+        for (int i = 1; i <= 1200; ++i)
+            queue.schedule(Time::seconds(0.3 * i), [] {});
+        engine.enqueue(0);
 
-    // Warm-up: prefill, first decode steps, scratch/cache population.
-    for (int i = 0; i < 100; ++i)
-        ASSERT_TRUE(queue.runNext());
-    const std::uint64_t decode_steps_before = engine.decodeSteps();
-    const std::uint64_t allocs_before =
-        g_heapAllocs.load(std::memory_order_relaxed);
-    for (int i = 0; i < 300; ++i)
-        ASSERT_TRUE(queue.runNext());
-    const std::uint64_t allocs_after =
-        g_heapAllocs.load(std::memory_order_relaxed);
-    EXPECT_GT(engine.decodeSteps(), decode_steps_before + 100);
-    EXPECT_FALSE(requests[0].done()); // still mid-decode: steady state
-    EXPECT_EQ(allocs_after - allocs_before, 0u)
-        << "steady-state stepping must not touch the heap";
+        // Warm-up: prefill, first decode steps, scratch/cache
+        // population.
+        for (int i = 0; i < 100; ++i)
+            ASSERT_TRUE(queue.runNext());
+        const std::uint64_t decode_steps_before = engine.decodeSteps();
+        const std::uint64_t ff_before = engine.fastForwardedSteps();
+        const std::uint64_t allocs_before =
+            g_heapAllocs.load(std::memory_order_relaxed);
+        for (int i = 0; i < 300; ++i)
+            ASSERT_TRUE(queue.runNext());
+        const std::uint64_t allocs_after =
+            g_heapAllocs.load(std::memory_order_relaxed);
+        EXPECT_GT(engine.decodeSteps(), decode_steps_before + 100);
+        EXPECT_GT(engine.fastForwardedSteps(), ff_before + 100);
+        EXPECT_FALSE(requests[0].done()); // still mid-decode
+        EXPECT_EQ(allocs_after - allocs_before, 0u)
+            << "steady-state stepping must not touch the heap";
+        if (paged) {
+            // Clamped at its budget, which its pages already hold.
+            EXPECT_EQ(requests[0].residentTokens(),
+                      requests[0].budgetGranted);
+            EXPECT_GE(engine.allocator().pagePool()->usedPages() *
+                          cfg.paged.blockTokens,
+                      requests[0].budgetGranted);
+        }
+    }
 }
 
 // ---- EventQueueWindow ----------------------------------------------
