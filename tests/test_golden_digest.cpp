@@ -166,6 +166,23 @@ TEST(GoldenDigest, BenchClusterFaultRunMatchesAcrossThreads)
                  0x64c29f80073e442eull);
 }
 
+TEST(GoldenDigest, BenchClusterEdfChunkedPreemptFaultRun)
+{
+    // Chunked EDF prefill, preempt-and-requeue and fault re-dispatch
+    // on a 4-device hetero fleet in one run: same-time requeues from
+    // several devices, retries landing in the same rounds, and the
+    // degradation ladder all interleave here. The run has preemptions
+    // and 30 crashes under round-robin; 1 and 4 lanes must agree.
+    const std::string flags =
+        "--devices 4 --hetero --policy edf-chunked --chunk-tokens 64 "
+        "--preempt --faults --mtbf 40 --mttr 10 --requests 24 "
+        "--sweep 0 --study 0";
+    expectDigest("bench/bench_cluster", flags + " --threads 1",
+                 0x79cc0473fbf69817ull);
+    expectDigest("bench/bench_cluster", flags + " --threads 4",
+                 0x79cc0473fbf69817ull);
+}
+
 TEST(GoldenDigest, EdgeServerDefaultSession)
 {
     expectDigest("examples/edge_server", "", 0x9852bb7d3bac4ca7ull);
