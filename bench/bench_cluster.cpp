@@ -163,9 +163,9 @@ main(int argc, char **argv)
     args.addInt("steps", 0,
                 "max engine steps per device (0 = run to completion)");
     args.addInt("threads", 1,
-                "worker lanes per cluster run (1 = serial engine, "
-                "0 = hardware threads); output is bit-identical for "
-                "every value");
+                "worker lanes per cluster run (1 = one lane, run "
+                "inline, 0 = hardware threads); output is "
+                "bit-identical for every value");
     args.addBool("burst", false, "bursty (MMPP) arrivals");
     args.addBool("study", true,
                  "run the knee (join-shortest-kv vs round-robin) and "

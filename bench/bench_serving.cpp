@@ -23,13 +23,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cluster/cluster_engine.hpp"
 #include "common/arg_parser.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serving/scheduler.hpp"
 
 using namespace kelle;
 
@@ -73,8 +73,11 @@ runCell(serving::ServingConfig cfg, serving::SchedulePolicy policy,
 {
     cfg.policy = policy;
     cfg.chunkTokens = chunk_tokens;
-    serving::Scheduler engine(cfg);
-    return engine.run();
+    return cluster::ClusterEngine(
+               cluster::clusterConfigFrom(
+                   cfg, 1, cluster::DispatchKind::RoundRobin))
+        .run()
+        .aggregate;
 }
 
 std::string
@@ -330,8 +333,9 @@ main(int argc, char **argv)
 
         obs::MetricsRegistry reg;
         reg.ingestTrace(paged_rec);
-        const obs::TimeSeries &hits =
-            reg.series("device.kv_prefix_hit_tokens");
+        const obs::TimeSeries &hits = reg.series(
+            paged_rec.deviceTracks().front()->name() +
+            ".kv_prefix_hit_tokens");
         reg.setGauge("paged.prefix_hit_tokens",
                      hits.valueAt(hits.endSec(), 0.0));
 

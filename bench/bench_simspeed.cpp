@@ -18,8 +18,8 @@
  * absolute steps/sec floor it replaces.
  *
  * `--devices` scales the alternating eDRAM/SRAM fleet and `--threads`
- * engages the deterministic parallel cluster engine; with threads > 1
- * the sweep is additionally timed at `threads = 1` and the report
+ * sets the cluster drive loop's worker lanes; with threads > 1 the
+ * sweep is additionally timed at `threads = 1` and the report
  * carries a `thread_scaling` section with the speedup (outputs are
  * bit-identical by construction — only wall-clock varies).
  *
@@ -276,10 +276,11 @@ main(int argc, char **argv)
     args.addInt("devices", 2,
                 "fleet size (alternating eDRAM/SRAM knee fleet)");
     args.addInt("threads", 1,
-                "worker lanes per cluster run (1 = serial engine, "
-                "0 = hardware threads); outputs stay bit-identical — "
-                "with threads > 1 the sweep is also timed serially "
-                "and the report gains a thread_scaling section");
+                "worker lanes per cluster run (1 = one lane, run "
+                "inline, 0 = hardware threads); outputs stay "
+                "bit-identical — with threads > 1 the sweep is also "
+                "timed on one lane and the report gains a "
+                "thread_scaling section");
     args.addInt("seed", 42, "arrival-trace seed");
     args.addString("policy", "contbatch",
                    "per-device scheduling policy: " +
@@ -395,8 +396,8 @@ main(int argc, char **argv)
         cluster::ClusterConfig one = base;
         one.threads = 1;
         one.engine.profiler = nullptr;
-        bench::banner("Thread scaling: the same sweep on the serial "
-                      "shared-heap engine");
+        bench::banner("Thread scaling: the same sweep on one lane, "
+                      "run inline");
         Table st({"dispatch", "wall", "steps/s"});
         for (const auto d : dispatches) {
             CellResult c = runCell(one, d);

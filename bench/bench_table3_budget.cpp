@@ -7,9 +7,9 @@
  */
 
 #include "bench_util.hpp"
+#include "cluster/cluster_engine.hpp"
 #include "common/arg_parser.hpp"
 #include "common/table.hpp"
-#include "serving/scheduler.hpp"
 #include "sim/experiments.hpp"
 
 using namespace kelle;
@@ -103,14 +103,21 @@ main(int argc, char **argv)
 
         Table k({"N'", "contig peak N'", "paged+shared peak N'",
                  "resident mult", "prefix-hit tok", "clips"});
+        const auto one = [](const serving::ServingConfig &cfg) {
+            return cluster::ClusterEngine(
+                       cluster::clusterConfigFrom(
+                           cfg, 1, cluster::DispatchKind::RoundRobin))
+                .run()
+                .aggregate;
+        };
         for (std::size_t budget : {96u, 64u, 48u, 32u}) {
             serving::ServingConfig contig = base;
             contig.budgetOverride = budget;
             serving::ServingConfig paged = contig;
             paged.paged.enabled = true;
             paged.paged.blockTokens = 8;
-            const auto c = serving::Scheduler(contig).run();
-            const auto p = serving::Scheduler(paged).run();
+            const auto c = one(contig);
+            const auto p = one(paged);
             k.addRow({std::to_string(budget),
                       std::to_string(c.peakLogicalTokens),
                       std::to_string(p.peakLogicalTokens),

@@ -35,7 +35,6 @@
 #include "common/table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serving/scheduler.hpp"
 
 using namespace kelle;
 
@@ -187,9 +186,9 @@ main(int argc, char **argv)
     cfg.verbose = true;
     setLogLevel(LogLevel::Verbose); // lifecycle lines use inform()
 
-    // One recorder serves both paths: the single-device Scheduler and
-    // the cluster engine thread it to their devices identically. The
-    // narrated stdout is byte-identical with or without it.
+    // One recorder serves every fleet size: the cluster engine threads
+    // it to its devices. The narrated stdout is byte-identical with or
+    // without it.
     const std::string trace_out = args.getString("trace-out");
     const std::string metrics_out = args.getString("metrics-out");
     obs::TraceRecorder recorder;
@@ -208,8 +207,9 @@ main(int argc, char **argv)
                     cfg.traffic.numRequests, cfg.traffic.ratePerSec,
                     toString(cfg.policy).c_str(), cfg.poolTokens);
 
-        serving::Scheduler engine(cfg);
-        const serving::ServingReport rep = engine.run();
+        cluster::ClusterEngine engine(cluster::clusterConfigFrom(
+            cfg, 1, cluster::DispatchKind::RoundRobin));
+        const serving::ServingReport rep = engine.run().aggregate;
         printSummary(rep);
         if (!trace_out.empty() && recorder.writeJson(trace_out))
             std::printf("\nwrote trace: %s (load at "

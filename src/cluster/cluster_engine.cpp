@@ -74,8 +74,9 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     threads_ =
         cfg_.threads ? cfg_.threads : common::defaultParallelism();
     threads_ = std::min(threads_, cfg_.devices.size());
-    // Verbose runs stay serial: the parallel engine's state is
-    // bit-identical but its log interleaving would not be.
+    // Verbose runs take one lane: the state is bit-identical at any
+    // lane count, but concurrent windows would interleave log lines
+    // nondeterministically.
     if (cfg_.engine.verbose)
         threads_ = 1;
     if (cfg_.faults.enabled) {
@@ -85,30 +86,25 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
         downSince_.assign(cfg_.devices.size(), Time());
         faultDevs_.resize(cfg_.devices.size());
     }
-    const bool parallel = threads_ > 1;
-    if (parallel) {
-        localQueues_.reserve(cfg_.devices.size());
-        requeueBufs_.resize(cfg_.devices.size());
-        requeueBufPos_.assign(cfg_.devices.size(), 0);
-    }
+    localQueues_.reserve(cfg_.devices.size());
+    requeueBufs_.resize(cfg_.devices.size());
+    requeueBufPos_.assign(cfg_.devices.size(), 0);
     devices_.reserve(cfg_.devices.size());
     for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
         const DeviceSpec &spec = cfg_.devices[i];
         // One copy path for the shared knobs (deviceConfigFrom), then
         // only what a DeviceSpec may override.
         serving::DeviceConfig d = deviceConfigFrom(cfg_.engine);
-        // A 1-device fleet keeps the empty label so its verbose log is
-        // bit-identical to the single-device Scheduler's.
+        // A 1-device fleet keeps the empty label: its verbose log
+        // reads like a single-device session.
         d.name = cfg_.devices.size() > 1 ? spec.name : "";
         d.system = spec.system;
         d.poolTokens = spec.poolTokens;
         d.maxBatch = spec.maxBatch;
-        // Parallel engine: each device steps its own event-queue
-        // partition so a lookahead window touches no shared state.
-        sim::EventQueue &q =
-            parallel ? *localQueues_.emplace_back(
-                           std::make_unique<sim::EventQueue>())
-                     : queue_;
+        // Each device steps its own event-queue partition so a
+        // lookahead window touches no shared state.
+        sim::EventQueue &q = *localQueues_.emplace_back(
+            std::make_unique<sim::EventQueue>());
         devices_.push_back(std::make_unique<serving::DeviceEngine>(
             d, q, requests_));
         if (cfg_.engine.trace != nullptr)
@@ -122,78 +118,15 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
             devices_.back()->setWaterfall(
                 cfg_.engine.waterfall, static_cast<std::uint32_t>(i));
 
+        // Emissions are buffered, never dispatched inline: the drive
+        // loop merges them after the round in canonical order. The
+        // fast-forward horizon is the loop's current window horizon,
+        // constant while any lane is running.
         serving::DeviceEngine::Hooks hooks;
-        if (parallel) {
-            // Emissions are buffered, never dispatched inline: the
-            // coordinator merges them after the round in the serial
-            // heap's pop order. The fast-forward horizon is the
-            // coordinator's current window horizon, constant while
-            // any worker is running.
-            hooks.requeue = [this, i](std::size_t idx) {
-                requeueBufs_[i].push_back(idx);
-            };
-            hooks.nextExternalEvent = [this] {
-                return windowHorizon_;
-            };
-        } else {
-            // Requeue through an immediate event: the victim re-enters
-            // the dispatch policy after the preempting device's step
-            // boundary completes, never re-entering an engine
-            // mid-dispatch. The canonical priority (1 + emitting
-            // device index) fixes the pop order of same-time requeues
-            // from different devices to device-index order — the one
-            // cross-device tie the insertion sequence left dependent
-            // on execution history, which the parallel engine cannot
-            // reproduce.
-            hooks.requeue = [this, i](std::size_t idx) {
-                ++pendingRequeues_;
-                queue_.schedule(
-                    queue_.now(),
-                    [this, idx] {
-                        --pendingRequeues_;
-                        dispatchArrival(idx);
-                    },
-                    1 + static_cast<int>(i));
-            };
-            // With preemption off, the only events that can reach a
-            // device from outside are the trace arrivals, so a device
-            // may fast-forward straight through other devices' step
-            // completions (they touch only their own device and
-            // commute with this one's boundaries). With preemption
-            // on, the same holds up to the earliest instant any
-            // *other* device could emit a victim requeue — a
-            // scheduled-but-undispatched requeue pins the bound to
-            // `now`. The engine stops its own window before its own
-            // preemption scan would fire, so device i's bound is
-            // excluded from its own horizon.
-            hooks.nextExternalEvent = [this, i] {
-                Time bound =
-                    arrivalCursor_ < requests_.size()
-                        ? requests_[arrivalCursor_].arrival
-                        : Time::seconds(
-                              std::numeric_limits<double>::infinity());
-                // Fault instants and fault re-dispatches reach any
-                // device from outside; neither commutes with a
-                // fast-forward window, whatever the preempt knob.
-                if (injector_ != nullptr) {
-                    bound =
-                        std::min(bound, injector_->nextEventTime());
-                    bound = std::min(bound, nextRetryTime());
-                }
-                if (!cfg_.engine.preempt.enabled)
-                    return bound;
-                if (pendingRequeues_ > 0)
-                    return queue_.now();
-                for (std::size_t j = 0; j < devices_.size(); ++j) {
-                    if (j == i)
-                        continue;
-                    bound = std::min(
-                        bound, devices_[j]->nextPossibleRequeueTime(
-                                   queue_.now()));
-                }
-                return bound;
-            };
-        }
+        hooks.requeue = [this, i](std::size_t idx) {
+            requeueBufs_[i].push_back(idx);
+        };
+        hooks.nextExternalEvent = [this] { return windowHorizon_; };
         devices_.back()->setHooks(std::move(hooks));
     }
 }
@@ -215,7 +148,7 @@ ClusterEngine::statuses()
 }
 
 std::size_t
-ClusterEngine::pickDevice(std::size_t idx)
+ClusterEngine::pickDevice(Time t, std::size_t idx)
 {
     std::size_t d;
     if (downCount_ == 0) {
@@ -270,7 +203,7 @@ ClusterEngine::pickDevice(std::size_t idx)
     }
     if (cfg_.engine.verbose && devices_.size() > 1) {
         const serving::Request &r = requests_[idx];
-        inform("t=", toString(queue_.now()), " dispatch request #",
+        inform("t=", toString(t), " dispatch request #",
                r.id,
                r.faultRetries > 0
                    ? " (fault retry)"
@@ -286,27 +219,12 @@ ClusterEngine::pickDevice(std::size_t idx)
 }
 
 void
-ClusterEngine::dispatchArrival(std::size_t idx)
+ClusterEngine::dispatchAt(Time t, std::size_t idx)
 {
-    const std::size_t d = pickDevice(idx);
+    const std::size_t d = pickDevice(t, idx);
     if (d == devices_.size()) {
         // Whole fleet down: park the request on the retry path until
         // a device recovers (or its retry budget runs out).
-        scheduleRetry(idx, queue_.now());
-        return;
-    }
-    if (injector_ != nullptr)
-        lastDevice_[idx] = d;
-    if (clusterTrack_ != nullptr)
-        clusterTrack_->dispatched(queue_.now(), requests_[idx].id, d);
-    devices_[d]->enqueue(idx);
-}
-
-void
-ClusterEngine::dispatchAt(Time t, std::size_t idx)
-{
-    const std::size_t d = pickDevice(idx);
-    if (d == devices_.size()) {
         scheduleRetry(idx, t);
         return;
     }
@@ -316,46 +234,6 @@ ClusterEngine::dispatchAt(Time t, std::size_t idx)
         clusterTrack_->dispatched(t, requests_[idx].id, d);
     localQueues_[d]->advanceTo(t);
     devices_[d]->enqueue(idx);
-}
-
-void
-ClusterEngine::runSerial()
-{
-    // All arrivals up front plus one in-flight step per device and
-    // the occasional preemption requeue.
-    queue_.reserve(requests_.size() + devices_.size() + 8);
-    for (std::size_t i = 0; i < requests_.size(); ++i) {
-        // The cursor feeds Hooks::nextExternalEvent: arrivals fire in
-        // trace order, so requests_[arrivalCursor_] is always the
-        // earliest arrival still pending.
-        queue_.schedule(requests_[i].arrival, [this, i] {
-            arrivalCursor_ = i + 1;
-            dispatchArrival(i);
-        });
-    }
-    obs::PhaseProfiler::Timer timer(
-        cfg_.engine.profiler, obs::PhaseProfiler::Phase::SerialDrive);
-    if (injector_ == nullptr) {
-        queue_.runAll();
-        return;
-    }
-    // Interleave the infinite fault stream with the event heap: every
-    // fault at or before the next queue event applies first (the
-    // injector's contract), with the queue clock advanced to the
-    // fault instant so retries and trace writes stamp it. Faults past
-    // the last queue event never materialize — the run is over.
-    for (;;) {
-        if (queue_.empty())
-            break;
-        Time tq = queue_.nextEventTime();
-        while (injector_->nextEventTime() <= tq) {
-            const faults::FaultEvent ev = injector_->pop();
-            queue_.advanceTo(ev.at);
-            applyFault(ev);
-            tq = queue_.nextEventTime();
-        }
-        queue_.runNext();
-    }
 }
 
 Time
@@ -379,10 +257,9 @@ ClusterEngine::nextRequeueBound() const
 void
 ClusterEngine::drainRequeues(Time t)
 {
-    // Serial pop order for same-time requeues is (priority = 1 +
-    // emitting device, insertion seq): lowest emitting device first,
-    // then per-device emission order — including victims emitted by
-    // the dispatches this loop itself performs.
+    // Canonical order for same-time requeues: lowest emitting device
+    // first, then per-device emission order — including victims
+    // emitted by the dispatches this loop itself performs.
     for (;;) {
         std::size_t emitter = devices_.size();
         for (std::size_t i = 0; i < devices_.size(); ++i) {
@@ -437,14 +314,6 @@ ClusterEngine::scheduleRetry(std::size_t idx, Time now)
     pr.seq = retrySeq_++;
     pr.req = idx;
     retryPending_.push_back(pr);
-    if (threads_ <= 1) {
-        // Serial: a queue event fires the earliest pending retry. The
-        // priority puts same-time retries after every device requeue
-        // (1 + emitting device index < 1 + fleet size), the order the
-        // parallel round phases replay.
-        queue_.schedule(at, [this] { fireRetry(); },
-                        1 + static_cast<int>(devices_.size()));
-    }
     if (cfg_.engine.verbose)
         inform("t=", toString(now), " request #", r.id,
                " fault retry ", attempt, "/", cfg_.faults.maxRetries,
@@ -457,33 +326,10 @@ ClusterEngine::permanentFail(std::size_t idx, Time now)
     ++permanentFailures_;
     const std::size_t d = lastDevice_[idx];
     // The target's clock may trail `now` when the failure lands off
-    // its own partition (parallel mode only); no event of its can be
-    // pending before the round's t0.
-    if (threads_ > 1)
-        localQueues_[d]->advanceTo(now);
+    // its own partition; no event of its can be pending before the
+    // round's t0.
+    localQueues_[d]->advanceTo(now);
     devices_[d]->failRequestAt(now, idx);
-}
-
-void
-ClusterEngine::fireRetry()
-{
-    KELLE_ASSERT(!retryPending_.empty(),
-                 "fault retry fired with none pending");
-    // Pop min (at, seq): scheduling order matches the event queue's
-    // (time, seq) order for the events that created them.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < retryPending_.size(); ++i) {
-        const PendingRetry &a = retryPending_[i];
-        const PendingRetry &b = retryPending_[best];
-        if (a.at < b.at || (a.at == b.at && a.seq < b.seq))
-            best = i;
-    }
-    const std::size_t idx = retryPending_[best].req;
-    KELLE_ASSERT(!(queue_.now() < retryPending_[best].at),
-                 "fault retry fired early");
-    retryPending_.erase(retryPending_.begin() +
-                        static_cast<std::ptrdiff_t>(best));
-    dispatchArrival(idx);
 }
 
 void
@@ -508,8 +354,7 @@ ClusterEngine::drainRetries(Time t)
                             static_cast<std::ptrdiff_t>(best));
         dispatchAt(t, idx);
         // A retry dispatch can cascade into same-time preemption
-        // requeues; the serial heap pops those (priority 1 + device)
-        // before the next retry event (priority 1 + fleet size).
+        // requeues; those dispatch before the next same-time retry.
         drainRequeues(t);
     }
 }
@@ -617,7 +462,7 @@ ClusterEngine::fillFaultReport(ClusterReport *rep, Time last) const
 }
 
 void
-ClusterEngine::runParallel()
+ClusterEngine::drive()
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
     common::ThreadPool pool(threads_);
@@ -684,15 +529,15 @@ ClusterEngine::runParallel()
                              "a lookahead window emitted a requeue");
             continue;
         }
-        // Serialized round at t0 — the earliest pending work — with
-        // phases in the serial heap's pop order: arrivals in trace
-        // order, then same-time step boundaries (priority 0; they
-        // commute across devices, so device-index order is safe),
-        // then requeues in canonical order. With preemption on, an
-        // injection can cascade into same-time emissions targeting
-        // devices already stepped, so lookahead is disabled for the
-        // round; with it off, a boundary may fast-forward up to the
-        // next still-pending arrival exactly like the serial engine.
+        // Serialized round at t0 — the earliest pending work — in
+        // phases: faults, arrivals in trace order, then same-time step
+        // boundaries (they commute across devices, so device-index
+        // order is safe), then requeues in canonical order, then fault
+        // re-dispatches. With preemption on, an injection can cascade
+        // into same-time emissions targeting devices already stepped,
+        // so lookahead is disabled for the round; with it off, a
+        // boundary may fast-forward up to the next still-pending
+        // arrival.
         const Time t0 =
             std::min(std::min(arrival, nextEvent), extra);
         obs::PhaseProfiler::Timer round_timer(
@@ -703,7 +548,7 @@ ClusterEngine::runParallel()
         if (injector_ != nullptr &&
             injector_->nextEventTime() <= t0) {
             // Fault instants precede any same-time queue event (the
-            // serial loop's order). No partition holds an event
+            // injector's contract). No partition holds an event
             // before t0, so every clock can line up with the fault —
             // the ladder and eviction handling may touch any device.
             for (auto &q : localQueues_)
@@ -753,10 +598,7 @@ ClusterEngine::run()
         cfg_.engine.waterfall->beginRun(requests_.size());
     if (injector_ != nullptr)
         lastDevice_.assign(requests_.size(), 0);
-    if (threads_ > 1)
-        runParallel();
-    else
-        runSerial();
+    drive();
 
     // Makespan is first arrival to last completion anywhere in the
     // fleet; the idle lead-in before the first arrival is not serving

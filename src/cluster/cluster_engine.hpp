@@ -1,7 +1,8 @@
 /**
  * @file
  * The layer-6 edge-cluster serving engine: one shared request stream
- * served by N simulated accelerators on one `sim::EventQueue`.
+ * served by N simulated accelerators, each stepping its own
+ * `sim::EventQueue` partition under one drive loop.
  *
  *   arrivals --DispatchPolicy--> DeviceEngine[i] (own KV pool, own
  *   policy-driven step loop, own timing/energy model instance)
@@ -10,7 +11,7 @@
  * `ClusterEngine` generates the seeded arrival trace once, routes
  * every arrival through a pluggable `DispatchPolicy` (round-robin /
  * join-shortest-kv / deadline-aware) to one of N per-device executors,
- * and runs the shared event queue to completion. Devices are fully
+ * and drives the fleet to completion. Devices are fully
  * independent after dispatch — each owns a `KvBudgetAllocator` over
  * its own KV pool, a scheduling `Policy`, and its accelerator config —
  * so heterogeneous fleets (eDRAM- and SRAM-backed devices, different
@@ -24,8 +25,9 @@
  * free budget.
  *
  * Everything is a pure function of the config: reruns are
- * bit-identical, and a 1-device cluster under any dispatch policy
- * reproduces the single-device `Scheduler` bit-exactly.
+ * bit-identical at any lane count, and a 1-device cluster is the
+ * single-device serving engine (every dispatch policy gives it the
+ * same report).
  */
 
 #ifndef KELLE_CLUSTER_CLUSTER_ENGINE_HPP
@@ -41,7 +43,6 @@
 #include "faults/fault_injector.hpp"
 #include "serving/device_engine.hpp"
 #include "serving/request_generator.hpp"
-#include "serving/scheduler.hpp"
 #include "sim/event_queue.hpp"
 
 namespace kelle {
@@ -64,11 +65,9 @@ struct ClusterConfig
      * The traffic of the shared stream plus every engine knob the
      * devices inherit — model, scheduling policy, chunking and its
      * slack rule, preemption, budget override, watermark, step cap,
-     * verbosity. Scheduler and ClusterEngine both materialize device
-     * engines through the same `deviceConfigFrom` copy, so the two
-     * paths cannot disagree on a knob (a field missed there is
-     * dropped from *both* equally — add new knobs to that one
-     * function). `system` / `poolTokens` / `maxBatch` act only as the
+     * verbosity. Every device engine is materialized through the one
+     * `deviceConfigFrom` copy (add new knobs to that function).
+     * `system` / `poolTokens` / `maxBatch` act only as the
      * homogeneous-fleet defaults; each `DeviceSpec` overrides them.
      */
     serving::ServingConfig engine;
@@ -76,15 +75,15 @@ struct ClusterConfig
     /** The fleet; must not be empty. */
     std::vector<DeviceSpec> devices;
     /**
-     * Worker lanes for the deterministic parallel engine: 1 (default)
-     * runs the serial shared-heap engine; 0 means one lane per
-     * hardware thread; N caps at N lanes. Lanes are clamped to the
-     * fleet size, and verbose runs always fall back to serial so the
-     * log interleaving stays the serial one. Every value yields a
-     * bit-identical ClusterReport — the parallel engine advances each
-     * device only to a conservative lookahead horizon and merges
-     * cross-device effects in the serial heap's pop order (see
-     * docs/ARCHITECTURE.md, "Parallel cluster engine").
+     * Worker lanes for the drive loop's lookahead windows: 1 (default)
+     * runs every window inline on the calling thread; 0 means one
+     * lane per hardware thread; N caps at N lanes. Lanes are clamped
+     * to the fleet size, and verbose runs always take one lane so the
+     * log order is deterministic. Every value yields a bit-identical
+     * ClusterReport — each device advances only to a conservative
+     * lookahead horizon and cross-device effects merge in serialized
+     * rounds in a canonical order (see docs/ARCHITECTURE.md, "Cluster
+     * drive loop").
      */
     std::size_t threads = 1;
     /**
@@ -92,8 +91,8 @@ struct ClusterConfig
      * crash / slowdown / pool-shrink disruptions with recovery,
      * crash-eviction re-dispatch under a capped-backoff retry budget,
      * and the graceful-degradation ladder. Disabled (the default) the
-     * engine never constructs an injector and every path — serial and
-     * parallel — is bit-identical to the pre-fault build.
+     * engine never constructs an injector and every lane count is
+     * bit-identical to the pre-fault build.
      */
     faults::FaultConfig faults;
 };
@@ -118,8 +117,7 @@ std::vector<DeviceSpec> heteroEdramSramFleet(
 
 /**
  * Lift a single-device ServingConfig onto an n-device homogeneous
- * cluster (the equivalence seam: n = 1 reproduces the Scheduler run
- * bit-exactly under any dispatch policy).
+ * cluster; n = 1 is how a single-device session runs.
  */
 ClusterConfig clusterConfigFrom(const serving::ServingConfig &cfg,
                                 std::size_t n_devices,
@@ -161,20 +159,21 @@ class ClusterEngine
     }
 
   private:
-    /** Dispatch-policy pick plus the canEverAdmit fallback. Down
+    /** Dispatch-policy pick plus the canEverAdmit fallback at round
+     *  time `t` (which stamps the verbose dispatch line). Down
      *  devices are blacklisted; `devices_.size()` is returned when
      *  the whole fleet is down (the caller schedules a retry). */
-    std::size_t pickDevice(std::size_t idx);
-    void dispatchArrival(std::size_t idx);
-    /** Parallel-mode dispatch: line the target's partition clock up
-     *  with the globally-timestamped injection, then enqueue. */
+    std::size_t pickDevice(Time t, std::size_t idx);
+    /** Dispatch at round time `t`: line the target's partition clock
+     *  up with the globally-timestamped injection, then enqueue. */
     void dispatchAt(Time t, std::size_t idx);
     /** Refresh and return the reusable status-snapshot scratch. */
     const std::vector<DeviceStatus> &statuses();
-    void runSerial();
-    void runParallel();
-    /** Dispatch buffered preemption requeues in the serial heap's pop
-     *  order: (emitting device index, per-device emission order). */
+    /** The drive loop: lookahead windows and serialized rounds until
+     *  the fleet drains. */
+    void drive();
+    /** Dispatch buffered preemption requeues in canonical order:
+     *  (emitting device index, per-device emission order). */
     void drainRequeues(Time t);
     /** Earliest requeue any device could still emit (+inf when none). */
     Time nextRequeueBound() const;
@@ -189,11 +188,8 @@ class ClusterEngine
     void scheduleRetry(std::size_t idx, Time now);
     /** Terminal failure of `idx` on its last device. */
     void permanentFail(std::size_t idx, Time now);
-    /** Serial retry event: pop the earliest pending retry. */
-    void fireRetry();
-    /** Parallel round phase: dispatch retries due at `t` in (at, seq)
-     *  order, draining cascaded requeues after each (the serial
-     *  heap's pop order: requeue priority < retry priority). */
+    /** Round phase: dispatch retries due at `t` in (at, seq) order,
+     *  draining cascaded requeues after each. */
     void drainRetries(Time t);
     /** Earliest pending fault re-dispatch (+inf when none). */
     Time nextRetryTime() const;
@@ -205,7 +201,6 @@ class ClusterEngine
     /** `cfg_.engine.trace`'s requests track (dispatch instants);
      *  null when tracing is off. */
     obs::TraceTrack *clusterTrack_ = nullptr;
-    sim::EventQueue queue_;
     std::vector<serving::Request> requests_;
     std::unique_ptr<DispatchPolicy> dispatch_;
     std::vector<std::unique_ptr<serving::DeviceEngine>> devices_;
@@ -215,16 +210,16 @@ class ClusterEngine
      *  the devices' fast-forward horizon; see Hooks). */
     std::size_t arrivalCursor_ = 0;
 
-    /** Resolved worker lanes (1 = serial engine). */
+    /** Resolved worker lanes (1 = every window runs inline). */
     std::size_t threads_ = 1;
-    /** @name Parallel-engine state (threads_ > 1 only)
-     * Each device steps its own event-queue partition; the coordinator
+    /** @name Drive-loop state
+     * Each device steps its own event-queue partition; the drive loop
      * alternates lock-free lookahead windows (no cross-device effect
      * can occur before the horizon) with serialized rounds that merge
-     * arrivals, same-time boundaries and requeues in the serial heap's
-     * pop order. `windowHorizon_` backs Hooks::nextExternalEvent: it
-     * is written by the coordinator only while the workers are joined,
-     * and read by them only inside a window.
+     * arrivals, same-time boundaries and requeues in canonical order.
+     * `windowHorizon_` backs Hooks::nextExternalEvent: it is written
+     * by the loop only while the workers are joined, and read by them
+     * only inside a window.
      * @{ */
     std::vector<std::unique_ptr<sim::EventQueue>> localQueues_;
     Time windowHorizon_;
@@ -233,10 +228,6 @@ class ClusterEngine
     std::vector<std::vector<std::size_t>> requeueBufs_;
     std::vector<std::size_t> requeueBufPos_;
     /** @} */
-
-    /** Serial mode: requeue events scheduled but not yet dispatched —
-     *  while nonzero, no device may fast-forward past `now`. */
-    int pendingRequeues_ = 0;
 
     /** @name Fault state (null/empty when cfg_.faults.enabled off;
      * every guard below is a pointer test, so the faults-off paths
@@ -250,7 +241,7 @@ class ClusterEngine
      *  failures land on it). */
     std::vector<std::size_t> lastDevice_;
     /** One pending fault re-dispatch; `seq` breaks same-time ties in
-     *  scheduling order, matching the serial heap's (time, seq). */
+     *  scheduling order. */
     struct PendingRetry
     {
         Time at;

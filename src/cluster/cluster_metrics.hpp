@@ -9,8 +9,7 @@
  * percentiles are computed over the union of completed requests, not
  * averaged per device. Per-device summaries use the same makespan, so
  * per-device goodput numbers add up to the aggregate. For a 1-device
- * cluster the aggregate is bit-identical to the single-device
- * `Scheduler` report.
+ * cluster the aggregate is bit-identical to the device's own report.
  *
  * Fleet-level figures beyond the merged summary:
  *  - load imbalance: the population coefficient of variation
@@ -30,7 +29,6 @@
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "serving/device_engine.hpp"
-#include "serving/scheduler.hpp"
 
 namespace kelle {
 namespace cluster {

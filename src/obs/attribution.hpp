@@ -215,7 +215,7 @@ struct AttributionReport
 
 /**
  * The per-request waterfall table, indexed like the owner's request
- * vector. The owner (Scheduler / ClusterEngine) calls `beginRun`
+ * vector. The owner (ClusterEngine) calls `beginRun`
  * after trace generation; device engines stamp entries through the
  * on* hooks (guarded by their null-pointer test) and finalize each
  * entry at its terminal event.

@@ -6,8 +6,8 @@
  * generation and roll-up. Reported by `bench_simspeed` (phase table
  * plus a `phases` section in its JSON).
  *
- * Accumulators are relaxed atomics, so worker lanes of the parallel
- * cluster engine add concurrently without synchronizing (TSan-clean).
+ * Accumulators are relaxed atomics, so worker lanes of the cluster
+ * drive loop add concurrently without synchronizing (TSan-clean).
  * Wall-clock readings are inherently nondeterministic; the profiler
  * never feeds back into simulation state, so sim outputs stay
  * bit-identical with or without it. Engines hold a null pointer when
@@ -31,10 +31,10 @@ class PhaseProfiler
     enum class Phase : std::size_t
     {
         TraceGen,    ///< arrival-trace generation
-        SerialDrive, ///< serial engine: the whole event-queue drain
-        Window,      ///< parallel engine: lock-free lookahead windows
-        SerialRound, ///< parallel engine: serialized fallback rounds
-        FastForward, ///< inline decode-boundary replay (both engines)
+        SerialDrive, ///< retired serial engine; kept for its readers, 0
+        Window,      ///< drive loop: lock-free lookahead windows
+        SerialRound, ///< drive loop: serialized rounds
+        FastForward, ///< inline decode-boundary replay
         RollUp,      ///< report summarization
         kCount,
     };

@@ -76,6 +76,80 @@ makeAllocatorConfig(const DeviceConfig &cfg)
 
 } // namespace
 
+std::string
+toString(RequestState s)
+{
+    switch (s) {
+      case RequestState::Waiting:
+        return "waiting";
+      case RequestState::Prefilling:
+        return "prefilling";
+      case RequestState::Decoding:
+        return "decoding";
+      case RequestState::Completed:
+        return "completed";
+      case RequestState::Rejected:
+        return "rejected";
+    }
+    return "?";
+}
+
+DeviceConfig
+deviceConfigFrom(const ServingConfig &cfg)
+{
+    DeviceConfig d;
+    d.system = cfg.system;
+    d.model = cfg.model;
+    d.policy = cfg.policy;
+    d.maxBatch = cfg.maxBatch;
+    d.chunkTokens = cfg.chunkTokens;
+    d.chunkSlackFrac = cfg.chunkSlackFrac;
+    d.preempt = cfg.preempt;
+    d.paged = cfg.paged;
+    d.budgetOverride = cfg.budgetOverride;
+    d.poolTokens = cfg.poolTokens;
+    d.highWatermark = cfg.highWatermark;
+    d.maxEngineSteps = cfg.maxEngineSteps;
+    d.clientRetries = cfg.clientRetries;
+    d.clientRetryBackoffSec = cfg.clientRetryBackoffSec;
+    d.fastSim = cfg.fastSim;
+    d.verbose = cfg.verbose;
+    d.profiler = cfg.profiler;
+    return d;
+}
+
+ServingReport
+deviceReport(const DeviceEngine &dev, Time makespan)
+{
+    ServingReport rep;
+    rep.summary = dev.metrics().summarize(makespan);
+    rep.engineSteps = dev.engineSteps();
+    rep.decodeSteps = dev.decodeSteps();
+    rep.prefillChunks = dev.prefillChunks();
+    rep.prefills = dev.prefills();
+    rep.poolTokens = dev.allocator().capacityTokens();
+    rep.poolCapacityBytes = dev.allocator().capacityBytes();
+    rep.poolPeakBytes = dev.allocator().peakInUseBytes();
+    rep.shrunkGrants = dev.allocator().shrunkGrants();
+    rep.deferrals = dev.allocator().deferrals();
+    rep.peakLogicalTokens = dev.allocator().peakLogicalTokens();
+    if (const kv::KvPagePool *pool = dev.allocator().pagePool()) {
+        rep.paged.enabled = true;
+        rep.paged.totalPages = pool->totalPages();
+        rep.paged.blockTokens = pool->blockTokens();
+        rep.paged.peakUsedPages = pool->peakUsedPages();
+        rep.paged.peakSharedPages = pool->peakSharedPages();
+        rep.paged.prefixHitTokens = pool->prefixHitTokens();
+        rep.paged.cowCopies = pool->cowCopies();
+        rep.paged.cachedReclaims = pool->cachedReclaims();
+        rep.paged.tailReclaims = dev.allocator().tailReclaims();
+        rep.paged.reclaimedPages = dev.allocator().reclaimedPages();
+        rep.paged.budgetClips = dev.allocator().budgetClips();
+    }
+    rep.drained = dev.drained();
+    return rep;
+}
+
 DeviceEngine::DeviceEngine(const DeviceConfig &cfg,
                            sim::EventQueue &queue,
                            std::vector<Request> &requests)
@@ -259,10 +333,9 @@ DeviceEngine::preemptDoomed()
             inform("t=", toString(queue_.now()), label_, " request #",
                    r.id, " preempted (TPOT already unattainable), KV "
                    "grant reclaimed");
-        // Owners (Scheduler, ClusterEngine) requeue via an immediate
-        // event so the victim re-enters the queue only after this step
-        // boundary completes; the local fallback exists for bare
-        // DeviceEngine use only.
+        // The cluster buffers the victim and re-dispatches it after
+        // this step boundary completes; the local fallback exists for
+        // bare DeviceEngine use only.
         if (hooks_.requeue) {
             hooks_.requeue(idx);
         } else {
@@ -741,7 +814,10 @@ Time
 DeviceEngine::nextPossibleRequeueTime(Time now) const
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
-    if (!cfg_.preempt.enabled || waiting_.empty())
+    // A pending client re-arrival is waiting demand to come: it lands
+    // in waiting_ from this engine's own queue, inside any window.
+    if (!cfg_.preempt.enabled ||
+        (waiting_.empty() && clientRetryAt_.empty()))
         return Time::seconds(inf);
     double bound = inf;
     for (std::size_t idx : running_) {
@@ -760,8 +836,9 @@ DeviceEngine::nextPossibleRequeueTime(Time now) const
                                     -inf));
     }
     // Waiters and prefilling admits may start decoding inside another
-    // device's window, but their doom clock starts no earlier than
-    // `now`.
+    // device's window. A first decode starts its doom clock no earlier
+    // than `now`; a restart after a fault eviction keeps its original
+    // first token, so its clock started then.
     const auto consider = [&](std::size_t idx) {
         const Request &r = requests_[idx];
         if (r.preemptions > 0 || r.tpotTargetSec <= 0.0 ||
@@ -770,13 +847,18 @@ DeviceEngine::nextPossibleRequeueTime(Time now) const
         const double doomed_at =
             cfg_.preempt.doomFactor * r.tpotTargetSec *
             static_cast<double>(r.task.decLen);
+        const double start = r.firstToken.sec() > 0.0
+                                 ? r.firstToken.sec()
+                                 : now.sec();
         bound = std::min(bound,
-                         std::nextafter(now.sec() + doomed_at, -inf));
+                         std::nextafter(start + doomed_at, -inf));
     };
     for (std::size_t idx : admitted_)
         consider(idx);
     for (std::size_t idx : waiting_)
         consider(idx);
+    for (const auto &retry : clientRetryAt_)
+        consider(retry.second);
     return Time::seconds(bound);
 }
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * One device's engine-step executor, extracted from the single-device
- * `Scheduler` so a cluster can run N of them over one shared
- * `sim::EventQueue` (src/cluster). The executor owns everything that
- * is per-accelerator — the KV-budget allocator, the policy instance,
- * the waiting/admitted/running queues, the step counters and the SLO
- * metrics — while the *owner* (Scheduler or ClusterEngine) owns the
- * request table, the event queue, and the arrival routing.
+ * One device's engine-step executor, plus the serving-run config and
+ * report types every owner shares. `cluster::ClusterEngine` runs N
+ * executors, each on its own `sim::EventQueue` partition; a
+ * single-device session is a 1-device cluster. The executor owns
+ * everything that is per-accelerator — the KV-budget allocator, the
+ * policy instance, the waiting/admitted/running queues, the step
+ * counters and the SLO metrics — while the *owner* owns the request
+ * table, the event queue, and the arrival routing.
  *
  * The step loop is unchanged from the PR 3 pipeline: at every step
  * boundary the engine (1) optionally reclaims deadline-doomed decodes
@@ -68,6 +69,7 @@
 #include "serving/kv_budget_allocator.hpp"
 #include "serving/policy.hpp"
 #include "serving/request.hpp"
+#include "serving/request_generator.hpp"
 #include "serving/serving_metrics.hpp"
 #include "sim/event_queue.hpp"
 
@@ -166,17 +168,12 @@ class DeviceEngine
         /** Re-dispatch a preempted victim; local requeue when null. */
         std::function<void(std::size_t idx)> requeue;
         /**
-         * Timestamp of the earliest pending event that could *affect
-         * this engine* (+inf when none remains) — in practice the
-         * next trace arrival. When set, the decode fast-forward
-         * window is bounded by this instead of by the global event
-         * queue, letting a device replay straight through other
-         * devices' step completions: with preemption off those touch
-         * only their own device, so they commute with this engine's
-         * boundaries. Owners must NOT install it when a pending event
-         * can enqueue into this engine asynchronously (preemption
-         * requeues); leaving it unset falls back to the conservative
-         * global bound.
+         * Timestamp of the earliest event from outside this engine's
+         * own queue that could *affect it* (+inf when none remains) —
+         * the cluster's current lookahead horizon. When set, the
+         * decode fast-forward window is bounded by this instead of by
+         * the engine's queue alone; leaving it unset falls back to
+         * the queue's next pending event.
          */
         std::function<Time()> nextExternalEvent;
     };
@@ -245,16 +242,18 @@ class DeviceEngine
      * Conservative lower bound on when this device could next hand a
      * preemption victim back through `Hooks::requeue`, +inf when it
      * provably cannot before new work reaches it (preemption off, or
-     * no waiting demand — the waiting queue only shrinks until the
-     * owner enqueues again). The parallel coordinator bounds other
-     * devices' lookahead windows with this: a decode that is running
-     * now is not doomed before `firstToken + doomFactor x tpotTarget
-     * x decLen`, and one that starts decoding later starts its doom
-     * clock no earlier than `now`. Each term is shaved one ulp so the
+     * no waiting demand and no pending client re-arrival — the waiting
+     * queue only shrinks until the owner enqueues again). The cluster
+     * drive loop bounds every device's lookahead window with this: a
+     * decode that is running now is not doomed before `firstToken +
+     * doomFactor x tpotTarget x decLen`, and one that starts decoding
+     * later starts its doom clock no earlier than `now` — or at its
+     * first token, when a fault eviction restarts it. Each term is
+     * shaved one ulp so the
      * bound stays below the preemption scan's own rounding. The bound
      * may lie in the past (a survivor already past its doom time is
      * preemptable at its very next boundary); callers must fall back
-     * to serial stepping for that round.
+     * to a serialized round at that instant.
      */
     Time nextPossibleRequeueTime(Time now) const;
     /** @} */
@@ -534,6 +533,139 @@ class DeviceEngine
     Time lastCompletion_;
     Time busy_;
 };
+
+/**
+ * Full configuration of a serving run: the traffic plus every engine
+ * knob a device inherits. A single-device session runs it as a
+ * 1-device cluster (`cluster::clusterConfigFrom(cfg, 1, ...)`).
+ */
+struct ServingConfig
+{
+    accel::SystemConfig system = accel::kelleEdramSystem(2048);
+    model::ModelConfig model = model::llama2_7b();
+    TrafficConfig traffic;
+    SchedulePolicy policy = SchedulePolicy::ContinuousBatching;
+
+    /** Decode-batch cap (Fcfs always serves one request). */
+    std::size_t maxBatch = 16;
+    /**
+     * Prefill chunk size in prompt tokens; 0 runs each prompt as one
+     * monolithic step. Smaller chunks let policies preempt long
+     * prefills at chunk boundaries at the price of re-streaming the
+     * weights once per chunk.
+     */
+    std::size_t chunkTokens = 0;
+    /**
+     * EdfChunked slack-aware alternation: run consecutive prefill
+     * chunks when the prefilling request's TTFT slack is below this
+     * fraction of its whole TTFT budget. 0 keeps the unconditional
+     * alternation bit-exactly.
+     */
+    double chunkSlackFrac = 0.0;
+    /** Preempt-and-requeue of deadline-doomed decodes (off by
+     *  default; the cluster exposes it as a fleet-level knob). */
+    PreemptConfig preempt;
+    /** Paged KV pool (off keeps the contiguous allocator bit-exactly;
+     *  see PagedKvConfig in device_engine.hpp). */
+    PagedKvConfig paged;
+    /** Per-request budget override; 0 keeps each task's N'. */
+    std::size_t budgetOverride = 0;
+    /**
+     * KV pool size in tokens; 0 derives it from the §8.4.1 capacity
+     * analysis (device DRAM net of resident weights).
+     */
+    std::size_t poolTokens = 0;
+    /** Allocator pressure watermark. */
+    double highWatermark = 0.85;
+    /** Safety cap on engine steps (prefill chunks + decode
+     *  iterations); 0 = run the trace to completion. */
+    std::uint64_t maxEngineSteps = 0;
+    /**
+     * Client-side retry of overload rejections: a request whose floor
+     * exceeds the pool re-arrives up to this many times after a
+     * deterministic backoff instead of terminating (0 = off; see
+     * DeviceConfig::clientRetries). The base arrival trace is
+     * byte-identical either way — retries are engine-side re-arrivals
+     * of already-generated requests.
+     */
+    std::uint32_t clientRetries = 0;
+    /** Client-retry backoff base in seconds (jittered by request). */
+    double clientRetryBackoffSec = 5.0;
+    /**
+     * Bit-identical simulation fast path (step-cost memoization +
+     * decode fast-forward; see device_engine.hpp). Off runs the
+     * uncached step-at-a-time core — the equivalence-test oracle and
+     * the bench_simspeed reference.
+     */
+    bool fastSim = true;
+    /** inform() per-request lifecycle lines (examples/edge_server). */
+    bool verbose = false;
+    /**
+     * Deterministic request-lifecycle tracing (obs/trace.hpp): the
+     * owner registers one track per device and emits every lifecycle
+     * event into it, stamped with sim time. Null (the default)
+     * disables tracing with zero cost and zero output perturbation.
+     * Use one recorder per run; it must outlive the engine.
+     */
+    obs::TraceRecorder *trace = nullptr;
+    /**
+     * SLO root-cause attribution (obs/attribution.hpp): the owner
+     * sizes the waterfall for the generated trace and every device
+     * engine stamps its requests' latency components and miss causes
+     * into it; the roll-up lands in `ServingReport::attribution`.
+     * Null (the default) disables attribution with zero cost and zero
+     * output perturbation. One waterfall per run; it must outlive the
+     * engine.
+     */
+    obs::LatencyWaterfall *waterfall = nullptr;
+    /** Wall-clock phase profiling (obs/profile.hpp); null = off. */
+    obs::PhaseProfiler *profiler = nullptr;
+};
+
+/** The per-device slice of a ServingConfig, for the executor. */
+DeviceConfig deviceConfigFrom(const ServingConfig &cfg);
+
+/** Paged-pool accounting in a report (zeros in contiguous mode). */
+struct PagedPoolStats
+{
+    bool enabled = false;
+    std::size_t totalPages = 0;
+    std::size_t blockTokens = 0;
+    std::size_t peakUsedPages = 0;
+    std::size_t peakSharedPages = 0;
+    std::uint64_t prefixHitTokens = 0;
+    std::uint64_t cowCopies = 0;
+    std::uint64_t cachedReclaims = 0;
+    std::uint64_t tailReclaims = 0;
+    std::uint64_t reclaimedPages = 0;
+    std::uint64_t budgetClips = 0;
+};
+
+/** Run outcome: SLO summary plus engine/allocator accounting. */
+struct ServingReport
+{
+    ServingSummary summary;
+    std::uint64_t engineSteps = 0;   ///< prefill chunks + decode steps
+    std::uint64_t decodeSteps = 0;
+    std::uint64_t prefillChunks = 0; ///< == prefills when unchunked
+    std::uint64_t prefills = 0;      ///< completed prompt prefills
+    std::size_t poolTokens = 0;
+    double poolCapacityBytes = 0.0;
+    double poolPeakBytes = 0.0;
+    std::uint64_t shrunkGrants = 0;
+    std::uint64_t deferrals = 0;
+    /** Peak sum of live grants' logical budgets N' (both modes) —
+     *  the resident-token capacity metric of the paged benches. */
+    std::size_t peakLogicalTokens = 0;
+    PagedPoolStats paged;
+    /** Latency-waterfall roll-up (empty when attribution is off). */
+    obs::AttributionReport attribution;
+    /** False when maxEngineSteps truncated the run. */
+    bool drained = true;
+};
+
+/** One device's ServingReport, summarized over `makespan`. */
+ServingReport deviceReport(const DeviceEngine &dev, Time makespan);
 
 } // namespace serving
 } // namespace kelle

@@ -8,18 +8,18 @@ namespace kelle {
 namespace sim {
 
 void
-EventQueue::schedule(Time when, Callback cb, int priority)
+EventQueue::schedule(Time when, Callback cb)
 {
     KELLE_ASSERT(when >= now_, "scheduling into the past: ", when.sec(),
                  " < ", now_.sec());
-    heap_.push_back(Event{when, priority, seq_++, std::move(cb)});
+    heap_.push_back(Event{when, seq_++, std::move(cb)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void
-EventQueue::scheduleAfter(Time delta, Callback cb, int priority)
+EventQueue::scheduleAfter(Time delta, Callback cb)
 {
-    schedule(now_ + delta, std::move(cb), priority);
+    schedule(now_ + delta, std::move(cb));
 }
 
 bool

@@ -2,8 +2,8 @@
  * @file
  * A small discrete-event simulation core used by the bank-level eDRAM
  * tests, the refresh-hiding studies and the serving/cluster engines.
- * Events execute in (time, priority, insertion-order) order; callbacks
- * may schedule further events.
+ * Events execute in (time, insertion-order) order; callbacks may
+ * schedule further events.
  *
  * The queue is an explicit binary heap over a `std::vector` rather
  * than a `std::priority_queue`: the comparator defines a strict total
@@ -35,9 +35,9 @@ class EventQueue
     using Callback = std::function<void()>;
 
     /** Schedule a callback at an absolute time (>= now). */
-    void schedule(Time when, Callback cb, int priority = 0);
+    void schedule(Time when, Callback cb);
     /** Schedule relative to the current time. */
-    void scheduleAfter(Time delta, Callback cb, int priority = 0);
+    void scheduleAfter(Time delta, Callback cb);
 
     /** Execute the earliest event; returns false if empty. */
     bool runNext();
@@ -47,7 +47,7 @@ class EventQueue
     std::uint64_t runUntil(Time t);
     /**
      * Run events with time strictly < t; `now` is left at the last
-     * executed event (not advanced to t). The parallel cluster engine
+     * executed event (not advanced to t). The cluster drive loop
      * drains each device's partition up to a lookahead horizon with
      * this: events at exactly the horizon must wait for the global
      * events (arrivals, requeues) that sort before them.
@@ -86,7 +86,6 @@ class EventQueue
     struct Event
     {
         Time when;
-        int priority;
         std::uint64_t seq;
         Callback cb;
     };
@@ -97,8 +96,6 @@ class EventQueue
         {
             if (a.when != b.when)
                 return b.when < a.when;
-            if (a.priority != b.priority)
-                return b.priority < a.priority;
             return b.seq < a.seq;
         }
     };

@@ -35,11 +35,18 @@
 #include "obs/attribution.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
-#include "serving/scheduler.hpp"
 
 using namespace kelle;
 
 namespace {
+
+/** A single-device session: a 1-device round-robin cluster. */
+cluster::ClusterConfig
+oneDevice(const serving::ServingConfig &cfg)
+{
+    return cluster::clusterConfigFrom(cfg, 1,
+                                      cluster::DispatchKind::RoundRobin);
+}
 
 // ---- AttributionMath -----------------------------------------------
 
@@ -172,8 +179,7 @@ runServing(obs::LatencyWaterfall &wf, serving::SchedulePolicy policy,
     cfg.poolTokens = 6144;
     cfg.maxBatch = 8;
     cfg.waterfall = &wf;
-    serving::Scheduler engine(cfg);
-    return engine.run();
+    return cluster::ClusterEngine(oneDevice(cfg)).run().aggregate;
 }
 
 /** 2-device hetero cluster run with attribution attached. The
@@ -472,7 +478,7 @@ TEST(TraceReaderRoundTrip, EveryRecordedTraceParsesClean)
         obs::LatencyWaterfall wf;
         cfg.trace = &rec;
         cfg.waterfall = &wf;
-        serving::Scheduler engine(cfg);
+        cluster::ClusterEngine engine(oneDevice(cfg));
         engine.run();
         expectCleanParse(rec.toJson(), "edf-chunked");
     }
@@ -488,7 +494,7 @@ TEST(TraceReaderRoundTrip, EveryRecordedTraceParsesClean)
         cfg.maxBatch = 8;
         obs::TraceRecorder rec;
         cfg.trace = &rec;
-        serving::Scheduler engine(cfg);
+        cluster::ClusterEngine engine(oneDevice(cfg));
         engine.run();
         expectCleanParse(rec.toJson(), "paged sessions");
     }

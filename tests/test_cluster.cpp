@@ -5,8 +5,8 @@
  * (cmake/KelleGtestSuites.cmake) each suite is one ctest entry, so the
  * sim-scale cluster runs shard across ctest jobs.
  *
- *  - ClusterEquivalence: a 1-device cluster reproduces the
- *    single-device Scheduler bit-exactly under every dispatch policy.
+ *  - ClusterEquivalence: a 1-device cluster gives the same report
+ *    under every dispatch policy, with and without preemption.
  *  - ClusterDeterminism: every (devices x dispatch x fleet) cell is a
  *    pure function of its seed.
  *  - ClusterDispatch: parse round-trips, routing behaviour, and the
@@ -24,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_engine.hpp"
-#include "serving/scheduler.hpp"
 
 namespace kelle {
 namespace {
@@ -117,31 +116,39 @@ expectReportsBitIdentical(const serving::ServingReport &a,
     EXPECT_EQ(a.drained, b.drained) << label;
 }
 
+/** A single-device session: a 1-device round-robin cluster. */
+serving::ServingReport
+runOneDevice(const serving::ServingConfig &cfg)
+{
+    return cluster::ClusterEngine(
+               cluster::clusterConfigFrom(
+                   cfg, 1, cluster::DispatchKind::RoundRobin))
+        .run()
+        .aggregate;
+}
+
 // ---- 1-device equivalence ----------------------------------------------
 
-TEST(ClusterEquivalence, OneDeviceClusterMatchesSchedulerBitExactly)
+TEST(ClusterEquivalence, OneDeviceReportIsTheSameUnderEveryDispatch)
 {
+    // With one device there is nothing to route: every dispatch policy
+    // must give the round-robin report field for field, and the
+    // device's own report must equal the aggregate.
     for (auto policy : serving::allSchedulePolicies()) {
-        for (auto dispatch : cluster::allDispatchPolicies()) {
-            for (std::size_t chunk :
-                 {std::size_t{0}, std::size_t{16}}) {
-                auto scfg = tinyServingConfig(policy, 50.0, 11, 24);
-                scfg.chunkTokens = chunk;
-                const auto sched = serving::Scheduler(scfg).run();
-
-                auto ccfg = cluster::clusterConfigFrom(scfg, 1,
-                                                       dispatch);
-                cluster::ClusterEngine engine(ccfg);
+        for (std::size_t chunk : {std::size_t{0}, std::size_t{16}}) {
+            auto scfg = tinyServingConfig(policy, 50.0, 11, 24);
+            scfg.chunkTokens = chunk;
+            const auto ref = runOneDevice(scfg);
+            for (auto dispatch : cluster::allDispatchPolicies()) {
+                cluster::ClusterEngine engine(
+                    cluster::clusterConfigFrom(scfg, 1, dispatch));
                 const auto clus = engine.run();
-
                 const std::string label =
                     toString(policy) + "/" + toString(dispatch) +
                     "/chunk" + std::to_string(chunk);
-                expectReportsBitIdentical(sched, clus.aggregate,
-                                          label);
+                expectReportsBitIdentical(ref, clus.aggregate, label);
                 ASSERT_EQ(clus.devices.size(), 1u) << label;
-                expectReportsBitIdentical(sched,
-                                          clus.devices[0].report,
+                expectReportsBitIdentical(ref, clus.devices[0].report,
                                           label);
                 EXPECT_EQ(clus.loadImbalanceCv, 0.0) << label;
             }
@@ -149,25 +156,21 @@ TEST(ClusterEquivalence, OneDeviceClusterMatchesSchedulerBitExactly)
     }
 }
 
-TEST(ClusterEquivalence, OneDeviceClusterMatchesSchedulerWithPreempt)
+TEST(ClusterEquivalence, OneDeviceTinyTpotTargetPreempts)
 {
-    // The preempt knob must not break the equivalence: Scheduler and
-    // ClusterEngine both requeue victims through an immediate event,
-    // so the step sequences stay identical. TPOT targets far below
-    // the achievable rate make preemptions actually fire.
+    // TPOT targets far below the achievable rate make preemptions
+    // fire on a single device; the victim re-enters the same device,
+    // so every dispatch policy still gives the same report.
+    auto scfg = tinyServingConfig(
+        serving::SchedulePolicy::ContinuousBatching, 2000.0, 13, 24);
+    scfg.traffic.slo.tpotSec = 2e-6;
+    scfg.preempt.enabled = true;
+    const auto ref = runOneDevice(scfg);
+    ASSERT_GT(ref.summary.preemptions, 0u);
     for (auto dispatch : cluster::allDispatchPolicies()) {
-        auto scfg = tinyServingConfig(
-            serving::SchedulePolicy::ContinuousBatching, 2000.0, 13,
-            24);
-        scfg.traffic.slo.tpotSec = 2e-6;
-        scfg.preempt.enabled = true;
-        const auto sched = serving::Scheduler(scfg).run();
-        ASSERT_GT(sched.summary.preemptions, 0u);
-
-        auto ccfg = cluster::clusterConfigFrom(scfg, 1, dispatch);
-        cluster::ClusterEngine engine(ccfg);
-        const auto clus = engine.run();
-        expectReportsBitIdentical(sched, clus.aggregate,
+        cluster::ClusterEngine engine(
+            cluster::clusterConfigFrom(scfg, 1, dispatch));
+        expectReportsBitIdentical(ref, engine.run().aggregate,
                                   "preempt/" + toString(dispatch));
     }
 }
@@ -180,9 +183,9 @@ TEST(ClusterEquivalence, SlackAwareAlternationOffIsBitExact)
     auto cfg = tinyServingConfig(serving::SchedulePolicy::EdfChunked,
                                  80.0, 19, 24);
     cfg.chunkTokens = 16;
-    const auto a = serving::Scheduler(cfg).run();
+    const auto a = runOneDevice(cfg);
     cfg.chunkSlackFrac = 0.0;
-    const auto b = serving::Scheduler(cfg).run();
+    const auto b = runOneDevice(cfg);
     expectReportsBitIdentical(a, b, "slack-off");
 }
 
@@ -197,9 +200,9 @@ TEST(ClusterEquivalence, SlackAwareAlternationChangesTheSchedule)
     cfg.chunkTokens = 8;
     cfg.traffic.slo.ttftBaseSec = 1e-4;
     cfg.traffic.slo.ttftPerCtxTokenSec = 0.0;
-    const auto plain = serving::Scheduler(cfg).run();
+    const auto plain = runOneDevice(cfg);
     cfg.chunkSlackFrac = 1.0; // any positive slack counts as pressed
-    const auto slack = serving::Scheduler(cfg).run();
+    const auto slack = runOneDevice(cfg);
     EXPECT_TRUE(slack.drained);
     EXPECT_EQ(slack.summary.completed + slack.summary.rejected,
               cfg.traffic.numRequests);

@@ -271,8 +271,6 @@ TEST(FaultDeterminism, PreemptionComposesBitIdentically)
     }
 }
 
-// ---- FaultCrash ---------------------------------------------------------
-
 /** Crash-only stream at an aggressive rate: every recovery knob and
  *  retry path fires. */
 cluster::ClusterConfig
@@ -284,6 +282,33 @@ crashyCluster(std::uint64_t seed = 42)
     cfg.faults.mtbfSec = 0.01;
     return cfg;
 }
+
+TEST(FaultDeterminism, RetriedDecodeKeepsItsDoomClock)
+{
+    // A crash-evicted request that already emitted its first token
+    // keeps that timestamp when it is retried, so its doom clock runs
+    // from its first life, not from its re-dispatch. The lookahead
+    // bound must start it there too, or a window on another device can
+    // run past the retried request's preemption.
+    for (std::uint64_t seed : {3u, 42u}) {
+        cluster::ClusterConfig cfg = crashyCluster(seed);
+        cfg.faults.mtbfSec = 0.003;
+        cfg.engine.preempt.enabled = true;
+        cfg.engine.traffic.ratePerSec = 2000.0;
+        cfg.engine.traffic.slo.tpotSec = 2e-6;
+        const FaultRun one = runFaultCell(cfg, 1, true);
+        const std::string label = "seed " + std::to_string(seed);
+        ASSERT_GT(one.report.faults.crashes, 0u) << label;
+        ASSERT_GT(one.report.aggregate.summary.preemptions, 0u) << label;
+        for (bool fast : {true, false}) {
+            const FaultRun two = runFaultCell(cfg, 2, fast);
+            EXPECT_EQ(one.traceJson, two.traceJson)
+                << label << (fast ? "/fast" : "/slow");
+        }
+    }
+}
+
+// ---- FaultCrash ---------------------------------------------------------
 
 TEST(FaultCrash, EveryRequestTerminalAndLostWorkAccounted)
 {
@@ -451,6 +476,37 @@ TEST(ClientRetry, BudgetRespectedAndArrivalTraceUnchanged)
         if (r.state == serving::RequestState::Rejected) {
             EXPECT_EQ(r.clientRetries, 2u) << i;
         }
+    }
+}
+
+TEST(ClientRetry, ReArrivalBoundsPreemptionWindows)
+{
+    // A pool just above the smaller task's floor: the larger task is
+    // rejected and re-arrives from the device's own queue while
+    // doomed decodes run. The re-arrival is waiting demand that can
+    // trigger a preemption, so it must bound the lookahead window like
+    // a waiter does — on one device as on two.
+    for (std::size_t devices : {std::size_t{1}, std::size_t{2}}) {
+        cluster::ClusterConfig cfg = tinyFaultCluster(devices, 1);
+        cfg.faults = faults::FaultConfig{};
+        cfg.devices = cluster::homogeneousFleet(
+            devices, cfg.engine.system, 24, cfg.engine.maxBatch);
+        cfg.engine.traffic.ratePerSec = 2000.0;
+        cfg.engine.traffic.slo.tpotSec = 2e-6;
+        cfg.engine.preempt.enabled = true;
+        cfg.engine.clientRetries = 3;
+        cfg.engine.clientRetryBackoffSec = 1e-4;
+        const FaultRun one = runFaultCell(cfg, 1, true);
+        const std::string label =
+            std::to_string(devices) + " device(s)";
+        ASSERT_GT(one.report.aggregate.summary.preemptions, 0u)
+            << label;
+        std::uint32_t retried = 0;
+        for (const serving::Request &r : one.requests)
+            retried += r.clientRetries;
+        ASSERT_GT(retried, 0u) << label;
+        const FaultRun oracle = runFaultCell(cfg, devices, false);
+        EXPECT_EQ(one.traceJson, oracle.traceJson) << label;
     }
 }
 

@@ -15,6 +15,11 @@
  * re-record with the commands in each test and update the constants
  * in the same commit.
  *
+ * Most digests were recorded from a single-device engine and a serial
+ * shared-heap cluster engine that are both gone: the cluster drive
+ * loop, at one lane or many, reproduces every one of them, so these
+ * constants are what remains of the retired engines' behaviour.
+ *
  * The HostileFlags suite drives the same binaries with out-of-range
  * flag values and requires a clean one-line error exit.
  *
@@ -125,10 +130,10 @@ TEST(GoldenDigest, BenchClusterSmallHeteroConfig)
 
 TEST(GoldenDigest, BenchClusterThreadedMatchesSerialDigest)
 {
-    // The parallel cluster engine's whole contract in one line: the
-    // threaded run hashes to the *same* golden digest as the serial
-    // one above. A changed byte anywhere in the report means the
-    // lookahead/commit protocol reordered something observable.
+    // The drive loop's lane contract in one line: the 4-lane run
+    // hashes to the *same* golden digest as the one-lane run above. A
+    // changed byte anywhere in the report means the lookahead/commit
+    // protocol reordered something observable.
     expectDigest("bench/bench_cluster",
                  "--devices 2 --hetero --requests 12 --sweep 0 "
                  "--study 0 --threads 4",
@@ -138,9 +143,9 @@ TEST(GoldenDigest, BenchClusterThreadedMatchesSerialDigest)
 TEST(GoldenDigest, BenchClusterThreadedPreemptMatchesSerialDigest)
 {
     // Same pinning for the preempt-and-requeue path: the serialized
-    // fallback rounds must merge cross-device requeues exactly as the
-    // serial heap would. Serial and 4-lane digests are recorded from
-    // the same command modulo --threads, and must stay equal.
+    // rounds must merge cross-device requeues in canonical order. The
+    // one-lane and 4-lane digests are recorded from the same command
+    // modulo --threads, and must stay equal.
     expectDigest("bench/bench_cluster",
                  "--devices 2 --hetero --requests 12 --sweep 0 "
                  "--study 0 --preempt --rate 0.08",
@@ -156,7 +161,7 @@ TEST(GoldenDigest, BenchClusterFaultRunMatchesAcrossThreads)
     // The fault-injection subsystem rides the same byte-exactness
     // contract: a seeded fault run (crashes, retries, the degradation
     // ladder, the fault report table) is pinned, and the 4-lane run
-    // must hash to the same digest as the serial one. Faults OFF is
+    // must hash to the same digest as the one-lane run. Faults OFF is
     // covered by every digest above staying unchanged — the null test.
     const std::string flags = "--devices 2 --hetero --requests 12 "
                               "--sweep 0 --study 0 --faults "
@@ -186,6 +191,17 @@ TEST(GoldenDigest, BenchClusterEdfChunkedPreemptFaultRun)
 TEST(GoldenDigest, EdgeServerDefaultSession)
 {
     expectDigest("examples/edge_server", "", 0x9852bb7d3bac4ca7ull);
+}
+
+TEST(GoldenDigest, EdgeServerTwoDeviceHeteroSession)
+{
+    // Multi-device narration: dispatch lines carry the round time, and
+    // each device's lines run in time order. Lines from different
+    // devices inside one lookahead window are not merged by time, so
+    // this digest pins the window structure of the drive loop too.
+    expectDigest("examples/edge_server",
+                 "--devices 2 --hetero --dispatch join-shortest-kv",
+                 0x8d0c0a15032438f4ull);
 }
 
 /** Read a whole file (empty string when unreadable). */
@@ -240,7 +256,7 @@ TEST(GoldenDigest, BenchClusterAttributionReport)
 {
     // The attribution tables (latency waterfall + miss causes) ride
     // the same byte-exactness contract as the rest of the report:
-    // serial and 4-lane runs must print identical bytes, pinned
+    // one-lane and 4-lane runs must print identical bytes, pinned
     // against the recorded digest. Components are exact decompositions
     // of deterministic sim times, so a drift here means either a
     // simulation change (expected to fail the digests above too) or

@@ -35,11 +35,21 @@
 #include "obs/trace.hpp"
 #include "serving/kv_budget_allocator.hpp"
 #include "serving/request_generator.hpp"
-#include "serving/scheduler.hpp"
 #include "tensor/quant.hpp"
 
 namespace kelle {
 namespace {
+
+/** A single-device session: a 1-device round-robin cluster. */
+serving::ServingReport
+runOneDevice(const serving::ServingConfig &cfg)
+{
+    return cluster::ClusterEngine(
+               cluster::clusterConfigFrom(
+                   cfg, 1, cluster::DispatchKind::RoundRobin))
+        .run()
+        .aggregate;
+}
 
 kv::KvPagePoolConfig
 poolConfig(std::size_t pages, std::size_t block, bool share = true)
@@ -328,8 +338,8 @@ TEST(PagedServing, MatchesContiguousWhenPagingCannotMatter)
     paged.paged.blockTokens = 2048;
     paged.paged.sharePrefixes = false;
 
-    const auto c = serving::Scheduler(contig).run();
-    const auto p = serving::Scheduler(paged).run();
+    const auto c = runOneDevice(contig);
+    const auto p = runOneDevice(paged);
 
     EXPECT_EQ(c.summary.completed, p.summary.completed);
     EXPECT_EQ(c.summary.rejected, p.summary.rejected);
@@ -361,7 +371,7 @@ TEST(PagedServing, QuantizedPagesMultiplyDerivedTokenCapacity)
         cfg.traffic.numRequests = 2;
         cfg.paged.enabled = true;
         cfg.paged.quantBits = bits;
-        return serving::Scheduler(cfg).run().paged.totalPages;
+        return runOneDevice(cfg).paged.totalPages;
     };
     const std::size_t p16 = pagesAt(0);
     const std::size_t p8 = pagesAt(8);
@@ -426,8 +436,8 @@ TEST(PagedServing, SharedPrefixesRaiseResidentTokensOnTightPool)
     paged.paged.enabled = true;
     paged.paged.blockTokens = 8;
 
-    const auto contig = serving::Scheduler(cfg).run();
-    const auto shared = serving::Scheduler(paged).run();
+    const auto contig = runOneDevice(cfg);
+    const auto shared = runOneDevice(paged);
     EXPECT_GT(shared.paged.prefixHitTokens, 0u);
     EXPECT_GT(shared.peakLogicalTokens, contig.peakLogicalTokens);
 }

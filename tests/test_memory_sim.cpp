@@ -80,14 +80,15 @@ TEST(EventQueue, OrdersByTime)
     EXPECT_DOUBLE_EQ(q.now().us(), 3.0);
 }
 
-TEST(EventQueue, PriorityBreaksTies)
+TEST(EventQueue, InsertionOrderBreaksTies)
 {
     sim::EventQueue q;
     std::vector<int> order;
-    q.schedule(Time::micros(1), [&] { order.push_back(2); }, 2);
-    q.schedule(Time::micros(1), [&] { order.push_back(1); }, 1);
+    q.schedule(Time::micros(2), [&] { order.push_back(3); });
+    q.schedule(Time::micros(1), [&] { order.push_back(1); });
+    q.schedule(Time::micros(1), [&] { order.push_back(2); });
     q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, CallbacksCanReschedule)

@@ -36,7 +36,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
-#include "serving/scheduler.hpp"
 
 using namespace kelle;
 

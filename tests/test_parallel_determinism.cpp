@@ -1,8 +1,8 @@
 /**
  * @file
- * Property tests of the deterministic parallel cluster engine: every
- * threaded run must produce a ClusterReport bit-identical to the
- * serial shared-heap engine (`threads = 1`), across the full
+ * Property tests of the cluster drive loop's lanes: every threaded run
+ * must produce a ClusterReport bit-identical to the one-lane run
+ * (`threads = 1`, every window inline), across the full
  * (policy x dispatch x fleet x seed) sweep, with preemption on and
  * off, and including configurations where the fast-forward window
  * logic actually fires (`fastForwardedSteps > 0`).
@@ -12,10 +12,10 @@
  *
  *  - ParallelSweep: threads {2,4,8} x all scheduling policies x all
  *    dispatch policies x homo/hetero fleets x 3 seeds, bitwise equal
- *    to the serial run of the same cell.
- *  - ParallelPreempt: preempt-and-requeue on — the serialized
- *    fallback rounds must replay cross-device requeues in the serial
- *    heap's pop order.
+ *    to the one-lane run of the same cell.
+ *  - ParallelPreempt: preempt-and-requeue on — the serialized rounds
+ *    must merge cross-device requeues in canonical order whatever the
+ *    lane count.
  *  - ParallelFastForward: KV-blocked sjf/edf cells where devices
  *    fast-forward through idle gaps inside lookahead windows.
  *  - ParallelOracle: the event-path oracle — `fastSim = false` (the
@@ -225,8 +225,8 @@ TEST(ParallelSweep, ThreadCountBeyondFleetSizeClampsSafely)
 
 TEST(ParallelSweep, SingleDeviceFleetStaysSerial)
 {
-    // threads > 1 on a 1-device fleet clamps to the serial engine;
-    // the Scheduler equivalence must therefore survive any setting.
+    // threads > 1 on a 1-device fleet clamps to one lane, so a
+    // single-device session is the same run at any setting.
     auto cfg = tinyClusterConfig(1, cluster::DispatchKind::RoundRobin,
                                  serving::SchedulePolicy::EdfChunked,
                                  100.0, 11, 16);
@@ -243,10 +243,10 @@ TEST(ParallelSweep, SingleDeviceFleetStaysSerial)
 
 TEST(ParallelPreempt, RequeueMergeMatchesSerialOrder)
 {
-    // Doomed decodes force cross-device requeues: the parallel
-    // engine's serialized rounds must replay them in the serial heap's
-    // (emitting device, emission order) pop order, or victims land on
-    // different devices and the reports diverge.
+    // Doomed decodes force cross-device requeues: the serialized
+    // rounds must dispatch them in (emitting device, emission order)
+    // at every lane count, or victims land on different devices and
+    // the reports diverge.
     for (auto dispatch : cluster::allDispatchPolicies()) {
         for (std::uint64_t seed : {13u, 29u, 57u}) {
             auto cfg = tinyClusterConfig(

@@ -16,14 +16,28 @@
 #include <gtest/gtest.h>
 
 #include "accel/timing_model.hpp"
+#include "cluster/cluster_engine.hpp"
 #include "common/rng.hpp"
 #include "serving/kv_budget_allocator.hpp"
 #include "serving/request_generator.hpp"
-#include "serving/scheduler.hpp"
 #include "serving/serving_metrics.hpp"
 
 namespace kelle {
 namespace {
+
+/** A single-device session: a 1-device round-robin cluster. */
+cluster::ClusterConfig
+oneDevice(const serving::ServingConfig &cfg)
+{
+    return cluster::clusterConfigFrom(cfg, 1,
+                                      cluster::DispatchKind::RoundRobin);
+}
+
+serving::ServingReport
+runOneDevice(const serving::ServingConfig &cfg)
+{
+    return cluster::ClusterEngine(oneDevice(cfg)).run().aggregate;
+}
 
 /** Scaled two-task mix so engine runs finish in milliseconds. */
 std::vector<std::pair<sim::Task, double>>
@@ -311,14 +325,14 @@ TEST(BatchedTiming, PrefillStepMatchesTheIntegratedModel)
                      integrated.prefillLatency.sec());
 }
 
-// ---- Scheduler ----------------------------------------------------------
+// ---- Single-device serving (a 1-device cluster) -------------------------
 
 TEST(Scheduler, EveryAdmittedRequestCompletes)
 {
     for (auto policy : serving::allSchedulePolicies()) {
         auto cfg = tinyServingConfig(policy, 50.0, 11, 24);
-        serving::Scheduler engine(cfg);
-        const auto rep = engine.run();
+        cluster::ClusterEngine engine(oneDevice(cfg));
+        const auto rep = engine.run().aggregate;
 
         EXPECT_TRUE(rep.drained) << toString(policy);
         EXPECT_EQ(rep.summary.completed + rep.summary.rejected,
@@ -338,10 +352,10 @@ TEST(Scheduler, RequestTimestampsAreOrdered)
 {
     auto cfg = tinyServingConfig(
         serving::SchedulePolicy::ContinuousBatching, 20.0, 3, 16);
-    serving::Scheduler engine(cfg);
-    const auto rep = engine.run();
+    cluster::ClusterEngine engine(oneDevice(cfg));
+    const auto rep = engine.run().aggregate;
     ASSERT_EQ(rep.summary.completed, cfg.traffic.numRequests);
-    for (const auto &r : engine.metrics().completedRequests()) {
+    for (const auto &r : engine.device(0).metrics().completedRequests()) {
         EXPECT_LE(r.arrival.sec(), r.admitted.sec()) << r.id;
         EXPECT_LT(r.admitted.sec(), r.firstToken.sec()) << r.id;
         EXPECT_LT(r.firstToken.sec(), r.completed.sec()) << r.id;
@@ -358,8 +372,8 @@ TEST(Scheduler, BitDeterministicAcrossRunsForEveryPolicy)
         for (std::size_t chunk : {std::size_t{0}, std::size_t{16}}) {
             auto cfg = tinyServingConfig(policy, 30.0, 99, 20);
             cfg.chunkTokens = chunk;
-            const auto a = serving::Scheduler(cfg).run();
-            const auto b = serving::Scheduler(cfg).run();
+            const auto a = runOneDevice(cfg);
+            const auto b = runOneDevice(cfg);
             const std::string label =
                 toString(policy) + " chunk " + std::to_string(chunk);
             EXPECT_EQ(a.engineSteps, b.engineSteps) << label;
@@ -390,16 +404,10 @@ TEST(Scheduler, ContinuousBatchingBeatsFcfsOnP95TtftWhenSaturated)
     // Arrivals far above the FCFS service rate: the run-to-completion
     // queue backs up while continuous batching keeps admitting.
     const double rate = 2000.0;
-    const auto fcfs =
-        serving::Scheduler(
-            tinyServingConfig(serving::SchedulePolicy::Fcfs, rate, 21,
-                              32))
-            .run();
-    const auto cb = serving::Scheduler(
-                        tinyServingConfig(
-                            serving::SchedulePolicy::ContinuousBatching,
-                            rate, 21, 32))
-                        .run();
+    const auto fcfs = runOneDevice(
+        tinyServingConfig(serving::SchedulePolicy::Fcfs, rate, 21, 32));
+    const auto cb = runOneDevice(tinyServingConfig(
+        serving::SchedulePolicy::ContinuousBatching, rate, 21, 32));
     ASSERT_EQ(fcfs.summary.completed, 32u);
     ASSERT_EQ(cb.summary.completed, 32u);
     EXPECT_LT(cb.summary.ttftP95, fcfs.summary.ttftP95);
@@ -413,8 +421,8 @@ TEST(Scheduler, TinyPoolForcesShrunkGrantsNotOversubscription)
     auto cfg = tinyServingConfig(
         serving::SchedulePolicy::ContinuousBatching, 2000.0, 13, 24);
     cfg.poolTokens = 128; // roughly two shrunk tiny budgets
-    serving::Scheduler engine(cfg);
-    const auto rep = engine.run();
+    cluster::ClusterEngine engine(oneDevice(cfg));
+    const auto rep = engine.run().aggregate;
     EXPECT_TRUE(rep.drained);
     EXPECT_EQ(rep.summary.completed + rep.summary.rejected,
               cfg.traffic.numRequests);
@@ -432,8 +440,8 @@ TEST(Scheduler, FullGrantsReportNoBudgetPressure)
         serving::SchedulePolicy::ContinuousBatching, 10.0, 31, 8);
     cfg.budgetOverride = 4; // far below every task's floor
     cfg.poolTokens = 4096;
-    serving::Scheduler engine(cfg);
-    const auto rep = engine.run();
+    cluster::ClusterEngine engine(oneDevice(cfg));
+    const auto rep = engine.run().aggregate;
     ASSERT_EQ(rep.summary.completed, cfg.traffic.numRequests);
     EXPECT_EQ(rep.shrunkGrants, 0u);
     EXPECT_DOUBLE_EQ(rep.summary.meanBudgetFraction, 1.0);
@@ -447,13 +455,13 @@ TEST(Scheduler, NoEvictionBaselineReservesTheFullFootprint)
         serving::SchedulePolicy::ContinuousBatching, 2000.0, 41, 8);
     cfg.system = accel::originalEdramSystem();
     cfg.poolTokens = 1024;
-    serving::Scheduler engine(cfg);
-    const auto rep = engine.run();
+    cluster::ClusterEngine engine(oneDevice(cfg));
+    const auto rep = engine.run().aggregate;
     ASSERT_EQ(rep.summary.completed + rep.summary.rejected,
               cfg.traffic.numRequests);
     EXPECT_EQ(rep.shrunkGrants, 0u);
     EXPECT_LE(rep.poolPeakBytes, rep.poolCapacityBytes);
-    for (const auto &r : engine.metrics().completedRequests()) {
+    for (const auto &r : engine.device(0).metrics().completedRequests()) {
         EXPECT_EQ(r.budgetGranted,
                   r.task.ctxLen + r.task.decLen + 1)
             << r.id;
@@ -465,8 +473,8 @@ TEST(Scheduler, MaxStepsTruncatesInsteadOfHanging)
     auto cfg = tinyServingConfig(
         serving::SchedulePolicy::ContinuousBatching, 50.0, 17, 16);
     cfg.maxEngineSteps = 5;
-    serving::Scheduler engine(cfg);
-    const auto rep = engine.run();
+    cluster::ClusterEngine engine(oneDevice(cfg));
+    const auto rep = engine.run().aggregate;
     EXPECT_FALSE(rep.drained);
     EXPECT_LE(rep.engineSteps, 5u);
     EXPECT_LE(rep.decodeSteps, 5u);
@@ -506,8 +514,8 @@ TEST(Policy, ChunkedPoliciesCompleteEveryRequest)
     for (auto policy : serving::allSchedulePolicies()) {
         auto cfg = tinyServingConfig(policy, 50.0, 23, 16);
         cfg.chunkTokens = 16;
-        serving::Scheduler engine(cfg);
-        const auto rep = engine.run();
+        cluster::ClusterEngine engine(oneDevice(cfg));
+        const auto rep = engine.run().aggregate;
         EXPECT_TRUE(rep.drained) << toString(policy);
         EXPECT_EQ(rep.summary.completed, cfg.traffic.numRequests)
             << toString(policy);
@@ -515,7 +523,7 @@ TEST(Policy, ChunkedPoliciesCompleteEveryRequest)
             << toString(policy);
         // Chunking splits prompts into ceil(ctx/chunk) steps each.
         std::uint64_t want_chunks = 0;
-        for (const auto &r : engine.metrics().completedRequests()) {
+        for (const auto &r : engine.device(0).metrics().completedRequests()) {
             EXPECT_EQ(r.prefilled, r.task.ctxLen) << r.id;
             want_chunks += (r.task.ctxLen + cfg.chunkTokens - 1) /
                            cfg.chunkTokens;
@@ -538,8 +546,8 @@ TEST(Policy, SkipBlockedAdmissionBypassesTheHeadOfLine)
     for (auto policy : serving::allSchedulePolicies()) {
         auto cfg = base;
         cfg.policy = policy;
-        serving::Scheduler engine(cfg);
-        const auto rep = engine.run();
+        cluster::ClusterEngine engine(oneDevice(cfg));
+        const auto rep = engine.run().aggregate;
         EXPECT_TRUE(rep.drained) << toString(policy);
         const bool reorders =
             policy == serving::SchedulePolicy::SjfWithinDeadline ||
@@ -687,8 +695,8 @@ TEST(Scheduler, SloAttainmentIsNonTrivialUnderLoadForEveryPolicy)
         cfg.traffic.slo.ttftBaseSec = 1e-4;
         cfg.traffic.slo.ttftPerCtxTokenSec = 0.0;
         cfg.traffic.slo.tpotSec = 1e-3;
-        serving::Scheduler engine(cfg);
-        const auto rep = engine.run();
+        cluster::ClusterEngine engine(oneDevice(cfg));
+        const auto rep = engine.run().aggregate;
         ASSERT_GT(rep.summary.completed, 0u) << toString(policy);
         EXPECT_GT(rep.summary.sloAttainment, 0.0) << toString(policy);
         EXPECT_LT(rep.summary.sloAttainment, 1.0) << toString(policy);

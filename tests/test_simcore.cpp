@@ -44,7 +44,6 @@
 #include "accel/step_cost_cache.hpp"
 #include "accel/timing_model.hpp"
 #include "cluster/cluster_engine.hpp"
-#include "serving/scheduler.hpp"
 #include "sim/workloads.hpp"
 
 using namespace kelle;
@@ -479,6 +478,17 @@ smallServingConfig(std::uint64_t seed, serving::SchedulePolicy policy,
     return cfg;
 }
 
+/** A single-device session: a 1-device round-robin cluster. */
+serving::ServingReport
+runOneDevice(const serving::ServingConfig &cfg)
+{
+    return cluster::ClusterEngine(
+               cluster::clusterConfigFrom(
+                   cfg, 1, cluster::DispatchKind::RoundRobin))
+        .run()
+        .aggregate;
+}
+
 TEST(FastPathEquivalence, SchedulerFastVsSlowAcrossPolicies)
 {
     for (const auto policy : serving::allSchedulePolicies()) {
@@ -487,8 +497,8 @@ TEST(FastPathEquivalence, SchedulerFastVsSlowAcrossPolicies)
                 auto fast = smallServingConfig(seed, policy, chunk);
                 auto slow = fast;
                 slow.fastSim = false;
-                const auto fr = serving::Scheduler(fast).run();
-                const auto sr = serving::Scheduler(slow).run();
+                const auto fr = runOneDevice(fast);
+                const auto sr = runOneDevice(slow);
                 expectReportEq(fr, sr);
             }
         }
