@@ -4,7 +4,7 @@
  *
  * `common::parallelFor` spawns and joins transient threads per call,
  * which is fine for bench sweeps where each iteration runs for
- * milliseconds, but far too heavy for the parallel cluster engine,
+ * milliseconds, but far too heavy for the cluster drive loop,
  * which forks a device-sized batch of work at every lookahead window
  * — often microseconds of work per device. `ThreadPool` keeps its
  * workers alive across `forEach` calls: a dispatch is one atomic

@@ -19,7 +19,7 @@
  * streams into one chronological feed keyed (time, device index); the
  * cluster engine drains it interleaved with its event queue, applying
  * each fault *before* any same-time queue event, and publishes
- * `nextEventTime()` into the parallel engine's lookahead horizon so
+ * `nextEventTime()` into the drive loop's lookahead horizon so
  * no device can fast-forward across a fault instant. Streams are
  * generated lazily (one pending event per device), so the injector
  * never materializes the infinite renewal process.

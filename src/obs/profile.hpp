@@ -31,7 +31,7 @@ class PhaseProfiler
     enum class Phase : std::size_t
     {
         TraceGen,    ///< arrival-trace generation
-        SerialDrive, ///< retired serial engine; kept for its readers, 0
+        SerialDrive, ///< retired serial engine: never timed, reads 0
         Window,      ///< drive loop: lock-free lookahead windows
         SerialRound, ///< drive loop: serialized rounds
         FastForward, ///< inline decode-boundary replay

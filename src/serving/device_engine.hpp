@@ -264,7 +264,7 @@ class DeviceEngine
      * event queue to have been advanced to `t` (`queue_.now() == t`),
      * so any admission or trace activity it triggers stamps the fault
      * time. All device-track trace writes stay on this engine — the
-     * single-writer contract the parallel coordinator relies on (it
+     * single-writer contract the cluster drive loop relies on (it
      * calls these only with the worker pool joined).
      * @{
      */

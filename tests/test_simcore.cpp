@@ -883,7 +883,7 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
 }
 
 // ---- EventQueueWindow ----------------------------------------------
-// The window primitives the parallel cluster engine leans on: the
+// The window primitives the cluster drive loop leans on: the
 // empty-queue sentinel, strict-horizon draining, and clock alignment.
 
 TEST(EventQueueWindow, NextEventTimeIsInfinityWhenEmptyOrDrained)
