@@ -13,7 +13,7 @@
  * p95 TTFT — the asymmetric-pool setting the co-design implies. The
  * preemption study toggles deadline-doomed budget reclamation on the
  * same fleet. The sweep fans devices x dispatch x fleet cells across
- * cores via common::parallelFor; every number is a pure function of
+ * cores via common::ThreadPool; every number is a pure function of
  * the flags and rerunning with the same seed is bit-identical.
  */
 
@@ -27,8 +27,8 @@
 #include "cluster/cluster_engine.hpp"
 #include "common/arg_parser.hpp"
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -281,7 +281,7 @@ main(int argc, char **argv)
 
     // ---- Headline: the configured fleet under every dispatch ------
     // The trace recorder rides on the first dispatch cell only: each
-    // cell runs on its own parallelFor lane, so exactly one lane ever
+    // cell runs on its own pool lane, so exactly one lane ever
     // touches the recorder and the trace bytes stay a pure function of
     // that cell's config.
     const std::string trace_out = args.getString("trace-out");
@@ -291,7 +291,9 @@ main(int argc, char **argv)
     const bool attribution = args.getBool("attribution");
     const bool record = !trace_out.empty() || !metrics_out.empty();
     std::vector<cluster::ClusterReport> runs(dispatches.size());
-    common::parallelFor(dispatches.size(), [&](std::size_t i) {
+    common::ThreadPool lanes(
+        std::min(dispatches.size(), common::defaultParallelism()));
+    lanes.forEach(dispatches.size(), [&](std::size_t i) {
         cluster::ClusterConfig cfg = base;
         if (i == 0 && record)
             cfg.engine.trace = &recorder;
@@ -406,7 +408,9 @@ main(int argc, char **argv)
         knee.engine.traffic.ratePerSec = args.getDouble("rate") * 0.75;
         const auto all = cluster::allDispatchPolicies();
         std::vector<cluster::ClusterReport> reps(all.size());
-        common::parallelFor(all.size(), [&](std::size_t i) {
+        common::ThreadPool lanes(
+            std::min(all.size(), common::defaultParallelism()));
+        lanes.forEach(all.size(), [&](std::size_t i) {
             reps[i] = runCell(knee, all[i]);
         });
         bench::banner(
@@ -475,7 +479,7 @@ main(int argc, char **argv)
         for (auto &d : pre.devices)
             d.poolTokens = std::max<std::size_t>(1, d.poolTokens / 4);
         std::vector<cluster::ClusterReport> pruns(2);
-        common::parallelFor(2, [&](std::size_t i) {
+        lanes.forEach(2, [&](std::size_t i) {
             auto cfg = pre;
             cfg.engine.preempt.enabled = i == 1;
             cluster::ClusterEngine engine(cfg);
@@ -511,7 +515,9 @@ main(int argc, char **argv)
             {Table::num(mtbf / 4.0, 0) + " s", true, mtbf / 4.0},
         };
         std::vector<cluster::ClusterReport> freps(fcells.size());
-        common::parallelFor(fcells.size(), [&](std::size_t i) {
+        common::ThreadPool lanes(
+            std::min(fcells.size(), common::defaultParallelism()));
+        lanes.forEach(fcells.size(), [&](std::size_t i) {
             cluster::ClusterConfig cfg = base;
             cfg.faults.enabled = fcells[i].enabled;
             cfg.faults.mtbfSec = fcells[i].mtbfSec;
@@ -561,7 +567,9 @@ main(int argc, char **argv)
                     cells.push_back({n, hetero, dispatch});
 
         std::vector<cluster::ClusterReport> reps(cells.size());
-        common::parallelFor(cells.size(), [&](std::size_t i) {
+        common::ThreadPool lanes(
+            std::min(cells.size(), common::defaultParallelism()));
+        lanes.forEach(cells.size(), [&](std::size_t i) {
             cluster::ClusterConfig cfg = base;
             cfg.devices = makeFleet(cells[i].devices, cells[i].hetero,
                                     pool, sram_pool, max_batch,

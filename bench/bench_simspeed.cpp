@@ -23,7 +23,7 @@
  * carries a `thread_scaling` section with the speedup (outputs are
  * bit-identical by construction — only wall-clock varies).
  *
- * Cells run serially (never via parallelFor): each wall-clock sample
+ * Cells run serially (never on a ThreadPool): each wall-clock sample
  * must own the machine (the only intra-cell parallelism is the
  * cluster engine's own worker lanes when --threads > 1).
  */
@@ -42,8 +42,8 @@
 #include "cluster/cluster_engine.hpp"
 #include "common/arg_parser.hpp"
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/profile.hpp"
 
 using namespace kelle;

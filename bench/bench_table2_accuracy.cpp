@@ -12,10 +12,12 @@
  * the paper's accuracy columns).
  */
 
+#include <algorithm>
+
 #include "bench_util.hpp"
 #include "common/arg_parser.hpp"
-#include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "edram/fault_model.hpp"
 #include "sim/experiments.hpp"
 
@@ -54,7 +56,7 @@ main(int argc, char **argv)
     };
 
     // The model x task cells are independent seeded substrates:
-    // evaluate them across the machine with parallelFor, print in
+    // evaluate them across the machine on a ThreadPool, print in
     // serial order — output is bit-identical to the serial sweep.
     struct Cell
     {
@@ -67,7 +69,9 @@ main(int argc, char **argv)
         for (const auto &task : tasks)
             cells.push_back({&mc, &task, {}});
 
-    common::parallelFor(cells.size(), [&](std::size_t i) {
+    common::ThreadPool lanes(
+        std::min(cells.size(), common::defaultParallelism()));
+    lanes.forEach(cells.size(), [&](std::size_t i) {
         Cell &cell = cells[i];
         const ModelCase &mc = *cell.model;
         const sim::Task &task = *cell.task;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -92,12 +91,8 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     devices_.reserve(cfg_.devices.size());
     for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
         const DeviceSpec &spec = cfg_.devices[i];
-        // One copy path for the shared knobs (deviceConfigFrom), then
-        // only what a DeviceSpec may override.
-        serving::DeviceConfig d = deviceConfigFrom(cfg_.engine);
-        // A 1-device fleet keeps the empty label: its verbose log
-        // reads like a single-device session.
-        d.name = cfg_.devices.size() > 1 ? spec.name : "";
+        // The shared knobs, then what a DeviceSpec overrides.
+        serving::DeviceConfig d = cfg_.engine;
         d.system = spec.system;
         d.poolTokens = spec.poolTokens;
         d.maxBatch = spec.maxBatch;
@@ -105,8 +100,11 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
         // lookahead window touches no shared state.
         sim::EventQueue &q = *localQueues_.emplace_back(
             std::make_unique<sim::EventQueue>());
+        // A 1-device fleet keeps the empty label: its verbose log
+        // reads like a single-device session.
         devices_.push_back(std::make_unique<serving::DeviceEngine>(
-            d, q, requests_));
+            d, q, requests_,
+            cfg_.devices.size() > 1 ? spec.name : std::string()));
         if (cfg_.engine.trace != nullptr)
             devices_.back()->setTrace(cfg_.engine.trace->addDeviceTrack(
                 spec.name.empty() ? "device" : spec.name));
@@ -209,7 +207,7 @@ ClusterEngine::pickDevice(Time t, std::size_t idx)
                    ? " (fault retry)"
                    : (r.preemptions > 0 ? " (requeued)" : ""),
                " -> ",
-               devices_[d]->config().name, " (free KV ",
+               devices_[d]->name(), " (free KV ",
                Table::num(Bytes(devices_[d]->freeKvBytes()).inMib(),
                           1),
                " MiB, ", devices_[d]->waitingCount(), " waiting, ",

@@ -65,10 +65,10 @@ struct ClusterConfig
      * The traffic of the shared stream plus every engine knob the
      * devices inherit — model, scheduling policy, chunking and its
      * slack rule, preemption, budget override, watermark, step cap,
-     * verbosity. Every device engine is materialized through the one
-     * `deviceConfigFrom` copy (add new knobs to that function).
-     * `system` / `poolTokens` / `maxBatch` act only as the
-     * homogeneous-fleet defaults; each `DeviceSpec` overrides them.
+     * verbosity. Each device engine gets this config's
+     * `serving::DeviceConfig` base with its `DeviceSpec` applied, so
+     * `system` / `poolTokens` / `maxBatch` here are overridden per
+     * device (`clusterConfigFrom` builds a fleet from them).
      */
     serving::ServingConfig engine;
     DispatchKind dispatch = DispatchKind::RoundRobin;

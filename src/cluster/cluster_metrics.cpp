@@ -38,7 +38,7 @@ rollUpCluster(const std::vector<const serving::DeviceEngine *> &devices,
         merged.merge(dev->metrics());
 
         ClusterDeviceReport d;
-        d.name = dev->config().name;
+        d.name = dev->name();
         d.report = serving::deviceReport(*dev, makespan);
         d.dispatched = dev->dispatched();
         d.busySec = dev->busyTime().sec();
@@ -70,9 +70,6 @@ rollUpCluster(const std::vector<const serving::DeviceEngine *> &devices,
             agg.paged.cowCopies += d.report.paged.cowCopies;
             agg.paged.cachedReclaims +=
                 d.report.paged.cachedReclaims;
-            agg.paged.tailReclaims += d.report.paged.tailReclaims;
-            agg.paged.reclaimedPages +=
-                d.report.paged.reclaimedPages;
             agg.paged.budgetClips += d.report.paged.budgetClips;
         }
         agg.drained = agg.drained && d.report.drained;
@@ -125,8 +122,6 @@ exportClusterMetrics(const ClusterReport &rep,
                      static_cast<double>(p.cachedReclaims));
         reg.setGauge("cluster.kv_tail_reclaims",
                      static_cast<double>(p.tailReclaims));
-        reg.setGauge("cluster.kv_reclaimed_pages",
-                     static_cast<double>(p.reclaimedPages));
         reg.setGauge("cluster.kv_budget_clips",
                      static_cast<double>(p.budgetClips));
     }

@@ -1,6 +1,6 @@
 #include "common/thread_pool.hpp"
 
-#include "common/parallel.hpp"
+#include <algorithm>
 
 namespace kelle {
 namespace common {
@@ -13,6 +13,12 @@ namespace {
 constexpr int kSpinRounds = 1 << 14;
 
 } // namespace
+
+std::size_t
+defaultParallelism()
+{
+    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
 
 ThreadPool::ThreadPool(std::size_t threads)
     : threads_(threads ? threads : defaultParallelism())

@@ -1,24 +1,24 @@
 /**
  * @file
- * A persistent worker pool for fine-grained fork/join parallelism.
+ * The repository's one thread primitive: a persistent worker pool for
+ * fork/join parallelism.
  *
- * `common::parallelFor` spawns and joins transient threads per call,
- * which is fine for bench sweeps where each iteration runs for
- * milliseconds, but far too heavy for the cluster drive loop,
- * which forks a device-sized batch of work at every lookahead window
- * — often microseconds of work per device. `ThreadPool` keeps its
- * workers alive across `forEach` calls: a dispatch is one atomic
- * epoch bump plus (when workers had gone to sleep) one condition
- * notify, and workers spin briefly before sleeping so back-to-back
- * windows never pay a futex round trip.
+ * The cluster drive loop forks a device-sized batch of work at every
+ * lookahead window — often microseconds of work per device — so the
+ * pool keeps its workers alive across `forEach` calls: a dispatch is
+ * one atomic epoch bump plus (when workers had gone to sleep) one
+ * condition notify, and workers spin briefly before sleeping so
+ * back-to-back windows never pay a futex round trip. The bench
+ * harnesses fan their independent sweep cells out over a
+ * `ThreadPool(std::min(n, defaultParallelism()))` the same way.
  *
- * Iterations are claimed from a shared atomic counter exactly like
- * `parallelFor`, so every index executes exactly once whatever the
- * interleaving, and a caller that writes only slot `i` of a
- * preallocated output gets results bit-identical to the serial loop.
- * `forEach` blocks until every iteration finished (the join is the
- * synchronization point: all worker writes happen-before it returns)
- * and rethrows the first worker exception on the calling thread.
+ * Iterations are claimed from a shared atomic counter, so every index
+ * executes exactly once whatever the interleaving, and a caller that
+ * writes only slot `i` of a preallocated output gets results
+ * bit-identical to the serial loop. `forEach` blocks until every
+ * iteration finished (the join is the synchronization point: all
+ * worker writes happen-before it returns) and rethrows the first
+ * worker exception on the calling thread.
  */
 
 #ifndef KELLE_COMMON_THREAD_POOL_HPP
@@ -35,6 +35,9 @@
 
 namespace kelle {
 namespace common {
+
+/** Hardware concurrency, clamped to at least 1. */
+std::size_t defaultParallelism();
 
 class ThreadPool
 {

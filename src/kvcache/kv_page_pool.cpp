@@ -291,22 +291,6 @@ KvPagePool::publishPrefix(std::size_t chain, std::uint64_t key,
     peakIndexedPages_ = std::max(peakIndexedPages_, indexedPages_);
 }
 
-std::size_t
-KvPagePool::shrinkTo(std::size_t chain, std::size_t tokens)
-{
-    KELLE_ASSERT(chain < chains_.size() && chains_[chain].active,
-                 "shrinking a released chain");
-    Chain &c = chains_[chain];
-    std::size_t freed = 0;
-    while (c.pages.size() > c.sharedPages &&
-           (c.pages.size() - 1) * cfg_.blockTokens >= tokens) {
-        unrefPage(c.pages.back());
-        c.pages.pop_back();
-        ++freed;
-    }
-    return freed;
-}
-
 void
 KvPagePool::release(std::size_t chain)
 {

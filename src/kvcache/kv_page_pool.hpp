@@ -6,8 +6,8 @@
  * The pool replaces per-request contiguous byte reservations with
  * page-granular ones (vLLM/Shukuchi-style `block_size` pages). Every
  * request owns a *chain* of pages; capacity grows lazily one page at a
- * time as the sequence appends, and whole tail pages can be reclaimed
- * under admission pressure without tearing the grant down.
+ * time as the sequence appends, and a chain returns its pages only
+ * when it is released.
  *
  * Prefix sharing: a chain whose prompt starts with a published prefix
  * (identified by a content-hash key) attaches the prefix's pages
@@ -103,13 +103,6 @@ class KvPagePool
      */
     void publishPrefix(std::size_t chain, std::uint64_t key,
                        std::size_t tokens);
-
-    /**
-     * Release whole owned tail pages beyond a capacity of `tokens`
-     * (page-granular reclaim; attached shared pages are kept). Returns
-     * the number of pages whose reference this chain dropped.
-     */
-    std::size_t shrinkTo(std::size_t chain, std::size_t tokens);
 
     /** Drop every page reference and retire the chain id for reuse. */
     void release(std::size_t chain);

@@ -94,30 +94,6 @@ toString(RequestState s)
     return "?";
 }
 
-DeviceConfig
-deviceConfigFrom(const ServingConfig &cfg)
-{
-    DeviceConfig d;
-    d.system = cfg.system;
-    d.model = cfg.model;
-    d.policy = cfg.policy;
-    d.maxBatch = cfg.maxBatch;
-    d.chunkTokens = cfg.chunkTokens;
-    d.chunkSlackFrac = cfg.chunkSlackFrac;
-    d.preempt = cfg.preempt;
-    d.paged = cfg.paged;
-    d.budgetOverride = cfg.budgetOverride;
-    d.poolTokens = cfg.poolTokens;
-    d.highWatermark = cfg.highWatermark;
-    d.maxEngineSteps = cfg.maxEngineSteps;
-    d.clientRetries = cfg.clientRetries;
-    d.clientRetryBackoffSec = cfg.clientRetryBackoffSec;
-    d.fastSim = cfg.fastSim;
-    d.verbose = cfg.verbose;
-    d.profiler = cfg.profiler;
-    return d;
-}
-
 ServingReport
 deviceReport(const DeviceEngine &dev, Time makespan)
 {
@@ -142,8 +118,6 @@ deviceReport(const DeviceEngine &dev, Time makespan)
         rep.paged.prefixHitTokens = pool->prefixHitTokens();
         rep.paged.cowCopies = pool->cowCopies();
         rep.paged.cachedReclaims = pool->cachedReclaims();
-        rep.paged.tailReclaims = dev.allocator().tailReclaims();
-        rep.paged.reclaimedPages = dev.allocator().reclaimedPages();
         rep.paged.budgetClips = dev.allocator().budgetClips();
     }
     rep.drained = dev.drained();
@@ -152,9 +126,10 @@ deviceReport(const DeviceEngine &dev, Time makespan)
 
 DeviceEngine::DeviceEngine(const DeviceConfig &cfg,
                            sim::EventQueue &queue,
-                           std::vector<Request> &requests)
-    : cfg_(normalizedConfig(cfg)),
-      label_(cfg.name.empty() ? "" : " [" + cfg.name + "]"),
+                           std::vector<Request> &requests,
+                           const std::string &name)
+    : cfg_(normalizedConfig(cfg)), name_(name),
+      label_(name.empty() ? "" : " [" + name + "]"),
       queue_(queue), requests_(requests),
       allocator_(makeAllocatorConfig(cfg_)),
       policy_(makePolicy(cfg.policy)),
@@ -300,7 +275,7 @@ DeviceEngine::preemptDoomed()
             continue;
         const double elapsed = (queue_.now() - r.firstToken).sec();
         const double doomed_at =
-            cfg_.preempt.doomFactor * r.tpotTargetSec *
+            r.tpotTargetSec *
             static_cast<double>(r.task.decLen);
         if (elapsed > doomed_at)
             victims.push_back(idx);
@@ -369,22 +344,10 @@ DeviceEngine::pagedEnsure(std::size_t idx, std::size_t tokens)
     }
 }
 
-std::size_t
-DeviceEngine::reclaimRunningTails()
+void
+DeviceEngine::clampRunningBudgets()
 {
-    if (running_.empty())
-        return 0;
-    std::vector<std::size_t> &victims = victimScratch_;
-    victims.assign(running_.begin(), running_.end());
-    // Youngest grants donate their idle tail pages first: the oldest
-    // running requests keep their headroom, mirroring AERP's
-    // protect-the-established bias.
-    std::sort(victims.begin(), victims.end(),
-              [this](std::size_t a, std::size_t b) {
-                  return requests_[a].id > requests_[b].id;
-              });
-    std::size_t freed = 0;
-    for (std::size_t idx : victims) {
+    for (std::size_t idx : running_) {
         Request &r = requests_[idx];
         const std::size_t keep =
             std::max(minBudget(r.task), r.residentTokens());
@@ -392,9 +355,7 @@ DeviceEngine::reclaimRunningTails()
             allocator_.shrinkBudget(grants_[idx], keep);
             r.budgetGranted = keep;
         }
-        freed += allocator_.shrinkChainTo(grants_[idx], keep);
     }
-    return freed;
 }
 
 KvBudgetAllocator::Grant
@@ -403,11 +364,11 @@ DeviceEngine::attemptGrant(std::size_t requested, std::size_t floor_tokens,
 {
     if (allocator_.paged() &&
         allocator_.availableTokens() < floor_tokens) {
-        // Page-granular admission pressure: before deferring, harvest
-        // whole idle tail pages from running grants (their budgets
-        // shrink to what they actually hold — eviction pressure at
-        // page granularity instead of preempting the whole victim).
-        reclaimRunningTails();
+        // Page-granular admission pressure: before deferring, clamp
+        // running budgets to what they hold, so no member grows its
+        // chain into the pages a waiter needs — eviction pressure at
+        // page granularity instead of preempting the whole victim.
+        clampRunningBudgets();
     }
     return allocator_.tryAdmit(requested, floor_tokens, prefix_key,
                                prefix_len);
@@ -424,7 +385,6 @@ DeviceEngine::poolMark() const
         m.cowCopies = pool->cowCopies();
         m.cachedReclaims = pool->cachedReclaims();
     }
-    m.tailReclaims = allocator_.tailReclaims();
     m.budgetClips = allocator_.budgetClips();
     m.shrunkGrants = allocator_.shrunkGrants();
     return m;
@@ -619,7 +579,7 @@ DeviceEngine::admitWaiting()
     // them (none admitted, none rejected — the waiting queue is
     // unchanged) left no observable state behind except the
     // deferrals just recorded in deferScratch_ (and, in paged mode,
-    // whatever idle-tail reclaim the attempts ran), and from this
+    // whatever budget clamp the attempts ran), and from this
     // frozen queue the next round attempts the same candidates: even
     // the time-dependent admission orders replay to the identical
     // deferral multiset. The decode fast-forward uses this to replay
@@ -826,7 +786,7 @@ DeviceEngine::nextPossibleRequeueTime(Time now) const
             r.task.decLen == 0 || r.done())
             continue;
         const double doomed_at =
-            cfg_.preempt.doomFactor * r.tpotTargetSec *
+            r.tpotTargetSec *
             static_cast<double>(r.task.decLen);
         // One-ulp shave: the scan's (t - firstToken) > doomed_at uses
         // a subtraction this sum does not, so the sum may round above
@@ -845,7 +805,7 @@ DeviceEngine::nextPossibleRequeueTime(Time now) const
             r.task.decLen == 0)
             return;
         const double doomed_at =
-            cfg_.preempt.doomFactor * r.tpotTargetSec *
+            r.tpotTargetSec *
             static_cast<double>(r.task.decLen);
         const double start = r.firstToken.sec() > 0.0
                                  ? r.firstToken.sec()
@@ -933,7 +893,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     continue;
                 doomScratch_.emplace_back(
                     r.firstToken,
-                    cfg_.preempt.doomFactor * r.tpotTargetSec *
+                    r.tpotTargetSec *
                         static_cast<double>(r.task.decLen));
             }
         }
@@ -970,8 +930,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // *sync* boundaries: the window's first (each member's gap
         // differs there), a page edge (some member's resident passes
         // its chain's capacity, so the pagedEnsure pass has work), and
-        // a replayed deferral round not at its fixpoint (its tail
-        // reclaim reads residents and may shrink budgets). Between
+        // a replayed deferral round not at its fixpoint (its budget
+        // clamp reads residents and may shrink budgets). Between
         // syncs nothing reads a member's counters and the pool cannot
         // move: every gap is the same `t_k - t_{k-1}`, so one running
         // max is exact; budgets and chains stay put, so a member stops
@@ -1039,7 +999,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     if (wf_ != nullptr)
                         wf_->onDecodeBoundary(idx, ended_step_sec, batch);
                 };
-                // A real round's tail reclaim reads the residents, so
+                // A real round's budget clamp reads the residents, so
                 // the flush precedes it; otherwise it rides the
                 // pagedEnsure pass below (members are independent).
                 const bool real_round = replay_deferrals && !round_fixpoint;
@@ -1054,7 +1014,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     // re-attempt the recorded deferrals in order,
                     // exactly as tryAdmitAt does. Each must keep
                     // failing — no member leaves the batch inside the
-                    // window, so nothing returns its grant — and each
+                    // window and a clamp frees no page, so nothing
+                    // returns to the pool — and each
                     // failure records the same deferral the
                     // event-driven round would.
                     //
@@ -1062,7 +1023,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     // leave the pool as they found it, the next round
                     // starts from the same counts and prefix index and
                     // fails the same way again (members' growing
-                    // residents only raise what a tail reclaim must
+                    // residents only raise what a budget clamp must
                     // keep), so the round collapses to its deferral
                     // count until the pool next changes. The only
                     // state that then differs from the event path is
@@ -1378,10 +1339,10 @@ std::size_t
 DeviceEngine::pressureReclaimAt(Time t)
 {
     if (!allocator_.paged())
-        return 0; // contiguous reservations have no idle tails
+        return 0; // contiguous reservations have nothing cached
     lastRoundAllDeferred_ = false;
-    std::size_t freed = allocator_.dropCachedPrefixes();
-    freed += reclaimRunningTails();
+    const std::size_t freed = allocator_.dropCachedPrefixes();
+    clampRunningBudgets();
     if (freed > 0 && trace_ != nullptr) {
         trace_->kvInUse(t, allocator_.inUseBytes());
         tracePagedCounters(t);

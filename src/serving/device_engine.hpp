@@ -21,10 +21,9 @@
  * Preempt-and-requeue (`PreemptConfig`): when enabled and this device
  * has waiting demand (dispatch is route-once, so only local waiters
  * can use the freed budget), a running decode whose TPOT target is
- * *already
- * unattainable* — elapsed decode time alone exceeds
- * `doomFactor x tpotTarget x decLen`, so even an instant finish would
- * miss — has its KV grant reclaimed and its progress reset, and is
+ * *already unattainable* — elapsed decode time alone exceeds
+ * `tpotTarget x decLen`, so even an instant finish would miss — has
+ * its KV grant reclaimed and its progress reset, and is
  * handed back through `Hooks::requeue` (the cluster re-dispatches it,
  * possibly to another device) or requeued locally. The request keeps
  * its original arrival and first-token timestamps, so the restart is
@@ -76,18 +75,14 @@
 namespace kelle {
 namespace serving {
 
-/** Deadline-doomed decode reclamation knob. */
+/**
+ * Deadline-doomed decode reclamation knob. A decode is doomed once its
+ * elapsed decode time exceeds `tpotTarget x decLen` with tokens still
+ * to emit: even finishing instantly would miss the TPOT target.
+ */
 struct PreemptConfig
 {
     bool enabled = false;
-    /**
-     * A decode is doomed once its elapsed decode time exceeds
-     * `doomFactor x tpotTarget x decLen` with tokens still to emit:
-     * even finishing instantly would miss the TPOT target. Values
-     * above 1 preempt later (more certain, less reclaimed); below 1
-     * preempt speculatively.
-     */
-    double doomFactor = 1.0;
 };
 
 /**
@@ -95,8 +90,8 @@ struct PreemptConfig
  * per-request reservations bit-identically. On, the device's KV pool
  * becomes a kv::KvPagePool of `blockTokens`-token pages: admission
  * reserves only the protected floor, budgets grow lazily page by
- * page, idle tail pages are reclaimed under admission pressure, and
- * requests carrying a prefix key share published prefix pages
+ * page, admission pressure clamps running budgets to what they hold,
+ * and requests carrying a prefix key share published prefix pages
  * copy-free (their prefill skips the covered tokens — cheaper TTFT).
  */
 struct PagedKvConfig
@@ -115,28 +110,48 @@ struct PagedKvConfig
 /** Everything per-accelerator about a serving engine. */
 struct DeviceConfig
 {
-    /** Verbose-log label; empty for the single-device engine. */
-    std::string name;
     accel::SystemConfig system = accel::kelleEdramSystem(2048);
     model::ModelConfig model = model::llama2_7b();
     SchedulePolicy policy = SchedulePolicy::ContinuousBatching;
+    /** Decode-batch cap (Fcfs always serves one request). */
     std::size_t maxBatch = 16;
+    /**
+     * Prefill chunk size in prompt tokens; 0 runs each prompt as one
+     * monolithic step. Smaller chunks let policies preempt long
+     * prefills at chunk boundaries at the price of re-streaming the
+     * weights once per chunk.
+     */
     std::size_t chunkTokens = 0;
+    /** Per-request budget override; 0 keeps each task's N'. */
     std::size_t budgetOverride = 0;
+    /**
+     * KV pool size in tokens; 0 derives it from the §8.4.1 capacity
+     * analysis (device DRAM net of resident weights).
+     */
     std::size_t poolTokens = 0;
+    /** Allocator pressure watermark. */
     double highWatermark = 0.85;
-    /** EdfChunked slack-aware alternation (see policy.hpp); 0 = off. */
+    /**
+     * EdfChunked slack-aware alternation: run consecutive prefill
+     * chunks when the prefilling request's TTFT slack is below this
+     * fraction of its whole TTFT budget (see policy.hpp). 0 keeps the
+     * unconditional alternation bit-exactly.
+     */
     double chunkSlackFrac = 0.0;
+    /** Preempt-and-requeue of deadline-doomed decodes (off by
+     *  default; the cluster exposes it as a fleet-level knob). */
     PreemptConfig preempt;
+    /** Paged KV pool (off keeps the contiguous allocator bit-exactly). */
     PagedKvConfig paged;
-    /** Safety cap on this device's engine steps; 0 = unlimited. */
+    /** Safety cap on engine steps (prefill chunks + decode
+     *  iterations); 0 = run the trace to completion. */
     std::uint64_t maxEngineSteps = 0;
     /**
-     * Client-side retry budget for overload rejections (satellite of
-     * ISSUE 10): instead of failing terminally, a rejected request
+     * Client-side retry budget for overload rejections: instead of
+     * failing terminally, a request whose floor exceeds the pool
      * re-arrives after a seeded backoff, up to this many times. 0 (the
-     * default) keeps the legacy immediate-reject path bit-identical.
-     * The backoff stream is a pure hash of (request id, attempt) —
+     * default) keeps the immediate-reject path bit-identical. The
+     * backoff stream is a pure hash of (request id, attempt) —
      * independent of the arrival-trace RNG, so the base arrival trace
      * stays byte-identical whether retries are on or off.
      */
@@ -150,6 +165,7 @@ struct DeviceConfig
      * and the bench_simspeed `--ref` baseline).
      */
     bool fastSim = true;
+    /** inform() per-request lifecycle lines (examples/edge_server). */
     bool verbose = false;
     /**
      * Wall-clock phase profiling (obs::PhaseProfiler): the engine adds
@@ -181,10 +197,12 @@ class DeviceEngine
     /**
      * Bind the engine to the owner's event queue and request table.
      * Both must outlive the engine; `requests` may grow only before
-     * the first `enqueue`.
+     * the first `enqueue`. `name` labels the verbose log; empty for a
+     * single-device session.
      */
     DeviceEngine(const DeviceConfig &cfg, sim::EventQueue &queue,
-                 std::vector<Request> &requests);
+                 std::vector<Request> &requests,
+                 const std::string &name = "");
 
     void setHooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
@@ -215,6 +233,8 @@ class DeviceEngine
 
     /** @name Status for dispatch policies and roll-ups. @{ */
     const DeviceConfig &config() const { return cfg_; }
+    /** The constructor's verbose-log label ("" if unnamed). */
+    const std::string &name() const { return name_; }
     const KvBudgetAllocator &allocator() const { return allocator_; }
     double freeKvBytes() const
     {
@@ -246,7 +266,7 @@ class DeviceEngine
      * queue only shrinks until the owner enqueues again). The cluster
      * drive loop bounds every device's lookahead window with this: a
      * decode that is running now is not doomed before `firstToken +
-     * doomFactor x tpotTarget x decLen`, and one that starts decoding
+     * tpotTarget x decLen`, and one that starts decoding
      * later starts its doom clock no earlier than `now` — or at its
      * first token, when a fault eviction restarts it. Each term is
      * shaved one ulp so the
@@ -291,7 +311,7 @@ class DeviceEngine
     void restoreAt(Time t, int kind_code);
     /**
      * Graceful-degradation ladder, rung 1-2: drop cached shared-
-     * prefix pages, then reclaim idle tail pages from running grants
+     * prefix pages, then clamp running budgets to what they hold
      * (paged mode; contiguous pools have nothing reclaimable).
      * Returns pages freed. Re-runs dispatch so freed pages can admit
      * blocked waiters immediately.
@@ -399,11 +419,12 @@ class DeviceEngine
      *  budget to the chain's capacity when the pool is exhausted
      *  (never below the floor acquired at admission). */
     void pagedEnsure(std::size_t idx, std::size_t tokens);
-    /** Paged admission pressure: reclaim whole idle tail pages from
-     *  running grants (youngest first); returns pages freed. */
-    std::size_t reclaimRunningTails();
+    /** Paged admission pressure: clamp each running budget N' to
+     *  max(floor, resident), so no member grows its chain further.
+     *  Frees no pages — chains hold only what residents need. */
+    void clampRunningBudgets();
     /** One allocator attempt as an admission round makes it: paged
-     *  mode first harvests idle tails when the floor does not fit. */
+     *  mode first clamps running budgets when the floor does not fit. */
     KvBudgetAllocator::Grant attemptGrant(std::size_t requested,
                                           std::size_t floor_tokens,
                                           std::uint64_t prefix_key,
@@ -418,7 +439,6 @@ class DeviceEngine
         std::size_t peakUsedPages = 0;
         std::uint64_t cowCopies = 0;
         std::uint64_t cachedReclaims = 0;
-        std::uint64_t tailReclaims = 0;
         std::uint64_t budgetClips = 0;
         std::uint64_t shrunkGrants = 0;
         bool operator==(const PoolMark &) const = default;
@@ -431,6 +451,7 @@ class DeviceEngine
     std::size_t minBudget(const sim::Task &task) const;
 
     DeviceConfig cfg_;
+    std::string name_;
     std::string label_; ///< " [name]" verbose-log infix, "" if unnamed
     sim::EventQueue &queue_;
     std::vector<Request> &requests_;
@@ -535,71 +556,15 @@ class DeviceEngine
 };
 
 /**
- * Full configuration of a serving run: the traffic plus every engine
- * knob a device inherits. A single-device session runs it as a
- * 1-device cluster (`cluster::clusterConfigFrom(cfg, 1, ...)`).
+ * Full configuration of a serving run: every engine knob a device
+ * inherits, plus the traffic and the run-wide observers. A
+ * single-device session runs it as a 1-device cluster
+ * (`cluster::clusterConfigFrom(cfg, 1, ...)`); a cluster hands each
+ * device the `DeviceConfig` base, with its `DeviceSpec` applied.
  */
-struct ServingConfig
+struct ServingConfig : DeviceConfig
 {
-    accel::SystemConfig system = accel::kelleEdramSystem(2048);
-    model::ModelConfig model = model::llama2_7b();
     TrafficConfig traffic;
-    SchedulePolicy policy = SchedulePolicy::ContinuousBatching;
-
-    /** Decode-batch cap (Fcfs always serves one request). */
-    std::size_t maxBatch = 16;
-    /**
-     * Prefill chunk size in prompt tokens; 0 runs each prompt as one
-     * monolithic step. Smaller chunks let policies preempt long
-     * prefills at chunk boundaries at the price of re-streaming the
-     * weights once per chunk.
-     */
-    std::size_t chunkTokens = 0;
-    /**
-     * EdfChunked slack-aware alternation: run consecutive prefill
-     * chunks when the prefilling request's TTFT slack is below this
-     * fraction of its whole TTFT budget. 0 keeps the unconditional
-     * alternation bit-exactly.
-     */
-    double chunkSlackFrac = 0.0;
-    /** Preempt-and-requeue of deadline-doomed decodes (off by
-     *  default; the cluster exposes it as a fleet-level knob). */
-    PreemptConfig preempt;
-    /** Paged KV pool (off keeps the contiguous allocator bit-exactly;
-     *  see PagedKvConfig in device_engine.hpp). */
-    PagedKvConfig paged;
-    /** Per-request budget override; 0 keeps each task's N'. */
-    std::size_t budgetOverride = 0;
-    /**
-     * KV pool size in tokens; 0 derives it from the §8.4.1 capacity
-     * analysis (device DRAM net of resident weights).
-     */
-    std::size_t poolTokens = 0;
-    /** Allocator pressure watermark. */
-    double highWatermark = 0.85;
-    /** Safety cap on engine steps (prefill chunks + decode
-     *  iterations); 0 = run the trace to completion. */
-    std::uint64_t maxEngineSteps = 0;
-    /**
-     * Client-side retry of overload rejections: a request whose floor
-     * exceeds the pool re-arrives up to this many times after a
-     * deterministic backoff instead of terminating (0 = off; see
-     * DeviceConfig::clientRetries). The base arrival trace is
-     * byte-identical either way — retries are engine-side re-arrivals
-     * of already-generated requests.
-     */
-    std::uint32_t clientRetries = 0;
-    /** Client-retry backoff base in seconds (jittered by request). */
-    double clientRetryBackoffSec = 5.0;
-    /**
-     * Bit-identical simulation fast path (step-cost memoization +
-     * decode fast-forward; see device_engine.hpp). Off runs the
-     * uncached step-at-a-time core — the equivalence-test oracle and
-     * the bench_simspeed reference.
-     */
-    bool fastSim = true;
-    /** inform() per-request lifecycle lines (examples/edge_server). */
-    bool verbose = false;
     /**
      * Deterministic request-lifecycle tracing (obs/trace.hpp): the
      * owner registers one track per device and emits every lifecycle
@@ -618,12 +583,7 @@ struct ServingConfig
      * engine.
      */
     obs::LatencyWaterfall *waterfall = nullptr;
-    /** Wall-clock phase profiling (obs/profile.hpp); null = off. */
-    obs::PhaseProfiler *profiler = nullptr;
 };
-
-/** The per-device slice of a ServingConfig, for the executor. */
-DeviceConfig deviceConfigFrom(const ServingConfig &cfg);
 
 /** Paged-pool accounting in a report (zeros in contiguous mode). */
 struct PagedPoolStats
@@ -636,8 +596,10 @@ struct PagedPoolStats
     std::uint64_t prefixHitTokens = 0;
     std::uint64_t cowCopies = 0;
     std::uint64_t cachedReclaims = 0;
+    /** Always 0: the tail-page harvest it counted is gone (admission
+     *  pressure only clamps budgets, see `budgetClips`). Kept because
+     *  the repository benchmark hashes and reports it. */
     std::uint64_t tailReclaims = 0;
-    std::uint64_t reclaimedPages = 0;
     std::uint64_t budgetClips = 0;
 };
 

@@ -182,20 +182,6 @@ KvBudgetAllocator::shrinkBudget(Grant &grant, std::size_t tokens)
     ++budgetClips_;
 }
 
-std::size_t
-KvBudgetAllocator::shrinkChainTo(Grant &grant, std::size_t tokens)
-{
-    KELLE_ASSERT(pool_ != nullptr && grant.admitted,
-                 "shrinking a non-paged or empty grant");
-    const std::size_t freed = pool_->shrinkTo(grant.chainId, tokens);
-    grant.chainCapacityTokens = pool_->capacityTokens(grant.chainId);
-    if (freed > 0) {
-        ++tailReclaims_;
-        reclaimedPages_ += freed;
-    }
-    return freed;
-}
-
 void
 KvBudgetAllocator::publishPrefix(const Grant &grant,
                                  std::uint64_t key,

@@ -15,17 +15,18 @@
  * in the currently free bytes, and can only be rejected by the caller
  * when the floor exceeds the whole pool.
  *
- * Paged mode (`AllocatorConfig::pagedTotalPages > 0`, ISSUE 8): the
+ * Paged mode (`AllocatorConfig::pagedTotalPages > 0`): the
  * byte pool is replaced by a kv::KvPagePool of fixed-size token pages.
  * Admission reserves only the request's protected *floor* up front
  * (attaching shared prefix pages copy-free when the request carries a
  * prefix key); the rest of the budget materializes lazily through
  * growChain() as the sequence appends, and failed growth clamps the
  * budget to the chain's capacity instead of blocking — page-granular
- * eviction pressure. shrinkChainTo() reclaims whole idle tail pages
- * from running grants, which is what admission pressure harvests
- * before deferring a new request. Contiguous mode is byte-for-byte
- * the legacy allocator.
+ * eviction pressure. Chains never hold pages beyond what their
+ * residents need, so admission pressure has no page to harvest: it
+ * clamps running budgets through shrinkBudget() instead, which stops
+ * their growth. Contiguous mode is byte-for-byte the legacy
+ * allocator.
  *
  * Invariant: reserved bytes (or pages) never exceed the pool capacity.
  */
@@ -106,8 +107,6 @@ class KvBudgetAllocator
     bool growChain(Grant &grant, std::size_t tokens);
     /** Clamp the logical budget N' of a live grant. */
     void shrinkBudget(Grant &grant, std::size_t tokens);
-    /** Reclaim whole tail pages above `tokens`; returns pages freed. */
-    std::size_t shrinkChainTo(Grant &grant, std::size_t tokens);
     /** Publish the grant's first `tokens` tokens under `key`. */
     void publishPrefix(const Grant &grant, std::uint64_t key,
                        std::size_t tokens);
@@ -146,11 +145,9 @@ class KvBudgetAllocator
      *  fast-forward's stand-in for a deferral round it has proven
      *  would fail again with no other effect on the pool. */
     void addDeferrals(std::uint64_t n) { deferrals_ += n; }
-    /** Budget clamps after failed page growth (paged mode). */
+    /** Budget clamps: failed page growth and admission pressure
+     *  (paged mode). */
     std::uint64_t budgetClips() const { return budgetClips_; }
-    /** shrinkChainTo calls that freed pages / pages they freed. */
-    std::uint64_t tailReclaims() const { return tailReclaims_; }
-    std::uint64_t reclaimedPages() const { return reclaimedPages_; }
     /** Peak sum of live grants' logical budgets N' — the resident-
      *  token capacity metric the paged-vs-contiguous benches record
      *  (prefix sharing stores shared tokens once but grants them to
@@ -171,8 +168,6 @@ class KvBudgetAllocator
     std::uint64_t shrunkGrants_ = 0;
     std::uint64_t deferrals_ = 0;
     std::uint64_t budgetClips_ = 0;
-    std::uint64_t tailReclaims_ = 0;
-    std::uint64_t reclaimedPages_ = 0;
 };
 
 } // namespace serving

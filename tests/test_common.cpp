@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common library: units, RNG, stats, tables,
- * parallel-for.
+ * the thread pool.
  */
 
 #include <atomic>
@@ -10,10 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 
 namespace kelle {
@@ -214,11 +214,12 @@ TEST(Table, Formatters)
     EXPECT_EQ(Table::pct(0.465, 1), "46.5%");
 }
 
-TEST(ParallelFor, SlotResultsMatchTheSerialLoop)
+TEST(ThreadPool, SlotResultsMatchTheSerialLoop)
 {
     // Each iteration writes only its own slot, so the parallel sweep
     // must be bit-identical to the serial one — the property the
-    // bench harnesses rely on for seeded determinism.
+    // bench harnesses rely on for seeded determinism. Two jobs per
+    // pool: the workers outlive a forEach and must serve the next.
     const std::size_t n = 257;
     auto cell = [](std::size_t i) {
         Rng rng(1000 + i); // per-cell seed, like a sweep cell
@@ -231,46 +232,59 @@ TEST(ParallelFor, SlotResultsMatchTheSerialLoop)
     for (std::size_t i = 0; i < n; ++i)
         serial[i] = cell(i);
     for (std::size_t threads : {1u, 4u, 16u}) {
-        std::vector<double> parallel(n);
-        common::parallelFor(
-            n, threads, [&](std::size_t i) { parallel[i] = cell(i); });
-        EXPECT_EQ(serial, parallel) << threads << " threads";
+        common::ThreadPool pool(threads);
+        for (int job = 0; job < 2; ++job) {
+            std::vector<double> parallel(n);
+            pool.forEach(n,
+                         [&](std::size_t i) { parallel[i] = cell(i); });
+            EXPECT_EQ(serial, parallel)
+                << threads << " threads, job " << job;
+        }
     }
 }
 
-TEST(ParallelFor, ExecutesEveryIndexExactlyOnce)
+TEST(ThreadPool, ExecutesEveryIndexExactlyOnce)
 {
     const std::size_t n = 1000;
     std::vector<std::atomic<int>> hits(n);
-    common::parallelFor(n, 8, [&](std::size_t i) {
+    common::ThreadPool pool(8);
+    pool.forEach(n, [&](std::size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < n; ++i)
         ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ParallelFor, EdgeSizes)
+TEST(ThreadPool, EdgeSizes)
 {
-    common::parallelFor(0, 4, [](std::size_t) { FAIL(); });
+    common::ThreadPool pool(4);
+    pool.forEach(0, [](std::size_t) { FAIL(); });
     int calls = 0;
-    common::parallelFor(1, 4, [&](std::size_t) { ++calls; });
+    pool.forEach(1, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 1);
-    // More workers than work: excess workers find nothing to claim.
+    // More lanes than work: excess workers find nothing to claim.
     std::atomic<int> done{0};
-    common::parallelFor(2, 16, [&](std::size_t) { ++done; });
+    common::ThreadPool wide(16);
+    wide.forEach(2, [&](std::size_t) { ++done; });
     EXPECT_EQ(done.load(), 2);
     EXPECT_GE(common::defaultParallelism(), 1u);
+    EXPECT_EQ(common::ThreadPool(0).threads(),
+              common::defaultParallelism());
 }
 
-TEST(ParallelFor, RethrowsTheFirstWorkerException)
+TEST(ThreadPool, RethrowsTheFirstWorkerException)
 {
-    EXPECT_THROW(common::parallelFor(
-                     64, 4,
-                     [](std::size_t i) {
-                         if (i == 13)
-                             throw std::runtime_error("boom");
-                     }),
+    common::ThreadPool pool(4);
+    EXPECT_THROW(pool.forEach(64,
+                              [](std::size_t i) {
+                                  if (i == 13)
+                                      throw std::runtime_error("boom");
+                              }),
                  std::runtime_error);
+    // The error does not stick to the pool: the next job runs clean.
+    std::atomic<int> done{0};
+    EXPECT_NO_THROW(pool.forEach(64, [&](std::size_t) { ++done; }));
+    EXPECT_EQ(done.load(), 64);
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 /**
  * @file
- * The paged KV pool (ISSUE 8), bottom to top:
+ * The paged KV pool, bottom to top:
  *
  *  - KvPagePoolCore: free-list exhaustion/reuse determinism, refcount
  *    and copy-on-write correctness over shared prefixes with frozen
  *    partial tails, cached-prefix retention and oldest-first reclaim,
- *    acquire rollback, page-granular tail shrinking.
+ *    acquire rollback.
  *  - PagedAllocator: floor-only admission with lazy growth, the
  *    growth-failure budget clamp (never below the floor), quantized
  *    page byte accounting tied to the QuantizedGroups layout.
@@ -183,29 +183,6 @@ TEST(KvPagePoolCore, ReleasedPrefixStaysCachedUntilPressure)
     EXPECT_EQ(pool.acquire(8, kKey, 8).prefixHitTokens, 0u);
 }
 
-TEST(KvPagePoolCore, ShrinkToFreesOwnTailPagesOnly)
-{
-    kv::KvPagePool pool(poolConfig(16, 4));
-    constexpr std::uint64_t kKey = 5;
-
-    const auto owner = pool.acquire(8);
-    ASSERT_TRUE(owner.ok);
-    pool.publishPrefix(owner.chainId, kKey, 8);
-
-    const auto sharer = pool.acquire(8, kKey, 8);
-    ASSERT_TRUE(sharer.ok);
-    ASSERT_TRUE(pool.grow(sharer.chainId, 20)); // +3 own pages
-    const std::size_t used = pool.usedPages();
-
-    // Shrinking to the shared boundary frees only the 3 owned pages;
-    // attached prefix pages are kept even when `tokens` is lower.
-    EXPECT_EQ(pool.shrinkTo(sharer.chainId, 0), 3u);
-    EXPECT_EQ(pool.capacityTokens(sharer.chainId), 8u);
-    EXPECT_EQ(pool.usedPages(), used - 3);
-    // The owner's pages were never touched.
-    EXPECT_EQ(pool.capacityTokens(owner.chainId), 8u);
-}
-
 // ---- PagedAllocator ------------------------------------------------
 
 serving::AllocatorConfig
@@ -255,12 +232,6 @@ TEST(PagedAllocator, GrowthFailureClampsBudgetNeverBelowFloor)
     EXPECT_EQ(b.budgetTokens, 4u);
     EXPECT_GE(b.budgetTokens, 4u); // never below the admitted floor
     EXPECT_EQ(alloc.budgetClips(), 1u);
-
-    // Page-granular reclaim: a's idle tail pages free b's growth.
-    EXPECT_EQ(alloc.shrinkChainTo(a, 4), 2u);
-    EXPECT_EQ(alloc.tailReclaims(), 1u);
-    EXPECT_EQ(alloc.reclaimedPages(), 2u);
-    EXPECT_TRUE(alloc.growChain(b, 12));
 }
 
 TEST(PagedAllocator, DeferralWhenFloorExceedsAvailablePages)
@@ -449,7 +420,7 @@ pagedClusterConfig(std::size_t threads, bool fast_sim)
 {
     serving::ServingConfig cfg = tinyServingConfig();
     cfg.maxBatch = 12;
-    cfg.poolTokens = 256; // tight: growth, clips and reclaims fire
+    cfg.poolTokens = 256; // tight: growth and clips fire
     cfg.budgetOverride = 48;
     cfg.traffic.ratePerSec = 5000.0; // split across 2 devices
     cfg.traffic.numRequests = 32;
@@ -489,8 +460,6 @@ expectPagedReportsEqual(const serving::ServingReport &a,
         << label;
     EXPECT_EQ(a.paged.cowCopies, b.paged.cowCopies) << label;
     EXPECT_EQ(a.paged.cachedReclaims, b.paged.cachedReclaims) << label;
-    EXPECT_EQ(a.paged.tailReclaims, b.paged.tailReclaims) << label;
-    EXPECT_EQ(a.paged.reclaimedPages, b.paged.reclaimedPages) << label;
     EXPECT_EQ(a.paged.budgetClips, b.paged.budgetClips) << label;
 }
 
@@ -501,9 +470,7 @@ TEST(PagedDeterminism, ReportsBitIdenticalAcrossThreadsAndFastSim)
     // The tight pool must actually exercise the paged machinery, or
     // this test pins nothing.
     EXPECT_GT(baseline.aggregate.paged.prefixHitTokens, 0u);
-    EXPECT_GT(baseline.aggregate.paged.budgetClips +
-                  baseline.aggregate.paged.tailReclaims,
-              0u);
+    EXPECT_GT(baseline.aggregate.paged.budgetClips, 0u);
     for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
         const auto par =
             cluster::ClusterEngine(pagedClusterConfig(threads, true))

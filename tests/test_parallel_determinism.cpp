@@ -119,8 +119,6 @@ expectReportsBitIdentical(const serving::ServingReport &a,
         << label;
     EXPECT_EQ(a.paged.cowCopies, b.paged.cowCopies) << label;
     EXPECT_EQ(a.paged.cachedReclaims, b.paged.cachedReclaims) << label;
-    EXPECT_EQ(a.paged.tailReclaims, b.paged.tailReclaims) << label;
-    EXPECT_EQ(a.paged.reclaimedPages, b.paged.reclaimedPages) << label;
     EXPECT_EQ(a.paged.budgetClips, b.paged.budgetClips) << label;
     EXPECT_EQ(a.drained, b.drained) << label;
 }

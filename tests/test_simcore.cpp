@@ -556,7 +556,6 @@ struct DeviceRun
     serving::ServingSummary summary;
     std::uint64_t deferrals = 0;
     std::uint64_t budgetClips = 0;
-    std::uint64_t tailReclaims = 0;
 };
 
 using ExtraEvents =
@@ -596,7 +595,6 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     run.summary = engine.metrics().summarize(engine.lastCompletion());
     run.deferrals = engine.allocator().deferrals();
     run.budgetClips = engine.allocator().budgetClips();
-    run.tailReclaims = engine.allocator().tailReclaims();
     return run;
 }
 
@@ -635,7 +633,6 @@ expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
     EXPECT_EQ(fast.decodeSteps, slow.decodeSteps);
     EXPECT_EQ(fast.deferrals, slow.deferrals);
     EXPECT_EQ(fast.budgetClips, slow.budgetClips);
-    EXPECT_EQ(fast.tailReclaims, slow.tailReclaims);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.busySec),
               std::bit_cast<std::uint64_t>(slow.busySec));
     EXPECT_EQ(slow.fastForwarded, 0u);
@@ -771,39 +768,32 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
     }
 
     // A KV-blocked waiter whose replayed round, not at its fixpoint,
-    // reclaims a running member's idle tail: the round reads the
-    // members' residents, so the flush must precede it. No request
-    // grows an idle tail by itself (chains grow lazily to exactly what
-    // a reclaim keeps, max(floor, resident)), so this one is built by
-    // hand: request 0 acquires a 518-token floor (33 of the 76 pages),
-    // then its recent window, and with it its floor, drops to 34
-    // tokens. A pool-shrink fault defers waiter 2 on the degraded
-    // capacity while the free pages still cover its 218-token floor,
-    // so the event-path rounds reclaim nothing; inside the next window
-    // request 1's page edges push the free pages below that floor,
-    // and the round after such an edge harvests request 0's tail.
+    // clamps the running budgets: the clamp keeps each member's
+    // resident, so the flush must precede the round. A pool-shrink
+    // fault defers waiter 2 on the degraded capacity while the free
+    // pages still cover its 218-token floor, so the event-path rounds
+    // clamp nothing; inside the next window the members' page edges
+    // push the free pages below that floor, and the round after such
+    // an edge clamps both members to what they hold.
     {
-        SCOPED_TRACE("paged tail reclaim");
+        SCOPED_TRACE("paged budget clamp");
         auto tight = paged;
         tight.poolTokens = 1216;
         std::vector<serving::Request> reqs = {
             decodeRequest(0, 32, 600, 700),
             decodeRequest(1, 400, 600, 1200),
             decodeRequest(2, 100, 50, 300, 0.0, 20.0 * step_sec)};
-        reqs[0].task.recentWindow = 500;
         reqs[2].task.recentWindow = 200;
         const ExtraEvents extra = [step_sec](
                                       sim::EventQueue &q,
                                       serving::DeviceEngine &e,
-                                      std::vector<serving::Request> &r) {
-            q.schedule(Time::seconds(10.0 * step_sec), [&q, &e, &r] {
-                r[0].task.recentWindow = 16;
-                e.shrinkPoolAt(q.now(), 0.5);
-            });
+                                      std::vector<serving::Request> &) {
+            q.schedule(Time::seconds(10.0 * step_sec),
+                       [&q, &e] { e.shrinkPoolAt(q.now(), 0.5); });
         };
         const DeviceRun run =
             expectDeviceFastEqualsSlow(tight, reqs, {}, 0.0, extra);
-        EXPECT_GT(run.tailReclaims, 0u);
+        EXPECT_EQ(run.budgetClips, 2u);
         EXPECT_GT(run.deferrals, 100u);
         EXPECT_GT(run.fastForwarded, 500u);
     }
