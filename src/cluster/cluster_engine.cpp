@@ -375,8 +375,9 @@ ClusterEngine::applyFault(const faults::FaultEvent &ev)
             scheduleRetry(idx, ev.at);
         // Graceful-degradation ladder on the survivors: the crashed
         // device's load is about to land on them, so free what can be
-        // freed (cached prefixes, idle tails) and shed waiters whose
-        // TTFT deadline already expired back to the retry path.
+        // freed (cached prefixes), stop running grants from growing,
+        // and shed waiters whose TTFT deadline already expired back to
+        // the retry path.
         for (std::size_t j = 0; j < devices_.size(); ++j) {
             if (j == ev.device || health_[j] == DeviceHealth::Down)
                 continue;

@@ -120,6 +120,19 @@ TEST(GoldenDigest, BenchServingPagedSessionsSmoke)
                  0xce1d383c8662791eull);
 }
 
+TEST(GoldenDigest, BenchServingPagedAdmissionPressure)
+{
+    // A 6000-token paged pool (93 pages) KV-blocks waiters often
+    // enough that admission pressure clamps the running budgets
+    // (clampRunningBudgets): the clamp moves this digest, both the
+    // headline row and the paged rows' clip counts, so the only
+    // pressure response the paged pool has left is pinned here.
+    expectDigest("bench/bench_serving",
+                 "--paged --sessions 4 --pool 6000 --rate 0.05 "
+                 "--requests 16 --policy contbatch --sweep 0 --study 0",
+                 0xd28f6dd5f6617e78ull);
+}
+
 TEST(GoldenDigest, BenchClusterSmallHeteroConfig)
 {
     expectDigest("bench/bench_cluster",
