@@ -596,9 +596,8 @@ struct PagedPoolStats
     std::uint64_t prefixHitTokens = 0;
     std::uint64_t cowCopies = 0;
     std::uint64_t cachedReclaims = 0;
-    /** Always 0: the tail-page harvest it counted is gone (admission
-     *  pressure only clamps budgets, see `budgetClips`). Kept because
-     *  the repository benchmark hashes and reports it. */
+    /** Retired tail-page harvest: never counted, reads 0. Kept
+     *  because the repository benchmark hashes and reports it. */
     std::uint64_t tailReclaims = 0;
     std::uint64_t budgetClips = 0;
 };

@@ -297,8 +297,8 @@ fig13Digest(const Inputs &s)
 std::uint64_t
 kvCacheDigest(const Inputs &s)
 {
-    static model::TinyTransformer tiny(model::tinyLm(),
-                                       model::InitOptions{.seed = 5});
+    model::TinyTransformer tiny(model::tinyLm(),
+                                model::InitOptions{.seed = 5});
     const model::ModelConfig &m = tiny.config();
     kv::ManagedKvCache cache(s.kv, m.layers, m.nKvHeads, m.headDim(),
                              m.dModel);
