@@ -275,8 +275,7 @@ DeviceEngine::preemptDoomed()
             continue;
         const double elapsed = (queue_.now() - r.firstToken).sec();
         const double doomed_at =
-            r.tpotTargetSec *
-            static_cast<double>(r.task.decLen);
+            r.tpotTargetSec * static_cast<double>(r.task.decLen);
         if (elapsed > doomed_at)
             victims.push_back(idx);
     }
@@ -786,8 +785,7 @@ DeviceEngine::nextPossibleRequeueTime(Time now) const
             r.task.decLen == 0 || r.done())
             continue;
         const double doomed_at =
-            r.tpotTargetSec *
-            static_cast<double>(r.task.decLen);
+            r.tpotTargetSec * static_cast<double>(r.task.decLen);
         // One-ulp shave: the scan's (t - firstToken) > doomed_at uses
         // a subtraction this sum does not, so the sum may round above
         // the earliest triggering t by half an ulp.
@@ -805,8 +803,7 @@ DeviceEngine::nextPossibleRequeueTime(Time now) const
             r.task.decLen == 0)
             return;
         const double doomed_at =
-            r.tpotTargetSec *
-            static_cast<double>(r.task.decLen);
+            r.tpotTargetSec * static_cast<double>(r.task.decLen);
         const double start = r.firstToken.sec() > 0.0
                                  ? r.firstToken.sec()
                                  : now.sec();
@@ -893,8 +890,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     continue;
                 doomScratch_.emplace_back(
                     r.firstToken,
-                    r.tpotTargetSec *
-                        static_cast<double>(r.task.decLen));
+                    r.tpotTargetSec * static_cast<double>(r.task.decLen));
             }
         }
         bool bounded;
@@ -1015,9 +1011,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     // exactly as tryAdmitAt does. Each must keep
                     // failing — no member leaves the batch inside the
                     // window and a clamp frees no page, so nothing
-                    // returns to the pool — and each
-                    // failure records the same deferral the
-                    // event-driven round would.
+                    // returns to the pool — and each failure records
+                    // the same deferral the event-driven round would.
                     //
                     // Once a round and the pagedEnsure pass after it
                     // leave the pool as they found it, the next round
