@@ -129,19 +129,25 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     }
 }
 
+DeviceStatus
+ClusterEngine::status(std::size_t i) const
+{
+    const serving::DeviceEngine &dev = *devices_[i];
+    DeviceStatus s;
+    s.freeKvBytes = dev.freeKvBytes();
+    s.kvCapacityBytes = dev.allocator().capacityBytes();
+    s.waiting = dev.waitingCount();
+    s.active = dev.activeCount();
+    return s;
+}
+
 const std::vector<DeviceStatus> &
 ClusterEngine::statuses()
 {
     statusScratch_.clear();
     statusScratch_.reserve(devices_.size());
-    for (const auto &dev : devices_) {
-        DeviceStatus s;
-        s.freeKvBytes = dev->freeKvBytes();
-        s.kvCapacityBytes = dev->allocator().capacityBytes();
-        s.waiting = dev->waitingCount();
-        s.active = dev->activeCount();
-        statusScratch_.push_back(s);
-    }
+    for (std::size_t i = 0; i < devices_.size(); ++i)
+        statusScratch_.push_back(status(i));
     return statusScratch_;
 }
 
@@ -164,13 +170,7 @@ ClusterEngine::pickDevice(Time t, std::size_t idx)
         for (std::size_t i = 0; i < devices_.size(); ++i) {
             if (health_[i] == DeviceHealth::Down)
                 continue;
-            DeviceStatus s;
-            s.freeKvBytes = devices_[i]->freeKvBytes();
-            s.kvCapacityBytes =
-                devices_[i]->allocator().capacityBytes();
-            s.waiting = devices_[i]->waitingCount();
-            s.active = devices_[i]->activeCount();
-            statusScratch_.push_back(s);
+            statusScratch_.push_back(status(i));
             upIndexScratch_.push_back(i);
         }
         const std::size_t p =
@@ -222,7 +222,12 @@ ClusterEngine::dispatchAt(Time t, std::size_t idx)
     const std::size_t d = pickDevice(t, idx);
     if (d == devices_.size()) {
         // Whole fleet down: park the request on the retry path until
-        // a device recovers (or its retry budget runs out).
+        // a device recovers (or its retry budget runs out). No device
+        // will log a first-life request's arrival, so log it here.
+        if (!serving::DeviceEngine::secondLife(requests_[idx]))
+            serving::DeviceEngine::recordArrival(
+                clusterTrack_, cfg_.engine.waterfall, idx,
+                requests_[idx], t);
         scheduleRetry(idx, t);
         return;
     }

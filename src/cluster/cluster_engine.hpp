@@ -167,6 +167,8 @@ class ClusterEngine
     /** Dispatch at round time `t`: line the target's partition clock
      *  up with the globally-timestamped injection, then enqueue. */
     void dispatchAt(Time t, std::size_t idx);
+    /** Device `i`'s load snapshot, as the dispatch policy sees it. */
+    DeviceStatus status(std::size_t i) const;
     /** Refresh and return the reusable status-snapshot scratch. */
     const std::vector<DeviceStatus> &statuses();
     /** The drive loop: lookahead windows and serialized rounds until

@@ -186,68 +186,20 @@ LatencyWaterfall::onArrival(std::size_t idx, std::uint64_t req_id,
     e.decLen = dec_len;
 }
 
-void
-LatencyWaterfall::onDeferred(std::size_t idx, Time t)
-{
-    WaterfallEntry &e = at(idx);
-    if (!e.deferred) {
-        e.deferred = true;
-        e.firstDefer = t;
-    }
-}
+namespace {
 
-void
-LatencyWaterfall::onAdmitted(std::size_t idx, Time t)
-{
-    at(idx).admitted = t;
-}
+constexpr std::size_t kDecodeCompute =
+    static_cast<std::size_t>(LatencyComponent::DecodeCompute);
+constexpr std::size_t kBatchInterference =
+    static_cast<std::size_t>(LatencyComponent::BatchInterference);
 
+/** Terminal event: compute the components, classify, seal. */
 void
-LatencyWaterfall::onPrefillChunk(std::size_t idx, double sec)
+finalize(WaterfallEntry &e, Time t, std::uint32_t device, bool rejected)
 {
-    at(idx).components[static_cast<std::size_t>(
-        LatencyComponent::PrefillCompute)] += sec;
-}
-
-void
-LatencyWaterfall::onFirstToken(std::size_t idx, Time t)
-{
-    at(idx).firstToken = t;
-}
-
-void
-LatencyWaterfall::onPreempt(std::size_t idx, Time t)
-{
-    WaterfallEntry &e = at(idx);
-    // At most one preemption per request (engine invariant); keep the
-    // first stamp if that ever changes so c7 stays a single interval.
-    if (!e.preempted) {
-        e.preempted = true;
-        e.preemptAt = t;
-    }
-}
-
-void
-LatencyWaterfall::onResume(std::size_t idx, Time t)
-{
-    at(idx).resumeAt = t;
-}
-
-void
-LatencyWaterfall::onDecodeBoundary(std::size_t idx, double step_sec,
-                                   double batch)
-{
-    WaterfallEntry &e = at(idx);
-    const double fair = step_sec / batch;
-    e.components[static_cast<std::size_t>(
-        LatencyComponent::DecodeCompute)] += fair;
-    e.components[static_cast<std::size_t>(
-        LatencyComponent::BatchInterference)] += step_sec - fair;
-}
-
-void
-LatencyWaterfall::finalize(WaterfallEntry &e)
-{
+    e.finished = t;
+    e.device = device;
+    e.rejected = rejected;
     double *c = e.components;
     const auto ix = [](LatencyComponent comp) {
         return static_cast<std::size_t>(comp);
@@ -279,8 +231,9 @@ LatencyWaterfall::finalize(WaterfallEntry &e)
         // tie-break ulp when rounding demands one).
         closeFold(e.ttftSec, c, ix(LatencyComponent::ChunkInterleave));
         // c5/c6 accumulated at decode boundaries; c7 is the single
-        // preempt -> resume interval (second-life queue/prefill live
-        // inside it); c8 closes the E2E fold exactly.
+        // first loss -> last resume interval (later lives' queue,
+        // prefill and lost decode live inside it); c8 closes the E2E
+        // fold exactly.
         c[ix(LatencyComponent::PreemptLoss)] =
             e.preempted ? (e.resumeAt - e.preemptAt).sec() : 0.0;
         closeFold(e.e2eSec, c, ix(LatencyComponent::DecodeStall));
@@ -298,42 +251,99 @@ LatencyWaterfall::finalize(WaterfallEntry &e)
     e.terminal = true;
 }
 
+} // namespace
+
+void
+LatencyWaterfall::onDeferred(std::size_t idx, Time t)
+{
+    WaterfallEntry &e = at(idx);
+    if (!e.deferred && e.admitted.sec() == 0.0) {
+        e.deferred = true;
+        e.firstDefer = t;
+    }
+}
+
+void
+LatencyWaterfall::onAdmitted(std::size_t idx, Time t)
+{
+    WaterfallEntry &e = at(idx);
+    if (e.admitted.sec() == 0.0)
+        e.admitted = t;
+}
+
+void
+LatencyWaterfall::onPrefillChunk(std::size_t idx, double sec)
+{
+    WaterfallEntry &e = at(idx);
+    if (e.firstToken.sec() == 0.0)
+        e.components[static_cast<std::size_t>(
+            LatencyComponent::PrefillCompute)] += sec;
+}
+
+void
+LatencyWaterfall::onFirstToken(std::size_t idx, Time t)
+{
+    WaterfallEntry &e = at(idx);
+    if (e.firstToken.sec() == 0.0) {
+        e.firstToken = t;
+        return;
+    }
+    // A resume. Decode steps since the first loss ran in lives that
+    // were lost again, inside the c7 interval this resume extends.
+    e.resumeAt = t;
+    e.components[kDecodeCompute] = e.decodeAtLoss[0];
+    e.components[kBatchInterference] = e.decodeAtLoss[1];
+}
+
+void
+LatencyWaterfall::onPreempt(std::size_t idx, Time t)
+{
+    WaterfallEntry &e = at(idx);
+    // c7 runs from the first loss to the last resume, so only the
+    // first loss stamps; it also snapshots c5/c6 for the resumes.
+    if (e.preempted)
+        return;
+    e.preempted = true;
+    e.preemptAt = t;
+    e.decodeAtLoss[0] = e.components[kDecodeCompute];
+    e.decodeAtLoss[1] = e.components[kBatchInterference];
+}
+
+void
+LatencyWaterfall::onDecodeBoundary(std::size_t idx, double step_sec,
+                                   double batch)
+{
+    WaterfallEntry &e = at(idx);
+    const double fair = step_sec / batch;
+    e.components[kDecodeCompute] += fair;
+    e.components[kBatchInterference] += step_sec - fair;
+}
+
 void
 LatencyWaterfall::onFaultEvict(std::size_t idx, Time t)
 {
     WaterfallEntry &e = at(idx);
     e.faulted = true;
     // A victim that had served its first token regenerates through
-    // the preempt machinery — reuse the c7 interval (keep the first
-    // stamp if it was already a preempt victim). Pre-first-token
-    // victims restart their whole TTFT window: their lost time folds
-    // into c1/c4, no preempt interval to open.
-    if (e.firstToken.sec() > 0.0 && !e.preempted) {
-        e.preempted = true;
-        e.preemptAt = t;
-    }
+    // the preempt machinery and shares its c7 interval. Pre-first-
+    // token victims restart their whole TTFT window: their lost time
+    // folds into c1/c4, no preempt interval to open.
+    if (e.firstToken.sec() > 0.0)
+        onPreempt(idx, t);
 }
 
 void
 LatencyWaterfall::onCompleted(std::size_t idx, Time t,
                               std::uint32_t device)
 {
-    WaterfallEntry &e = at(idx);
-    e.finished = t;
-    e.device = device;
-    e.rejected = false;
-    finalize(e);
+    finalize(at(idx), t, device, /*rejected=*/false);
 }
 
 void
 LatencyWaterfall::onRejected(std::size_t idx, Time t,
                              std::uint32_t device)
 {
-    WaterfallEntry &e = at(idx);
-    e.finished = t;
-    e.device = device;
-    e.rejected = true;
-    finalize(e);
+    finalize(at(idx), t, device, /*rejected=*/true);
 }
 
 void
@@ -342,10 +352,7 @@ LatencyWaterfall::onFaultFailed(std::size_t idx, Time t,
 {
     WaterfallEntry &e = at(idx);
     e.faulted = true;
-    e.finished = t;
-    e.device = device;
-    e.rejected = true;
-    finalize(e);
+    finalize(e, t, device, /*rejected=*/true);
 }
 
 AttributionReport
@@ -363,10 +370,12 @@ LatencyWaterfall::report(std::size_t n_devices) const
         AttributionReport::Device &dev = rep.devices[e.device];
         ++rep.terminal;
         ++dev.terminal;
-        if (e.rejected)
+        if (e.rejected) {
             ++rep.rejected;
-        else
+            ++dev.rejected;
+        } else {
             ++rep.completed;
+        }
         for (std::size_t i = 0; i < kLatencyComponentCount; ++i) {
             rep.componentTotals[i] += e.components[i];
             dev.componentTotals[i] += e.components[i];

@@ -18,8 +18,10 @@
  *                         step this request participated in
  *   c6 batch_interference the rest of those steps' latency — the
  *                         price of sharing the batch
- *   c7 preempt_loss       preemption -> resumed decoding (requeue,
- *                         re-dispatch, re-prefill of the lost KV)
+ *   c7 preempt_loss       first post-first-token loss (preemption
+ *                         or crash eviction) -> last resumed decoding
+ *                         (requeue, re-dispatch, re-prefill, and the
+ *                         decode of any life lost again)
  *   c8 decode_stall       E2E remainder: decode-boundary gaps the
  *                         request sat through without stepping —
  *                         inflicted prefills, KV-blocked rounds, and
@@ -39,9 +41,11 @@
  * `classifyMiss` labels each SLO miss with its dominant cause by
  * comparing the component groups responsible for the missed deadline
  * (queue / kv-pressure / interference / preempt / compute;
- * overload-reject for requests the pool could never hold). The same
- * classifier is shared with the offline `TraceReader`, so online
- * reports and `kelle_trace` agree on the taxonomy.
+ * overload-reject for requests the pool could never hold).
+ *
+ * `LatencyWaterfall` is the only implementation of these rules: the
+ * offline `TraceReader` replays a trace's events into its hooks, so
+ * online reports and `kelle_trace` share every rule.
  *
  * Cost contract: engines hold a `LatencyWaterfall *` that is null when
  * attribution is off — every hook is a pointer test, no allocation,
@@ -158,8 +162,8 @@ struct WaterfallEntry
     std::uint32_t device = 0; ///< device that finished/rejected it
     bool terminal = false;
     bool rejected = false;
-    bool deferred = false;  ///< saw >= 1 first-life deferral
-    bool preempted = false; ///< lost its KV grant mid-decode
+    bool deferred = false;  ///< deferred before its first admission
+    bool preempted = false; ///< lost its KV after its first token
     bool faulted = false;   ///< hit by a device fault (evict/shed/fail)
     bool missedTtft = false;
     bool missedTpot = false;
@@ -170,8 +174,8 @@ struct WaterfallEntry
     Time firstDefer; ///< meaningful only when `deferred`
     Time admitted;
     Time firstToken;
-    Time preemptAt; ///< meaningful only when `preempted`
-    Time resumeAt;  ///< second-life first token (when `preempted`)
+    Time preemptAt; ///< first loss; meaningful only when `preempted`
+    Time resumeAt;  ///< last resumed first token (when `preempted`)
     Time finished;  ///< completion or rejection
     /** @} */
 
@@ -186,6 +190,9 @@ struct WaterfallEntry
     double e2eSec = 0.0;
     /** The waterfall, indexed by LatencyComponent. */
     double components[kLatencyComponentCount] = {};
+    /** c5/c6 at the first loss. Every resume restores them: decode
+     *  steps of a life lost later lie inside c7 already. */
+    double decodeAtLoss[2] = {};
 };
 
 /**
@@ -206,6 +213,7 @@ struct AttributionReport
     struct Device
     {
         std::size_t terminal = 0;
+        std::size_t rejected = 0;
         std::size_t misses = 0;
         double componentTotals[kLatencyComponentCount] = {};
         std::size_t missCounts[kMissCauseCount] = {};
@@ -219,6 +227,11 @@ struct AttributionReport
  * after trace generation; device engines stamp entries through the
  * on* hooks (guarded by their null-pointer test) and finalize each
  * entry at its terminal event.
+ *
+ * Each hook stands for exactly one trace event and may fire in any
+ * life of the request: the waterfall itself keeps the first-life
+ * rules, so the engine and the offline `TraceReader` replay call the
+ * hooks unconditionally.
  */
 class LatencyWaterfall
 {
@@ -226,26 +239,32 @@ class LatencyWaterfall
     /** Size the table for a run (clears previous entries). */
     void beginRun(std::size_t n_requests);
 
-    /** @name Engine hooks (first-life events unless noted). @{ */
+    /** @name Engine hooks. @{ */
     void onArrival(std::size_t idx, std::uint64_t req_id, Time t,
                    double ttft_deadline_sec, double tpot_target_sec,
                    std::size_t dec_len);
+    /** The allocator deferred the request. Only a deferral before the
+     *  first admission opens c2; later ones live inside c7 or c4. */
     void onDeferred(std::size_t idx, Time t);
+    /** Only the first admission is stamped: a re-admitted victim's
+     *  first life was service, not queue. */
     void onAdmitted(std::size_t idx, Time t);
-    /** One of this request's own prefill chunks ran for `sec`. */
+    /** One of this request's prefill chunks ran for `sec`. Counts
+     *  into c3 only before the first token; re-prefill is c7. */
     void onPrefillChunk(std::size_t idx, double sec);
+    /** Prefill completed. The first call stamps the first token; any
+     *  later one is a resume that closes the c7 interval. */
     void onFirstToken(std::size_t idx, Time t);
-    /** Any-life: the request lost its grant mid-decode. */
+    /** The request lost its grant mid-decode. Only the first loss
+     *  opens c7; later ones fall inside it. */
     void onPreempt(std::size_t idx, Time t);
-    /** Second-life prefill completion (decoding resumes). */
-    void onResume(std::size_t idx, Time t);
     /** The request participated in a decode step of `step_sec`
-     *  latency shared by `batch` members (any life). */
+     *  latency shared by `batch` members. */
     void onDecodeBoundary(std::size_t idx, double step_sec,
                           double batch);
-    /** Any-life: crash eviction or fault-pressure shed. Marks the
-     *  entry faulted; for post-first-token victims it doubles as a
-     *  preempt stamp so c7 absorbs the regeneration interval. */
+    /** Crash eviction or fault-pressure shed. Marks the entry
+     *  faulted; for post-first-token victims it is a loss like
+     *  `onPreempt`, so c7 absorbs the regeneration interval. */
     void onFaultEvict(std::size_t idx, Time t);
     /** Terminal events: compute components, classify, seal. @{ */
     void onCompleted(std::size_t idx, Time t, std::uint32_t device);
@@ -264,7 +283,6 @@ class LatencyWaterfall
 
   private:
     WaterfallEntry &at(std::size_t idx);
-    void finalize(WaterfallEntry &e);
 
     std::vector<WaterfallEntry> entries_;
 };

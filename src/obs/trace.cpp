@@ -395,14 +395,19 @@ std::string
 TraceRecorder::toJson() const
 {
     // Async span ends ("e") repeat the span's name; arrivals carry it,
-    // so resolve request -> task once up front.
+    // so resolve request -> task once up front. A request that arrives
+    // while the whole fleet is down begins on the requests track.
     std::unordered_map<std::uint64_t, std::string> tasks;
-    for (const auto &track : deviceTracks_) {
-        for (const TraceEvent &e : track->events()) {
+    const auto addTasks = [&tasks](const TraceTrack &track) {
+        for (const TraceEvent &e : track.events()) {
             if (e.kind == TraceEventKind::Arrival)
-                tasks.emplace(e.req, track->taskName(e.name));
+                tasks.emplace(e.req, track.taskName(e.name));
         }
-    }
+    };
+    if (requests_)
+        addTasks(*requests_);
+    for (const auto &track : deviceTracks_)
+        addTasks(*track);
 
     std::string out;
     out += "{\"displayTimeUnit\":\"ms\",\n\"traceEvents\":[\n";

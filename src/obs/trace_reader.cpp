@@ -1,8 +1,11 @@
 #include "obs/trace_reader.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_map>
 
 namespace kelle {
 namespace obs {
@@ -46,12 +49,22 @@ struct Cursor
     {
         char *after = nullptr;
         out = std::strtod(p, &after);
-        if (after == p || after > end)
+        if (after == p || after > end || !std::isfinite(out))
             return false;
         p = after;
         return true;
     }
 };
+
+/** `v` as an id or pid: integral, in [0, 2^64). */
+bool
+asIndex(double v, std::uint64_t &out)
+{
+    if (!(v >= 0.0 && v < 18446744073709551616.0) || v != std::floor(v))
+        return false;
+    out = static_cast<std::uint64_t>(v);
+    return true;
+}
 
 bool
 parseArgs(Cursor &c, RawTraceEvent &ev)
@@ -113,11 +126,15 @@ parseEventLine(const char *begin, const char *end, RawTraceEvent &ev)
             double v = 0.0;
             if (!c.num(v))
                 return false;
-            if (key == "pid")
-                ev.pid = static_cast<int>(v);
-            else if (key == "id")
-                ev.id = static_cast<std::uint64_t>(v);
-            else if (key == "ts")
+            std::uint64_t u = 0;
+            if (key == "pid") {
+                if (!asIndex(v, u) || u > INT_MAX)
+                    return false;
+                ev.pid = static_cast<int>(u);
+            } else if (key == "id") {
+                if (!asIndex(v, ev.id))
+                    return false;
+            } else if (key == "ts")
                 ev.tsUs = v;
             else if (key == "dur")
                 ev.durUs = v;
@@ -168,56 +185,6 @@ argOr(const RawTraceEvent &ev, const char *key, double def)
     const auto it = ev.args.find(key);
     return it == ev.args.end() ? def : it->second;
 }
-
-/**
- * Lifecycle order at equal timestamps. The file is grouped by track,
- * not globally time-sorted, so each request's events are re-sorted by
- * (ts, rank); the rank breaks the same-instant chains a preemption
- * produces (preempt -> requeue -> dispatch -> second admission all
- * share one sim time).
- */
-int
-lifecycleRank(const RawTraceEvent &ev)
-{
-    if (ev.ph == 'b')
-        return 0;
-    if (ev.ph == 'e')
-        return 9;
-    if (ev.name == "slo")
-        return 1;
-    if (ev.name == "dispatch")
-        return 2;
-    if (ev.name == "requeue")
-        return 3;
-    if (ev.name == "defer")
-        return 4;
-    if (ev.name == "admit")
-        return 5;
-    if (ev.name == "first_token")
-        return 6;
-    if (ev.name == "preempt" || ev.name == "fault_evict")
-        return 7;
-    return 8; // reject / fault_fail
-}
-
-/** Decode-membership order at equal timestamps: a request that left
- *  at t is out of the slice that starts at t; one that joined at t is
- *  in it. */
-enum MemberOp
-{
-    kRemove = 0,
-    kAdd = 1,
-    kSlice = 2,
-};
-
-struct MemberEvent
-{
-    double tsUs = 0.0;
-    int op = kSlice;
-    std::uint64_t req = 0; ///< kRemove / kAdd
-    double durUs = 0.0;    ///< kSlice
-    double batch = 0.0;    ///< kSlice
-};
 
 } // namespace
 
@@ -270,306 +237,222 @@ TraceReader::parse(const std::string &json)
         events_.push_back(std::move(ev));
     }
 
-    buildModel();
+    replay();
     return true;
 }
 
 void
-TraceReader::buildModel()
+TraceReader::replay()
 {
-    processNames_.clear();
-    requests_.clear();
     devices_.clear();
-    for (std::size_t i = 0; i < kMissCauseCount; ++i)
-        missCounts[i] = 0;
-    for (std::size_t i = 0; i < kLatencyComponentCount; ++i)
-        componentTotalsUs[i] = 0.0;
-    terminal = completed = rejected = misses = 0;
+    tasks_.clear();
     deviceFaults = deviceRecovers = 0;
     faultEvictions = faultFailures = 0;
 
-    int maxPid = 0;
-    for (const RawTraceEvent &ev : events_)
-        maxPid = std::max(maxPid, ev.pid);
-    processNames_.assign(static_cast<std::size_t>(maxPid) + 1, "");
-    for (const RawTraceEvent &ev : events_)
-        if (ev.ph == 'M' && ev.name == "process_name")
-            processNames_[static_cast<std::size_t>(ev.pid)] =
-                ev.metaName;
-    devices_.resize(processNames_.empty() ? 0
-                                          : processNames_.size() - 1);
-    for (std::size_t i = 0; i < devices_.size(); ++i)
-        devices_[i].name = processNames_[i + 1];
-
-    // ---- Per-request lifecycle ---------------------------------
-    std::map<std::uint64_t, std::vector<const RawTraceEvent *>> byReq;
+    // The serializer declares the requests process (pid 0), then the
+    // devices at pids 1..N, in order; an event on any other pid is
+    // unknown.
+    int declared = 0;
     for (const RawTraceEvent &ev : events_) {
-        if (ev.ph == 'b' || ev.ph == 'e') {
-            byReq[ev.id].push_back(&ev);
-        } else if (ev.ph == 'i') {
-            // Device-scoped fault instants carry no request binding;
-            // tally them here and keep them out of the lifecycles.
-            if (ev.name == "device_fault") {
-                ++deviceFaults;
-                continue;
-            }
-            if (ev.name == "device_recover") {
-                ++deviceRecovers;
-                continue;
-            }
-            if (ev.name == "fault_evict")
-                ++faultEvictions;
-            else if (ev.name == "fault_fail")
-                ++faultFailures;
-            byReq[static_cast<std::uint64_t>(argOr(ev, "req", 0.0))]
-                .push_back(&ev);
-        }
-    }
-
-    std::map<std::uint64_t, RequestLife> lives;
-    for (auto &kv : byReq) {
-        std::vector<const RawTraceEvent *> &evs = kv.second;
-        std::stable_sort(
-            evs.begin(), evs.end(),
-            [](const RawTraceEvent *a, const RawTraceEvent *b) {
-                if (a->tsUs != b->tsUs)
-                    return a->tsUs < b->tsUs;
-                return lifecycleRank(*a) < lifecycleRank(*b);
-            });
-        RequestLife r;
-        r.id = kv.first;
-        for (const RawTraceEvent *ev : evs) {
-            if (ev->ph == 'b') {
-                if (r.arrivalUs < 0.0) {
-                    r.arrivalUs = ev->tsUs;
-                    r.task = ev->name;
-                }
-            } else if (ev->ph == 'e') {
-                r.endUs = ev->tsUs;
-                if (ev->outcomeRejected || ev->outcomeFailed) {
-                    r.rejected = true;
-                } else {
-                    r.completed = true;
-                    r.tokens = argOr(*ev, "tokens", 0.0);
-                }
-            } else if (ev->name == "slo") {
-                r.hasSlo = true;
-                r.ttftDeadlineSec = argOr(*ev, "ttft_deadline_s", 0.0);
-                r.tpotTargetSec = argOr(*ev, "tpot_target_s", 0.0);
-            } else if (ev->name == "defer") {
-                // First-life deferrals only: a second-life deferral
-                // (after the first admission) lives inside c7.
-                if (r.admitUs < 0.0 && r.firstDeferUs < 0.0) {
-                    r.deferred = true;
-                    r.firstDeferUs = ev->tsUs;
-                }
-            } else if (ev->name == "admit") {
-                if (r.admitUs < 0.0) {
-                    r.admitUs = ev->tsUs;
-                    r.firstDevice = ev->pid;
-                }
-                r.device = ev->pid;
-            } else if (ev->name == "first_token") {
-                if (r.firstTokenUs < 0.0)
-                    r.firstTokenUs = ev->tsUs;
-                else
-                    r.resumeUs = ev->tsUs;
-            } else if (ev->name == "preempt") {
-                if (!r.preempted) {
-                    r.preempted = true;
-                    r.preemptUs = ev->tsUs;
-                }
-            } else if (ev->name == "fault_evict") {
-                // Crash eviction: same preempt-interval bookkeeping
-                // as the online LatencyWaterfall::onFaultEvict — the
-                // lost-and-redone decode lands in c7, and only when
-                // the victim had already produced a token.
-                r.faulted = true;
-                if (r.firstTokenUs >= 0.0 && !r.preempted) {
-                    r.preempted = true;
-                    r.preemptUs = ev->tsUs;
-                }
-            } else if (ev->name == "fault_fail") {
-                r.faulted = true;
-                r.device = ev->pid;
-            } else if (ev->name == "reject") {
-                r.device = ev->pid;
-            }
-            // dispatch / requeue carry no lifecycle state.
-        }
-        lives.emplace(kv.first, std::move(r));
-    }
-
-    // ---- Prefill attribution (first-life chunks only) ----------
-    for (const RawTraceEvent &ev : events_) {
-        if (ev.ph != 'X')
+        if (ev.ph != 'M' || ev.name != "process_name" ||
+            ev.pid != declared)
             continue;
-        TraceDeviceSummary *dev =
-            ev.pid >= 1 && static_cast<std::size_t>(ev.pid) <=
-                               devices_.size()
-                ? &devices_[static_cast<std::size_t>(ev.pid) - 1]
-                : nullptr;
-        if (dev != nullptr)
-            dev->busyUs += ev.durUs;
-        if (ev.name == "prefill") {
-            if (dev != nullptr)
-                ++dev->prefillSlices;
-            const auto it = lives.find(
-                static_cast<std::uint64_t>(argOr(ev, "req", 0.0)));
-            if (it == lives.end())
-                continue;
-            RequestLife &r = it->second;
-            // Second-life re-prefill (at or after the preemption
-            // stamp) is part of preempt loss, not c3.
-            if (!r.preempted || ev.tsUs < r.preemptUs)
-                r.componentsUs[static_cast<std::size_t>(
-                    LatencyComponent::PrefillCompute)] += ev.durUs;
-        } else if (dev != nullptr) {
-            ++dev->decodeSlices;
-        }
+        if (declared++ > 0)
+            devices_.push_back({ev.metaName});
     }
 
-    // ---- Decode fair shares via per-device membership replay ---
-    std::map<int, std::vector<MemberEvent>> byDevice;
-    for (const RawTraceEvent &ev : events_) {
-        if (ev.ph == 'X' && ev.name == "decode") {
-            MemberEvent m;
-            m.tsUs = ev.tsUs;
-            m.op = kSlice;
-            m.durUs = ev.durUs;
-            m.batch = argOr(ev, "batch", 1.0);
-            byDevice[ev.pid].push_back(m);
-        } else if (ev.ph == 'i' && (ev.name == "first_token" ||
-                                    ev.name == "preempt" ||
-                                    ev.name == "fault_evict")) {
-            // A crash eviction removes the victim from its device's
-            // decode batch exactly like a preemption does.
-            MemberEvent m;
-            m.tsUs = ev.tsUs;
-            m.op = ev.name == "first_token" ? kAdd : kRemove;
-            m.req =
-                static_cast<std::uint64_t>(argOr(ev, "req", 0.0));
-            byDevice[ev.pid].push_back(m);
+    // Merge the tracks by time. Each track is in emission order, so a
+    // stable sort keeps it at equal timestamps. Unknown events (already
+    // tallied) stay out of the replay.
+    std::vector<const RawTraceEvent *> order;
+    order.reserve(events_.size());
+    for (const RawTraceEvent &ev : events_)
+        if (knownEvent(ev))
+            order.push_back(&ev);
+    std::stable_sort(order.begin(), order.end(),
+                     [](const RawTraceEvent *a, const RawTraceEvent *b) {
+                         return a->tsUs < b->tsUs;
+                     });
+
+    // Dense indices in arrival order, plus what onArrival needs: the
+    // slo instant's targets and, as the TPOT divisor, the tokens the
+    // completion reports.
+    struct Arrival
+    {
+        std::uint64_t id = 0;
+        double tsUs = 0.0;
+        double ttftDeadlineSec = 0.0;
+        double tpotTargetSec = 0.0;
+        std::uint64_t tokens = 0;
+    };
+    std::vector<Arrival> arrivals;
+    std::unordered_map<std::uint64_t, std::size_t> dense;
+    const auto indexOf = [&dense](const RawTraceEvent &ev,
+                                  std::size_t &idx) {
+        std::uint64_t id = ev.id;
+        if (ev.ph != 'b' && ev.ph != 'e' &&
+            !asIndex(argOr(ev, "req", -1.0), id))
+            return false;
+        const auto it = dense.find(id);
+        if (it == dense.end())
+            return false;
+        idx = it->second;
+        return true;
+    };
+    for (const RawTraceEvent *ev : order) {
+        std::size_t idx = 0;
+        if (ev->ph == 'b') {
+            if (dense.emplace(ev->id, arrivals.size()).second) {
+                arrivals.push_back({ev->id, ev->tsUs, 0.0, 0.0, 0});
+                tasks_.push_back(ev->name);
+            }
+        } else if (ev->ph == 'i' && ev->name == "slo" &&
+                   indexOf(*ev, idx)) {
+            arrivals[idx].ttftDeadlineSec =
+                argOr(*ev, "ttft_deadline_s", 0.0);
+            arrivals[idx].tpotTargetSec =
+                argOr(*ev, "tpot_target_s", 0.0);
+        } else if (ev->ph == 'e' && indexOf(*ev, idx)) {
+            asIndex(argOr(*ev, "tokens", 0.0), arrivals[idx].tokens);
         }
     }
-    for (const auto &kv : lives) {
-        const RequestLife &r = kv.second;
-        if (!r.completed)
-            continue;
-        MemberEvent m;
-        m.tsUs = r.endUs;
-        m.op = kRemove;
-        m.req = r.id;
-        byDevice[r.device].push_back(m);
+    wf_.beginRun(arrivals.size());
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+        const Arrival &a = arrivals[i];
+        wf_.onArrival(i, a.id, Time::micros(a.tsUs), a.ttftDeadlineSec,
+                      a.tpotTargetSec,
+                      static_cast<std::size_t>(a.tokens));
     }
-    for (auto &kv : byDevice) {
-        std::vector<MemberEvent> &evs = kv.second;
-        std::stable_sort(evs.begin(), evs.end(),
-                         [](const MemberEvent &a, const MemberEvent &b) {
-                             if (a.tsUs != b.tsUs)
-                                 return a.tsUs < b.tsUs;
-                             return a.op < b.op;
-                         });
-        std::vector<std::uint64_t> members;
-        for (const MemberEvent &m : evs) {
-            if (m.op == kAdd) {
-                members.push_back(m.req);
-            } else if (m.op == kRemove) {
-                const auto it = std::find(members.begin(),
-                                          members.end(), m.req);
-                if (it != members.end())
-                    members.erase(it);
-            } else {
-                if (static_cast<double>(members.size()) != m.batch)
+
+    // Per device: the decode batch and the slice in flight.
+    struct Lane
+    {
+        std::vector<std::size_t> members;
+        double tsUs = 0.0;
+        double durUs = 0.0;
+        double batch = 0.0;
+        bool inFlight = false;
+    };
+    std::vector<Lane> lanes(devices_.size());
+    constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> laneOf(arrivals.size(), kNoLane);
+    // Charge the slice in flight on device `d` at an event at `nowUs`.
+    // When that event is the step boundary itself (within the %.3f
+    // rounding of three printed values), its timestamp ends the
+    // slice: back-to-back steps then telescope instead of summing the
+    // rounding of every `dur`.
+    const auto charge = [this, &lanes](std::size_t d, double nowUs) {
+        Lane &lane = lanes[d];
+        if (!lane.inFlight)
+            return;
+        lane.inFlight = false;
+        const double durUs =
+            std::fabs(nowUs - (lane.tsUs + lane.durUs)) <= 0.002
+                ? nowUs - lane.tsUs
+                : lane.durUs;
+        for (std::size_t idx : lane.members)
+            wf_.onDecodeBoundary(idx, durUs * 1e-6,
+                                 std::max(lane.batch, 1.0));
+    };
+    const auto leave = [&lanes, &laneOf](std::size_t idx) {
+        if (laneOf[idx] == kNoLane)
+            return;
+        std::vector<std::size_t> &m = lanes[laneOf[idx]].members;
+        m.erase(std::find(m.begin(), m.end(), idx));
+        laneOf[idx] = kNoLane;
+    };
+
+    for (const RawTraceEvent *evp : order) {
+        const RawTraceEvent &ev = *evp;
+        const Time t = Time::micros(ev.tsUs);
+        std::size_t idx = 0;
+        if (ev.ph == 'e') {
+            // Rejections and failures end at their device instants.
+            if (ev.outcomeRejected || ev.outcomeFailed)
+                continue;
+            if (!indexOf(ev, idx)) {
+                ++stats_.unknown;
+                continue;
+            }
+            const std::size_t d = laneOf[idx];
+            if (d != kNoLane)
+                charge(d, ev.tsUs);
+            wf_.onCompleted(idx, t,
+                            static_cast<std::uint32_t>(
+                                d != kNoLane ? d : 0));
+            leave(idx);
+            continue;
+        }
+        if (ev.ph != 'i' && ev.ph != 'X')
+            continue; // metadata, span begins, counters
+        if (ev.name == "dispatch" || ev.name == "requeue" ||
+            ev.name == "slo")
+            continue; // no lifecycle state beyond the arrival
+        if (ev.pid < 1 ||
+            static_cast<std::size_t>(ev.pid) > devices_.size()) {
+            ++stats_.unknown;
+            continue;
+        }
+        const std::size_t d = static_cast<std::size_t>(ev.pid) - 1;
+        const auto dev = static_cast<std::uint32_t>(d);
+        if (ev.name == "device_fault") {
+            ++deviceFaults;
+            continue;
+        }
+        if (ev.name == "device_recover") {
+            ++deviceRecovers;
+            continue;
+        }
+        if (ev.ph == 'X') {
+            devices_[d].busyUs += ev.durUs;
+            if (ev.name == "decode") {
+                ++devices_[d].decodeSlices;
+                charge(d, ev.tsUs);
+                Lane &lane = lanes[d];
+                lane.tsUs = ev.tsUs;
+                lane.durUs = ev.durUs;
+                lane.batch = argOr(ev, "batch", 1.0);
+                lane.inFlight = true;
+                if (static_cast<double>(lane.members.size()) !=
+                    lane.batch)
                     ++stats_.batchMismatches;
-                const double batch = m.batch > 0.0 ? m.batch : 1.0;
-                const double fair = m.durUs / batch;
-                for (std::uint64_t req : members) {
-                    const auto it = lives.find(req);
-                    if (it == lives.end())
-                        continue;
-                    double *c = it->second.componentsUs;
-                    c[static_cast<std::size_t>(
-                        LatencyComponent::DecodeCompute)] += fair;
-                    c[static_cast<std::size_t>(
-                        LatencyComponent::BatchInterference)] +=
-                        m.durUs - fair;
-                }
+                continue;
             }
+            ++devices_[d].prefillSlices;
         }
-    }
-
-    // ---- Waterfalls (µs space, same closure as the online path) -
-    for (auto &kv : lives) {
-        RequestLife &r = kv.second;
-        if (!r.terminal())
+        if (ev.name == "fault_evict")
+            ++faultEvictions;
+        else if (ev.name == "fault_fail")
+            ++faultFailures;
+        if (!indexOf(ev, idx)) {
+            ++stats_.unknown;
             continue;
-        double *c = r.componentsUs;
-        const auto ix = [](LatencyComponent comp) {
-            return static_cast<std::size_t>(comp);
-        };
-        if (r.rejected) {
-            for (std::size_t i = 0; i < kLatencyComponentCount; ++i)
-                c[i] = 0.0;
-            c[ix(LatencyComponent::QueueWait)] = r.endUs - r.arrivalUs;
-            r.ttftUs = c[ix(LatencyComponent::QueueWait)];
-            r.e2eUs = c[ix(LatencyComponent::QueueWait)];
-        } else {
-            r.ttftUs = r.firstTokenUs - r.arrivalUs;
-            r.e2eUs = r.endUs - r.arrivalUs;
-            const double verdictUs =
-                r.deferred ? r.firstDeferUs : r.admitUs;
-            c[ix(LatencyComponent::QueueWait)] =
-                verdictUs - r.arrivalUs;
-            c[ix(LatencyComponent::KvStall)] =
-                r.deferred ? r.admitUs - r.firstDeferUs : 0.0;
-            closeFold(r.ttftUs, c,
-                      ix(LatencyComponent::ChunkInterleave));
-            c[ix(LatencyComponent::PreemptLoss)] =
-                r.preempted ? r.resumeUs - r.preemptUs : 0.0;
-            closeFold(r.e2eUs, c, ix(LatencyComponent::DecodeStall));
         }
-        r.missedTtft = !r.rejected && r.ttftDeadlineSec > 0.0 &&
-                       r.ttftUs > r.ttftDeadlineSec * 1e6;
-        r.missedTpot = false;
-        if (!r.rejected && r.tpotTargetSec > 0.0 && r.tokens > 0.0) {
-            const double tpotUs =
-                (r.endUs - r.firstTokenUs) / r.tokens;
-            r.missedTpot = tpotUs > r.tpotTargetSec * 1e6;
-        }
-        r.cause = classifyMiss(r.rejected, r.missedTtft,
-                               r.missedTpot, c, r.faulted);
-
-        // ---- Roll-ups ------------------------------------------
-        ++terminal;
-        if (r.rejected)
-            ++rejected;
-        else
-            ++completed;
-        ++missCounts[static_cast<std::size_t>(r.cause)];
-        if (r.cause != MissCause::None)
-            ++misses;
-        for (std::size_t i = 0; i < kLatencyComponentCount; ++i)
-            componentTotalsUs[i] += c[i];
-        if (r.device >= 1 &&
-            static_cast<std::size_t>(r.device) <= devices_.size()) {
-            TraceDeviceSummary &dev =
-                devices_[static_cast<std::size_t>(r.device) - 1];
-            if (r.rejected)
-                ++dev.rejected;
-            else
-                ++dev.completed;
-            ++dev.missCounts[static_cast<std::size_t>(r.cause)];
-            if (r.cause != MissCause::None)
-                ++dev.misses;
-            for (std::size_t i = 0; i < kLatencyComponentCount; ++i)
-                dev.componentTotalsUs[i] += c[i];
+        if (ev.name == "prefill") {
+            wf_.onPrefillChunk(idx, ev.durUs * 1e-6);
+        } else if (ev.name == "defer") {
+            wf_.onDeferred(idx, t);
+        } else if (ev.name == "admit") {
+            wf_.onAdmitted(idx, t);
+        } else if (ev.name == "first_token") {
+            charge(d, ev.tsUs);
+            leave(idx);
+            lanes[d].members.push_back(idx);
+            laneOf[idx] = d;
+            wf_.onFirstToken(idx, t);
+        } else if (ev.name == "preempt") {
+            charge(d, ev.tsUs);
+            leave(idx);
+            wf_.onPreempt(idx, t);
+        } else if (ev.name == "fault_evict") {
+            leave(idx);
+            wf_.onFaultEvict(idx, t);
+        } else if (ev.name == "reject") {
+            wf_.onRejected(idx, t, dev);
+        } else if (ev.name == "fault_fail") {
+            wf_.onFaultFailed(idx, t, dev);
         }
     }
-
-    requests_.reserve(lives.size());
-    for (auto &kv : lives)
-        requests_.push_back(std::move(kv.second));
 }
 
 } // namespace obs

@@ -185,25 +185,12 @@ DeviceEngine::enqueue(std::size_t idx)
     if (secondLife(requests_[idx]))
         ++waitingPreempted_;
     metrics_.sampleQueueDepth(waiting_.size());
-    if (trace_ != nullptr) {
-        const Request &r = requests_[idx];
-        if (!secondLife(r)) {
-            trace_->requestArrived(queue_.now(), r.id, r.task.name);
-            // SLO targets ride the trace only when attribution is on,
-            // so pre-attribution trace digests stay byte-identical.
-            if (wf_ != nullptr)
-                trace_->sloTarget(queue_.now(), r.id,
-                                  r.ttftDeadlineSec, r.tpotTargetSec);
-        } else {
-            trace_->requestRequeued(queue_.now(), r.id);
-        }
+    if (!secondLife(requests_[idx]))
+        recordArrival(trace_, wf_, idx, requests_[idx], queue_.now());
+    else if (trace_ != nullptr)
+        trace_->requestRequeued(queue_.now(), requests_[idx].id);
+    if (trace_ != nullptr)
         trace_->queueDepth(queue_.now(), waiting_.size());
-    }
-    if (wf_ != nullptr && !secondLife(requests_[idx])) {
-        const Request &r = requests_[idx];
-        wf_->onArrival(idx, r.id, queue_.now(), r.ttftDeadlineSec,
-                       r.tpotTargetSec, r.task.decLen);
-    }
     if (cfg_.verbose) {
         const Request &r = requests_[idx];
         if (!secondLife(r))
@@ -228,6 +215,24 @@ DeviceEngine::enqueue(std::size_t idx)
                    r.clientRetries, ")");
     }
     dispatch();
+}
+
+void
+DeviceEngine::recordArrival(obs::TraceTrack *trace,
+                            obs::LatencyWaterfall *wf, std::size_t idx,
+                            const Request &r, Time t)
+{
+    if (trace != nullptr) {
+        trace->requestArrived(t, r.id, r.task.name);
+        // SLO targets ride the trace only when attribution is on, so
+        // pre-attribution trace digests stay byte-identical.
+        if (wf != nullptr)
+            trace->sloTarget(t, r.id, r.ttftDeadlineSec,
+                             r.tpotTargetSec);
+    }
+    if (wf != nullptr)
+        wf->onArrival(idx, r.id, t, r.ttftDeadlineSec, r.tpotTargetSec,
+                      r.task.decLen);
 }
 
 void
@@ -475,12 +480,7 @@ DeviceEngine::tryAdmitAt(std::size_t pos, std::size_t idx)
     if (!grant.admitted) {
         deferScratch_.push_back(DeferredAdmit{
             requested, floor_tokens, r.prefixKey, prefix_len, r.id});
-        // Deferrals after the first token live inside c7 (preempt /
-        // fault loss), so only pre-first-token ones open the
-        // kv_stall interval. (Preemption victims always carry a
-        // first token, so this is the old preemptions == 0 guard on
-        // fault-free runs.)
-        if (wf_ != nullptr && r.firstToken.sec() == 0.0)
+        if (wf_ != nullptr)
             wf_->onDeferred(idx, queue_.now());
         if (trace_ != nullptr)
             trace_->deferred(queue_.now(), r.id, requested,
@@ -498,11 +498,10 @@ DeviceEngine::tryAdmitAt(std::size_t pos, std::size_t idx)
     // queue-wait metric, and the victim's first life was service,
     // not queue. Victims that were never admitted — crashed out of
     // the waiting queue, or client retries — stamp now.
-    if (r.admitted.sec() == 0.0) {
+    if (r.admitted.sec() == 0.0)
         r.admitted = queue_.now();
-        if (wf_ != nullptr)
-            wf_->onAdmitted(idx, queue_.now());
-    }
+    if (wf_ != nullptr)
+        wf_->onAdmitted(idx, queue_.now());
     r.budgetRequested = requested;
     r.budgetGranted = grant.budgetTokens;
     r.kvBytesReserved = grant.bytes;
@@ -648,8 +647,7 @@ DeviceEngine::runPrefillChunk(const EngineStepPlan &plan)
     const Time lat = scaled(step.latency);
     metrics_.addEnergy(step.energy);
     busy_ = busy_ + lat;
-    // Re-prefill after the first token is part of c7, not c3.
-    if (wf_ != nullptr && r.firstToken.sec() == 0.0)
+    if (wf_ != nullptr)
         wf_->onPrefillChunk(idx, lat.sec());
     if (trace_ != nullptr)
         trace_->prefillStep(queue_.now(), lat, r.id,
@@ -689,8 +687,6 @@ DeviceEngine::onPrefillDone()
         if (!restart) {
             req.firstToken = queue_.now();
             req.lastToken = req.firstToken;
-            if (wf_ != nullptr)
-                wf_->onFirstToken(idx, queue_.now());
         } else {
             // Restarted victim: the user saw the first token in its
             // first life; the restart shows up as one long
@@ -699,9 +695,9 @@ DeviceEngine::onPrefillDone()
                 std::max(req.maxTokenGapSec,
                          (queue_.now() - req.lastToken).sec());
             req.lastToken = queue_.now();
-            if (wf_ != nullptr)
-                wf_->onResume(idx, queue_.now());
         }
+        if (wf_ != nullptr)
+            wf_->onFirstToken(idx, queue_.now());
         running_.push_back(idx);
         ++prefills_;
         if (trace_ != nullptr)

@@ -231,6 +231,24 @@ class DeviceEngine
     /** Hand an arrived (or requeued) request to this device. */
     void enqueue(std::size_t idx);
 
+    /** A request re-entering the queue after a first life (preempt,
+     *  fault eviction, or client retry): enqueue logs a requeue, not
+     *  an arrival, and the bypass accounting treats it as an old id
+     *  arriving late. */
+    static bool
+    secondLife(const Request &r)
+    {
+        return r.preemptions > 0 || r.faultRetries > 0 ||
+               r.clientRetries > 0;
+    }
+    /** Record a first-life arrival at `t`: the span begin (plus the
+     *  SLO targets when attribution is on) on `trace` and the
+     *  waterfall entry. Either sink may be null. The cluster calls it
+     *  for a request that arrives while the whole fleet is down. */
+    static void recordArrival(obs::TraceTrack *trace,
+                              obs::LatencyWaterfall *wf,
+                              std::size_t idx, const Request &r, Time t);
+
     /** @name Status for dispatch policies and roll-ups. @{ */
     const DeviceConfig &config() const { return cfg_; }
     /** The constructor's verbose-log label ("" if unnamed). */
@@ -386,16 +404,6 @@ class DeviceEngine
                                               std::size_t chunk_len);
     void finishRequest(std::size_t idx);
     void rejectRequest(std::size_t idx, std::size_t floor_tokens);
-    /** A request re-entering the queue after a first life (preempt,
-     *  fault eviction, or client retry): enqueue logs a requeue, not
-     *  an arrival, and the bypass accounting treats it as an old id
-     *  arriving late. */
-    static bool
-    secondLife(const Request &r)
-    {
-        return r.preemptions > 0 || r.faultRetries > 0 ||
-               r.clientRetries > 0;
-    }
     /** Step latency under a slowdown fault (identity at scale 1.0,
      *  so the healthy path is bit-exact). */
     Time

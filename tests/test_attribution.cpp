@@ -7,20 +7,22 @@
  *    of the fold identity, and `classifyMiss` implements the bucket
  *    mapping and tie-break order the docs promise.
  *  - WaterfallInvariants: for EVERY terminal request across policy x
- *    chunking x paged x dispatch x preempt sweeps, the first four
- *    components fold *bitwise* to the measured TTFT and all eight to
- *    the measured E2E; rejects are pure queue wait; report roll-ups
- *    agree with the per-entry table.
+ *    chunking x paged x dispatch x preempt sweeps and crash-fault runs,
+ *    the first four components fold *bitwise* to the measured TTFT and
+ *    all eight to the measured E2E; no component is negative; rejects
+ *    are pure queue wait; report roll-ups agree with the per-entry
+ *    table.
  *  - AttributionDeterminism: the full waterfall table (every stamp,
  *    component and cause) is bit-identical across ClusterConfig::
  *    threads {1, 2, 4} and fastSim on/off, and the trace recorded
  *    with attribution on keeps the same byte-identity.
  *  - TraceReaderRoundTrip: every trace the engines emit parses with
  *    zero unknown/malformed events and zero batch mismatches (the
- *    C++ replacement for the CI jq checks); offline waterfalls obey
- *    the same bitwise fold identity in microsecond space and agree
- *    with the online report on terminal/completed/rejected counts;
- *    corrupted documents are detected, not silently skipped.
+ *    C++ replacement for the CI jq checks); the offline replay gives
+ *    every online terminal request an entry with the same flags and
+ *    miss cause and every component within 1 us, crash-fault runs
+ *    included; corrupted and hostile documents end in a tally, never
+ *    a crash or a huge allocation.
  */
 
 #include <gtest/gtest.h>
@@ -28,10 +30,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster_engine.hpp"
+#include "fault_fixtures.hpp"
 #include "obs/attribution.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
@@ -211,6 +215,23 @@ runCluster(obs::LatencyWaterfall &wf, cluster::DispatchKind dispatch,
     return engine.run();
 }
 
+/** The 2-device crash-only fault run with attribution attached. The
+ *  preempt variant's TPOT target dooms decodes, so crash-evicted
+ *  requests are preempted too and the two losses compose. */
+cluster::ClusterReport
+runCrashy(obs::LatencyWaterfall &wf, std::uint64_t seed, bool preempt,
+          obs::TraceRecorder *rec = nullptr)
+{
+    cluster::ClusterConfig cfg = crashyCluster(seed);
+    cfg.engine.preempt.enabled = preempt;
+    if (preempt)
+        cfg.engine.traffic.slo.tpotSec = 2e-5;
+    cfg.engine.waterfall = &wf;
+    cfg.engine.trace = rec;
+    cluster::ClusterEngine engine(cfg);
+    return engine.run();
+}
+
 /** The bitwise fold identity plus structural sanity, per entry. */
 void
 checkEntries(const obs::LatencyWaterfall &wf, const char *what)
@@ -226,8 +247,13 @@ checkEntries(const obs::LatencyWaterfall &wf, const char *what)
         EXPECT_EQ(obs::foldComponents(c, obs::kLatencyComponentCount),
                   e.e2eSec)
             << what << " req " << e.reqId;
+        for (std::size_t i = 0; i < obs::kLatencyComponentCount; ++i)
+            EXPECT_GE(c[i], -1e-9)
+                << what << " req " << e.reqId << " "
+                << obs::toString(static_cast<obs::LatencyComponent>(i));
         if (e.rejected) {
-            EXPECT_EQ(e.cause, obs::MissCause::OverloadReject);
+            EXPECT_EQ(e.cause, e.faulted ? obs::MissCause::DeviceFault
+                                         : obs::MissCause::OverloadReject);
             for (std::size_t i = 1; i < obs::kLatencyComponentCount;
                  ++i)
                 EXPECT_EQ(c[i], 0.0) << what << " req " << e.reqId;
@@ -321,6 +347,24 @@ TEST(WaterfallInvariants, ClusterDispatchAndPreemptSumBitwise)
             checkEntries(wf, what.c_str());
             checkReportAgainstEntries(
                 wf, rep.aggregate.attribution);
+        }
+    }
+}
+
+TEST(WaterfallInvariants, CrashFaultRunsSumBitwiseAndStayNonNegative)
+{
+    // Crash evictions and doom preemptions compose here: a request can
+    // lose its KV more than once after its first token, and c7 must
+    // absorb every lost life without pushing decode_stall below zero.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        for (bool preempt : {false, true}) {
+            obs::LatencyWaterfall wf;
+            const cluster::ClusterReport rep =
+                runCrashy(wf, seed, preempt);
+            const std::string what = "seed " + std::to_string(seed) +
+                                     (preempt ? "/preempt" : "");
+            checkEntries(wf, what.c_str());
+            checkReportAgainstEntries(wf, rep.aggregate.attribution);
         }
     }
 }
@@ -500,35 +544,64 @@ TEST(TraceReaderRoundTrip, EveryRecordedTraceParsesClean)
     }
 }
 
-TEST(TraceReaderRoundTrip, OfflineWaterfallsFoldBitwise)
+/** Replay `json` offline: every online terminal request must get an
+ *  entry with the same flags and cause, each component within 1 us. */
+void
+expectOfflineMatchesOnline(const obs::LatencyWaterfall &online,
+                           const std::string &json,
+                           const std::string &what)
 {
-    obs::TraceRecorder rec;
-    obs::LatencyWaterfall wf;
-    const cluster::ClusterReport rep = runCluster(
-        wf, cluster::DispatchKind::RoundRobin, true, 1, true,
-        &rec);
     obs::TraceReader reader;
-    ASSERT_TRUE(reader.parse(rec.toJson()));
-
+    ASSERT_TRUE(reader.parse(json)) << what;
+    EXPECT_EQ(reader.stats().unknown, 0u) << what;
+    EXPECT_EQ(reader.stats().malformed, 0u) << what;
+    EXPECT_EQ(reader.stats().batchMismatches, 0u) << what;
+    std::map<std::uint64_t, const obs::WaterfallEntry *> offline;
+    for (const obs::WaterfallEntry &e : reader.waterfall().entries())
+        if (e.terminal)
+            offline[e.reqId] = &e;
     std::size_t terminal = 0;
-    for (const obs::RequestLife &r : reader.requests()) {
-        if (!r.terminal())
+    for (const obs::WaterfallEntry &e : online.entries()) {
+        if (!e.terminal)
             continue;
         ++terminal;
-        EXPECT_EQ(obs::foldComponents(r.componentsUs, 4), r.ttftUs)
-            << "req " << r.id;
-        EXPECT_EQ(obs::foldComponents(r.componentsUs,
-                                      obs::kLatencyComponentCount),
-                  r.e2eUs)
-            << "req " << r.id;
+        const std::string at = what + " req " + std::to_string(e.reqId);
+        const auto it = offline.find(e.reqId);
+        ASSERT_NE(it, offline.end()) << at;
+        const obs::WaterfallEntry &o = *it->second;
+        EXPECT_EQ(o.rejected, e.rejected) << at;
+        EXPECT_EQ(o.deferred, e.deferred) << at;
+        EXPECT_EQ(o.preempted, e.preempted) << at;
+        EXPECT_EQ(o.faulted, e.faulted) << at;
+        EXPECT_EQ(o.cause, e.cause) << at;
+        for (std::size_t i = 0; i < obs::kLatencyComponentCount; ++i)
+            EXPECT_NEAR(o.components[i], e.components[i], 1e-6)
+                << at << " "
+                << obs::toString(static_cast<obs::LatencyComponent>(i));
     }
-    // Offline and online agree on the terminal population (the
-    // waterfalls themselves live in different precisions: sim-time
-    // doubles online, %.3f-rounded microseconds offline).
-    const obs::AttributionReport &online = rep.aggregate.attribution;
-    EXPECT_EQ(terminal, online.terminal);
-    EXPECT_EQ(reader.completed, online.completed);
-    EXPECT_EQ(reader.rejected, online.rejected);
+    EXPECT_EQ(offline.size(), terminal) << what;
+}
+
+TEST(TraceReaderRoundTrip, OfflineWaterfallsMatchOnline)
+{
+    {
+        obs::TraceRecorder rec;
+        obs::LatencyWaterfall wf;
+        runCluster(wf, cluster::DispatchKind::RoundRobin, true, 1, true,
+                   &rec);
+        expectOfflineMatchesOnline(wf, rec.toJson(), "cluster preempt");
+    }
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        for (bool preempt : {false, true}) {
+            obs::TraceRecorder rec;
+            obs::LatencyWaterfall wf;
+            runCrashy(wf, seed, preempt, &rec);
+            expectOfflineMatchesOnline(
+                wf, rec.toJson(),
+                "crashy seed " + std::to_string(seed) +
+                    (preempt ? "/preempt" : ""));
+        }
+    }
 }
 
 TEST(TraceReaderRoundTrip, CorruptionIsDetected)
@@ -560,6 +633,120 @@ TEST(TraceReaderRoundTrip, CorruptionIsDetected)
     // A document without the trace header fails the parse outright.
     obs::TraceReader reader3;
     EXPECT_FALSE(reader3.parse("{\"not\":\"a trace\"}\n"));
+}
+
+TEST(TraceReaderRoundTrip, HostileEventsEndInATally)
+{
+    obs::LatencyWaterfall wf;
+    obs::TraceRecorder rec;
+    runCrashy(wf, 42, true, &rec);
+    const std::string json = rec.toJson();
+    obs::TraceReader clean;
+    ASSERT_TRUE(clean.parse(json));
+    ASSERT_EQ(clean.stats().unknown, 0u);
+    ASSERT_EQ(clean.stats().batchMismatches, 0u);
+    const std::size_t requests = clean.waterfall().entries().size();
+
+    // Event lines spliced in right after the line holding `anchor`.
+    const auto splice = [&json](const std::string &anchor,
+                                const std::string &lines) {
+        const std::size_t at = json.find(anchor);
+        EXPECT_NE(at, std::string::npos) << anchor;
+        const std::size_t eol = json.find('\n', at);
+        return json.substr(0, eol + 1) + lines + json.substr(eol + 1);
+    };
+    const auto replay = [](const std::string &doc,
+                           obs::TraceReader &reader) {
+        ASSERT_TRUE(reader.parse(doc));
+        // The roll-up and the tool's lookups stay in bounds.
+        const obs::AttributionReport rep = reader.report();
+        EXPECT_GE(rep.devices.size(), reader.devices().size());
+        EXPECT_EQ(reader.tasks().size(),
+                  reader.waterfall().entries().size());
+    };
+
+    // A request id of 2^60 is one more dense entry, not a 2^60 table.
+    {
+        obs::TraceReader reader;
+        replay(splice("\"ph\":\"b\"",
+                      "{\"name\":\"x\",\"cat\":\"request\",\"ph\":\"b\","
+                      "\"id\":1152921504606846976,\"pid\":0,\"tid\":0,"
+                      "\"ts\":1.000},\n"
+                      "{\"name\":\"x\",\"cat\":\"request\",\"ph\":\"e\","
+                      "\"id\":1152921504606846976,\"pid\":0,\"tid\":0,"
+                      "\"ts\":2.000,\"args\":{\"tokens\":1}},\n"),
+               reader);
+        EXPECT_EQ(reader.stats().unknown, 0u);
+        EXPECT_EQ(reader.waterfall().entries().size(), requests + 1);
+    }
+    // A first_token and a span end for a request that never arrived.
+    {
+        obs::TraceReader reader;
+        replay(splice("\"name\":\"first_token\"",
+                      "{\"name\":\"first_token\",\"ph\":\"i\",\"s\":\"t\","
+                      "\"pid\":1,\"tid\":0,\"ts\":1.000,"
+                      "\"args\":{\"req\":1152921504606846976}},\n"
+                      "{\"name\":\"x\",\"cat\":\"request\",\"ph\":\"e\","
+                      "\"id\":999999,\"pid\":0,\"tid\":0,"
+                      "\"ts\":2.000,\"args\":{\"tokens\":1}},\n"),
+               reader);
+        EXPECT_EQ(reader.stats().unknown, 2u);
+        EXPECT_EQ(reader.waterfall().entries().size(), requests);
+    }
+    // A pid no process_name declared is unknown, not a table size; a
+    // pid beyond int or a non-finite number is malformed.
+    {
+        obs::TraceReader reader;
+        replay(splice("\"name\":\"first_token\"",
+                      "{\"name\":\"admit\",\"ph\":\"i\",\"s\":\"t\","
+                      "\"pid\":2147483647,\"tid\":0,\"ts\":1.000,"
+                      "\"args\":{\"req\":0}},\n"
+                      "{\"name\":\"admit\",\"ph\":\"i\",\"s\":\"t\","
+                      "\"pid\":1e300,\"tid\":0,\"ts\":1.000,"
+                      "\"args\":{\"req\":0}},\n"
+                      "{\"name\":\"decode\",\"ph\":\"X\",\"pid\":1,"
+                      "\"tid\":0,\"ts\":nan,\"dur\":1.000,"
+                      "\"args\":{\"batch\":1}},\n"),
+               reader);
+        EXPECT_EQ(reader.stats().unknown, 1u);
+        EXPECT_EQ(reader.stats().malformed, 2u);
+        EXPECT_EQ(reader.devices().size(), clean.devices().size());
+    }
+    // A decode slice with batch 0 and a negative duration, right
+    // behind a real slice so the batch it claims is wrong.
+    {
+        const std::size_t slice = json.find("\"name\":\"decode\"");
+        ASSERT_NE(slice, std::string::npos);
+        const std::size_t bol = json.rfind('\n', slice) + 1;
+        const std::string line =
+            json.substr(bol, json.find('\n', slice) - bol);
+        const std::string ts =
+            line.substr(line.find("\"ts\":"),
+                        line.find(",\"dur\"") - line.find("\"ts\":"));
+        const std::string pid =
+            line.substr(line.find("\"pid\":"),
+                        line.find(",\"tid\"") - line.find("\"pid\":"));
+        obs::TraceReader reader;
+        replay(splice(line,
+                      "{\"name\":\"decode\",\"ph\":\"X\"," + pid +
+                          ",\"tid\":0," + ts +
+                          ",\"dur\":-3.000,\"args\":{\"batch\":0}},\n"),
+               reader);
+        EXPECT_EQ(reader.stats().batchMismatches, 1u);
+        EXPECT_EQ(reader.stats().malformed, 0u);
+    }
+    // A line cut mid-object is malformed; a document cut mid-object
+    // loses its footer and fails the parse.
+    {
+        const std::size_t admit = json.find("\"name\":\"admit\"");
+        ASSERT_NE(admit, std::string::npos);
+        const std::size_t eol = json.find('\n', admit);
+        obs::TraceReader reader;
+        replay(json.substr(0, admit + 10) + json.substr(eol), reader);
+        EXPECT_EQ(reader.stats().malformed, 1u);
+        obs::TraceReader cut;
+        EXPECT_FALSE(cut.parse(json.substr(0, admit + 10)));
+    }
 }
 
 } // namespace

@@ -16,7 +16,8 @@
  *    lost work accounted, the retry budget respected, permanent
  *    failures marked, Down devices fully released.
  *  - FaultTrace: the offline reader parses fault traces with zero
- *    unknown events and reconstructs the device_fault miss cause.
+ *    unknown events and zero decode-batch mismatches, and replays the
+ *    device_fault miss cause.
  *  - ClientRetry: overload-rejection resubmits respect their budget
  *    and never perturb the base arrival trace.
  */
@@ -27,54 +28,13 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_engine.hpp"
+#include "fault_fixtures.hpp"
 #include "faults/fault_injector.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
 
 namespace kelle {
 namespace {
-
-std::vector<std::pair<sim::Task, double>>
-tinyMix()
-{
-    return {{sim::scaledForTiny(sim::lambada(), 96), 1.0},
-            {sim::scaledForTiny(sim::triviaQa(), 128), 1.0}};
-}
-
-/** Fault timescales matched to the tiny-model sim (sub-second runs). */
-faults::FaultConfig
-tinyFaults(std::uint64_t seed = 42)
-{
-    faults::FaultConfig f;
-    f.enabled = true;
-    f.mtbfSec = 0.02;
-    f.mttrSec = 0.01;
-    f.recoverWarmupSec = 0.005;
-    f.retryBackoffSec = 0.002;
-    f.retryBackoffCapSec = 0.05;
-    f.seed = seed;
-    return f;
-}
-
-cluster::ClusterConfig
-tinyFaultCluster(std::size_t n_devices, std::uint64_t seed = 42,
-                 std::size_t requests = 24)
-{
-    serving::ServingConfig cfg;
-    cfg.model = model::tinyLm();
-    cfg.system = accel::kelleEdramSystem(2048);
-    cfg.policy = serving::SchedulePolicy::ContinuousBatching;
-    cfg.maxBatch = 4;
-    cfg.poolTokens = 512;
-    cfg.traffic.ratePerSec = 300.0;
-    cfg.traffic.seed = seed;
-    cfg.traffic.numRequests = requests;
-    cfg.traffic.mix = tinyMix();
-    auto ccfg = cluster::clusterConfigFrom(
-        cfg, n_devices, cluster::DispatchKind::RoundRobin);
-    ccfg.faults = tinyFaults(seed);
-    return ccfg;
-}
 
 void
 expectFaultReportsEqual(const cluster::ClusterFaultReport &a,
@@ -271,18 +231,6 @@ TEST(FaultDeterminism, PreemptionComposesBitIdentically)
     }
 }
 
-/** Crash-only stream at an aggressive rate: every recovery knob and
- *  retry path fires. */
-cluster::ClusterConfig
-crashyCluster(std::uint64_t seed = 42)
-{
-    cluster::ClusterConfig cfg = tinyFaultCluster(2, seed);
-    cfg.faults.slowdownWeight = 0.0;
-    cfg.faults.shrinkWeight = 0.0;
-    cfg.faults.mtbfSec = 0.01;
-    return cfg;
-}
-
 TEST(FaultDeterminism, RetriedDecodeKeepsItsDoomClock)
 {
     // A crash-evicted request that already emitted its first token
@@ -409,25 +357,42 @@ TEST(FaultTrace, ReaderParsesFaultTaxonomyAndMissCause)
     ASSERT_TRUE(reader.parse(run.traceJson));
     EXPECT_EQ(reader.stats().unknown, 0u);
     EXPECT_EQ(reader.stats().malformed, 0u);
+    EXPECT_EQ(reader.stats().batchMismatches, 0u);
     EXPECT_GT(reader.deviceFaults, 0u);
     EXPECT_GT(reader.deviceRecovers, 0u);
     EXPECT_EQ(reader.faultFailures,
               static_cast<std::size_t>(
                   run.report.faults.permanentFailures));
 
-    // The reconstructed lifecycles agree with the engine's outcome
-    // counts, and fault-failed requests classify as device_fault.
-    EXPECT_EQ(reader.completed, run.report.aggregate.summary.completed);
-    EXPECT_EQ(reader.rejected, run.report.aggregate.summary.rejected);
+    // The replayed lifecycles agree with the engine's outcome counts,
+    // and fault-failed requests classify as device_fault.
+    const obs::AttributionReport rep = reader.report();
+    EXPECT_EQ(rep.completed, run.report.aggregate.summary.completed);
+    EXPECT_EQ(rep.rejected, run.report.aggregate.summary.rejected);
     if (run.report.faults.permanentFailures > 0) {
-        EXPECT_GE(reader.missCounts[static_cast<std::size_t>(
+        EXPECT_GE(rep.missCounts[static_cast<std::size_t>(
                       obs::MissCause::DeviceFault)],
                   1u);
         std::size_t faulted = 0;
-        for (const obs::RequestLife &r : reader.requests())
-            if (r.faulted)
+        for (const obs::WaterfallEntry &e : reader.waterfall().entries())
+            if (e.faulted)
                 ++faulted;
         EXPECT_GT(faulted, 0u);
+    }
+
+    // Preempting crash runs where a resumed request is preempted again
+    // at the instant of its first token: the replay must take the pair
+    // in emission order and leave no phantom batch member.
+    for (std::uint64_t seed : {16u, 20u, 37u}) {
+        cluster::ClusterConfig cfg = crashyCluster(seed);
+        cfg.engine.preempt.enabled = true;
+        cfg.engine.traffic.slo.tpotSec = 2e-5;
+        const FaultRun pre = runFaultCell(cfg, 1, true);
+        obs::TraceReader r;
+        ASSERT_TRUE(r.parse(pre.traceJson)) << "seed " << seed;
+        EXPECT_GT(pre.report.aggregate.summary.preemptions, 0u)
+            << "seed " << seed;
+        EXPECT_EQ(r.stats().batchMismatches, 0u) << "seed " << seed;
     }
 }
 

@@ -316,7 +316,7 @@ TEST(GoldenDigest, KelleTraceReportOnRecordedTrace)
     const std::size_t body = out.find('\n');
     ASSERT_NE(body, std::string::npos) << out;
     const std::uint64_t got = fnv1a64(out.substr(body + 1));
-    EXPECT_EQ(got, 0xc4fa211fcb331ae5ull)
+    EXPECT_EQ(got, 0x314066656c437fd1ull)
         << "kelle_trace report output drifted (got 0x" << std::hex
         << got << ").\nIf the change is deliberate, re-record from "
            "`kelle_trace report` on the trace this test writes.";
@@ -358,7 +358,7 @@ TEST(GoldenDigest, KelleTraceReportOnFaultTrace)
         << "miss-cause breakdown lost the device_fault rows:\n"
         << report;
     const std::uint64_t got = fnv1a64(report);
-    EXPECT_EQ(got, 0xc9977284943c2a91ull)
+    EXPECT_EQ(got, 0xe31eb2d82d04be19ull)
         << "kelle_trace fault report drifted (got 0x" << std::hex
         << got << ").\nIf the change is deliberate, re-record from "
            "`kelle_trace report` on the trace this test writes.";

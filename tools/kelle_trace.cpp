@@ -35,13 +35,14 @@
 namespace {
 
 using kelle::Table;
+using kelle::obs::AttributionReport;
 using kelle::obs::kLatencyComponentCount;
 using kelle::obs::kMissCauseCount;
 using kelle::obs::LatencyComponent;
 using kelle::obs::MissCause;
 using kelle::obs::RawTraceEvent;
-using kelle::obs::RequestLife;
 using kelle::obs::TraceReader;
+using kelle::obs::WaterfallEntry;
 
 int
 usage()
@@ -89,10 +90,10 @@ load(const std::string &path, TraceReader &reader)
 }
 
 std::string
-secs(double us)
+secs(double s)
 {
     char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", us / 1e6);
+    std::snprintf(buf, sizeof buf, "%.6f", s);
     return buf;
 }
 
@@ -141,37 +142,39 @@ cmdReport(const std::string &path)
                     reader.deviceFaults, reader.deviceRecovers,
                     reader.faultEvictions, reader.faultFailures);
     }
+    const AttributionReport rep = reader.report();
     std::printf("requests: %zu terminal (%zu completed, %zu "
                 "rejected), %zu SLO misses\n\n",
-                reader.terminal, reader.completed, reader.rejected,
-                reader.misses);
+                rep.terminal, rep.completed, rep.rejected, rep.misses);
 
     if (!reader.devices().empty()) {
         Table t({"device", "busy_s", "prefill", "decode", "completed",
                  "rejected", "misses"});
-        for (const auto &d : reader.devices()) {
-            t.addRow({d.name, secs(d.busyUs),
+        for (std::size_t i = 0; i < reader.devices().size(); ++i) {
+            const auto &d = reader.devices()[i];
+            const AttributionReport::Device &a = rep.devices[i];
+            t.addRow({d.name, secs(d.busyUs / 1e6),
                       std::to_string(d.prefillSlices),
                       std::to_string(d.decodeSlices),
-                      std::to_string(d.completed),
-                      std::to_string(d.rejected),
-                      std::to_string(d.misses)});
+                      std::to_string(a.terminal - a.rejected),
+                      std::to_string(a.rejected),
+                      std::to_string(a.misses)});
         }
         t.print("Per-device");
     }
 
     double total = 0.0;
     for (std::size_t i = 0; i < kLatencyComponentCount; ++i)
-        total += reader.componentTotalsUs[i];
+        total += rep.componentTotals[i];
     Table t({"component", "total_s", "share"});
     for (std::size_t i = 0; i < kLatencyComponentCount; ++i) {
-        const double us = reader.componentTotalsUs[i];
+        const double s = rep.componentTotals[i];
         t.addRow({kelle::obs::toString(static_cast<LatencyComponent>(i)),
-                  secs(us), Table::pct(total > 0.0 ? us / total : 0.0)});
+                  secs(s), Table::pct(total > 0.0 ? s / total : 0.0)});
     }
     t.print("Latency waterfall (summed over terminal requests)");
 
-    printMissCauses(reader.missCounts, reader.terminal);
+    printMissCauses(rep.missCounts, rep.terminal);
     return 0;
 }
 
@@ -182,45 +185,46 @@ cmdWaterfall(const std::string &path, std::size_t top)
     if (!load(path, reader))
         return 1;
 
-    std::vector<const RequestLife *> worst;
-    for (const RequestLife &r : reader.requests())
-        if (r.terminal())
-            worst.push_back(&r);
+    const std::vector<WaterfallEntry> &entries =
+        reader.waterfall().entries();
+    std::vector<std::size_t> worst;
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        if (entries[i].terminal)
+            worst.push_back(i);
+    const std::size_t terminal = worst.size();
     std::sort(worst.begin(), worst.end(),
-              [](const RequestLife *a, const RequestLife *b) {
-                  if (a->e2eUs != b->e2eUs)
-                      return a->e2eUs > b->e2eUs;
-                  return a->id < b->id;
+              [&entries](std::size_t a, std::size_t b) {
+                  const WaterfallEntry &ea = entries[a];
+                  const WaterfallEntry &eb = entries[b];
+                  if (ea.e2eSec != eb.e2eSec)
+                      return ea.e2eSec > eb.e2eSec;
+                  return ea.reqId < eb.reqId;
               });
     if (worst.size() > top)
         worst.resize(top);
 
     std::printf("trace: %s\n", path.c_str());
     std::printf("worst %zu of %zu terminal requests by e2e\n\n",
-                worst.size(), reader.terminal);
+                worst.size(), terminal);
     for (std::size_t k = 0; k < worst.size(); ++k) {
-        const RequestLife &r = *worst[k];
-        const char *devName =
-            r.device >= 1 && static_cast<std::size_t>(r.device) <=
-                                 reader.devices().size()
-                ? reader.devices()[static_cast<std::size_t>(r.device) -
-                                   1]
-                      .name.c_str()
-                : "?";
+        const WaterfallEntry &e = entries[worst[k]];
+        const char *devName = e.device < reader.devices().size()
+                                  ? reader.devices()[e.device].name.c_str()
+                                  : "?";
         std::printf("#%zu req %llu (%s) on %s: e2e %s s, ttft %s s, "
                     "%s, cause %s\n",
-                    k + 1, static_cast<unsigned long long>(r.id),
-                    r.task.c_str(), devName, secs(r.e2eUs).c_str(),
-                    secs(r.ttftUs).c_str(),
-                    r.rejected ? "rejected" : "completed",
-                    kelle::obs::toString(r.cause));
+                    k + 1, static_cast<unsigned long long>(e.reqId),
+                    reader.tasks()[worst[k]].c_str(), devName,
+                    secs(e.e2eSec).c_str(), secs(e.ttftSec).c_str(),
+                    e.rejected ? "rejected" : "completed",
+                    kelle::obs::toString(e.cause));
         for (std::size_t i = 0; i < kLatencyComponentCount; ++i) {
-            const double us = r.componentsUs[i];
+            const double s = e.components[i];
             std::printf("    %-18s %s s  %s\n",
                         kelle::obs::toString(
                             static_cast<LatencyComponent>(i)),
-                        secs(us).c_str(),
-                        Table::pct(r.e2eUs > 0.0 ? us / r.e2eUs : 0.0)
+                        secs(s).c_str(),
+                        Table::pct(e.e2eSec > 0.0 ? s / e.e2eSec : 0.0)
                             .c_str());
         }
         std::printf("\n");
