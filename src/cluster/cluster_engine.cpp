@@ -1,7 +1,6 @@
 #include "cluster/cluster_engine.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -10,6 +9,8 @@
 
 namespace kelle {
 namespace cluster {
+
+using sim::SimTime;
 
 std::vector<DeviceSpec>
 homogeneousFleet(std::size_t n, const accel::SystemConfig &system,
@@ -82,7 +83,7 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
         injector_ = std::make_unique<faults::FaultInjector>(
             cfg_.faults, cfg_.devices.size());
         health_.assign(cfg_.devices.size(), DeviceHealth::Healthy);
-        downSince_.assign(cfg_.devices.size(), Time());
+        downSince_.assign(cfg_.devices.size(), SimTime());
         faultDevs_.resize(cfg_.devices.size());
     }
     localQueues_.reserve(cfg_.devices.size());
@@ -152,7 +153,7 @@ ClusterEngine::statuses()
 }
 
 std::size_t
-ClusterEngine::pickDevice(Time t, std::size_t idx)
+ClusterEngine::pickDevice(SimTime t, std::size_t idx)
 {
     std::size_t d;
     if (downCount_ == 0) {
@@ -217,7 +218,7 @@ ClusterEngine::pickDevice(Time t, std::size_t idx)
 }
 
 void
-ClusterEngine::dispatchAt(Time t, std::size_t idx)
+ClusterEngine::dispatchAt(SimTime t, std::size_t idx)
 {
     const std::size_t d = pickDevice(t, idx);
     if (d == devices_.size()) {
@@ -239,11 +240,10 @@ ClusterEngine::dispatchAt(Time t, std::size_t idx)
     devices_[d]->enqueue(idx);
 }
 
-Time
+SimTime
 ClusterEngine::nextRequeueBound() const
 {
-    Time bound =
-        Time::seconds(std::numeric_limits<double>::infinity());
+    SimTime bound = SimTime::never();
     if (!cfg_.engine.preempt.enabled)
         return bound;
     // A device's future boundaries all lie at or after its next
@@ -258,7 +258,7 @@ ClusterEngine::nextRequeueBound() const
 }
 
 void
-ClusterEngine::drainRequeues(Time t)
+ClusterEngine::drainRequeues(SimTime t)
 {
     // Canonical order for same-time requeues: lowest emitting device
     // first, then per-device emission order — including victims
@@ -283,17 +283,8 @@ ClusterEngine::drainRequeues(Time t)
     }
 }
 
-Time
-ClusterEngine::nextRetryTime() const
-{
-    Time t = Time::seconds(std::numeric_limits<double>::infinity());
-    for (const PendingRetry &r : retryPending_)
-        t = std::min(t, r.at);
-    return t;
-}
-
 void
-ClusterEngine::scheduleRetry(std::size_t idx, Time now)
+ClusterEngine::scheduleRetry(std::size_t idx, SimTime now)
 {
     serving::Request &r = requests_[idx];
     if (r.faultRetries >= cfg_.faults.maxRetries) {
@@ -311,7 +302,7 @@ ClusterEngine::scheduleRetry(std::size_t idx, Time now)
         static_cast<double>(1ull << std::min(attempt - 1u, 62u));
     backoff = std::min(backoff, cfg_.faults.retryBackoffCapSec);
     backoff *= 0.5 + hashUnit(r.id, attempt);
-    const Time at = now + Time::seconds(backoff);
+    const SimTime at = now + SimTime::fromSec(backoff);
     PendingRetry pr;
     pr.at = at;
     pr.seq = retrySeq_++;
@@ -324,7 +315,7 @@ ClusterEngine::scheduleRetry(std::size_t idx, Time now)
 }
 
 void
-ClusterEngine::permanentFail(std::size_t idx, Time now)
+ClusterEngine::permanentFail(std::size_t idx, SimTime now)
 {
     ++permanentFailures_;
     const std::size_t d = lastDevice_[idx];
@@ -336,7 +327,7 @@ ClusterEngine::permanentFail(std::size_t idx, Time now)
 }
 
 void
-ClusterEngine::drainRetries(Time t)
+ClusterEngine::drainRetries(SimTime t)
 {
     for (;;) {
         std::size_t best = retryPending_.size();
@@ -439,7 +430,7 @@ ClusterEngine::applyFault(const faults::FaultEvent &ev)
 }
 
 void
-ClusterEngine::fillFaultReport(ClusterReport *rep, Time last) const
+ClusterEngine::fillFaultReport(ClusterReport *rep, SimTime last) const
 {
     ClusterFaultReport &f = rep->faults;
     f.enabled = true;
@@ -468,36 +459,39 @@ ClusterEngine::fillFaultReport(ClusterReport *rep, Time last) const
 void
 ClusterEngine::drive()
 {
-    constexpr double inf = std::numeric_limits<double>::infinity();
     common::ThreadPool pool(threads_);
     const std::size_t nd = devices_.size();
     for (auto &q : localQueues_)
         q->reserve(8);
     // Earliest fault-side external event: the next fault instant or
-    // the next pending fault re-dispatch (+inf faults-off). Neither
+    // the next pending fault re-dispatch (`never()` faults-off). Neither
     // commutes with a lookahead window, so both bound horizons.
-    const auto nextExtra = [this, inf] {
-        return injector_ != nullptr
-                   ? std::min(injector_->nextEventTime(),
-                              nextRetryTime())
-                   : Time::seconds(inf);
+    const auto nextExtra = [this] {
+        if (injector_ == nullptr)
+            return SimTime::never();
+        SimTime t = injector_->nextEventTime();
+        for (const PendingRetry &r : retryPending_)
+            t = std::min(t, r.at);
+        return t;
+    };
+    const auto nextArrival = [this] {
+        return arrivalCursor_ < requests_.size()
+                   ? requests_[arrivalCursor_].arrival
+                   : SimTime::never();
     };
     for (;;) {
-        const Time arrival =
-            arrivalCursor_ < requests_.size()
-                ? requests_[arrivalCursor_].arrival
-                : Time::seconds(inf);
-        Time nextEvent = Time::seconds(inf);
+        const SimTime arrival = nextArrival();
+        SimTime nextEvent = SimTime::never();
         for (const auto &q : localQueues_)
             nextEvent = std::min(nextEvent, q->nextEventTime());
         // Drained: no arrivals, no local events, no parked retries
         // (requeue buffers never persist a round; the infinite fault
         // stream alone never keeps a run alive).
-        if (!(arrival.sec() < inf) && !(nextEvent.sec() < inf) &&
-            retryPending_.empty())
+        if (arrival == SimTime::never() &&
+            nextEvent == SimTime::never() && retryPending_.empty())
             break;
-        const Time extra = nextExtra();
-        const Time horizon = std::min(
+        const SimTime extra = nextExtra();
+        const SimTime horizon = std::min(
             std::min(arrival, nextRequeueBound()), extra);
         if (nextEvent < horizon) {
             // Lookahead window: every device advances its own
@@ -542,7 +536,7 @@ ClusterEngine::drive()
         // so lookahead is disabled for the round; with it off, a
         // boundary may fast-forward up to the next still-pending
         // arrival.
-        const Time t0 =
+        const SimTime t0 =
             std::min(std::min(arrival, nextEvent), extra);
         obs::PhaseProfiler::Timer round_timer(
             cfg_.engine.profiler,
@@ -565,20 +559,12 @@ ClusterEngine::drive()
                    requests_[arrivalCursor_].arrival == t0) {
                 const std::size_t idx = arrivalCursor_++;
                 if (lookahead)
-                    windowHorizon_ = std::min(
-                        arrivalCursor_ < requests_.size()
-                            ? requests_[arrivalCursor_].arrival
-                            : Time::seconds(inf),
-                        nextExtra());
+                    windowHorizon_ = std::min(nextArrival(), nextExtra());
                 dispatchAt(t0, idx);
             }
         }
         if (lookahead)
-            windowHorizon_ =
-                std::min(arrivalCursor_ < requests_.size()
-                             ? requests_[arrivalCursor_].arrival
-                             : Time::seconds(inf),
-                         nextExtra());
+            windowHorizon_ = std::min(nextArrival(), nextExtra());
         for (std::size_t i = 0; i < nd; ++i) {
             while (localQueues_[i]->nextEventTime() == t0)
                 localQueues_[i]->runNext();
@@ -607,12 +593,12 @@ ClusterEngine::run()
     // Makespan is first arrival to last completion anywhere in the
     // fleet; the idle lead-in before the first arrival is not serving
     // time.
-    Time last;
+    SimTime last;
     for (const auto &dev : devices_)
         last = std::max(last, dev->lastCompletion());
     Time makespan;
-    if (last.sec() > 0.0)
-        makespan = last - requests_.front().arrival;
+    if (last > SimTime())
+        makespan = Time::seconds((last - requests_.front().arrival).sec());
 
     std::vector<const serving::DeviceEngine *> devs;
     devs.reserve(devices_.size());

@@ -163,10 +163,10 @@ class ClusterEngine
      *  time `t` (which stamps the verbose dispatch line). Down
      *  devices are blacklisted; `devices_.size()` is returned when
      *  the whole fleet is down (the caller schedules a retry). */
-    std::size_t pickDevice(Time t, std::size_t idx);
+    std::size_t pickDevice(sim::SimTime t, std::size_t idx);
     /** Dispatch at round time `t`: line the target's partition clock
      *  up with the globally-timestamped injection, then enqueue. */
-    void dispatchAt(Time t, std::size_t idx);
+    void dispatchAt(sim::SimTime t, std::size_t idx);
     /** Device `i`'s load snapshot, as the dispatch policy sees it. */
     DeviceStatus status(std::size_t i) const;
     /** Refresh and return the reusable status-snapshot scratch. */
@@ -176,9 +176,10 @@ class ClusterEngine
     void drive();
     /** Dispatch buffered preemption requeues in canonical order:
      *  (emitting device index, per-device emission order). */
-    void drainRequeues(Time t);
-    /** Earliest requeue any device could still emit (+inf when none). */
-    Time nextRequeueBound() const;
+    void drainRequeues(sim::SimTime t);
+    /** Earliest requeue any device could still emit (`never()` when
+     *  none). */
+    sim::SimTime nextRequeueBound() const;
     /** @name Fault machinery (injector_ != nullptr only). @{ */
     /** Apply one fault instant: flip health, drive the device's fault
      *  surface, schedule eviction retries, run the degradation
@@ -187,16 +188,14 @@ class ClusterEngine
     void applyFault(const faults::FaultEvent &ev);
     /** Re-dispatch `idx` after a capped exponential backoff, or fail
      *  it permanently once the retry budget is spent. */
-    void scheduleRetry(std::size_t idx, Time now);
+    void scheduleRetry(std::size_t idx, sim::SimTime now);
     /** Terminal failure of `idx` on its last device. */
-    void permanentFail(std::size_t idx, Time now);
+    void permanentFail(std::size_t idx, sim::SimTime now);
     /** Round phase: dispatch retries due at `t` in (at, seq) order,
      *  draining cascaded requeues after each. */
-    void drainRetries(Time t);
-    /** Earliest pending fault re-dispatch (+inf when none). */
-    Time nextRetryTime() const;
+    void drainRetries(sim::SimTime t);
     /** Fill ClusterReport::faults after the roll-up. */
-    void fillFaultReport(ClusterReport *rep, Time last) const;
+    void fillFaultReport(ClusterReport *rep, sim::SimTime last) const;
     /** @} */
 
     ClusterConfig cfg_;
@@ -224,7 +223,7 @@ class ClusterEngine
      * only inside a window.
      * @{ */
     std::vector<std::unique_ptr<sim::EventQueue>> localQueues_;
-    Time windowHorizon_;
+    sim::SimTime windowHorizon_;
     /** Preemption victims emitted this round, one buffer per emitting
      *  device, consumed from `requeueBufPos_`. */
     std::vector<std::vector<std::size_t>> requeueBufs_;
@@ -238,7 +237,7 @@ class ClusterEngine
     std::vector<DeviceHealth> health_;
     std::size_t downCount_ = 0;
     /** Crash-start instant per device (meaningful while Down). */
-    std::vector<Time> downSince_;
+    std::vector<sim::SimTime> downSince_;
     /** Last device each request was dispatched to (terminal fault
      *  failures land on it). */
     std::vector<std::size_t> lastDevice_;
@@ -246,7 +245,7 @@ class ClusterEngine
      *  scheduling order. */
     struct PendingRetry
     {
-        Time at;
+        sim::SimTime at;
         std::uint64_t seq = 0;
         std::size_t req = 0;
     };

@@ -56,7 +56,8 @@ FaultInjector::FaultInjector(const FaultConfig &cfg,
         // A device's whole fault history depends only on (seed, d).
         s.rng = Rng(cfg_.seed ^ mix(static_cast<std::uint64_t>(d) + 1));
         s.next.device = d;
-        s.next.at = Time::seconds(expDraw(s, cfg_.mtbfSec));
+        s.atSec = expDraw(s, cfg_.mtbfSec);
+        s.next.at = sim::SimTime::fromSec(s.atSec);
         s.next.kind = drawKind(s);
         s.next.cause = s.next.kind;
     }
@@ -92,25 +93,26 @@ FaultInjector::advance(DeviceStream &s)
       case FaultKind::PoolShrink:
         // Disruption starts; time the repair.
         s.active = e.kind;
-        e.at = e.at + Time::seconds(expDraw(s, cfg_.mttrSec));
+        s.atSec += expDraw(s, cfg_.mttrSec);
         e.kind = FaultKind::Recover;
         e.cause = s.active;
         break;
       case FaultKind::Recover:
         if (e.cause == FaultKind::Crash &&
             cfg_.recoverWarmupSec > 0.0) {
-            e.at = e.at + Time::seconds(cfg_.recoverWarmupSec);
+            s.atSec += cfg_.recoverWarmupSec;
             e.kind = FaultKind::RecoverDone;
             break;
         }
         [[fallthrough]];
       case FaultKind::RecoverDone:
         // Up phase starts; time the next disruption.
-        e.at = e.at + Time::seconds(expDraw(s, cfg_.mtbfSec));
+        s.atSec += expDraw(s, cfg_.mtbfSec);
         e.kind = drawKind(s);
         e.cause = e.kind;
         break;
     }
+    e.at = sim::SimTime::fromSec(s.atSec);
 }
 
 std::size_t
@@ -124,16 +126,10 @@ FaultInjector::earliest() const
     return best;
 }
 
-Time
+sim::SimTime
 FaultInjector::nextEventTime() const
 {
     return streams_[earliest()].next.at;
-}
-
-const FaultEvent &
-FaultInjector::peek() const
-{
-    return streams_[earliest()].next;
 }
 
 FaultEvent

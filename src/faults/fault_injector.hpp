@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/units.hpp"
+#include "sim/sim_time.hpp"
 
 namespace kelle {
 namespace faults {
@@ -92,7 +92,7 @@ const char *toString(FaultKind k);
 /** One scheduled fault-lifecycle instant. */
 struct FaultEvent
 {
-    Time at;
+    sim::SimTime at;
     std::size_t device = 0;
     FaultKind kind = FaultKind::Crash;
     /** For Recover/RecoverDone: the disruption being recovered. */
@@ -101,7 +101,7 @@ struct FaultEvent
 
 /**
  * The merged, lazily generated fault stream for an `nDevices` fleet.
- * `peek`/`pop` never run the renewal processes further than one
+ * `pop` never runs the renewal processes further than one
  * pending event per device.
  */
 class FaultInjector
@@ -109,11 +109,8 @@ class FaultInjector
   public:
     FaultInjector(const FaultConfig &cfg, std::size_t n_devices);
 
-    /** Earliest pending fault instant (never +inf: the renewal
-     *  process is infinite). Ties break by device index. */
-    Time nextEventTime() const;
-    /** The event `pop` would return. */
-    const FaultEvent &peek() const;
+    /** Earliest pending fault instant; ties break by device index. */
+    sim::SimTime nextEventTime() const;
     /** Consume the earliest event and advance that device's stream. */
     FaultEvent pop();
 
@@ -123,6 +120,9 @@ class FaultInjector
     struct DeviceStream
     {
         Rng rng;
+        /** The renewal clock in `double` seconds; `next.at` is it
+         *  rounded to ticks, once per instant. */
+        double atSec = 0.0;
         FaultEvent next;
         /** Disruption kind of the phase being timed (for recovery). */
         FaultKind active = FaultKind::Crash;

@@ -1,15 +1,16 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstdio>
-#include <limits>
 
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace kelle {
 namespace obs {
+
+using sim::SimTime;
 
 const char *
 toString(LatencyComponent c)
@@ -59,67 +60,9 @@ toString(MissCause c)
     return "?";
 }
 
-double
-exactRemainder(double total, double partial)
-{
-    double r = total - partial;
-    // The rounded difference is within an ulp of the fixpoint; walk
-    // the last steps so the fold identity holds bitwise.
-    while (partial + r < total)
-        r = std::nextafter(r, std::numeric_limits<double>::infinity());
-    while (partial + r > total)
-        r = std::nextafter(r, -std::numeric_limits<double>::infinity());
-    return r;
-}
-
-void
-closeFold(double total, double *c, std::size_t last)
-{
-    c[last] = exactRemainder(total, foldComponents(c, last));
-    if (foldComponents(c, last + 1) == total)
-        return;
-    // Round-to-even parked every candidate sum on a midpoint (the
-    // partial fold carries a live half-ulp bit and the target's last
-    // bit is odd). Shifting a donor component by an ulp moves the
-    // midpoint; alternate +-k ulps around its original value until
-    // the fold closes. A single donor can be parity-locked — the
-    // fold's intermediate rounding keeps the reachable partials on
-    // midpoints for every nudge — so donors are tried largest
-    // magnitude first: a different addend takes a different rounding
-    // path through the fold. One ulp on the first donor suffices in
-    // practice; the rest of the walk is belt and braces.
-    std::size_t order[kLatencyComponentCount];
-    for (std::size_t i = 0; i < last; ++i)
-        order[i] = i;
-    std::stable_sort(order, order + last,
-                     [&](std::size_t a, std::size_t b) {
-                         return std::fabs(c[a]) > std::fabs(c[b]);
-                     });
-    for (std::size_t oi = 0; oi < last; ++oi) {
-        const std::size_t donor = order[oi];
-        const double donor0 = c[donor];
-        for (int k = 1; k <= 16; ++k) {
-            double d = donor0;
-            const double dir =
-                k % 2 != 0 ? std::numeric_limits<double>::infinity()
-                           : -std::numeric_limits<double>::infinity();
-            for (int step = 0; step < (k + 1) / 2; ++step)
-                d = std::nextafter(d, dir);
-            c[donor] = d;
-            c[last] = exactRemainder(total, foldComponents(c, last));
-            if (foldComponents(c, last + 1) == total)
-                return;
-        }
-        c[donor] = donor0;
-    }
-    // Unreachable for engine magnitudes (pinned by the sweep tests);
-    // keep the best remainder-only answer rather than a wild donor.
-    c[last] = exactRemainder(total, foldComponents(c, last));
-}
-
 MissCause
 classifyMiss(bool rejected, bool missed_ttft, bool missed_tpot,
-             const double c[kLatencyComponentCount], bool faulted)
+             const std::int64_t c[kLatencyComponentCount], bool faulted)
 {
     if (rejected)
         return faulted ? MissCause::DeviceFault
@@ -137,7 +80,7 @@ classifyMiss(bool rejected, bool missed_ttft, bool missed_tpot,
     const MissCause order[] = {MissCause::Queue, MissCause::KvPressure,
                                MissCause::Interference,
                                MissCause::Preempt, MissCause::Compute};
-    double bucket[5] = {};
+    std::int64_t bucket[5] = {};
     if (missed_ttft) {
         bucket[0] += c[0]; // queue_wait
         bucket[1] += c[1]; // kv_stall
@@ -175,7 +118,7 @@ LatencyWaterfall::at(std::size_t idx)
 
 void
 LatencyWaterfall::onArrival(std::size_t idx, std::uint64_t req_id,
-                            Time t, double ttft_deadline_sec,
+                            SimTime t, double ttft_deadline_sec,
                             double tpot_target_sec, std::size_t dec_len)
 {
     WaterfallEntry &e = at(idx);
@@ -193,14 +136,24 @@ constexpr std::size_t kDecodeCompute =
 constexpr std::size_t kBatchInterference =
     static_cast<std::size_t>(LatencyComponent::BatchInterference);
 
+/** `total` less the first `n` components (the fold remainder). */
+std::int64_t
+foldRemainder(std::int64_t total, const std::int64_t *c, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        total = sim::subTicks(total, c[i]);
+    return total;
+}
+
 /** Terminal event: compute the components, classify, seal. */
 void
-finalize(WaterfallEntry &e, Time t, std::uint32_t device, bool rejected)
+finalize(WaterfallEntry &e, SimTime t, std::uint32_t device,
+         bool rejected)
 {
     e.finished = t;
     e.device = device;
     e.rejected = rejected;
-    double *c = e.components;
+    std::int64_t *c = e.components;
     const auto ix = [](LatencyComponent comp) {
         return static_cast<std::size_t>(comp);
     };
@@ -210,36 +163,33 @@ finalize(WaterfallEntry &e, Time t, std::uint32_t device, bool rejected)
         // never fit its floor is rejected too; its pre-preempt
         // service is discarded from the waterfall exactly as its
         // emitted tokens were.)
-        for (std::size_t i = 0; i < kLatencyComponentCount; ++i)
-            c[i] = 0.0;
-        c[ix(LatencyComponent::QueueWait)] =
-            (e.finished - e.arrival).sec();
-        e.ttftSec = c[ix(LatencyComponent::QueueWait)];
-        e.e2eSec = c[ix(LatencyComponent::QueueWait)];
+        std::fill(c, c + kLatencyComponentCount, 0);
+        c[ix(LatencyComponent::QueueWait)] = (e.finished - e.arrival).ns();
+        e.ttftNs = c[ix(LatencyComponent::QueueWait)];
+        e.e2eNs = c[ix(LatencyComponent::QueueWait)];
     } else {
-        e.ttftSec = (e.firstToken - e.arrival).sec();
-        e.e2eSec = (e.finished - e.arrival).sec();
+        e.ttftNs = (e.firstToken - e.arrival).ns();
+        e.e2eNs = (e.finished - e.arrival).ns();
         // First admission verdict: the first deferral if the
         // allocator ever said no, else the admission itself.
-        const Time verdict = e.deferred ? e.firstDefer : e.admitted;
-        c[ix(LatencyComponent::QueueWait)] =
-            (verdict - e.arrival).sec();
+        const SimTime verdict = e.deferred ? e.firstDefer : e.admitted;
+        c[ix(LatencyComponent::QueueWait)] = (verdict - e.arrival).ns();
         c[ix(LatencyComponent::KvStall)] =
-            e.deferred ? (e.admitted - e.firstDefer).sec() : 0.0;
-        // c3 (prefill) accumulated in onPrefillChunk; c4 closes the
-        // TTFT fold exactly (an earlier component donates the
-        // tie-break ulp when rounding demands one).
-        closeFold(e.ttftSec, c, ix(LatencyComponent::ChunkInterleave));
+            e.deferred ? (e.admitted - e.firstDefer).ns() : 0;
+        // c3 (prefill) accumulated in onPrefillChunk; c4 is the TTFT
+        // remainder.
+        c[ix(LatencyComponent::ChunkInterleave)] =
+            foldRemainder(e.ttftNs, c, 3);
         // c5/c6 accumulated at decode boundaries; c7 is the single
         // first loss -> last resume interval (later lives' queue,
-        // prefill and lost decode live inside it); c8 closes the E2E
-        // fold exactly.
+        // prefill and lost decode live inside it); c8 is the E2E
+        // remainder.
         c[ix(LatencyComponent::PreemptLoss)] =
-            e.preempted ? (e.resumeAt - e.preemptAt).sec() : 0.0;
-        closeFold(e.e2eSec, c, ix(LatencyComponent::DecodeStall));
+            e.preempted ? (e.resumeAt - e.preemptAt).ns() : 0;
+        c[ix(LatencyComponent::DecodeStall)] = foldRemainder(e.e2eNs, c, 7);
     }
     e.missedTtft = !e.rejected && e.ttftDeadlineSec > 0.0 &&
-                   e.ttftSec > e.ttftDeadlineSec;
+                   SimTime::nanos(e.ttftNs).sec() > e.ttftDeadlineSec;
     e.missedTpot = false;
     if (!e.rejected && e.tpotTargetSec > 0.0 && e.decLen > 0) {
         const double tpot = (e.finished - e.firstToken).sec() /
@@ -254,37 +204,38 @@ finalize(WaterfallEntry &e, Time t, std::uint32_t device, bool rejected)
 } // namespace
 
 void
-LatencyWaterfall::onDeferred(std::size_t idx, Time t)
+LatencyWaterfall::onDeferred(std::size_t idx, SimTime t)
 {
     WaterfallEntry &e = at(idx);
-    if (!e.deferred && e.admitted.sec() == 0.0) {
+    if (!e.deferred && e.admitted == SimTime()) {
         e.deferred = true;
         e.firstDefer = t;
     }
 }
 
 void
-LatencyWaterfall::onAdmitted(std::size_t idx, Time t)
+LatencyWaterfall::onAdmitted(std::size_t idx, SimTime t)
 {
     WaterfallEntry &e = at(idx);
-    if (e.admitted.sec() == 0.0)
+    if (e.admitted == SimTime())
         e.admitted = t;
 }
 
 void
-LatencyWaterfall::onPrefillChunk(std::size_t idx, double sec)
+LatencyWaterfall::onPrefillChunk(std::size_t idx, SimTime dur)
 {
     WaterfallEntry &e = at(idx);
-    if (e.firstToken.sec() == 0.0)
-        e.components[static_cast<std::size_t>(
-            LatencyComponent::PrefillCompute)] += sec;
+    std::int64_t &c3 = e.components[static_cast<std::size_t>(
+        LatencyComponent::PrefillCompute)];
+    if (e.firstToken == SimTime())
+        c3 = sim::addTicks(c3, dur.ns());
 }
 
 void
-LatencyWaterfall::onFirstToken(std::size_t idx, Time t)
+LatencyWaterfall::onFirstToken(std::size_t idx, SimTime t)
 {
     WaterfallEntry &e = at(idx);
-    if (e.firstToken.sec() == 0.0) {
+    if (e.firstToken == SimTime()) {
         e.firstToken = t;
         return;
     }
@@ -296,7 +247,7 @@ LatencyWaterfall::onFirstToken(std::size_t idx, Time t)
 }
 
 void
-LatencyWaterfall::onPreempt(std::size_t idx, Time t)
+LatencyWaterfall::onPreempt(std::size_t idx, SimTime t)
 {
     WaterfallEntry &e = at(idx);
     // c7 runs from the first loss to the last resume, so only the
@@ -310,17 +261,20 @@ LatencyWaterfall::onPreempt(std::size_t idx, Time t)
 }
 
 void
-LatencyWaterfall::onDecodeBoundary(std::size_t idx, double step_sec,
-                                   double batch)
+LatencyWaterfall::onDecodeBoundary(std::size_t idx, SimTime step,
+                                   std::size_t batch)
 {
     WaterfallEntry &e = at(idx);
-    const double fair = step_sec / batch;
-    e.components[kDecodeCompute] += fair;
-    e.components[kBatchInterference] += step_sec - fair;
+    const std::int64_t fair =
+        step.ns() / static_cast<std::int64_t>(batch);
+    std::int64_t *c = e.components;
+    c[kDecodeCompute] = sim::addTicks(c[kDecodeCompute], fair);
+    c[kBatchInterference] =
+        sim::addTicks(c[kBatchInterference], step.ns() - fair);
 }
 
 void
-LatencyWaterfall::onFaultEvict(std::size_t idx, Time t)
+LatencyWaterfall::onFaultEvict(std::size_t idx, SimTime t)
 {
     WaterfallEntry &e = at(idx);
     e.faulted = true;
@@ -328,26 +282,26 @@ LatencyWaterfall::onFaultEvict(std::size_t idx, Time t)
     // the preempt machinery and shares its c7 interval. Pre-first-
     // token victims restart their whole TTFT window: their lost time
     // folds into c1/c4, no preempt interval to open.
-    if (e.firstToken.sec() > 0.0)
+    if (e.firstToken != SimTime())
         onPreempt(idx, t);
 }
 
 void
-LatencyWaterfall::onCompleted(std::size_t idx, Time t,
+LatencyWaterfall::onCompleted(std::size_t idx, SimTime t,
                               std::uint32_t device)
 {
     finalize(at(idx), t, device, /*rejected=*/false);
 }
 
 void
-LatencyWaterfall::onRejected(std::size_t idx, Time t,
+LatencyWaterfall::onRejected(std::size_t idx, SimTime t,
                              std::uint32_t device)
 {
     finalize(at(idx), t, device, /*rejected=*/true);
 }
 
 void
-LatencyWaterfall::onFaultFailed(std::size_t idx, Time t,
+LatencyWaterfall::onFaultFailed(std::size_t idx, SimTime t,
                                 std::uint32_t device)
 {
     WaterfallEntry &e = at(idx);
@@ -364,6 +318,8 @@ LatencyWaterfall::report(std::size_t n_devices) const
         if (e.terminal && e.device + 1u > slots)
             slots = e.device + 1u;
     rep.devices.resize(slots);
+    std::vector<std::array<std::int64_t, kLatencyComponentCount>> ticks(
+        slots);
     for (const WaterfallEntry &e : entries_) {
         if (!e.terminal)
             continue;
@@ -376,16 +332,25 @@ LatencyWaterfall::report(std::size_t n_devices) const
         } else {
             ++rep.completed;
         }
-        for (std::size_t i = 0; i < kLatencyComponentCount; ++i) {
-            rep.componentTotals[i] += e.components[i];
-            dev.componentTotals[i] += e.components[i];
-        }
+        for (std::size_t i = 0; i < kLatencyComponentCount; ++i)
+            ticks[e.device][i] =
+                sim::addTicks(ticks[e.device][i], e.components[i]);
         ++rep.missCounts[static_cast<std::size_t>(e.cause)];
         ++dev.missCounts[static_cast<std::size_t>(e.cause)];
         if (e.cause != MissCause::None) {
             ++rep.misses;
             ++dev.misses;
         }
+    }
+    // Summed in ticks, converted once: the totals are exact.
+    for (std::size_t i = 0; i < kLatencyComponentCount; ++i) {
+        std::int64_t all = 0;
+        for (std::size_t d = 0; d < slots; ++d) {
+            rep.devices[d].componentTotals[i] =
+                SimTime::nanos(ticks[d][i]).sec();
+            all = sim::addTicks(all, ticks[d][i]);
+        }
+        rep.componentTotals[i] = SimTime::nanos(all).sec();
     }
     return rep;
 }
@@ -430,12 +395,12 @@ exportAttributionMetrics(const LatencyWaterfall &wf,
               [&](std::size_t a, std::size_t b) {
                   const WaterfallEntry &ea = wf.entries()[a];
                   const WaterfallEntry &eb = wf.entries()[b];
-                  if (ea.finished.sec() != eb.finished.sec())
-                      return ea.finished.sec() < eb.finished.sec();
+                  if (ea.finished != eb.finished)
+                      return ea.finished < eb.finished;
                   return ea.reqId < eb.reqId;
               });
 
-    double cum[kLatencyComponentCount] = {};
+    std::int64_t cum[kLatencyComponentCount] = {};
     for (std::size_t idx : order) {
         const WaterfallEntry &e = wf.entries()[idx];
         for (std::size_t i = 0; i < kLatencyComponentCount; ++i) {
@@ -444,11 +409,12 @@ exportAttributionMetrics(const LatencyWaterfall &wf,
             std::snprintf(name, sizeof name, "attribution.%s_sec",
                           comp);
             reg.histogram(name, 0.0, 120.0, 24)
-                .observe(e.components[i]);
-            cum[i] += e.components[i];
+                .observe(SimTime::nanos(e.components[i]).sec());
+            cum[i] = sim::addTicks(cum[i], e.components[i]);
             std::snprintf(name, sizeof name,
                           "attribution.%s_cum_sec", comp);
-            reg.series(name).push(e.finished.sec(), cum[i]);
+            reg.series(name).push(e.finished.sec(),
+                                  SimTime::nanos(cum[i]).sec());
         }
     }
 }

@@ -29,14 +29,14 @@
  *                         the current timing model, so its share
  *                         reads 0 until a tiered pool prices it)
  *
- * Exactness contract (pinned by tests/test_attribution.cpp): with the
- * left-to-right fold `((c1 + c2) + c3) + ...`, the first four
- * components sum *bitwise* to the measured TTFT and all eight to the
- * measured E2E. c4 and c8 are remainders nudged to the exact fixpoint
- * (`exactRemainder`), so the identity holds for every request, not
- * just up to rounding. All inputs are deterministic sim-time values,
- * so waterfalls are bit-identical across `ClusterConfig::threads`
- * values and fastSim on/off.
+ * Exactness contract (pinned by tests/test_attribution.cpp): the
+ * components are integer ticks (sim/sim_time.hpp), so the first four
+ * sum *exactly* to the measured TTFT and all eight to the measured
+ * E2E: c4 and c8 are plain remainders, and a decode step's fair share
+ * is `step / batch` (integer division) with the rest in c6.
+ * Waterfalls are identical across `ClusterConfig::threads` values and
+ * fastSim on/off, a trace replay reproduces them exactly, and reports
+ * convert to seconds only at roll-up.
  *
  * `classifyMiss` labels each SLO miss with its dominant cause by
  * comparing the component groups responsible for the missed deadline
@@ -64,7 +64,7 @@
 #include <string>
 #include <vector>
 
-#include "common/units.hpp"
+#include "sim/sim_time.hpp"
 
 namespace kelle {
 namespace obs {
@@ -103,42 +103,6 @@ inline constexpr std::size_t kMissCauseCount = 8;
 const char *toString(MissCause c);
 
 /**
- * Left-to-right fold of the first `n` components — THE summation
- * convention of the exactness contract.
- */
-inline double
-foldComponents(const double *c, std::size_t n)
-{
-    double s = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        s += c[i];
-    return s;
-}
-
-/**
- * The remainder `r` with `partial + r == total` *bitwise*, when one
- * exists. Starts from the rounded difference and nudges by ulps
- * toward the fixpoint. A fixpoint always exists when `partial` and
- * `total` are within a factor of two (Sterbenz: the difference is
- * exact); outside that band, round-to-even can park every candidate
- * sum on a midpoint so that no representable remainder reaches an
- * odd-last-bit total — `closeFold` handles that case.
- */
-double exactRemainder(double total, double partial);
-
-/**
- * Close a component fold bitwise: set `c[last]` so that the
- * left-to-right fold of `c[0..last]` equals `total` exactly. Almost
- * always `exactRemainder` alone suffices; when rounding makes the
- * remainder-only fixpoint unreachable, an earlier component (donors
- * tried largest magnitude first) is nudged by single ulps around its
- * value to shift the rounding midpoint until the identity holds — a
- * perturbation below any reporting precision, applied
- * deterministically.
- */
-void closeFold(double total, double *c, std::size_t last);
-
-/**
  * Dominant-cause label for a terminal request. TTFT misses weigh
  * {queue: c1, kv-pressure: c2, compute: c3, interference: c4}; TPOT
  * misses add {compute: c5, interference: c6 + c8, preempt: c7}. The
@@ -152,7 +116,7 @@ void closeFold(double total, double *c, std::size_t last);
  */
 MissCause classifyMiss(bool rejected, bool missed_ttft,
                        bool missed_tpot,
-                       const double c[kLatencyComponentCount],
+                       const std::int64_t c[kLatencyComponentCount],
                        bool faulted = false);
 
 /** One request's waterfall (terminal once `terminal` is set). */
@@ -169,14 +133,14 @@ struct WaterfallEntry
     bool missedTpot = false;
     MissCause cause = MissCause::None;
 
-    /** @name Lifecycle stamps (sim time). @{ */
-    Time arrival;
-    Time firstDefer; ///< meaningful only when `deferred`
-    Time admitted;
-    Time firstToken;
-    Time preemptAt; ///< first loss; meaningful only when `preempted`
-    Time resumeAt;  ///< last resumed first token (when `preempted`)
-    Time finished;  ///< completion or rejection
+    /** @name Lifecycle stamps. @{ */
+    sim::SimTime arrival;
+    sim::SimTime firstDefer; ///< meaningful only when `deferred`
+    sim::SimTime admitted;
+    sim::SimTime firstToken;
+    sim::SimTime preemptAt; ///< first loss (when `preempted`)
+    sim::SimTime resumeAt;  ///< last resumed first token (ditto)
+    sim::SimTime finished;  ///< completion or rejection
     /** @} */
 
     /** SLO targets stamped at arrival (0 = disabled). */
@@ -184,15 +148,16 @@ struct WaterfallEntry
     double tpotTargetSec = 0.0;
     std::size_t decLen = 0;
 
-    /** Measured latencies the components fold to (0 for rejects'
-     *  TTFT; a reject's E2E is its arrival -> rejection wait). */
-    double ttftSec = 0.0;
-    double e2eSec = 0.0;
-    /** The waterfall, indexed by LatencyComponent. */
-    double components[kLatencyComponentCount] = {};
+    /** Measured latencies the components sum to, in ticks (a
+     *  reject's TTFT and E2E are both its arrival -> rejection
+     *  wait). */
+    std::int64_t ttftNs = 0;
+    std::int64_t e2eNs = 0;
+    /** The waterfall in ticks, indexed by LatencyComponent. */
+    std::int64_t components[kLatencyComponentCount] = {};
     /** c5/c6 at the first loss. Every resume restores them: decode
      *  steps of a life lost later lie inside c7 already. */
-    double decodeAtLoss[2] = {};
+    std::int64_t decodeAtLoss[2] = {};
 };
 
 /**
@@ -205,7 +170,8 @@ struct AttributionReport
     std::size_t completed = 0;
     std::size_t rejected = 0;
     std::size_t misses = 0; ///< terminal entries with cause != None
-    /** Seconds per component summed over terminal requests. */
+    /** Seconds per component summed over terminal requests (summed
+     *  in ticks, converted once). */
     double componentTotals[kLatencyComponentCount] = {};
     /** Terminal requests per dominant cause (index: MissCause). */
     std::size_t missCounts[kMissCauseCount] = {};
@@ -240,37 +206,40 @@ class LatencyWaterfall
     void beginRun(std::size_t n_requests);
 
     /** @name Engine hooks. @{ */
-    void onArrival(std::size_t idx, std::uint64_t req_id, Time t,
-                   double ttft_deadline_sec, double tpot_target_sec,
-                   std::size_t dec_len);
+    void onArrival(std::size_t idx, std::uint64_t req_id,
+                   sim::SimTime t, double ttft_deadline_sec,
+                   double tpot_target_sec, std::size_t dec_len);
     /** The allocator deferred the request. Only a deferral before the
      *  first admission opens c2; later ones live inside c7 or c4. */
-    void onDeferred(std::size_t idx, Time t);
+    void onDeferred(std::size_t idx, sim::SimTime t);
     /** Only the first admission is stamped: a re-admitted victim's
      *  first life was service, not queue. */
-    void onAdmitted(std::size_t idx, Time t);
-    /** One of this request's prefill chunks ran for `sec`. Counts
+    void onAdmitted(std::size_t idx, sim::SimTime t);
+    /** One of this request's prefill chunks ran for `dur`. Counts
      *  into c3 only before the first token; re-prefill is c7. */
-    void onPrefillChunk(std::size_t idx, double sec);
+    void onPrefillChunk(std::size_t idx, sim::SimTime dur);
     /** Prefill completed. The first call stamps the first token; any
      *  later one is a resume that closes the c7 interval. */
-    void onFirstToken(std::size_t idx, Time t);
+    void onFirstToken(std::size_t idx, sim::SimTime t);
     /** The request lost its grant mid-decode. Only the first loss
      *  opens c7; later ones fall inside it. */
-    void onPreempt(std::size_t idx, Time t);
-    /** The request participated in a decode step of `step_sec`
-     *  latency shared by `batch` members. */
-    void onDecodeBoundary(std::size_t idx, double step_sec,
-                          double batch);
+    void onPreempt(std::size_t idx, sim::SimTime t);
+    /** The request participated in a decode step of `step` latency
+     *  shared by `batch` (>= 1) members. */
+    void onDecodeBoundary(std::size_t idx, sim::SimTime step,
+                          std::size_t batch);
     /** Crash eviction or fault-pressure shed. Marks the entry
      *  faulted; for post-first-token victims it is a loss like
      *  `onPreempt`, so c7 absorbs the regeneration interval. */
-    void onFaultEvict(std::size_t idx, Time t);
+    void onFaultEvict(std::size_t idx, sim::SimTime t);
     /** Terminal events: compute components, classify, seal. @{ */
-    void onCompleted(std::size_t idx, Time t, std::uint32_t device);
-    void onRejected(std::size_t idx, Time t, std::uint32_t device);
+    void onCompleted(std::size_t idx, sim::SimTime t,
+                     std::uint32_t device);
+    void onRejected(std::size_t idx, sim::SimTime t,
+                    std::uint32_t device);
     /** Fault-retry budget exhausted: rejection + faulted. */
-    void onFaultFailed(std::size_t idx, Time t, std::uint32_t device);
+    void onFaultFailed(std::size_t idx, sim::SimTime t,
+                       std::uint32_t device);
     /** @} @} */
 
     const std::vector<WaterfallEntry> &entries() const

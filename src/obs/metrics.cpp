@@ -128,7 +128,7 @@ MetricsRegistry::ingestTrace(const TraceRecorder &rec)
         TimeSeries *prefixHits = nullptr;
         double refresh_j = 0.0;
         for (const TraceEvent &e : track->events()) {
-            const double t = e.tsUs / 1e6;
+            const double t = e.ts.sec();
             switch (e.kind) {
               case TraceEventKind::Arrival:
                 arrivals.emplace(e.req, t);

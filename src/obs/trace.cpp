@@ -46,12 +46,15 @@ appendEscaped(std::string &out, const std::string &s)
     }
 }
 
-/** %.3f keeps microsecond timestamps readable and byte-stable. */
+/** Microseconds with three decimals, printed from the integer
+ *  ticks: every nanosecond survives, so a reader recovers them. */
 void
-appendTs(std::string &out, double v)
+appendTs(std::string &out, sim::SimTime t)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld.%03lld",
+                  static_cast<long long>(t.ns() / 1000),
+                  static_cast<long long>(t.ns() % 1000));
     out += buf;
 }
 
@@ -117,10 +120,10 @@ class JsonWriter
         out_ += buf;
     }
     void
-    ts(const char *key, double v)
+    ts(const char *key, sim::SimTime t)
     {
         key_(key);
-        appendTs(out_, v);
+        appendTs(out_, t);
     }
     /** Start an "args" sub-object; fields continue, endArgs closes. */
     void
@@ -167,7 +170,7 @@ writeMeta(JsonWriter &w, int pid, const std::string &name)
 }
 
 void
-writeInstant(JsonWriter &w, const char *name, int pid, double ts_us)
+writeInstant(JsonWriter &w, const char *name, int pid, sim::SimTime ts)
 {
     w.open();
     w.str("name", name);
@@ -175,11 +178,11 @@ writeInstant(JsonWriter &w, const char *name, int pid, double ts_us)
     w.raw("s", "\"t\"");
     w.num("pid", pid);
     w.num("tid", 0);
-    w.ts("ts", ts_us);
+    w.ts("ts", ts);
 }
 
 void
-writeCounter(JsonWriter &w, const char *name, int pid, double ts_us,
+writeCounter(JsonWriter &w, const char *name, int pid, sim::SimTime ts,
              double value)
 {
     w.open();
@@ -187,7 +190,7 @@ writeCounter(JsonWriter &w, const char *name, int pid, double ts_us,
     w.raw("ph", "\"C\"");
     w.num("pid", pid);
     w.num("tid", 0);
-    w.ts("ts", ts_us);
+    w.ts("ts", ts);
     w.beginArgs();
     w.num("value", value);
     w.endArgs();
@@ -196,7 +199,7 @@ writeCounter(JsonWriter &w, const char *name, int pid, double ts_us,
 
 void
 writeSpanEdge(JsonWriter &w, bool begin, const std::string &task,
-              std::uint64_t req, double ts_us)
+              std::uint64_t req, sim::SimTime ts)
 {
     w.open();
     w.str("name", task);
@@ -205,7 +208,7 @@ writeSpanEdge(JsonWriter &w, bool begin, const std::string &task,
     w.uint("id", req);
     w.num("pid", 0);
     w.num("tid", 0);
-    w.ts("ts", ts_us);
+    w.ts("ts", ts);
 }
 
 /** Serialize one track's buffer; `pid` 0 is the requests process. */
@@ -223,18 +226,18 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
         switch (e.kind) {
           case TraceEventKind::Arrival:
             writeSpanEdge(w, true, track.taskName(e.name), e.req,
-                          e.tsUs);
+                          e.ts);
             w.close();
             break;
           case TraceEventKind::Requeue:
-            writeInstant(w, "requeue", pid, e.tsUs);
+            writeInstant(w, "requeue", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.endArgs();
             w.close();
             break;
           case TraceEventKind::Dispatch:
-            writeInstant(w, "dispatch", 0, e.tsUs);
+            writeInstant(w, "dispatch", 0, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.num("device", e.v0);
@@ -242,7 +245,7 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
             w.close();
             break;
           case TraceEventKind::Admit:
-            writeInstant(w, "admit", pid, e.tsUs);
+            writeInstant(w, "admit", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.num("granted", e.v0);
@@ -251,7 +254,7 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
             w.close();
             break;
           case TraceEventKind::Defer:
-            writeInstant(w, "defer", pid, e.tsUs);
+            writeInstant(w, "defer", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.num("requested", e.v0);
@@ -260,27 +263,27 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
             w.close();
             break;
           case TraceEventKind::Reject:
-            writeInstant(w, "reject", pid, e.tsUs);
+            writeInstant(w, "reject", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.num("floor", e.v0);
             w.endArgs();
             w.close();
-            writeSpanEdge(w, false, taskOf(e.req), e.req, e.tsUs);
+            writeSpanEdge(w, false, taskOf(e.req), e.req, e.ts);
             w.beginArgs();
             w.raw("outcome", "\"rejected\"");
             w.endArgs();
             w.close();
             break;
           case TraceEventKind::Preempt:
-            writeInstant(w, "preempt", pid, e.tsUs);
+            writeInstant(w, "preempt", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.endArgs();
             w.close();
             break;
           case TraceEventKind::FirstToken:
-            writeInstant(w, "first_token", pid, e.tsUs);
+            writeInstant(w, "first_token", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.endArgs();
@@ -293,14 +296,14 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
             w.raw("ph", "\"X\"");
             w.num("pid", pid);
             w.num("tid", 0);
-            w.ts("ts", e.tsUs);
-            w.ts("dur", e.durUs);
+            w.ts("ts", e.ts);
+            w.ts("dur", e.dur);
             w.beginArgs();
             w.uint("req", e.req);
             w.num("tokens", e.v0);
             w.endArgs();
             w.close();
-            writeCounter(w, "refresh_J", pid, e.tsUs, refresh_j);
+            writeCounter(w, "refresh_J", pid, e.ts, refresh_j);
             break;
           case TraceEventKind::DecodeStep:
             refresh_j += e.v1;
@@ -309,40 +312,40 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
             w.raw("ph", "\"X\"");
             w.num("pid", pid);
             w.num("tid", 0);
-            w.ts("ts", e.tsUs);
-            w.ts("dur", e.durUs);
+            w.ts("ts", e.ts);
+            w.ts("dur", e.dur);
             w.beginArgs();
             w.num("batch", e.v0);
             w.endArgs();
             w.close();
-            writeCounter(w, "batch", pid, e.tsUs, e.v0);
-            writeCounter(w, "refresh_J", pid, e.tsUs, refresh_j);
+            writeCounter(w, "batch", pid, e.ts, e.v0);
+            writeCounter(w, "refresh_J", pid, e.ts, refresh_j);
             break;
           case TraceEventKind::Complete:
-            writeSpanEdge(w, false, taskOf(e.req), e.req, e.tsUs);
+            writeSpanEdge(w, false, taskOf(e.req), e.req, e.ts);
             w.beginArgs();
             w.num("tokens", e.v0);
             w.endArgs();
             w.close();
             break;
           case TraceEventKind::KvInUse:
-            writeCounter(w, "kv_bytes", pid, e.tsUs, e.v0);
+            writeCounter(w, "kv_bytes", pid, e.ts, e.v0);
             break;
           case TraceEventKind::QueueDepth:
-            writeCounter(w, "queue_depth", pid, e.tsUs, e.v0);
+            writeCounter(w, "queue_depth", pid, e.ts, e.v0);
             break;
           case TraceEventKind::KvPagesFree:
-            writeCounter(w, "kv_pages_free", pid, e.tsUs, e.v0);
+            writeCounter(w, "kv_pages_free", pid, e.ts, e.v0);
             break;
           case TraceEventKind::KvPagesShared:
-            writeCounter(w, "kv_pages_shared", pid, e.tsUs, e.v0);
+            writeCounter(w, "kv_pages_shared", pid, e.ts, e.v0);
             break;
           case TraceEventKind::KvPrefixHits:
-            writeCounter(w, "kv_prefix_hit_tokens", pid, e.tsUs,
+            writeCounter(w, "kv_prefix_hit_tokens", pid, e.ts,
                          e.v0);
             break;
           case TraceEventKind::Slo:
-            writeInstant(w, "slo", pid, e.tsUs);
+            writeInstant(w, "slo", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.num("ttft_deadline_s", e.v0);
@@ -351,7 +354,7 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
             w.close();
             break;
           case TraceEventKind::DeviceFault:
-            writeInstant(w, "device_fault", pid, e.tsUs);
+            writeInstant(w, "device_fault", pid, e.ts);
             w.beginArgs();
             w.num("kind", e.v0);
             w.num("magnitude", e.v1);
@@ -359,14 +362,14 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
             w.close();
             break;
           case TraceEventKind::DeviceRecover:
-            writeInstant(w, "device_recover", pid, e.tsUs);
+            writeInstant(w, "device_recover", pid, e.ts);
             w.beginArgs();
             w.num("kind", e.v0);
             w.endArgs();
             w.close();
             break;
           case TraceEventKind::FaultEvict:
-            writeInstant(w, "fault_evict", pid, e.tsUs);
+            writeInstant(w, "fault_evict", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.num("lost_tokens", e.v0);
@@ -374,12 +377,12 @@ writeTrack(JsonWriter &w, const TraceTrack &track, int pid,
             w.close();
             break;
           case TraceEventKind::FaultFail:
-            writeInstant(w, "fault_fail", pid, e.tsUs);
+            writeInstant(w, "fault_fail", pid, e.ts);
             w.beginArgs();
             w.uint("req", e.req);
             w.endArgs();
             w.close();
-            writeSpanEdge(w, false, taskOf(e.req), e.req, e.tsUs);
+            writeSpanEdge(w, false, taskOf(e.req), e.req, e.ts);
             w.beginArgs();
             w.raw("outcome", "\"failed\"");
             w.endArgs();

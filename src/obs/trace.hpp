@@ -44,7 +44,7 @@
 #include <string>
 #include <vector>
 
-#include "common/units.hpp"
+#include "sim/sim_time.hpp"
 
 namespace kelle {
 namespace obs {
@@ -88,8 +88,8 @@ enum class TraceEventKind : std::uint8_t
 /** One recorded event; payload meaning depends on `kind`. */
 struct TraceEvent
 {
-    double tsUs = 0.0;  ///< sim time, microseconds
-    double durUs = 0.0; ///< slice duration (PrefillStep/DecodeStep)
+    sim::SimTime ts;
+    sim::SimTime dur; ///< slice duration (PrefillStep/DecodeStep)
     double v0 = 0.0;
     double v1 = 0.0;
     std::uint64_t req = 0; ///< request id (0 when not request-bound)
@@ -106,23 +106,23 @@ class TraceTrack
   public:
     /** @name Emission hooks (single writer: the owning engine). @{ */
     void
-    requestArrived(Time t, std::uint64_t req, const std::string &task)
+    requestArrived(sim::SimTime t, std::uint64_t req, const std::string &task)
     {
         push(t, TraceEventKind::Arrival, req, 0.0, 0.0, intern(task));
     }
     void
-    requestRequeued(Time t, std::uint64_t req)
+    requestRequeued(sim::SimTime t, std::uint64_t req)
     {
         push(t, TraceEventKind::Requeue, req);
     }
     void
-    dispatched(Time t, std::uint64_t req, std::size_t device)
+    dispatched(sim::SimTime t, std::uint64_t req, std::size_t device)
     {
         push(t, TraceEventKind::Dispatch, req,
              static_cast<double>(device));
     }
     void
-    admitted(Time t, std::uint64_t req, std::size_t granted,
+    admitted(sim::SimTime t, std::uint64_t req, std::size_t granted,
              std::size_t requested)
     {
         push(t, TraceEventKind::Admit, req,
@@ -130,7 +130,7 @@ class TraceTrack
              static_cast<double>(requested));
     }
     void
-    deferred(Time t, std::uint64_t req, std::size_t requested,
+    deferred(sim::SimTime t, std::uint64_t req, std::size_t requested,
              std::size_t floor)
     {
         push(t, TraceEventKind::Defer, req,
@@ -138,97 +138,98 @@ class TraceTrack
              static_cast<double>(floor));
     }
     void
-    rejected(Time t, std::uint64_t req, std::size_t floor)
+    rejected(sim::SimTime t, std::uint64_t req, std::size_t floor)
     {
         push(t, TraceEventKind::Reject, req,
              static_cast<double>(floor));
     }
     void
-    preempted(Time t, std::uint64_t req)
+    preempted(sim::SimTime t, std::uint64_t req)
     {
         push(t, TraceEventKind::Preempt, req);
     }
     void
-    firstToken(Time t, std::uint64_t req)
+    firstToken(sim::SimTime t, std::uint64_t req)
     {
         push(t, TraceEventKind::FirstToken, req);
     }
     void
-    prefillStep(Time t, Time dur, std::uint64_t req,
+    prefillStep(sim::SimTime t, sim::SimTime dur, std::uint64_t req,
                 std::size_t tokens, double refresh_j)
     {
         push(t, TraceEventKind::PrefillStep, req,
              static_cast<double>(tokens), refresh_j, 0, dur);
     }
     void
-    decodeStep(Time t, Time dur, std::size_t batch, double refresh_j)
+    decodeStep(sim::SimTime t, sim::SimTime dur, std::size_t batch,
+               double refresh_j)
     {
         push(t, TraceEventKind::DecodeStep, 0,
              static_cast<double>(batch), refresh_j, 0, dur);
     }
     void
-    completed(Time t, std::uint64_t req, std::size_t tokens)
+    completed(sim::SimTime t, std::uint64_t req, std::size_t tokens)
     {
         push(t, TraceEventKind::Complete, req,
              static_cast<double>(tokens));
     }
     void
-    kvInUse(Time t, double bytes)
+    kvInUse(sim::SimTime t, double bytes)
     {
         push(t, TraceEventKind::KvInUse, 0, bytes);
     }
     void
-    queueDepth(Time t, std::size_t depth)
+    queueDepth(sim::SimTime t, std::size_t depth)
     {
         push(t, TraceEventKind::QueueDepth, 0,
              static_cast<double>(depth));
     }
     void
-    kvPagesFree(Time t, std::size_t pages)
+    kvPagesFree(sim::SimTime t, std::size_t pages)
     {
         push(t, TraceEventKind::KvPagesFree, 0,
              static_cast<double>(pages));
     }
     void
-    kvPagesShared(Time t, std::size_t pages)
+    kvPagesShared(sim::SimTime t, std::size_t pages)
     {
         push(t, TraceEventKind::KvPagesShared, 0,
              static_cast<double>(pages));
     }
     void
-    kvPrefixHitTokens(Time t, std::uint64_t tokens)
+    kvPrefixHitTokens(sim::SimTime t, std::uint64_t tokens)
     {
         push(t, TraceEventKind::KvPrefixHits, 0,
              static_cast<double>(tokens));
     }
     void
-    sloTarget(Time t, std::uint64_t req, double ttft_deadline_sec,
+    sloTarget(sim::SimTime t, std::uint64_t req, double ttft_deadline_sec,
               double tpot_target_sec)
     {
         push(t, TraceEventKind::Slo, req, ttft_deadline_sec,
              tpot_target_sec);
     }
     void
-    deviceFault(Time t, int kind_code, double magnitude)
+    deviceFault(sim::SimTime t, int kind_code, double magnitude)
     {
         push(t, TraceEventKind::DeviceFault, 0,
              static_cast<double>(kind_code), magnitude);
     }
     void
-    deviceRecover(Time t, int kind_code)
+    deviceRecover(sim::SimTime t, int kind_code)
     {
         push(t, TraceEventKind::DeviceRecover, 0,
              static_cast<double>(kind_code));
     }
     void
-    faultEvicted(Time t, std::uint64_t req,
+    faultEvicted(sim::SimTime t, std::uint64_t req,
                  std::uint64_t lost_tokens)
     {
         push(t, TraceEventKind::FaultEvict, req,
              static_cast<double>(lost_tokens));
     }
     void
-    faultFailed(Time t, std::uint64_t req)
+    faultFailed(sim::SimTime t, std::uint64_t req)
     {
         push(t, TraceEventKind::FaultFail, req);
     }
@@ -249,13 +250,13 @@ class TraceTrack
 
     std::uint32_t intern(const std::string &task);
     void
-    push(Time t, TraceEventKind kind, std::uint64_t req,
+    push(sim::SimTime t, TraceEventKind kind, std::uint64_t req,
          double v0 = 0.0, double v1 = 0.0, std::uint32_t name = 0,
-         Time dur = Time())
+         sim::SimTime dur = sim::SimTime())
     {
         TraceEvent e;
-        e.tsUs = t.sec() * 1e6;
-        e.durUs = dur.sec() * 1e6;
+        e.ts = t;
+        e.dur = dur;
         e.v0 = v0;
         e.v1 = v1;
         e.req = req;

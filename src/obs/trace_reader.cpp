@@ -1,8 +1,10 @@
 #include "obs/trace_reader.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <unordered_map>
@@ -52,6 +54,31 @@ struct Cursor
         if (after == p || after > end || !std::isfinite(out))
             return false;
         p = after;
+        return true;
+    }
+    /** A timestamp as the serializer prints it — microseconds with at
+     *  most three fraction digits — read exactly into ticks. Signs,
+     *  exponents and values beyond the int64-ns range fail. */
+    bool ticks(sim::SimTime &out)
+    {
+        std::uint64_t us = 0;
+        std::uint64_t frac = 0;
+        auto [q, ec] = std::from_chars(p, end, us);
+        if (ec != std::errc())
+            return false;
+        if (q < end && *q == '.') {
+            const auto [f, fec] = std::from_chars(q + 1, end, frac);
+            if (fec != std::errc() || f - (q + 1) > 3)
+                return false;
+            for (auto n = f - (q + 1); n < 3; ++n)
+                frac *= 10;
+            q = f;
+        }
+        if (us > (INT64_MAX - frac) / 1000)
+            return false;
+        p = q;
+        out = sim::SimTime::nanos(
+            static_cast<std::int64_t>(us * 1000 + frac));
         return true;
     }
 };
@@ -122,6 +149,9 @@ parseEventLine(const char *begin, const char *end, RawTraceEvent &ev)
             else if (key == "ph" && sval.size() == 1)
                 ev.ph = sval[0];
             // "s" and "cat" are presentation-only; accept and drop.
+        } else if (key == "ts" || key == "dur") {
+            if (!c.ticks(key == "ts" ? ev.ts : ev.dur))
+                return false;
         } else {
             double v = 0.0;
             if (!c.num(v))
@@ -134,10 +164,7 @@ parseEventLine(const char *begin, const char *end, RawTraceEvent &ev)
             } else if (key == "id") {
                 if (!asIndex(v, ev.id))
                     return false;
-            } else if (key == "ts")
-                ev.tsUs = v;
-            else if (key == "dur")
-                ev.durUs = v;
+            }
             // "tid" is always 0; accept and drop.
         }
         if (c.lit('}'))
@@ -258,7 +285,7 @@ TraceReader::replay()
             ev.pid != declared)
             continue;
         if (declared++ > 0)
-            devices_.push_back({ev.metaName});
+            devices_.emplace_back().name = ev.metaName;
     }
 
     // Merge the tracks by time. Each track is in emission order, so a
@@ -271,7 +298,7 @@ TraceReader::replay()
             order.push_back(&ev);
     std::stable_sort(order.begin(), order.end(),
                      [](const RawTraceEvent *a, const RawTraceEvent *b) {
-                         return a->tsUs < b->tsUs;
+                         return a->ts < b->ts;
                      });
 
     // Dense indices in arrival order, plus what onArrival needs: the
@@ -280,7 +307,7 @@ TraceReader::replay()
     struct Arrival
     {
         std::uint64_t id = 0;
-        double tsUs = 0.0;
+        sim::SimTime ts;
         double ttftDeadlineSec = 0.0;
         double tpotTargetSec = 0.0;
         std::uint64_t tokens = 0;
@@ -303,7 +330,7 @@ TraceReader::replay()
         std::size_t idx = 0;
         if (ev->ph == 'b') {
             if (dense.emplace(ev->id, arrivals.size()).second) {
-                arrivals.push_back({ev->id, ev->tsUs, 0.0, 0.0, 0});
+                arrivals.push_back({ev->id, ev->ts, 0.0, 0.0, 0});
                 tasks_.push_back(ev->name);
             }
         } else if (ev->ph == 'i' && ev->name == "slo" &&
@@ -319,8 +346,7 @@ TraceReader::replay()
     wf_.beginRun(arrivals.size());
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
         const Arrival &a = arrivals[i];
-        wf_.onArrival(i, a.id, Time::micros(a.tsUs), a.ttftDeadlineSec,
-                      a.tpotTargetSec,
+        wf_.onArrival(i, a.id, a.ts, a.ttftDeadlineSec, a.tpotTargetSec,
                       static_cast<std::size_t>(a.tokens));
     }
 
@@ -328,31 +354,21 @@ TraceReader::replay()
     struct Lane
     {
         std::vector<std::size_t> members;
-        double tsUs = 0.0;
-        double durUs = 0.0;
-        double batch = 0.0;
+        sim::SimTime dur;
+        std::size_t batch = 1; ///< fair-share divisor, >= 1
         bool inFlight = false;
     };
     std::vector<Lane> lanes(devices_.size());
     constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
     std::vector<std::size_t> laneOf(arrivals.size(), kNoLane);
-    // Charge the slice in flight on device `d` at an event at `nowUs`.
-    // When that event is the step boundary itself (within the %.3f
-    // rounding of three printed values), its timestamp ends the
-    // slice: back-to-back steps then telescope instead of summing the
-    // rounding of every `dur`.
-    const auto charge = [this, &lanes](std::size_t d, double nowUs) {
+    // Charge the slice in flight on device `d` to its members.
+    const auto charge = [this, &lanes](std::size_t d) {
         Lane &lane = lanes[d];
         if (!lane.inFlight)
             return;
         lane.inFlight = false;
-        const double durUs =
-            std::fabs(nowUs - (lane.tsUs + lane.durUs)) <= 0.002
-                ? nowUs - lane.tsUs
-                : lane.durUs;
         for (std::size_t idx : lane.members)
-            wf_.onDecodeBoundary(idx, durUs * 1e-6,
-                                 std::max(lane.batch, 1.0));
+            wf_.onDecodeBoundary(idx, lane.dur, lane.batch);
     };
     const auto leave = [&lanes, &laneOf](std::size_t idx) {
         if (laneOf[idx] == kNoLane)
@@ -364,7 +380,7 @@ TraceReader::replay()
 
     for (const RawTraceEvent *evp : order) {
         const RawTraceEvent &ev = *evp;
-        const Time t = Time::micros(ev.tsUs);
+        const sim::SimTime t = ev.ts;
         std::size_t idx = 0;
         if (ev.ph == 'e') {
             // Rejections and failures end at their device instants.
@@ -376,7 +392,7 @@ TraceReader::replay()
             }
             const std::size_t d = laneOf[idx];
             if (d != kNoLane)
-                charge(d, ev.tsUs);
+                charge(d);
             wf_.onCompleted(idx, t,
                             static_cast<std::uint32_t>(
                                 d != kNoLane ? d : 0));
@@ -404,17 +420,19 @@ TraceReader::replay()
             continue;
         }
         if (ev.ph == 'X') {
-            devices_[d].busyUs += ev.durUs;
+            devices_[d].busy += ev.dur;
             if (ev.name == "decode") {
                 ++devices_[d].decodeSlices;
-                charge(d, ev.tsUs);
+                charge(d);
                 Lane &lane = lanes[d];
-                lane.tsUs = ev.tsUs;
-                lane.durUs = ev.durUs;
-                lane.batch = argOr(ev, "batch", 1.0);
+                const double batch = argOr(ev, "batch", 1.0);
+                std::uint64_t b = 0;
+                lane.dur = ev.dur;
+                lane.batch = asIndex(batch, b) && b > 0 && b <= UINT32_MAX
+                                 ? static_cast<std::size_t>(b)
+                                 : 1;
                 lane.inFlight = true;
-                if (static_cast<double>(lane.members.size()) !=
-                    lane.batch)
+                if (static_cast<double>(lane.members.size()) != batch)
                     ++stats_.batchMismatches;
                 continue;
             }
@@ -429,19 +447,19 @@ TraceReader::replay()
             continue;
         }
         if (ev.name == "prefill") {
-            wf_.onPrefillChunk(idx, ev.durUs * 1e-6);
+            wf_.onPrefillChunk(idx, ev.dur);
         } else if (ev.name == "defer") {
             wf_.onDeferred(idx, t);
         } else if (ev.name == "admit") {
             wf_.onAdmitted(idx, t);
         } else if (ev.name == "first_token") {
-            charge(d, ev.tsUs);
+            charge(d);
             leave(idx);
             lanes[d].members.push_back(idx);
             laneOf[idx] = d;
             wf_.onFirstToken(idx, t);
         } else if (ev.name == "preempt") {
-            charge(d, ev.tsUs);
+            charge(d);
             leave(idx);
             wf_.onPreempt(idx, t);
         } else if (ev.name == "fault_evict") {

@@ -33,9 +33,12 @@
  *    still in the batch, with its `batch` arg as the fair-share
  *    divisor. A crash evicts every member first, so the slice it
  *    orphans charges no one, as in the engine.
- *  - the trace stores %.3f µs timestamps, so offline components equal
- *    the online ones to within that rounding, not bitwise (pinned at
- *    1 µs by tests/test_attribution.cpp).
+ *  - timestamps and durations are printed as %.3f µs from integer
+ *    nanosecond ticks and parsed straight back to those ticks, so the
+ *    replay sees the engine's own clock: offline waterfalls equal the
+ *    online ones exactly (pinned by tests/test_attribution.cpp). A
+ *    `ts` or `dur` that is not a non-negative decimal with at most
+ *    three fraction digits within the int64-ns range is malformed.
  *
  * Determinism: output depends only on the trace bytes, which are
  * themselves byte-identical across thread counts and fastSim on/off,
@@ -63,8 +66,8 @@ struct RawTraceEvent
     char ph = 0; ///< M, b, e, i, X, C
     int pid = 0;
     std::uint64_t id = 0; ///< async span id (b/e events)
-    double tsUs = 0.0;
-    double durUs = 0.0;
+    sim::SimTime ts;
+    sim::SimTime dur;
     /** Numeric args (req, device, batch, tokens, value, ...). */
     std::map<std::string, double> args;
     /** args.name of process_name metadata events. */
@@ -79,7 +82,7 @@ struct RawTraceEvent
 struct TraceDeviceSummary
 {
     std::string name;
-    double busyUs = 0.0; ///< sum of prefill + decode slice durations
+    sim::SimTime busy; ///< sum of prefill + decode slice durations
     std::size_t prefillSlices = 0;
     std::size_t decodeSlices = 0;
 };

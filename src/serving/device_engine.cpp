@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 
 #include "accel/capacity.hpp"
@@ -14,10 +13,21 @@
 namespace kelle {
 namespace serving {
 
+using sim::SimTime;
+
 namespace {
 
 /** Extra slack above the protected regions in the budget floor. */
 constexpr std::size_t kFloorSlackTokens = 8;
+
+/** First tick at which the preemption scan finds `r` doomed when its
+ *  doom clock started at `start`: the scan fires once `now - start >
+ *  doomAfter()`. */
+SimTime
+doomTick(const Request &r, SimTime start)
+{
+    return start + r.doomAfter() + SimTime::nanos(1);
+}
 
 /** Group size for quantized page storage (KvCacheConfig default). */
 constexpr std::size_t kPageQuantGroup = 32;
@@ -220,7 +230,7 @@ DeviceEngine::enqueue(std::size_t idx)
 void
 DeviceEngine::recordArrival(obs::TraceTrack *trace,
                             obs::LatencyWaterfall *wf, std::size_t idx,
-                            const Request &r, Time t)
+                            const Request &r, SimTime t)
 {
     if (trace != nullptr) {
         trace->requestArrived(t, r.id, r.task.name);
@@ -278,10 +288,7 @@ DeviceEngine::preemptDoomed()
             continue;
         if (r.tpotTargetSec <= 0.0 || r.task.decLen == 0 || r.done())
             continue;
-        const double elapsed = (queue_.now() - r.firstToken).sec();
-        const double doomed_at =
-            r.tpotTargetSec * static_cast<double>(r.task.decLen);
-        if (elapsed > doomed_at)
+        if (queue_.now() - r.firstToken > r.doomAfter())
             victims.push_back(idx);
     }
     for (std::size_t idx : victims) {
@@ -299,7 +306,6 @@ DeviceEngine::preemptDoomed()
         r.generated = 0;
         r.budgetRequested = 0;
         r.budgetGranted = 0;
-        r.kvBytesReserved = 0.0;
         metrics_.onPreempted();
         if (wf_ != nullptr)
             wf_->onPreempt(idx, queue_.now());
@@ -395,7 +401,7 @@ DeviceEngine::poolMark() const
 }
 
 void
-DeviceEngine::tracePagedCounters(Time t)
+DeviceEngine::tracePagedCounters(SimTime t)
 {
     if (trace_ == nullptr || !allocator_.paged())
         return;
@@ -417,9 +423,9 @@ DeviceEngine::rejectRequest(std::size_t idx, std::size_t floor_tokens)
         // the client until the re-arrival event fires.
         ++r.clientRetries;
         const double u = hashUnit(r.id, r.clientRetries);
-        const Time at =
+        const SimTime at =
             queue_.now() +
-            Time::seconds(cfg_.clientRetryBackoffSec * (0.5 + u));
+            SimTime::fromSec(cfg_.clientRetryBackoffSec * (0.5 + u));
         clientRetryAt_.emplace_back(at, idx);
         queue_.schedule(at, [this] { fireClientRetry(); });
         if (cfg_.verbose)
@@ -498,13 +504,12 @@ DeviceEngine::tryAdmitAt(std::size_t pos, std::size_t idx)
     // queue-wait metric, and the victim's first life was service,
     // not queue. Victims that were never admitted — crashed out of
     // the waiting queue, or client retries — stamp now.
-    if (r.admitted.sec() == 0.0)
+    if (r.admitted == SimTime())
         r.admitted = queue_.now();
     if (wf_ != nullptr)
         wf_->onAdmitted(idx, queue_.now());
     r.budgetRequested = requested;
     r.budgetGranted = grant.budgetTokens;
-    r.kvBytesReserved = grant.bytes;
     if (grant.prefixHitTokens > 0 && r.task.ctxLen > 1) {
         // Shared prefix pages already hold these tokens' KV: prefill
         // resumes past them (capped so at least one prompt token runs
@@ -644,11 +649,11 @@ DeviceEngine::runPrefillChunk(const EngineStepPlan &plan)
     const accel::StepReport &step =
         prefillChunkCost(r.prefilled, plan.chunkTokens);
     // Slowdown faults stretch the step wall-clock, not its energy.
-    const Time lat = scaled(step.latency);
+    const SimTime lat = scaled(step.latency);
     metrics_.addEnergy(step.energy);
-    busy_ = busy_ + lat;
+    busy_ += lat;
     if (wf_ != nullptr)
-        wf_->onPrefillChunk(idx, lat.sec());
+        wf_->onPrefillChunk(idx, lat);
     if (trace_ != nullptr)
         trace_->prefillStep(queue_.now(), lat, r.id,
                             plan.chunkTokens,
@@ -683,7 +688,7 @@ DeviceEngine::onPrefillDone()
         // evicted *before* their first token (crashed out of the
         // waiting/prefilling queues, client retries) stamp the real
         // first token whenever it finally lands.
-        const bool restart = req.firstToken.sec() > 0.0;
+        const bool restart = req.firstToken != SimTime();
         if (!restart) {
             req.firstToken = queue_.now();
             req.lastToken = req.firstToken;
@@ -765,30 +770,29 @@ DeviceEngine::silentStepBudget(bool *replay_deferrals) const
     return budget;
 }
 
-Time
-DeviceEngine::nextPossibleRequeueTime(Time now) const
+SimTime
+DeviceEngine::firstDoomedRunning() const
 {
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    // A pending client re-arrival is waiting demand to come: it lands
-    // in waiting_ from this engine's own queue, inside any window.
-    if (!cfg_.preempt.enabled ||
-        (waiting_.empty() && clientRetryAt_.empty()))
-        return Time::seconds(inf);
-    double bound = inf;
+    SimTime first = SimTime::never();
     for (std::size_t idx : running_) {
         const Request &r = requests_[idx];
         if (r.preemptions > 0 || r.tpotTargetSec <= 0.0 ||
             r.task.decLen == 0 || r.done())
             continue;
-        const double doomed_at =
-            r.tpotTargetSec * static_cast<double>(r.task.decLen);
-        // One-ulp shave: the scan's (t - firstToken) > doomed_at uses
-        // a subtraction this sum does not, so the sum may round above
-        // the earliest triggering t by half an ulp.
-        bound = std::min(bound, std::nextafter(
-                                    r.firstToken.sec() + doomed_at,
-                                    -inf));
+        first = std::min(first, doomTick(r, r.firstToken));
     }
+    return first;
+}
+
+SimTime
+DeviceEngine::nextPossibleRequeueTime(SimTime now) const
+{
+    // A pending client re-arrival is waiting demand to come: it lands
+    // in waiting_ from this engine's own queue, inside any window.
+    if (!cfg_.preempt.enabled ||
+        (waiting_.empty() && clientRetryAt_.empty()))
+        return SimTime::never();
+    SimTime bound = firstDoomedRunning();
     // Waiters and prefilling admits may start decoding inside another
     // device's window. A first decode starts its doom clock no earlier
     // than `now`; a restart after a fault eviction keeps its original
@@ -798,13 +802,9 @@ DeviceEngine::nextPossibleRequeueTime(Time now) const
         if (r.preemptions > 0 || r.tpotTargetSec <= 0.0 ||
             r.task.decLen == 0)
             return;
-        const double doomed_at =
-            r.tpotTargetSec * static_cast<double>(r.task.decLen);
-        const double start = r.firstToken.sec() > 0.0
-                                 ? r.firstToken.sec()
-                                 : now.sec();
-        bound = std::min(bound,
-                         std::nextafter(start + doomed_at, -inf));
+        bound = std::min(
+            bound,
+            doomTick(r, r.firstToken != SimTime() ? r.firstToken : now));
     };
     for (std::size_t idx : admitted_)
         consider(idx);
@@ -812,7 +812,7 @@ DeviceEngine::nextPossibleRequeueTime(Time now) const
         consider(idx);
     for (const auto &retry : clientRetryAt_)
         consider(retry.second);
-    return Time::seconds(bound);
+    return bound;
 }
 
 void
@@ -836,9 +836,9 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // is constant inside a step window (fault instants bound every
     // fast-forward horizon), so re-deriving `lat` after each re-cost
     // keeps every consumer consistent.
-    Time lat = scaled(step->latency);
+    SimTime lat = scaled(step->latency);
     metrics_.addEnergy(step->energy);
-    busy_ = busy_ + lat;
+    busy_ += lat;
     inFlightBatch_.assign(plan.decodeBatch.begin(),
                           plan.decodeBatch.end());
     if (trace_ != nullptr)
@@ -856,13 +856,13 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // the event-driven loop would, in the same order: member token
     // updates at the boundary (batched between sync boundaries, see
     // below), then the next step's resident total, cost lookup, and
-    // energy/busy/counter accumulations, with the same
-    // repeated-addition timestamps. The (batch, total-resident)
+    // energy/busy/counter accumulations, with the same tick
+    // timestamps. The (batch, total-resident)
     // cost key is tracked incrementally — it grows by the number of
     // members still below their budget clamp, and stops changing (no
     // lookup at all) once every member is clamped. Only the final,
     // state-changing boundary re-enters the queue.
-    Time t = queue_.now();
+    SimTime t = queue_.now();
     bool replay_deferrals = false;
     std::size_t silent = silentStepBudget(&replay_deferrals);
     if (silent > 0) {
@@ -870,27 +870,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                              ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point();
         const std::uint64_t ff_before = fastForwarded_;
-        // Preemption stays armed inside the window: collect the batch
-        // members the boundary scan would examine (it only runs with
-        // waiting demand, and the waiting queue is frozen here) and
-        // stop the window before the first boundary where any of them
-        // crosses its doom time — evaluated with the scan's own
-        // subtract-then-compare arithmetic so the stop is bit-exact,
-        // and that boundary runs through the real event path.
-        doomScratch_.clear();
-        if (cfg_.preempt.enabled && !waiting_.empty()) {
-            for (std::size_t idx : running_) {
-                const Request &r = requests_[idx];
-                if (r.preemptions > 0 || r.tpotTargetSec <= 0.0 ||
-                    r.task.decLen == 0 || r.done())
-                    continue;
-                doomScratch_.emplace_back(
-                    r.firstToken,
-                    r.tpotTargetSec * static_cast<double>(r.task.decLen));
-            }
-        }
-        bool bounded;
-        Time horizon;
+        SimTime horizon = queue_.nextEventTime();
         if (hooks_.nextExternalEvent) {
             // The owner vouches that nothing before this timestamp
             // can reach this engine (other devices' completions
@@ -899,18 +879,16 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             // but enqueue into *this* engine, so they bound the
             // window too.
             horizon = hooks_.nextExternalEvent();
-            if (!clientRetryAt_.empty()) {
-                const Time cr = minClientRetryAt();
-                if (cr < horizon)
-                    horizon = cr;
-            }
-            bounded = horizon.sec() <
-                      std::numeric_limits<double>::infinity();
-        } else {
-            bounded = !queue_.empty();
-            if (bounded)
-                horizon = queue_.nextEventTime();
+            for (const auto &retry : clientRetryAt_)
+                horizon = std::min(horizon, retry.first);
         }
+        // Preemption stays armed inside the window: the boundary scan
+        // runs only with waiting demand (the waiting queue is frozen
+        // here), so the window stops before the first tick at which a
+        // batch member is doomed, and that boundary runs through the
+        // real event path.
+        if (cfg_.preempt.enabled && !waiting_.empty())
+            horizon = std::min(horizon, firstDoomedRunning());
         std::size_t n_sum = 0;
         for (std::size_t n : residentScratch_)
             n_sum += n;
@@ -942,17 +920,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         std::size_t page_edge = std::numeric_limits<std::size_t>::max();
         double gap_max = 0.0;
         while (silent > 0) {
-            const Time tn = t + lat;
-            if (bounded && !(tn < horizon))
-                break;
-            bool doomed = false;
-            for (const auto &d : doomScratch_) {
-                if ((tn - d.first).sec() > d.second) {
-                    doomed = true;
-                    break;
-                }
-            }
-            if (doomed)
+            const SimTime tn = t + lat;
+            if (!(tn < horizon))
                 break;
             const double gap = (tn - t).sec();
             gap_max = deferred == 0 ? gap : std::max(gap_max, gap);
@@ -977,11 +946,9 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 // Waterfall shares are charged from the step that just
                 // ended — `step` is re-costed only below. By-value
                 // captures keep the loop's locals in registers.
-                const double batch = static_cast<double>(batch_size);
                 const auto flush = [this, add = deferred, first = !synced,
-                                    gap = gap_max, now = t, batch,
-                                    ended_step_sec = lat.sec()](
-                                       std::size_t idx) {
+                                    gap = gap_max, now = t, batch_size,
+                                    ended_step = lat](std::size_t idx) {
                     Request &r = requests_[idx];
                     r.generated += add;
                     r.maxTokenGapSec = std::max(
@@ -989,7 +956,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                         first ? (now - r.lastToken).sec() : gap);
                     r.lastToken = now;
                     if (wf_ != nullptr)
-                        wf_->onDecodeBoundary(idx, ended_step_sec, batch);
+                        wf_->onDecodeBoundary(idx, ended_step, batch_size);
                 };
                 // A real round's budget clamp reads the residents, so
                 // the flush precedes it; otherwise it rides the
@@ -1103,7 +1070,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 trace_->decodeStep(t, lat, batch_size,
                                    step->energy.refresh.j());
             metrics_.addEnergy(step->energy);
-            busy_ = busy_ + lat;
+            busy_ += lat;
             --silent;
         }
         if (deferred > 0) {
@@ -1132,9 +1099,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
 void
 DeviceEngine::onDecodeDone()
 {
-    const double step_sec = inFlightStepLatency_.sec();
-    const double batch =
-        static_cast<double>(inFlightBatch_.size());
+    const std::size_t batch = inFlightBatch_.size();
     for (std::size_t idx : inFlightBatch_) {
         Request &r = requests_[idx];
         ++r.generated;
@@ -1142,7 +1107,7 @@ DeviceEngine::onDecodeDone()
             r.maxTokenGapSec, (queue_.now() - r.lastToken).sec());
         r.lastToken = queue_.now();
         if (wf_ != nullptr)
-            wf_->onDecodeBoundary(idx, step_sec, batch);
+            wf_->onDecodeBoundary(idx, inFlightStepLatency_, batch);
         if (r.done()) {
             finishRequest(idx);
             running_.erase(
@@ -1175,15 +1140,6 @@ DeviceEngine::finishRequest(std::size_t idx)
                toString(r.completed - r.arrival), ")");
 }
 
-Time
-DeviceEngine::minClientRetryAt() const
-{
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto &e : clientRetryAt_)
-        best = std::min(best, e.first.sec());
-    return Time::seconds(best);
-}
-
 void
 DeviceEngine::fireClientRetry()
 {
@@ -1211,7 +1167,7 @@ DeviceEngine::fireClientRetry()
 }
 
 void
-DeviceEngine::crashAt(Time t, std::vector<std::size_t> *victims,
+DeviceEngine::crashAt(SimTime t, std::vector<std::size_t> *victims,
                       std::uint64_t *lost_tokens)
 {
     KELLE_ASSERT(!crashed_, "crash on an already-down device");
@@ -1252,7 +1208,6 @@ DeviceEngine::crashAt(Time t, std::vector<std::size_t> *victims,
         r.generated = 0;
         r.budgetRequested = 0;
         r.budgetGranted = 0;
-        r.kvBytesReserved = 0.0;
         if (grants_[idx].admitted)
             allocator_.release(grants_[idx]);
         if (trace_ != nullptr)
@@ -1272,7 +1227,7 @@ DeviceEngine::crashAt(Time t, std::vector<std::size_t> *victims,
 }
 
 void
-DeviceEngine::recoverAt(Time t)
+DeviceEngine::recoverAt(SimTime t)
 {
     KELLE_ASSERT(crashed_, "recovering a device that is not down");
     crashed_ = false;
@@ -1284,7 +1239,7 @@ DeviceEngine::recoverAt(Time t)
 }
 
 void
-DeviceEngine::slowdownAt(Time t, double factor)
+DeviceEngine::slowdownAt(SimTime t, double factor)
 {
     KELLE_ASSERT(factor >= 1.0, "slowdown must not speed up");
     latencyScale_ = factor;
@@ -1296,7 +1251,7 @@ DeviceEngine::slowdownAt(Time t, double factor)
 }
 
 void
-DeviceEngine::shrinkPoolAt(Time t, double factor)
+DeviceEngine::shrinkPoolAt(SimTime t, double factor)
 {
     allocator_.setCapacityScale(factor);
     lastRoundAllDeferred_ = false; // admission verdicts changed
@@ -1308,7 +1263,7 @@ DeviceEngine::shrinkPoolAt(Time t, double factor)
 }
 
 void
-DeviceEngine::restoreAt(Time t, int kind_code)
+DeviceEngine::restoreAt(SimTime t, int kind_code)
 {
     if (kind_code == 1) {
         latencyScale_ = 1.0;
@@ -1327,7 +1282,7 @@ DeviceEngine::restoreAt(Time t, int kind_code)
 }
 
 std::size_t
-DeviceEngine::pressureReclaimAt(Time t)
+DeviceEngine::pressureReclaimAt(SimTime t)
 {
     if (!allocator_.paged())
         return 0; // contiguous reservations have nothing cached
@@ -1344,7 +1299,7 @@ DeviceEngine::pressureReclaimAt(Time t)
 }
 
 void
-DeviceEngine::shedStaleWaitingAt(Time t,
+DeviceEngine::shedStaleWaitingAt(SimTime t,
                                  std::vector<std::size_t> *shed)
 {
     if (waiting_.empty())
@@ -1358,7 +1313,7 @@ DeviceEngine::shedStaleWaitingAt(Time t,
         // so hand them back for re-dispatch instead of serving a
         // guaranteed miss under fleet-wide pressure.
         const bool expired = r.ttftDeadlineSec > 0.0 &&
-                             r.firstToken.sec() == 0.0 &&
+                             r.firstToken == SimTime() &&
                              r.ttftDeadline() < t;
         if (!expired) {
             ++it;
@@ -1387,7 +1342,7 @@ DeviceEngine::shedStaleWaitingAt(Time t,
 }
 
 void
-DeviceEngine::failRequestAt(Time t, std::size_t idx)
+DeviceEngine::failRequestAt(SimTime t, std::size_t idx)
 {
     Request &r = requests_[idx];
     r.state = RequestState::Rejected;

@@ -185,13 +185,14 @@ class DeviceEngine
         std::function<void(std::size_t idx)> requeue;
         /**
          * Timestamp of the earliest event from outside this engine's
-         * own queue that could *affect it* (+inf when none remains) —
+         * own queue that could *affect it* (`never()` when none
+         * remains) —
          * the cluster's current lookahead horizon. When set, the
          * decode fast-forward window is bounded by this instead of by
          * the engine's queue alone; leaving it unset falls back to
          * the queue's next pending event.
          */
-        std::function<Time()> nextExternalEvent;
+        std::function<sim::SimTime()> nextExternalEvent;
     };
 
     /**
@@ -247,7 +248,8 @@ class DeviceEngine
      *  for a request that arrives while the whole fleet is down. */
     static void recordArrival(obs::TraceTrack *trace,
                               obs::LatencyWaterfall *wf,
-                              std::size_t idx, const Request &r, Time t);
+                              std::size_t idx, const Request &r,
+                              sim::SimTime t);
 
     /** @name Status for dispatch policies and roll-ups. @{ */
     const DeviceConfig &config() const { return cfg_; }
@@ -278,22 +280,21 @@ class DeviceEngine
     std::size_t dispatched() const { return dispatched_; }
     /**
      * Conservative lower bound on when this device could next hand a
-     * preemption victim back through `Hooks::requeue`, +inf when it
-     * provably cannot before new work reaches it (preemption off, or
-     * no waiting demand and no pending client re-arrival — the waiting
-     * queue only shrinks until the owner enqueues again). The cluster
-     * drive loop bounds every device's lookahead window with this: a
-     * decode that is running now is not doomed before `firstToken +
-     * tpotTarget x decLen`, and one that starts decoding
-     * later starts its doom clock no earlier than `now` — or at its
-     * first token, when a fault eviction restarts it. Each term is
-     * shaved one ulp so the
-     * bound stays below the preemption scan's own rounding. The bound
-     * may lie in the past (a survivor already past its doom time is
-     * preemptable at its very next boundary); callers must fall back
-     * to a serialized round at that instant.
+     * preemption victim back through `Hooks::requeue`, `never()` when
+     * it provably cannot before new work reaches it (preemption off,
+     * or no waiting demand and no pending client re-arrival — the
+     * waiting queue only shrinks until the owner enqueues again). The
+     * cluster drive loop bounds every device's lookahead window with
+     * this: the preemption scan fires once `t - firstToken >
+     * doomAfter()`, so a decode that is running now is not doomed
+     * before the tick `firstToken + doomAfter() + 1`, and one that
+     * starts decoding later starts its doom clock no earlier than
+     * `now` — or at its first token, when a fault eviction restarts
+     * it. The bound may lie in the past (a survivor already past its
+     * doom time is preemptable at its very next boundary); callers
+     * must fall back to a serialized round at that instant.
      */
-    Time nextPossibleRequeueTime(Time now) const;
+    sim::SimTime nextPossibleRequeueTime(sim::SimTime now) const;
     /** @} */
 
     /**
@@ -316,17 +317,17 @@ class DeviceEngine
      * `recoverAt`. The pending step-completion event is orphaned by
      * an epoch bump and pops as a no-op.
      */
-    void crashAt(Time t, std::vector<std::size_t> *victims,
+    void crashAt(sim::SimTime t, std::vector<std::size_t> *victims,
                  std::uint64_t *lost_tokens);
     /** Crash repair done: accept dispatches again. */
-    void recoverAt(Time t);
+    void recoverAt(sim::SimTime t);
     /** Transient compute degradation: scale step latencies. */
-    void slowdownAt(Time t, double factor);
+    void slowdownAt(sim::SimTime t, double factor);
     /** eDRAM degrade: scale the KV capacity admission sees. */
-    void shrinkPoolAt(Time t, double factor);
+    void shrinkPoolAt(sim::SimTime t, double factor);
     /** Recovery of a non-crash disruption; `kind_code` mirrors the
      *  faults::FaultKind value (1 slowdown, 2 pool shrink). */
-    void restoreAt(Time t, int kind_code);
+    void restoreAt(sim::SimTime t, int kind_code);
     /**
      * Graceful-degradation ladder, rung 1-2: drop cached shared-
      * prefix pages, then clamp running budgets to what they hold
@@ -334,22 +335,21 @@ class DeviceEngine
      * Returns pages freed. Re-runs dispatch so freed pages can admit
      * blocked waiters immediately.
      */
-    std::size_t pressureReclaimAt(Time t);
+    std::size_t pressureReclaimAt(sim::SimTime t);
     /**
      * Ladder rung 3: shed waiting requests whose TTFT deadline has
      * already expired, appending them to `shed` for the owner to
      * re-dispatch through the retry path.
      */
-    void shedStaleWaitingAt(Time t, std::vector<std::size_t> *shed);
+    void shedStaleWaitingAt(sim::SimTime t, std::vector<std::size_t> *shed);
     /**
      * Terminal fault failure: the owner's retry budget for `idx` ran
      * out. Counts as a rejection in the SLO metrics, lands in the
      * waterfall with the fault flag, and closes the request's trace
      * span with outcome "failed".
      */
-    void failRequestAt(Time t, std::size_t idx);
+    void failRequestAt(sim::SimTime t, std::size_t idx);
     bool crashed() const { return crashed_; }
-    double latencyScale() const { return latencyScale_; }
     /** @} */
 
     /** @name Run outcome, read by the owner after the queue drains. @{ */
@@ -358,9 +358,9 @@ class DeviceEngine
     std::uint64_t decodeSteps() const { return decodeSteps_; }
     std::uint64_t prefillChunks() const { return prefillChunks_; }
     std::uint64_t prefills() const { return prefills_; }
-    Time lastCompletion() const { return lastCompletion_; }
+    sim::SimTime lastCompletion() const { return lastCompletion_; }
     /** Wall-clock the accelerator spent executing engine steps. */
-    Time busyTime() const { return busy_; }
+    sim::SimTime busyTime() const { return busy_; }
     /** Step-cost memoization accounting (zero when fastSim is off). */
     const accel::StepCostCache::Stats &
     costCacheStats() const
@@ -404,20 +404,17 @@ class DeviceEngine
                                               std::size_t chunk_len);
     void finishRequest(std::size_t idx);
     void rejectRequest(std::size_t idx, std::size_t floor_tokens);
-    /** Step latency under a slowdown fault (identity at scale 1.0,
-     *  so the healthy path is bit-exact). */
-    Time
+    /** A step latency on the simulation clock, stretched by any
+     *  slowdown fault: the one place the timing model's `double`
+     *  seconds are rounded to ticks. */
+    sim::SimTime
     scaled(Time lat) const
     {
-        return latencyScale_ == 1.0
-                   ? lat
-                   : Time::seconds(lat.sec() * latencyScale_);
+        return sim::SimTime::fromSec(lat.sec() * latencyScale_);
     }
-    /** Earliest pending client re-arrival (+inf when none): the
-     *  decode fast-forward window must stop before it even when the
-     *  owner's nextExternalEvent hook vouches for a later horizon —
-     *  the re-arrival enqueues into *this* engine. */
-    Time minClientRetryAt() const;
+    /** First tick at which the preemption scan would find a running
+     *  member doomed (`never()` when none can be). */
+    sim::SimTime firstDoomedRunning() const;
     /** Pop the earliest pending client re-arrival (ties: earliest
      *  scheduled, matching the event queue's seq order) and re-enqueue
      *  it — or re-enter the reject path if the device crashed while
@@ -453,7 +450,7 @@ class DeviceEngine
     };
     PoolMark poolMark() const;
     /** Paged-pool counter samples next to each kvInUse emission. */
-    void tracePagedCounters(Time t);
+    void tracePagedCounters(sim::SimTime t);
     EngineView view() const;
     std::size_t requestedBudget(const sim::Task &task) const;
     std::size_t minBudget(const sim::Task &task) const;
@@ -499,7 +496,7 @@ class DeviceEngine
     std::vector<std::size_t> inFlightBatch_; ///< decode members
     /** Cost of the decode step whose completion event is pending —
      *  onDecodeDone charges each member's waterfall share from it. */
-    Time inFlightStepLatency_;
+    sim::SimTime inFlightStepLatency_;
     std::size_t inFlightPrefillIdx_ = 0;
     std::size_t inFlightPrefillTokens_ = 0;
     accel::StepReport stepScratch_; ///< fastSim-off cost slot
@@ -519,10 +516,6 @@ class DeviceEngine
      *  tryAdmitAt; the decode fast-forward replays them per boundary
      *  when the round was pure deferrals. */
     std::vector<DeferredAdmit> deferScratch_;
-    /** (firstToken, doom delta) per preemption-eligible batch member;
-     *  the fast-forward stops before any boundary where the event
-     *  path's preemption scan would fire. */
-    std::vector<std::pair<Time, double>> doomScratch_;
     /** Per batch member, the deferred fast-forward boundary from
      *  which its resident stops growing (budget - ctx - generated,
      *  floored at 0), sorted; rebased at each sync boundary of the
@@ -550,7 +543,7 @@ class DeviceEngine
     std::uint32_t runEpoch_ = 0;
     /** Pending client re-arrivals (instant, request idx), unordered;
      *  linear scans — retries are rare. */
-    std::vector<std::pair<Time, std::size_t>> clientRetryAt_;
+    std::vector<std::pair<sim::SimTime, std::size_t>> clientRetryAt_;
     /** @} */
     EngineStepKind lastStep_ = EngineStepKind::Idle;
     std::size_t dispatched_ = 0;
@@ -559,8 +552,8 @@ class DeviceEngine
     std::uint64_t prefillChunks_ = 0;
     std::uint64_t prefills_ = 0;
     std::uint64_t fastForwarded_ = 0;
-    Time lastCompletion_;
-    Time busy_;
+    sim::SimTime lastCompletion_;
+    sim::SimTime busy_;
 };
 
 /**

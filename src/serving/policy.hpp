@@ -74,7 +74,7 @@ std::vector<SchedulePolicy> allSchedulePolicies();
  */
 struct EngineView
 {
-    Time now;
+    sim::SimTime now;
     const std::vector<Request> &requests;
     const std::deque<std::size_t> &waiting;
     const std::deque<std::size_t> &admitted;

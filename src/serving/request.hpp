@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <string>
 
-#include "common/units.hpp"
+#include "sim/sim_time.hpp"
 #include "sim/workloads.hpp"
 
 namespace kelle {
@@ -39,7 +39,7 @@ struct Request
 {
     std::uint64_t id = 0;
     sim::Task task;  ///< §7.1 workload entry (ctx/dec lengths, N')
-    Time arrival;    ///< generated by the arrival process
+    sim::SimTime arrival; ///< generated by the arrival process
 
     /**
      * Content identity of the prompt's shared prefix (0 = unique
@@ -65,8 +65,6 @@ struct Request
     /** AERP budget N' granted at admission (may be shrunk under
      *  eviction pressure; 0 until admitted). */
     std::size_t budgetGranted = 0;
-    /** KV pool bytes reserved for this request while resident. */
-    double kvBytesReserved = 0.0;
     /** Prompt tokens whose KV is resident (chunked prefill progress;
      *  == task.ctxLen once prefill is complete). */
     std::size_t prefilled = 0;
@@ -97,10 +95,10 @@ struct Request
     bool faultFailed = false;
     /** @} */
 
-    Time admitted;   ///< budget granted, prefill queued
-    Time firstToken; ///< prefill completed (TTFT endpoint)
-    Time lastToken;  ///< most recent token emission
-    Time completed;  ///< last decode token emitted
+    sim::SimTime admitted;   ///< budget granted, prefill queued
+    sim::SimTime firstToken; ///< prefill completed (TTFT endpoint)
+    sim::SimTime lastToken;  ///< most recent token emission
+    sim::SimTime completed;  ///< last decode token emitted
     /**
      * Longest inter-token gap seen while decoding: the decode stall
      * another request's prefill (monolithic or chunked) inflicted on
@@ -130,10 +128,18 @@ struct Request
     bool prefillDone() const { return prefilled >= task.ctxLen; }
 
     /** Absolute wall-clock TTFT deadline (arrival + SLO budget). */
-    Time
+    sim::SimTime
     ttftDeadline() const
     {
-        return arrival + Time::seconds(ttftDeadlineSec);
+        return arrival + sim::SimTime::fromSec(ttftDeadlineSec);
+    }
+    /** Doomed once `now - firstToken` exceeds this: even an instant
+     *  finish would then miss the TPOT target. */
+    sim::SimTime
+    doomAfter() const
+    {
+        return sim::SimTime::fromSec(tpotTargetSec *
+                                     static_cast<double>(task.decLen));
     }
 };
 

@@ -138,7 +138,9 @@ generateTrace(const TrafficConfig &cfg)
             Request r;
             r.id = trace.size();
             r.task = sampleTask(rng, mix);
-            r.arrival = Time::seconds(now);
+            r.arrival = sim::SimTime::fromSec(now);
+            KELLE_ASSERT(r.arrival < sim::SimTime::never(),
+                         "arrival past the simulation clock's range");
             r.ttftDeadlineSec = cfg.slo.ttftDeadlineSec(r.task.ctxLen);
             r.tpotTargetSec = std::max(0.0, cfg.slo.tpotSec);
             if (cfg.sessions > 0 && r.task.ctxLen > 1) {

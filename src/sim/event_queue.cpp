@@ -8,7 +8,7 @@ namespace kelle {
 namespace sim {
 
 void
-EventQueue::schedule(Time when, Callback cb)
+EventQueue::schedule(SimTime when, Callback cb)
 {
     KELLE_ASSERT(when >= now_, "scheduling into the past: ", when.sec(),
                  " < ", now_.sec());
@@ -17,7 +17,7 @@ EventQueue::schedule(Time when, Callback cb)
 }
 
 void
-EventQueue::scheduleAfter(Time delta, Callback cb)
+EventQueue::scheduleAfter(SimTime delta, Callback cb)
 {
     schedule(now_ + delta, std::move(cb));
 }
@@ -31,7 +31,6 @@ EventQueue::runNext()
     Event ev = std::move(heap_.back());
     heap_.pop_back();
     now_ = ev.when;
-    ++executed_;
     ev.cb();
     return true;
 }
@@ -46,7 +45,7 @@ EventQueue::runAll(std::uint64_t limit)
 }
 
 std::uint64_t
-EventQueue::runBefore(Time t)
+EventQueue::runBefore(SimTime t)
 {
     std::uint64_t n = 0;
     while (!heap_.empty() && heap_.front().when < t) {
@@ -57,7 +56,7 @@ EventQueue::runBefore(Time t)
 }
 
 void
-EventQueue::advanceTo(Time t)
+EventQueue::advanceTo(SimTime t)
 {
     KELLE_ASSERT(heap_.empty() || !(heap_.front().when < t),
                  "advancing the clock past a pending event: ",
@@ -68,7 +67,7 @@ EventQueue::advanceTo(Time t)
 }
 
 std::uint64_t
-EventQueue::runUntil(Time t)
+EventQueue::runUntil(SimTime t)
 {
     std::uint64_t n = 0;
     while (!heap_.empty() && heap_.front().when <= t) {

@@ -20,10 +20,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <vector>
 
-#include "common/units.hpp"
+#include "sim/sim_time.hpp"
 
 namespace kelle {
 namespace sim {
@@ -35,16 +34,16 @@ class EventQueue
     using Callback = std::function<void()>;
 
     /** Schedule a callback at an absolute time (>= now). */
-    void schedule(Time when, Callback cb);
+    void schedule(SimTime when, Callback cb);
     /** Schedule relative to the current time. */
-    void scheduleAfter(Time delta, Callback cb);
+    void scheduleAfter(SimTime delta, Callback cb);
 
     /** Execute the earliest event; returns false if empty. */
     bool runNext();
     /** Run until the queue drains or `limit` events execute. */
     std::uint64_t runAll(std::uint64_t limit = UINT64_MAX);
     /** Run events with time <= t, then advance now to t. */
-    std::uint64_t runUntil(Time t);
+    std::uint64_t runUntil(SimTime t);
     /**
      * Run events with time strictly < t; `now` is left at the last
      * executed event (not advanced to t). The cluster drive loop
@@ -52,7 +51,7 @@ class EventQueue
      * this: events at exactly the horizon must wait for the global
      * events (arrivals, requeues) that sort before them.
      */
-    std::uint64_t runBefore(Time t);
+    std::uint64_t runBefore(SimTime t);
     /**
      * Advance `now` to t without running anything. Panics if an event
      * earlier than t is still pending — advancing past it would
@@ -60,23 +59,19 @@ class EventQueue
      * clock up with a globally-timestamped injection (an arrival
      * dispatch) before scheduling into it.
      */
-    void advanceTo(Time t);
+    void advanceTo(SimTime t);
 
-    Time now() const { return now_; }
+    SimTime now() const { return now_; }
     bool empty() const { return heap_.empty(); }
     std::size_t pending() const { return heap_.size(); }
-    std::uint64_t executed() const { return executed_; }
 
-    /** Timestamp of the earliest pending event, +infinity when the
-     *  queue is empty. The serving fast-forward bounds its window
-     *  with this: no callback whatsoever runs before it. */
-    Time
+    /** Timestamp of the earliest pending event, `SimTime::never()`
+     *  when the queue is empty. The serving fast-forward bounds its
+     *  window with this: no callback whatsoever runs before it. */
+    SimTime
     nextEventTime() const
     {
-        return heap_.empty()
-                   ? Time::seconds(
-                         std::numeric_limits<double>::infinity())
-                   : heap_.front().when;
+        return heap_.empty() ? SimTime::never() : heap_.front().when;
     }
 
     /** Pre-size the backing storage (events pending at once). */
@@ -85,7 +80,7 @@ class EventQueue
   private:
     struct Event
     {
-        Time when;
+        SimTime when;
         std::uint64_t seq;
         Callback cb;
     };
@@ -101,9 +96,8 @@ class EventQueue
     };
 
     std::vector<Event> heap_; ///< std::push_heap/pop_heap under Later
-    Time now_{0};
+    SimTime now_;
     std::uint64_t seq_ = 0;
-    std::uint64_t executed_ = 0;
 };
 
 } // namespace sim

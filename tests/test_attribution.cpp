@@ -3,15 +3,15 @@
  * The SLO root-cause attribution layer's contracts (obs/attribution,
  * obs/trace_reader):
  *
- *  - AttributionMath: `exactRemainder` really is the bitwise fixpoint
- *    of the fold identity, and `classifyMiss` implements the bucket
+ *  - AttributionMath: a decode step's fair share and interference
+ *    split it exactly, and `classifyMiss` implements the bucket
  *    mapping and tie-break order the docs promise.
  *  - WaterfallInvariants: for EVERY terminal request across policy x
  *    chunking x paged x dispatch x preempt sweeps and crash-fault runs,
- *    the first four components fold *bitwise* to the measured TTFT and
- *    all eight to the measured E2E; no component is negative; rejects
- *    are pure queue wait; report roll-ups agree with the per-entry
- *    table.
+ *    the first four components sum in ticks exactly to the measured
+ *    TTFT and all eight to the measured E2E; no component is
+ *    negative; rejects are pure queue wait; report roll-ups agree with
+ *    the per-entry table.
  *  - AttributionDeterminism: the full waterfall table (every stamp,
  *    component and cause) is bit-identical across ClusterConfig::
  *    threads {1, 2, 4} and fastSim on/off, and the trace recorded
@@ -19,10 +19,10 @@
  *  - TraceReaderRoundTrip: every trace the engines emit parses with
  *    zero unknown/malformed events and zero batch mismatches (the
  *    C++ replacement for the CI jq checks); the offline replay gives
- *    every online terminal request an entry with the same flags and
- *    miss cause and every component within 1 us, crash-fault runs
- *    included; corrupted and hostile documents end in a tally, never
- *    a crash or a huge allocation.
+ *    every online terminal request an entry with the same flags, miss
+ *    cause and tick-exact components, crash-fault runs included;
+ *    corrupted and hostile documents (hostile timestamps too) end in
+ *    a tally, never a crash, an overflow or a huge allocation.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,70 +55,43 @@ oneDevice(const serving::ServingConfig &cfg)
 
 // ---- AttributionMath -----------------------------------------------
 
-TEST(AttributionMath, ExactRemainderIsBitwiseFixpoint)
+TEST(AttributionMath, DecodeSharesSplitEveryStepExactly)
 {
-    // Pairs chosen to make the naive rounded difference miss the
-    // fixpoint by an ulp in at least some cases; the contract is
-    // checked with exact double equality.
-    const double pairs[][2] = {
-        {1.0, 0.1 + 0.2},         {123456.789, 123456.0},
-        {3.0, 3.0},               {1e-9, 1e-10},
-        {17.25, 0.0},             {2.0e3, 1999.9999999999998},
-        {0.30000000000000004, 0.1},
-    };
-    for (const auto &p : pairs) {
-        const double r = obs::exactRemainder(p[0], p[1]);
-        EXPECT_EQ(p[1] + r, p[0]) << "total " << p[0] << " partial "
-                                  << p[1];
+    // A step of `step` ticks shared by `batch` members charges
+    // step / batch (integer division) to decode_compute and the rest
+    // to batch_interference, so the pair always sums to the steps.
+    obs::LatencyWaterfall wf;
+    wf.beginRun(1);
+    std::int64_t steps = 0;
+    for (std::int64_t step : {10, 7, 1, 0, 999999937}) {
+        for (std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{16}}) {
+            wf.onDecodeBoundary(0, sim::SimTime::nanos(step), batch);
+            steps += step;
+        }
     }
-    // A deterministic pseudo-random sweep over fold closures. The
-    // remainder alone cannot always reach the fixpoint (round-to-even
-    // can park every candidate sum on a midpoint when the partial is
-    // below total/2), so the production path — closeFold, which may
-    // donate an ulp from an earlier component — is what must close
-    // every fold bitwise.
-    std::uint64_t s = 0x9e3779b97f4a7c15ull;
-    for (int i = 0; i < 1000; ++i) {
-        double c[4] = {};
-        s = s * 6364136223846793005ull + 1442695040888963407ull;
-        const double total =
-            static_cast<double>(s >> 11) / 9.0e15 * 100.0;
-        s = s * 6364136223846793005ull + 1442695040888963407ull;
-        c[0] = total * (static_cast<double>(s >> 11) / 9.0e15) * 0.5;
-        s = s * 6364136223846793005ull + 1442695040888963407ull;
-        c[1] = total * (static_cast<double>(s >> 11) / 9.0e15) * 0.5;
-        s = s * 6364136223846793005ull + 1442695040888963407ull;
-        c[2] = total * (static_cast<double>(s >> 11) / 9.0e15) * 0.25;
-        obs::closeFold(total, c, 3);
-        ASSERT_EQ(obs::foldComponents(c, 4), total) << "iter " << i;
-    }
-}
-
-TEST(AttributionMath, FoldIsLeftToRight)
-{
-    const double c[obs::kLatencyComponentCount] = {1e-16, 1.0, -1e-16,
-                                                   2.0,   0.5, 0.25,
-                                                   0.125, 0.0625};
-    double s = 0.0;
-    for (std::size_t i = 0; i < obs::kLatencyComponentCount; ++i) {
-        s += c[i];
-        EXPECT_EQ(obs::foldComponents(c, i + 1), s);
-    }
+    const obs::WaterfallEntry &e = wf.entries()[0];
+    EXPECT_EQ(e.components[4] + e.components[5], steps);
+    // 10 ns over 3 members: 3 fair, 7 interference.
+    obs::LatencyWaterfall one;
+    one.onDecodeBoundary(0, sim::SimTime::nanos(10), 3);
+    EXPECT_EQ(one.entries()[0].components[4], 3);
+    EXPECT_EQ(one.entries()[0].components[5], 7);
 }
 
 TEST(AttributionMath, ClassifyMissBucketsAndTieBreaks)
 {
     using obs::MissCause;
-    double c[obs::kLatencyComponentCount] = {};
+    std::int64_t c[obs::kLatencyComponentCount] = {};
     // Rejected wins over everything.
-    c[0] = 100.0;
+    c[0] = 100;
     EXPECT_EQ(obs::classifyMiss(true, true, true, c),
               MissCause::OverloadReject);
     // No miss -> None even with big components.
     EXPECT_EQ(obs::classifyMiss(false, false, false, c),
               MissCause::None);
 
-    const auto only = [&](std::size_t i, double v) {
+    const auto only = [&](std::size_t i, std::int64_t v) {
         std::memset(c, 0, sizeof c);
         c[i] = v;
     };
@@ -144,22 +118,22 @@ TEST(AttributionMath, ClassifyMissBucketsAndTieBreaks)
     EXPECT_EQ(obs::classifyMiss(false, false, true, c),
               MissCause::Compute);
     std::memset(c, 0, sizeof c);
-    c[5] = 2.0;
-    c[7] = 2.0;
-    c[6] = 3.9; // loses to 2 + 2 interference
+    c[5] = 20;
+    c[7] = 20;
+    c[6] = 39; // loses to 20 + 20 interference
     EXPECT_EQ(obs::classifyMiss(false, false, true, c),
               MissCause::Interference);
     // A TPOT-only miss must not be blamed on pre-first-token time.
     std::memset(c, 0, sizeof c);
-    c[0] = 100.0; // enormous queue wait, but TTFT was met
-    c[4] = 1.0;
+    c[0] = 100; // enormous queue wait, but TTFT was met
+    c[4] = 1;
     EXPECT_EQ(obs::classifyMiss(false, false, true, c),
               MissCause::Compute);
     // Exact tie -> earliest in (queue, kv, interference, preempt,
     // compute) order.
     std::memset(c, 0, sizeof c);
-    c[0] = 2.0;
-    c[1] = 2.0;
+    c[0] = 2;
+    c[1] = 2;
     EXPECT_EQ(obs::classifyMiss(false, true, false, c),
               MissCause::Queue);
 }
@@ -232,7 +206,7 @@ runCrashy(obs::LatencyWaterfall &wf, std::uint64_t seed, bool preempt,
     return engine.run();
 }
 
-/** The bitwise fold identity plus structural sanity, per entry. */
+/** The tick-exact sum identities plus structural sanity, per entry. */
 void
 checkEntries(const obs::LatencyWaterfall &wf, const char *what)
 {
@@ -241,14 +215,20 @@ checkEntries(const obs::LatencyWaterfall &wf, const char *what)
         if (!e.terminal)
             continue;
         ++terminal;
-        const double *c = e.components;
-        EXPECT_EQ(obs::foldComponents(c, 4), e.ttftSec)
+        const std::int64_t *c = e.components;
+        EXPECT_EQ(c[0] + c[1] + c[2] + c[3], e.ttftNs)
             << what << " req " << e.reqId;
-        EXPECT_EQ(obs::foldComponents(c, obs::kLatencyComponentCount),
-                  e.e2eSec)
+        EXPECT_EQ(c[0] + c[1] + c[2] + c[3] + c[4] + c[5] + c[6] + c[7],
+                  e.e2eNs)
+            << what << " req " << e.reqId;
+        EXPECT_EQ(e.ttftNs, e.rejected
+                                ? (e.finished - e.arrival).ns()
+                                : (e.firstToken - e.arrival).ns())
+            << what << " req " << e.reqId;
+        EXPECT_EQ(e.e2eNs, (e.finished - e.arrival).ns())
             << what << " req " << e.reqId;
         for (std::size_t i = 0; i < obs::kLatencyComponentCount; ++i)
-            EXPECT_GE(c[i], -1e-9)
+            EXPECT_GE(c[i], 0)
                 << what << " req " << e.reqId << " "
                 << obs::toString(static_cast<obs::LatencyComponent>(i));
         if (e.rejected) {
@@ -256,18 +236,18 @@ checkEntries(const obs::LatencyWaterfall &wf, const char *what)
                                          : obs::MissCause::OverloadReject);
             for (std::size_t i = 1; i < obs::kLatencyComponentCount;
                  ++i)
-                EXPECT_EQ(c[i], 0.0) << what << " req " << e.reqId;
+                EXPECT_EQ(c[i], 0) << what << " req " << e.reqId;
         } else {
-            EXPECT_GE(e.e2eSec, e.ttftSec) << what << " req " << e.reqId;
+            EXPECT_GE(e.e2eNs, e.ttftNs) << what << " req " << e.reqId;
             EXPECT_EQ(e.cause == obs::MissCause::None,
                       !e.missedTtft && !e.missedTpot)
                 << what << " req " << e.reqId;
         }
         if (!e.deferred) {
-            EXPECT_EQ(c[1], 0.0);
+            EXPECT_EQ(c[1], 0);
         }
         if (!e.preempted) {
-            EXPECT_EQ(c[6], 0.0);
+            EXPECT_EQ(c[6], 0);
         }
     }
     EXPECT_GT(terminal, 0u) << what;
@@ -279,13 +259,14 @@ checkReportAgainstEntries(const obs::LatencyWaterfall &wf,
                           const obs::AttributionReport &rep)
 {
     obs::AttributionReport want;
+    std::int64_t totals[obs::kLatencyComponentCount] = {};
     std::size_t misses = 0;
     for (const obs::WaterfallEntry &e : wf.entries()) {
         if (!e.terminal)
             continue;
         ++want.terminal;
         for (std::size_t i = 0; i < obs::kLatencyComponentCount; ++i)
-            want.componentTotals[i] += e.components[i];
+            totals[i] += e.components[i];
         ++want.missCounts[static_cast<std::size_t>(e.cause)];
         if (e.cause != obs::MissCause::None)
             ++misses;
@@ -294,7 +275,8 @@ checkReportAgainstEntries(const obs::LatencyWaterfall &wf,
     EXPECT_EQ(rep.misses, misses);
     EXPECT_EQ(rep.completed + rep.rejected, rep.terminal);
     for (std::size_t i = 0; i < obs::kLatencyComponentCount; ++i)
-        EXPECT_EQ(rep.componentTotals[i], want.componentTotals[i]);
+        EXPECT_EQ(rep.componentTotals[i],
+                  sim::SimTime::nanos(totals[i]).sec());
     for (std::size_t i = 0; i < obs::kMissCauseCount; ++i)
         EXPECT_EQ(rep.missCounts[i], want.missCounts[i]);
     // Per-device slices partition the aggregate exactly.
@@ -385,7 +367,7 @@ TEST(WaterfallInvariants, PreemptedVictimChargesPreemptLoss)
         if (!e.terminal || !e.preempted || e.rejected)
             continue;
         saw_preempted = true;
-        EXPECT_GT(e.components[6], 0.0);
+        EXPECT_GT(e.components[6], 0);
     }
     EXPECT_TRUE(saw_preempted);
 }
@@ -401,8 +383,8 @@ TEST(WaterfallInvariants, DeferralsChargeKvStall)
     bool saw_stall = false;
     for (const obs::WaterfallEntry &e : wf.entries()) {
         if (e.terminal && e.deferred && !e.rejected) {
-            EXPECT_GE(e.components[1], 0.0);
-            saw_stall = saw_stall || e.components[1] > 0.0;
+            EXPECT_GE(e.components[1], 0);
+            saw_stall = saw_stall || e.components[1] > 0;
         }
     }
     EXPECT_TRUE(saw_stall);
@@ -410,7 +392,7 @@ TEST(WaterfallInvariants, DeferralsChargeKvStall)
 
 // ---- AttributionDeterminism ----------------------------------------
 
-/** Every stamp/component/cause of every terminal entry, %.17g. */
+/** Every stamp/component/cause of every terminal entry, in ticks. */
 std::string
 dumpEntries(const obs::LatencyWaterfall &wf)
 {
@@ -420,14 +402,16 @@ dumpEntries(const obs::LatencyWaterfall &wf)
         std::snprintf(
             buf, sizeof buf,
             "req %llu dev %u t%d r%d d%d p%d mt%d mp%d cause %s "
-            "ttft %.17g e2e %.17g |",
+            "ttft %lld e2e %lld |",
             static_cast<unsigned long long>(e.reqId), e.device,
             e.terminal, e.rejected, e.deferred, e.preempted,
             e.missedTtft, e.missedTpot, obs::toString(e.cause),
-            e.ttftSec, e.e2eSec);
+            static_cast<long long>(e.ttftNs),
+            static_cast<long long>(e.e2eNs));
         out += buf;
         for (std::size_t i = 0; i < obs::kLatencyComponentCount; ++i) {
-            std::snprintf(buf, sizeof buf, " %.17g", e.components[i]);
+            std::snprintf(buf, sizeof buf, " %lld",
+                          static_cast<long long>(e.components[i]));
             out += buf;
         }
         out += '\n';
@@ -545,7 +529,7 @@ TEST(TraceReaderRoundTrip, EveryRecordedTraceParsesClean)
 }
 
 /** Replay `json` offline: every online terminal request must get an
- *  entry with the same flags and cause, each component within 1 us. */
+ *  entry with the same flags, cause, stamps and components. */
 void
 expectOfflineMatchesOnline(const obs::LatencyWaterfall &online,
                            const std::string &json,
@@ -574,8 +558,12 @@ expectOfflineMatchesOnline(const obs::LatencyWaterfall &online,
         EXPECT_EQ(o.preempted, e.preempted) << at;
         EXPECT_EQ(o.faulted, e.faulted) << at;
         EXPECT_EQ(o.cause, e.cause) << at;
+        EXPECT_EQ(o.arrival, e.arrival) << at;
+        EXPECT_EQ(o.finished, e.finished) << at;
+        EXPECT_EQ(o.ttftNs, e.ttftNs) << at;
+        EXPECT_EQ(o.e2eNs, e.e2eNs) << at;
         for (std::size_t i = 0; i < obs::kLatencyComponentCount; ++i)
-            EXPECT_NEAR(o.components[i], e.components[i], 1e-6)
+            EXPECT_EQ(o.components[i], e.components[i])
                 << at << " "
                 << obs::toString(static_cast<obs::LatencyComponent>(i));
     }
@@ -712,8 +700,8 @@ TEST(TraceReaderRoundTrip, HostileEventsEndInATally)
         EXPECT_EQ(reader.stats().malformed, 2u);
         EXPECT_EQ(reader.devices().size(), clean.devices().size());
     }
-    // A decode slice with batch 0 and a negative duration, right
-    // behind a real slice so the batch it claims is wrong.
+    // A decode slice with batch 0, right behind a real slice so the
+    // batch it claims is wrong.
     {
         const std::size_t slice = json.find("\"name\":\"decode\"");
         ASSERT_NE(slice, std::string::npos);
@@ -730,10 +718,48 @@ TEST(TraceReaderRoundTrip, HostileEventsEndInATally)
         replay(splice(line,
                       "{\"name\":\"decode\",\"ph\":\"X\"," + pid +
                           ",\"tid\":0," + ts +
-                          ",\"dur\":-3.000,\"args\":{\"batch\":0}},\n"),
+                          ",\"dur\":0.000,\"args\":{\"batch\":0}},\n"),
                reader);
         EXPECT_EQ(reader.stats().batchMismatches, 1u);
         EXPECT_EQ(reader.stats().malformed, 0u);
+
+        // Hostile timestamps: a ts or dur that is negative,
+        // non-finite, in exponent form, finer than a tick or beyond
+        // the int64-ns range is malformed, never wrapped.
+        const char *bad[] = {
+            "\"ts\":-1.000,\"dur\":1.000",
+            "\"ts\":1.000,\"dur\":-3.000",
+            "\"ts\":inf,\"dur\":1.000",
+            "\"ts\":1.000,\"dur\":nan",
+            "\"ts\":1e300,\"dur\":1.000",
+            "\"ts\":1.0005,\"dur\":1.000",
+            "\"ts\":9223372036854775.808,\"dur\":1.000",
+            "\"ts\":1.000,\"dur\":99999999999999999999.000",
+        };
+        std::string lines;
+        for (const char *field : bad)
+            lines += "{\"name\":\"decode\",\"ph\":\"X\"," + pid +
+                     ",\"tid\":0," + field +
+                     ",\"args\":{\"batch\":1}},\n";
+        obs::TraceReader hostile;
+        replay(splice(line, lines), hostile);
+        EXPECT_EQ(hostile.stats().malformed, std::size(bad));
+
+        // The largest in-range duration parses; two of them charged
+        // to the same batch saturate the sums instead of overflowing.
+        const std::size_t dur_at = line.find("\"dur\":");
+        const std::string huge =
+            line.substr(0, dur_at) + "\"dur\":9223372036854775.807" +
+            line.substr(line.find(',', dur_at)) + "\n";
+        obs::TraceReader saturated;
+        replay(splice(line, huge + huge), saturated);
+        EXPECT_EQ(saturated.stats().malformed, 0u);
+        EXPECT_EQ(saturated.stats().batchMismatches, 0u);
+        bool clamped = false;
+        for (const obs::WaterfallEntry &e : saturated.waterfall().entries())
+            clamped = clamped || e.components[4] == INT64_MAX ||
+                      e.components[5] == INT64_MAX;
+        EXPECT_TRUE(clamped);
     }
     // A line cut mid-object is malformed; a document cut mid-object
     // loses its footer and fails the parse.

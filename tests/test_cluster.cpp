@@ -565,9 +565,9 @@ TEST(ClusterMetricsSuite, MergeMatchesManualCombination)
         r.id = id;
         r.task = sim::lambada();
         r.task.decLen = 10;
-        r.arrival = Time::seconds(0.0);
-        r.firstToken = Time::seconds(ttft);
-        r.completed = Time::seconds(e2e);
+        r.arrival = sim::SimTime::fromSec(0.0);
+        r.firstToken = sim::SimTime::fromSec(ttft);
+        r.completed = sim::SimTime::fromSec(e2e);
         r.generated = 10;
         r.state = serving::RequestState::Completed;
         return r;

@@ -245,7 +245,7 @@ TEST(GoldenDigest, BenchClusterTraceFile)
         GTEST_SKIP() << path << " not built";
     const std::string flags = "--devices 2 --hetero --requests 12 "
                               "--sweep 0 --study 0";
-    const std::uint64_t want = 0xc881545f5a9a4130ull;
+    const std::uint64_t want = 0x68b05ea58c74dc73ull;
     for (const std::string threads : {" --threads 1", " --threads 4"}) {
         const std::string trace =
             std::string(::testing::TempDir()) + "/kelle_trace.json";
@@ -281,9 +281,9 @@ TEST(GoldenDigest, BenchClusterAttributionReport)
                               "--sweep 0 --study 0 --preempt "
                               "--pool 3072 --rate 0.2 "
                               "--slo-tpot 0.15 --attribution";
-    expectDigest("bench/bench_cluster", flags, 0x2e8705693d5ceea0ull);
+    expectDigest("bench/bench_cluster", flags, 0x0987db4a3fe57e0eull);
     expectDigest("bench/bench_cluster", flags + " --threads 4",
-                 0x2e8705693d5ceea0ull);
+                 0x0987db4a3fe57e0eull);
 }
 
 TEST(GoldenDigest, KelleTraceReportOnRecordedTrace)
@@ -316,7 +316,7 @@ TEST(GoldenDigest, KelleTraceReportOnRecordedTrace)
     const std::size_t body = out.find('\n');
     ASSERT_NE(body, std::string::npos) << out;
     const std::uint64_t got = fnv1a64(out.substr(body + 1));
-    EXPECT_EQ(got, 0x314066656c437fd1ull)
+    EXPECT_EQ(got, 0x05bb5aed71706c9bull)
         << "kelle_trace report output drifted (got 0x" << std::hex
         << got << ").\nIf the change is deliberate, re-record from "
            "`kelle_trace report` on the trace this test writes.";
@@ -358,7 +358,7 @@ TEST(GoldenDigest, KelleTraceReportOnFaultTrace)
         << "miss-cause breakdown lost the device_fault rows:\n"
         << report;
     const std::uint64_t got = fnv1a64(report);
-    EXPECT_EQ(got, 0xe31eb2d82d04be19ull)
+    EXPECT_EQ(got, 0x491197445a6a213full)
         << "kelle_trace fault report drifted (got 0x" << std::hex
         << got << ").\nIf the change is deliberate, re-record from "
            "`kelle_trace report` on the trace this test writes.";

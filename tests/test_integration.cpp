@@ -181,13 +181,13 @@ TEST(EdramScenario, RefreshHidesBehindDemandGaps)
     int reads_done = 0;
     std::function<void()> read_tick = [&] {
         array.readRow(static_cast<std::size_t>(reads_done) % rows,
-                      queue.now());
+                      Time::seconds(queue.now().sec()));
         if (++reads_done < 200)
-            queue.scheduleAfter(Time::micros(100), read_tick);
+            queue.scheduleAfter(sim::SimTime::nanos(100000), read_tick);
     };
-    queue.schedule(Time::micros(100), read_tick);
+    queue.schedule(sim::SimTime::nanos(100000), read_tick);
     queue.runAll();
-    array.advanceTo(queue.now());
+    array.advanceTo(Time::seconds(queue.now().sec()));
 
     EXPECT_EQ(reads_done, 200);
     EXPECT_GT(array.refreshOps(), 0u);

@@ -161,9 +161,9 @@ clusterDigest(const cluster::ClusterConfig &cfg)
     for (const serving::Request &r : engine.requests()) {
         h.add(r.id);
         h.add(r.state);
-        for (Time t : {r.arrival, r.admitted, r.firstToken, r.lastToken,
-                       r.completed})
-            h.add(t);
+        for (sim::SimTime t : {r.arrival, r.admitted, r.firstToken,
+                               r.lastToken, r.completed})
+            h.add(t.ns());
         h.add(r.budgetRequested);
         h.add(r.budgetGranted);
         h.add(r.prefilled);

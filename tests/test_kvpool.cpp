@@ -610,8 +610,8 @@ expectWaterfallsEqual(const std::vector<obs::WaterfallEntry> &a,
         EXPECT_EQ(a[i].preempted, b[i].preempted) << at;
         EXPECT_EQ(a[i].cause, b[i].cause) << at;
         EXPECT_EQ(a[i].firstDefer.sec(), b[i].firstDefer.sec()) << at;
-        EXPECT_EQ(a[i].ttftSec, b[i].ttftSec) << at;
-        EXPECT_EQ(a[i].e2eSec, b[i].e2eSec) << at;
+        EXPECT_EQ(a[i].ttftNs, b[i].ttftNs) << at;
+        EXPECT_EQ(a[i].e2eNs, b[i].e2eNs) << at;
         for (std::size_t c = 0; c < obs::kLatencyComponentCount; ++c)
             EXPECT_EQ(a[i].components[c], b[i].components[c])
                 << at << " component " << c;

@@ -72,21 +72,21 @@ TEST(EventQueue, OrdersByTime)
 {
     sim::EventQueue q;
     std::vector<int> order;
-    q.schedule(Time::micros(3), [&] { order.push_back(3); });
-    q.schedule(Time::micros(1), [&] { order.push_back(1); });
-    q.schedule(Time::micros(2), [&] { order.push_back(2); });
+    q.schedule(sim::SimTime::nanos(3000), [&] { order.push_back(3); });
+    q.schedule(sim::SimTime::nanos(1000), [&] { order.push_back(1); });
+    q.schedule(sim::SimTime::nanos(2000), [&] { order.push_back(2); });
     q.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_DOUBLE_EQ(q.now().us(), 3.0);
+    EXPECT_EQ(q.now().ns(), 3000);
 }
 
 TEST(EventQueue, InsertionOrderBreaksTies)
 {
     sim::EventQueue q;
     std::vector<int> order;
-    q.schedule(Time::micros(2), [&] { order.push_back(3); });
-    q.schedule(Time::micros(1), [&] { order.push_back(1); });
-    q.schedule(Time::micros(1), [&] { order.push_back(2); });
+    q.schedule(sim::SimTime::nanos(2000), [&] { order.push_back(3); });
+    q.schedule(sim::SimTime::nanos(1000), [&] { order.push_back(1); });
+    q.schedule(sim::SimTime::nanos(1000), [&] { order.push_back(2); });
     q.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -97,32 +97,32 @@ TEST(EventQueue, CallbacksCanReschedule)
     int ticks = 0;
     std::function<void()> tick = [&] {
         if (++ticks < 5)
-            q.scheduleAfter(Time::micros(1), tick);
+            q.scheduleAfter(sim::SimTime::nanos(1000), tick);
     };
-    q.schedule(Time::micros(0), tick);
+    q.schedule(sim::SimTime::nanos(0), tick);
     q.runAll();
     EXPECT_EQ(ticks, 5);
-    EXPECT_DOUBLE_EQ(q.now().us(), 4.0);
+    EXPECT_EQ(q.now().ns(), 4000);
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary)
 {
     sim::EventQueue q;
     int ran = 0;
-    q.schedule(Time::micros(1), [&] { ++ran; });
-    q.schedule(Time::micros(10), [&] { ++ran; });
-    q.runUntil(Time::micros(5));
+    q.schedule(sim::SimTime::nanos(1000), [&] { ++ran; });
+    q.schedule(sim::SimTime::nanos(10000), [&] { ++ran; });
+    q.runUntil(sim::SimTime::nanos(5000));
     EXPECT_EQ(ran, 1);
     EXPECT_EQ(q.pending(), 1u);
-    EXPECT_DOUBLE_EQ(q.now().us(), 5.0);
+    EXPECT_EQ(q.now().ns(), 5000);
 }
 
 TEST(EventQueue, SchedulingInPastPanics)
 {
     sim::EventQueue q;
-    q.schedule(Time::micros(5), [] {});
+    q.schedule(sim::SimTime::nanos(5000), [] {});
     q.runAll();
-    EXPECT_DEATH(q.schedule(Time::micros(1), [] {}), "past");
+    EXPECT_DEATH(q.schedule(sim::SimTime::nanos(1000), [] {}), "past");
 }
 
 TEST(Workloads, PresetsMatchPaperSettings)

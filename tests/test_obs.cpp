@@ -177,23 +177,23 @@ TEST(TraceInvariants, PerTrackSimTimeIsMonotoneAndSpansWellFormed)
     engine.run();
 
     std::size_t total_events = 0;
-    std::map<std::uint64_t, double> span_open; // req -> arrival ts
+    std::map<std::uint64_t, sim::SimTime> span_open; // req -> arrival
     std::set<std::uint64_t> span_closed;
     for (const obs::TraceTrack *track : allTracks(rec)) {
-        double prev = -1.0;
+        sim::SimTime prev;
         for (const obs::TraceEvent &e : track->events()) {
             ++total_events;
-            EXPECT_GE(e.tsUs, prev)
+            EXPECT_GE(e.ts, prev)
                 << "track " << track->name()
                 << " emitted out of sim-time order";
-            prev = e.tsUs;
-            EXPECT_GE(e.durUs, 0.0);
+            prev = e.ts;
+            EXPECT_GE(e.dur, sim::SimTime());
             switch (e.kind) {
               case obs::TraceEventKind::Arrival:
                 // First arrival opens the span; a requeued request
                 // re-arrives only via Requeue events.
                 if (span_open.find(e.req) == span_open.end())
-                    span_open[e.req] = e.tsUs;
+                    span_open[e.req] = e.ts;
                 EXPECT_FALSE(track->taskName(e.name).empty());
                 break;
               case obs::TraceEventKind::Complete:
@@ -202,7 +202,7 @@ TEST(TraceInvariants, PerTrackSimTimeIsMonotoneAndSpansWellFormed)
                 ASSERT_NE(it, span_open.end())
                     << "span end for request " << e.req
                     << " without an arrival";
-                EXPECT_LE(it->second, e.tsUs);
+                EXPECT_LE(it->second, e.ts);
                 EXPECT_TRUE(span_closed.insert(e.req).second)
                     << "request " << e.req << " ended twice";
                 break;
@@ -249,7 +249,7 @@ TEST(DisabledRecorder, SteadyStateDecodeStaysAllocationFree)
     serving::Request r;
     r.id = 0;
     r.task = sim::qasper();
-    r.arrival = Time::seconds(0);
+    r.arrival = sim::SimTime::fromSec(0);
     requests.push_back(r);
 
     serving::DeviceConfig cfg;
@@ -257,7 +257,7 @@ TEST(DisabledRecorder, SteadyStateDecodeStaysAllocationFree)
     ASSERT_EQ(cfg.profiler, nullptr);
     serving::DeviceEngine engine(cfg, queue, requests);
     for (int i = 1; i <= 1200; ++i)
-        queue.schedule(Time::seconds(0.3 * i), [] {});
+        queue.schedule(sim::SimTime::fromSec(0.3 * i), [] {});
     engine.enqueue(0);
 
     for (int i = 0; i < 100; ++i)

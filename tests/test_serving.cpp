@@ -263,9 +263,9 @@ TEST(ServingMetrics, SummaryFromAHandBuiltTrace)
         r.id = static_cast<std::uint64_t>(i);
         r.task = sim::lambada();
         r.task.decLen = 10;
-        r.arrival = Time::seconds(0.0);
-        r.firstToken = Time::seconds(i); // TTFT 1, 2, 3, 4
-        r.completed = Time::seconds(i + 10.0);
+        r.arrival = sim::SimTime::fromSec(0.0);
+        r.firstToken = sim::SimTime::fromSec(i); // TTFT 1, 2, 3, 4
+        r.completed = sim::SimTime::fromSec(i + 10.0);
         r.generated = 10;
         r.budgetGranted = r.task.budget;
         r.state = serving::RequestState::Completed;
@@ -625,11 +625,11 @@ TEST(ServingMetrics, SloAttainmentFromAHandBuiltTrace)
         r.id = static_cast<std::uint64_t>(i);
         r.task = sim::lambada();
         r.task.decLen = 10;
-        r.arrival = Time::seconds(0.0);
+        r.arrival = sim::SimTime::fromSec(0.0);
         r.ttftDeadlineSec = 2.5;
         r.tpotTargetSec = tpot_targets[i - 1];
-        r.firstToken = Time::seconds(i);
-        r.completed = Time::seconds(i + 10.0); // 10 s for 10 tokens
+        r.firstToken = sim::SimTime::fromSec(i);
+        r.completed = sim::SimTime::fromSec(i + 10.0); // 10 s for 10 tokens
         r.generated = 10;
         r.state = serving::RequestState::Completed;
         metrics.onCompleted(r);
@@ -652,9 +652,9 @@ TEST(ServingMetrics, DisabledDeadlinesAlwaysAttain)
     serving::Request r;
     r.task = sim::lambada();
     r.task.decLen = 4;
-    r.arrival = Time::seconds(0.0);
-    r.firstToken = Time::seconds(100.0);
-    r.completed = Time::seconds(200.0);
+    r.arrival = sim::SimTime::fromSec(0.0);
+    r.firstToken = sim::SimTime::fromSec(100.0);
+    r.completed = sim::SimTime::fromSec(200.0);
     r.ttftDeadlineSec = 0.0;
     r.tpotTargetSec = 0.0;
     EXPECT_TRUE(serving::ServingMetrics::metTtft(r));

@@ -44,6 +44,7 @@
 #include "accel/step_cost_cache.hpp"
 #include "accel/timing_model.hpp"
 #include "cluster/cluster_engine.hpp"
+#include "obs/trace.hpp"
 #include "sim/workloads.hpp"
 
 using namespace kelle;
@@ -574,11 +575,11 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     sim::EventQueue queue;
     serving::DeviceEngine engine(cfg, queue, run.requests);
     for (double t : noops)
-        queue.schedule(Time::seconds(t), [] {});
+        queue.schedule(sim::SimTime::fromSec(t), [] {});
     std::vector<std::size_t> victims;
     std::uint64_t lost = 0;
     if (crash_at > 0.0)
-        queue.schedule(Time::seconds(crash_at), [&] {
+        queue.schedule(sim::SimTime::fromSec(crash_at), [&] {
             engine.crashAt(queue.now(), &victims, &lost);
         });
     if (extra)
@@ -592,7 +593,8 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     run.decodeSteps = engine.decodeSteps();
     run.fastForwarded = engine.fastForwardedSteps();
     run.busySec = engine.busyTime().sec();
-    run.summary = engine.metrics().summarize(engine.lastCompletion());
+    run.summary = engine.metrics().summarize(
+        Time::seconds(engine.lastCompletion().sec()));
     run.deferrals = engine.allocator().deferrals();
     run.budgetClips = engine.allocator().budgetClips();
     return run;
@@ -611,7 +613,7 @@ decodeRequest(std::uint64_t id, std::size_t ctx, std::size_t dec,
     r.task.budget = budget;
     r.task.recentWindow = 64; // floor 82 tokens: budgets stay as given
     r.tpotTargetSec = tpot_target;
-    r.arrival = Time::seconds(arrival);
+    r.arrival = sim::SimTime::fromSec(arrival);
     return r;
 }
 
@@ -788,7 +790,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
                                       sim::EventQueue &q,
                                       serving::DeviceEngine &e,
                                       std::vector<serving::Request> &) {
-            q.schedule(Time::seconds(10.0 * step_sec),
+            q.schedule(sim::SimTime::fromSec(10.0 * step_sec),
                        [&q, &e] { e.shrinkPoolAt(q.now(), 0.5); });
         };
         const DeviceRun run =
@@ -814,6 +816,82 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
     }
 }
 
+// ---- DoomClock -----------------------------------------------------
+
+TEST(DoomClock, DoomOnAStepBoundaryPreemptsAtThatBoundary)
+{
+    // On the integer clock the doom test `now - firstToken >
+    // doomAfter()` is exact. Place request 0's doom instant — the
+    // first tick past firstToken + doomAfter() — exactly on one of
+    // its decode step boundaries: the preemption scan must fire at
+    // that boundary with fastSim on (the fast-forward window stops
+    // there) and off, and the cluster's requeue bound must never lie
+    // past it. Request 1 waits on the batch cap, so the scan runs at
+    // every boundary.
+    serving::DeviceConfig cfg;
+    cfg.poolTokens = 16384;
+    cfg.maxBatch = 1;
+    struct Run
+    {
+        std::vector<serving::Request> requests;
+        std::vector<sim::SimTime> boundaries; ///< decode step starts
+        sim::SimTime preemptAt;
+        sim::SimTime latestBound; ///< max requeue bound before it
+        std::uint64_t fastForwarded = 0;
+    };
+    const auto run = [&cfg](std::vector<serving::Request> reqs,
+                            bool fast) {
+        serving::DeviceConfig c = cfg;
+        c.fastSim = fast;
+        c.preempt.enabled = reqs[0].tpotTargetSec > 0.0;
+        Run out;
+        out.requests = std::move(reqs);
+        sim::EventQueue queue;
+        obs::TraceRecorder rec;
+        serving::DeviceEngine engine(c, queue, out.requests);
+        engine.setTrace(rec.addDeviceTrack("dev"));
+        engine.enqueue(0);
+        engine.enqueue(1);
+        while (queue.runNext()) {
+            if (out.requests[0].preemptions == 0)
+                out.latestBound =
+                    std::max(out.latestBound,
+                             engine.nextPossibleRequeueTime(queue.now()));
+        }
+        EXPECT_TRUE(engine.drained());
+        for (const obs::TraceEvent &e : rec.deviceTracks()[0]->events()) {
+            if (e.kind == obs::TraceEventKind::DecodeStep)
+                out.boundaries.push_back(e.ts);
+            else if (e.kind == obs::TraceEventKind::Preempt)
+                out.preemptAt = e.ts;
+        }
+        out.fastForwarded = engine.fastForwardedSteps();
+        return out;
+    };
+
+    std::vector<serving::Request> reqs = {
+        decodeRequest(0, 512, 400, 600), decodeRequest(1, 512, 400, 600)};
+    const Run plain = run(reqs, true);
+    ASSERT_GT(plain.boundaries.size(), 300u);
+    const sim::SimTime boundary = plain.boundaries[200];
+    const std::int64_t doom_ns =
+        (boundary - plain.requests[0].firstToken).ns() - 1;
+    reqs[0].tpotTargetSec = static_cast<double>(doom_ns) * 1e-9 / 400.0;
+    ASSERT_EQ(reqs[0].doomAfter().ns(), doom_ns);
+
+    const Run fast = run(reqs, true);
+    const Run slow = run(reqs, false);
+    expectRequestsEq(fast.requests, slow.requests);
+    for (const Run *r : {&fast, &slow}) {
+        SCOPED_TRACE(r == &fast ? "fastSim on" : "fastSim off");
+        EXPECT_EQ(r->requests[0].preemptions, 1u);
+        EXPECT_EQ(r->preemptAt.ns(), boundary.ns());
+        EXPECT_EQ(r->latestBound.ns(), boundary.ns());
+    }
+    EXPECT_GT(fast.fastForwarded, 150u);
+    EXPECT_EQ(slow.fastForwarded, 0u);
+}
+
 // ---- AllocationFree ------------------------------------------------
 
 TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
@@ -833,7 +911,7 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
         serving::Request r;
         r.id = 0;
         r.task = sim::qasper();
-        r.arrival = Time::seconds(0);
+        r.arrival = sim::SimTime::fromSec(0);
         requests.push_back(r);
 
         serving::DeviceConfig cfg;
@@ -841,7 +919,7 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
         cfg.paged.enabled = paged;
         serving::DeviceEngine engine(cfg, queue, requests);
         for (int i = 1; i <= 1200; ++i)
-            queue.schedule(Time::seconds(0.3 * i), [] {});
+            queue.schedule(sim::SimTime::fromSec(0.3 * i), [] {});
         engine.enqueue(0);
 
         // Warm-up: prefill, first decode steps, scratch/cache
@@ -878,69 +956,70 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
 
 TEST(EventQueueWindow, NextEventTimeIsInfinityWhenEmptyOrDrained)
 {
+    // The clock's infinity is SimTime::never().
     sim::EventQueue q;
-    EXPECT_TRUE(std::isinf(q.nextEventTime().sec()));
-    q.schedule(Time::micros(3), [] {});
-    EXPECT_DOUBLE_EQ(q.nextEventTime().us(), 3.0);
+    EXPECT_EQ(q.nextEventTime(), sim::SimTime::never());
+    q.schedule(sim::SimTime::nanos(3000), [] {});
+    EXPECT_EQ(q.nextEventTime().ns(), 3000);
     q.runAll();
     // Draining restores the sentinel; it still compares greater than
     // any finite horizon (the coordinator's min() relies on that).
-    EXPECT_TRUE(std::isinf(q.nextEventTime().sec()));
-    EXPECT_GT(q.nextEventTime(), Time::seconds(1e30));
+    EXPECT_EQ(q.nextEventTime(), sim::SimTime::never());
+    EXPECT_GT(q.nextEventTime(), sim::SimTime::fromSec(1e9));
 }
 
 TEST(EventQueueWindow, RunBeforeIsStrictAndLeavesNowAtLastExecuted)
 {
     sim::EventQueue q;
     int ran = 0;
-    q.schedule(Time::micros(1), [&] { ++ran; });
-    q.schedule(Time::micros(2), [&] { ++ran; });
-    q.schedule(Time::micros(3), [&] { ++ran; });
+    q.schedule(sim::SimTime::nanos(1000), [&] { ++ran; });
+    q.schedule(sim::SimTime::nanos(2000), [&] { ++ran; });
+    q.schedule(sim::SimTime::nanos(3000), [&] { ++ran; });
     // Events at exactly the horizon must wait for the global events
     // that sort before them, so only t=1 runs...
-    EXPECT_EQ(q.runBefore(Time::micros(2)), 1u);
+    EXPECT_EQ(q.runBefore(sim::SimTime::nanos(2000)), 1u);
     EXPECT_EQ(ran, 1);
     // ...and the clock stays at the last executed event, not the
     // horizon, so a later global injection at t=2 is not "the past".
-    EXPECT_DOUBLE_EQ(q.now().us(), 1.0);
-    EXPECT_DOUBLE_EQ(q.nextEventTime().us(), 2.0);
-    EXPECT_EQ(q.runBefore(Time::micros(10)), 2u);
+    EXPECT_EQ(q.now().ns(), 1000);
+    EXPECT_EQ(q.nextEventTime().ns(), 2000);
+    EXPECT_EQ(q.runBefore(sim::SimTime::nanos(10000)), 2u);
     EXPECT_EQ(ran, 3);
-    EXPECT_DOUBLE_EQ(q.now().us(), 3.0);
+    EXPECT_EQ(q.now().ns(), 3000);
     // Empty queue: a no-op, not an advance.
-    EXPECT_EQ(q.runBefore(Time::micros(20)), 0u);
-    EXPECT_DOUBLE_EQ(q.now().us(), 3.0);
+    EXPECT_EQ(q.runBefore(sim::SimTime::nanos(20000)), 0u);
+    EXPECT_EQ(q.now().ns(), 3000);
 }
 
 TEST(EventQueueWindow, AdvanceToMovesTheClockWithoutRunning)
 {
     sim::EventQueue q;
     int ran = 0;
-    q.schedule(Time::micros(5), [&] { ++ran; });
-    q.advanceTo(Time::micros(4));
+    q.schedule(sim::SimTime::nanos(5000), [&] { ++ran; });
+    q.advanceTo(sim::SimTime::nanos(4000));
     EXPECT_EQ(ran, 0);
-    EXPECT_DOUBLE_EQ(q.now().us(), 4.0);
+    EXPECT_EQ(q.now().ns(), 4000);
     // The aligned clock accepts an injection at the new now (the
     // arrival-dispatch pattern) and never re-runs anything early.
-    q.schedule(Time::micros(4), [&] { ++ran; });
+    q.schedule(sim::SimTime::nanos(4000), [&] { ++ran; });
     q.runAll();
     EXPECT_EQ(ran, 2);
     // Backwards alignment is a no-op, not a rewind.
-    q.advanceTo(Time::micros(1));
-    EXPECT_DOUBLE_EQ(q.now().us(), 5.0);
+    q.advanceTo(sim::SimTime::nanos(1000));
+    EXPECT_EQ(q.now().ns(), 5000);
 }
 
 TEST(EventQueueWindow, AdvanceToPastPendingEventPanics)
 {
     sim::EventQueue q;
-    q.schedule(Time::micros(2), [] {});
-    EXPECT_DEATH(q.advanceTo(Time::micros(3)), "pending");
+    q.schedule(sim::SimTime::nanos(2000), [] {});
+    EXPECT_DEATH(q.advanceTo(sim::SimTime::nanos(3000)), "pending");
 }
 
 TEST(EventQueueWindow, InfiniteExternalEventHookUnboundsFastForward)
 {
     // The no-arrival case of Hooks::nextExternalEvent: a hook
-    // returning +inf promises nothing external can ever affect the
+    // returning never() promises nothing external can ever affect the
     // engine, so the decode fast-forward replays every remaining
     // boundary in one window — and the run must still match the
     // unhooked (conservative global bound) run bit-for-bit.
@@ -950,7 +1029,7 @@ TEST(EventQueueWindow, InfiniteExternalEventHookUnboundsFastForward)
         serving::Request r;
         r.id = 0;
         r.task = sim::scaledForTiny(sim::lambada(), 96);
-        r.arrival = Time::seconds(0);
+        r.arrival = sim::SimTime::fromSec(0);
         requests.push_back(r);
         serving::DeviceConfig cfg;
         cfg.poolTokens = 512;
@@ -958,8 +1037,7 @@ TEST(EventQueueWindow, InfiniteExternalEventHookUnboundsFastForward)
         if (with_hook) {
             serving::DeviceEngine::Hooks hooks;
             hooks.nextExternalEvent = [] {
-                return Time::seconds(
-                    std::numeric_limits<double>::infinity());
+                return sim::SimTime::never();
             };
             engine.setHooks(std::move(hooks));
         }

@@ -23,6 +23,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -97,6 +98,12 @@ secs(double s)
     return buf;
 }
 
+std::string
+secs(std::int64_t ns)
+{
+    return secs(kelle::sim::SimTime::nanos(ns).sec());
+}
+
 void
 printMissCauses(const std::size_t counts[kMissCauseCount],
                 std::size_t terminal)
@@ -153,7 +160,7 @@ cmdReport(const std::string &path)
         for (std::size_t i = 0; i < reader.devices().size(); ++i) {
             const auto &d = reader.devices()[i];
             const AttributionReport::Device &a = rep.devices[i];
-            t.addRow({d.name, secs(d.busyUs / 1e6),
+            t.addRow({d.name, secs(d.busy.sec()),
                       std::to_string(d.prefillSlices),
                       std::to_string(d.decodeSlices),
                       std::to_string(a.terminal - a.rejected),
@@ -196,8 +203,8 @@ cmdWaterfall(const std::string &path, std::size_t top)
               [&entries](std::size_t a, std::size_t b) {
                   const WaterfallEntry &ea = entries[a];
                   const WaterfallEntry &eb = entries[b];
-                  if (ea.e2eSec != eb.e2eSec)
-                      return ea.e2eSec > eb.e2eSec;
+                  if (ea.e2eNs != eb.e2eNs)
+                      return ea.e2eNs > eb.e2eNs;
                   return ea.reqId < eb.reqId;
               });
     if (worst.size() > top)
@@ -215,16 +222,19 @@ cmdWaterfall(const std::string &path, std::size_t top)
                     "%s, cause %s\n",
                     k + 1, static_cast<unsigned long long>(e.reqId),
                     reader.tasks()[worst[k]].c_str(), devName,
-                    secs(e.e2eSec).c_str(), secs(e.ttftSec).c_str(),
+                    secs(e.e2eNs).c_str(), secs(e.ttftNs).c_str(),
                     e.rejected ? "rejected" : "completed",
                     kelle::obs::toString(e.cause));
         for (std::size_t i = 0; i < kLatencyComponentCount; ++i) {
-            const double s = e.components[i];
+            const std::int64_t ns = e.components[i];
             std::printf("    %-18s %s s  %s\n",
                         kelle::obs::toString(
                             static_cast<LatencyComponent>(i)),
-                        secs(s).c_str(),
-                        Table::pct(e.e2eSec > 0.0 ? s / e.e2eSec : 0.0)
+                        secs(ns).c_str(),
+                        Table::pct(e.e2eNs > 0
+                                       ? static_cast<double>(ns) /
+                                             static_cast<double>(e.e2eNs)
+                                       : 0.0)
                             .c_str());
         }
         std::printf("\n");
