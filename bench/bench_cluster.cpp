@@ -206,7 +206,8 @@ main(int argc, char **argv)
         if (!bench::atLeastOne(args, flag))
             return 1;
     }
-    if (!bench::positiveFinite(args, "rate"))
+    if (!bench::positiveFinite(args, "rate") ||
+        !bench::nonNegativeFinite(args, "chunk-slack"))
         return 1;
     if (args.getBool("faults")) {
         for (const char *flag : {"mtbf", "mttr"}) {

@@ -196,10 +196,13 @@ main(int argc, char **argv)
         if (!bench::atLeastOne(args, flag))
             return 1;
     }
-    for (const char *flag : {"rate", "slo-scale"}) {
+    for (const char *flag : {"rate", "slo-scale", "client-retry-backoff"}) {
         if (!bench::positiveFinite(args, flag))
             return 1;
     }
+    if (!bench::nonNegativeFinite(args, "chunk-slack") ||
+        !bench::unitFraction(args, "prefix-frac"))
+        return 1;
     const long long kv_quant = args.getInt("kv-quant");
     if (kv_quant != 0 && kv_quant != 4 && kv_quant != 8) {
         std::fprintf(stderr, "unsupported --kv-quant %lld (0|4|8)\n",

@@ -59,6 +59,32 @@ positiveFinite(const common::ArgParser &args, const char *name)
     return false;
 }
 
+/** A slack-style flag: false, after a one-line stderr message, when
+ *  `--name` is not a finite number >= 0. */
+inline bool
+nonNegativeFinite(const common::ArgParser &args, const char *name)
+{
+    const double v = args.getDouble(name);
+    if (v >= 0.0 && std::isfinite(v))
+        return true;
+    std::fprintf(stderr, "--%s must be a finite number >= 0, got %g\n",
+                 name, v);
+    return false;
+}
+
+/** A fraction flag: false, after a one-line stderr message, when
+ *  `--name` is not a number in [0, 1] (nan included). */
+inline bool
+unitFraction(const common::ArgParser &args, const char *name)
+{
+    const double v = args.getDouble(name);
+    if (v >= 0.0 && v <= 1.0)
+        return true;
+    std::fprintf(stderr, "--%s must be a fraction in [0, 1], got %g\n",
+                 name, v);
+    return false;
+}
+
 /**
  * Print a `--attribution` roll-up: the aggregate latency waterfall
  * and the per-cause SLO miss breakdown (one column per device when

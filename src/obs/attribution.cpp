@@ -264,13 +264,17 @@ void
 LatencyWaterfall::onDecodeBoundary(std::size_t idx, SimTime step,
                                    std::size_t batch)
 {
-    WaterfallEntry &e = at(idx);
-    const std::int64_t fair =
-        step.ns() / static_cast<std::int64_t>(batch);
-    std::int64_t *c = e.components;
-    c[kDecodeCompute] = sim::addTicks(c[kDecodeCompute], fair);
+    onDecodeShares(idx, DecodeShares::of(step, batch));
+}
+
+void
+LatencyWaterfall::onDecodeShares(std::size_t idx,
+                                 const DecodeShares &shares)
+{
+    std::int64_t *c = at(idx).components;
+    c[kDecodeCompute] = sim::addTicks(c[kDecodeCompute], shares.fair);
     c[kBatchInterference] =
-        sim::addTicks(c[kBatchInterference], step.ns() - fair);
+        sim::addTicks(c[kBatchInterference], shares.interference);
 }
 
 void

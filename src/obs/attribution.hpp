@@ -161,6 +161,34 @@ struct WaterfallEntry
 };
 
 /**
+ * A run of decode boundaries a batch stepped through together, as the
+ * c5/c6 ticks each member owes: Σ `step / batch` (integer division)
+ * and Σ `step - step / batch`. Integer sums, so charging them at once
+ * equals charging the boundaries one by one, in any order.
+ */
+struct DecodeShares
+{
+    std::int64_t fair = 0;
+    std::int64_t interference = 0;
+
+    /** One boundary: a step of `step` shared by `batch` (>= 1). */
+    static DecodeShares
+    of(sim::SimTime step, std::size_t batch)
+    {
+        const std::int64_t f =
+            step.ns() / static_cast<std::int64_t>(batch);
+        return DecodeShares{f, step.ns() - f};
+    }
+    DecodeShares &
+    operator+=(const DecodeShares &o)
+    {
+        fair += o.fair;
+        interference += o.interference;
+        return *this;
+    }
+};
+
+/**
  * Per-cause / per-device roll-up of a waterfall (index order over the
  * entries, so the totals are deterministic).
  */
@@ -194,10 +222,10 @@ struct AttributionReport
  * on* hooks (guarded by their null-pointer test) and finalize each
  * entry at its terminal event.
  *
- * Each hook stands for exactly one trace event and may fire in any
- * life of the request: the waterfall itself keeps the first-life
- * rules, so the engine and the offline `TraceReader` replay call the
- * hooks unconditionally.
+ * Each hook stands for exactly one trace event (`onDecodeShares` for a
+ * run of decode events) and may fire in any life of the request: the
+ * waterfall itself keeps the first-life rules, so the engine and the
+ * offline `TraceReader` replay call the hooks unconditionally.
  */
 class LatencyWaterfall
 {
@@ -228,6 +256,9 @@ class LatencyWaterfall
      *  shared by `batch` (>= 1) members. */
     void onDecodeBoundary(std::size_t idx, sim::SimTime step,
                           std::size_t batch);
+    /** The request participated in every boundary `shares` sums (the
+     *  decode fast-forward charges a window's boundaries at once). */
+    void onDecodeShares(std::size_t idx, const DecodeShares &shares);
     /** Crash eviction or fault-pressure shed. Marks the entry
      *  faulted; for post-first-token victims it is a loss like
      *  `onPreempt`, so c7 absorbs the regeneration interval. */

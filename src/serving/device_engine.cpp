@@ -336,7 +336,7 @@ DeviceEngine::preemptDoomed()
 }
 
 void
-DeviceEngine::pagedEnsure(std::size_t idx, std::size_t tokens)
+DeviceEngine::ensureCapacity(std::size_t idx, std::size_t tokens)
 {
     KvBudgetAllocator::Grant &g = grants_[idx];
     if (tokens <= g.chainCapacityTokens)
@@ -583,10 +583,11 @@ DeviceEngine::admitWaiting()
     // unchanged) left no observable state behind except the
     // deferrals just recorded in deferScratch_ (and, in paged mode,
     // whatever budget clamp the attempts ran), and from this
-    // frozen queue the next round attempts the same candidates: even
-    // the time-dependent admission orders replay to the identical
-    // deferral multiset. The decode fast-forward uses this to replay
-    // KV-blocked boundaries for every policy, including the
+    // frozen queue the next round attempts the same candidates. It
+    // attempts them in the recorded order only until the policy's
+    // time-dependent order next changes (Policy::nextOrderChange),
+    // which bounds the window. The decode fast-forward uses this to
+    // replay KV-blocked boundaries for every policy, including the
     // reordering ones, and in both pool modes.
     lastRoundAllDeferred_ = admitted_now.empty() &&
                             waiting_.size() == waiting_before &&
@@ -643,9 +644,8 @@ DeviceEngine::runPrefillChunk(const EngineStepPlan &plan)
     KELLE_ASSERT(plan.chunkTokens > 0 &&
                      plan.chunkTokens <= r.remainingPrompt(),
                  "policy planned an invalid prefill chunk");
-    if (allocator_.paged())
-        pagedEnsure(idx, std::min(r.prefilled + plan.chunkTokens,
-                                  r.budgetGranted));
+    ensureCapacity(idx, std::min(r.prefilled + plan.chunkTokens,
+                                 r.budgetGranted));
     const accel::StepReport &step =
         prefillChunkCost(r.prefilled, plan.chunkTokens);
     // Slowdown faults stretch the step wall-clock, not its energy.
@@ -676,7 +676,7 @@ DeviceEngine::onPrefillDone()
     const std::size_t idx = inFlightPrefillIdx_;
     Request &req = requests_[idx];
     req.prefilled += inFlightPrefillTokens_;
-    if (allocator_.paged() && req.prefixKey != 0)
+    if (req.prefixKey != 0)
         allocator_.publishPrefix(
             grants_[idx], req.prefixKey,
             std::min(req.prefilled, req.prefixLen));
@@ -820,17 +820,15 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
 {
     engineBusy_ = true;
     ++decodeSteps_;
-    const bool paged = allocator_.paged();
-    if (paged) {
-        // Lazy chain growth: each member's pages catch up with its
-        // resident tokens before the step is costed; failed growth
-        // clamps the member's budget (and thus its resident clamp).
-        for (std::size_t idx : plan.decodeBatch)
-            pagedEnsure(idx, requests_[idx].residentTokens());
-    }
+    // Lazy chain growth: each member's pages catch up with its
+    // resident tokens before the step is costed; failed growth clamps
+    // the member's budget (and thus its resident clamp), and no other
+    // member's.
     residentScratch_.clear();
-    for (std::size_t idx : plan.decodeBatch)
+    for (std::size_t idx : plan.decodeBatch) {
+        ensureCapacity(idx, requests_[idx].residentTokens());
         residentScratch_.push_back(requests_[idx].residentTokens());
+    }
     const accel::StepReport *step = &decodeStepCost(residentScratch_);
     // Slowdown faults stretch step wall-clock, not energy; the scale
     // is constant inside a step window (fault instants bound every
@@ -889,36 +887,60 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // real event path.
         if (cfg_.preempt.enabled && !waiting_.empty())
             horizon = std::min(horizon, firstDoomedRunning());
+        // A replayed round attempts its candidates in the recorded
+        // order, which the event path would recompute at each
+        // boundary: stop before the policy's order can change.
+        if (replay_deferrals)
+            horizon = std::min(horizon, policy_->nextOrderChange(view()));
         std::size_t n_sum = 0;
         for (std::size_t n : residentScratch_)
             n_sum += n;
         const std::size_t batch_size = inFlightBatch_.size();
-        // The last replayed round and pagedEnsure pass left the pool
+        // The last replayed round and ensureCapacity pass left the pool
         // untouched: the next round may stand in for itself.
         bool round_fixpoint = false;
         // Deferred member bookkeeping. Members are written only at
         // *sync* boundaries: the window's first (each member's gap
         // differs there), a page edge (some member's resident passes
-        // its chain's capacity, so the pagedEnsure pass has work), and
-        // a replayed deferral round not at its fixpoint (its budget
-        // clamp reads residents and may shrink budgets). Between
-        // syncs nothing reads a member's counters and the pool cannot
-        // move: every gap is the same `t_k - t_{k-1}`, so one running
-        // max is exact; budgets and chains stay put, so a member stops
-        // growing at a fixed boundary (`clampScratch_`, sorted) and no
-        // chain grows before `page_edge`. A sync flushes the
-        // `deferred` boundaries (this one included) before the round,
-        // then runs the round and the pagedEnsure pass, and rebases
-        // the clamp steps and the next page edge on what they left. A
-        // waterfall accumulates per member, so with one attached every
-        // boundary syncs.
-        const bool defer_members = wf_ == nullptr;
+        // its chain's capacity, so the ensureCapacity pass has work),
+        // and a replayed deferral round not at its fixpoint (its
+        // budget clamp reads residents and may shrink budgets).
+        // Between syncs nothing reads a member's counters or its
+        // waterfall entry, and the pool cannot move: every gap is the
+        // same `t_k - t_{k-1}`, so one running max is exact; every
+        // member shares every step, so one `shares` sum is exact;
+        // budgets and chains stay put, so a member stops growing at a
+        // fixed boundary (`clampScratch_`, sorted) and no chain grows
+        // before `page_edge` (a contiguous grant's capacity is its
+        // budget, so it has none). A sync flushes the `deferred`
+        // boundaries (this one included) before the round, then runs
+        // the round and the ensureCapacity pass, and rebases the clamp
+        // steps and the next page edge on what they left.
         bool synced = false; ///< the window's first boundary is applied
         std::size_t deferred = 0; ///< boundaries since the last sync
+        obs::DecodeShares shares; ///< their steps' waterfall charge
+        // The split of the step ending at the next boundary; `lat`
+        // and it change only when the step is re-costed.
+        obs::DecodeShares lat_shares = obs::DecodeShares::of(lat, batch_size);
         std::size_t clamped = 0;  ///< clampScratch_ entries <= deferred
         // `deferred` at the next page edge; max when none is due
         std::size_t page_edge = std::numeric_limits<std::size_t>::max();
         double gap_max = 0.0;
+        // Apply `add` deferred boundaries, the last at `now`, to a
+        // member: the window's first gap is its own, later ones the
+        // shared `gap` max. By-value parameters keep the loop's locals
+        // in registers.
+        const auto flush = [this](std::size_t idx, std::size_t add,
+                                  bool first, double gap, SimTime now,
+                                  obs::DecodeShares charge) {
+            Request &r = requests_[idx];
+            r.generated += add;
+            r.maxTokenGapSec = std::max(
+                r.maxTokenGapSec, first ? (now - r.lastToken).sec() : gap);
+            r.lastToken = now;
+            if (wf_ != nullptr)
+                wf_->onDecodeShares(idx, charge);
+        };
         while (silent > 0) {
             const SimTime tn = t + lat;
             if (!(tn < horizon))
@@ -926,12 +948,13 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             const double gap = (tn - t).sec();
             gap_max = deferred == 0 ? gap : std::max(gap_max, gap);
             ++deferred;
+            shares += lat_shares; // the step ending at `tn`
             t = tn;
             ++engineSteps_;
             ++decodeSteps_;
             ++fastForwarded_;
             std::size_t ns = n_sum; // the next step's resident total
-            if (defer_members && synced && deferred != page_edge &&
+            if (synced && deferred != page_edge &&
                 (!replay_deferrals || round_fixpoint)) {
                 // The round stands in for itself; the resident total
                 // grows by the members still below their clamp.
@@ -942,29 +965,14 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     ++clamped;
                 ns += batch_size - clamped;
             } else {
-                // Flush the deferred boundaries, this one included.
-                // Waterfall shares are charged from the step that just
-                // ended — `step` is re-costed only below. By-value
-                // captures keep the loop's locals in registers.
-                const auto flush = [this, add = deferred, first = !synced,
-                                    gap = gap_max, now = t, batch_size,
-                                    ended_step = lat](std::size_t idx) {
-                    Request &r = requests_[idx];
-                    r.generated += add;
-                    r.maxTokenGapSec = std::max(
-                        r.maxTokenGapSec,
-                        first ? (now - r.lastToken).sec() : gap);
-                    r.lastToken = now;
-                    if (wf_ != nullptr)
-                        wf_->onDecodeBoundary(idx, ended_step, batch_size);
-                };
-                // A real round's budget clamp reads the residents, so
+                // Flush the deferred boundaries, this one included. A
+                // real round's budget clamp reads the residents, so
                 // the flush precedes it; otherwise it rides the
-                // pagedEnsure pass below (members are independent).
+                // ensureCapacity pass below (members are independent).
                 const bool real_round = replay_deferrals && !round_fixpoint;
                 if (real_round) {
                     for (std::size_t idx : inFlightBatch_)
-                        flush(idx);
+                        flush(idx, deferred, !synced, gap_max, t, shares);
                 }
                 PoolMark mark_before;
                 if (replay_deferrals) {
@@ -977,7 +985,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     // returns to the pool — and each failure records
                     // the same deferral the event-driven round would.
                     //
-                    // Once a round and the pagedEnsure pass after it
+                    // Once a round and the ensureCapacity pass after it
                     // leave the pool as they found it, the next round
                     // starts from the same counts and prefix index and
                     // fails the same way again (members' growing
@@ -1015,19 +1023,16 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 ns = 0;
                 for (std::size_t idx : inFlightBatch_) {
                     if (!real_round)
-                        flush(idx);
-                    if (paged)
-                        pagedEnsure(idx, requests_[idx].residentTokens());
+                        flush(idx, deferred, !synced, gap_max, t, shares);
+                    ensureCapacity(idx, requests_[idx].residentTokens());
                     const Request &r = requests_[idx];
                     ns += r.residentTokens();
-                    if (!defer_members)
-                        continue;
                     const std::size_t held = r.task.ctxLen + r.generated;
                     clampScratch_.push_back(
                         r.budgetGranted > held ? r.budgetGranted - held
                                                : 0);
                     const std::size_t cap = grants_[idx].chainCapacityTokens;
-                    if (paged && r.budgetGranted > cap) {
+                    if (r.budgetGranted > cap) {
                         KELLE_ASSERT(cap > held,
                                      "chain behind its resident tokens");
                         page_edge = std::min(page_edge, cap - held);
@@ -1036,6 +1041,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 std::sort(clampScratch_.begin(), clampScratch_.end());
                 clamped = 0;
                 deferred = 0;
+                shares = obs::DecodeShares();
                 synced = true;
                 if (replay_deferrals)
                     round_fixpoint = poolMark() == mark_before;
@@ -1056,6 +1062,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                             requests_[idx].residentTokens(deferred));
                     step = &decodeStepCost(residentScratch_);
                 }
+                lat = scaled(step->latency);
+                lat_shares = obs::DecodeShares::of(lat, batch_size);
             }
             if (replay_deferrals && trace_ != nullptr) {
                 for (const auto &defer : deferScratch_)
@@ -1065,7 +1073,6 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             // Mirror the event path's per-boundary decode slice: the
             // step *starting* at this boundary, costed after any
             // resident growth.
-            lat = scaled(step->latency);
             if (trace_ != nullptr)
                 trace_->decodeStep(t, lat, batch_size,
                                    step->energy.refresh.j());
@@ -1073,13 +1080,9 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             busy_ += lat;
             --silent;
         }
-        if (deferred > 0) {
-            for (std::size_t idx : inFlightBatch_) {
-                Request &r = requests_[idx];
-                r.generated += deferred;
-                r.maxTokenGapSec = std::max(r.maxTokenGapSec, gap_max);
-                r.lastToken = t;
-            }
+        if (deferred > 0) { // after a sync: the window's first applied
+            for (std::size_t idx : inFlightBatch_)
+                flush(idx, deferred, false, gap_max, t, shares);
         }
         if (profiler_ != nullptr)
             profiler_->add(

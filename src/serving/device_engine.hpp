@@ -9,14 +9,13 @@
  * counters and the SLO metrics — while the *owner* owns the request
  * table, the event queue, and the arrival routing.
  *
- * The step loop is unchanged from the PR 3 pipeline: at every step
- * boundary the engine (1) optionally reclaims deadline-doomed decodes
- * (preempt-and-requeue, below), (2) offers waiting requests to the
- * allocator in the policy's admission order, and (3) executes the
- * `EngineStepPlan` the policy emits — one prefill chunk or one batched
- * decode iteration, costed by the accel timing model. Requests enter
- * through `enqueue(idx)`, which is what the owner calls from its
- * arrival (or re-dispatch) events.
+ * The step loop: at every step boundary the engine (1) optionally
+ * reclaims deadline-doomed decodes (preempt-and-requeue, below), (2)
+ * offers waiting requests to the allocator in the policy's admission
+ * order, and (3) executes the `EngineStepPlan` the policy emits — one
+ * prefill chunk or one batched decode iteration, costed by the accel
+ * timing model. Requests enter through `enqueue(idx)`, which is what
+ * the owner calls from its arrival (or re-dispatch) events.
  *
  * Preempt-and-requeue (`PreemptConfig`): when enabled and this device
  * has waiting demand (dispatch is route-once, so only local waiters
@@ -40,9 +39,10 @@
  * admission or preemption possible, no pending event before the
  * boundary — are fast-forwarded inline without re-entering the event
  * queue, replaying the per-boundary cost lookups and accumulations the
- * step-at-a-time loop would perform (member token counters are applied
- * in bulk where nothing inside the window reads them — see
- * runDecodeStep). `fastSim = false` keeps the
+ * step-at-a-time loop would perform. Member token counters and
+ * waterfall decode shares are applied in bulk where nothing inside the
+ * window reads them; traced and untraced runs and both KV pools share
+ * that one window (see runDecodeStep). `fastSim = false` keeps the
  * straight-line path; the FastPathEquivalence tests drive both to the
  * same traces and require field-for-field identical reports.
  */
@@ -420,10 +420,12 @@ class DeviceEngine
      *  it — or re-enter the reject path if the device crashed while
      *  the client was backing off. */
     void fireClientRetry();
-    /** Paged mode: ensure `idx`'s chain holds `tokens`, clamping the
-     *  budget to the chain's capacity when the pool is exhausted
-     *  (never below the floor acquired at admission). */
-    void pagedEnsure(std::size_t idx, std::size_t tokens);
+    /** Ensure `idx`'s grant holds `tokens`, clamping the budget to
+     *  the chain's capacity when the page pool is exhausted (never
+     *  below the floor acquired at admission). Callers never ask for
+     *  more than the budget, so this is a no-op on a contiguous grant,
+     *  whose capacity is its budget. */
+    void ensureCapacity(std::size_t idx, std::size_t tokens);
     /** Paged admission pressure: clamp each running budget N' to
      *  max(floor, resident), so no member grows its chain further.
      *  Frees no pages — chains hold only what residents need. */
@@ -434,7 +436,7 @@ class DeviceEngine
                                           std::size_t floor_tokens,
                                           std::uint64_t prefix_key,
                                           std::size_t prefix_len);
-    /** Every pool count a deferral round or a pagedEnsure pass can
+    /** Every pool count a deferral round or an ensureCapacity pass can
      *  move; equal marks around a boundary mean neither changed the
      *  pool (the free-list order aside — see runDecodeStep). */
     struct PoolMark
@@ -495,7 +497,8 @@ class DeviceEngine
     std::vector<std::size_t> residentScratch_;
     std::vector<std::size_t> inFlightBatch_; ///< decode members
     /** Cost of the decode step whose completion event is pending —
-     *  onDecodeDone charges each member's waterfall share from it. */
+     *  onDecodeDone charges each member's waterfall share from it
+     *  (a fast-forward window has charged the steps before it). */
     sim::SimTime inFlightStepLatency_;
     std::size_t inFlightPrefillIdx_ = 0;
     std::size_t inFlightPrefillTokens_ = 0;

@@ -137,6 +137,7 @@ KvBudgetAllocator::tryAdmit(std::size_t requested_tokens,
     g.admitted = true;
     g.budgetTokens = tokens;
     g.bytes = bytes;
+    g.chainCapacityTokens = tokens; // reserved whole at admission
     return g;
 }
 
@@ -187,9 +188,9 @@ KvBudgetAllocator::publishPrefix(const Grant &grant,
                                  std::uint64_t key,
                                  std::size_t tokens)
 {
-    KELLE_ASSERT(pool_ != nullptr && grant.admitted,
-                 "publishing from a non-paged or empty grant");
-    pool_->publishPrefix(grant.chainId, key, tokens);
+    KELLE_ASSERT(grant.admitted, "publishing from an empty grant");
+    if (pool_ != nullptr) // a contiguous grant has no pages to share
+        pool_->publishPrefix(grant.chainId, key, tokens);
 }
 
 void

@@ -70,11 +70,16 @@ class KvBudgetAllocator
         bool admitted = false;
         std::size_t budgetTokens = 0; ///< granted N'
         double bytes = 0.0;           ///< reserved pool bytes
+        /**
+         * Tokens the grant's reservation holds now. A paged chain
+         * grows it lazily toward the budget; a contiguous reservation
+         * holds its whole budget from admission, so there it equals
+         * `budgetTokens` and never needs growth.
+         */
+        std::size_t chainCapacityTokens = 0;
         /** @name Paged-mode fields (defaults in contiguous mode). @{ */
         std::size_t chainId = kNoChain;
         std::size_t prefixHitTokens = 0;
-        /** Current page-chain token capacity (grows lazily). */
-        std::size_t chainCapacityTokens = 0;
         /** @} */
     };
 
@@ -107,7 +112,8 @@ class KvBudgetAllocator
     bool growChain(Grant &grant, std::size_t tokens);
     /** Clamp the logical budget N' of a live grant. */
     void shrinkBudget(Grant &grant, std::size_t tokens);
-    /** Publish the grant's first `tokens` tokens under `key`. */
+    /** Publish the grant's first `tokens` tokens under `key` (a
+     *  no-op on a contiguous grant: it has no pages to share). */
     void publishPrefix(const Grant &grant, std::uint64_t key,
                        std::size_t tokens);
     /** Tokens an admission could still acquire (free+cached pages). */

@@ -27,6 +27,18 @@ deadlineSec(const Request &r)
     return r.ttftDeadline().sec();
 }
 
+/** SjfWithinDeadline's promotion test at `now`: the remaining TTFT
+ *  slack has fallen below kUrgentSlackFraction of the whole budget.
+ *  Once true it stays true as `now` advances. */
+bool
+urgentAt(const Request &r, sim::SimTime now)
+{
+    if (r.ttftDeadlineSec <= 0.0)
+        return false;
+    const double slack = deadlineSec(r) - now.sec();
+    return slack < kUrgentSlackFraction * r.ttftDeadlineSec;
+}
+
 /** Prefill-priority step: the given admitted request's next chunk if
  *  any, else one decode iteration over the whole batch. */
 void
@@ -95,13 +107,6 @@ class SjfWithinDeadlinePolicy final : public Policy
                    std::vector<std::size_t> &order) const override
     {
         order.assign(v.waiting.begin(), v.waiting.end());
-        const double now = v.now.sec();
-        auto urgent = [&](const Request &r) {
-            if (r.ttftDeadlineSec <= 0.0)
-                return false;
-            const double slack = deadlineSec(r) - now;
-            return slack < kUrgentSlackFraction * r.ttftDeadlineSec;
-        };
         auto jobSize = [](const Request &r) {
             return r.task.ctxLen + r.task.decLen;
         };
@@ -109,8 +114,8 @@ class SjfWithinDeadlinePolicy final : public Policy
                   [&](std::size_t a, std::size_t b) {
                       const Request &ra = v.requests[a];
                       const Request &rb = v.requests[b];
-                      const bool ua = urgent(ra);
-                      const bool ub = urgent(rb);
+                      const bool ua = urgentAt(ra, v.now);
+                      const bool ub = urgentAt(rb, v.now);
                       if (ua != ub)
                           return ua; // deadline-pressed first
                       if (ua) {      // both urgent: EDF
@@ -122,6 +127,31 @@ class SjfWithinDeadlinePolicy final : public Policy
                           return jobSize(ra) < jobSize(rb);
                       return ra.id < rb.id;
                   });
+    }
+
+    /** Both the urgent (EDF) and the calm (SJF) orders are fixed, so
+     *  the order changes only when a calm waiter turns urgent. */
+    sim::SimTime
+    nextOrderChange(const EngineView &v) const override
+    {
+        sim::SimTime next = sim::SimTime::never();
+        for (std::size_t idx : v.waiting) {
+            const Request &r = v.requests[idx];
+            if (r.ttftDeadlineSec <= 0.0 || urgentAt(r, v.now))
+                continue;
+            // The flip lies near deadline - fraction x budget; walk
+            // the estimate down to a calm tick (the walk stops by
+            // `now`, which is calm), so the window ends early, never
+            // late.
+            sim::SimTime flip =
+                r.ttftDeadline() -
+                sim::SimTime::fromSec(kUrgentSlackFraction *
+                                      r.ttftDeadlineSec);
+            while (urgentAt(r, flip))
+                flip = flip - sim::SimTime::nanos(1);
+            next = std::min(next, flip);
+        }
+        return next;
     }
 
     void

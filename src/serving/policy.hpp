@@ -134,6 +134,19 @@ class Policy
                                 std::vector<std::size_t> &order) const;
 
     /**
+     * An instant no later than the first tick at which
+     * `admissionOrder` over the same waiting queue may differ from
+     * its order at `v.now`; `never()` for a time-independent order
+     * (the default). The decode fast-forward ends a window before it,
+     * so replayed admission rounds keep the event path's order.
+     */
+    virtual sim::SimTime
+    nextOrderChange(const EngineView &) const
+    {
+        return sim::SimTime::never();
+    }
+
+    /**
      * Fill `plan` with the next engine step (Idle when nothing is
      * runnable). `plan` arrives reset(); it is caller-owned scratch,
      * so `decodeBatch` assignment reuses capacity step over step.

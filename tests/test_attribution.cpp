@@ -14,8 +14,9 @@
  *    the per-entry table.
  *  - AttributionDeterminism: the full waterfall table (every stamp,
  *    component and cause) is bit-identical across ClusterConfig::
- *    threads {1, 2, 4} and fastSim on/off, and the trace recorded
- *    with attribution on keeps the same byte-identity.
+ *    threads {1, 2, 4}, and across fastSim on/off over every config
+ *    the WaterfallInvariants sweeps run; the trace recorded with
+ *    attribution on keeps the same byte-identity.
  *  - TraceReaderRoundTrip: every trace the engines emit parses with
  *    zero unknown/malformed events and zero batch mismatches (the
  *    C++ replacement for the CI jq checks); the offline replay gives
@@ -144,7 +145,8 @@ TEST(AttributionMath, ClassifyMissBucketsAndTieBreaks)
  *  pool forces deferrals so c2 is exercised. */
 serving::ServingReport
 runServing(obs::LatencyWaterfall &wf, serving::SchedulePolicy policy,
-           std::size_t chunk_tokens, bool paged, std::size_t sessions)
+           std::size_t chunk_tokens, bool paged, std::size_t sessions,
+           bool fast_sim = true)
 {
     serving::ServingConfig cfg;
     cfg.traffic.ratePerSec = 0.05;
@@ -156,6 +158,7 @@ runServing(obs::LatencyWaterfall &wf, serving::SchedulePolicy policy,
     cfg.paged.enabled = paged;
     cfg.poolTokens = 6144;
     cfg.maxBatch = 8;
+    cfg.fastSim = fast_sim;
     cfg.waterfall = &wf;
     return cluster::ClusterEngine(oneDevice(cfg)).run().aggregate;
 }
@@ -194,9 +197,10 @@ runCluster(obs::LatencyWaterfall &wf, cluster::DispatchKind dispatch,
  *  requests are preempted too and the two losses compose. */
 cluster::ClusterReport
 runCrashy(obs::LatencyWaterfall &wf, std::uint64_t seed, bool preempt,
-          obs::TraceRecorder *rec = nullptr)
+          obs::TraceRecorder *rec = nullptr, bool fast_sim = true)
 {
     cluster::ClusterConfig cfg = crashyCluster(seed);
+    cfg.engine.fastSim = fast_sim;
     cfg.engine.preempt.enabled = preempt;
     if (preempt)
         cfg.engine.traffic.slo.tpotSec = 2e-5;
@@ -436,13 +440,56 @@ TEST(AttributionDeterminism, WaterfallBitIdenticalAcrossThreads)
 
 TEST(AttributionDeterminism, WaterfallBitIdenticalAcrossFastSim)
 {
-    obs::LatencyWaterfall fast;
-    runCluster(fast, cluster::DispatchKind::RoundRobin, true, 1,
-               true);
-    obs::LatencyWaterfall slow;
-    runCluster(slow, cluster::DispatchKind::RoundRobin, true, 1,
-               false);
-    EXPECT_EQ(dumpEntries(fast), dumpEntries(slow));
+    // Every config the WaterfallInvariants sweeps run: the fast-forward
+    // window charges each member's decode shares at its syncs and at
+    // its end, and must land on the step-at-a-time oracle's ticks.
+    const auto expect_equal = [](const auto &run, const std::string &what) {
+        obs::LatencyWaterfall fast;
+        run(fast, true);
+        obs::LatencyWaterfall slow;
+        run(slow, false);
+        const std::string want = dumpEntries(slow);
+        EXPECT_FALSE(want.empty()) << what;
+        EXPECT_EQ(dumpEntries(fast), want) << what;
+    };
+    for (serving::SchedulePolicy policy :
+         serving::allSchedulePolicies()) {
+        for (std::size_t chunk : {std::size_t{0}, std::size_t{256}}) {
+            expect_equal(
+                [&](obs::LatencyWaterfall &wf, bool fast_sim) {
+                    runServing(wf, policy, chunk, false, 0, fast_sim);
+                },
+                toString(policy) + "/chunk" + std::to_string(chunk));
+        }
+    }
+    expect_equal(
+        [](obs::LatencyWaterfall &wf, bool fast_sim) {
+            runServing(wf, serving::SchedulePolicy::ContinuousBatching,
+                       0, true, 4, fast_sim);
+        },
+        "paged+sessions");
+    for (cluster::DispatchKind dispatch :
+         {cluster::DispatchKind::RoundRobin,
+          cluster::DispatchKind::JoinShortestKv,
+          cluster::DispatchKind::DeadlineAware}) {
+        for (bool preempt : {false, true}) {
+            expect_equal(
+                [&](obs::LatencyWaterfall &wf, bool fast_sim) {
+                    runCluster(wf, dispatch, preempt, 1, fast_sim);
+                },
+                toString(dispatch) + (preempt ? "/preempt" : ""));
+        }
+    }
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        for (bool preempt : {false, true}) {
+            expect_equal(
+                [&](obs::LatencyWaterfall &wf, bool fast_sim) {
+                    runCrashy(wf, seed, preempt, nullptr, fast_sim);
+                },
+                "crash seed " + std::to_string(seed) +
+                    (preempt ? "/preempt" : ""));
+        }
+    }
 }
 
 TEST(AttributionDeterminism, TracedRunStaysByteIdentical)

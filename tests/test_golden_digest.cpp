@@ -482,6 +482,40 @@ TEST(HostileFlags, ServingZeroBatchCapIsRejected)
                        "--maxbatch");
 }
 
+TEST(HostileFlags, NonPositiveOrNanRetryBackoffIsRejected)
+{
+    // A negative backoff scheduled the client's re-arrival into the
+    // past and aborted the run; nan ran silently.
+    for (const char *backoff : {"-1", "0", "nan"})
+        expectFlagRejected("bench/bench_serving",
+                           std::string("--client-retry-backoff ") +
+                               backoff +
+                               " --client-retries 2 --pool 600 "
+                               "--requests 8 --sweep 0 --study 0 "
+                               "--policy contbatch",
+                           "--client-retry-backoff");
+}
+
+TEST(HostileFlags, PrefixFractionOutsideUnitIntervalIsRejected)
+{
+    for (const char *frac : {"1.5", "-0.5", "nan"})
+        expectFlagRejected("bench/bench_serving",
+                           std::string("--prefix-frac ") + frac +
+                               " --sessions 2 --requests 4 --sweep 0 "
+                               "--study 0",
+                           "--prefix-frac");
+}
+
+TEST(HostileFlags, NegativeOrNanChunkSlackIsRejected)
+{
+    for (const char *slack : {"-1", "nan"}) {
+        const std::string flags = std::string("--chunk-slack ") + slack +
+                                  " --requests 4 --sweep 0 --study 0";
+        expectFlagRejected("bench/bench_serving", flags, "--chunk-slack");
+        expectFlagRejected("bench/bench_cluster", flags, "--chunk-slack");
+    }
+}
+
 TEST(HostileFlags, NonFiniteSloScaleIsRejected)
 {
     // nan deadlines made every SLO check false: 0.0% attainment.

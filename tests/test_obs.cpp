@@ -5,7 +5,9 @@
  *  - TraceDeterminism: the exported Chrome trace-event JSON is
  *    byte-identical across ClusterConfig::threads = {1, 2, 4} and
  *    fastSim on/off on the same seed — the trace rides the same
- *    bit-reproducibility guarantee as the simulation outputs.
+ *    bit-reproducibility guarantee as the simulation outputs, down to
+ *    the order of the defer events a fast-forward window replays
+ *    while a time-dependent admission order changes.
  *  - TraceInvariants: structural properties of any recorded trace —
  *    per-track monotone non-decreasing sim time, every request span
  *    opens before it closes (arrival precedes completion/rejection),
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "cluster/cluster_engine.hpp"
+#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -149,6 +152,45 @@ TEST(TraceDeterminism, PreemptRequeueTraceIsThreadInvariant)
     const std::string serial = runTraced(1, true, true);
     EXPECT_EQ(serial, runTraced(4, true, true));
     EXPECT_EQ(serial, runTraced(1, false, true));
+}
+
+/** A KV-blocked sjf-deadline device: blocked waiters turn urgent (the
+ *  policy's time-dependent admission order changes) while the batch
+ *  decodes, so a fast-forward window that replays the recorded
+ *  deferral round past that instant emits its defer events in a stale
+ *  order. */
+std::string
+runSjfDeadlineTraced(bool fast_sim, bool paged)
+{
+    obs::TraceRecorder rec;
+    obs::LatencyWaterfall wf;
+    serving::ServingConfig cfg;
+    cfg.policy = serving::SchedulePolicy::SjfWithinDeadline;
+    cfg.poolTokens = 3000;
+    cfg.maxBatch = 8;
+    cfg.traffic.ratePerSec = 0.05;
+    cfg.traffic.numRequests = 8;
+    cfg.traffic.seed = 1;
+    cfg.paged.enabled = paged;
+    cfg.fastSim = fast_sim;
+    cfg.trace = &rec;
+    cfg.waterfall = &wf;
+    cluster::ClusterEngine(
+        cluster::clusterConfigFrom(cfg, 1,
+                                   cluster::DispatchKind::RoundRobin))
+        .run();
+    return rec.toJson();
+}
+
+TEST(TraceDeterminism, SjfDeadlineDeferOrderMatchesAcrossFastSim)
+{
+    for (bool paged : {false, true}) {
+        const std::string fast = runSjfDeadlineTraced(true, paged);
+        EXPECT_NE(fast.find("\"defer\""), std::string::npos);
+        EXPECT_TRUE(fast == runSjfDeadlineTraced(false, paged))
+            << (paged ? "paged" : "contiguous")
+            << " trace differs between fastSim on and off";
+    }
 }
 
 TEST(TraceDeterminism, RerunIsBitIdentical)

@@ -207,6 +207,11 @@ TEST(KvBudgetAllocator, ReleaseRestoresCapacity)
     auto b = alloc.tryAdmit(600, 100);
     ASSERT_TRUE(b.admitted);
     EXPECT_EQ(b.budgetTokens, 400u);
+    // A contiguous reservation holds its whole budget from admission,
+    // and has no pages to publish a prefix from.
+    EXPECT_EQ(a.chainCapacityTokens, a.budgetTokens);
+    EXPECT_EQ(b.chainCapacityTokens, b.budgetTokens);
+    alloc.publishPrefix(a, 7, 100);
     // Nothing left for the floor: deferred.
     auto c = alloc.tryAdmit(600, 100);
     EXPECT_FALSE(c.admitted);

@@ -44,6 +44,7 @@
 #include "accel/step_cost_cache.hpp"
 #include "accel/timing_model.hpp"
 #include "cluster/cluster_engine.hpp"
+#include "obs/attribution.hpp"
 #include "obs/trace.hpp"
 #include "sim/workloads.hpp"
 
@@ -547,10 +548,12 @@ TEST(FastPathEquivalence, ClusterFastVsSlowHeteroFleet)
 /** One DeviceEngine run over hand-built requests, each enqueued at
  *  its arrival, with no-op events at `noops` bounding fast-forward
  *  windows, when `crash_at` > 0 a device crash whose victims are not
- *  re-dispatched, and whatever further events `extra` schedules. */
+ *  re-dispatched, and whatever further events `extra` schedules. A
+ *  latency waterfall rides every run. */
 struct DeviceRun
 {
     std::vector<serving::Request> requests;
+    std::vector<obs::WaterfallEntry> waterfall;
     std::uint64_t decodeSteps = 0;
     std::uint64_t fastForwarded = 0;
     double busySec = 0.0;
@@ -574,6 +577,9 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     run.requests = std::move(requests);
     sim::EventQueue queue;
     serving::DeviceEngine engine(cfg, queue, run.requests);
+    obs::LatencyWaterfall wf;
+    wf.beginRun(run.requests.size());
+    engine.setWaterfall(&wf, 0);
     for (double t : noops)
         queue.schedule(sim::SimTime::fromSec(t), [] {});
     std::vector<std::size_t> victims;
@@ -597,7 +603,46 @@ runDevice(serving::DeviceConfig cfg, bool fast,
         Time::seconds(engine.lastCompletion().sec()));
     run.deferrals = engine.allocator().deferrals();
     run.budgetClips = engine.allocator().budgetClips();
+    run.waterfall = wf.entries();
     return run;
+}
+
+/** Every stamp, flag and component of two waterfalls, entry by entry
+ *  (a crash victim's entry stays open, so non-terminal ones count). */
+void
+expectWaterfallsEq(const std::vector<obs::WaterfallEntry> &a,
+                   const std::vector<obs::WaterfallEntry> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const obs::WaterfallEntry &x = a[i];
+        const obs::WaterfallEntry &y = b[i];
+        SCOPED_TRACE("waterfall entry " + std::to_string(i));
+        EXPECT_EQ(x.reqId, y.reqId);
+        EXPECT_EQ(x.device, y.device);
+        EXPECT_EQ(x.terminal, y.terminal);
+        EXPECT_EQ(x.rejected, y.rejected);
+        EXPECT_EQ(x.deferred, y.deferred);
+        EXPECT_EQ(x.preempted, y.preempted);
+        EXPECT_EQ(x.faulted, y.faulted);
+        EXPECT_EQ(x.missedTtft, y.missedTtft);
+        EXPECT_EQ(x.missedTpot, y.missedTpot);
+        EXPECT_EQ(x.cause, y.cause);
+        EXPECT_EQ(x.arrival, y.arrival);
+        EXPECT_EQ(x.firstDefer, y.firstDefer);
+        EXPECT_EQ(x.admitted, y.admitted);
+        EXPECT_EQ(x.firstToken, y.firstToken);
+        EXPECT_EQ(x.preemptAt, y.preemptAt);
+        EXPECT_EQ(x.resumeAt, y.resumeAt);
+        EXPECT_EQ(x.finished, y.finished);
+        EXPECT_EQ(x.ttftNs, y.ttftNs);
+        EXPECT_EQ(x.e2eNs, y.e2eNs);
+        for (std::size_t c = 0; c < obs::kLatencyComponentCount; ++c)
+            EXPECT_EQ(x.components[c], y.components[c])
+                << "component " << c;
+        EXPECT_EQ(x.decodeAtLoss[0], y.decodeAtLoss[0]);
+        EXPECT_EQ(x.decodeAtLoss[1], y.decodeAtLoss[1]);
+    }
 }
 
 serving::Request
@@ -631,6 +676,7 @@ expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
     const DeviceRun slow =
         runDevice(cfg, false, requests, noops, crash_at, extra);
     expectRequestsEq(fast.requests, slow.requests);
+    expectWaterfallsEq(fast.waterfall, slow.waterfall);
     expectSummaryEq(fast.summary, slow.summary);
     EXPECT_EQ(fast.decodeSteps, slow.decodeSteps);
     EXPECT_EQ(fast.deferrals, slow.deferrals);
@@ -643,10 +689,10 @@ expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
 
 TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
 {
-    // No waterfall: inside a fast-forward window the members' token
-    // counters are applied at sync boundaries (the first; with a paged
-    // pool also page edges and deferral rounds not at their fixpoint)
-    // and again when the window ends.
+    // Inside a fast-forward window the members' token counters and
+    // waterfall decode shares are applied at sync boundaries (the
+    // first; with a paged pool also page edges and deferral rounds
+    // not at their fixpoint) and again when the window ends.
     serving::DeviceConfig cfg;
     cfg.poolTokens = 16384;
     const double step_sec =
