@@ -187,6 +187,8 @@ TEST(TraceDeterminism, SjfDeadlineDeferOrderMatchesAcrossFastSim)
     for (bool paged : {false, true}) {
         const std::string fast = runSjfDeadlineTraced(true, paged);
         EXPECT_NE(fast.find("\"defer\""), std::string::npos);
+        // EXPECT_TRUE, not EXPECT_EQ: a mismatch would print two
+        // traces of about 5 MB each.
         EXPECT_TRUE(fast == runSjfDeadlineTraced(false, paged))
             << (paged ? "paged" : "contiguous")
             << " trace differs between fastSim on and off";
