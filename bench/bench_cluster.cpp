@@ -207,7 +207,8 @@ main(int argc, char **argv)
             return 1;
     }
     if (!bench::positiveFinite(args, "rate") ||
-        !bench::nonNegativeFinite(args, "chunk-slack"))
+        !bench::nonNegativeFinite(args, "chunk-slack") ||
+        !bench::uint32Count(args, "retries"))
         return 1;
     if (args.getBool("faults")) {
         for (const char *flag : {"mtbf", "mttr"}) {

@@ -201,7 +201,8 @@ main(int argc, char **argv)
             return 1;
     }
     if (!bench::nonNegativeFinite(args, "chunk-slack") ||
-        !bench::unitFraction(args, "prefix-frac"))
+        !bench::unitFraction(args, "prefix-frac") ||
+        !bench::uint32Count(args, "client-retries"))
         return 1;
     const long long kv_quant = args.getInt("kv-quant");
     if (kv_quant != 0 && kv_quant != 4 && kv_quant != 8) {

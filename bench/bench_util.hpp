@@ -8,7 +8,9 @@
 #define KELLE_BENCH_BENCH_UTIL_HPP
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,21 @@ unitFraction(const common::ArgParser &args, const char *name)
         return true;
     std::fprintf(stderr, "--%s must be a fraction in [0, 1], got %g\n",
                  name, v);
+    return false;
+}
+
+/** A count flag stored in 32 bits (retry budgets): false, after a
+ *  one-line stderr message, when `--name` is negative or too large
+ *  for the field — a cast would wrap -1 into ~4.3e9 retries. */
+inline bool
+uint32Count(const common::ArgParser &args, const char *name)
+{
+    const long long v = args.getInt(name);
+    constexpr long long kMax = std::numeric_limits<std::uint32_t>::max();
+    if (v >= 0 && v <= kMax)
+        return true;
+    std::fprintf(stderr, "--%s must be in [0, %lld], got %lld\n", name,
+                 kMax, v);
     return false;
 }
 

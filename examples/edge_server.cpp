@@ -36,6 +36,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
+#include "bench_util.hpp"
+
 using namespace kelle;
 
 namespace {
@@ -151,6 +153,15 @@ main(int argc, char **argv)
                    "CSV, sim seconds");
     if (!args.parse(argc, argv))
         return args.exitCode();
+    if (!bench::uint32Count(args, "client-retries") ||
+        !bench::positiveFinite(args, "rate"))
+        return 1;
+    if (args.getBool("faults")) {
+        for (const char *flag : {"mtbf", "mttr"}) {
+            if (!bench::positiveFinite(args, flag))
+                return 1;
+        }
+    }
 
     serving::ServingConfig cfg;
     cfg.traffic.ratePerSec = args.getDouble("rate");

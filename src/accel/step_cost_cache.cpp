@@ -20,38 +20,30 @@ StepCostCache::StepCostCache(const SystemConfig &sys,
 }
 
 const StepReport &
-StepCostCache::batchedDecodeStep(
-    const std::vector<std::size_t> &resident_tokens)
+StepCostCache::decodeStep(std::size_t batch, std::size_t resident_total)
 {
-    std::size_t n_sum = 0;
-    for (std::size_t n : resident_tokens)
-        n_sum += n;
-    const std::size_t batch = resident_tokens.size();
-    if (const StepReport *hit = lookupDecode(batch, n_sum)) {
+    if (const StepReport *hit = lookupDecode(batch, resident_total)) {
         ++stats_.hits;
         return *hit;
     }
     if (decodeReports_.size() >= maxEntries_) {
         ++stats_.bypasses;
         overflow_ =
-            simulateBatchedDecodeStep(sys_, model_, resident_tokens);
+            simulateBatchedDecodeStep(sys_, model_, batch, resident_total);
         return overflow_;
     }
     ++stats_.misses;
-    // Computed from the caller's member distribution; any batch with
-    // the same (B, N) key produces these exact doubles (see the
-    // header note on the exact affine summation).
     decodeReports_.push_back(
-        simulateBatchedDecodeStep(sys_, model_, resident_tokens));
+        simulateBatchedDecodeStep(sys_, model_, batch, resident_total));
     if (batch >= decodeIndex_.size())
         decodeIndex_.resize(batch + 1);
     auto &pages = decodeIndex_[batch];
-    const std::size_t p = n_sum >> kPageBits;
+    const std::size_t p = resident_total >> kPageBits;
     if (p >= pages.size())
         pages.resize(p + 1);
     if (pages[p] == nullptr)
         pages[p] = std::make_unique<IndexPage>(); // zeroed: all absent
-    (*pages[p])[n_sum & (kPageTokens - 1)] =
+    (*pages[p])[resident_total & (kPageTokens - 1)] =
         static_cast<std::uint32_t>(decodeReports_.size());
     return decodeReports_.back();
 }

@@ -4,35 +4,35 @@
  *
  * `simulateBatchedDecodeStep` and `simulatePrefillChunk` are pure
  * functions of (SystemConfig, ModelConfig, step shape): a decode
- * step's cost depends only on the resident-length multiset of the
- * batch, a prefill chunk's only on its (KV offset, chunk length)
- * pair. The serving engine re-derives these costs from scratch at
- * every step boundary even though step shapes repeat for long
- * stretches. `StepCostCache` binds one (system, model) pair at
- * construction and memoizes the resulting `StepReport`s, so a
- * repeated shape costs an index read instead of a full
- * analytic-model evaluation.
+ * step's shape is (batch size B, total resident tokens N), a prefill
+ * chunk's its (KV offset, chunk length) pair. The serving engine
+ * needs these costs at every step boundary even though step shapes
+ * repeat for long stretches. `StepCostCache` binds one (system,
+ * model) pair at construction and memoizes the resulting
+ * `StepReport`s, so a repeated shape costs an index read instead of a
+ * full analytic-model evaluation.
  *
- * Decode key: the resident multiset collapses further. Every
- * per-member accumuland in `batchedDecodeCosts` — MACs, working-set
- * bytes, SFU ops, resident tokens — is an integer-valued double far
- * below 2^53 for any realistic model, so the member-order summation
- * is *exact*, and each sum is an affine function of (batch size B,
- * total resident tokens N) with exact integer coefficients:
+ * Why (B, N) is the whole decode shape: every per-member term of a
+ * decode step — MACs, working-set bytes, SFU ops, resident tokens — is
+ * affine in the member's resident count n_i with integer
+ * coefficients, so each sum over the batch is an affine function of
+ * (B, N):
  *
  *     sum_i macsPerDecodeToken(n_i) = B*(proj+ffn+head) + 2*d*L*N
  *     sum_i ws(n_i)                 = 2*nHeads*N + 6*d*B
  *     sum_i sfu(n_i)                = L*(2*nHeads*N + (4d+dFfn)*B)
  *
- * Everything downstream of the summation loop reads only those sums,
- * so two batches with equal (B, N) produce bitwise-identical
- * `StepReport`s however their members are distributed — the cache
- * keys on that pair. This is what makes hit rates high in serving:
- * growing batch members permute and trade tokens, but (B, N) walks a
- * small lattice. The `StepCostCache.*` property tests enforce the
- * invariant (cached vs uncached, shuffled members, redistributed
- * multisets with equal sums), and the golden-digest tier-1 test
- * pins the end-to-end outputs.
+ * `batchedDecodeCosts` evaluates exactly these closed forms, and
+ * everything downstream reads only the sums. Every sum is an
+ * integer-valued double far below 2^53 for any realistic model, so
+ * the closed form equals the member-at-a-time sum bit for bit (the
+ * `TimingTelescoping` tests check it against the loop reference), and
+ * batches with equal (B, N) have bitwise-identical `StepReport`s
+ * however their members are distributed. This is what makes hit
+ * rates high in serving: growing batch members permute and trade
+ * tokens, but (B, N) walks a small lattice. The `StepCostCache.*`
+ * property tests check cached against uncached reports, and the
+ * golden-digest tier-1 test pins the end-to-end outputs.
  *
  * Decode index: the key space is dense. Inside a decode window the
  * batch size is fixed and N climbs by at most B per step, so the
@@ -106,33 +106,18 @@ class StepCostCache
                   std::size_t max_entries = kDefaultMaxEntries);
 
     /**
-     * Memoized simulateBatchedDecodeStep. A memoized report's
-     * reference stays valid for the cache's lifetime; a bypassing
-     * (cache-full) call returns a slot the next bypass overwrites.
+     * Memoized simulateBatchedDecodeStep of `batch` members holding
+     * `resident_total` tokens; counts one hit, miss or bypass. A
+     * memoized report's reference stays valid for the cache's
+     * lifetime; a bypassing (cache-full) call returns a slot the next
+     * bypass overwrites.
      */
-    const StepReport &
-    batchedDecodeStep(const std::vector<std::size_t> &resident_tokens);
+    const StepReport &decodeStep(std::size_t batch,
+                                 std::size_t resident_total);
 
     /** Memoized simulatePrefillChunk. */
     const StepReport &prefillChunk(std::size_t kv_offset,
                                    std::size_t chunk_len);
-
-    /**
-     * Probe the decode cache by its (batch size, total resident
-     * tokens) key directly — the serving fast-forward tracks the key
-     * incrementally and skips building the member vector on a hit
-     * (counted); on a miss this returns null and counts nothing, so
-     * the caller builds the vector and calls batchedDecodeStep, which
-     * accounts the miss.
-     */
-    const StepReport *
-    findBatchedDecode(std::size_t batch, std::size_t n_sum)
-    {
-        const StepReport *hit = lookupDecode(batch, n_sum);
-        if (hit != nullptr)
-            ++stats_.hits;
-        return hit;
-    }
 
     const Stats &stats() const { return stats_; }
     std::size_t

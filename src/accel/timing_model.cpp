@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/log.hpp"
 
@@ -93,142 +94,6 @@ transientRefreshInterval(const SystemConfig &sys)
     return Time::seconds(0);
 }
 
-/** Per-decode-step resource costs. */
-StepCosts
-decodeStepCosts(const SystemConfig &sys, const Workload &w, std::size_t t)
-{
-    const auto &m = w.model;
-    const auto &tech = sys.tech;
-    const double B = static_cast<double>(w.batch);
-    const double L = static_cast<double>(m.layers);
-    const double d = static_cast<double>(m.dModel);
-    const double dkv = static_cast<double>(m.dKv());
-    const std::size_t n = residentTokens(sys, w, t);
-    const double nd = static_cast<double>(n);
-
-    const double kv_tok = m.kvBytesPerTokenPerLayer(sys.kv.kvBits);
-    const double x_tok = d * 2.0; // 16-bit activations
-    const double w_step = m.weightBytes(tech.weightBits);
-
-    StepCosts c;
-
-    // Base compute.
-    c.macs = B * m.macsPerDecodeToken(n);
-
-    // Recomputation sizing (Section 8.3.2): Auto fills RSA slack
-    // during memory stalls; Over recomputes every popular token.
-    const double eligible =
-        (sys.kv.recompute == RecomputeMode::None)
-            ? 0.0
-            : sys.kv.popularFraction * nd;
-    const double macs_per_recomp = 2.0 * d * dkv; // per token per layer
-    double n_rec = 0.0;
-    if (sys.kv.recompute == RecomputeMode::Over) {
-        n_rec = eligible;
-    } else if (sys.kv.recompute == RecomputeMode::Auto) {
-        // Roofline balancing (Section 8.3.2): recompute tokens while
-        // the RSA would otherwise stall on memory, stopping exactly at
-        // the compute/memory crossing so recomputation can slow
-        // nothing down. Each recomputed token-layer removes its KV
-        // bytes from DRAM and adds 2*d*dKv MACs.
-        const double resident0 = B * L * nd * kv_tok;
-        const double dram0 = w_step + resident0;
-        const double bw =
-            tech.dram.bandwidth().value * tech.dramEfficiency;
-        const double t_mem = dram0 / bw;
-        const double flops =
-            tech.rsa.utilization * tech.rsa.peakMacsPerSec();
-        const double t_comp = c.macs / flops;
-        if (t_mem > t_comp) {
-            const double cost_per_tok =
-                B * L * macs_per_recomp / flops; // d t_comp / dn
-            const double save_per_tok =
-                B * L * kv_tok / bw; // d t_mem / dn
-            n_rec = (t_mem - t_comp) / (cost_per_tok + save_per_tok);
-            n_rec = std::min(eligible, n_rec);
-        }
-    }
-    c.recomputedTokens = n_rec;
-    c.recomputeMacs = B * L * n_rec * macs_per_recomp;
-    c.macs += c.recomputeMacs;
-
-    // Resident KV: recomputed tokens hold one activation vector x
-    // (with on-chip placement priority) instead of a KV pair
-    // (Section 4.1.2), so their KV bytes leave the stream entirely
-    // and the x read replaces half of them.
-    const double kv_res_layer =
-        nd * kv_tok - n_rec * std::max(0.0, kv_tok - x_tok);
-    c.residentKvBytes = B * L * kv_res_layer;
-
-    // Working set: every layer's attention intermediates (score rows,
-    // staged Q/K/V) compete with resident KV for on-chip capacity;
-    // the overflow round-trips DRAM once per layer per step.
-    const double ws = B * (static_cast<double>(m.nHeads) * nd * 2.0 +
-                           3.0 * d * 2.0);
-    const double kv_cap = tech.kvMemory.capacity().b();
-    const double spill = std::max(0.0, ws - kv_cap);
-    const double avail = std::max(0.0, kv_cap - ws);
-    c.onChipResidentKvBytes = std::min(c.residentKvBytes, avail);
-    const double f_on = c.residentKvBytes > 0
-                            ? c.onChipResidentKvBytes / c.residentKvBytes
-                            : 0.0;
-
-    // Traffic: every resident KV byte is read once per step; the new
-    // token's KV is written. When the score rows do not fit on chip,
-    // the scheduler picks the cheaper of (a) spilling them to DRAM or
-    // (b) two-pass online attention, which re-reads K/V instead of
-    // materializing probabilities — either way, insufficient on-chip
-    // capacity amplifies traffic, increasingly so with sequence
-    // length (the Figure 3a effect).
-    double kv_reads = c.residentKvBytes;
-    const double kv_writes = B * L * kv_tok;
-    double spill_dram = 0.0;
-    if (spill > 0.0) {
-        const double spill_traffic = 2.0 * spill * L;
-        if (kv_reads <= spill_traffic) {
-            kv_reads *= 2.0; // two-pass re-read
-        } else {
-            spill_dram = spill_traffic;
-        }
-    }
-    c.dramBytes = w_step + (1.0 - f_on) * (kv_reads + kv_writes) +
-                  spill_dram;
-    // All KV operands stage through the on-chip KV memory on their way
-    // to the RSA (Figure 10): one write and one read per byte. This is
-    // where eDRAM's per-byte access advantage over SRAM (84.8 vs
-    // 185.9 pJ/B) acts on the dominant traffic stream.
-    c.onChipKvBytes = 2.0 * (kv_reads + kv_writes) +
-                      2.0 * std::min(ws, kv_cap) * L;
-
-    // SFU: softermax over every head's scores (2 LUT ops per element),
-    // two RMSNorms and the FFN activation per layer.
-    c.sfuOps = B * L *
-               (2.0 * static_cast<double>(m.nHeads) * nd + 4.0 * d +
-                static_cast<double>(m.dFfn));
-
-    // Phase times. Recomputation is issued during memory stalls
-    // (Section 8.3.2, "recomputed in parallel during the load"), so
-    // its RSA time folds into the DRAM phase as a max even under the
-    // serial baseline schedule, and only the non-recompute MACs sit
-    // on the compute phase.
-    const double flops2 =
-        tech.rsa.utilization * tech.rsa.peakMacsPerSec();
-    const double t_dram_raw =
-        c.dramBytes / (tech.dram.bandwidth().value * tech.dramEfficiency);
-    const double t_recomp = c.recomputeMacs / flops2;
-    c.phases.dram = Time::seconds(std::max(t_dram_raw, t_recomp));
-    c.phases.sramW =
-        Time::seconds(w_step / tech.weightSram.bandwidth().value);
-    c.phases.kvMem =
-        Time::seconds(c.onChipKvBytes / tech.kvMemory.bandwidth().value);
-    c.phases.compute =
-        Time::seconds((c.macs - c.recomputeMacs) / flops2);
-    c.phases.sfu = Time::seconds(
-        c.sfuOps / (static_cast<double>(tech.sfu.lanes) *
-                    tech.rsa.clockHz));
-    return c;
-}
-
 /**
  * Resource costs of one prefill chunk: the `chunk` prompt tokens at KV
  * offset `offset` (batch-wide, all layers). Queries attend causally
@@ -239,31 +104,29 @@ decodeStepCosts(const SystemConfig &sys, const Workload &w, std::size_t t)
  * prefill.
  */
 StepCosts
-prefillChunkCosts(const SystemConfig &sys, const Workload &w,
-                  std::size_t offset, std::size_t chunk)
+prefillChunkCosts(const SystemConfig &sys, const model::ModelConfig &m,
+                  std::size_t batch, std::size_t offset, std::size_t chunk)
 {
     const auto &tech = sys.tech;
-    const double B = static_cast<double>(w.batch);
-    const double L = static_cast<double>(w.model.layers);
+    const double B = static_cast<double>(batch);
+    const double L = static_cast<double>(m.layers);
     const double n_new = static_cast<double>(chunk);
     const double n_ctx = static_cast<double>(offset + chunk);
     const double n_old = static_cast<double>(offset);
     StepCosts c;
     // Causal attention telescopes: this chunk's MACs are the
     // whole-prefix cost minus the already-prefilled prefix's cost.
-    double macs = B * (w.model.macsPrefill(offset + chunk) -
-                       w.model.macsPrefill(offset));
+    double macs = B * (m.macsPrefill(offset + chunk) - m.macsPrefill(offset));
     if (sys.prefillAttnSparsity > 0.0) {
         macs -= sys.prefillAttnSparsity * B *
-                (w.model.macsPrefillAttention(offset + chunk) -
-                 w.model.macsPrefillAttention(offset));
+                (m.macsPrefillAttention(offset + chunk) -
+                 m.macsPrefillAttention(offset));
     }
     c.macs = macs;
 
-    const double w_bytes = w.model.weightBytes(tech.weightBits);
+    const double w_bytes = m.weightBytes(tech.weightBits);
     // Per-layer activation round trips that overflow the buffer.
-    const double act_layer = B * n_new *
-                             static_cast<double>(w.model.dModel) * 2.0;
+    const double act_layer = B * n_new * static_cast<double>(m.dModel) * 2.0;
     double act_spill = 0.0;
     if (act_layer > tech.actBuffer.capacity().b())
         act_spill = 2.0 * act_layer * L;
@@ -271,25 +134,23 @@ prefillChunkCosts(const SystemConfig &sys, const Workload &w,
     // blocks sized by on-chip capacity re-stream the full resident K/V
     // per block, so prefill attention traffic scales inversely with
     // capacity (and a chunk at a deep offset re-reads a long prefix).
-    const double row_bytes =
-        4.0 * static_cast<double>(w.model.dModel) * 2.0;
+    const double row_bytes = 4.0 * static_cast<double>(m.dModel) * 2.0;
     const double block_rows = std::max(
         1.0, 0.5 * tech.kvMemory.capacity().b() / row_bytes);
     const double kv_layer_bytes =
-        n_ctx * static_cast<double>(w.model.dKv()) * 2.0 * 2.0;
+        n_ctx * static_cast<double>(m.dKv()) * 2.0 * 2.0;
     const double attn_reread =
         B * L * std::ceil(n_new / block_rows) * kv_layer_bytes;
-    const double kv_written =
-        B * n_new * w.model.kvBytesPerToken(sys.kv.kvBits);
+    const double kv_written = B * n_new * m.kvBytesPerToken(sys.kv.kvBits);
     c.dramBytes = w_bytes + act_spill + attn_reread + kv_written;
     c.onChipKvBytes = 2.0 * (kv_written + attn_reread);
     // Softmax rows telescope like the MACs (n_ctx^2 - n_old^2); the
     // norm/activation ops are linear in the chunk's tokens.
     c.sfuOps = B * L *
-               (static_cast<double>(w.model.nHeads) *
+               (static_cast<double>(m.nHeads) *
                     (n_ctx * n_ctx - n_old * n_old) +
-                (4.0 * static_cast<double>(w.model.dModel) +
-                 static_cast<double>(w.model.dFfn)) *
+                (4.0 * static_cast<double>(m.dModel) +
+                 static_cast<double>(m.dFfn)) *
                     n_new);
 
     c.phases.dram =
@@ -308,24 +169,18 @@ prefillChunkCosts(const SystemConfig &sys, const Workload &w,
     return c;
 }
 
-/** Full prefill resource costs (batch-wide, all layers). */
-StepCosts
-prefillCosts(const SystemConfig &sys, const Workload &w)
-{
-    return prefillChunkCosts(sys, w, 0, w.ctxLen);
-}
-
 /** Accumulate the energy of one phase given its latency and costs. */
 EnergyBreakdown
-phaseEnergy(const SystemConfig &sys, const StepCosts &c, Time latency,
-            Time t_sram_layer, Time t_kv_layer, const Workload &w)
+phaseEnergy(const SystemConfig &sys, const model::ModelConfig &m,
+            std::size_t batch, const StepCosts &c, Time latency,
+            Time t_sram_layer, Time t_kv_layer)
 {
     const auto &tech = sys.tech;
     EnergyBreakdown e;
     e.rsa = tech.rsa.macEnergy * c.macs;
     e.sfu = tech.sfu.opEnergy * c.sfuOps;
     // Weights pass through the staging SRAM: one write + one read.
-    const double w_step = w.model.weightBytes(tech.weightBits);
+    const double w_step = m.weightBytes(tech.weightBits);
     e.weightSram =
         tech.weightSram.accessEnergy() * Bytes(2.0 * w_step);
     e.kvMem = tech.kvMemory.accessEnergy() * Bytes(c.onChipKvBytes);
@@ -342,10 +197,9 @@ phaseEnergy(const SystemConfig &sys, const StepCosts &c, Time latency,
         if (interval.sec() > 0) {
             const Time lifetime = transientLifetime(
                 sys.scheduler, t_sram_layer, t_kv_layer);
-            const double act_bytes =
-                static_cast<double>(w.batch) * 4.0 *
-                static_cast<double>(w.model.dModel) * 2.0 *
-                static_cast<double>(w.model.layers);
+            const double act_bytes = static_cast<double>(batch) * 4.0 *
+                                     static_cast<double>(m.dModel) * 2.0 *
+                                     static_cast<double>(m.layers);
             const double refreshes_per_byte =
                 lifetime.sec() / interval.sec();
             e.refresh += Energy::joules(
@@ -365,83 +219,60 @@ phaseEnergy(const SystemConfig &sys, const StepCosts &c, Time latency,
 }
 
 /**
- * Per-step resource costs of one decode iteration over a heterogeneous
- * continuous batch. Mirrors decodeStepCosts, but sums per-sequence
- * terms so member sequences may sit at different positions with
- * different AERP budgets; the weight stream is charged once for the
- * whole batch.
- *
- * The per-member summation telescopes runs of equal resident counts
- * into `count * term` closed forms (`loop_form = false`, the
- * default): every accumuland — MACs, working-set bytes, SFU ops,
- * resident tokens — is an integer-valued double far below 2^53 for
- * realistic models, so both the member-by-member sum and the grouped
- * product are exact and bitwise equal. Decode batches clamp at their
- * AERP budgets, so at steady state the whole batch collapses into one
- * multiplied term. `loop_form = true` keeps the original
- * member-at-a-time loop; the TimingTelescoping tests assert the two
- * agree bit-for-bit across randomized batches and configs.
+ * The per-member sums a decode step's costs read. Member i of a
+ * B-member batch attends over n_i resident tokens; N = sum_i n_i.
+ */
+struct DecodeSums
+{
+    double batch = 0.0;         ///< B
+    double residentTotal = 0.0; ///< N
+    double macs = 0.0;          ///< sum_i macsPerDecodeToken(n_i)
+    double workingSet = 0.0;    ///< sum_i attention intermediates, bytes
+    double sfuOps = 0.0;        ///< sum_i SFU ops over all layers
+};
+
+/**
+ * Per-step resource costs of one decode iteration over a continuous
+ * batch, from its per-member sums. Member sequences may sit at
+ * different positions with different AERP budgets; the weight stream
+ * is charged once for the whole batch.
  */
 StepCosts
-batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
-                   const std::vector<std::size_t> &resident,
-                   bool loop_form = false)
+decodeCostsFromSums(const SystemConfig &sys, const model::ModelConfig &m,
+                    const DecodeSums &s)
 {
     const auto &tech = sys.tech;
     const double L = static_cast<double>(m.layers);
     const double d = static_cast<double>(m.dModel);
     const double dkv = static_cast<double>(m.dKv());
-    const double B = static_cast<double>(resident.size());
+    const double n_sum = s.residentTotal;
 
     const double kv_tok = m.kvBytesPerTokenPerLayer(sys.kv.kvBits);
     const double x_tok = d * 2.0; // 16-bit activations
     const double w_step = m.weightBytes(tech.weightBits);
 
     StepCosts c;
-    double n_sum = 0.0;
-    double ws = 0.0;
-    if (loop_form) {
-        for (std::size_t n : resident) {
-            const double nd = static_cast<double>(n);
-            n_sum += nd;
-            c.macs += m.macsPerDecodeToken(n);
-            ws += static_cast<double>(m.nHeads) * nd * 2.0 +
-                  3.0 * d * 2.0;
-            c.sfuOps += L * (2.0 * static_cast<double>(m.nHeads) * nd +
-                             4.0 * d + static_cast<double>(m.dFfn));
-        }
-    } else {
-        for (std::size_t i = 0; i < resident.size();) {
-            const std::size_t n = resident[i];
-            std::size_t j = i + 1;
-            while (j < resident.size() && resident[j] == n)
-                ++j;
-            const double cnt = static_cast<double>(j - i);
-            const double nd = static_cast<double>(n);
-            n_sum += cnt * nd;
-            c.macs += cnt * m.macsPerDecodeToken(n);
-            ws += cnt * (static_cast<double>(m.nHeads) * nd * 2.0 +
-                         3.0 * d * 2.0);
-            c.sfuOps +=
-                cnt * (L * (2.0 * static_cast<double>(m.nHeads) * nd +
-                            4.0 * d + static_cast<double>(m.dFfn)));
-            i = j;
-        }
-    }
+    c.macs = s.macs;
+    c.sfuOps = s.sfuOps;
 
-    // AERP recomputation, sized by the same roofline balance as the
-    // uniform path but over the aggregate resident population.
+    // Recomputation sizing (Section 8.3.2): Auto fills RSA slack
+    // during memory stalls; Over recomputes every popular token.
     const double eligible =
         (sys.kv.recompute == RecomputeMode::None)
             ? 0.0
             : sys.kv.popularFraction * n_sum;
-    const double macs_per_recomp = 2.0 * d * dkv;
+    const double macs_per_recomp = 2.0 * d * dkv; // per token per layer
     double n_rec = 0.0;
     const double bw = tech.dram.bandwidth().value * tech.dramEfficiency;
     const double flops = tech.rsa.utilization * tech.rsa.peakMacsPerSec();
     if (sys.kv.recompute == RecomputeMode::Over) {
         n_rec = eligible;
     } else if (sys.kv.recompute == RecomputeMode::Auto) {
+        // Roofline balancing (Section 8.3.2): recompute tokens while
+        // the RSA would otherwise stall on memory, stopping exactly at
+        // the compute/memory crossing so recomputation can slow
+        // nothing down. Each recomputed token-layer removes its KV
+        // bytes from DRAM and adds 2*d*dKv MACs.
         const double resident0 = L * n_sum * kv_tok;
         const double t_mem = (w_step + resident0) / bw;
         const double t_comp = c.macs / flops;
@@ -456,11 +287,18 @@ batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
     c.recomputeMacs = L * n_rec * macs_per_recomp;
     c.macs += c.recomputeMacs;
 
+    // Resident KV: recomputed tokens hold one activation vector x
+    // (with on-chip placement priority) instead of a KV pair
+    // (Section 4.1.2), so their KV bytes leave the stream entirely
+    // and the x read replaces half of them.
     const double kv_res =
         n_sum * kv_tok - n_rec * std::max(0.0, kv_tok - x_tok);
     c.residentKvBytes = L * kv_res;
 
-    // Working set vs on-chip capacity, shared by the whole batch.
+    // Working set: every layer's attention intermediates (score rows,
+    // staged Q/K/V) compete with resident KV for on-chip capacity;
+    // the overflow round-trips DRAM once per layer per step.
+    const double ws = s.workingSet;
     const double kv_cap = tech.kvMemory.capacity().b();
     const double spill = std::max(0.0, ws - kv_cap);
     const double avail = std::max(0.0, kv_cap - ws);
@@ -469,8 +307,15 @@ batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
                             ? c.onChipResidentKvBytes / c.residentKvBytes
                             : 0.0;
 
+    // Traffic: every resident KV byte is read once per step; each
+    // member's new token's KV is written. When the score rows do not
+    // fit on chip, the scheduler picks the cheaper of (a) spilling them
+    // to DRAM or (b) two-pass online attention, which re-reads K/V
+    // instead of materializing probabilities — either way,
+    // insufficient on-chip capacity amplifies traffic, increasingly so
+    // with sequence length (the Figure 3a effect).
     double kv_reads = c.residentKvBytes;
-    const double kv_writes = B * L * kv_tok; // one new token per member
+    const double kv_writes = s.batch * L * kv_tok;
     double spill_dram = 0.0;
     if (spill > 0.0) {
         const double spill_traffic = 2.0 * spill * L;
@@ -482,9 +327,18 @@ batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
     }
     c.dramBytes =
         w_step + (1.0 - f_on) * (kv_reads + kv_writes) + spill_dram;
+    // All KV operands stage through the on-chip KV memory on their way
+    // to the RSA (Figure 10): one write and one read per byte. This is
+    // where eDRAM's per-byte access advantage over SRAM (84.8 vs
+    // 185.9 pJ/B) acts on the dominant traffic stream.
     c.onChipKvBytes = 2.0 * (kv_reads + kv_writes) +
                       2.0 * std::min(ws, kv_cap) * L;
 
+    // Phase times. Recomputation is issued during memory stalls
+    // (Section 8.3.2, "recomputed in parallel during the load"), so
+    // its RSA time folds into the DRAM phase as a max even under the
+    // serial baseline schedule, and only the non-recompute MACs sit
+    // on the compute phase.
     c.phases.dram = Time::seconds(
         std::max(c.dramBytes / bw, c.recomputeMacs / flops));
     c.phases.sramW =
@@ -500,15 +354,47 @@ batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
 }
 
 /**
+ * Decode costs of a `batch`-member batch holding `resident_total`
+ * tokens in all. Every per-member term is affine in the member's
+ * resident count with integer coefficients, so the sums have the
+ * closed forms below (step_cost_cache.hpp derives them). Each is an
+ * integer-valued double far below 2^53 for realistic models, hence
+ * exact and bitwise equal to the member-at-a-time loop that
+ * detail::batchedDecodeStepLoopReference keeps; how the tokens are
+ * spread over the members cannot move a bit of the result.
+ */
+StepCosts
+batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
+                   std::size_t batch, std::size_t resident_total)
+{
+    const double B = static_cast<double>(batch);
+    const double N = static_cast<double>(resident_total);
+    const double L = static_cast<double>(m.layers);
+    const double d = static_cast<double>(m.dModel);
+    const double h = static_cast<double>(m.nHeads);
+    DecodeSums s;
+    s.batch = B;
+    s.residentTotal = N;
+    s.macs = B * m.macsPerDecodeToken(0) + 2.0 * d * L * N;
+    // Score rows (2 bytes per head per resident token) plus staged
+    // Q/K/V (three 16-bit d-vectors) per member.
+    s.workingSet = 2.0 * h * N + 6.0 * d * B;
+    // Softermax over every head's scores (2 LUT ops per element), two
+    // RMSNorms and the FFN activation per layer.
+    s.sfuOps =
+        L * (2.0 * h * N + (4.0 * d + static_cast<double>(m.dFfn)) * B);
+    return decodeCostsFromSums(sys, m, s);
+}
+
+/**
  * Step latency + energy from composed phases. The software-eviction
- * overhead applies to decode steps only, matching simulate(), which
- * charges it per decode step and never on prefill.
+ * overhead applies to decode steps only, never to prefill.
  */
 StepReport
-finishStep(const SystemConfig &sys, const Workload &w, const StepCosts &c,
-           bool decode_step)
+finishStep(const SystemConfig &sys, const model::ModelConfig &m,
+           std::size_t batch, const StepCosts &c, bool decode_step)
 {
-    const double L = static_cast<double>(w.model.layers);
+    const double L = static_cast<double>(m.layers);
     const bool sw_evict =
         decode_step && sys.kv.evict && !sys.kv.systolicEvictor;
     Time lat = composeStepLatency(sys.scheduler, c.phases);
@@ -516,8 +402,8 @@ finishStep(const SystemConfig &sys, const Workload &w, const StepCosts &c,
         lat *= (1.0 + kSoftwareEvictLatencyOverhead);
 
     EnergyBreakdown e = phaseEnergy(
-        sys, c, lat, Time::seconds(c.phases.sramW.sec() / L),
-        Time::seconds(c.phases.kvMem.sec() / L), w);
+        sys, m, batch, c, lat, Time::seconds(c.phases.sramW.sec() / L),
+        Time::seconds(c.phases.kvMem.sec() / L));
     if (sw_evict) {
         const double scale = 1.0 + kSoftwareEvictEnergyOverhead;
         e.rsa *= scale;
@@ -536,33 +422,24 @@ finishStep(const SystemConfig &sys, const Workload &w, const StepCosts &c,
 } // namespace
 
 StepReport
-simulatePrefillStep(const SystemConfig &sys, const model::ModelConfig &m,
-                    std::size_t ctx_len)
-{
-    KELLE_ASSERT(ctx_len > 0, "empty prompt");
-    Workload w;
-    w.name = "prefill";
-    w.model = m;
-    w.ctxLen = ctx_len;
-    w.decLen = 1;
-    w.batch = 1;
-    return finishStep(sys, w, prefillCosts(sys, w), false);
-}
-
-StepReport
 simulatePrefillChunk(const SystemConfig &sys, const model::ModelConfig &m,
                      std::size_t kv_offset, std::size_t chunk_len)
 {
     KELLE_ASSERT(chunk_len > 0, "empty prefill chunk");
-    Workload w;
-    w.name = "prefill-chunk";
-    w.model = m;
-    w.ctxLen = kv_offset + chunk_len;
-    w.decLen = 1;
-    w.batch = 1;
-    return finishStep(sys, w,
-                      prefillChunkCosts(sys, w, kv_offset, chunk_len),
+    return finishStep(sys, m, 1,
+                      prefillChunkCosts(sys, m, 1, kv_offset, chunk_len),
                       false);
+}
+
+StepReport
+simulateBatchedDecodeStep(const SystemConfig &sys,
+                          const model::ModelConfig &m, std::size_t batch,
+                          std::size_t resident_total)
+{
+    KELLE_ASSERT(batch > 0, "empty decode batch");
+    return finishStep(sys, m, batch,
+                      batchedDecodeCosts(sys, m, batch, resident_total),
+                      true);
 }
 
 StepReport
@@ -570,15 +447,10 @@ simulateBatchedDecodeStep(const SystemConfig &sys,
                           const model::ModelConfig &m,
                           const std::vector<std::size_t> &resident_tokens)
 {
-    KELLE_ASSERT(!resident_tokens.empty(), "empty decode batch");
-    Workload w;
-    w.name = "decode-step";
-    w.model = m;
-    w.ctxLen = 0;
-    w.decLen = 1;
-    w.batch = resident_tokens.size();
-    return finishStep(sys, w, batchedDecodeCosts(sys, m, resident_tokens),
-                      true);
+    return simulateBatchedDecodeStep(
+        sys, m, resident_tokens.size(),
+        std::accumulate(resident_tokens.begin(), resident_tokens.end(),
+                        std::size_t{0}));
 }
 
 Energy
@@ -634,18 +506,20 @@ simulateImpl(const SystemConfig &sys, const Workload &w,
 
     // ---- Prefill -------------------------------------------------
     {
-        const double L = static_cast<double>(w.model.layers);
-        StepCosts c = prefillCosts(sys, w);
-        rep.prefillLatency = composeStepLatency(sys.scheduler, c.phases);
-        rep.prefillEnergy = phaseEnergy(
-            sys, c, rep.prefillLatency,
-            Time::seconds(c.phases.sramW.sec() / L),
-            Time::seconds(c.phases.kvMem.sec() / L), w);
-        rep.dramBytesTotal += c.dramBytes;
-        rep.macsTotal += c.macs;
+        const StepReport pre = finishStep(
+            sys, w.model, w.batch,
+            prefillChunkCosts(sys, w.model, w.batch, 0, w.ctxLen), false);
+        rep.prefillLatency = pre.latency;
+        rep.prefillEnergy = pre.energy;
+        rep.dramBytesTotal += pre.dramBytes;
+        rep.macsTotal += pre.macs;
     }
 
     // ---- Decode --------------------------------------------------
+    // Every member of the uniform batch holds the same n resident
+    // tokens, so a step is the (B, B*n) batched decode; its recomputed
+    // tokens are batch-wide and are reported per sequence.
+    const double B = static_cast<double>(w.batch);
     Time decode_latency = Time::seconds(0);
     EnergyBreakdown decode_energy;
     double recomp_acc = 0.0;
@@ -657,8 +531,8 @@ simulateImpl(const SystemConfig &sys, const Workload &w,
     for (std::size_t t = 0; t < w.decLen; ++t) {
         const std::size_t n = residentTokens(sys, w, t);
         if (!memoize_steps || !have_step || n != last_resident) {
-            c = decodeStepCosts(sys, w, t);
-            step = finishStep(sys, w, c, true);
+            c = batchedDecodeCosts(sys, w.model, w.batch, w.batch * n);
+            step = finishStep(sys, w.model, w.batch, c, true);
             have_step = true;
             last_resident = n;
         }
@@ -666,7 +540,7 @@ simulateImpl(const SystemConfig &sys, const Workload &w,
         decode_energy += step.energy;
         rep.dramBytesTotal += c.dramBytes;
         rep.macsTotal += c.macs;
-        recomp_acc += c.recomputedTokens;
+        recomp_acc += c.recomputedTokens / B;
         f_on_acc += c.residentKvBytes > 0
                         ? c.onChipResidentKvBytes / c.residentKvBytes
                         : 0.0;
@@ -703,14 +577,21 @@ batchedDecodeStepLoopReference(
     const std::vector<std::size_t> &resident_tokens)
 {
     KELLE_ASSERT(!resident_tokens.empty(), "empty decode batch");
-    Workload w;
-    w.name = "decode-step";
-    w.model = m;
-    w.ctxLen = 0;
-    w.decLen = 1;
-    w.batch = resident_tokens.size();
-    return finishStep(
-        sys, w, batchedDecodeCosts(sys, m, resident_tokens, true), true);
+    const double L = static_cast<double>(m.layers);
+    const double d = static_cast<double>(m.dModel);
+    const double h = static_cast<double>(m.nHeads);
+    DecodeSums s;
+    s.batch = static_cast<double>(resident_tokens.size());
+    for (std::size_t n : resident_tokens) {
+        const double nd = static_cast<double>(n);
+        s.residentTotal += nd;
+        s.macs += m.macsPerDecodeToken(n);
+        s.workingSet += h * nd * 2.0 + 3.0 * d * 2.0;
+        s.sfuOps +=
+            L * (2.0 * h * nd + 4.0 * d + static_cast<double>(m.dFfn));
+    }
+    return finishStep(sys, m, resident_tokens.size(),
+                      decodeCostsFromSums(sys, m, s), true);
 }
 
 } // namespace detail

@@ -156,11 +156,6 @@ struct StepReport
     double macs = 0.0;
 };
 
-/** One request's prefill executed in isolation (batch of one). */
-StepReport simulatePrefillStep(const SystemConfig &sys,
-                               const model::ModelConfig &m,
-                               std::size_t ctx_len);
-
 /**
  * One fixed-size chunk of a request's prefill (Sarathi-style chunked
  * prefill): the `chunk_len` prompt tokens starting at KV offset
@@ -170,8 +165,9 @@ StepReport simulatePrefillStep(const SystemConfig &sys,
  * SFU ops and KV writes equal the single-shot prefill — but the full
  * weight stream is charged once *per chunk*, which is the price of
  * interleaving chunks with decode iterations. A single chunk covering
- * the whole prompt (`kv_offset == 0`, `chunk_len == ctx_len`) is
- * bit-identical to simulatePrefillStep.
+ * the whole prompt (`kv_offset == 0`, `chunk_len == ctx_len`) is the
+ * request's monolithic prefill, bit-identical to simulate()'s prefill
+ * of a batch-of-one workload.
  */
 StepReport simulatePrefillChunk(const SystemConfig &sys,
                                 const model::ModelConfig &m,
@@ -179,11 +175,21 @@ StepReport simulatePrefillChunk(const SystemConfig &sys,
                                 std::size_t chunk_len);
 
 /**
- * One decode step over a continuous batch. `resident_tokens` holds the
- * per-sequence KV-resident token count at attention time; the weight
- * stream is fetched once and amortized across every member sequence,
- * which is where batched decode wins over request-at-a-time serving.
+ * One decode step over a continuous batch of `batch` member sequences
+ * holding `resident_total` KV-resident tokens in all at attention
+ * time. The weight stream is fetched once and amortized across every
+ * member, which is where batched decode wins over request-at-a-time
+ * serving. The cost depends on the members' resident counts only
+ * through their total, so this pair is the whole step shape; it is
+ * the one decode-step cost model, behind `simulate` and every serving
+ * step alike.
  */
+StepReport simulateBatchedDecodeStep(const SystemConfig &sys,
+                                     const model::ModelConfig &m,
+                                     std::size_t batch,
+                                     std::size_t resident_total);
+
+/** The same step given each member's resident count. */
 StepReport simulateBatchedDecodeStep(
     const SystemConfig &sys, const model::ModelConfig &m,
     const std::vector<std::size_t> &resident_tokens);
@@ -196,11 +202,11 @@ StepReport simulateBatchedDecodeStep(
  * The shipping paths telescope analytically summable loops: the
  * decode loop of `simulate` re-evaluates the per-step analytic model
  * only when the resident-token clamp changes, and
- * `simulateBatchedDecodeStep` collapses runs of equal resident counts
- * into `count * term` closed forms. Both are bit-identical to the
- * original step-at-a-time / member-at-a-time loops, which these
- * references preserve so the equality is *tested*, not assumed (see
- * the TimingTelescoping suite).
+ * `simulateBatchedDecodeStep` sums its per-member terms in closed form
+ * from (batch size, resident total). Both are bit-identical to the
+ * step-at-a-time / member-at-a-time loops, which these references
+ * keep so the equality is *tested*, not assumed (see the
+ * TimingTelescoping suite).
  * @{
  */
 namespace detail {
@@ -209,7 +215,7 @@ namespace detail {
 RunReport simulateLoopReference(const SystemConfig &sys,
                                 const Workload &w);
 
-/** `simulateBatchedDecodeStep` with the original per-member loop. */
+/** `simulateBatchedDecodeStep` summing its terms member by member. */
 StepReport batchedDecodeStepLoopReference(
     const SystemConfig &sys, const model::ModelConfig &m,
     const std::vector<std::size_t> &resident_tokens);

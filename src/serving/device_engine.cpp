@@ -614,12 +614,12 @@ DeviceEngine::admitWaiting()
 }
 
 const accel::StepReport &
-DeviceEngine::decodeStepCost(const std::vector<std::size_t> &resident)
+DeviceEngine::decodeStepCost(std::size_t batch, std::size_t resident_total)
 {
     if (cfg_.fastSim)
-        return costCache_.batchedDecodeStep(resident);
-    stepScratch_ = accel::simulateBatchedDecodeStep(cfg_.system,
-                                                    cfg_.model, resident);
+        return costCache_.decodeStep(batch, resident_total);
+    stepScratch_ = accel::simulateBatchedDecodeStep(
+        cfg_.system, cfg_.model, batch, resident_total);
     return stepScratch_;
 }
 
@@ -824,12 +824,13 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // resident tokens before the step is costed; failed growth clamps
     // the member's budget (and thus its resident clamp), and no other
     // member's.
-    residentScratch_.clear();
+    std::size_t n_sum = 0;
     for (std::size_t idx : plan.decodeBatch) {
         ensureCapacity(idx, requests_[idx].residentTokens());
-        residentScratch_.push_back(requests_[idx].residentTokens());
+        n_sum += requests_[idx].residentTokens();
     }
-    const accel::StepReport *step = &decodeStepCost(residentScratch_);
+    const accel::StepReport *step =
+        &decodeStepCost(plan.decodeBatch.size(), n_sum);
     // Slowdown faults stretch step wall-clock, not energy; the scale
     // is constant inside a step window (fault instants bound every
     // fast-forward horizon), so re-deriving `lat` after each re-cost
@@ -892,9 +893,6 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // boundary: stop before the policy's order can change.
         if (replay_deferrals)
             horizon = std::min(horizon, policy_->nextOrderChange(view()));
-        std::size_t n_sum = 0;
-        for (std::size_t n : residentScratch_)
-            n_sum += n;
         const std::size_t batch_size = inFlightBatch_.size();
         // The last replayed round and ensureCapacity pass left the pool
         // untouched: the next round may stand in for itself.
@@ -1046,22 +1044,11 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 if (replay_deferrals)
                     round_fixpoint = poolMark() == mark_before;
             }
-            // The (batch, total-resident) cost key stays exact, so an
-            // unchanged total skips the lookup, and only a cache miss
-            // needs the members' residents, `deferred` boundaries on.
+            // The (batch, total-resident) pair is the whole cost key,
+            // so an unchanged total skips the lookup.
             if (ns != n_sum) {
                 n_sum = ns;
-                const accel::StepReport *hit =
-                    costCache_.findBatchedDecode(batch_size, n_sum);
-                if (hit != nullptr) {
-                    step = hit;
-                } else {
-                    residentScratch_.clear();
-                    for (std::size_t idx : inFlightBatch_)
-                        residentScratch_.push_back(
-                            requests_[idx].residentTokens(deferred));
-                    step = &decodeStepCost(residentScratch_);
-                }
+                step = &decodeStepCost(batch_size, n_sum);
                 lat = scaled(step->latency);
                 lat_shares = obs::DecodeShares::of(lat, batch_size);
             }

@@ -398,8 +398,8 @@ class DeviceEngine
      *  to keep the allocator's deferral accounting identical. */
     std::size_t silentStepBudget(bool *replay_deferrals) const;
     /** Step costs through the cache when fastSim is on. */
-    const accel::StepReport &
-    decodeStepCost(const std::vector<std::size_t> &resident);
+    const accel::StepReport &decodeStepCost(std::size_t batch,
+                                            std::size_t resident_total);
     const accel::StepReport &prefillChunkCost(std::size_t kv_offset,
                                               std::size_t chunk_len);
     void finishRequest(std::size_t idx);
@@ -494,7 +494,6 @@ class DeviceEngine
     std::vector<std::size_t> orderScratch_;
     std::vector<std::size_t> admittedNowScratch_;
     std::vector<std::size_t> victimScratch_;
-    std::vector<std::size_t> residentScratch_;
     std::vector<std::size_t> inFlightBatch_; ///< decode members
     /** Cost of the decode step whose completion event is pending —
      *  onDecodeDone charges each member's waterfall share from it

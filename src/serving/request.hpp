@@ -108,12 +108,11 @@ struct Request
      */
     double maxTokenGapSec = 0.0;
 
-    /** KV-resident tokens at attention time of the next decode step,
-     *  or of the one after `ahead` more generated tokens. */
+    /** KV-resident tokens at attention time of the next decode step. */
     std::size_t
-    residentTokens(std::size_t ahead = 0) const
+    residentTokens() const
     {
-        const std::size_t n = task.ctxLen + generated + ahead + 1;
+        const std::size_t n = task.ctxLen + generated + 1;
         return budgetGranted ? std::min(n, budgetGranted) : n;
     }
 

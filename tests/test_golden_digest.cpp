@@ -1,12 +1,12 @@
 /**
  * @file
  * Golden-digest regression tier: the full text output (stdout +
- * stderr) of the serving/cluster benches and the edge_server example
- * on a small deterministic config is hashed (FNV-1a 64) against a
- * checked-in digest. Any future perf work that perturbs a single
- * byte of the simulation's observable results — a latency, an energy
- * figure, a percentile, a log line — fails here in tier 1 rather
- * than surfacing as a silent result drift.
+ * stderr) of the serving/cluster benches, the edge_server example and
+ * the analytic paper-figure benches on a small deterministic config is
+ * hashed (FNV-1a 64) against a checked-in digest. Any future perf work
+ * that perturbs a single byte of the simulation's observable results —
+ * a latency, an energy figure, a percentile, a log line — fails here
+ * in tier 1 rather than surfacing as a silent result drift.
  *
  * The digests were recorded from the PR 4 engine; the ISSUE 5 fast
  * path (step-cost memoization, fast-forwarded stepping) reproduces
@@ -215,6 +215,49 @@ TEST(GoldenDigest, EdgeServerTwoDeviceHeteroSession)
     expectDigest("examples/edge_server",
                  "--devices 2 --hetero --dispatch join-shortest-kv",
                  0x8d0c0a15032438f4ull);
+}
+
+// The Fig. 13-16 and Table 7-9 benches print the analytic model's
+// paper tables; each runs in milliseconds and takes no flags. A change
+// to the decode, prefill or energy model that moves a printed figure
+// fails here.
+
+TEST(GoldenDigest, BenchFig13EndToEnd)
+{
+    expectDigest("bench/bench_fig13_end2end", "", 0x0923b9df5bb85a35ull);
+}
+
+TEST(GoldenDigest, BenchFig14Accelerators)
+{
+    expectDigest("bench/bench_fig14_accelerators", "",
+                 0x9da19583f3dbe889ull);
+}
+
+TEST(GoldenDigest, BenchFig15Ablation)
+{
+    expectDigest("bench/bench_fig15_ablation", "", 0xdc8a47c36298bb4eull);
+}
+
+TEST(GoldenDigest, BenchFig16Roofline)
+{
+    expectDigest("bench/bench_fig16_roofline", "", 0x02944c1e219f65feull);
+}
+
+TEST(GoldenDigest, BenchTable7BudgetEnergy)
+{
+    expectDigest("bench/bench_table7_budget_energy", "",
+                 0x54bc484202b0f9e2ull);
+}
+
+TEST(GoldenDigest, BenchTable8RetentionEnergy)
+{
+    expectDigest("bench/bench_table8_retention_energy", "",
+                 0x821d654e0693e3e0ull);
+}
+
+TEST(GoldenDigest, BenchTable9Batch)
+{
+    expectDigest("bench/bench_table9_batch", "", 0xcbbf37934a3727fcull);
 }
 
 /** Read a whole file (empty string when unreadable). */
@@ -452,6 +495,11 @@ TEST(HostileFlags, NonPositiveFaultTimesAreRejected)
                        "--faults --mttr -5 --requests 4 --sweep 0 "
                        "--study 0",
                        "--mttr");
+    // edge_server aborted on a failed assertion (exit 134) here.
+    expectFlagRejected("examples/edge_server", "--faults --mtbf 0",
+                       "--mtbf");
+    expectFlagRejected("examples/edge_server", "--faults --mttr -5",
+                       "--mttr");
 }
 
 TEST(HostileFlags, UnsupportedKvQuantIsRejected)
@@ -472,6 +520,8 @@ TEST(HostileFlags, NonPositiveOrNonFiniteRateIsRejected)
                                   " --requests 4 --sweep 0 --study 0";
         expectFlagRejected("bench/bench_serving", flags, "--rate");
         expectFlagRejected("bench/bench_cluster", flags, "--rate");
+        expectFlagRejected("examples/edge_server",
+                           std::string("--rate ") + rate, "--rate");
     }
 }
 
@@ -513,6 +563,27 @@ TEST(HostileFlags, NegativeOrNanChunkSlackIsRejected)
                                   " --requests 4 --sweep 0 --study 0";
         expectFlagRejected("bench/bench_serving", flags, "--chunk-slack");
         expectFlagRejected("bench/bench_cluster", flags, "--chunk-slack");
+    }
+}
+
+TEST(HostileFlags, RetryCountOutsideUint32IsRejected)
+{
+    // -1 used to wrap to 4,294,967,295 client retries (bench_serving
+    // then never exited on an overloaded pool); 2^32 wrapped to 0.
+    for (const char *n : {"-1", "4294967296"}) {
+        expectFlagRejected("bench/bench_serving",
+                           std::string("--client-retries ") + n +
+                               " --pool 64 --requests 4 --policy fcfs "
+                               "--sweep 0 --study 0",
+                           "--client-retries");
+        expectFlagRejected("bench/bench_cluster",
+                           std::string("--retries ") + n +
+                               " --faults --requests 4 --sweep 0 "
+                               "--study 0",
+                           "--retries");
+        expectFlagRejected("examples/edge_server",
+                           std::string("--client-retries ") + n,
+                           "--client-retries");
     }
 }
 

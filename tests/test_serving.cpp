@@ -325,7 +325,7 @@ TEST(BatchedTiming, PrefillStepMatchesTheIntegratedModel)
     w.batch = 1;
     const auto integrated = accel::simulate(sys, w);
     const auto step =
-        accel::simulatePrefillStep(sys, w.model, w.ctxLen);
+        accel::simulatePrefillChunk(sys, w.model, 0, w.ctxLen);
     EXPECT_DOUBLE_EQ(step.latency.sec(),
                      integrated.prefillLatency.sec());
 }
@@ -571,19 +571,29 @@ TEST(Policy, SkipBlockedAdmissionBypassesTheHeadOfLine)
 TEST(ChunkedTiming, WholePromptChunkMatchesSingleShotExactly)
 {
     // chunkTokens = prompt length degenerates to the monolithic
-    // prefill: one chunk at offset 0 must cost the same to the bit.
+    // prefill: one chunk at offset 0 must cost the same to the bit as
+    // simulate()'s prefill of a batch of one. Its DRAM bytes and MACs
+    // are read off the run's totals, which add the first decode step.
     const auto sys = accel::kelleEdramSystem(2048);
     const auto m = model::llama2_7b();
     for (std::size_t ctx : {128u, 512u, 1024u}) {
-        const auto shot = accel::simulatePrefillStep(sys, m, ctx);
+        accel::Workload w;
+        w.model = m;
+        w.ctxLen = ctx;
+        w.decLen = 1;
+        w.batch = 1;
+        const auto shot = accel::simulate(sys, w);
         const auto chunk = accel::simulatePrefillChunk(sys, m, 0, ctx);
-        EXPECT_DOUBLE_EQ(chunk.latency.sec(), shot.latency.sec())
+        const auto first =
+            accel::simulateBatchedDecodeStep(sys, m, 1, ctx + 1);
+        EXPECT_EQ(chunk.latency.sec(), shot.prefillLatency.sec())
             << ctx;
-        EXPECT_DOUBLE_EQ(chunk.energy.total().j(),
-                         shot.energy.total().j())
+        EXPECT_EQ(chunk.energy.total().j(),
+                  shot.prefillEnergy.total().j())
             << ctx;
-        EXPECT_DOUBLE_EQ(chunk.dramBytes, shot.dramBytes) << ctx;
-        EXPECT_DOUBLE_EQ(chunk.macs, shot.macs) << ctx;
+        EXPECT_EQ(chunk.dramBytes + first.dramBytes, shot.dramBytesTotal)
+            << ctx;
+        EXPECT_EQ(chunk.macs + first.macs, shot.macsTotal) << ctx;
     }
 }
 
@@ -593,7 +603,7 @@ TEST(ChunkedTiming, ChunkComputeTelescopesAndWeightStreamDoesNot)
     const auto m = model::llama2_7b();
     const std::size_t ctx = 512;
     const std::size_t chunk = 128;
-    const auto shot = accel::simulatePrefillStep(sys, m, ctx);
+    const auto shot = accel::simulatePrefillChunk(sys, m, 0, ctx);
 
     double macs = 0.0;
     double latency = 0.0;

@@ -11,10 +11,11 @@
  *    total resident) key produce identical reports however the tokens
  *    are distributed; a capacity-capped cache bypasses without
  *    perturbing values.
- *  - TimingTelescoping: the closed-form grouped summation in
- *    simulateBatchedDecodeStep and the memoized decode loop in
- *    simulate() equal their original loop forms (kept as
- *    accel::detail references) bit-for-bit.
+ *  - TimingTelescoping: the closed-form (batch size, resident total)
+ *    sums in simulateBatchedDecodeStep and the memoized decode loop in
+ *    simulate() equal their loop forms (kept as accel::detail
+ *    references) bit-for-bit, and simulate()'s decode steps are that
+ *    same batched step.
  *  - FastPathEquivalence: whole serving and cluster runs with
  *    ServingConfig::fastSim on vs off produce field-for-field
  *    identical reports — the end-to-end guarantee the golden-digest
@@ -36,6 +37,7 @@
 #include <functional>
 #include <limits>
 #include <new>
+#include <numeric>
 #include <random>
 #include <string>
 #include <tuple>
@@ -231,6 +233,16 @@ randomResident(std::mt19937_64 &rng, std::size_t max_batch,
     return r;
 }
 
+/** The cache's decode step for a member vector: its (B, N) key. */
+const accel::StepReport &
+cachedDecode(accel::StepCostCache &cache,
+             const std::vector<std::size_t> &resident)
+{
+    return cache.decodeStep(
+        resident.size(),
+        std::accumulate(resident.begin(), resident.end(), std::size_t{0}));
+}
+
 // ---- StepCostCache -------------------------------------------------
 
 TEST(StepCostCache, CachedDecodeEqualsUncachedAcrossRandomShapes)
@@ -241,12 +253,12 @@ TEST(StepCostCache, CachedDecodeEqualsUncachedAcrossRandomShapes)
         accel::StepCostCache cache(sys, m);
         for (int i = 0; i < 50; ++i) {
             const auto resident = randomResident(rng, 24, 4096);
-            const auto &cached = cache.batchedDecodeStep(resident);
+            const auto &cached = cachedDecode(cache, resident);
             const auto uncached =
                 accel::simulateBatchedDecodeStep(sys, m, resident);
             expectStepEq(cached, uncached);
             // Second query of the same shape must hit and stay exact.
-            expectStepEq(cache.batchedDecodeStep(resident), uncached);
+            expectStepEq(cachedDecode(cache, resident), uncached);
         }
         EXPECT_GT(cache.stats().hits, 0u);
     }
@@ -257,7 +269,8 @@ TEST(StepCostCache, EqualKeyBatchesProduceIdenticalReports)
     // The decode key is (batch size, total resident tokens): every
     // per-member accumuland is an integer-valued double, so the sums
     // are exact and any distribution of the same total over the same
-    // batch size yields the same bits.
+    // batch size yields the same bits — also when the member-at-a-time
+    // loop sums them.
     const auto sys = accel::kelleEdramSystem(2048);
     const auto m = model::llama2_7b();
     std::mt19937_64 rng(11);
@@ -283,6 +296,9 @@ TEST(StepCostCache, EqualKeyBatchesProduceIdenticalReports)
         const auto rc = accel::simulateBatchedDecodeStep(sys, m, c);
         expectStepEq(ra, rb);
         expectStepEq(ra, rc);
+        for (const auto *members : {&a, &b, &c})
+            expectStepEq(ra, accel::detail::batchedDecodeStepLoopReference(
+                                 sys, m, *members));
     }
 }
 
@@ -313,7 +329,7 @@ TEST(StepCostCache, CapacityCapBypassesWithoutPerturbingValues)
     accel::StepCostCache cache(sys, m, /*max_entries=*/4);
     for (std::size_t n = 100; n < 120; ++n) {
         const std::vector<std::size_t> resident{n, n + 1};
-        expectStepEq(cache.batchedDecodeStep(resident),
+        expectStepEq(cachedDecode(cache, resident),
                      accel::simulateBatchedDecodeStep(sys, m, resident));
     }
     EXPECT_EQ(cache.stats().misses, 4u);
@@ -341,7 +357,7 @@ TEST(StepCostCache, DenseIndexAcrossPageEdges)
     for (std::size_t n : ns) {
         for (std::size_t b : {std::size_t{1}, std::size_t{16}}) {
             const auto resident = spread(b, n);
-            expectStepEq(cache.batchedDecodeStep(resident),
+            expectStepEq(cachedDecode(cache, resident),
                          accel::simulateBatchedDecodeStep(sys, m,
                                                           resident));
         }
@@ -351,21 +367,26 @@ TEST(StepCostCache, DenseIndexAcrossPageEdges)
     EXPECT_EQ(cache.entries(), 10u);
     for (std::size_t n : ns) {
         for (std::size_t b : {std::size_t{16}, std::size_t{1}}) {
-            const accel::StepReport *hit = cache.findBatchedDecode(b, n);
-            ASSERT_NE(hit, nullptr) << "B " << b << " N " << n;
-            expectStepEq(*hit, accel::simulateBatchedDecodeStep(
-                                   sys, m, spread(b, n)));
+            SCOPED_TRACE("B " + std::to_string(b) + " N " +
+                         std::to_string(n));
+            expectStepEq(cache.decodeStep(b, n),
+                         accel::simulateBatchedDecodeStep(sys, m,
+                                                          spread(b, n)));
         }
     }
     EXPECT_EQ(cache.stats().hits, 10u);
     // Neighbours of stored keys, an untouched page and an unseen
-    // batch size all miss without being counted.
-    EXPECT_EQ(cache.findBatchedDecode(1, 1022), nullptr);
-    EXPECT_EQ(cache.findBatchedDecode(16, 1026), nullptr);
-    EXPECT_EQ(cache.findBatchedDecode(1, 5000), nullptr);
-    EXPECT_EQ(cache.findBatchedDecode(2, 1024), nullptr);
-    EXPECT_EQ(cache.findBatchedDecode(40, 1024), nullptr);
-    EXPECT_EQ(cache.stats().lookups(), 20u);
+    // batch size are misses with reports of their own, never a stored
+    // neighbour's slot.
+    const std::size_t fresh[][2] = {
+        {1, 1022}, {16, 1026}, {1, 5000}, {2, 1024}, {40, 1024}};
+    for (const auto &key : fresh)
+        expectStepEq(cache.decodeStep(key[0], key[1]),
+                     accel::simulateBatchedDecodeStep(sys, m, key[0],
+                                                      key[1]));
+    EXPECT_EQ(cache.stats().hits, 10u);
+    EXPECT_EQ(cache.stats().misses, 15u);
+    EXPECT_EQ(cache.stats().lookups(), 25u);
 }
 
 TEST(StepCostCache, ReferencesStayStableAcrossLaterInserts)
@@ -373,12 +394,12 @@ TEST(StepCostCache, ReferencesStayStableAcrossLaterInserts)
     const auto sys = accel::kelleEdramSystem(2048);
     const auto m = model::llama2_7b();
     accel::StepCostCache cache(sys, m);
-    const accel::StepReport &ref = cache.batchedDecodeStep({700, 300});
+    const accel::StepReport &ref = cache.decodeStep(2, 1000);
     const accel::StepReport copy = ref;
     for (std::size_t i = 0; i < 1000; ++i)
-        cache.batchedDecodeStep(spread(1 + i % 16, 2000 + 7 * i));
+        cache.decodeStep(1 + i % 16, 2000 + 7 * i);
     EXPECT_EQ(cache.entries(), 1001u);
-    EXPECT_EQ(&ref, cache.findBatchedDecode(2, 1000));
+    EXPECT_EQ(&ref, &cache.decodeStep(2, 1000));
     expectStepEq(ref, copy);
 }
 
@@ -387,12 +408,11 @@ TEST(StepCostCache, ProbeMissThenInsertCountsOneMiss)
     const auto sys = accel::kelleEdramSystem(2048);
     const auto m = model::llama2_7b();
     accel::StepCostCache cache(sys, m);
-    EXPECT_EQ(cache.findBatchedDecode(4, 4096), nullptr);
     EXPECT_EQ(cache.stats().lookups(), 0u);
-    const accel::StepReport &rep = cache.batchedDecodeStep(spread(4, 4096));
+    const accel::StepReport &rep = cache.decodeStep(4, 4096);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.findBatchedDecode(4, 4096), &rep);
+    EXPECT_EQ(&cache.decodeStep(4, 4096), &rep);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
 }
@@ -403,36 +423,98 @@ TEST(StepCostCache, EntriesCountDecodeAndChunkShapes)
     const auto m = model::llama2_7b();
     accel::StepCostCache cache(sys, m, /*max_entries=*/3);
     EXPECT_EQ(cache.entries(), 0u);
-    cache.batchedDecodeStep({10});
-    cache.batchedDecodeStep({10}); // hit
-    cache.batchedDecodeStep({5, 5}); // same N, new B
+    cache.decodeStep(1, 10);
+    cache.decodeStep(1, 10); // hit
+    cache.decodeStep(2, 10); // same N, new B
     cache.prefillChunk(0, 256);
     cache.prefillChunk(256, 256);
     EXPECT_EQ(cache.entries(), 4u);
-    cache.batchedDecodeStep({11});
-    cache.batchedDecodeStep({12}); // decode memo full: bypass
+    cache.decodeStep(1, 11);
+    cache.decodeStep(1, 12); // decode memo full: bypass
     cache.prefillChunk(512, 256);
     cache.prefillChunk(768, 256); // chunk memo full: bypass
     EXPECT_EQ(cache.entries(), 6u);
     EXPECT_EQ(cache.stats().misses, 6u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().bypasses, 2u);
-    EXPECT_EQ(cache.findBatchedDecode(1, 12), nullptr);
+    cache.decodeStep(1, 12); // a bypassed shape was never stored
+    EXPECT_EQ(cache.stats().bypasses, 3u);
+    EXPECT_EQ(cache.entries(), 6u);
 }
 
 // ---- TimingTelescoping ---------------------------------------------
 
 TEST(TimingTelescoping, GroupedBatchedDecodeEqualsLoopForm)
 {
-    const auto m = model::llama2_7b();
+    // The closed form is exact only while every sum is an integer
+    // below 2^53: cover MHA and GQA models up to 13B, and quantized KV
+    // and weights, whose odd per-token byte counts feed the roofline.
+    auto sweep_systems = cacheSystems();
+    for (int bits : {8, 4}) {
+        auto q = accel::kelleEdramSystem(2048);
+        q.kv.kvBits = bits;
+        q.tech.weightBits = bits;
+        sweep_systems.push_back(q);
+        auto a = accel::aerpSramSystem(1024);
+        a.kv.kvBits = bits;
+        sweep_systems.push_back(a);
+    }
     std::mt19937_64 rng(17);
+    for (const auto &m : {model::llama2_7b(), model::llama2_13b(),
+                          model::llama3_8b(), model::llama32_3b()}) {
+        // The widest batch's MAC sum, the largest accumuland.
+        EXPECT_LT(32.0 * m.macsPerDecodeToken(8192), 0x1p53) << m.name;
+        for (const auto &sys : sweep_systems) {
+            for (int i = 0; i < 80; ++i) {
+                const auto resident = randomResident(rng, 32, 8192);
+                expectStepEq(
+                    accel::simulateBatchedDecodeStep(sys, m, resident),
+                    accel::detail::batchedDecodeStepLoopReference(
+                        sys, m, resident));
+            }
+        }
+    }
+}
+
+TEST(TimingTelescoping, SimulateDecodeStepsAreBatchedDecodeSteps)
+{
+    // simulate()'s uniform batch of B sequences at n resident tokens
+    // is the serving layer's (B, B*n) decode step, on every field. An
+    // empty prompt's prefill streams the weights once and runs no
+    // MACs, so the run's totals are the decode steps' sums on top of
+    // one weight stream, accumulated in step order; decLen crosses
+    // every budget clamp. A power-of-two B scales every rounding
+    // exactly, so B = 3 and 12 are the batches where sizing AERP
+    // recomputation per sequence instead of per batch shows.
+    const auto m = model::llama2_7b();
     for (const auto &sys : cacheSystems()) {
-        for (int i = 0; i < 80; ++i) {
-            const auto resident = randomResident(rng, 32, 8192);
-            expectStepEq(
-                accel::simulateBatchedDecodeStep(sys, m, resident),
-                accel::detail::batchedDecodeStepLoopReference(
-                    sys, m, resident));
+        for (std::size_t b : {1, 3, 4, 12, 16}) {
+            SCOPED_TRACE(sys.name + " B " + std::to_string(b));
+            accel::Workload w;
+            w.model = m;
+            w.ctxLen = 0;
+            w.decLen = 2500;
+            w.batch = b;
+            const auto run = accel::simulate(sys, w);
+            Time latency = Time::seconds(0);
+            accel::EnergyBreakdown energy;
+            double dram = m.weightBytes(sys.tech.weightBits);
+            double macs = 0.0;
+            for (std::size_t t = 0; t < w.decLen; ++t) {
+                std::size_t n = t + 1;
+                if (sys.kv.evict)
+                    n = std::min(n, sys.kv.budget);
+                const auto step =
+                    accel::simulateBatchedDecodeStep(sys, m, b, b * n);
+                latency += step.latency;
+                energy += step.energy;
+                dram += step.dramBytes;
+                macs += step.macs;
+            }
+            EXPECT_EQ(run.decodeLatency.sec(), latency.sec());
+            expectEnergyEq(run.decodeEnergy, energy);
+            EXPECT_EQ(run.dramBytesTotal, dram);
+            EXPECT_EQ(run.macsTotal, macs);
         }
     }
 }
