@@ -130,9 +130,11 @@ main(int argc, char **argv)
         "bench_cluster",
         "multi-device edge cluster: fleet size x dispatch policy x "
         "eDRAM/SRAM heterogeneity");
-    args.addDouble("rate", 0.04, "mean arrival rate in req/s (whole "
-                                 "fleet)");
-    args.addInt("devices", 2, "fleet size for the headline section");
+    args.addDouble("rate", 0.04,
+                   "mean arrival rate in req/s (whole fleet)",
+                   common::NumRange::PositiveFinite);
+    args.addInt("devices", 2, "fleet size for the headline section",
+                common::IntRange::AtLeastOne);
     args.addString("dispatch", "all",
                    cluster::dispatchPolicyNames() + " | all");
     args.addBool("hetero", false,
@@ -141,31 +143,40 @@ main(int argc, char **argv)
                    "per-device scheduling policy: " +
                        serving::schedulePolicyNames());
     args.addInt("chunk-tokens", 0,
-                "prefill chunk size (0 = whole prompt per step)");
+                "prefill chunk size (0 = whole prompt per step)",
+                common::IntRange::NonNegative);
     args.addDouble("chunk-slack", 0.0,
                    "edf-chunked slack-aware alternation fraction "
-                   "(0 = unconditional alternation)");
+                   "(0 = unconditional alternation)",
+                   common::NumRange::NonNegativeFinite);
     args.addBool("preempt", false,
                  "reclaim KV grants of deadline-doomed decodes and "
                  "re-dispatch the victims");
     args.addDouble("slo-tpot", 0.0,
                    "override the per-request TPOT target in seconds "
                    "(0 = trace default); tight targets doom stalled "
-                   "decodes, which is what --preempt reclaims");
-    args.addInt("requests", 48, "trace length in requests");
+                   "decodes, which is what --preempt reclaims",
+                   common::NumRange::NonNegativeFinite);
+    args.addInt("requests", 48, "trace length in requests",
+                common::IntRange::AtLeastOne);
     args.addInt("seed", 42, "arrival-trace seed");
-    args.addInt("maxbatch", 16, "per-device decode-batch cap");
+    args.addInt("maxbatch", 16, "per-device decode-batch cap",
+                common::IntRange::AtLeastOne);
     args.addInt("pool", 0,
-                "per-device KV pool tokens (0 = capacity analysis)");
+                "per-device KV pool tokens (0 = capacity analysis)",
+                common::IntRange::NonNegative);
     args.addInt("sram-pool", 0,
                 "KV pool tokens of SRAM-backed devices in hetero "
-                "fleets (0 = half the eDRAM pool)");
+                "fleets (0 = half the eDRAM pool)",
+                common::IntRange::NonNegative);
     args.addInt("steps", 0,
-                "max engine steps per device (0 = run to completion)");
+                "max engine steps per device (0 = run to completion)",
+                common::IntRange::NonNegative);
     args.addInt("threads", 1,
                 "worker lanes per cluster run (1 = one lane, run "
                 "inline, 0 = hardware threads); output is "
-                "bit-identical for every value");
+                "bit-identical for every value",
+                common::IntRange::NonNegative);
     args.addBool("burst", false, "bursty (MMPP) arrivals");
     args.addBool("study", true,
                  "run the knee (join-shortest-kv vs round-robin) and "
@@ -183,7 +194,8 @@ main(int argc, char **argv)
                    "(.csv = sampled time series, else JSON)");
     args.addDouble("metrics-interval", 60.0,
                    "time-series sampling interval for --metrics-out "
-                   "CSV, sim seconds");
+                   "CSV, sim seconds",
+                   common::NumRange::PositiveFinite);
     args.addBool("attribution", false,
                  "per-request latency waterfalls on the first "
                  "headline cell: print the SLO miss-cause breakdown, "
@@ -194,28 +206,17 @@ main(int argc, char **argv)
                  "slowdowns and pool shrinks with recovery; adds the "
                  "fault report and the goodput-vs-availability study");
     args.addDouble("mtbf", 120.0,
-                   "mean time between faults per device, sim seconds");
+                   "mean time between faults per device, sim seconds",
+                   common::NumRange::PositiveFinite);
     args.addDouble("mttr", 15.0,
-                   "mean time to recovery per fault, sim seconds");
+                   "mean time to recovery per fault, sim seconds",
+                   common::NumRange::PositiveFinite);
     args.addInt("retries", 3,
                 "fault re-dispatch budget per request before a "
-                "permanent failure");
+                "permanent failure",
+                common::IntRange::Uint32);
     if (!args.parse(argc, argv))
         return args.exitCode();
-    for (const char *flag : {"devices", "maxbatch"}) {
-        if (!bench::atLeastOne(args, flag))
-            return 1;
-    }
-    if (!bench::positiveFinite(args, "rate") ||
-        !bench::nonNegativeFinite(args, "chunk-slack") ||
-        !bench::uint32Count(args, "retries"))
-        return 1;
-    if (args.getBool("faults")) {
-        for (const char *flag : {"mtbf", "mttr"}) {
-            if (!bench::positiveFinite(args, flag))
-                return 1;
-        }
-    }
 
     serving::SchedulePolicy policy;
     if (!serving::parseSchedulePolicy(args.getString("policy"),
@@ -383,19 +384,21 @@ main(int argc, char **argv)
     }
 
     if (!trace_out.empty()) {
-        if (recorder.writeJson(trace_out))
-            std::printf("\nwrote trace: %s (%s dispatch; load at "
-                        "https://ui.perfetto.dev)\n",
-                        trace_out.c_str(),
-                        toString(dispatches.front()).c_str());
+        if (!recorder.writeJson(trace_out))
+            return 1;
+        std::printf("\nwrote trace: %s (%s dispatch; load at "
+                    "https://ui.perfetto.dev)\n",
+                    trace_out.c_str(),
+                    toString(dispatches.front()).c_str());
     }
     if (!metrics_out.empty()) {
         if (attribution)
             obs::exportAttributionMetrics(waterfall, fleet_metrics);
         fleet_metrics.ingestTrace(recorder);
-        if (fleet_metrics.writeFile(
+        if (!fleet_metrics.writeFile(
                 metrics_out, args.getDouble("metrics-interval")))
-            std::printf("\nwrote metrics: %s\n", metrics_out.c_str());
+            return 1;
+        std::printf("\nwrote metrics: %s\n", metrics_out.c_str());
     }
 
     // ---- Knee study: 2-device hetero fleet at the saturation knee -

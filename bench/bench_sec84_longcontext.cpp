@@ -29,17 +29,18 @@ main(int argc, char **argv)
     args.addBool("paged", false,
                  "add the paged KV pool capacity axis (page-granular "
                  "pool + shared-prefix multiplier)");
-    args.addInt("block-tokens", 64, "paged axis: tokens per KV page");
+    args.addInt("block-tokens", 64, "paged axis: tokens per KV page",
+                common::IntRange::AtLeastOne);
     args.addInt("sessions", 8,
                 "paged axis: concurrent sessions sharing one system "
-                "prompt each");
+                "prompt each",
+                common::IntRange::AtLeastOne);
     args.addDouble("prefix-frac", 0.5,
                    "paged axis: fraction of each context covered by "
-                   "the shared session prefix");
+                   "the shared session prefix",
+                   common::NumRange::UnitFraction);
     if (!args.parse(argc, argv))
         return args.exitCode();
-    if (!bench::atLeastOne(args, "block-tokens"))
-        return 1;
 
     const auto m = model::llama2_7b();
     bench::banner("Section 8.4.1: long-context capacity on 16 GB DRAM "
@@ -110,8 +111,7 @@ main(int argc, char **argv)
         // turn only pays the (1 - frac) unique tail. In steady state
         // with N resident requests the logical-resident multiplier is
         //   N*L / ((1-frac)*N*L + frac*S*L) = 1 / (1-frac + frac*S/N).
-        const std::size_t sessions =
-            std::max<std::size_t>(1, args.getSize("sessions"));
+        const std::size_t sessions = args.getSize("sessions");
         const double frac = args.getDouble("prefix-frac");
         Table s({"resident turns", "physical tokens per logical",
                  "shared multiplier"});

@@ -117,36 +117,47 @@ main(int argc, char **argv)
         "bench_serving",
         "event-driven multi-request serving: rate x policy x chunking "
         "x memory");
-    args.addDouble("rate", 0.02, "mean arrival rate in req/s");
+    args.addDouble("rate", 0.02, "mean arrival rate in req/s",
+                   common::NumRange::PositiveFinite);
     args.addString("policy", "all",
                    serving::schedulePolicyNames() + " | both | all");
     args.addInt("chunk-tokens", 256,
                 "prefill chunk size for the chunked study/sweep cells; "
                 "passing the flag explicitly applies it to the "
-                "headline too (0 disables chunking everywhere)");
+                "headline too (0 disables chunking everywhere)",
+                common::IntRange::NonNegative);
     args.addDouble("chunk-slack", 0.0,
                    "edf-chunked slack-aware alternation: run "
                    "consecutive chunks when the prefilling request's "
                    "TTFT slack is below this fraction of its budget "
-                   "(0 = unconditional alternation)");
-    args.addInt("budget", 0, "per-request KV budget N' (0 = task N')");
+                   "(0 = unconditional alternation)",
+                   common::NumRange::NonNegativeFinite);
+    args.addInt("budget", 0, "per-request KV budget N' (0 = task N')",
+                common::IntRange::NonNegative);
     args.addInt("seed", 42, "arrival-trace seed");
-    args.addInt("steps", 0, "max engine steps (0 = run to completion)");
-    args.addInt("requests", 64, "trace length in requests");
+    args.addInt("steps", 0, "max engine steps (0 = run to completion)",
+                common::IntRange::NonNegative);
+    args.addInt("requests", 64, "trace length in requests",
+                common::IntRange::AtLeastOne);
     args.addBool("burst", false, "bursty (MMPP) arrivals");
     args.addInt("client-retries", 0,
                 "client-side resubmits of an overload-rejected "
                 "request after a jittered backoff (0 = reject is "
-                "final; the base arrival trace is unchanged)");
+                "final; the base arrival trace is unchanged)",
+                common::IntRange::Uint32);
     args.addDouble("client-retry-backoff", 5.0,
                    "client retry backoff base, seconds (doubles per "
-                   "attempt, seeded jitter)");
-    args.addInt("maxbatch", 16, "continuous-batching batch cap");
-    args.addInt("pool", 0, "KV pool tokens (0 = capacity analysis)");
+                   "attempt, seeded jitter)",
+                   common::NumRange::PositiveFinite);
+    args.addInt("maxbatch", 16, "continuous-batching batch cap",
+                common::IntRange::AtLeastOne);
+    args.addInt("pool", 0, "KV pool tokens (0 = capacity analysis)",
+                common::IntRange::NonNegative);
     args.addString("mix", "even",
                    "task mix: even | pg19 (PG19-heavy)");
     args.addDouble("slo-scale", 1.0,
-                   "scale the default TTFT/TPOT deadlines");
+                   "scale the default TTFT/TPOT deadlines",
+                   common::NumRange::PositiveFinite);
     args.addBool("study", true,
                  "run the chunked-prefill study (PG19-heavy mix)");
     args.addBool("sweep", true,
@@ -158,16 +169,20 @@ main(int argc, char **argv)
                  "paged KV pool: page-granular admission/eviction with "
                  "copy-free shared prefixes (adds the contiguous-vs-"
                  "paged comparison section)");
-    args.addInt("block-tokens", 64, "paged mode: tokens per KV page");
+    args.addInt("block-tokens", 64, "paged mode: tokens per KV page",
+                common::IntRange::AtLeastOne);
     args.addInt("kv-quant", 0,
                 "paged mode: stored KV bits per value (0 = system "
-                "default; 8/4 shrink pages through group quantization)");
+                "default; 8/4 shrink pages through group quantization)",
+                common::IntRange::NonNegative);
     args.addInt("sessions", 0,
                 "multi-turn sessions sharing a system prompt per task "
-                "class (0 = every prompt unique)");
+                "class (0 = every prompt unique)",
+                common::IntRange::NonNegative);
     args.addDouble("prefix-frac", 0.5,
                    "fraction of each prompt covered by the shared "
-                   "session prefix");
+                   "session prefix",
+                   common::NumRange::UnitFraction);
     args.addString("trace-out", "",
                    "write the first headline policy's request-"
                    "lifecycle trace as Chrome trace-event JSON "
@@ -177,7 +192,8 @@ main(int argc, char **argv)
                    "(.csv = sampled time series, else JSON)");
     args.addDouble("metrics-interval", 60.0,
                    "time-series sampling interval for --metrics-out "
-                   "CSV, sim seconds");
+                   "CSV, sim seconds",
+                   common::NumRange::PositiveFinite);
     args.addBool("attribution", false,
                  "per-request latency waterfalls on the first "
                  "headline policy: print the SLO miss-cause "
@@ -192,18 +208,6 @@ main(int argc, char **argv)
                      mix_text.c_str());
         return 1;
     }
-    for (const char *flag : {"block-tokens", "maxbatch"}) {
-        if (!bench::atLeastOne(args, flag))
-            return 1;
-    }
-    for (const char *flag : {"rate", "slo-scale", "client-retry-backoff"}) {
-        if (!bench::positiveFinite(args, flag))
-            return 1;
-    }
-    if (!bench::nonNegativeFinite(args, "chunk-slack") ||
-        !bench::unitFraction(args, "prefix-frac") ||
-        !bench::uint32Count(args, "client-retries"))
-        return 1;
     const long long kv_quant = args.getInt("kv-quant");
     if (kv_quant != 0 && kv_quant != 4 && kv_quant != 8) {
         std::fprintf(stderr, "unsupported --kv-quant %lld (0|4|8)\n",
@@ -295,11 +299,11 @@ main(int argc, char **argv)
                                     " policy");
 
     if (!trace_out.empty()) {
-        if (recorder.writeJson(trace_out))
-            std::printf("\nwrote trace: %s (%s policy; load at "
-                        "https://ui.perfetto.dev)\n",
-                        trace_out.c_str(),
-                        toString(policies.front()).c_str());
+        if (!recorder.writeJson(trace_out))
+            return 1;
+        std::printf("\nwrote trace: %s (%s policy; load at "
+                    "https://ui.perfetto.dev)\n",
+                    trace_out.c_str(), toString(policies.front()).c_str());
     }
     if (!metrics_out.empty()) {
         obs::MetricsRegistry reg;
@@ -314,9 +318,10 @@ main(int argc, char **argv)
         if (attribution)
             obs::exportAttributionMetrics(waterfall, reg);
         reg.ingestTrace(recorder);
-        if (reg.writeFile(metrics_out,
-                          args.getDouble("metrics-interval")))
-            std::printf("\nwrote metrics: %s\n", metrics_out.c_str());
+        if (!reg.writeFile(metrics_out,
+                           args.getDouble("metrics-interval")))
+            return 1;
+        std::printf("\nwrote metrics: %s\n", metrics_out.c_str());
     }
 
     // ---- Paged KV pool: contiguous vs paged on the same trace -----

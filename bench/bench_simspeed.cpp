@@ -160,7 +160,9 @@ struct Aggregate
     }
 };
 
-void
+/** Write the JSON report; false, after a one-line stderr message
+ *  naming the path, when it cannot be written. */
+bool
 writeJson(const std::string &path, const cluster::ClusterConfig &base,
           bool quick, const std::vector<CellResult> &cells,
           const Aggregate &fast, const Aggregate *ref,
@@ -169,7 +171,7 @@ writeJson(const std::string &path, const cluster::ClusterConfig &base,
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
+        return false;
     }
     std::fprintf(f, "{\n  \"schema\": \"kelle.bench_simspeed/v3\",\n");
     std::fprintf(f,
@@ -254,8 +256,13 @@ writeJson(const std::string &path, const cluster::ClusterConfig &base,
     std::fprintf(f, "\n  }");
     std::fprintf(f, ",\n  \"peak_rss_bytes\": %.0f\n}\n",
                  peakRssBytes());
-    std::fclose(f);
+    const bool written = std::ferror(f) == 0;
+    if (std::fclose(f) != 0 || !written) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
     std::printf("wrote %s\n", path.c_str());
+    return true;
 }
 
 } // namespace
@@ -269,18 +276,22 @@ main(int argc, char **argv)
         "sweep (emits BENCH_simspeed.json)");
     args.addInt("requests", 0,
                 "trace length per cell (0 = 4000, or 800 with "
-                "--quick; an explicit value always wins)");
+                "--quick; an explicit value always wins)",
+                common::IntRange::NonNegative);
     args.addDouble("rate", 0.03,
                    "mean arrival rate in req/s (the 2-device hetero "
-                   "knee of bench_cluster's study)");
+                   "knee of bench_cluster's study)",
+                   common::NumRange::PositiveFinite);
     args.addInt("devices", 2,
-                "fleet size (alternating eDRAM/SRAM knee fleet)");
+                "fleet size (alternating eDRAM/SRAM knee fleet)",
+                common::IntRange::AtLeastOne);
     args.addInt("threads", 1,
                 "worker lanes per cluster run (1 = one lane, run "
                 "inline, 0 = hardware threads); outputs stay "
                 "bit-identical — with threads > 1 the sweep is also "
                 "timed on one lane and the report gains a "
-                "thread_scaling section");
+                "thread_scaling section",
+                common::IntRange::NonNegative);
     args.addInt("seed", 42, "arrival-trace seed");
     args.addString("policy", "contbatch",
                    "per-device scheduling policy: " +
@@ -313,9 +324,7 @@ main(int argc, char **argv)
     base.engine.traffic.seed =
         static_cast<std::uint64_t>(args.getInt("seed"));
     base.engine.policy = policy;
-    base.devices =
-        kneeFleet(base.engine.model,
-                  std::max<std::size_t>(1, args.getSize("devices")));
+    base.devices = kneeFleet(base.engine.model, args.getSize("devices"));
     base.threads = args.getSize("threads");
 
     bench::banner(
@@ -438,8 +447,9 @@ main(int argc, char **argv)
                                 std::max(fast.wallSec, 1e-9)));
     }
 
-    writeJson(args.getString("json"), base, args.getBool("quick"),
-              cells, fast, with_ref ? &ref : nullptr,
-              with_scaling ? &serial : nullptr, prof);
-    return 0;
+    return writeJson(args.getString("json"), base, args.getBool("quick"),
+                     cells, fast, with_ref ? &ref : nullptr,
+                     with_scaling ? &serial : nullptr, prof)
+               ? 0
+               : 1;
 }

@@ -31,7 +31,8 @@ main(int argc, char **argv)
     args.addInt("seed", 101, "base weight seed (GQA model uses seed+101)");
     args.addInt("seq", 0,
                 "target sequence length for both tasks (0 = per-task "
-                "defaults 160/128)");
+                "defaults 160/128)",
+                common::IntRange::NonNegative);
     if (!args.parse(argc, argv))
         return args.exitCode();
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));

@@ -1,20 +1,16 @@
 /**
  * @file
  * Shared helpers for the bench harnesses: headers, run banners and
- * shared flag checks.
+ * the attribution roll-up.
  */
 
 #ifndef KELLE_BENCH_BENCH_UTIL_HPP
 #define KELLE_BENCH_BENCH_UTIL_HPP
 
-#include <cmath>
-#include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/arg_parser.hpp"
 #include "common/table.hpp"
 #include "obs/attribution.hpp"
 
@@ -33,73 +29,6 @@ inline void
 note(const std::string &text)
 {
     std::printf("note: %s\n", text.c_str());
-}
-
-/** A count flag (page size, batch cap, fleet size): false, after a
- *  one-line stderr message, when `--name` is below 1. */
-inline bool
-atLeastOne(const common::ArgParser &args, const char *name)
-{
-    const long long v = args.getInt(name);
-    if (v >= 1)
-        return true;
-    std::fprintf(stderr, "--%s must be >= 1, got %lld\n", name, v);
-    return false;
-}
-
-/** A rate, scale or mean-time flag: false, after a one-line stderr
- *  message, when `--name` is not a finite number above 0 (0, negative,
- *  nan and inf alike). */
-inline bool
-positiveFinite(const common::ArgParser &args, const char *name)
-{
-    const double v = args.getDouble(name);
-    if (v > 0.0 && std::isfinite(v))
-        return true;
-    std::fprintf(stderr, "--%s must be a finite number > 0, got %g\n",
-                 name, v);
-    return false;
-}
-
-/** A slack-style flag: false, after a one-line stderr message, when
- *  `--name` is not a finite number >= 0. */
-inline bool
-nonNegativeFinite(const common::ArgParser &args, const char *name)
-{
-    const double v = args.getDouble(name);
-    if (v >= 0.0 && std::isfinite(v))
-        return true;
-    std::fprintf(stderr, "--%s must be a finite number >= 0, got %g\n",
-                 name, v);
-    return false;
-}
-
-/** A fraction flag: false, after a one-line stderr message, when
- *  `--name` is not a number in [0, 1] (nan included). */
-inline bool
-unitFraction(const common::ArgParser &args, const char *name)
-{
-    const double v = args.getDouble(name);
-    if (v >= 0.0 && v <= 1.0)
-        return true;
-    std::fprintf(stderr, "--%s must be a fraction in [0, 1], got %g\n",
-                 name, v);
-    return false;
-}
-
-/** A count flag stored in 32 bits (retry budgets): false, after a
- *  one-line stderr message, when `--name` is negative or too large
- *  for the field — a cast would wrap -1 into ~4.3e9 retries. */
-inline bool
-uint32Count(const common::ArgParser &args, const char *name)
-{
-    const long long v = args.getInt(name);
-    constexpr long long kMax = std::numeric_limits<std::uint32_t>::max();
-    if (v >= 0 && v <= kMax)
-        return true;
-    std::fprintf(stderr, "--%s must be in [0, %lld], got %lld\n", name,
-                 kMax, v);
-    return false;
 }
 
 /**

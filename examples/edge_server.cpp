@@ -36,8 +36,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-#include "bench_util.hpp"
-
 using namespace kelle;
 
 namespace {
@@ -87,18 +85,32 @@ printSummary(const serving::ServingReport &rep)
 }
 
 /**
- * Dump the session's metrics registry (the same `.csv` / `.json`
- * formats bench_serving and bench_cluster emit) after lifting the
- * per-device time series and latency histograms off the recorder.
+ * Write the trace and the metrics registry the flags ask for (the same
+ * `.csv` / `.json` metrics formats bench_serving and bench_cluster
+ * emit, after lifting the per-device time series and latency
+ * histograms off the recorder). False, after the writer's one-line
+ * message, when a file cannot be written.
  */
-void
-writeMetrics(obs::MetricsRegistry &reg,
+bool
+writeOutputs(obs::MetricsRegistry &reg,
              const obs::TraceRecorder &recorder,
+             const std::string &trace_out,
              const std::string &metrics_out, double interval_sec)
 {
+    if (!trace_out.empty()) {
+        if (!recorder.writeJson(trace_out))
+            return false;
+        std::printf("\nwrote trace: %s (load at "
+                    "https://ui.perfetto.dev)\n",
+                    trace_out.c_str());
+    }
+    if (metrics_out.empty())
+        return true;
     reg.ingestTrace(recorder);
-    if (reg.writeFile(metrics_out, interval_sec))
-        std::printf("\nwrote metrics: %s\n", metrics_out.c_str());
+    if (!reg.writeFile(metrics_out, interval_sec))
+        return false;
+    std::printf("\nwrote metrics: %s\n", metrics_out.c_str());
+    return true;
 }
 
 } // namespace
@@ -108,17 +120,23 @@ main(int argc, char **argv)
 {
     common::ArgParser args("edge_server",
                            "narrated multi-user edge serving session");
-    args.addDouble("rate", 0.05, "mean arrival rate in req/s");
+    args.addDouble("rate", 0.05, "mean arrival rate in req/s",
+                   common::NumRange::PositiveFinite);
     args.addString("policy", "contbatch",
                    serving::schedulePolicyNames());
     args.addInt("chunk-tokens", 0,
-                "prefill chunk size (0 = whole prompt per step)");
-    args.addInt("requests", 12, "number of user requests");
+                "prefill chunk size (0 = whole prompt per step)",
+                common::IntRange::NonNegative);
+    args.addInt("requests", 12, "number of user requests",
+                common::IntRange::AtLeastOne);
     args.addInt("seed", 7, "arrival-trace seed");
-    args.addInt("budget", 0, "per-request KV budget N' (0 = task N')");
-    args.addInt("steps", 0, "max engine steps (0 = run to completion)");
+    args.addInt("budget", 0, "per-request KV budget N' (0 = task N')",
+                common::IntRange::NonNegative);
+    args.addInt("steps", 0, "max engine steps (0 = run to completion)",
+                common::IntRange::NonNegative);
     args.addInt("devices", 1,
-                "edge devices; > 1 serves the burst on a cluster");
+                "edge devices; > 1 serves the burst on a cluster",
+                common::IntRange::AtLeastOne);
     args.addString("dispatch", "join-shortest-kv",
                    "cluster dispatch policy: " +
                        cluster::dispatchPolicyNames());
@@ -133,14 +151,17 @@ main(int argc, char **argv)
                  "shows failover");
     args.addDouble("mtbf", 40.0,
                    "mean time between faults per device, sim seconds "
-                   "(with --faults)");
+                   "(with --faults)",
+                   common::NumRange::PositiveFinite);
     args.addDouble("mttr", 10.0,
                    "mean time to recovery per fault, sim seconds "
-                   "(with --faults)");
+                   "(with --faults)",
+                   common::NumRange::PositiveFinite);
     args.addInt("client-retries", 0,
                 "client-side resubmits of an overload-rejected "
                 "request after a jittered backoff (0 = reject is "
-                "final)");
+                "final)",
+                common::IntRange::Uint32);
     args.addString("trace-out", "",
                    "also record the session as Chrome trace-event "
                    "JSON (open in https://ui.perfetto.dev; see "
@@ -150,18 +171,10 @@ main(int argc, char **argv)
                    "for parity with bench_serving/bench_cluster");
     args.addDouble("metrics-interval", 60.0,
                    "time-series sampling interval for --metrics-out "
-                   "CSV, sim seconds");
+                   "CSV, sim seconds",
+                   common::NumRange::PositiveFinite);
     if (!args.parse(argc, argv))
         return args.exitCode();
-    if (!bench::uint32Count(args, "client-retries") ||
-        !bench::positiveFinite(args, "rate"))
-        return 1;
-    if (args.getBool("faults")) {
-        for (const char *flag : {"mtbf", "mttr"}) {
-            if (!bench::positiveFinite(args, flag))
-                return 1;
-        }
-    }
 
     serving::ServingConfig cfg;
     cfg.traffic.ratePerSec = args.getDouble("rate");
@@ -222,24 +235,18 @@ main(int argc, char **argv)
             cfg, 1, cluster::DispatchKind::RoundRobin));
         const serving::ServingReport rep = engine.run().aggregate;
         printSummary(rep);
-        if (!trace_out.empty() && recorder.writeJson(trace_out))
-            std::printf("\nwrote trace: %s (load at "
-                        "https://ui.perfetto.dev)\n",
-                        trace_out.c_str());
-        if (!metrics_out.empty()) {
-            obs::MetricsRegistry reg;
-            reg.setGauge("serving.completed",
-                         static_cast<double>(rep.summary.completed));
-            reg.setGauge("serving.rejected",
-                         static_cast<double>(rep.summary.rejected));
-            reg.setGauge("serving.goodput_tok_per_s",
-                         rep.summary.goodputTokensPerSec);
-            reg.setGauge("serving.slo_attainment",
-                         rep.summary.sloAttainment);
-            writeMetrics(reg, recorder, metrics_out,
-                         args.getDouble("metrics-interval"));
-        }
-        return 0;
+        obs::MetricsRegistry reg;
+        reg.setGauge("serving.completed",
+                     static_cast<double>(rep.summary.completed));
+        reg.setGauge("serving.rejected",
+                     static_cast<double>(rep.summary.rejected));
+        reg.setGauge("serving.goodput_tok_per_s",
+                     rep.summary.goodputTokensPerSec);
+        reg.setGauge("serving.slo_attainment", rep.summary.sloAttainment);
+        return writeOutputs(reg, recorder, trace_out, metrics_out,
+                            args.getDouble("metrics-interval"))
+                   ? 0
+                   : 1;
     }
 
     // ---- Multi-device session: the same burst over a cluster ------
@@ -312,15 +319,10 @@ main(int argc, char **argv)
         ft.print("fault report");
     }
     printSummary(rep.aggregate);
-    if (!trace_out.empty() && recorder.writeJson(trace_out))
-        std::printf("\nwrote trace: %s (load at "
-                    "https://ui.perfetto.dev)\n",
-                    trace_out.c_str());
-    if (!metrics_out.empty()) {
-        obs::MetricsRegistry reg;
-        cluster::exportClusterMetrics(rep, reg);
-        writeMetrics(reg, recorder, metrics_out,
-                     args.getDouble("metrics-interval"));
-    }
-    return 0;
+    obs::MetricsRegistry reg;
+    cluster::exportClusterMetrics(rep, reg);
+    return writeOutputs(reg, recorder, trace_out, metrics_out,
+                        args.getDouble("metrics-interval"))
+               ? 0
+               : 1;
 }

@@ -3,13 +3,6 @@
 namespace kelle {
 namespace accel {
 
-Area
-TechnologyConfig::onChipArea() const
-{
-    return rsa.area + sfu.area + weightSram.area() + kvMemory.area() +
-           actBuffer.area();
-}
-
 namespace {
 
 /**

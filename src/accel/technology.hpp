@@ -107,8 +107,6 @@ struct TechnologyConfig
 
     /** Additional always-on platform power (GPU SoC uncore etc.). */
     Power socStaticPower = Power::watts(0);
-
-    Area onChipArea() const;
 };
 
 /** The Kelle accelerator as evaluated (Section 8). */

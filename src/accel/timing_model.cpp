@@ -462,14 +462,6 @@ RunReport::totalEnergy() const
 }
 
 double
-RunReport::tokensPerSecond(const Workload &w) const
-{
-    const double tokens =
-        static_cast<double>(w.decLen) * static_cast<double>(w.batch);
-    return tokens / decodeLatency.sec();
-}
-
-double
 RunReport::opIntensity() const
 {
     return dramBytesTotal > 0 ? 2.0 * macsTotal / dramBytesTotal : 0.0;

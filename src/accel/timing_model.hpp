@@ -124,8 +124,6 @@ struct RunReport
 
     Time totalLatency() const { return prefillLatency + decodeLatency; }
     Energy totalEnergy() const;
-    /** Generated tokens per second across the batch. */
-    double tokensPerSecond(const Workload &w) const;
     /** Arithmetic intensity: 2*MACs / DRAM bytes. */
     double opIntensity() const;
     /** Achieved compute rate in ops/s (2 ops per MAC). */

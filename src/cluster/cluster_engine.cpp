@@ -389,12 +389,12 @@ ClusterEngine::applyFault(const faults::FaultEvent &ev)
       case faults::FaultKind::Slowdown:
         health_[ev.device] = DeviceHealth::Degraded;
         ++slowdowns_;
-        dev.slowdownAt(ev.at, cfg_.faults.slowdownFactor);
+        dev.slowdownAt(ev.at, faults::kSlowdownFactor);
         break;
       case faults::FaultKind::PoolShrink: {
         health_[ev.device] = DeviceHealth::Degraded;
         ++shrinks_;
-        dev.shrinkPoolAt(ev.at, cfg_.faults.shrinkFactor);
+        dev.shrinkPoolAt(ev.at, faults::kShrinkFactor);
         // Self ladder: shrink grants back under the scaled capacity
         // and shed hopeless waiters rather than serving sure misses.
         dev.pressureReclaimAt(ev.at);

@@ -1,7 +1,10 @@
 #include "common/arg_parser.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -26,6 +29,48 @@ parseBoolText(const std::string &text, bool *out)
     return false;
 }
 
+bool
+inRange(std::int64_t v, IntRange range)
+{
+    switch (range) {
+      case IntRange::Any:
+        return true;
+      case IntRange::NonNegative:
+        return v >= 0;
+      case IntRange::AtLeastOne:
+        return v >= 1;
+      case IntRange::Uint32:
+        return v >= 0 && v <= std::numeric_limits<std::uint32_t>::max();
+    }
+    return false;
+}
+
+bool
+inRange(double v, NumRange range)
+{
+    switch (range) {
+      case NumRange::Any:
+        return true;
+      case NumRange::PositiveFinite:
+        return v > 0.0 && std::isfinite(v);
+      case NumRange::NonNegativeFinite:
+        return v >= 0.0 && std::isfinite(v);
+      case NumRange::UnitFraction:
+        return v >= 0.0 && v <= 1.0;
+    }
+    return false;
+}
+
+/** Each range, indexed by its enum value, as it ends a help line and
+ *  starts a rejection's reason. */
+const char *const kIntRangeText[] = {"any value", "must be >= 0",
+                                     "must be >= 1",
+                                     "must be in [0, 4294967295]"};
+const char *const kNumRangeText[] = {"any value",
+                                     "must be a finite number > 0",
+                                     "must be a finite number >= 0",
+                                     "must be a fraction in [0, 1]"};
+
 } // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
@@ -33,62 +78,58 @@ ArgParser::ArgParser(std::string program, std::string description)
 {
 }
 
-void
-ArgParser::addInt(const std::string &name, std::int64_t def,
-                  const std::string &help)
+ArgParser::Flag &
+ArgParser::add(const std::string &name, Kind kind, const std::string &help,
+               std::string default_text)
 {
     KELLE_ASSERT(find(name) == nullptr, "duplicate flag --", name);
-    Flag f;
+    flags_.emplace_back();
+    Flag &f = flags_.back();
     f.name = name;
-    f.kind = Kind::Int;
+    f.kind = kind;
     f.help = help;
+    f.defaultText = std::move(default_text);
+    return f;
+}
+
+void
+ArgParser::addInt(const std::string &name, std::int64_t def,
+                  const std::string &help, IntRange range)
+{
+    KELLE_ASSERT(inRange(def, range), "default of --", name,
+                 " is out of its range");
+    Flag &f = add(name, Kind::Int, help, std::to_string(def));
     f.intValue = def;
-    f.defaultText = std::to_string(def);
-    flags_.push_back(std::move(f));
+    f.intRange = range;
+    f.rangeText = kIntRangeText[static_cast<int>(range)];
 }
 
 void
 ArgParser::addDouble(const std::string &name, double def,
-                     const std::string &help)
+                     const std::string &help, NumRange range)
 {
-    KELLE_ASSERT(find(name) == nullptr, "duplicate flag --", name);
-    Flag f;
-    f.name = name;
-    f.kind = Kind::Double;
-    f.help = help;
-    f.doubleValue = def;
+    KELLE_ASSERT(inRange(def, range), "default of --", name,
+                 " is out of its range");
     std::ostringstream os;
     os << def;
-    f.defaultText = os.str();
-    flags_.push_back(std::move(f));
+    Flag &f = add(name, Kind::Double, help, os.str());
+    f.doubleValue = def;
+    f.numRange = range;
+    f.rangeText = kNumRangeText[static_cast<int>(range)];
 }
 
 void
 ArgParser::addString(const std::string &name, const std::string &def,
                      const std::string &help)
 {
-    KELLE_ASSERT(find(name) == nullptr, "duplicate flag --", name);
-    Flag f;
-    f.name = name;
-    f.kind = Kind::String;
-    f.help = help;
-    f.stringValue = def;
-    f.defaultText = def;
-    flags_.push_back(std::move(f));
+    add(name, Kind::String, help, def).stringValue = def;
 }
 
 void
 ArgParser::addBool(const std::string &name, bool def,
                    const std::string &help)
 {
-    KELLE_ASSERT(find(name) == nullptr, "duplicate flag --", name);
-    Flag f;
-    f.name = name;
-    f.kind = Kind::Bool;
-    f.help = help;
-    f.boolValue = def;
-    f.defaultText = std::to_string(def ? 1 : 0);
-    flags_.push_back(std::move(f));
+    add(name, Kind::Bool, help, def ? "1" : "0").boolValue = def;
 }
 
 ArgParser::Flag *
@@ -115,11 +156,18 @@ ArgParser::require(const std::string &name, Kind kind) const
 }
 
 bool
+ArgParser::failLine(const std::string &message)
+{
+    std::fprintf(stderr, "%s: %s\n", program_.c_str(), message.c_str());
+    exitCode_ = 1;
+    return false;
+}
+
+bool
 ArgParser::fail(const std::string &message)
 {
-    std::fprintf(stderr, "%s: %s\n%s", program_.c_str(),
-                 message.c_str(), usage().c_str());
-    exitCode_ = 1;
+    failLine(message);
+    std::fputs(usage().c_str(), stderr);
     return false;
 }
 
@@ -169,6 +217,7 @@ ArgParser::parse(int argc, char **argv)
         char *end = nullptr;
         switch (flag->kind) {
           case Kind::Int:
+            errno = 0;
             flag->intValue =
                 static_cast<std::int64_t>(std::strtoll(value.c_str(),
                                                        &end, 10));
@@ -176,6 +225,14 @@ ArgParser::parse(int argc, char **argv)
                 return fail(detail::fold("flag --", name,
                                         " expects an integer, got '",
                                         value, "'"));
+            if (errno == ERANGE)
+                return failLine(detail::fold("--", name,
+                                             " must fit in 64 bits, got ",
+                                             value));
+            if (!inRange(flag->intValue, flag->intRange))
+                return failLine(detail::fold("--", name, " ",
+                                             flag->rangeText, ", got ",
+                                             value));
             break;
           case Kind::Double:
             flag->doubleValue = std::strtod(value.c_str(), &end);
@@ -183,6 +240,10 @@ ArgParser::parse(int argc, char **argv)
                 return fail(detail::fold("flag --", name,
                                         " expects a number, got '",
                                         value, "'"));
+            if (!inRange(flag->doubleValue, flag->numRange))
+                return failLine(detail::fold("--", name, " ",
+                                             flag->rangeText, ", got ",
+                                             value));
             break;
           case Kind::String:
             flag->stringValue = value;
@@ -267,7 +328,10 @@ ArgParser::usage() const
             os << " [0|1]";
             break;
         }
-        os << "  " << f.help << " (default " << f.defaultText << ")\n";
+        os << "  " << f.help << " (default " << f.defaultText;
+        if (f.rangeText != nullptr)
+            os << ", " << f.rangeText;
+        os << ")\n";
     }
     os << "  --help  print this message\n";
     return os.str();

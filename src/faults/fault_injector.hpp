@@ -46,6 +46,11 @@
 namespace kelle {
 namespace faults {
 
+/** Step-latency multiplier while a device is slowed down. */
+constexpr double kSlowdownFactor = 2.0;
+/** KV-capacity multiplier while a device's pool is degraded. */
+constexpr double kShrinkFactor = 0.5;
+
 /** Configuration of the fleet-wide fault model. */
 struct FaultConfig
 {
@@ -61,10 +66,6 @@ struct FaultConfig
     double slowdownWeight = 1.0;
     double shrinkWeight = 1.0;
     /** @} */
-    /** Step-latency multiplier while a device is slowed down. */
-    double slowdownFactor = 2.0;
-    /** KV-capacity multiplier while a device's pool is degraded. */
-    double shrinkFactor = 0.5;
     /** Crash repair -> healthy warm-up (the `Recovering` label). */
     double recoverWarmupSec = 5.0;
     /** At-most-N re-dispatches per crash-evicted request; the N+1-th

@@ -552,14 +552,6 @@ ManagedKvCache::importanceOf(std::size_t layer, std::size_t kv_head,
     return state_.at(layer).heads.at(kv_head).at(slot).importance;
 }
 
-std::int64_t
-ManagedKvCache::positionOf(std::size_t layer, std::size_t kv_head,
-                           std::uint32_t slot) const
-{
-    const auto &ls = state_.at(layer);
-    return ls.tokens.at(ls.heads.at(kv_head).at(slot).tokenId).pos;
-}
-
 bool
 ManagedKvCache::isInputStored(std::size_t layer, std::size_t kv_head,
                               std::uint32_t slot) const

@@ -118,9 +118,6 @@ class ManagedKvCache
     /** Importance score of a slot (tests / evictor cross-check). */
     float importanceOf(std::size_t layer, std::size_t kv_head,
                        std::uint32_t slot) const;
-    /** Token position held in a slot. */
-    std::int64_t positionOf(std::size_t layer, std::size_t kv_head,
-                            std::uint32_t slot) const;
     /** True if the token in this slot is stored as an input vector. */
     bool isInputStored(std::size_t layer, std::size_t kv_head,
                        std::uint32_t slot) const;

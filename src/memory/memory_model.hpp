@@ -75,35 +75,6 @@ MemoryModel edram(Bytes capacity, Bandwidth bw);
 /** 16 GB LPDDR4 at 64 GB/s (Section 8). */
 MemoryModel lpddr4();
 
-/** Cumulative traffic accounting against one memory. */
-class TrafficMeter
-{
-  public:
-    explicit TrafficMeter(const MemoryModel &model) : model_(&model) {}
-
-    void
-    read(Bytes bytes)
-    {
-        readBytes_ += bytes;
-    }
-    void
-    write(Bytes bytes)
-    {
-        writeBytes_ += bytes;
-    }
-
-    Bytes readBytes() const { return readBytes_; }
-    Bytes writeBytes() const { return writeBytes_; }
-    Bytes total() const { return readBytes_ + writeBytes_; }
-    Energy energy() const { return model_->transferEnergy(total()); }
-    Time busTime() const { return model_->transferTime(total()); }
-
-  private:
-    const MemoryModel *model_;
-    Bytes readBytes_{0};
-    Bytes writeBytes_{0};
-};
-
 } // namespace mem
 } // namespace kelle
 

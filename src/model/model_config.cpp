@@ -37,12 +37,6 @@ ModelConfig::weightBytes(int bits_w) const
 }
 
 double
-ModelConfig::weightBytesPerLayer(int bits_w) const
-{
-    return paramsPerLayer() * bits_w / 8.0;
-}
-
-double
 ModelConfig::kvBytesPerTokenPerLayer(int bits_kv) const
 {
     return 2.0 * static_cast<double>(dKv()) * bits_kv / 8.0;
@@ -73,14 +67,6 @@ ModelConfig::macsPerDecodeToken(std::size_t context_len) const
     }
     const double head = static_cast<double>(vocab) * d;
     return (proj + attn + ffn_macs) * static_cast<double>(layers) + head;
-}
-
-double
-ModelConfig::macsPerDecodeTokenPerLayer(std::size_t context_len) const
-{
-    return (macsPerDecodeToken(context_len) -
-            static_cast<double>(vocab) * static_cast<double>(dModel)) /
-           static_cast<double>(layers);
 }
 
 double

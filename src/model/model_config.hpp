@@ -50,8 +50,6 @@ struct ModelConfig
     double totalParams() const;
     /** Total weight bytes at the given weight bit width. */
     double weightBytes(int bits_w) const;
-    /** Per-layer weight bytes at the given weight bit width. */
-    double weightBytesPerLayer(int bits_w) const;
     /** KV cache bytes per token per layer at the given KV bit width. */
     double kvBytesPerTokenPerLayer(int bits_kv) const;
     /** KV cache bytes per token across all layers. */
@@ -63,8 +61,6 @@ struct ModelConfig
      * + FFN across all layers, plus the output head.
      */
     double macsPerDecodeToken(std::size_t context_len) const;
-    /** Per-layer decode MACs (output head excluded). */
-    double macsPerDecodeTokenPerLayer(std::size_t context_len) const;
     /** MAC operations to prefill a context of the given length. */
     double macsPrefill(std::size_t context_len) const;
     /** The attention-product share of prefill MACs (DynaX sparsity). */

@@ -183,21 +183,32 @@ MetricsRegistry::ingestTrace(const TraceRecorder &rec)
     }
 }
 
+double
+MetricsRegistry::sampleRows(double interval_sec) const
+{
+    KELLE_ASSERT(interval_sec > 0.0 && std::isfinite(interval_sec),
+                 "sampling interval must be finite and > 0, got ",
+                 interval_sec);
+    if (series_.empty())
+        return 0.0;
+    double end = 0.0;
+    for (const auto &kv : series_)
+        end = std::max(end, kv.second.endSec());
+    // Grid covers the latest observation: last point >= end.
+    return std::ceil(end / interval_sec) + 1.0;
+}
+
 MetricsRegistry::SampledTable
 MetricsRegistry::sample(double interval_sec) const
 {
+    const double grid_rows = sampleRows(interval_sec);
+    KELLE_ASSERT(grid_rows <= kMaxSampleRows, grid_rows,
+                 " sample rows exceed the export limit");
     SampledTable out;
     out.intervalSec = interval_sec;
-    double end = 0.0;
-    for (const auto &kv : series_) {
+    for (const auto &kv : series_)
         out.names.push_back(kv.first);
-        end = std::max(end, kv.second.endSec());
-    }
-    if (out.names.empty() || !(interval_sec > 0.0))
-        return out;
-    // Grid covers the latest observation: last point >= end.
-    const std::size_t rows =
-        static_cast<std::size_t>(std::ceil(end / interval_sec)) + 1;
+    const auto rows = static_cast<std::size_t>(grid_rows);
     out.rows.reserve(rows);
     for (std::size_t k = 0; k < rows; ++k) {
         const double t = static_cast<double>(k) * interval_sec;
@@ -370,19 +381,25 @@ bool
 MetricsRegistry::writeFile(const std::string &path,
                            double interval_sec) const
 {
+    const double rows = sampleRows(interval_sec);
+    if (rows > kMaxSampleRows) {
+        warn("metrics export failed: a ", interval_sec,
+             " s interval needs ", rows, " rows (limit ", kMaxSampleRows,
+             ") for ", path);
+        return false;
+    }
     const bool csv = path.size() >= 4 &&
                      path.compare(path.size() - 4, 4, ".csv") == 0;
     const std::string body =
         csv ? toCsv(interval_sec) : toJson(interval_sec);
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) {
-        inform("metrics export failed: cannot open ", path);
+        warn("metrics export failed: cannot open ", path);
         return false;
     }
     const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    if (n != body.size()) {
-        inform("metrics export failed: short write to ", path);
+    if (std::fclose(f) != 0 || n != body.size()) {
+        warn("metrics export failed: short write to ", path);
         return false;
     }
     return true;

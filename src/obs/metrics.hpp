@@ -122,6 +122,13 @@ class MetricsRegistry
         /** rows[k] = [t_sec, value per name...] */
         std::vector<std::vector<double>> rows;
     };
+    /** Most grid rows an export may hold: 10^7 rows is over 19 years
+     *  of sim time at the default 60 s interval. */
+    static constexpr double kMaxSampleRows = 1e7;
+    /** Grid rows sample() would produce (0 without series); the
+     *  interval must be finite and > 0. */
+    double sampleRows(double interval_sec) const;
+    /** The grid itself; at most kMaxSampleRows rows. */
     SampledTable sample(double interval_sec) const;
 
     std::string toCsv(double interval_sec) const;
@@ -129,7 +136,9 @@ class MetricsRegistry
     /** Parse a toCsv() dump; false on malformed input. */
     static bool parseCsv(const std::string &text, SampledTable *out);
 
-    /** toJson()/toCsv() by file extension (.csv); logs failures. */
+    /** toJson()/toCsv() by file extension (.csv). False, after one
+     *  warning line naming the path, when the grid would exceed
+     *  kMaxSampleRows or the file cannot be written. */
     bool writeFile(const std::string &path, double interval_sec) const;
 
   private:

@@ -433,14 +433,13 @@ TraceRecorder::writeJson(const std::string &path) const
     const std::string json = toJson();
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) {
-        inform("trace export failed: cannot open ", path);
+        warn("trace export failed: cannot open ", path);
         return false;
     }
     const std::size_t n =
         std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (n != json.size()) {
-        inform("trace export failed: short write to ", path);
+    if (std::fclose(f) != 0 || n != json.size()) {
+        warn("trace export failed: short write to ", path);
         return false;
     }
     return true;

@@ -294,7 +294,8 @@ class TraceRecorder
 
     /** Serialize to Chrome trace-event JSON (one event per line). */
     std::string toJson() const;
-    /** toJson() to `path`; false (with a log line) on I/O failure. */
+    /** toJson() to `path`; false, after one warning line naming the
+     *  path, on I/O failure. */
     bool writeJson(const std::string &path) const;
 
   private:

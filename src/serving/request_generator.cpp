@@ -12,6 +12,13 @@ namespace serving {
 
 namespace {
 
+/** Bursty (MMPP) shape: the on phase arrives at kBurstFactor x the
+ *  mean rate for kBurstFraction of the time, kBurstMeanArrivals
+ *  arrivals per on dwell on average (which sets the burst length). */
+constexpr double kBurstFactor = 4.0;
+constexpr double kBurstFraction = 0.25;
+constexpr double kBurstMeanArrivals = 8.0;
+
 /** Exponential draw with the given rate; +inf when the rate is ~0. */
 double
 expDraw(Rng &rng, double rate)
@@ -81,27 +88,11 @@ toString(ArrivalProcess p)
     return "?";
 }
 
-bool
-parseArrivalProcess(const std::string &text, ArrivalProcess *out)
-{
-    if (text == "poisson") {
-        *out = ArrivalProcess::Poisson;
-        return true;
-    }
-    if (text == "bursty") {
-        *out = ArrivalProcess::Bursty;
-        return true;
-    }
-    return false;
-}
-
 std::vector<Request>
 generateTrace(const TrafficConfig &cfg)
 {
     KELLE_ASSERT(cfg.ratePerSec > 0.0, "arrival rate must be positive");
     KELLE_ASSERT(cfg.numRequests > 0, "empty trace requested");
-    KELLE_ASSERT(cfg.burstMeanArrivals > 0.0,
-                 "bursty phases need a positive mean arrival count");
 
     const auto mix = cfg.mix.empty() ? defaultMix() : cfg.mix;
     Rng rng(cfg.seed);
@@ -111,11 +102,11 @@ generateTrace(const TrafficConfig &cfg)
 
     // MMPP phase rates. The off-phase rate is whatever preserves the
     // long-run mean: rate = f*on + (1-f)*off.
-    const double f = std::clamp(cfg.burstFraction, 0.01, 0.99);
-    const double on_rate = cfg.ratePerSec * std::max(1.0, cfg.burstFactor);
+    const double f = kBurstFraction;
+    const double on_rate = cfg.ratePerSec * kBurstFactor;
     const double off_rate = std::max(
         0.0, (cfg.ratePerSec - f * on_rate) / (1.0 - f));
-    const double on_dwell = cfg.burstMeanArrivals / on_rate;
+    const double on_dwell = kBurstMeanArrivals / on_rate;
     const double off_dwell = on_dwell * (1.0 - f) / f;
 
     std::vector<Request> trace;

@@ -6,10 +6,11 @@
  *  - Poisson: independent exponential inter-arrival times at the
  *    configured mean rate (steady multi-user traffic);
  *  - Bursty: a two-state Markov-modulated Poisson process. An "on"
- *    phase arrives at `burstFactor` times the mean rate, an "off"
- *    phase at whatever residual rate preserves the long-run mean;
- *    phase dwells are exponential. This is the classic edge-traffic
- *    shape (bursts of activity between idle stretches).
+ *    phase arrives at 4x the mean rate and fills a quarter of the
+ *    time, an "off" phase at whatever residual rate preserves the
+ *    long-run mean; phase dwells are exponential, 8 arrivals per on
+ *    dwell on average. This is the classic edge-traffic shape (bursts
+ *    of activity between idle stretches).
  *
  * Each arrival samples a task from a weighted mix (default: the four
  * hardware tasks LA/TQ/QP/PG19 with equal weight), so prompt/decode
@@ -39,8 +40,6 @@ enum class ArrivalProcess
 };
 
 std::string toString(ArrivalProcess p);
-/** Parse "poisson"/"bursty"; returns false on unknown input. */
-bool parseArrivalProcess(const std::string &text, ArrivalProcess *out);
 
 /**
  * Per-request SLO targets, resolved per task at trace generation. The
@@ -74,12 +73,6 @@ struct TrafficConfig
 {
     double ratePerSec = 0.02; ///< long-run mean arrival rate
     ArrivalProcess process = ArrivalProcess::Poisson;
-    /** On-phase rate multiplier (Bursty only). */
-    double burstFactor = 4.0;
-    /** Long-run fraction of time spent in the on phase (Bursty). */
-    double burstFraction = 0.25;
-    /** Mean arrivals per on-phase dwell (sets the burst length). */
-    double burstMeanArrivals = 8.0;
     std::size_t numRequests = 64;
     std::uint64_t seed = 42;
     /**

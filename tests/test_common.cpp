@@ -1,15 +1,17 @@
 /**
  * @file
  * Unit tests for the common library: units, RNG, stats, tables,
- * the thread pool.
+ * the thread pool, the CLI flag parser.
  */
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/arg_parser.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -285,6 +287,165 @@ TEST(ThreadPool, RethrowsTheFirstWorkerException)
     std::atomic<int> done{0};
     EXPECT_NO_THROW(pool.forEach(64, [&](std::size_t) { ++done; }));
     EXPECT_EQ(done.load(), 64);
+}
+
+/** Parse `flags` as a command line after a program name. */
+bool
+parseArgs(common::ArgParser &args, std::vector<std::string> flags)
+{
+    flags.insert(flags.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &f : flags)
+        argv.push_back(f.data());
+    return args.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+/** Parse `--n value` against one int flag of `range`; on rejection,
+ *  the one stderr line must name the flag. */
+bool
+intAccepted(common::IntRange range, const std::string &value)
+{
+    common::ArgParser args("prog", "");
+    args.addInt("n", range == common::IntRange::AtLeastOne ? 1 : 0, "",
+                range);
+    ::testing::internal::CaptureStderr();
+    const bool ok = parseArgs(args, {"--n", value});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    if (!ok) {
+        EXPECT_EQ(args.exitCode(), 1);
+        EXPECT_EQ(err.find("--n "), 6u) << err;
+        EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+    }
+    return ok;
+}
+
+bool
+numAccepted(common::NumRange range, const std::string &value)
+{
+    common::ArgParser args("prog", "");
+    args.addDouble("x", 0.5, "", range);
+    ::testing::internal::CaptureStderr();
+    const bool ok = parseArgs(args, {"--x=" + value});
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    if (!ok) {
+        EXPECT_EQ(args.exitCode(), 1);
+        EXPECT_EQ(err.find("--x "), 6u) << err;
+        EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+    }
+    return ok;
+}
+
+TEST(ArgParser, ParsesEveryKindInBothSpellings)
+{
+    common::ArgParser args("prog", "");
+    args.addInt("n", 1, "");
+    args.addDouble("x", 0.5, "");
+    args.addString("s", "a", "");
+    args.addBool("b", false, "");
+    args.addBool("c", true, "");
+    ASSERT_TRUE(parseArgs(args, {"--n", "-7", "--x=2.5", "--s", "hi",
+                                 "--b", "--c=0"}));
+    EXPECT_EQ(args.getInt("n"), -7);
+    EXPECT_EQ(args.getDouble("x"), 2.5);
+    EXPECT_EQ(args.getString("s"), "hi");
+    EXPECT_TRUE(args.getBool("b"));
+    EXPECT_FALSE(args.getBool("c"));
+    EXPECT_TRUE(args.provided("n"));
+
+    common::ArgParser defaults("prog", "");
+    defaults.addInt("n", 3, "", common::IntRange::AtLeastOne);
+    ASSERT_TRUE(parseArgs(defaults, {}));
+    EXPECT_EQ(defaults.getSize("n"), 3u);
+    EXPECT_FALSE(defaults.provided("n"));
+}
+
+TEST(ArgParser, IntRangesRejectValuesOutsideThem)
+{
+    using common::IntRange;
+    EXPECT_TRUE(intAccepted(IntRange::Any, "-9223372036854775808"));
+    EXPECT_TRUE(intAccepted(IntRange::Any, "9223372036854775807"));
+    EXPECT_TRUE(intAccepted(IntRange::NonNegative, "0"));
+    EXPECT_FALSE(intAccepted(IntRange::NonNegative, "-1"));
+    EXPECT_TRUE(intAccepted(IntRange::AtLeastOne, "1"));
+    EXPECT_FALSE(intAccepted(IntRange::AtLeastOne, "0"));
+    EXPECT_TRUE(intAccepted(IntRange::Uint32, "0"));
+    EXPECT_TRUE(intAccepted(IntRange::Uint32, "4294967295"));
+    EXPECT_FALSE(intAccepted(IntRange::Uint32, "4294967296"));
+    EXPECT_FALSE(intAccepted(IntRange::Uint32, "-1"));
+}
+
+TEST(ArgParser, IntOverflowIsRejectedNotSaturated)
+{
+    // strtoll clamps these to INT64_MAX / INT64_MIN, both in range.
+    for (const char *v : {"9223372036854775808", "99999999999999999999",
+                          "-9223372036854775809"})
+        EXPECT_FALSE(intAccepted(common::IntRange::Any, v)) << v;
+}
+
+TEST(ArgParser, NumRangesRejectValuesOutsideThem)
+{
+    using common::NumRange;
+    for (const char *v : {"nan", "inf", "-1e300"})
+        EXPECT_TRUE(numAccepted(NumRange::Any, v)) << v;
+    EXPECT_TRUE(numAccepted(NumRange::PositiveFinite, "1e-300"));
+    for (const char *v : {"0", "-1", "nan", "inf"})
+        EXPECT_FALSE(numAccepted(NumRange::PositiveFinite, v)) << v;
+    EXPECT_TRUE(numAccepted(NumRange::NonNegativeFinite, "0"));
+    for (const char *v : {"-0.5", "nan", "inf"})
+        EXPECT_FALSE(numAccepted(NumRange::NonNegativeFinite, v)) << v;
+    EXPECT_TRUE(numAccepted(NumRange::UnitFraction, "0"));
+    EXPECT_TRUE(numAccepted(NumRange::UnitFraction, "1"));
+    for (const char *v : {"-0.1", "1.5", "nan"})
+        EXPECT_FALSE(numAccepted(NumRange::UnitFraction, v)) << v;
+}
+
+TEST(ArgParser, HelpPrintsEachNumericFlagsRange)
+{
+    common::ArgParser args("prog", "what it does");
+    args.addInt("seed", 42, "a seed");
+    args.addInt("n", 2, "a count", common::IntRange::AtLeastOne);
+    args.addDouble("f", 0.5, "a fraction", common::NumRange::UnitFraction);
+    args.addBool("b", false, "a switch");
+    const std::string help = args.usage();
+    for (const char *line :
+         {"  --seed <int>  a seed (default 42, any value)\n",
+          "  --n <int>  a count (default 2, must be >= 1)\n",
+          "  --f <num>  a fraction (default 0.5, must be a fraction in "
+          "[0, 1])\n",
+          "  --b [0|1]  a switch (default 0)\n"})
+        EXPECT_NE(help.find(line), std::string::npos) << help;
+
+    ::testing::internal::CaptureStdout();
+    EXPECT_FALSE(parseArgs(args, {"--help"}));
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(), help);
+    EXPECT_EQ(args.exitCode(), 0);
+}
+
+TEST(ArgParser, MalformedCommandLinesFailWithTheUsage)
+{
+    for (const std::vector<std::string> &argv :
+         std::vector<std::vector<std::string>>{
+             {"--nope", "1"}, {"--n"}, {"--n", "4x"}, {"--x", ""},
+             {"stray"}}) {
+        common::ArgParser args("prog", "");
+        args.addInt("n", 0, "");
+        args.addDouble("x", 0.0, "");
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(parseArgs(args, argv));
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(args.exitCode(), 1);
+        EXPECT_NE(err.find("usage: prog"), std::string::npos) << err;
+    }
+}
+
+TEST(ArgParser, DefaultOutsideItsRangeIsABug)
+{
+    common::ArgParser args("prog", "");
+    EXPECT_DEATH(args.addInt("n", 0, "", common::IntRange::AtLeastOne),
+                 "out of its range");
+    EXPECT_DEATH(args.addDouble("x", 0.0, "",
+                                common::NumRange::PositiveFinite),
+                 "out of its range");
 }
 
 } // namespace

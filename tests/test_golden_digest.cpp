@@ -21,7 +21,9 @@
  * constants are what remains of the retired engines' behaviour.
  *
  * The HostileFlags suite drives the same binaries with out-of-range
- * flag values and requires a clean one-line error exit.
+ * flag values and requires a clean one-line error exit; one case reads
+ * every numeric flag and its declared range from each binary's
+ * `--help` and feeds it values outside that range.
  *
  * Binaries are located through KELLE_BIN_DIR (the CMake binary dir,
  * injected by tests/CMakeLists.txt); a test skips when its binary was
@@ -34,7 +36,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -595,6 +601,234 @@ TEST(HostileFlags, NonFiniteSloScaleIsRejected)
                            std::string("--slo-scale ") + scale +
                                " --requests 4 --sweep 0 --study 0",
                            "--slo-scale");
+}
+
+TEST(HostileFlags, MetricsIntervalOutsidePositiveFiniteIsRejected)
+{
+    // Each wrote a CSV with only the header row and exited 0.
+    for (const char *interval : {"0", "-1", "nan"}) {
+        const std::string flags =
+            std::string("--metrics-interval ") + interval +
+            " --metrics-out m.csv --requests 4 --sweep 0 --study 0";
+        expectFlagRejected("bench/bench_serving", flags,
+                           "--metrics-interval");
+        expectFlagRejected("bench/bench_cluster", flags,
+                           "--metrics-interval");
+        expectFlagRejected("examples/edge_server",
+                           std::string("--metrics-interval ") + interval +
+                               " --metrics-out m.csv",
+                           "--metrics-interval");
+    }
+}
+
+TEST(HostileFlags, ZeroRequestsIsRejected)
+{
+    // An empty trace tripped an assertion in the request generator.
+    expectFlagRejected("bench/bench_serving",
+                       "--requests 0 --sweep 0 --study 0", "--requests");
+    expectFlagRejected("bench/bench_cluster",
+                       "--requests 0 --sweep 0 --study 0", "--requests");
+    expectFlagRejected("examples/edge_server", "--requests 0",
+                       "--requests");
+}
+
+TEST(HostileFlags, SimspeedNegativeRateIsRejected)
+{
+    expectFlagRejected("bench/bench_simspeed",
+                       "--requests 4 --json /dev/null --rate -1", "--rate");
+}
+
+TEST(HostileFlags, ZeroDevicesIsRejectedNotClamped)
+{
+    // Both ran the session on one device.
+    expectFlagRejected("bench/bench_simspeed",
+                       "--requests 4 --json /dev/null --devices 0",
+                       "--devices");
+    expectFlagRejected("examples/edge_server", "--devices 0", "--devices");
+}
+
+TEST(HostileFlags, LongContextSharedPrefixAboveOneIsRejected)
+{
+    // Printed "infx" and "-2.00x" prefix-sharing multipliers.
+    expectFlagRejected("bench/bench_sec84_longcontext",
+                       "--paged --prefix-frac 2", "--prefix-frac");
+}
+
+TEST(HostileFlags, IntegerOverflowIsRejectedNotSaturated)
+{
+    // strtoll saturated to INT64_MAX: 0 pages and a "-nanx" multiplier.
+    expectFlagRejected("bench/bench_sec84_longcontext",
+                       "--paged --block-tokens 99999999999999999999",
+                       "--block-tokens");
+    expectFlagRejected("bench/bench_serving",
+                       "--requests 4 --sweep 0 --study 0 "
+                       "--seed -99999999999999999999",
+                       "--seed");
+}
+
+/** A numeric flag as `--help` lists it: `--name <int|num>  help
+ *  (default D, RANGE)`. */
+struct HelpFlag
+{
+    std::string name;
+    bool integer = false;
+    std::string range;
+};
+
+std::vector<HelpFlag>
+numericFlags(const std::string &help)
+{
+    std::vector<HelpFlag> out;
+    std::istringstream lines(help);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("  --", 0) != 0)
+            continue;
+        const std::size_t space = line.find(' ', 4);
+        if (space == std::string::npos ||
+            (line.compare(space + 1, 5, "<int>") != 0 &&
+             line.compare(space + 1, 5, "<num>") != 0))
+            continue;
+        HelpFlag f{line.substr(4, space - 4),
+                   line.compare(space + 1, 5, "<int>") == 0, "<none>"};
+        const std::size_t def = line.rfind("(default ");
+        const std::size_t comma = line.find(", ", def);
+        if (def != std::string::npos && comma != std::string::npos &&
+            line.back() == ')')
+            f.range = line.substr(comma + 2, line.size() - comma - 3);
+        out.push_back(f);
+    }
+    return out;
+}
+
+TEST(HostileFlags, EveryNumericFlagDeclaresARangeThatParseEnforces)
+{
+    // Values outside each range the parser knows, keyed by the range
+    // text `--help` prints. An integer flag of any range also rejects
+    // a value that overflows int64.
+    const std::map<std::string, std::vector<std::string>> kHostile = {
+        {"any value", {}},
+        {"must be >= 0", {"-1"}},
+        {"must be >= 1", {"0", "-3"}},
+        {"must be in [0, 4294967295]", {"-1", "4294967296"}},
+        {"must be a finite number > 0", {"0", "-1", "nan", "inf"}},
+        {"must be a finite number >= 0", {"-1", "nan", "inf"}},
+        {"must be a fraction in [0, 1]", {"-0.5", "1.5", "nan"}},
+    };
+    struct Binary
+    {
+        const char *path;
+        /** Keeps a run short should a hostile value get through. */
+        const char *quick;
+        /** The flags that accept any value: seeds. */
+        std::set<std::string> any;
+    };
+    const std::vector<Binary> binaries = {
+        {"bench/bench_serving", "--requests 4 --sweep 0 --study 0",
+         {"seed"}},
+        {"bench/bench_cluster", "--requests 4 --sweep 0 --study 0",
+         {"seed"}},
+        {"bench/bench_simspeed", "--requests 4 --json /dev/null",
+         {"seed"}},
+        {"bench/bench_sec84_longcontext", "--paged", {}},
+        {"bench/bench_table2_accuracy", "", {"seed"}},
+        {"examples/edge_server", "", {"seed"}},
+    };
+    for (const Binary &b : binaries) {
+        const std::string path = std::string(KELLE_BIN_DIR) + "/" + b.path;
+        if (!fileExists(path))
+            continue; // not built, as the other cases skip
+        int status = 0;
+        const std::string help = capture(path + " --help", &status);
+        ASSERT_EQ(status, 0) << help;
+        const std::vector<HelpFlag> flags = numericFlags(help);
+        EXPECT_FALSE(flags.empty()) << b.path << " lists no numeric flag";
+        std::set<std::string> any;
+        for (const HelpFlag &f : flags) {
+            const auto it = kHostile.find(f.range);
+            ASSERT_NE(it, kHostile.end())
+                << b.path << " --" << f.name << ": unknown range '"
+                << f.range << "'";
+            if (f.range == "any value")
+                any.insert(f.name);
+            std::vector<std::string> values = it->second;
+            if (f.integer)
+                values.push_back("99999999999999999999");
+            for (const std::string &v : values)
+                expectFlagRejected(b.path,
+                                   std::string(b.quick) + " --" +
+                                       f.name + " " + v,
+                                   "--" + f.name);
+        }
+        EXPECT_EQ(any, b.any)
+            << b.path << ": a numeric flag other than a seed accepts "
+                         "any value; declare its range in addInt/"
+                         "addDouble";
+    }
+}
+
+/** Run `flags` with stdout discarded: exit 1 and exactly one stderr
+ *  line naming `path` (edge_server also narrates on stderr, so there
+ *  only the count of lines naming the path is held to one). */
+void
+expectWriteFails(const std::string &binary, const std::string &flags,
+                 const std::string &path, bool narrated)
+{
+    const std::string bin = std::string(KELLE_BIN_DIR) + "/" + binary;
+    if (!fileExists(bin))
+        GTEST_SKIP() << bin << " not built";
+    int status = 0;
+    const std::string err =
+        capture("( " + bin + " " + flags + " 2>&1 >/dev/null )", &status);
+    const std::string what = binary + " " + flags;
+    ASSERT_TRUE(WIFEXITED(status)) << what << "\n" << err;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << what << "\n" << err;
+    std::istringstream lines(err);
+    std::string line;
+    std::size_t naming = 0;
+    std::size_t total = 0;
+    while (std::getline(lines, line)) {
+        ++total;
+        naming += line.find(path) != std::string::npos ? 1 : 0;
+    }
+    EXPECT_EQ(naming, 1u) << what << "\n" << err;
+    if (!narrated) {
+        EXPECT_EQ(total, 1u) << what << "\n" << err;
+    }
+}
+
+TEST(HostileFlags, FailedWritesFailTheRun)
+{
+    // The runs used to exit 0 (bench_serving and bench_cluster said
+    // nothing; bench_simspeed said "cannot write" and carried on).
+    const std::string dir =
+        std::string(::testing::TempDir()) + "/kelle_no_such_dir/d";
+    const std::string csv = dir + "/m.csv";
+    const std::string json = dir + "/t.json";
+    const std::string quick = "--requests 4 --sweep 0 --study 0 ";
+    for (const char *bench : {"bench/bench_serving", "bench/bench_cluster"}) {
+        expectWriteFails(bench, quick + "--metrics-out " + csv, csv, false);
+        expectWriteFails(bench, quick + "--trace-out " + json, json, false);
+    }
+    expectWriteFails("examples/edge_server", "--metrics-out " + csv, csv,
+                     true);
+    expectWriteFails("examples/edge_server",
+                     "--devices 2 --trace-out " + json, json, true);
+    expectWriteFails("bench/bench_simspeed", "--requests 4 --json " + json,
+                     json, false);
+}
+
+TEST(HostileFlags, MetricsGridOverTheRowLimitFailsTheRun)
+{
+    // A 1e-12 s interval asked sample() for ~3e15 rows: std::bad_alloc.
+    const std::string csv =
+        std::string(::testing::TempDir()) + "/kelle_tiny_interval.csv";
+    std::remove(csv.c_str());
+    expectWriteFails("bench/bench_serving",
+                     "--requests 4 --sweep 0 --study 0 --metrics-out " +
+                         csv + " --metrics-interval 1e-12",
+                     csv, false);
+    EXPECT_FALSE(fileExists(csv));
 }
 
 } // namespace

@@ -494,10 +494,6 @@ sweptKnobs(Observers &o)
                     [](ClusterConfig &c) { c.faults.slowdownWeight = 4.0; }),
         clusterKnob("FaultConfig::shrinkWeight",
                     [](ClusterConfig &c) { c.faults.shrinkWeight = 4.0; }),
-        clusterKnob("FaultConfig::slowdownFactor",
-                    [](ClusterConfig &c) { c.faults.slowdownFactor = 4.0; }),
-        clusterKnob("FaultConfig::shrinkFactor",
-                    [](ClusterConfig &c) { c.faults.shrinkFactor = 0.25; }),
         clusterKnob("FaultConfig::recoverWarmupSec",
                     [](ClusterConfig &c) {
                         c.faults.recoverWarmupSec = 0.0;

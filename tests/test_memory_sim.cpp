@@ -58,16 +58,6 @@ TEST(MemoryModel, TransferMath)
     EXPECT_NEAR(d.transferEnergy(Bytes::count(1e9)).j(), 0.12, 1e-9);
 }
 
-TEST(TrafficMeter, Accumulates)
-{
-    const auto d = mem::lpddr4();
-    mem::TrafficMeter meter(d);
-    meter.read(Bytes::mib(10));
-    meter.write(Bytes::mib(6));
-    EXPECT_DOUBLE_EQ(meter.total().inMib(), 16.0);
-    EXPECT_GT(meter.energy().j(), 0.0);
-}
-
 TEST(EventQueue, OrdersByTime)
 {
     sim::EventQueue q;

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -400,6 +401,36 @@ TEST(MetricsRoundTrip, ResamplingIsLastValueHold)
     EXPECT_EQ(t.rows[0][1], 0.0); // before the first sample
     EXPECT_EQ(t.rows[1][1], 5.0); // last value at t=10 is the t=2 one
     EXPECT_EQ(t.rows[2][1], 7.0);
+}
+
+TEST(MetricsRoundTrip, SampleRequiresAFinitePositiveInterval)
+{
+    obs::MetricsRegistry reg;
+    reg.series("x").push(2.0, 5.0);
+    // Used to return a header-only table that exported as a CSV with
+    // no rows.
+    EXPECT_DEATH(reg.sample(0.0), "interval");
+    EXPECT_DEATH(reg.sample(-1.0), "interval");
+    EXPECT_DEATH(reg.sample(std::nan("")), "interval");
+}
+
+TEST(MetricsRoundTrip, WriteFileRefusesAGridOverTheRowLimit)
+{
+    obs::MetricsRegistry reg;
+    reg.series("x").push(1000.0, 5.0);
+    EXPECT_EQ(reg.sampleRows(10.0), 101.0);
+    // 1e-6 s over 1000 s is 1e9 + 1 rows: refused before any row is
+    // built or a file is opened.
+    const std::string path =
+        std::string(::testing::TempDir()) + "/kelle_row_limit.csv";
+    std::remove(path.c_str());
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(reg.writeFile(path, 1e-6));
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(path), std::string::npos) << err;
+    EXPECT_NE(err.find("1e-06 s interval"), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+    EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr);
 }
 
 TEST(MetricsRoundTrip, IngestTraceLiftsCountersAndHistograms)
