@@ -20,6 +20,10 @@
  * loop, at one lane or many, reproduces every one of them, so these
  * constants are what remains of the retired engines' behaviour.
  *
+ * `GoldenDigest.StepReportGrid` hashes the analytic step-cost model's
+ * own StepReports in process, over a grid of systems and step shapes,
+ * so a model change shows even where no bench prints it.
+ *
  * The HostileFlags suite drives the same binaries with out-of-range
  * flag values and requires a clean one-line error exit; one case reads
  * every numeric flag and its declared range from each binary's
@@ -34,6 +38,7 @@
 
 #include <sys/wait.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -41,6 +46,11 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "accel/comparators.hpp"
+#include "accel/timing_model.hpp"
+
+using namespace kelle;
 
 namespace {
 
@@ -264,6 +274,86 @@ TEST(GoldenDigest, BenchTable8RetentionEnergy)
 TEST(GoldenDigest, BenchTable9Batch)
 {
     expectDigest("bench/bench_table9_batch", "", 0xcbbf37934a3727fcull);
+}
+
+/** Fold one double's bit pattern into an FNV-1a 64 state. */
+void
+fnvFold(std::uint64_t *h, double v)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+        *h ^= (bits >> (8 * i)) & 0xffu;
+        *h *= 1099511628211ull;
+    }
+}
+
+void
+fnvFold(std::uint64_t *h, const accel::StepReport &r)
+{
+    fnvFold(h, r.latency.sec());
+    for (const Energy e : {r.energy.rsa, r.energy.sfu, r.energy.weightSram,
+                           r.energy.kvMem, r.energy.refresh, r.energy.dram,
+                           r.energy.leakage})
+        fnvFold(h, e.j());
+    fnvFold(h, r.dramBytes);
+    fnvFold(h, r.macs);
+}
+
+TEST(GoldenDigest, StepReportGrid)
+{
+    // Every field of the step-cost model's StepReports, bit for bit,
+    // over a (system x model x shape) grid: decode steps at batch
+    // B = 1..32 and B*4096 >= N >= 0 resident tokens in a stride that
+    // is coprime to every B, and prefill chunks at deep and shallow
+    // offsets. The systems cover every branch of the roofline, refresh
+    // and eviction model: the five Fig. 13 systems, Over-recompute,
+    // the software evictor, uniform and retention-floor refresh, INT4
+    // KV, and the Fig. 14 comparators (NPU and sparse prefill, GPU
+    // static power and DRAM efficiency). Pins the analytic model
+    // independently of the serving digests above; a deliberate model
+    // change re-records the constant from this test's failure message.
+    std::vector<accel::SystemConfig> systems = {
+        accel::originalSramSystem(), accel::originalEdramSystem(),
+        accel::aepSramSystem(2048), accel::aerpSramSystem(2048),
+        accel::kelleEdramSystem(2048)};
+    const auto kelle = accel::kelleEdramSystem(2048);
+    systems.push_back(kelle);
+    systems.back().kv.recompute = accel::RecomputeMode::Over;
+    systems.push_back(kelle);
+    systems.back().kv.systolicEvictor = false;
+    systems.push_back(kelle);
+    systems.back().refresh.mode = accel::RefreshSpec::Mode::Uniform;
+    systems.push_back(kelle);
+    systems.back().refresh.mode = accel::RefreshSpec::Mode::Retention;
+    systems.push_back(kelle);
+    systems.back().kv.kvBits = 4;
+    systems.push_back(accel::comparators::jetsonOrin());
+    systems.push_back(accel::comparators::llmNpu());
+    systems.push_back(accel::comparators::dynaX());
+
+    std::uint64_t h = 14695981039346656037ull;
+    std::size_t points = 0;
+    for (const auto &m : {model::llama2_7b(), model::llama3_8b()}) {
+        for (const auto &sys : systems) {
+            for (std::size_t b = 1; b <= 32; ++b) {
+                for (std::size_t n = 0; n <= b * 4096; n += 97) {
+                    fnvFold(&h,
+                            accel::simulateBatchedDecodeStep(sys, m, b, n));
+                    ++points;
+                }
+            }
+            for (const std::size_t off : {0, 1, 100, 1000, 4095, 8000})
+                for (const std::size_t len : {1, 7, 64, 256, 1000, 4096}) {
+                    fnvFold(&h,
+                            accel::simulatePrefillChunk(sys, m, off, len));
+                    ++points;
+                }
+        }
+    }
+    EXPECT_EQ(points, 581048u);
+    EXPECT_EQ(h, 0x133c7a0b31c45f2full)
+        << "step-cost grid drifted from the golden digest (got 0x"
+        << std::hex << h << ")";
 }
 
 /** Read a whole file (empty string when unreadable). */
