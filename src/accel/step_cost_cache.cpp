@@ -13,7 +13,7 @@ StepCostCache::StepCostCache(const SystemConfig &sys,
                              std::size_t max_entries)
     // Decode slots are 32-bit; a cap past that is unbounded in
     // practice anyway.
-    : sys_(sys), model_(m),
+    : costModel_(sys, m),
       maxEntries_(std::min<std::size_t>(
           max_entries, std::numeric_limits<std::uint32_t>::max()))
 {
@@ -28,13 +28,11 @@ StepCostCache::decodeStep(std::size_t batch, std::size_t resident_total)
     }
     if (decodeReports_.size() >= maxEntries_) {
         ++stats_.bypasses;
-        overflow_ =
-            simulateBatchedDecodeStep(sys_, model_, batch, resident_total);
+        overflow_ = costModel_.decode(batch, resident_total);
         return overflow_;
     }
     ++stats_.misses;
-    decodeReports_.push_back(
-        simulateBatchedDecodeStep(sys_, model_, batch, resident_total));
+    decodeReports_.push_back(costModel_.decode(batch, resident_total));
     if (batch >= decodeIndex_.size())
         decodeIndex_.resize(batch + 1);
     auto &pages = decodeIndex_[batch];
@@ -63,14 +61,12 @@ StepCostCache::prefillChunk(std::size_t kv_offset, std::size_t chunk_len)
     }
     if (chunk_.size() >= maxEntries_) {
         ++stats_.bypasses;
-        overflow_ =
-            simulatePrefillChunk(sys_, model_, kv_offset, chunk_len);
+        overflow_ = costModel_.prefillChunk(kv_offset, chunk_len);
         return overflow_;
     }
     ++stats_.misses;
-    const StepReport rep =
-        simulatePrefillChunk(sys_, model_, kv_offset, chunk_len);
-    return chunk_.emplace(key, rep).first->second;
+    return chunk_.emplace(key, costModel_.prefillChunk(kv_offset, chunk_len))
+        .first->second;
 }
 
 } // namespace accel

@@ -119,6 +119,9 @@ class StepCostCache
     const StepReport &prefillChunk(std::size_t kv_offset,
                                    std::size_t chunk_len);
 
+    /** The bound cost model every miss and bypass evaluates. */
+    const StepCostModel &costModel() const { return costModel_; }
+
     const Stats &stats() const { return stats_; }
     std::size_t
     entries() const
@@ -153,8 +156,7 @@ class StepCostCache
         return slot != 0 ? &decodeReports_[slot - 1] : nullptr;
     }
 
-    const SystemConfig &sys_;
-    const model::ModelConfig &model_;
+    StepCostModel costModel_;
     std::size_t maxEntries_;
     Stats stats_;
     /** Decode memo, (batch size, total resident tokens) -> report:

@@ -20,19 +20,6 @@ constexpr double kEvictorPowerW = 0.028;
 /** Refresh interval of the retention floor (Table 1). */
 const Time kRetentionFloor = Time::micros(45);
 
-struct StepCosts
-{
-    PhaseTimes phases;
-    double dramBytes = 0.0;
-    double onChipKvBytes = 0.0;
-    double macs = 0.0;
-    double recomputeMacs = 0.0; ///< included in macs; overlaps DRAM
-    double sfuOps = 0.0;
-    double residentKvBytes = 0.0;
-    double onChipResidentKvBytes = 0.0;
-    double recomputedTokens = 0.0;
-};
-
 /** Resident tokens in the cache at attention time of step t. */
 std::size_t
 residentTokens(const SystemConfig &sys, const Workload &w, std::size_t t)
@@ -41,40 +28,6 @@ residentTokens(const SystemConfig &sys, const Workload &w, std::size_t t)
     if (sys.kv.evict && sys.kv.budget > 0)
         return std::min(n, sys.kv.budget);
     return n;
-}
-
-/** Refresh power of `bytes` resident data under the refresh spec. */
-Power
-refreshPower(const SystemConfig &sys, double bytes)
-{
-    const auto &r = sys.refresh;
-    if (r.mode == RefreshSpec::Mode::None || bytes <= 0.0)
-        return Power::watts(0);
-    const EnergyPerByte e = sys.tech.kvEdram.refreshEnergy;
-
-    auto groupPower = [&](double group_bytes, Time interval) {
-        return Power::watts(e.value * group_bytes / interval.sec());
-    };
-
-    if (r.mode == RefreshSpec::Mode::Retention)
-        return groupPower(bytes, kRetentionFloor);
-    if (r.mode == RefreshSpec::Mode::Uniform)
-        return groupPower(bytes, r.intervals.interval[0]);
-
-    // 2DRP: bytes split into the four groups of Figure 7b: the MSB/LSB
-    // byte split is exactly half; the HST/LST split follows the score
-    // register file.
-    const double h = r.hstFraction;
-    Power total = Power::watts(0);
-    total += groupPower(bytes * h * 0.5,
-                        r.intervals.of(edram::RefreshGroup::HstMsb));
-    total += groupPower(bytes * h * 0.5,
-                        r.intervals.of(edram::RefreshGroup::HstLsb));
-    total += groupPower(bytes * (1.0 - h) * 0.5,
-                        r.intervals.of(edram::RefreshGroup::LstMsb));
-    total += groupPower(bytes * (1.0 - h) * 0.5,
-                        r.intervals.of(edram::RefreshGroup::LstLsb));
-    return total;
 }
 
 /** Average refresh interval used for transient-data refresh costs. */
@@ -94,6 +47,127 @@ transientRefreshInterval(const SystemConfig &sys)
     return Time::seconds(0);
 }
 
+} // namespace
+
+struct StepCostModel::StepCosts
+{
+    PhaseTimes phases;
+    double dramBytes = 0.0;
+    double onChipKvBytes = 0.0;
+    double macs = 0.0;
+    double recomputeMacs = 0.0; ///< included in macs; overlaps DRAM
+    double sfuOps = 0.0;
+    double residentKvBytes = 0.0;
+    double onChipResidentKvBytes = 0.0;
+    double recomputedTokens = 0.0;
+};
+
+StepCostModel::StepCostModel(const SystemConfig &sys,
+                             const model::ModelConfig &m)
+    : sys_(sys), model_(m)
+{
+    const auto &tech = sys.tech;
+    recompute_ = sys.kv.recompute;
+    scheduler_ = sys.scheduler;
+    refreshMode_ = sys.refresh.mode;
+    kvIsEdram_ = tech.kvIsEdram;
+    swEvict_ = sys.kv.evict && !sys.kv.systolicEvictor;
+    L_ = static_cast<double>(m.layers);
+    d_ = static_cast<double>(m.dModel);
+    h_ = static_cast<double>(m.nHeads);
+    const double dkv = static_cast<double>(m.dKv());
+
+    wStep_ = m.weightBytes(tech.weightBits);
+    sramW_ = Time::seconds(wStep_ / tech.weightSram.bandwidth().value);
+    sramWLayer_ = Time::seconds(sramW_.sec() / L_);
+    // Weights pass through the staging SRAM: one write + one read.
+    weightSramEnergy_ =
+        tech.weightSram.accessEnergy() * Bytes(2.0 * wStep_);
+
+    macsPerMember_ = m.macsPerDecodeToken(0);
+    macsPerResident_ = 2.0 * d_ * L_;
+    // Score rows (2 bytes per head per resident token) plus staged
+    // Q/K/V (three 16-bit d-vectors) per member.
+    wsPerResident_ = 2.0 * h_;
+    wsPerMember_ = 6.0 * d_;
+    // Softermax over every head's scores (2 LUT ops per element), two
+    // RMSNorms and the FFN activation per layer.
+    sfuPerMember_ = 4.0 * d_ + static_cast<double>(m.dFfn);
+
+    kvTok_ = m.kvBytesPerTokenPerLayer(sys.kv.kvBits);
+    const double x_tok = d_ * 2.0; // 16-bit activations
+    xSavePerTok_ = std::max(0.0, kvTok_ - x_tok);
+
+    dramBw_ = tech.dram.bandwidth().value * tech.dramEfficiency;
+    flops_ = tech.rsa.utilization * tech.rsa.peakMacsPerSec();
+    prefillFlops_ = flops_ * sys.prefillComputeSpeedup;
+    kvMemBw_ = tech.kvMemory.bandwidth().value;
+    sfuRate_ = static_cast<double>(tech.sfu.lanes) * tech.rsa.clockHz;
+    kvCap_ = tech.kvMemory.capacity().b();
+
+    popularFraction_ = sys.kv.popularFraction;
+    macsPerRecomp_ = 2.0 * d_ * dkv; // per token per layer
+    const double cost_per_tok = L_ * macsPerRecomp_ / flops_;
+    const double save_per_tok = L_ * kvTok_ / dramBw_;
+    recompCostPlusSave_ = cost_per_tok + save_per_tok;
+
+    macEnergy_ = tech.rsa.macEnergy;
+    sfuOpEnergy_ = tech.sfu.opEnergy;
+    kvMemEnergy_ = tech.kvMemory.accessEnergy();
+    dramEnergy_ = tech.dram.accessEnergy();
+    refreshEnergy_ = tech.kvEdram.refreshEnergy;
+
+    hstFraction_ = sys.refresh.hstFraction;
+    for (std::size_t g = 0; g < edram::kNumRefreshGroups; ++g)
+        refreshInterval_[g] = sys.refresh.intervals.interval[g];
+    if (refreshMode_ == RefreshSpec::Mode::Retention)
+        refreshInterval_[0] = kRetentionFloor;
+    transientInterval_ = Time::seconds(0);
+    if (tech.actIsEdram && refreshMode_ != RefreshSpec::Mode::None)
+        transientInterval_ = transientRefreshInterval(sys);
+
+    background_ = tech.weightSram.leakage() + tech.kvMemory.leakage() +
+                  tech.actBuffer.leakage() + tech.dram.leakage() +
+                  tech.socStaticPower;
+    if (sys.kv.evict && sys.kv.systolicEvictor)
+        background_ += Power::watts(kEvictorPowerW);
+}
+
+/** Refresh power of `bytes` resident data under the refresh spec. */
+Power
+StepCostModel::refreshPower(double bytes) const
+{
+    if (refreshMode_ == RefreshSpec::Mode::None || bytes <= 0.0)
+        return Power::watts(0);
+    const EnergyPerByte e = refreshEnergy_;
+
+    auto groupPower = [&](double group_bytes, Time interval) {
+        return Power::watts(e.value * group_bytes / interval.sec());
+    };
+
+    // Retention floor or one uniform interval.
+    if (refreshMode_ != RefreshSpec::Mode::TwoD)
+        return groupPower(bytes, refreshInterval_[0]);
+
+    // 2DRP: bytes split into the four groups of Figure 7b: the MSB/LSB
+    // byte split is exactly half; the HST/LST split follows the score
+    // register file.
+    const double h = hstFraction_;
+    const auto interval = [&](edram::RefreshGroup g) {
+        return refreshInterval_[static_cast<std::size_t>(g)];
+    };
+    Power total = Power::watts(0);
+    total += groupPower(bytes * h * 0.5,
+                        interval(edram::RefreshGroup::HstMsb));
+    total += groupPower(bytes * h * 0.5,
+                        interval(edram::RefreshGroup::HstLsb));
+    total += groupPower(bytes * (1.0 - h) * 0.5,
+                        interval(edram::RefreshGroup::LstMsb));
+    total += groupPower(bytes * (1.0 - h) * 0.5,
+                        interval(edram::RefreshGroup::LstLsb));
+    return total;
+}
+
 /**
  * Resource costs of one prefill chunk: the `chunk` prompt tokens at KV
  * offset `offset` (batch-wide, all layers). Queries attend causally
@@ -103,13 +177,13 @@ transientRefreshInterval(const SystemConfig &sys)
  * per chunk. `offset == 0`, `chunk == ctxLen` is the monolithic
  * prefill.
  */
-StepCosts
-prefillChunkCosts(const SystemConfig &sys, const model::ModelConfig &m,
-                  std::size_t batch, std::size_t offset, std::size_t chunk)
+StepCostModel::StepCosts
+StepCostModel::prefillCosts(std::size_t batch, std::size_t offset,
+                            std::size_t chunk) const
 {
-    const auto &tech = sys.tech;
+    const auto &tech = sys_.tech;
+    const auto &m = model_;
     const double B = static_cast<double>(batch);
-    const double L = static_cast<double>(m.layers);
     const double n_new = static_cast<double>(chunk);
     const double n_ctx = static_cast<double>(offset + chunk);
     const double n_old = static_cast<double>(offset);
@@ -117,119 +191,44 @@ prefillChunkCosts(const SystemConfig &sys, const model::ModelConfig &m,
     // Causal attention telescopes: this chunk's MACs are the
     // whole-prefix cost minus the already-prefilled prefix's cost.
     double macs = B * (m.macsPrefill(offset + chunk) - m.macsPrefill(offset));
-    if (sys.prefillAttnSparsity > 0.0) {
-        macs -= sys.prefillAttnSparsity * B *
+    if (sys_.prefillAttnSparsity > 0.0) {
+        macs -= sys_.prefillAttnSparsity * B *
                 (m.macsPrefillAttention(offset + chunk) -
                  m.macsPrefillAttention(offset));
     }
     c.macs = macs;
 
-    const double w_bytes = m.weightBytes(tech.weightBits);
     // Per-layer activation round trips that overflow the buffer.
-    const double act_layer = B * n_new * static_cast<double>(m.dModel) * 2.0;
+    const double act_layer = B * n_new * d_ * 2.0;
     double act_spill = 0.0;
     if (act_layer > tech.actBuffer.capacity().b())
-        act_spill = 2.0 * act_layer * L;
+        act_spill = 2.0 * act_layer * L_;
     // FlashAttention-style IO for the quadratic attention: query
     // blocks sized by on-chip capacity re-stream the full resident K/V
     // per block, so prefill attention traffic scales inversely with
     // capacity (and a chunk at a deep offset re-reads a long prefix).
-    const double row_bytes = 4.0 * static_cast<double>(m.dModel) * 2.0;
-    const double block_rows = std::max(
-        1.0, 0.5 * tech.kvMemory.capacity().b() / row_bytes);
+    const double row_bytes = 4.0 * d_ * 2.0;
+    const double block_rows = std::max(1.0, 0.5 * kvCap_ / row_bytes);
     const double kv_layer_bytes =
         n_ctx * static_cast<double>(m.dKv()) * 2.0 * 2.0;
     const double attn_reread =
-        B * L * std::ceil(n_new / block_rows) * kv_layer_bytes;
-    const double kv_written = B * n_new * m.kvBytesPerToken(sys.kv.kvBits);
-    c.dramBytes = w_bytes + act_spill + attn_reread + kv_written;
+        B * L_ * std::ceil(n_new / block_rows) * kv_layer_bytes;
+    const double kv_written = B * n_new * m.kvBytesPerToken(sys_.kv.kvBits);
+    c.dramBytes = wStep_ + act_spill + attn_reread + kv_written;
     c.onChipKvBytes = 2.0 * (kv_written + attn_reread);
     // Softmax rows telescope like the MACs (n_ctx^2 - n_old^2); the
     // norm/activation ops are linear in the chunk's tokens.
-    c.sfuOps = B * L *
-               (static_cast<double>(m.nHeads) *
-                    (n_ctx * n_ctx - n_old * n_old) +
-                (4.0 * static_cast<double>(m.dModel) +
-                 static_cast<double>(m.dFfn)) *
-                    n_new);
+    c.sfuOps = B * L_ *
+               (h_ * (n_ctx * n_ctx - n_old * n_old) +
+                sfuPerMember_ * n_new);
 
-    c.phases.dram =
-        Time::seconds(c.dramBytes / (tech.dram.bandwidth().value *
-                                 tech.dramEfficiency));
-    c.phases.sramW =
-        Time::seconds(w_bytes / tech.weightSram.bandwidth().value);
-    c.phases.kvMem = Time::seconds(
-        c.onChipKvBytes / tech.kvMemory.bandwidth().value);
-    c.phases.compute = Time::seconds(
-        c.macs / (tech.rsa.utilization * tech.rsa.peakMacsPerSec() *
-                  sys.prefillComputeSpeedup));
-    c.phases.sfu = Time::seconds(
-        c.sfuOps / (static_cast<double>(tech.sfu.lanes) *
-                    tech.rsa.clockHz));
+    c.phases.dram = Time::seconds(c.dramBytes / dramBw_);
+    c.phases.sramW = sramW_;
+    c.phases.kvMem = Time::seconds(c.onChipKvBytes / kvMemBw_);
+    c.phases.compute = Time::seconds(c.macs / prefillFlops_);
+    c.phases.sfu = Time::seconds(c.sfuOps / sfuRate_);
     return c;
 }
-
-/** Accumulate the energy of one phase given its latency and costs. */
-EnergyBreakdown
-phaseEnergy(const SystemConfig &sys, const model::ModelConfig &m,
-            std::size_t batch, const StepCosts &c, Time latency,
-            Time t_sram_layer, Time t_kv_layer)
-{
-    const auto &tech = sys.tech;
-    EnergyBreakdown e;
-    e.rsa = tech.rsa.macEnergy * c.macs;
-    e.sfu = tech.sfu.opEnergy * c.sfuOps;
-    // Weights pass through the staging SRAM: one write + one read.
-    const double w_step = m.weightBytes(tech.weightBits);
-    e.weightSram =
-        tech.weightSram.accessEnergy() * Bytes(2.0 * w_step);
-    e.kvMem = tech.kvMemory.accessEnergy() * Bytes(c.onChipKvBytes);
-    e.dram = tech.dram.accessEnergy() * Bytes(c.dramBytes);
-
-    // Refresh: resident KV in eDRAM plus transient activations whose
-    // lifetime follows the scheduler (Eq. 7-8).
-    if (tech.kvIsEdram) {
-        e.refresh += refreshPower(sys, c.onChipResidentKvBytes) * latency;
-    }
-    if (tech.actIsEdram &&
-        sys.refresh.mode != RefreshSpec::Mode::None) {
-        const Time interval = transientRefreshInterval(sys);
-        if (interval.sec() > 0) {
-            const Time lifetime = transientLifetime(
-                sys.scheduler, t_sram_layer, t_kv_layer);
-            const double act_bytes = static_cast<double>(batch) * 4.0 *
-                                     static_cast<double>(m.dModel) * 2.0 *
-                                     static_cast<double>(m.layers);
-            const double refreshes_per_byte =
-                lifetime.sec() / interval.sec();
-            e.refresh += Energy::joules(
-                tech.kvEdram.refreshEnergy.value * act_bytes *
-                refreshes_per_byte);
-        }
-    }
-
-    Power background = tech.weightSram.leakage() +
-                       tech.kvMemory.leakage() +
-                       tech.actBuffer.leakage() + tech.dram.leakage() +
-                       tech.socStaticPower;
-    if (sys.kv.evict && sys.kv.systolicEvictor)
-        background += Power::watts(kEvictorPowerW);
-    e.leakage = background * latency;
-    return e;
-}
-
-/**
- * The per-member sums a decode step's costs read. Member i of a
- * B-member batch attends over n_i resident tokens; N = sum_i n_i.
- */
-struct DecodeSums
-{
-    double batch = 0.0;         ///< B
-    double residentTotal = 0.0; ///< N
-    double macs = 0.0;          ///< sum_i macsPerDecodeToken(n_i)
-    double workingSet = 0.0;    ///< sum_i attention intermediates, bytes
-    double sfuOps = 0.0;        ///< sum_i SFU ops over all layers
-};
 
 /**
  * Per-step resource costs of one decode iteration over a continuous
@@ -237,19 +236,10 @@ struct DecodeSums
  * different positions with different AERP budgets; the weight stream
  * is charged once for the whole batch.
  */
-StepCosts
-decodeCostsFromSums(const SystemConfig &sys, const model::ModelConfig &m,
-                    const DecodeSums &s)
+StepCostModel::StepCosts
+StepCostModel::decodeCosts(const DecodeSums &s) const
 {
-    const auto &tech = sys.tech;
-    const double L = static_cast<double>(m.layers);
-    const double d = static_cast<double>(m.dModel);
-    const double dkv = static_cast<double>(m.dKv());
     const double n_sum = s.residentTotal;
-
-    const double kv_tok = m.kvBytesPerTokenPerLayer(sys.kv.kvBits);
-    const double x_tok = d * 2.0; // 16-bit activations
-    const double w_step = m.weightBytes(tech.weightBits);
 
     StepCosts c;
     c.macs = s.macs;
@@ -257,51 +247,43 @@ decodeCostsFromSums(const SystemConfig &sys, const model::ModelConfig &m,
 
     // Recomputation sizing (Section 8.3.2): Auto fills RSA slack
     // during memory stalls; Over recomputes every popular token.
-    const double eligible =
-        (sys.kv.recompute == RecomputeMode::None)
-            ? 0.0
-            : sys.kv.popularFraction * n_sum;
-    const double macs_per_recomp = 2.0 * d * dkv; // per token per layer
+    const double eligible = (recompute_ == RecomputeMode::None)
+                                ? 0.0
+                                : popularFraction_ * n_sum;
     double n_rec = 0.0;
-    const double bw = tech.dram.bandwidth().value * tech.dramEfficiency;
-    const double flops = tech.rsa.utilization * tech.rsa.peakMacsPerSec();
-    if (sys.kv.recompute == RecomputeMode::Over) {
+    if (recompute_ == RecomputeMode::Over) {
         n_rec = eligible;
-    } else if (sys.kv.recompute == RecomputeMode::Auto) {
+    } else if (recompute_ == RecomputeMode::Auto) {
         // Roofline balancing (Section 8.3.2): recompute tokens while
         // the RSA would otherwise stall on memory, stopping exactly at
         // the compute/memory crossing so recomputation can slow
         // nothing down. Each recomputed token-layer removes its KV
         // bytes from DRAM and adds 2*d*dKv MACs.
-        const double resident0 = L * n_sum * kv_tok;
-        const double t_mem = (w_step + resident0) / bw;
-        const double t_comp = c.macs / flops;
+        const double resident0 = L_ * n_sum * kvTok_;
+        const double t_mem = (wStep_ + resident0) / dramBw_;
+        const double t_comp = c.macs / flops_;
         if (t_mem > t_comp) {
-            const double cost_per_tok = L * macs_per_recomp / flops;
-            const double save_per_tok = L * kv_tok / bw;
-            n_rec = (t_mem - t_comp) / (cost_per_tok + save_per_tok);
+            n_rec = (t_mem - t_comp) / recompCostPlusSave_;
             n_rec = std::min(eligible, n_rec);
         }
     }
     c.recomputedTokens = n_rec;
-    c.recomputeMacs = L * n_rec * macs_per_recomp;
+    c.recomputeMacs = L_ * n_rec * macsPerRecomp_;
     c.macs += c.recomputeMacs;
 
     // Resident KV: recomputed tokens hold one activation vector x
     // (with on-chip placement priority) instead of a KV pair
     // (Section 4.1.2), so their KV bytes leave the stream entirely
     // and the x read replaces half of them.
-    const double kv_res =
-        n_sum * kv_tok - n_rec * std::max(0.0, kv_tok - x_tok);
-    c.residentKvBytes = L * kv_res;
+    const double kv_res = n_sum * kvTok_ - n_rec * xSavePerTok_;
+    c.residentKvBytes = L_ * kv_res;
 
     // Working set: every layer's attention intermediates (score rows,
     // staged Q/K/V) compete with resident KV for on-chip capacity;
     // the overflow round-trips DRAM once per layer per step.
     const double ws = s.workingSet;
-    const double kv_cap = tech.kvMemory.capacity().b();
-    const double spill = std::max(0.0, ws - kv_cap);
-    const double avail = std::max(0.0, kv_cap - ws);
+    const double spill = std::max(0.0, ws - kvCap_);
+    const double avail = std::max(0.0, kvCap_ - ws);
     c.onChipResidentKvBytes = std::min(c.residentKvBytes, avail);
     const double f_on = c.residentKvBytes > 0
                             ? c.onChipResidentKvBytes / c.residentKvBytes
@@ -315,10 +297,10 @@ decodeCostsFromSums(const SystemConfig &sys, const model::ModelConfig &m,
     // insufficient on-chip capacity amplifies traffic, increasingly so
     // with sequence length (the Figure 3a effect).
     double kv_reads = c.residentKvBytes;
-    const double kv_writes = s.batch * L * kv_tok;
+    const double kv_writes = s.batch * L_ * kvTok_;
     double spill_dram = 0.0;
     if (spill > 0.0) {
-        const double spill_traffic = 2.0 * spill * L;
+        const double spill_traffic = 2.0 * spill * L_;
         if (kv_reads <= spill_traffic) {
             kv_reads *= 2.0; // two-pass re-read
         } else {
@@ -326,13 +308,13 @@ decodeCostsFromSums(const SystemConfig &sys, const model::ModelConfig &m,
         }
     }
     c.dramBytes =
-        w_step + (1.0 - f_on) * (kv_reads + kv_writes) + spill_dram;
+        wStep_ + (1.0 - f_on) * (kv_reads + kv_writes) + spill_dram;
     // All KV operands stage through the on-chip KV memory on their way
     // to the RSA (Figure 10): one write and one read per byte. This is
     // where eDRAM's per-byte access advantage over SRAM (84.8 vs
     // 185.9 pJ/B) acts on the dominant traffic stream.
     c.onChipKvBytes = 2.0 * (kv_reads + kv_writes) +
-                      2.0 * std::min(ws, kv_cap) * L;
+                      2.0 * std::min(ws, kvCap_) * L_;
 
     // Phase times. Recomputation is issued during memory stalls
     // (Section 8.3.2, "recomputed in parallel during the load"), so
@@ -340,50 +322,45 @@ decodeCostsFromSums(const SystemConfig &sys, const model::ModelConfig &m,
     // serial baseline schedule, and only the non-recompute MACs sit
     // on the compute phase.
     c.phases.dram = Time::seconds(
-        std::max(c.dramBytes / bw, c.recomputeMacs / flops));
-    c.phases.sramW =
-        Time::seconds(w_step / tech.weightSram.bandwidth().value);
-    c.phases.kvMem =
-        Time::seconds(c.onChipKvBytes / tech.kvMemory.bandwidth().value);
-    c.phases.compute =
-        Time::seconds((c.macs - c.recomputeMacs) / flops);
-    c.phases.sfu = Time::seconds(
-        c.sfuOps / (static_cast<double>(tech.sfu.lanes) *
-                    tech.rsa.clockHz));
+        std::max(c.dramBytes / dramBw_, c.recomputeMacs / flops_));
+    c.phases.sramW = sramW_;
+    c.phases.kvMem = Time::seconds(c.onChipKvBytes / kvMemBw_);
+    c.phases.compute = Time::seconds((c.macs - c.recomputeMacs) / flops_);
+    c.phases.sfu = Time::seconds(c.sfuOps / sfuRate_);
     return c;
 }
 
-/**
- * Decode costs of a `batch`-member batch holding `resident_total`
- * tokens in all. Every per-member term is affine in the member's
- * resident count with integer coefficients, so the sums have the
- * closed forms below (step_cost_cache.hpp derives them). Each is an
- * integer-valued double far below 2^53 for realistic models, hence
- * exact and bitwise equal to the member-at-a-time loop that
- * detail::batchedDecodeStepLoopReference keeps; how the tokens are
- * spread over the members cannot move a bit of the result.
- */
-StepCosts
-batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
-                   std::size_t batch, std::size_t resident_total)
+/** Accumulate the energy of one step given its latency and costs. */
+EnergyBreakdown
+StepCostModel::energy(std::size_t batch, const StepCosts &c,
+                      Time latency) const
 {
-    const double B = static_cast<double>(batch);
-    const double N = static_cast<double>(resident_total);
-    const double L = static_cast<double>(m.layers);
-    const double d = static_cast<double>(m.dModel);
-    const double h = static_cast<double>(m.nHeads);
-    DecodeSums s;
-    s.batch = B;
-    s.residentTotal = N;
-    s.macs = B * m.macsPerDecodeToken(0) + 2.0 * d * L * N;
-    // Score rows (2 bytes per head per resident token) plus staged
-    // Q/K/V (three 16-bit d-vectors) per member.
-    s.workingSet = 2.0 * h * N + 6.0 * d * B;
-    // Softermax over every head's scores (2 LUT ops per element), two
-    // RMSNorms and the FFN activation per layer.
-    s.sfuOps =
-        L * (2.0 * h * N + (4.0 * d + static_cast<double>(m.dFfn)) * B);
-    return decodeCostsFromSums(sys, m, s);
+    EnergyBreakdown e;
+    e.rsa = macEnergy_ * c.macs;
+    e.sfu = sfuOpEnergy_ * c.sfuOps;
+    e.weightSram = weightSramEnergy_;
+    e.kvMem = kvMemEnergy_ * Bytes(c.onChipKvBytes);
+    e.dram = dramEnergy_ * Bytes(c.dramBytes);
+
+    // Refresh: resident KV in eDRAM plus transient activations whose
+    // lifetime follows the scheduler (Eq. 7-8).
+    if (kvIsEdram_) {
+        e.refresh += refreshPower(c.onChipResidentKvBytes) * latency;
+    }
+    if (transientInterval_.sec() > 0) {
+        const Time lifetime =
+            transientLifetime(scheduler_, sramWLayer_,
+                              Time::seconds(c.phases.kvMem.sec() / L_));
+        const double act_bytes =
+            static_cast<double>(batch) * 4.0 * d_ * 2.0 * L_;
+        const double refreshes_per_byte =
+            lifetime.sec() / transientInterval_.sec();
+        e.refresh += Energy::joules(refreshEnergy_.value * act_bytes *
+                                    refreshes_per_byte);
+    }
+
+    e.leakage = background_ * latency;
+    return e;
 }
 
 /**
@@ -391,19 +368,15 @@ batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
  * overhead applies to decode steps only, never to prefill.
  */
 StepReport
-finishStep(const SystemConfig &sys, const model::ModelConfig &m,
-           std::size_t batch, const StepCosts &c, bool decode_step)
+StepCostModel::finish(std::size_t batch, const StepCosts &c,
+                      bool decode_step) const
 {
-    const double L = static_cast<double>(m.layers);
-    const bool sw_evict =
-        decode_step && sys.kv.evict && !sys.kv.systolicEvictor;
-    Time lat = composeStepLatency(sys.scheduler, c.phases);
+    const bool sw_evict = decode_step && swEvict_;
+    Time lat = composeStepLatency(scheduler_, c.phases);
     if (sw_evict)
         lat *= (1.0 + kSoftwareEvictLatencyOverhead);
 
-    EnergyBreakdown e = phaseEnergy(
-        sys, m, batch, c, lat, Time::seconds(c.phases.sramW.sec() / L),
-        Time::seconds(c.phases.kvMem.sec() / L));
+    EnergyBreakdown e = energy(batch, c, lat);
     if (sw_evict) {
         const double scale = 1.0 + kSoftwareEvictEnergyOverhead;
         e.rsa *= scale;
@@ -419,16 +392,125 @@ finishStep(const SystemConfig &sys, const model::ModelConfig &m,
     return rep;
 }
 
-} // namespace
+/**
+ * Every per-member term is affine in the member's resident count with
+ * integer coefficients, so the sums have the closed forms below
+ * (step_cost_cache.hpp derives them). Each is an integer-valued
+ * double far below 2^53 for realistic models, hence exact and bitwise
+ * equal to the member-at-a-time loop that
+ * detail::batchedDecodeStepLoopReference keeps; how the tokens are
+ * spread over the members cannot move a bit of the result.
+ */
+StepCostModel::DecodeSums
+StepCostModel::sums(std::size_t batch, std::size_t resident_total) const
+{
+    const double B = static_cast<double>(batch);
+    const double N = static_cast<double>(resident_total);
+    DecodeSums s;
+    s.batch = B;
+    s.residentTotal = N;
+    s.macs = B * macsPerMember_ + macsPerResident_ * N;
+    s.workingSet = wsPerResident_ * N + wsPerMember_ * B;
+    s.sfuOps = L_ * (wsPerResident_ * N + sfuPerMember_ * B);
+    return s;
+}
+
+StepReport
+StepCostModel::decode(std::size_t batch, std::size_t resident_total) const
+{
+    KELLE_ASSERT(batch > 0, "empty decode batch");
+    return finish(batch, decodeCosts(sums(batch, resident_total)), true);
+}
+
+StepReport
+StepCostModel::decode(const DecodeSums &s) const
+{
+    KELLE_ASSERT(s.batch > 0.0, "empty decode batch");
+    return finish(static_cast<std::size_t>(s.batch), decodeCosts(s), true);
+}
+
+StepReport
+StepCostModel::prefillChunk(std::size_t kv_offset,
+                            std::size_t chunk_len) const
+{
+    KELLE_ASSERT(chunk_len > 0, "empty prefill chunk");
+    return finish(1, prefillCosts(1, kv_offset, chunk_len), false);
+}
+
+/**
+ * simulate() body, parameterized on the decode-loop evaluation mode.
+ * The decode loop iterates w.decLen steps whose costs depend on t
+ * only through residentTokens(sys, w, t) — a monotone clamp that
+ * saturates at the KV budget. With `memoize_steps` the per-step
+ * costing runs once per *distinct* resident count and the saturated
+ * tail reuses the last StepCosts/StepReport; the accumulation loop is
+ * unchanged (same values added in the same order), so the results are
+ * bit-identical to the step-at-a-time loop, which
+ * detail::simulateLoopReference preserves as the test oracle. For an
+ * 8192-token decode over a 2048 budget this removes ~3/4 of the
+ * analytic-model evaluations.
+ */
+RunReport
+StepCostModel::run(const Workload &w, bool memoize_steps) const
+{
+    KELLE_ASSERT(w.decLen > 0 && w.batch > 0, "degenerate workload");
+    RunReport rep;
+
+    // ---- Prefill -------------------------------------------------
+    {
+        const StepReport pre =
+            finish(w.batch, prefillCosts(w.batch, 0, w.ctxLen), false);
+        rep.prefillLatency = pre.latency;
+        rep.prefillEnergy = pre.energy;
+        rep.dramBytesTotal += pre.dramBytes;
+        rep.macsTotal += pre.macs;
+    }
+
+    // ---- Decode --------------------------------------------------
+    // Every member of the uniform batch holds the same n resident
+    // tokens, so a step is the (B, B*n) batched decode; its recomputed
+    // tokens are batch-wide and are reported per sequence.
+    const double B = static_cast<double>(w.batch);
+    Time decode_latency = Time::seconds(0);
+    EnergyBreakdown decode_energy;
+    double recomp_acc = 0.0;
+    double f_on_acc = 0.0;
+    StepCosts c;
+    StepReport step;
+    bool have_step = false;
+    std::size_t last_resident = 0;
+    for (std::size_t t = 0; t < w.decLen; ++t) {
+        const std::size_t n = residentTokens(sys_, w, t);
+        if (!memoize_steps || !have_step || n != last_resident) {
+            c = decodeCosts(sums(w.batch, w.batch * n));
+            step = finish(w.batch, c, true);
+            have_step = true;
+            last_resident = n;
+        }
+        decode_latency += step.latency;
+        decode_energy += step.energy;
+        rep.dramBytesTotal += c.dramBytes;
+        rep.macsTotal += c.macs;
+        recomp_acc += c.recomputedTokens / B;
+        f_on_acc += c.residentKvBytes > 0
+                        ? c.onChipResidentKvBytes / c.residentKvBytes
+                        : 0.0;
+        if (t + 1 == w.decLen)
+            rep.kvResidentBytesEnd = c.residentKvBytes;
+    }
+    rep.decodeLatency = decode_latency;
+    rep.decodeEnergy = decode_energy;
+    rep.recomputedTokensPerStep =
+        recomp_acc / static_cast<double>(w.decLen);
+    rep.kvOnChipFraction = f_on_acc / static_cast<double>(w.decLen);
+    return rep;
+}
 
 StepReport
 simulatePrefillChunk(const SystemConfig &sys, const model::ModelConfig &m,
                      std::size_t kv_offset, std::size_t chunk_len)
 {
-    KELLE_ASSERT(chunk_len > 0, "empty prefill chunk");
-    return finishStep(sys, m, 1,
-                      prefillChunkCosts(sys, m, 1, kv_offset, chunk_len),
-                      false);
+    return StepCostModel(sys, m).prefillChunk(kv_offset, chunk_len);
 }
 
 StepReport
@@ -436,10 +518,7 @@ simulateBatchedDecodeStep(const SystemConfig &sys,
                           const model::ModelConfig &m, std::size_t batch,
                           std::size_t resident_total)
 {
-    KELLE_ASSERT(batch > 0, "empty decode batch");
-    return finishStep(sys, m, batch,
-                      batchedDecodeCosts(sys, m, batch, resident_total),
-                      true);
+    return StepCostModel(sys, m).decode(batch, resident_total);
 }
 
 StepReport
@@ -474,85 +553,10 @@ RunReport::achievedOpsPerSec() const
     return t > 0 ? 2.0 * macsTotal / t : 0.0;
 }
 
-namespace {
-
-/**
- * simulate() body, parameterized on the decode-loop evaluation mode.
- * The decode loop iterates w.decLen steps whose costs depend on t
- * only through residentTokens(sys, w, t) — a monotone clamp that
- * saturates at the KV budget. With `memoize_steps` the per-step
- * costing runs once per *distinct* resident count and the saturated
- * tail reuses the last StepCosts/StepReport; the accumulation loop is
- * unchanged (same values added in the same order), so the results are
- * bit-identical to the step-at-a-time loop, which
- * detail::simulateLoopReference preserves as the test oracle. For an
- * 8192-token decode over a 2048 budget this removes ~3/4 of the
- * analytic-model evaluations.
- */
-RunReport
-simulateImpl(const SystemConfig &sys, const Workload &w,
-             bool memoize_steps)
-{
-    KELLE_ASSERT(w.decLen > 0 && w.batch > 0, "degenerate workload");
-    RunReport rep;
-
-    // ---- Prefill -------------------------------------------------
-    {
-        const StepReport pre = finishStep(
-            sys, w.model, w.batch,
-            prefillChunkCosts(sys, w.model, w.batch, 0, w.ctxLen), false);
-        rep.prefillLatency = pre.latency;
-        rep.prefillEnergy = pre.energy;
-        rep.dramBytesTotal += pre.dramBytes;
-        rep.macsTotal += pre.macs;
-    }
-
-    // ---- Decode --------------------------------------------------
-    // Every member of the uniform batch holds the same n resident
-    // tokens, so a step is the (B, B*n) batched decode; its recomputed
-    // tokens are batch-wide and are reported per sequence.
-    const double B = static_cast<double>(w.batch);
-    Time decode_latency = Time::seconds(0);
-    EnergyBreakdown decode_energy;
-    double recomp_acc = 0.0;
-    double f_on_acc = 0.0;
-    StepCosts c;
-    StepReport step;
-    bool have_step = false;
-    std::size_t last_resident = 0;
-    for (std::size_t t = 0; t < w.decLen; ++t) {
-        const std::size_t n = residentTokens(sys, w, t);
-        if (!memoize_steps || !have_step || n != last_resident) {
-            c = batchedDecodeCosts(sys, w.model, w.batch, w.batch * n);
-            step = finishStep(sys, w.model, w.batch, c, true);
-            have_step = true;
-            last_resident = n;
-        }
-        decode_latency += step.latency;
-        decode_energy += step.energy;
-        rep.dramBytesTotal += c.dramBytes;
-        rep.macsTotal += c.macs;
-        recomp_acc += c.recomputedTokens / B;
-        f_on_acc += c.residentKvBytes > 0
-                        ? c.onChipResidentKvBytes / c.residentKvBytes
-                        : 0.0;
-        if (t + 1 == w.decLen)
-            rep.kvResidentBytesEnd = c.residentKvBytes;
-    }
-    rep.decodeLatency = decode_latency;
-    rep.decodeEnergy = decode_energy;
-    rep.recomputedTokensPerStep =
-        recomp_acc / static_cast<double>(w.decLen);
-    rep.kvOnChipFraction = f_on_acc / static_cast<double>(w.decLen);
-    return rep;
-}
-
-} // namespace
-
 RunReport
 simulate(const SystemConfig &sys, const Workload &w)
 {
-    return simulateImpl(sys, w, true);
+    return StepCostModel(sys, w.model).run(w, true);
 }
 
 namespace detail {
@@ -560,7 +564,7 @@ namespace detail {
 RunReport
 simulateLoopReference(const SystemConfig &sys, const Workload &w)
 {
-    return simulateImpl(sys, w, false);
+    return StepCostModel(sys, w.model).run(w, false);
 }
 
 StepReport
@@ -572,7 +576,7 @@ batchedDecodeStepLoopReference(
     const double L = static_cast<double>(m.layers);
     const double d = static_cast<double>(m.dModel);
     const double h = static_cast<double>(m.nHeads);
-    DecodeSums s;
+    StepCostModel::DecodeSums s;
     s.batch = static_cast<double>(resident_tokens.size());
     for (std::size_t n : resident_tokens) {
         const double nd = static_cast<double>(n);
@@ -582,8 +586,7 @@ batchedDecodeStepLoopReference(
         s.sfuOps +=
             L * (2.0 * h * nd + 4.0 * d + static_cast<double>(m.dFfn));
     }
-    return finishStep(sys, m, resident_tokens.size(),
-                      decodeCostsFromSums(sys, m, s), true);
+    return StepCostModel(sys, m).decode(s);
 }
 
 } // namespace detail

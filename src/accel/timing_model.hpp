@@ -52,8 +52,9 @@ struct KvPolicySpec
     RecomputeMode recompute = RecomputeMode::Auto;
     /**
      * Fraction of resident tokens eligible for x-storage (popular in
-     * >= theta of heads). 0.35 is what the functional substrate
-     * measures with theta = 50% (see EXPERIMENTS.md).
+     * >= theta of heads). 0.35 is an uncalibrated constant: nothing
+     * yet derives it from the functional cache's per-token popularity
+     * at theta = 50% (ROADMAP item 5).
      */
     double popularFraction = 0.35;
     int kvBits = 16;            ///< stored KV precision
@@ -220,6 +221,136 @@ StepReport batchedDecodeStepLoopReference(
 
 } // namespace detail
 /** @} */
+
+/**
+ * The analytic step-cost model bound to one (system, model) pair; the
+ * one implementation behind `simulate`, `simulateBatchedDecodeStep`,
+ * `simulatePrefillChunk` and the serving layer's `StepCostCache`.
+ *
+ * Every term that depends on the configuration alone is computed once
+ * at construction: the weight stream's bytes, phase time, per-layer
+ * share and SRAM energy, a decode member's context-free MACs, the
+ * recompute roofline's per-token cost and saving, the transient
+ * refresh interval and the background power. A step then does only
+ * the arithmetic its shape changes. The hoisted terms are whole
+ * subexpressions of the step formulas, evaluated in the same IEEE
+ * operations and order (nothing is reassociated or turned from a
+ * division into a multiplication), so a bound step is bit-identical
+ * to evaluating the model from scratch; `GoldenDigest.StepReportGrid`
+ * pins it.
+ *
+ * The system and model must outlive the bound model and must not be
+ * mutated while it is in use.
+ */
+class StepCostModel
+{
+  public:
+    /**
+     * The per-member sums a decode step's costs read. Member i of a
+     * B-member batch attends over n_i resident tokens; N = sum_i n_i.
+     */
+    struct DecodeSums
+    {
+        double batch = 0.0;         ///< B
+        double residentTotal = 0.0; ///< N
+        double macs = 0.0;          ///< sum_i macsPerDecodeToken(n_i)
+        double workingSet = 0.0;    ///< sum_i attention intermediates, bytes
+        double sfuOps = 0.0;        ///< sum_i SFU ops over all layers
+    };
+
+    StepCostModel(const SystemConfig &sys, const model::ModelConfig &m);
+
+    /** One decode step of `batch` (> 0) members holding
+     *  `resident_total` tokens in all. */
+    StepReport decode(std::size_t batch, std::size_t resident_total) const;
+
+    /** One decode step from its per-member sums. */
+    StepReport decode(const DecodeSums &s) const;
+
+    /** One prefill chunk of `chunk_len` (> 0) tokens at KV offset
+     *  `kv_offset`. */
+    StepReport prefillChunk(std::size_t kv_offset,
+                            std::size_t chunk_len) const;
+
+  private:
+    struct StepCosts;
+
+    /** The closed-form sums of `batch` members holding
+     *  `resident_total` tokens. */
+    DecodeSums sums(std::size_t batch, std::size_t resident_total) const;
+    StepCosts decodeCosts(const DecodeSums &s) const;
+    StepCosts prefillCosts(std::size_t batch, std::size_t offset,
+                           std::size_t chunk) const;
+    StepReport finish(std::size_t batch, const StepCosts &c,
+                      bool decode_step) const;
+    EnergyBreakdown energy(std::size_t batch, const StepCosts &c,
+                           Time latency) const;
+    Power refreshPower(double bytes) const;
+    /** `simulate` of `w` (whose model is the bound one); without
+     *  `memoize_steps`, every decode step is costed afresh. */
+    RunReport run(const Workload &w, bool memoize_steps) const;
+
+    friend RunReport simulate(const SystemConfig &sys, const Workload &w);
+    friend RunReport detail::simulateLoopReference(const SystemConfig &sys,
+                                                   const Workload &w);
+
+    const SystemConfig &sys_;
+    const model::ModelConfig &model_;
+
+    // Everything a decode step reads lives below, so a step touches
+    // this object and not the (much larger) configuration.
+    RecomputeMode recompute_;
+    SchedulerKind scheduler_;
+    RefreshSpec::Mode refreshMode_;
+    bool kvIsEdram_;
+    bool swEvict_; ///< decode steps pay the software-eviction overhead
+    // Model shape as doubles.
+    double L_, d_, h_;
+    // Weight stream: bytes per step, SRAM phase time, its per-layer
+    // share (the transient lifetime's T_SRAM) and staging energy.
+    double wStep_;
+    Time sramW_;
+    Time sramWLayer_;
+    Energy weightSramEnergy_;
+    // Decode per-member sums: context-free MACs, MACs and working-set
+    // bytes per resident token, SFU ops per member per layer.
+    double macsPerMember_;
+    double macsPerResident_;
+    double wsPerResident_;
+    double wsPerMember_;
+    double sfuPerMember_;
+    // KV bytes per token per layer, and what x-storage saves of them.
+    double kvTok_;
+    double xSavePerTok_;
+    // Recompute roofline: eligible share of the resident tokens, MACs
+    // per recomputed token-layer, and the time one recomputed token
+    // costs plus the DRAM time it saves.
+    double popularFraction_;
+    double macsPerRecomp_;
+    double recompCostPlusSave_;
+    // Rates: sustained DRAM bytes/s, decode and prefill MACs/s, KV
+    // memory bytes/s, SFU ops/s; on-chip KV capacity.
+    double dramBw_;
+    double flops_;
+    double prefillFlops_;
+    double kvMemBw_;
+    double sfuRate_;
+    double kvCap_;
+    // Per-unit energies.
+    Energy macEnergy_;
+    Energy sfuOpEnergy_;
+    EnergyPerByte kvMemEnergy_;
+    EnergyPerByte dramEnergy_;
+    EnergyPerByte refreshEnergy_;
+    // Resident-KV refresh: the HST share of resident tokens and the
+    // group intervals in RefreshGroup order (a single-interval mode
+    // uses the first); the transient-activation refresh interval
+    // (zero: none charged) and the on-chip + DRAM background power.
+    double hstFraction_;
+    Time refreshInterval_[edram::kNumRefreshGroups];
+    Time transientInterval_;
+    Power background_;
+};
 
 /** Speedup and energy-efficiency of `sys` relative to `base`. */
 struct Comparison

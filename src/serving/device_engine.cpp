@@ -618,8 +618,7 @@ DeviceEngine::decodeStepCost(std::size_t batch, std::size_t resident_total)
 {
     if (cfg_.fastSim)
         return costCache_.decodeStep(batch, resident_total);
-    stepScratch_ = accel::simulateBatchedDecodeStep(
-        cfg_.system, cfg_.model, batch, resident_total);
+    stepScratch_ = costCache_.costModel().decode(batch, resident_total);
     return stepScratch_;
 }
 
@@ -629,8 +628,7 @@ DeviceEngine::prefillChunkCost(std::size_t kv_offset,
 {
     if (cfg_.fastSim)
         return costCache_.prefillChunk(kv_offset, chunk_len);
-    stepScratch_ = accel::simulatePrefillChunk(cfg_.system, cfg_.model,
-                                               kv_offset, chunk_len);
+    stepScratch_ = costCache_.costModel().prefillChunk(kv_offset, chunk_len);
     return stepScratch_;
 }
 
