@@ -914,10 +914,15 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // steps and the next page edge on what they left.
         bool synced = false; ///< the window's first boundary is applied
         std::size_t deferred = 0; ///< boundaries since the last sync
-        obs::DecodeShares shares; ///< their steps' waterfall charge
+        // Their steps' waterfall charge, summed only when a waterfall
+        // is attached to read it.
+        const bool charge_shares = wf_ != nullptr;
+        obs::DecodeShares shares;
         // The split of the step ending at the next boundary; `lat`
         // and it change only when the step is re-costed.
-        obs::DecodeShares lat_shares = obs::DecodeShares::of(lat, batch_size);
+        obs::DecodeShares lat_shares;
+        if (charge_shares)
+            lat_shares = obs::DecodeShares::of(lat, batch_size);
         std::size_t clamped = 0;  ///< clampScratch_ entries <= deferred
         // `deferred` at the next page edge; max when none is due
         std::size_t page_edge = std::numeric_limits<std::size_t>::max();
@@ -944,7 +949,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             const double gap = (tn - t).sec();
             gap_max = deferred == 0 ? gap : std::max(gap_max, gap);
             ++deferred;
-            shares += lat_shares; // the step ending at `tn`
+            if (charge_shares)
+                shares += lat_shares; // the step ending at `tn`
             t = tn;
             ++engineSteps_;
             ++decodeSteps_;
@@ -1048,7 +1054,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 n_sum = ns;
                 step = &decodeStepCost(batch_size, n_sum);
                 lat = scaled(step->latency);
-                lat_shares = obs::DecodeShares::of(lat, batch_size);
+                if (charge_shares)
+                    lat_shares = obs::DecodeShares::of(lat, batch_size);
             }
             if (replay_deferrals && trace_ != nullptr) {
                 for (const auto &defer : deferScratch_)
