@@ -12,6 +12,9 @@
  * copy-free prefix sharing adds on top for multi-turn sessions.
  */
 
+#include <cstdio>
+#include <string>
+
 #include "accel/capacity.hpp"
 #include "bench_util.hpp"
 #include "common/arg_parser.hpp"
@@ -43,13 +46,33 @@ main(int argc, char **argv)
         return args.exitCode();
 
     const auto m = model::llama2_7b();
+    CapacitySpec full;
+    const auto r1 = maxSupportedTokens(m, full);
+    // The paged axis needs at least one fp16 page in the free DRAM
+    // (the INT8/INT4 pages are smaller); sized in double so no block
+    // count can wrap.
+    if (args.getBool("paged")) {
+        const double fp16_page = static_cast<double>(
+                                     args.getInt("block-tokens")) *
+                                 m.kvBytesPerToken(16);
+        if (fp16_page > r1.freeBytes) {
+            std::fprintf(stderr,
+                         "bench_sec84_longcontext: --block-tokens %lld "
+                         "makes a %.4g GiB fp16 page, larger than the "
+                         "%.4g GiB of free DRAM\n",
+                         static_cast<long long>(
+                             args.getInt("block-tokens")),
+                         fp16_page / (1024.0 * 1024.0 * 1024.0),
+                         r1.freeBytes / (1024.0 * 1024.0 * 1024.0));
+            return 1;
+        }
+    }
+
     bench::banner("Section 8.4.1: long-context capacity on 16 GB DRAM "
                   "(LLaMA2-7B, 8-bit weights)");
 
     Table t({"configuration", "peak B/token", "max tokens", "paper"});
 
-    CapacitySpec full;
-    const auto r1 = maxSupportedTokens(m, full);
     t.addRow({"full fp16 KV cache",
               Table::num(r1.bytesPerTokenPeak / 1024, 1) + " KiB",
               std::to_string(r1.maxTokens), "~19,000"});
@@ -124,12 +147,17 @@ main(int argc, char **argv)
                       Table::mult(1.0 / phys)});
         }
         s.print();
+        // With the whole context shared, every turn past a session's
+        // first is free: 1/(1-frac) has no finite value to print.
+        const std::string limit =
+            frac < 1.0 ? "approaches 1/(1-frac) = " +
+                             Table::mult(1.0 / (1.0 - frac))
+                       : "grows without bound (1/(1-frac) at frac = 1)";
         bench::note(
             std::to_string(sessions) + " sessions, " +
             Table::pct(frac) +
-            " of each context in the shared prompt: the multiplier "
-            "approaches 1/(1-frac) = " +
-            Table::mult(1.0 / (1.0 - frac)) +
+            " of each context in the shared prompt: the multiplier " +
+            limit +
             " as turns accumulate — on top of the INT8/INT4 page "
             "packing above");
     }

@@ -160,19 +160,16 @@ struct Aggregate
     }
 };
 
-/** Write the JSON report; false, after a one-line stderr message
- *  naming the path, when it cannot be written. */
+/** Write the JSON report to `f`, opened on `path` before the sweep,
+ *  and close it; false, after a one-line stderr message naming the
+ *  path, when the write fails. */
 bool
-writeJson(const std::string &path, const cluster::ClusterConfig &base,
-          bool quick, const std::vector<CellResult> &cells,
-          const Aggregate &fast, const Aggregate *ref,
-          const Aggregate *serial, const obs::PhaseProfiler &prof)
+writeJson(std::FILE *f, const std::string &path,
+          const cluster::ClusterConfig &base, bool quick,
+          const std::vector<CellResult> &cells, const Aggregate &fast,
+          const Aggregate *ref, const Aggregate *serial,
+          const obs::PhaseProfiler &prof)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
     std::fprintf(f, "{\n  \"schema\": \"kelle.bench_simspeed/v3\",\n");
     std::fprintf(f,
                  "  \"config\": {\"devices\": %zu, \"hetero\": true, "
@@ -315,6 +312,15 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // Open the report before the sweep: an unwritable path fails the
+    // run at once instead of after every cell has been timed.
+    const std::string json_path = args.getString("json");
+    std::FILE *json = std::fopen(json_path.c_str(), "w");
+    if (json == nullptr) {
+        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        return 1;
+    }
+
     cluster::ClusterConfig base;
     base.engine.traffic.ratePerSec = args.getDouble("rate");
     const std::size_t explicit_requests = args.getSize("requests");
@@ -447,8 +453,8 @@ main(int argc, char **argv)
                                 std::max(fast.wallSec, 1e-9)));
     }
 
-    return writeJson(args.getString("json"), base, args.getBool("quick"),
-                     cells, fast, with_ref ? &ref : nullptr,
+    return writeJson(json, json_path, base, args.getBool("quick"), cells,
+                     fast, with_ref ? &ref : nullptr,
                      with_scaling ? &serial : nullptr, prof)
                ? 0
                : 1;

@@ -744,6 +744,37 @@ TEST(HostileFlags, LongContextSharedPrefixAboveOneIsRejected)
                        "--paged --prefix-frac 2", "--prefix-frac");
 }
 
+TEST(HostileFlags, LongContextWholeContextPrefixSaysUnbounded)
+{
+    // frac = 1 is in range: the table rows stay finite (S/N physical
+    // tokens per logical one) and the limit note printed "infx".
+    const std::string path =
+        std::string(KELLE_BIN_DIR) + "/bench/bench_sec84_longcontext";
+    if (!fileExists(path))
+        GTEST_SKIP() << path << " not built";
+    int status = 0;
+    const std::string out =
+        capture(path + " --paged --prefix-frac 1", &status);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << out;
+    EXPECT_EQ(out.find("infx"), std::string::npos) << out;
+    EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+    EXPECT_NE(out.find("grows without bound"), std::string::npos) << out;
+    EXPECT_NE(out.find("4.00x"), std::string::npos) << out; // N = 4S
+}
+
+TEST(HostileFlags, LongContextPageLargerThanFreeDramIsRejected)
+{
+    // Printed "0 pages" and "-nanx" multipliers with exit 0; the
+    // largest in-range value also overflowed the page's value count.
+    expectFlagRejected("bench/bench_sec84_longcontext",
+                       "--paged --block-tokens 1000000000",
+                       "--block-tokens");
+    expectFlagRejected("bench/bench_sec84_longcontext",
+                       "--paged --block-tokens 9223372036854775807",
+                       "--block-tokens");
+}
+
 TEST(HostileFlags, IntegerOverflowIsRejectedNotSaturated)
 {
     // strtoll saturated to INT64_MAX: 0 pages and a "-nanx" multiplier.
@@ -906,6 +937,17 @@ TEST(HostileFlags, FailedWritesFailTheRun)
                      "--devices 2 --trace-out " + json, json, true);
     expectWriteFails("bench/bench_simspeed", "--requests 4 --json " + json,
                      json, false);
+}
+
+TEST(HostileFlags, SimspeedUnwritableJsonFailsBeforeTheSweep)
+{
+    // The path used to be opened after every cell had been timed; now
+    // the run stops before its banner, with the one error line.
+    const std::string json = std::string(::testing::TempDir()) +
+                             "/kelle_no_such_dir/d/s.json";
+    expectFlagRejected("bench/bench_simspeed",
+                       "--requests 4 --json " + json,
+                       "cannot write " + json);
 }
 
 TEST(HostileFlags, MetricsGridOverTheRowLimitFailsTheRun)
