@@ -142,7 +142,9 @@ RunReport simulate(const SystemConfig &sys, const Workload &w);
  * step over a heterogeneous continuous batch. Unlike `simulate`, which
  * integrates a uniform batch over a whole decode, these return the
  * cost of a single step so an event-driven scheduler can interleave
- * requests at iteration granularity.
+ * requests at iteration granularity. Each binds a `StepCostModel`
+ * (below) for the one call; a caller costing many steps of one
+ * configuration binds the model once instead (`StepCostCache` does).
  * @{
  */
 
@@ -179,8 +181,8 @@ StepReport simulatePrefillChunk(const SystemConfig &sys,
  * time. The weight stream is fetched once and amortized across every
  * member, which is where batched decode wins over request-at-a-time
  * serving. The cost depends on the members' resident counts only
- * through their total, so this pair is the whole step shape; it is
- * the one decode-step cost model, behind `simulate` and every serving
+ * through their total, so this pair is the whole step shape; the
+ * same decode-step cost model is behind `simulate` and every serving
  * step alike.
  */
 StepReport simulateBatchedDecodeStep(const SystemConfig &sys,
