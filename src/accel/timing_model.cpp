@@ -67,11 +67,6 @@ StepCostModel::StepCostModel(const SystemConfig &sys,
     : sys_(sys), model_(m)
 {
     const auto &tech = sys.tech;
-    recompute_ = sys.kv.recompute;
-    scheduler_ = sys.scheduler;
-    refreshMode_ = sys.refresh.mode;
-    kvIsEdram_ = tech.kvIsEdram;
-    swEvict_ = sys.kv.evict && !sys.kv.systolicEvictor;
     L_ = static_cast<double>(m.layers);
     d_ = static_cast<double>(m.dModel);
     h_ = static_cast<double>(m.nHeads);
@@ -88,7 +83,7 @@ StepCostModel::StepCostModel(const SystemConfig &sys,
     macsPerResident_ = 2.0 * d_ * L_;
     // Score rows (2 bytes per head per resident token) plus staged
     // Q/K/V (three 16-bit d-vectors) per member.
-    wsPerResident_ = 2.0 * h_;
+    twoHeads_ = 2.0 * h_;
     wsPerMember_ = 6.0 * d_;
     // Softermax over every head's scores (2 LUT ops per element), two
     // RMSNorms and the FFN activation per layer.
@@ -101,29 +96,15 @@ StepCostModel::StepCostModel(const SystemConfig &sys,
     dramBw_ = tech.dram.bandwidth().value * tech.dramEfficiency;
     flops_ = tech.rsa.utilization * tech.rsa.peakMacsPerSec();
     prefillFlops_ = flops_ * sys.prefillComputeSpeedup;
-    kvMemBw_ = tech.kvMemory.bandwidth().value;
     sfuRate_ = static_cast<double>(tech.sfu.lanes) * tech.rsa.clockHz;
-    kvCap_ = tech.kvMemory.capacity().b();
 
-    popularFraction_ = sys.kv.popularFraction;
     macsPerRecomp_ = 2.0 * d_ * dkv; // per token per layer
     const double cost_per_tok = L_ * macsPerRecomp_ / flops_;
     const double save_per_tok = L_ * kvTok_ / dramBw_;
     recompCostPlusSave_ = cost_per_tok + save_per_tok;
 
-    macEnergy_ = tech.rsa.macEnergy;
-    sfuOpEnergy_ = tech.sfu.opEnergy;
-    kvMemEnergy_ = tech.kvMemory.accessEnergy();
-    dramEnergy_ = tech.dram.accessEnergy();
-    refreshEnergy_ = tech.kvEdram.refreshEnergy;
-
-    hstFraction_ = sys.refresh.hstFraction;
-    for (std::size_t g = 0; g < edram::kNumRefreshGroups; ++g)
-        refreshInterval_[g] = sys.refresh.intervals.interval[g];
-    if (refreshMode_ == RefreshSpec::Mode::Retention)
-        refreshInterval_[0] = kRetentionFloor;
     transientInterval_ = Time::seconds(0);
-    if (tech.actIsEdram && refreshMode_ != RefreshSpec::Mode::None)
+    if (tech.actIsEdram && sys.refresh.mode != RefreshSpec::Mode::None)
         transientInterval_ = transientRefreshInterval(sys);
 
     background_ = tech.weightSram.leakage() + tech.kvMemory.leakage() +
@@ -131,40 +112,40 @@ StepCostModel::StepCostModel(const SystemConfig &sys,
                   tech.socStaticPower;
     if (sys.kv.evict && sys.kv.systolicEvictor)
         background_ += Power::watts(kEvictorPowerW);
+    swEvict_ = sys.kv.evict && !sys.kv.systolicEvictor;
 }
 
 /** Refresh power of `bytes` resident data under the refresh spec. */
 Power
 StepCostModel::refreshPower(double bytes) const
 {
-    if (refreshMode_ == RefreshSpec::Mode::None || bytes <= 0.0)
+    const auto &r = sys_.refresh;
+    if (r.mode == RefreshSpec::Mode::None || bytes <= 0.0)
         return Power::watts(0);
-    const EnergyPerByte e = refreshEnergy_;
+    const EnergyPerByte e = sys_.tech.kvEdram.refreshEnergy;
 
     auto groupPower = [&](double group_bytes, Time interval) {
         return Power::watts(e.value * group_bytes / interval.sec());
     };
 
-    // Retention floor or one uniform interval.
-    if (refreshMode_ != RefreshSpec::Mode::TwoD)
-        return groupPower(bytes, refreshInterval_[0]);
+    if (r.mode == RefreshSpec::Mode::Retention)
+        return groupPower(bytes, kRetentionFloor);
+    if (r.mode == RefreshSpec::Mode::Uniform)
+        return groupPower(bytes, r.intervals.interval[0]);
 
     // 2DRP: bytes split into the four groups of Figure 7b: the MSB/LSB
     // byte split is exactly half; the HST/LST split follows the score
     // register file.
-    const double h = hstFraction_;
-    const auto interval = [&](edram::RefreshGroup g) {
-        return refreshInterval_[static_cast<std::size_t>(g)];
-    };
+    const double h = r.hstFraction;
     Power total = Power::watts(0);
     total += groupPower(bytes * h * 0.5,
-                        interval(edram::RefreshGroup::HstMsb));
+                        r.intervals.of(edram::RefreshGroup::HstMsb));
     total += groupPower(bytes * h * 0.5,
-                        interval(edram::RefreshGroup::HstLsb));
+                        r.intervals.of(edram::RefreshGroup::HstLsb));
     total += groupPower(bytes * (1.0 - h) * 0.5,
-                        interval(edram::RefreshGroup::LstMsb));
+                        r.intervals.of(edram::RefreshGroup::LstMsb));
     total += groupPower(bytes * (1.0 - h) * 0.5,
-                        interval(edram::RefreshGroup::LstLsb));
+                        r.intervals.of(edram::RefreshGroup::LstLsb));
     return total;
 }
 
@@ -208,7 +189,8 @@ StepCostModel::prefillCosts(std::size_t batch, std::size_t offset,
     // per block, so prefill attention traffic scales inversely with
     // capacity (and a chunk at a deep offset re-reads a long prefix).
     const double row_bytes = 4.0 * d_ * 2.0;
-    const double block_rows = std::max(1.0, 0.5 * kvCap_ / row_bytes);
+    const double block_rows = std::max(
+        1.0, 0.5 * tech.kvMemory.capacity().b() / row_bytes);
     const double kv_layer_bytes =
         n_ctx * static_cast<double>(m.dKv()) * 2.0 * 2.0;
     const double attn_reread =
@@ -224,7 +206,8 @@ StepCostModel::prefillCosts(std::size_t batch, std::size_t offset,
 
     c.phases.dram = Time::seconds(c.dramBytes / dramBw_);
     c.phases.sramW = sramW_;
-    c.phases.kvMem = Time::seconds(c.onChipKvBytes / kvMemBw_);
+    c.phases.kvMem = Time::seconds(
+        c.onChipKvBytes / tech.kvMemory.bandwidth().value);
     c.phases.compute = Time::seconds(c.macs / prefillFlops_);
     c.phases.sfu = Time::seconds(c.sfuOps / sfuRate_);
     return c;
@@ -239,6 +222,7 @@ StepCostModel::prefillCosts(std::size_t batch, std::size_t offset,
 StepCostModel::StepCosts
 StepCostModel::decodeCosts(const DecodeSums &s) const
 {
+    const auto &tech = sys_.tech;
     const double n_sum = s.residentTotal;
 
     StepCosts c;
@@ -247,13 +231,14 @@ StepCostModel::decodeCosts(const DecodeSums &s) const
 
     // Recomputation sizing (Section 8.3.2): Auto fills RSA slack
     // during memory stalls; Over recomputes every popular token.
-    const double eligible = (recompute_ == RecomputeMode::None)
-                                ? 0.0
-                                : popularFraction_ * n_sum;
+    const double eligible =
+        (sys_.kv.recompute == RecomputeMode::None)
+            ? 0.0
+            : sys_.kv.popularFraction * n_sum;
     double n_rec = 0.0;
-    if (recompute_ == RecomputeMode::Over) {
+    if (sys_.kv.recompute == RecomputeMode::Over) {
         n_rec = eligible;
-    } else if (recompute_ == RecomputeMode::Auto) {
+    } else if (sys_.kv.recompute == RecomputeMode::Auto) {
         // Roofline balancing (Section 8.3.2): recompute tokens while
         // the RSA would otherwise stall on memory, stopping exactly at
         // the compute/memory crossing so recomputation can slow
@@ -282,8 +267,9 @@ StepCostModel::decodeCosts(const DecodeSums &s) const
     // staged Q/K/V) compete with resident KV for on-chip capacity;
     // the overflow round-trips DRAM once per layer per step.
     const double ws = s.workingSet;
-    const double spill = std::max(0.0, ws - kvCap_);
-    const double avail = std::max(0.0, kvCap_ - ws);
+    const double kv_cap = tech.kvMemory.capacity().b();
+    const double spill = std::max(0.0, ws - kv_cap);
+    const double avail = std::max(0.0, kv_cap - ws);
     c.onChipResidentKvBytes = std::min(c.residentKvBytes, avail);
     const double f_on = c.residentKvBytes > 0
                             ? c.onChipResidentKvBytes / c.residentKvBytes
@@ -314,7 +300,7 @@ StepCostModel::decodeCosts(const DecodeSums &s) const
     // where eDRAM's per-byte access advantage over SRAM (84.8 vs
     // 185.9 pJ/B) acts on the dominant traffic stream.
     c.onChipKvBytes = 2.0 * (kv_reads + kv_writes) +
-                      2.0 * std::min(ws, kvCap_) * L_;
+                      2.0 * std::min(ws, kv_cap) * L_;
 
     // Phase times. Recomputation is issued during memory stalls
     // (Section 8.3.2, "recomputed in parallel during the load"), so
@@ -324,7 +310,8 @@ StepCostModel::decodeCosts(const DecodeSums &s) const
     c.phases.dram = Time::seconds(
         std::max(c.dramBytes / dramBw_, c.recomputeMacs / flops_));
     c.phases.sramW = sramW_;
-    c.phases.kvMem = Time::seconds(c.onChipKvBytes / kvMemBw_);
+    c.phases.kvMem =
+        Time::seconds(c.onChipKvBytes / tech.kvMemory.bandwidth().value);
     c.phases.compute = Time::seconds((c.macs - c.recomputeMacs) / flops_);
     c.phases.sfu = Time::seconds(c.sfuOps / sfuRate_);
     return c;
@@ -335,28 +322,29 @@ EnergyBreakdown
 StepCostModel::energy(std::size_t batch, const StepCosts &c,
                       Time latency) const
 {
+    const auto &tech = sys_.tech;
     EnergyBreakdown e;
-    e.rsa = macEnergy_ * c.macs;
-    e.sfu = sfuOpEnergy_ * c.sfuOps;
+    e.rsa = tech.rsa.macEnergy * c.macs;
+    e.sfu = tech.sfu.opEnergy * c.sfuOps;
     e.weightSram = weightSramEnergy_;
-    e.kvMem = kvMemEnergy_ * Bytes(c.onChipKvBytes);
-    e.dram = dramEnergy_ * Bytes(c.dramBytes);
+    e.kvMem = tech.kvMemory.accessEnergy() * Bytes(c.onChipKvBytes);
+    e.dram = tech.dram.accessEnergy() * Bytes(c.dramBytes);
 
     // Refresh: resident KV in eDRAM plus transient activations whose
     // lifetime follows the scheduler (Eq. 7-8).
-    if (kvIsEdram_) {
+    if (tech.kvIsEdram) {
         e.refresh += refreshPower(c.onChipResidentKvBytes) * latency;
     }
     if (transientInterval_.sec() > 0) {
         const Time lifetime =
-            transientLifetime(scheduler_, sramWLayer_,
+            transientLifetime(sys_.scheduler, sramWLayer_,
                               Time::seconds(c.phases.kvMem.sec() / L_));
         const double act_bytes =
             static_cast<double>(batch) * 4.0 * d_ * 2.0 * L_;
         const double refreshes_per_byte =
             lifetime.sec() / transientInterval_.sec();
-        e.refresh += Energy::joules(refreshEnergy_.value * act_bytes *
-                                    refreshes_per_byte);
+        e.refresh += Energy::joules(tech.kvEdram.refreshEnergy.value *
+                                    act_bytes * refreshes_per_byte);
     }
 
     e.leakage = background_ * latency;
@@ -372,7 +360,7 @@ StepCostModel::finish(std::size_t batch, const StepCosts &c,
                       bool decode_step) const
 {
     const bool sw_evict = decode_step && swEvict_;
-    Time lat = composeStepLatency(scheduler_, c.phases);
+    Time lat = composeStepLatency(sys_.scheduler, c.phases);
     if (sw_evict)
         lat *= (1.0 + kSoftwareEvictLatencyOverhead);
 
@@ -410,8 +398,8 @@ StepCostModel::sums(std::size_t batch, std::size_t resident_total) const
     s.batch = B;
     s.residentTotal = N;
     s.macs = B * macsPerMember_ + macsPerResident_ * N;
-    s.workingSet = wsPerResident_ * N + wsPerMember_ * B;
-    s.sfuOps = L_ * (wsPerResident_ * N + sfuPerMember_ * B);
+    s.workingSet = twoHeads_ * N + wsPerMember_ * B;
+    s.sfuOps = L_ * (twoHeads_ * N + sfuPerMember_ * B);
     return s;
 }
 

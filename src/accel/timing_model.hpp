@@ -229,12 +229,13 @@ StepReport batchedDecodeStepLoopReference(
  * one implementation behind `simulate`, `simulateBatchedDecodeStep`,
  * `simulatePrefillChunk` and the serving layer's `StepCostCache`.
  *
- * Every term that depends on the configuration alone is computed once
- * at construction: the weight stream's bytes, phase time, per-layer
- * share and SRAM energy, a decode member's context-free MACs, the
- * recompute roofline's per-token cost and saving, the transient
- * refresh interval and the background power. A step then does only
- * the arithmetic its shape changes. The hoisted terms are whole
+ * Every term that the configuration alone determines and that takes
+ * arithmetic to form is computed once at construction: the weight
+ * stream's bytes, phase time, per-layer share and SRAM energy, a
+ * decode member's context-free MACs, the recompute roofline's
+ * per-token cost and saving, the transient refresh interval and the
+ * background power. A step then does only the arithmetic its shape
+ * changes. The hoisted terms are whole
  * subexpressions of the step formulas, evaluated in the same IEEE
  * operations and order (nothing is reassociated or turned from a
  * division into a multiplication), so a bound step is bit-identical
@@ -299,14 +300,8 @@ class StepCostModel
     const SystemConfig &sys_;
     const model::ModelConfig &model_;
 
-    // Everything a decode step reads lives below, so a step touches
-    // this object and not the (much larger) configuration.
-    RecomputeMode recompute_;
-    SchedulerKind scheduler_;
-    RefreshSpec::Mode refreshMode_;
-    bool kvIsEdram_;
-    bool swEvict_; ///< decode steps pay the software-eviction overhead
-    // Model shape as doubles.
+    // The configuration-only terms, in the forms the step formulas
+    // read them. Model shape as doubles:
     double L_, d_, h_;
     // Weight stream: bytes per step, SRAM phase time, its per-layer
     // share (the transient lifetime's T_SRAM) and staging energy.
@@ -314,44 +309,33 @@ class StepCostModel
     Time sramW_;
     Time sramWLayer_;
     Energy weightSramEnergy_;
-    // Decode per-member sums: context-free MACs, MACs and working-set
-    // bytes per resident token, SFU ops per member per layer.
+    // Decode per-member sums: context-free MACs and MACs per resident
+    // token; 2*nHeads, a resident token's score-row bytes and its
+    // Softermax ops per layer; working-set bytes per member; SFU ops
+    // per member per layer.
     double macsPerMember_;
     double macsPerResident_;
-    double wsPerResident_;
+    double twoHeads_;
     double wsPerMember_;
     double sfuPerMember_;
     // KV bytes per token per layer, and what x-storage saves of them.
     double kvTok_;
     double xSavePerTok_;
-    // Recompute roofline: eligible share of the resident tokens, MACs
-    // per recomputed token-layer, and the time one recomputed token
-    // costs plus the DRAM time it saves.
-    double popularFraction_;
+    // Recompute roofline: MACs per recomputed token-layer, and the
+    // time one recomputed token costs plus the DRAM time it saves.
     double macsPerRecomp_;
     double recompCostPlusSave_;
-    // Rates: sustained DRAM bytes/s, decode and prefill MACs/s, KV
-    // memory bytes/s, SFU ops/s; on-chip KV capacity.
+    // Rates: sustained DRAM bytes/s, decode and prefill MACs/s, SFU
+    // ops/s.
     double dramBw_;
     double flops_;
     double prefillFlops_;
-    double kvMemBw_;
     double sfuRate_;
-    double kvCap_;
-    // Per-unit energies.
-    Energy macEnergy_;
-    Energy sfuOpEnergy_;
-    EnergyPerByte kvMemEnergy_;
-    EnergyPerByte dramEnergy_;
-    EnergyPerByte refreshEnergy_;
-    // Resident-KV refresh: the HST share of resident tokens and the
-    // group intervals in RefreshGroup order (a single-interval mode
-    // uses the first); the transient-activation refresh interval
-    // (zero: none charged) and the on-chip + DRAM background power.
-    double hstFraction_;
-    Time refreshInterval_[edram::kNumRefreshGroups];
+    // Transient-activation refresh interval (zero: none charged) and
+    // the on-chip + DRAM background power.
     Time transientInterval_;
     Power background_;
+    bool swEvict_; ///< decode steps pay the software-eviction overhead
 };
 
 /** Speedup and energy-efficiency of `sys` relative to `base`. */
