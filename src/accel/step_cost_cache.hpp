@@ -12,10 +12,10 @@
  * A miss evaluates the bound model, which computed every
  * configuration-only term (weight stream, roofline constants, refresh
  * intervals, background power) once at construction, so it pays only
- * the shape-dependent arithmetic: about 56 ns on Kelle+eDRAM and 42 ns
- * on AERP+SRAM on a 4-vCPU Xeon VM, against about 116 and 95 ns for an
- * unbound evaluation, plus the memo insert. A hit is still far cheaper,
- * which is why the memo stays.
+ * the shape-dependent arithmetic. On a 4-vCPU Xeon VM a LLaMA2-7B
+ * miss, memo insert included, takes about 62 ns on Kelle+eDRAM and
+ * 49 ns on AERP+SRAM (108 and 77 ns before the model was bound); a hit
+ * takes about 6.5 ns, which is why the memo stays.
  *
  * Why (B, N) is the whole decode shape: every per-member term of a
  * decode step — MACs, working-set bytes, SFU ops, resident tokens — is
