@@ -93,6 +93,13 @@ StepCostModel::StepCostModel(const SystemConfig &sys,
     const double x_tok = d_ * 2.0; // 16-bit activations
     xSavePerTok_ = std::max(0.0, kvTok_ - x_tok);
 
+    kvTokAllLayers_ = m.kvBytesPerToken(sys.kv.kvBits);
+    // Prefill query rows per block: half the KV memory, 4 staged
+    // 16-bit d-vectors per row.
+    const double row_bytes = 4.0 * d_ * 2.0;
+    prefillBlockRows_ =
+        std::max(1.0, 0.5 * tech.kvMemory.capacity().b() / row_bytes);
+
     dramBw_ = tech.dram.bandwidth().value * tech.dramEfficiency;
     flops_ = tech.rsa.utilization * tech.rsa.peakMacsPerSec();
     prefillFlops_ = flops_ * sys.prefillComputeSpeedup;
@@ -185,17 +192,15 @@ StepCostModel::prefillCosts(std::size_t batch, std::size_t offset,
     if (act_layer > tech.actBuffer.capacity().b())
         act_spill = 2.0 * act_layer * L_;
     // FlashAttention-style IO for the quadratic attention: query
-    // blocks sized by on-chip capacity re-stream the full resident K/V
-    // per block, so prefill attention traffic scales inversely with
-    // capacity (and a chunk at a deep offset re-reads a long prefix).
-    const double row_bytes = 4.0 * d_ * 2.0;
-    const double block_rows = std::max(
-        1.0, 0.5 * tech.kvMemory.capacity().b() / row_bytes);
+    // blocks sized by on-chip capacity (prefillBlockRows_) re-stream
+    // the full resident K/V per block, so prefill attention traffic
+    // scales inversely with capacity (and a chunk at a deep offset
+    // re-reads a long prefix).
     const double kv_layer_bytes =
         n_ctx * static_cast<double>(m.dKv()) * 2.0 * 2.0;
     const double attn_reread =
-        B * L_ * std::ceil(n_new / block_rows) * kv_layer_bytes;
-    const double kv_written = B * n_new * m.kvBytesPerToken(sys_.kv.kvBits);
+        B * L_ * std::ceil(n_new / prefillBlockRows_) * kv_layer_bytes;
+    const double kv_written = B * n_new * kvTokAllLayers_;
     c.dramBytes = wStep_ + act_spill + attn_reread + kv_written;
     c.onChipKvBytes = 2.0 * (kv_written + attn_reread);
     // Softmax rows telescope like the MACs (n_ctx^2 - n_old^2); the

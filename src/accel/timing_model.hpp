@@ -233,9 +233,9 @@ StepReport batchedDecodeStepLoopReference(
  * arithmetic to form is computed once at construction: the weight
  * stream's bytes, phase time, per-layer share and SRAM energy, a
  * decode member's context-free MACs, the recompute roofline's
- * per-token cost and saving, the transient refresh interval and the
- * background power. A step then does only the arithmetic its shape
- * changes. The hoisted terms are whole
+ * per-token cost and saving, the prefill attention block size, the
+ * transient refresh interval and the background power. A step then
+ * does only the arithmetic its shape changes. The hoisted terms are whole
  * subexpressions of the step formulas, evaluated in the same IEEE
  * operations and order (nothing is reassociated or turned from a
  * division into a multiplication), so a bound step is bit-identical
@@ -318,9 +318,13 @@ class StepCostModel
     double twoHeads_;
     double wsPerMember_;
     double sfuPerMember_;
-    // KV bytes per token per layer, and what x-storage saves of them.
+    // KV bytes per token per layer, and what x-storage saves of them;
+    // KV bytes per token over all layers.
     double kvTok_;
     double xSavePerTok_;
+    double kvTokAllLayers_;
+    // Prefill attention: query rows per FlashAttention-style block.
+    double prefillBlockRows_;
     // Recompute roofline: MACs per recomputed token-layer, and the
     // time one recomputed token costs plus the DRAM time it saves.
     double macsPerRecomp_;
