@@ -9,19 +9,6 @@ EnergyBreakdown::total() const
     return rsa + sfu + weightSram + kvMem + refresh + dram + leakage;
 }
 
-EnergyBreakdown &
-EnergyBreakdown::operator+=(const EnergyBreakdown &o)
-{
-    rsa += o.rsa;
-    sfu += o.sfu;
-    weightSram += o.weightSram;
-    kvMem += o.kvMem;
-    refresh += o.refresh;
-    dram += o.dram;
-    leakage += o.leakage;
-    return *this;
-}
-
 Energy
 EnergyBreakdown::onChipTotal() const
 {

@@ -186,6 +186,12 @@ struct DecodeShares
         interference += o.interference;
         return *this;
     }
+    /** `k` boundaries of the same step. */
+    friend DecodeShares
+    operator*(DecodeShares s, std::int64_t k)
+    {
+        return DecodeShares{s.fair * k, s.interference * k};
+    }
 };
 
 /**

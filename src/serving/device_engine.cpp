@@ -857,7 +857,13 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // timestamps. The (batch, total-resident)
     // cost key is tracked incrementally — it grows by the number of
     // members still below their budget clamp, and stops changing (no
-    // lookup at all) once every member is clamped. Only the final,
+    // lookup at all) once every member is clamped. From there each
+    // boundary repeats the last, and an untraced window applies the
+    // whole run in one update: integer counters and ticks by
+    // multiplication, energy by `repeatedAdd`, which equals the adds
+    // one by one bit for bit. A traced window keeps stepping boundary
+    // by boundary, because the trace records one decode slice (and
+    // the replayed round's defer events) per boundary. Only the final,
     // state-changing boundary re-enters the queue.
     SimTime t = queue_.now();
     bool replay_deferrals = false;
@@ -942,7 +948,40 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             if (wf_ != nullptr)
                 wf_->onDecodeShares(idx, charge);
         };
+        // Traced runs emit one decode slice per boundary.
+        const bool collapse_runs = trace_ == nullptr;
         while (silent > 0) {
+            // Every member clamped and the round (if any) at its
+            // fixpoint: each boundary before the horizon repeats the
+            // last. No page edge lies ahead, since a member's page
+            // edge precedes its clamp step and reaching it syncs.
+            if (collapse_runs && synced && clamped == batch_size &&
+                (!replay_deferrals || round_fixpoint)) {
+                KELLE_ASSERT(page_edge ==
+                                 std::numeric_limits<std::size_t>::max(),
+                             "page edge past every member's clamp");
+                const std::int64_t room = horizon.ns() - 1 - t.ns();
+                const std::size_t m = std::min<std::uint64_t>(
+                    silent, room > 0 ? room / lat.ns() : 0);
+                if (m > 0) {
+                    const SimTime run = SimTime::nanos(
+                        static_cast<std::int64_t>(m) * lat.ns());
+                    gap_max = std::max(gap_max, lat.sec());
+                    deferred += m;
+                    if (charge_shares)
+                        shares += lat_shares * static_cast<std::int64_t>(m);
+                    t += run;
+                    engineSteps_ += m;
+                    decodeSteps_ += m;
+                    fastForwarded_ += m;
+                    if (replay_deferrals)
+                        allocator_.addDeferrals(m * deferScratch_.size());
+                    metrics_.addEnergy(step->energy, m);
+                    busy_ += run;
+                    silent -= m;
+                    continue;
+                }
+            }
             const SimTime tn = t + lat;
             if (!(tn < horizon))
                 break;

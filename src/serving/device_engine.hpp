@@ -42,7 +42,11 @@
  * step-at-a-time loop would perform. Member token counters and
  * waterfall decode shares are applied in bulk where nothing inside the
  * window reads them; traced and untraced runs and both KV pools share
- * that one window (see runDecodeStep). `fastSim = false` keeps the
+ * that one window (see runDecodeStep). Once every member is clamped
+ * the steps repeat exactly, and an untraced window applies such a run
+ * in one update (energy through the exact `repeatedAdd`); a traced
+ * window steps it boundary by boundary, because the trace holds one
+ * decode slice per boundary. `fastSim = false` keeps the
  * straight-line path; the FastPathEquivalence tests drive both to the
  * same traces and require field-for-field identical reports.
  */

@@ -32,12 +32,6 @@ ServingMetrics::sampleQueueDepth(std::size_t depth)
 }
 
 void
-ServingMetrics::addEnergy(const accel::EnergyBreakdown &e)
-{
-    energy_ += e;
-}
-
-void
 ServingMetrics::onBypass(std::size_t overtaken)
 {
     bypasses_ += overtaken;

@@ -129,7 +129,14 @@ class ServingMetrics
     /** Sample the admission-queue depth (on arrivals/admissions). */
     void sampleQueueDepth(std::size_t depth);
     /** Accumulate one engine step's energy. */
-    void addEnergy(const accel::EnergyBreakdown &e);
+    void addEnergy(const accel::EnergyBreakdown &e) { energy_ += e; }
+    /** Accumulate `steps` engine steps of the same energy, bit-identical
+     *  to `steps` calls of addEnergy(e). */
+    void
+    addEnergy(const accel::EnergyBreakdown &e, std::uint64_t steps)
+    {
+        energy_.addRepeated(e, steps);
+    }
     /** Record an admission that overtook `overtaken` earlier arrivals. */
     void onBypass(std::size_t overtaken);
     /** Record a deadline-doomed decode preemption (grant reclaimed). */

@@ -5,12 +5,15 @@
  * the analytic timing model.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "accel/area_model.hpp"
 #include "accel/comparators.hpp"
+#include "accel/energy_model.hpp"
 #include "accel/scheduler.hpp"
 #include "accel/sfu.hpp"
 #include "accel/systolic_array.hpp"
@@ -531,6 +534,41 @@ TEST(EnergyBreakdown, SharesSumToOne)
     EXPECT_NEAR(sum, 1.0, 1e-12);
     EXPECT_DOUBLE_EQ(e.total().j(), 6.0);
     EXPECT_DOUBLE_EQ(e.onChipTotal().j(), 3.0);
+}
+
+TEST(EnergyBreakdown, AddRepeatedMatchesTheLoopPerComponent)
+{
+    // Components of very different magnitudes (a step's refresh is
+    // orders below its DRAM energy) accumulated onto sums of their
+    // own, so each crosses its binades at its own pace.
+    Rng rng(13);
+    for (int i = 0; i < 20; ++i) {
+        EnergyBreakdown sum;
+        EnergyBreakdown step;
+        for (Energy EnergyBreakdown::*c :
+             {&EnergyBreakdown::rsa, &EnergyBreakdown::sfu,
+              &EnergyBreakdown::weightSram, &EnergyBreakdown::kvMem,
+              &EnergyBreakdown::refresh, &EnergyBreakdown::dram,
+              &EnergyBreakdown::leakage}) {
+            sum.*c = Energy::joules(i % 5 == 0 ? 0.0 : rng.uniform(0.0, 10.0));
+            step.*c = Energy::joules(std::pow(10.0, -9.0 * rng.uniform()));
+        }
+        const std::uint64_t k = 1 + rng.below(i % 4 == 0 ? 1000000 : 1000);
+        EnergyBreakdown loop = sum;
+        for (std::uint64_t j = 0; j < k; ++j)
+            loop += step;
+        sum.addRepeated(step, k);
+        const auto bits = [](Energy e) {
+            return std::bit_cast<std::uint64_t>(e.j());
+        };
+        EXPECT_EQ(bits(sum.rsa), bits(loop.rsa));
+        EXPECT_EQ(bits(sum.sfu), bits(loop.sfu));
+        EXPECT_EQ(bits(sum.weightSram), bits(loop.weightSram));
+        EXPECT_EQ(bits(sum.kvMem), bits(loop.kvMem));
+        EXPECT_EQ(bits(sum.refresh), bits(loop.refresh));
+        EXPECT_EQ(bits(sum.dram), bits(loop.dram));
+        EXPECT_EQ(bits(sum.leakage), bits(loop.leakage));
+    }
 }
 
 } // namespace

@@ -1,10 +1,13 @@
 /**
  * @file
- * Unit tests for the common library: units, RNG, stats, tables,
- * the thread pool, the CLI flag parser.
+ * Unit tests for the common library: units, the exact repeated add,
+ * RNG, stats, tables, the thread pool, the CLI flag parser.
  */
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/arg_parser.hpp"
+#include "common/repeated_add.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -68,6 +72,156 @@ TEST(Units, FormatSi)
     EXPECT_EQ(formatSi(3.2e-3, "s"), "3.2 ms");
     EXPECT_EQ(formatSi(0.0, "J"), "0 J");
     EXPECT_EQ(formatSi(2.5e9, "B/s"), "2.5 GB/s");
+}
+
+/** `k` plain `s += x`: what repeatedAdd must equal. */
+double
+loopAdd(double s, double x, std::uint64_t k)
+{
+    for (std::uint64_t i = 0; i < k; ++i)
+        s += x;
+    return s;
+}
+
+/** repeatedAdd(s, x, k) equals the loop bit for bit (any NaN matches
+ *  any NaN: payloads are unspecified). */
+void
+expectRepeatedAddExact(double s, double x, std::uint64_t k)
+{
+    const double want = loopAdd(s, x, k);
+    const double got = repeatedAdd(s, x, k);
+    if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got)) << std::hexfloat << s << " + " << x;
+        return;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << std::hexfloat << s << " + " << x << " x " << std::dec << k
+        << ": got " << std::hexfloat << got << ", want " << want;
+}
+
+/** The spacing of doubles in the binade of a normal `s`. */
+double
+ulpOf(double s)
+{
+    int e = 0;
+    std::frexp(s, &e); // |s| in [2^(e-1), 2^e)
+    return std::ldexp(1.0, e - 53);
+}
+
+TEST(RepeatedAdd, MatchesTheLoopOnRandomOperands)
+{
+    Rng rng(23);
+    for (int i = 0; i < 400; ++i) {
+        const double sign_s = rng.bernoulli(0.2) ? -1.0 : 1.0;
+        const double s = sign_s * std::ldexp(rng.uniform(1.0, 2.0),
+                                             static_cast<int>(rng.below(61)) - 30);
+        // Addends from ~1e-12 |s| to ~|s|, a fifth of them against
+        // the sum (which then shrinks through binades and may cross 0).
+        const double sign_x = rng.bernoulli(0.2) ? -sign_s : sign_s;
+        const double x = sign_x * std::fabs(s) *
+                         std::pow(10.0, -12.0 * rng.uniform());
+        const std::uint64_t k_max = i % 4 == 0 ? 1000000 : 1000;
+        expectRepeatedAddExact(s, x, 1 + rng.below(k_max));
+    }
+}
+
+TEST(RepeatedAdd, BuiltTiesFollowTheSumsParity)
+{
+    // x = (m + 1/2)·ulp(s): every add inside the binade is a tie.
+    Rng rng(5);
+    for (double m : {0.0, 1.0, 2.0, 3.0, 7.0, 100.0}) {
+        for (int i = 0; i < 4; ++i) {
+            const double s = std::ldexp(rng.uniform(1.0, 2.0), 3 * i - 4);
+            const double x = (m + 0.5) * ulpOf(s);
+            expectRepeatedAddExact(s, x, 100000);
+            expectRepeatedAddExact(s, -x, 100000);
+            // An odd and an even starting mantissa.
+            const double odd = std::nextafter(s, 4.0 * s);
+            expectRepeatedAddExact(odd, x, 1000);
+            expectRepeatedAddExact(odd, -x, 1000);
+        }
+    }
+}
+
+TEST(RepeatedAdd, CrossesManyBinades)
+{
+    Rng rng(7);
+    for (int i = 0; i < 50; ++i) {
+        // x ~ s: one or two adds per binade.
+        const double s = rng.uniform(0.5, 4.0);
+        expectRepeatedAddExact(s, s * rng.uniform(0.5, 2.0), 100000);
+        expectRepeatedAddExact(s, -s * rng.uniform(0.001, 0.01), 10000);
+    }
+    for (int e : {-20, 0, 1, 30}) {
+        // Just below and at a power of two, adds of a few ulps either
+        // way: the spacing doubles above and halves below it.
+        const double p = std::ldexp(1.0, e);
+        const double below = std::nextafter(p, 0.0);
+        for (double ulps : {0.3, 1.0, 3.7, 1000.25}) {
+            const double x = ulps * ulpOf(below);
+            expectRepeatedAddExact(below, x, 1000000);
+            expectRepeatedAddExact(p, -x, 1000000);
+            expectRepeatedAddExact(-below, -x, 1000000);
+        }
+    }
+}
+
+TEST(RepeatedAdd, StagnatesBelowHalfAnUlp)
+{
+    for (double s : {1.0, 1.5, 3.0, -7.25, 1e300}) {
+        const double u = ulpOf(s);
+        expectRepeatedAddExact(s, 0.49 * u, 1000000);
+        expectRepeatedAddExact(s, -0.49 * u, 1000000);
+        expectRepeatedAddExact(s, 0.5 * u, 1000000); // a tie
+        expectRepeatedAddExact(s, 0.0, 1000000);
+        expectRepeatedAddExact(s, -0.0, 1000000);
+        EXPECT_EQ(repeatedAdd(s, 0.3 * u, std::uint64_t{1} << 62), s);
+    }
+    // At a power of two the spacing below is half: a quarter ulp down
+    // does not stagnate.
+    expectRepeatedAddExact(2.0, -0.3 * ulpOf(2.0), 1000000);
+}
+
+TEST(RepeatedAdd, ZeroSums)
+{
+    for (double s : {0.0, -0.0}) {
+        for (double x : {0.0, -0.0, 1.0, -3.5, 1e-300, 0.1}) {
+            expectRepeatedAddExact(s, x, 0);
+            expectRepeatedAddExact(s, x, 1);
+            expectRepeatedAddExact(s, x, 1000000);
+        }
+    }
+    // A sum driven through zero.
+    expectRepeatedAddExact(1.0, -0.25, 10);
+    expectRepeatedAddExact(1.0, -0.3, 1000);
+}
+
+TEST(RepeatedAdd, SubnormalAddends)
+{
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double min_normal = std::numeric_limits<double>::min();
+    for (double x : {tiny, 3.0 * tiny, 0.3 * min_normal, -7.0 * tiny}) {
+        expectRepeatedAddExact(0.0, x, 100000);
+        expectRepeatedAddExact(min_normal, x, 100000);
+        expectRepeatedAddExact(4.0 * min_normal, x, 100000);
+        expectRepeatedAddExact(1e-300, x, 100000);
+        expectRepeatedAddExact(1.0, x, 100000);
+    }
+}
+
+TEST(RepeatedAdd, InfinitiesAndNans)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double big = std::numeric_limits<double>::max();
+    for (double s : {inf, -inf, nan, 1.0, -2.0, big}) {
+        for (double x : {inf, -inf, nan, 1.0, 0.0, big / 4.0}) {
+            expectRepeatedAddExact(s, x, 1);
+            expectRepeatedAddExact(s, x, 1000);
+        }
+    }
+    EXPECT_EQ(repeatedAdd(big / 2.0, big / 4.0, 10), inf);
 }
 
 TEST(Rng, Deterministic)

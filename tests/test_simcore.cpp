@@ -942,6 +942,51 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
         EXPECT_GT(run.fastForwarded, 100u);
         EXPECT_GT(run.requests[1].maxTokenGapSec, step_sec);
     }
+
+    // Runs of identical steps: once every member is clamped, an
+    // untraced window applies the boundaries up to its horizon in one
+    // update. Budgets 48 and 40 tokens past the prompts clamp both
+    // members early, so most of each decode is such a run.
+    for (const bool paged_pool : {false, true}) {
+        const serving::DeviceConfig &base = paged_pool ? paged : cfg;
+        SCOPED_TRACE(paged_pool ? "paged pool" : "contiguous pool");
+
+        // Runs cut by the horizon: a no-op mid-run, then an arrival
+        // that joins the batch at the first boundary after it — one
+        // boundary too many inside the run would admit it late. On
+        // the paged pool the members cross three page edges before
+        // they clamp; no page edge can lie inside a run.
+        {
+            SCOPED_TRACE("clamped run cut by the horizon");
+            const DeviceRun run = expectDeviceFastEqualsSlow(
+                base,
+                {decodeRequest(0, 512, 600, 560),
+                 decodeRequest(1, 600, 600, 640),
+                 decodeRequest(2, 512, 300, 540, 0.0, 150.5 * step_sec)},
+                {90.3 * step_sec, 420.7 * step_sec});
+            EXPECT_GT(run.fastForwarded, 550u);
+            EXPECT_EQ(run.budgetClips, 0u);
+        }
+
+        // Runs inside a deferral replay at its fixpoint: the members
+        // hold all but 50 tokens of the pool (no watermark shrinks
+        // their grants), so the waiter's 82-token floor is deferred
+        // at every boundary until member 1 completes; a run adds its
+        // deferrals in one update.
+        {
+            SCOPED_TRACE("clamped run in a fixpoint deferral replay");
+            auto tight = base;
+            tight.poolTokens = 1250;
+            tight.highWatermark = 1.0;
+            const DeviceRun run = expectDeviceFastEqualsSlow(
+                tight,
+                {decodeRequest(0, 512, 600, 560),
+                 decodeRequest(1, 600, 400, 640),
+                 decodeRequest(2, 100, 50, 300, 0.0, 100.5 * step_sec)});
+            EXPECT_GT(run.deferrals, 250u);
+            EXPECT_GT(run.fastForwarded, 550u);
+        }
+    }
 }
 
 // ---- DoomClock -----------------------------------------------------
