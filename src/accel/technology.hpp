@@ -42,6 +42,8 @@ struct RsaConfig
     /** Sustained utilization of the array on decode GEMV/GEMM work. */
     double utilization = 0.75;
 
+    bool operator==(const RsaConfig &) const = default;
+
     double peakMacsPerSec() const
     {
         return static_cast<double>(rows * cols) * clockHz *
@@ -63,6 +65,8 @@ struct SfuConfig
     /** Scalar ops per cycle (vector lanes). */
     std::size_t lanes = 32;
     Area area = Area::mm2(0.67); ///< 7% of 9.5 mm^2
+
+    bool operator==(const SfuConfig &) const = default;
 };
 
 /** The full platform: compute + memory hierarchy. */
@@ -107,6 +111,8 @@ struct TechnologyConfig
 
     /** Additional always-on platform power (GPU SoC uncore etc.). */
     Power socStaticPower = Power::watts(0);
+
+    bool operator==(const TechnologyConfig &) const = default;
 };
 
 /** The Kelle accelerator as evaluated (Section 8). */

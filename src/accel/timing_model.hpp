@@ -59,6 +59,8 @@ struct KvPolicySpec
     double popularFraction = 0.35;
     int kvBits = 16;            ///< stored KV precision
     bool systolicEvictor = true; ///< hardware evictor present
+
+    bool operator==(const KvPolicySpec &) const = default;
 };
 
 /** eDRAM refresh configuration. */
@@ -76,6 +78,8 @@ struct RefreshSpec
         edram::RefreshIntervals::paper2drp();
     /** Fraction of resident tokens in the HST group. */
     double hstFraction = 0.5;
+
+    bool operator==(const RefreshSpec &) const = default;
 };
 
 /** A complete simulated system. */
@@ -90,6 +94,11 @@ struct SystemConfig
     /** Prefill-side accelerations of the Figure 14 comparators. */
     double prefillComputeSpeedup = 1.0; ///< LLM.npu NPU offload
     double prefillAttnSparsity = 0.0;   ///< DynaX sparse attention
+
+    /** Field by field, nested structs included: equal systems cost
+     *  every step alike, so a cluster's equal devices share one
+     *  decode memo (see step_cost_cache.hpp). */
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** Factory functions for the five Figure 13 systems. */

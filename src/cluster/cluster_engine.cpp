@@ -90,6 +90,18 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     requeueBufs_.resize(cfg_.devices.size());
     requeueBufPos_.assign(cfg_.devices.size(), 0);
     devices_.reserve(cfg_.devices.size());
+    // Devices with equal systems cost every step alike: each joins
+    // the decode memo of the first of them.
+    std::vector<std::size_t> leader;
+    for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
+        const auto begin = cfg_.devices.begin();
+        leader.push_back(static_cast<std::size_t>(
+            std::find_if(begin, begin + static_cast<std::ptrdiff_t>(i),
+                         [&](const DeviceSpec &d) {
+                             return d.system == cfg_.devices[i].system;
+                         }) -
+            begin));
+    }
     for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
         const DeviceSpec &spec = cfg_.devices[i];
         // The shared knobs, then what a DeviceSpec overrides.
@@ -105,7 +117,11 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
         // reads like a single-device session.
         devices_.push_back(std::make_unique<serving::DeviceEngine>(
             d, q, requests_,
-            cfg_.devices.size() > 1 ? spec.name : std::string()));
+            cfg_.devices.size() > 1 ? spec.name : std::string(),
+            leader[i] != i ? &devices_[leader[i]]->costCache()
+                           : nullptr));
+        if (std::count(leader.begin(), leader.end(), leader[i]) > 1)
+            sharedMemo_.push_back(i);
         if (cfg_.engine.trace != nullptr)
             devices_.back()->setTrace(cfg_.engine.trace->addDeviceTrack(
                 spec.name.empty() ? "device" : spec.name));
@@ -515,12 +531,21 @@ ClusterEngine::drive()
                 obs::PhaseProfiler::Timer timer(
                     cfg_.engine.profiler,
                     obs::PhaseProfiler::Phase::Window);
-                if (active == 1)
+                if (active == 1) {
                     localQueues_[only]->runBefore(windowHorizon_);
-                else
+                } else {
+                    // Devices sharing a decode memo buffer the reports
+                    // they compute while the lanes run; publishing them
+                    // after the join in device-index order makes every
+                    // lookup's outcome independent of the lane count.
+                    for (std::size_t i : sharedMemo_)
+                        devices_[i]->costCache().bufferMisses();
                     pool.forEach(nd, [this](std::size_t i) {
                         localQueues_[i]->runBefore(windowHorizon_);
                     });
+                    for (std::size_t i : sharedMemo_)
+                        devices_[i]->costCache().publish();
+                }
             }
             for (std::size_t i = 0; i < nd; ++i)
                 KELLE_ASSERT(requeueBufs_[i].empty(),

@@ -5,8 +5,8 @@
  * `sim::EventQueue` partition under one drive loop.
  *
  *   arrivals --DispatchPolicy--> DeviceEngine[i] (own KV pool, own
- *   policy-driven step loop, own timing/energy model instance)
- *                                  --> ClusterReport roll-up
+ *   policy-driven step loop; one decode-step memo per set of devices
+ *   whose systems compare equal) --> ClusterReport roll-up
  *
  * `ClusterEngine` generates the seeded arrival trace once, routes
  * every arrival through a pluggable `DispatchPolicy` (round-robin /
@@ -213,6 +213,11 @@ class ClusterEngine
 
     /** Resolved worker lanes (1 = every window runs inline). */
     std::size_t threads_ = 1;
+    /** Devices whose decode memo another device shares (groups of
+     *  two or more), in index order: they buffer new step reports in
+     *  multi-lane windows, and the loop publishes them after the join
+     *  (see accel/step_cost_cache.hpp). */
+    std::vector<std::size_t> sharedMemo_;
     /** @name Drive-loop state
      * Each device steps its own event-queue partition; the drive loop
      * alternates lock-free lookahead windows (no cross-device effect

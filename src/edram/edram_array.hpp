@@ -55,6 +55,8 @@ struct EdramArrayConfig
     /** Leakage power scaled to the configured capacity. */
     Power leakagePer4Mib = Power::milliwatts(154);
 
+    bool operator==(const EdramArrayConfig &) const = default;
+
     std::size_t totalBanks() const { return kNumLanes * banksPerLane; }
     Bandwidth
     perBankBandwidth() const

@@ -65,6 +65,8 @@ struct RefreshIntervals
 
     /** Scale all four intervals by a factor (retention-time studies). */
     RefreshIntervals scaled(double factor) const;
+
+    bool operator==(const RefreshIntervals &) const = default;
 };
 
 /** Couples an interval set with a retention model. */

@@ -48,6 +48,8 @@ class MemoryModel
         return accessEnergy_ * bytes;
     }
 
+    bool operator==(const MemoryModel &) const = default;
+
   private:
     std::string name_;
     Bytes capacity_;

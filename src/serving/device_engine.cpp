@@ -137,15 +137,20 @@ deviceReport(const DeviceEngine &dev, Time makespan)
 DeviceEngine::DeviceEngine(const DeviceConfig &cfg,
                            sim::EventQueue &queue,
                            std::vector<Request> &requests,
-                           const std::string &name)
+                           const std::string &name,
+                           const accel::StepCostCache *memo_peer)
     : cfg_(normalizedConfig(cfg)), name_(name),
       label_(name.empty() ? "" : " [" + name + "]"),
       queue_(queue), requests_(requests),
       allocator_(makeAllocatorConfig(cfg_)),
       policy_(makePolicy(cfg.policy)),
-      costCache_(cfg_.system, cfg_.model),
+      costCache_(memo_peer != nullptr
+                     ? accel::StepCostCache::sharing(*memo_peer)
+                     : accel::StepCostCache(cfg_.system, cfg_.model)),
       profiler_(cfg.profiler)
 {
+    KELLE_ASSERT(costCache_.system() == cfg_.system,
+                 "a decode-memo group spans unequal systems");
     const std::string err = cfg_.model.validate();
     KELLE_ASSERT(err.empty(), "bad model config: ", err);
     KELLE_ASSERT(cfg_.maxBatch > 0, "maxBatch must be positive");

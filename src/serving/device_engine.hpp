@@ -31,7 +31,8 @@
  *
  * Fast path (`DeviceConfig::fastSim`, on by default, bit-identical —
  * see docs/ARCHITECTURE.md "Simulation-core performance"): step costs
- * come from a per-device `accel::StepCostCache`; per-step vectors are
+ * come from the device's `accel::StepCostCache`, whose decode memo a
+ * cluster shares among devices with equal systems; per-step vectors are
  * engine-owned scratch reused across steps; completion callbacks
  * capture only `this` (in-flight step state lives in members) so the
  * `std::function` stays in its small-object buffer; and runs of
@@ -203,11 +204,15 @@ class DeviceEngine
      * Bind the engine to the owner's event queue and request table.
      * Both must outlive the engine; `requests` may grow only before
      * the first `enqueue`. `name` labels the verbose log; empty for a
-     * single-device session.
+     * single-device session. With `memo_peer`, the engine's step-cost
+     * cache joins that cache's decode-memo group instead of starting
+     * its own; the peer's system must equal this engine's (after the
+     * paged quantization override) and its model must be the same.
      */
     DeviceEngine(const DeviceConfig &cfg, sim::EventQueue &queue,
                  std::vector<Request> &requests,
-                 const std::string &name = "");
+                 const std::string &name = "",
+                 const accel::StepCostCache *memo_peer = nullptr);
 
     void setHooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
@@ -371,6 +376,9 @@ class DeviceEngine
     {
         return costCache_.stats();
     }
+    /** The step-cost cache, for an owner that groups devices onto one
+     *  decode memo (buffering and publishing around its windows). */
+    accel::StepCostCache &costCache() { return costCache_; }
     /** Decode boundaries replayed without re-entering the event
      *  queue; a subset of decodeSteps(). */
     std::uint64_t fastForwardedSteps() const { return fastForwarded_; }
@@ -469,7 +477,8 @@ class DeviceEngine
     KvBudgetAllocator allocator_;
     ServingMetrics metrics_;
     std::unique_ptr<Policy> policy_;
-    /** Bound to cfg_.system/cfg_.model (declared above it). */
+    /** Built from cfg_.system/cfg_.model (declared above it), or
+     *  joined to a peer's decode-memo group. */
     accel::StepCostCache costCache_;
     Hooks hooks_;
     obs::TraceTrack *trace_ = nullptr; ///< null = tracing off

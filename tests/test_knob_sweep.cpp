@@ -739,5 +739,32 @@ TEST(KnobSweep, EveryFieldBindsOrHasAVerdict)
     }
 }
 
+TEST(KnobSweep, SystemPerturbationsCompareUnequal)
+{
+    // A cluster gives devices whose systems compare equal one decode
+    // memo. A field left out of the equality would let two devices
+    // with different systems share step costs, and no digest would
+    // notice while both systems cost alike.
+    const std::set<std::string> system_owners = {
+        "SystemConfig", "KvPolicySpec", "RefreshSpec"};
+    Observers o;
+    const Inputs base = baseInputs();
+    std::size_t checked = 0;
+    for (const Knob &k : sweptKnobs(o)) {
+        if (!system_owners.count(ownerOf(k.field)))
+            continue;
+        Inputs s = base;
+        k.perturb(s);
+        EXPECT_FALSE(s.system == base.system)
+            << k.field << " changes the system but it still compares "
+               "equal to the base";
+        ++checked;
+    }
+    // Every system field but `kv` and `refresh`, which are expanded.
+    EXPECT_EQ(checked, kFieldCounts.at("SystemConfig") - 2 +
+                           kFieldCounts.at("KvPolicySpec") +
+                           kFieldCounts.at("RefreshSpec"));
+}
+
 } // namespace
 } // namespace kelle

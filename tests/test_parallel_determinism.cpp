@@ -22,8 +22,13 @@
  *    step-at-a-time loop) agrees bitwise with the fast path under
  *    preemption and under deferral-replay policies, serial and
  *    threaded alike.
+ *  - ParallelMemoGroup: devices with equal systems share one decode
+ *    memo. Grouped fleets match the oracle at every lane count with
+ *    the same per-device cache counts, and equal systems really do
+ *    share (fewer misses than the same fleet with distinct names).
  */
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -394,6 +399,195 @@ TEST(ParallelOracle, SlowPathAgreesUnderDeferralReplay)
     cfg.threads = 2;
     const auto par = cluster::ClusterEngine(cfg).run();
     expectClustersBitIdentical(oracle, par, "defer/threaded-fast");
+}
+
+// ---- Shared decode memos ------------------------------------------------
+
+void
+expectEnergyBitIdentical(const accel::EnergyBreakdown &a,
+                         const accel::EnergyBreakdown &b,
+                         const std::string &label)
+{
+    const auto bits = [](Energy e) {
+        return std::bit_cast<std::uint64_t>(e.j());
+    };
+    EXPECT_EQ(bits(a.rsa), bits(b.rsa)) << label << " rsa";
+    EXPECT_EQ(bits(a.sfu), bits(b.sfu)) << label << " sfu";
+    EXPECT_EQ(bits(a.weightSram), bits(b.weightSram))
+        << label << " weightSram";
+    EXPECT_EQ(bits(a.kvMem), bits(b.kvMem)) << label << " kvMem";
+    EXPECT_EQ(bits(a.refresh), bits(b.refresh)) << label << " refresh";
+    EXPECT_EQ(bits(a.dram), bits(b.dram)) << label << " dram";
+    EXPECT_EQ(bits(a.leakage), bits(b.leakage)) << label << " leakage";
+}
+
+/** Every request field the engines write, bit for bit. */
+void
+expectRequestsBitIdentical(const std::vector<serving::Request> &a,
+                           const std::vector<serving::Request> &b,
+                           const std::string &label)
+{
+    const auto bits = [](double v) {
+        return std::bit_cast<std::uint64_t>(v);
+    };
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const std::string req = label + " request " + std::to_string(i);
+        EXPECT_EQ(a[i].state, b[i].state) << req;
+        EXPECT_EQ(a[i].generated, b[i].generated) << req;
+        EXPECT_EQ(a[i].prefilled, b[i].prefilled) << req;
+        EXPECT_EQ(a[i].budgetGranted, b[i].budgetGranted) << req;
+        EXPECT_EQ(a[i].firstToken.ns(), b[i].firstToken.ns()) << req;
+        EXPECT_EQ(a[i].lastToken.ns(), b[i].lastToken.ns()) << req;
+        EXPECT_EQ(a[i].completed.ns(), b[i].completed.ns()) << req;
+        EXPECT_EQ(bits(a[i].maxTokenGapSec), bits(b[i].maxTokenGapSec))
+            << req;
+        EXPECT_EQ(a[i].preemptions, b[i].preemptions) << req;
+    }
+}
+
+/** Each device's step-cost cache counts. */
+std::vector<accel::StepCostCache::Stats>
+cacheStats(const cluster::ClusterEngine &engine)
+{
+    std::vector<accel::StepCostCache::Stats> out;
+    for (std::size_t i = 0; i < engine.deviceCount(); ++i)
+        out.push_back(engine.device(i).costCacheStats());
+    return out;
+}
+
+accel::StepCostCache::Stats
+fleetStats(const cluster::ClusterEngine &engine)
+{
+    accel::StepCostCache::Stats total;
+    for (const auto &s : cacheStats(engine))
+        total += s;
+    return total;
+}
+
+TEST(ParallelMemoGroup, GroupedFleetsMatchTheOracleAtEveryLaneCount)
+{
+    // Devices of a group buffer the reports they compute in multi-lane
+    // windows and the loop publishes them after the join, so each
+    // lookup's outcome, and with it every count, is the same at any
+    // lane count; the reports are a pure function of the key, so the
+    // outputs equal the uncached step-at-a-time oracle's.
+    struct Fleet
+    {
+        std::string label;
+        std::vector<cluster::DeviceSpec> devices;
+    };
+    const auto edram = accel::kelleEdramSystem(2048);
+    const Fleet fleets[] = {
+        {"homog4", cluster::homogeneousFleet(4, edram, 512, 4)},
+        {"homog8", cluster::homogeneousFleet(8, edram, 512, 4)},
+        {"hetero2+2", cluster::heteroEdramSramFleet(4, 2048, 512, 128, 4)},
+    };
+    for (const Fleet &fleet : fleets) {
+        for (auto dispatch : cluster::allDispatchPolicies()) {
+            const std::string label = fleet.label + "/" + toString(dispatch);
+            auto cfg = tinyClusterConfig(
+                fleet.devices.size(), dispatch,
+                serving::SchedulePolicy::ContinuousBatching, 600.0, 9, 40);
+            cfg.devices = fleet.devices;
+            cfg.engine.chunkTokens = 16;
+
+            cfg.engine.fastSim = false;
+            cfg.threads = 1;
+            cluster::ClusterEngine oracle(cfg);
+            const auto want = oracle.run();
+
+            cfg.engine.fastSim = true;
+            std::vector<accel::StepCostCache::Stats> one_lane;
+            for (std::size_t threads : {1, 2, 4}) {
+                const std::string cell =
+                    label + "/t" + std::to_string(threads);
+                cfg.threads = threads;
+                cluster::ClusterEngine engine(cfg);
+                const auto got = engine.run();
+                expectClustersBitIdentical(want, got, cell);
+                expectRequestsBitIdentical(oracle.requests(),
+                                           engine.requests(), cell);
+                expectEnergyBitIdentical(want.aggregate.summary.energy,
+                                         got.aggregate.summary.energy,
+                                         cell);
+                for (std::size_t i = 0; i < got.devices.size(); ++i)
+                    expectEnergyBitIdentical(
+                        want.devices[i].report.summary.energy,
+                        got.devices[i].report.summary.energy,
+                        cell + " dev" + std::to_string(i));
+                const auto stats = cacheStats(engine);
+                if (threads == 1) {
+                    one_lane = stats;
+                    EXPECT_GT(fleetStats(engine).hits, 0u) << cell;
+                    continue;
+                }
+                for (std::size_t i = 0; i < stats.size(); ++i) {
+                    const std::string dev = cell + " dev" + std::to_string(i);
+                    EXPECT_EQ(stats[i].hits, one_lane[i].hits) << dev;
+                    EXPECT_EQ(stats[i].misses, one_lane[i].misses) << dev;
+                    EXPECT_EQ(stats[i].bypasses, one_lane[i].bypasses)
+                        << dev;
+                }
+            }
+        }
+    }
+}
+
+TEST(ParallelMemoGroup, EqualSystemsShareOneMemo)
+{
+    // Systems that differ only in their name cost every step alike,
+    // but compare unequal, so each device keeps a memo of its own:
+    // the same reports and lookups, with more misses. A fleet that
+    // stopped sharing memos would miss as often as the renamed one.
+    for (std::size_t threads : {1, 4}) {
+        const std::string label = std::to_string(threads) + " lanes";
+        auto shared = tinyClusterConfig(
+            8, cluster::DispatchKind::JoinShortestKv,
+            serving::SchedulePolicy::ContinuousBatching, 600.0, 5, 48);
+        shared.threads = threads;
+        auto apart = shared;
+        for (std::size_t i = 0; i < apart.devices.size(); ++i)
+            apart.devices[i].system.name += std::to_string(i);
+        cluster::ClusterEngine shared_engine(shared);
+        cluster::ClusterEngine apart_engine(apart);
+        expectClustersBitIdentical(shared_engine.run(), apart_engine.run(),
+                                   label);
+        const auto s = fleetStats(shared_engine);
+        const auto a = fleetStats(apart_engine);
+        EXPECT_EQ(s.lookups(), a.lookups()) << label;
+        EXPECT_LT(s.misses, a.misses) << label;
+    }
+}
+
+TEST(ParallelMemoGroup, WindowMissesStayPrivateUntilTheJoin)
+{
+    // Eight identical requests land on eight identical devices within
+    // microseconds, so one multi-lane window runs them all and every
+    // device looks up the same decode shapes in it. A report computed
+    // inside the window is visible only to its device until the
+    // join, so all eight miss alike; a device that read another's
+    // in-window report would hit instead.
+    auto cfg = tinyClusterConfig(8, cluster::DispatchKind::RoundRobin,
+                                 serving::SchedulePolicy::Fcfs, 1e6, 3, 8);
+    cfg.engine.traffic.mix = {
+        {sim::scaledForTiny(sim::triviaQa(), 128), 1.0}};
+    for (std::size_t threads : {1, 2, 4}) {
+        const std::string label = std::to_string(threads) + " lanes";
+        cfg.threads = threads;
+        cluster::ClusterEngine engine(cfg);
+        engine.run();
+        const auto stats = cacheStats(engine);
+        EXPECT_GT(stats[0].misses, 0u) << label;
+        for (std::size_t i = 1; i < stats.size(); ++i) {
+            const std::string dev = label + " dev" + std::to_string(i);
+            EXPECT_EQ(engine.device(i).decodeSteps(),
+                      engine.device(0).decodeSteps())
+                << dev;
+            EXPECT_EQ(stats[i].misses, stats[0].misses) << dev;
+            EXPECT_EQ(stats[i].hits, stats[0].hits) << dev;
+        }
+    }
 }
 
 } // namespace

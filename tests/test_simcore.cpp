@@ -10,7 +10,8 @@
  *    eDRAM/SRAM system configs; batches sharing the (batch size,
  *    total resident) key produce identical reports however the tokens
  *    are distributed; a capacity-capped cache bypasses without
- *    perturbing values.
+ *    perturbing values; members of a decode-memo group see each
+ *    other's published reports, and only their own buffered ones.
  *  - TimingTelescoping: the closed-form (batch size, resident total)
  *    sums in simulateBatchedDecodeStep and the memoized decode loop in
  *    simulate() equal their loop forms (kept as accel::detail
@@ -43,6 +44,7 @@
 #include <tuple>
 #include <vector>
 
+#include "accel/capacity.hpp"
 #include "accel/step_cost_cache.hpp"
 #include "accel/timing_model.hpp"
 #include "cluster/cluster_engine.hpp"
@@ -114,17 +116,21 @@ namespace {
 
 // ---- bitwise comparison helpers ------------------------------------
 
+/** Every component's bit pattern. */
 void
 expectEnergyEq(const accel::EnergyBreakdown &a,
                const accel::EnergyBreakdown &b)
 {
-    EXPECT_EQ(a.rsa.j(), b.rsa.j());
-    EXPECT_EQ(a.sfu.j(), b.sfu.j());
-    EXPECT_EQ(a.weightSram.j(), b.weightSram.j());
-    EXPECT_EQ(a.kvMem.j(), b.kvMem.j());
-    EXPECT_EQ(a.refresh.j(), b.refresh.j());
-    EXPECT_EQ(a.dram.j(), b.dram.j());
-    EXPECT_EQ(a.leakage.j(), b.leakage.j());
+    const auto bits = [](Energy e) {
+        return std::bit_cast<std::uint64_t>(e.j());
+    };
+    EXPECT_EQ(bits(a.rsa), bits(b.rsa)) << "rsa";
+    EXPECT_EQ(bits(a.sfu), bits(b.sfu)) << "sfu";
+    EXPECT_EQ(bits(a.weightSram), bits(b.weightSram)) << "weightSram";
+    EXPECT_EQ(bits(a.kvMem), bits(b.kvMem)) << "kvMem";
+    EXPECT_EQ(bits(a.refresh), bits(b.refresh)) << "refresh";
+    EXPECT_EQ(bits(a.dram), bits(b.dram)) << "dram";
+    EXPECT_EQ(bits(a.leakage), bits(b.leakage)) << "leakage";
 }
 
 void
@@ -442,6 +448,82 @@ TEST(StepCostCache, EntriesCountDecodeAndChunkShapes)
     EXPECT_EQ(cache.entries(), 6u);
 }
 
+TEST(StepCostCache, GroupMembersShareOneDecodeMemo)
+{
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    accel::StepCostCache a(sys, m);
+    accel::StepCostCache b = accel::StepCostCache::sharing(a);
+    accel::StepCostCache c = accel::StepCostCache::sharing(a);
+
+    // A report another member stored is a hit, at the same address.
+    const accel::StepReport &first = a.decodeStep(4, 1000);
+    const accel::StepReport first_copy = first;
+    EXPECT_EQ(&b.decodeStep(4, 1000), &first);
+    EXPECT_EQ(b.stats().hits, 1u);
+    EXPECT_EQ(b.stats().misses, 0u);
+    EXPECT_EQ(b.entries(), 1u);
+
+    // Buffered reports: a hit for the member that made them, a miss
+    // for every other member until published.
+    b.bufferMisses();
+    c.bufferMisses();
+    const accel::StepReport &pending = b.decodeStep(4, 2000);
+    expectStepEq(pending,
+                 accel::simulateBatchedDecodeStep(sys, m, 4, 2000));
+    EXPECT_EQ(&b.decodeStep(4, 2000), &pending);
+    EXPECT_EQ(b.stats().misses, 1u);
+    EXPECT_EQ(b.stats().hits, 2u);
+    expectStepEq(c.decodeStep(4, 2000), pending);
+    EXPECT_EQ(c.stats().misses, 1u);
+    EXPECT_EQ(c.stats().hits, 0u);
+    EXPECT_EQ(a.entries(), 1u); // nothing published yet
+
+    // Publishing stores the shape once; c's copy is a duplicate.
+    b.publish();
+    c.publish();
+    EXPECT_EQ(a.entries(), 2u);
+    expectStepEq(a.decodeStep(4, 2000),
+                 accel::simulateBatchedDecodeStep(sys, m, 4, 2000));
+    EXPECT_EQ(a.stats().hits, 1u);
+    EXPECT_EQ(a.stats().misses, 1u);
+
+    // Stored references survive many later publishes.
+    for (std::size_t i = 0; i < 1000; ++i) {
+        c.bufferMisses();
+        c.decodeStep(1 + i % 16, 3000 + 7 * i);
+        c.publish();
+    }
+    EXPECT_EQ(a.entries(), 1002u);
+    EXPECT_EQ(&a.decodeStep(4, 1000), &first);
+    expectStepEq(first, first_copy);
+    // Each member's prefill-chunk memo stays its own.
+    a.prefillChunk(0, 256);
+    EXPECT_EQ(b.entries(), 1002u);
+    EXPECT_EQ(a.entries(), 1003u);
+}
+
+TEST(StepCostCache, BufferedMissesCountAgainstTheGroupCap)
+{
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    accel::StepCostCache a(sys, m, /*max_entries=*/3);
+    accel::StepCostCache b = accel::StepCostCache::sharing(a);
+    a.decodeStep(1, 10);
+    b.bufferMisses();
+    b.decodeStep(1, 11);
+    b.decodeStep(1, 12); // memo 1 + pending 2 reach the cap
+    expectStepEq(b.decodeStep(1, 13),
+                 accel::simulateBatchedDecodeStep(sys, m, 1, 13));
+    EXPECT_EQ(b.stats().misses, 2u);
+    EXPECT_EQ(b.stats().bypasses, 1u);
+    b.publish();
+    EXPECT_EQ(a.entries(), 3u);
+    a.decodeStep(1, 13); // the memo is full
+    EXPECT_EQ(a.stats().bypasses, 1u);
+    EXPECT_EQ(a.stats().hits, 0u);
+}
+
 // ---- TimingTelescoping ---------------------------------------------
 
 TEST(TimingTelescoping, GroupedBatchedDecodeEqualsLoopForm)
@@ -623,6 +705,68 @@ TEST(FastPathEquivalence, ClusterFastVsSlowHeteroFleet)
             EXPECT_EQ(fr.loadImbalanceCv, sr.loadImbalanceCv);
             EXPECT_EQ(fr.refreshEnergyJ, sr.refreshEnergyJ);
             expectRequestsEq(fast.requests(), slow.requests());
+        }
+    }
+}
+
+TEST(FastPathEquivalence, UntracedClusterEnergyMatchesEventPath)
+{
+    // Untraced fast-forward windows apply runs of clamped decode steps
+    // in one update; the energy must still equal the step-at-a-time
+    // sums bit for bit, in the aggregate and on every device. The
+    // hetero fleet is the CI clamped-run config (bench_cluster
+    // --devices 2 --hetero --rate 0.015 --requests 200); the
+    // homogeneous fleet's devices share one decode memo.
+    const auto m = model::llama2_7b();
+    const auto edram = accel::kelleEdramSystem(2048);
+    accel::CapacitySpec spec;
+    spec.dramCapacity = edram.tech.dram.capacity();
+    spec.weightBits = edram.tech.weightBits;
+    spec.kvBits = edram.kv.kvBits;
+    const std::size_t pool = accel::maxSupportedTokens(m, spec).maxTokens;
+    struct Fleet
+    {
+        const char *label;
+        double rate;
+        std::vector<cluster::DeviceSpec> devices;
+    };
+    const Fleet fleets[] = {
+        {"hetero2", 0.015,
+         cluster::heteroEdramSramFleet(2, 2048, pool, pool / 2, 16)},
+        {"homog4", 0.03, cluster::homogeneousFleet(4, edram, pool, 16)},
+    };
+    for (const Fleet &fleet : fleets) {
+        for (const auto dispatch : cluster::allDispatchPolicies()) {
+            SCOPED_TRACE(std::string(fleet.label) + "/" +
+                         toString(dispatch));
+            cluster::ClusterConfig cfg;
+            cfg.engine.model = m;
+            cfg.engine.traffic.ratePerSec = fleet.rate;
+            cfg.engine.traffic.numRequests = 200;
+            cfg.engine.traffic.seed = 42;
+            cfg.dispatch = dispatch;
+            cfg.devices = fleet.devices;
+            auto slow_cfg = cfg;
+            slow_cfg.engine.fastSim = false;
+            cluster::ClusterEngine fast(cfg);
+            const auto fr = fast.run();
+            const auto sr = cluster::ClusterEngine(slow_cfg).run();
+            ASSERT_EQ(fr.aggregate.summary.completed, 200u);
+            expectEnergyEq(fr.aggregate.summary.energy,
+                           sr.aggregate.summary.energy);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(fr.refreshEnergyJ),
+                      std::bit_cast<std::uint64_t>(sr.refreshEnergyJ));
+            ASSERT_EQ(fr.devices.size(), sr.devices.size());
+            for (std::size_t i = 0; i < fr.devices.size(); ++i) {
+                SCOPED_TRACE("device " + std::to_string(i));
+                expectEnergyEq(fr.devices[i].report.summary.energy,
+                               sr.devices[i].report.summary.energy);
+            }
+            // The fast path did the stepping.
+            std::uint64_t ffwd = 0;
+            for (std::size_t i = 0; i < fast.deviceCount(); ++i)
+                ffwd += fast.device(i).fastForwardedSteps();
+            EXPECT_GT(ffwd, fr.aggregate.decodeSteps / 2);
         }
     }
 }
