@@ -55,21 +55,19 @@ DecodeMemo::insert(std::size_t batch, std::size_t n_sum,
 StepCostCache::StepCostCache(const SystemConfig &sys,
                              const model::ModelConfig &m,
                              std::size_t max_entries)
-    : StepCostCache(std::make_shared<DecodeMemo>(sys, m, max_entries),
-                    max_entries)
+    : StepCostCache(std::make_shared<DecodeMemo>(sys, m, max_entries))
 {
 }
 
-StepCostCache::StepCostCache(std::shared_ptr<DecodeMemo> memo,
-                             std::size_t max_entries)
-    : memo_(std::move(memo)), maxEntries_(max_entries)
+StepCostCache::StepCostCache(std::shared_ptr<DecodeMemo> memo)
+    : memo_(std::move(memo))
 {
 }
 
 StepCostCache
 StepCostCache::sharing(const StepCostCache &peer)
 {
-    return StepCostCache(peer.memo_, peer.maxEntries_);
+    return StepCostCache(peer.memo_);
 }
 
 const StepReport &
@@ -128,25 +126,6 @@ StepCostCache::publish()
     }
     pendingOrder_.clear();
     pending_.clear();
-}
-
-const StepReport &
-StepCostCache::prefillChunk(std::size_t kv_offset, std::size_t chunk_len)
-{
-    const std::uint64_t key = packKey(kv_offset, chunk_len);
-    const auto it = chunk_.find(key);
-    if (it != chunk_.end()) {
-        ++stats_.hits;
-        return it->second;
-    }
-    if (chunk_.size() >= maxEntries_) {
-        ++stats_.bypasses;
-        overflow_ = costModel().prefillChunk(kv_offset, chunk_len);
-        return overflow_;
-    }
-    ++stats_.misses;
-    return chunk_.emplace(key, costModel().prefillChunk(kv_offset, chunk_len))
-        .first->second;
 }
 
 } // namespace accel

@@ -1,15 +1,15 @@
 /**
  * @file
- * Memoized engine-step costing for the serving/cluster hot loop.
+ * Memoized decode-step costing for the serving/cluster hot loop.
  *
  * A step's cost is a pure function of (SystemConfig, ModelConfig, step
  * shape): a decode step's shape is (batch size B, total resident
- * tokens N), a prefill chunk's its (KV offset, chunk length) pair. The
- * serving engine needs these costs at every step boundary even though
- * step shapes repeat for long stretches. `StepCostCache` costs steps
- * with one `StepCostModel` bound to its (system, model) pair and
- * memoizes the resulting `StepReport`s, so a repeated shape costs an
- * index read.
+ * tokens N). The serving engine needs a decode cost at every step
+ * boundary, fast-forwarded ones included, even though the shapes
+ * repeat for long stretches. `StepCostCache` costs decode steps with
+ * one `StepCostModel` bound to its (system, model) pair and memoizes
+ * the resulting `StepReport`s, so a repeated shape costs an index
+ * read.
  * A miss evaluates the bound model, which computed every
  * configuration-only term (weight stream, roofline constants, refresh
  * intervals, background power) once at construction, so it pays only
@@ -17,6 +17,13 @@
  * miss, memo insert included, takes about 62 ns on Kelle+eDRAM and
  * 49 ns on AERP+SRAM (108 and 77 ns before the model was bound); a hit
  * takes about 6.5 ns, which is why the memo stays.
+ *
+ * Prefill chunks are costed uncached, straight from the same bound
+ * model (`costModel().prefillChunk`), because a memo of them does not
+ * pay: they are rare (a traced seed-42 `sessions_paged` benchmark rep,
+ * the most prefill-heavy workload, runs about 3,800 chunks against
+ * 708,000 decode lookups) and one costs about 50 ns, so the chunks of
+ * a rep cost well under a millisecond (bench/BENCH_one_step_memo.json).
  *
  * Why (B, N) is the whole decode shape: every per-member term of a
  * decode step — MACs, working-set bytes, SFU ops, resident tokens — is
@@ -48,22 +55,22 @@
  * are 1-based slots into a deque of reports (0 = absent). Consecutive
  * lookups read neighbouring words of one page; a page is allocated on
  * its first insert, and the deque keeps every returned reference
- * stable. Prefill chunk keys are sparse and keep a hash map.
+ * stable.
  *
  * Memo groups: the decode memo is a `DecodeMemo`, and caches may share
  * one. A cluster puts every device whose `SystemConfig` compares equal
  * into one group (its devices all serve the same model), so a fleet of
  * identical accelerators evaluates and stores each (B, N) report once,
  * not once per device. A cache made from a (system, model) pair is a
- * group of one. Each cache keeps its own hit/miss counts and its own
- * prefill-chunk map. While the devices of a group run concurrently, a
- * cache in `buffering` mode reads the shared memo but puts the reports
- * it computes into a pending list only it can see; `publish()` moves
- * them into the memo afterwards. The cluster's coordinator switches
- * buffering on for every shared cache before a multi-lane window and
- * publishes in device-index order after the join, so the memo's
- * contents and every cache's counts are the same at any lane count,
- * with no locks: the pool's join orders the writes.
+ * group of one. Each cache keeps its own hit/miss counts. While the
+ * devices of a group run concurrently, a cache in `buffering` mode
+ * reads the shared memo but puts the reports it computes into a
+ * pending list only it can see; `publish()` moves them into the memo
+ * afterwards. The cluster's coordinator switches buffering on for
+ * every shared cache before a multi-lane window and publishes in
+ * device-index order after the join, so the memo's contents and every
+ * cache's counts are the same at any lane count, with no locks: the
+ * pool's join orders the writes.
  *
  * The memo never evicts: shapes seen past `maxEntries` are computed
  * uncached (counted as `bypasses`) so memory stays bounded without
@@ -144,7 +151,8 @@ class DecodeMemo
 class StepCostCache
 {
   public:
-    /** Hit/miss accounting, reported by bench_simspeed. */
+    /** Hit/miss accounting of decode lookups, reported by
+     *  bench_simspeed. */
     struct Stats
     {
         std::uint64_t hits = 0;
@@ -182,9 +190,9 @@ class StepCostCache
 
     /**
      * A new member of `peer`'s memo group: it reads and extends the
-     * same decode memo, while its counts and its prefill-chunk memo
-     * start empty and stay its own. Callers group only caches whose
-     * systems and models are equal.
+     * same decode memo, while its counts start empty and stay its
+     * own. Callers group only caches whose systems and models are
+     * equal.
      */
     static StepCostCache sharing(const StepCostCache &peer);
 
@@ -199,10 +207,6 @@ class StepCostCache
     const StepReport &decodeStep(std::size_t batch,
                                  std::size_t resident_total);
 
-    /** Memoized simulatePrefillChunk. */
-    const StepReport &prefillChunk(std::size_t kv_offset,
-                                   std::size_t chunk_len);
-
     /**
      * @name Concurrent use of a shared memo
      * From `bufferMisses()` to `publish()` the cache writes nothing
@@ -216,44 +220,34 @@ class StepCostCache
     void publish();
     /** @} */
 
-    /** The bound cost model every miss and bypass evaluates. */
+    /** The bound cost model every miss and bypass evaluates, and
+     *  the one that costs prefill chunks uncached. */
     const StepCostModel &costModel() const { return memo_->costModel(); }
     /** The system the memo is bound to. */
     const SystemConfig &system() const { return memo_->system(); }
 
     const Stats &stats() const { return stats_; }
-    /** Decode shapes in the (possibly shared) memo plus this cache's
-     *  prefill chunk shapes. */
-    std::size_t
-    entries() const
-    {
-        return memo_->size() + chunk_.size();
-    }
+    /** Decode shapes in the (possibly shared) memo. */
+    std::size_t entries() const { return memo_->size(); }
 
     /** Shapes memoized before new ones bypass the memo. A report is
      *  80 B and an index word 4 B (a 4 KiB page per 1024 N values of
      *  one batch size); the decode lattice (B <= maxBatch,
      *  N <= B*budget) stays far below this for any realistic serving
-     *  run. The cap counts per memo: once per decode-memo group,
-     *  however many caches share it, and once per cache for prefill
-     *  chunks. */
+     *  run. The cap counts once per memo group, however many caches
+     *  share it. */
     static constexpr std::size_t kDefaultMaxEntries = 1u << 18;
 
   private:
-    StepCostCache(std::shared_ptr<DecodeMemo> memo,
-                  std::size_t max_entries);
+    explicit StepCostCache(std::shared_ptr<DecodeMemo> memo);
 
     /** A decode shape the shared memo lacks, while buffering. */
     const StepReport &bufferedDecode(std::size_t batch,
                                      std::size_t resident_total);
 
     std::shared_ptr<DecodeMemo> memo_;
-    /** Cap of the prefill-chunk map (the memo holds its own). */
-    std::size_t maxEntries_;
     Stats stats_;
-    /** (KV offset << 32 | chunk length) -> step report. */
-    std::unordered_map<std::uint64_t, StepReport> chunk_;
-    /** Result slot for bypassing calls (cache at capacity). */
+    /** Result slot for bypassing calls (memo at capacity). */
     StepReport overflow_;
     bool buffering_ = false;
     /** Buffered decode reports, (B << 32 | N) -> report, and their

@@ -431,20 +431,13 @@ StepCostModel::prefillChunk(std::size_t kv_offset,
 }
 
 /**
- * simulate() body, parameterized on the decode-loop evaluation mode.
- * The decode loop iterates w.decLen steps whose costs depend on t
- * only through residentTokens(sys, w, t) — a monotone clamp that
- * saturates at the KV budget. With `memoize_steps` the per-step
- * costing runs once per *distinct* resident count and the saturated
- * tail reuses the last StepCosts/StepReport; the accumulation loop is
- * unchanged (same values added in the same order), so the results are
- * bit-identical to the step-at-a-time loop, which
- * detail::simulateLoopReference preserves as the test oracle. For an
- * 8192-token decode over a 2048 budget this removes ~3/4 of the
- * analytic-model evaluations.
+ * simulate() body: the batch's prefill, then w.decLen decode steps,
+ * each costed afresh. Reusing the step of the saturated tail saves
+ * about 1 ms on the whole Fig. 13 grid, and no timed path calls
+ * simulate() (bench/BENCH_one_step_memo.json).
  */
 RunReport
-StepCostModel::run(const Workload &w, bool memoize_steps) const
+StepCostModel::run(const Workload &w) const
 {
     KELLE_ASSERT(w.decLen > 0 && w.batch > 0, "degenerate workload");
     RunReport rep;
@@ -468,18 +461,10 @@ StepCostModel::run(const Workload &w, bool memoize_steps) const
     EnergyBreakdown decode_energy;
     double recomp_acc = 0.0;
     double f_on_acc = 0.0;
-    StepCosts c;
-    StepReport step;
-    bool have_step = false;
-    std::size_t last_resident = 0;
     for (std::size_t t = 0; t < w.decLen; ++t) {
         const std::size_t n = residentTokens(sys_, w, t);
-        if (!memoize_steps || !have_step || n != last_resident) {
-            c = decodeCosts(sums(w.batch, w.batch * n));
-            step = finish(w.batch, c, true);
-            have_step = true;
-            last_resident = n;
-        }
+        const StepCosts c = decodeCosts(sums(w.batch, w.batch * n));
+        const StepReport step = finish(w.batch, c, true);
         decode_latency += step.latency;
         decode_energy += step.energy;
         rep.dramBytesTotal += c.dramBytes;
@@ -549,16 +534,10 @@ RunReport::achievedOpsPerSec() const
 RunReport
 simulate(const SystemConfig &sys, const Workload &w)
 {
-    return StepCostModel(sys, w.model).run(w, true);
+    return StepCostModel(sys, w.model).run(w);
 }
 
 namespace detail {
-
-RunReport
-simulateLoopReference(const SystemConfig &sys, const Workload &w)
-{
-    return StepCostModel(sys, w.model).run(w, false);
-}
 
 StepReport
 batchedDecodeStepLoopReference(

@@ -153,7 +153,10 @@ RunReport simulate(const SystemConfig &sys, const Workload &w);
  * cost of a single step so an event-driven scheduler can interleave
  * requests at iteration granularity. Each binds a `StepCostModel`
  * (below) for the one call; a caller costing many steps of one
- * configuration binds the model once instead (`StepCostCache` does).
+ * configuration binds the model once instead. The serving engine
+ * does: its `StepCostCache` memoizes decode steps over the bound
+ * model, and prefill chunks, rare next to decode steps, are costed
+ * from that model uncached (see step_cost_cache.hpp).
  * @{
  */
 
@@ -207,23 +210,17 @@ StepReport simulateBatchedDecodeStep(
 /** @} */
 
 /**
- * @name Loop-form references (test oracles)
+ * @name Loop-form reference (test oracle)
  *
- * The shipping paths telescope analytically summable loops: the
- * decode loop of `simulate` re-evaluates the per-step analytic model
- * only when the resident-token clamp changes, and
- * `simulateBatchedDecodeStep` sums its per-member terms in closed form
- * from (batch size, resident total). Both are bit-identical to the
- * step-at-a-time / member-at-a-time loops, which these references
- * keep so the equality is *tested*, not assumed (see the
- * TimingTelescoping suite).
+ * `simulateBatchedDecodeStep` sums its per-member terms in closed
+ * form from (batch size, resident total). That is bit-identical to the
+ * member-at-a-time loop, which this reference keeps so the equality is
+ * *tested*, not assumed (see the TimingTelescoping suite). `simulate`
+ * costs every decode step afresh, so it needs no loop reference; a
+ * test holds it to the sum of its batched decode steps.
  * @{
  */
 namespace detail {
-
-/** `simulate` with the original per-step decode loop. */
-RunReport simulateLoopReference(const SystemConfig &sys,
-                                const Workload &w);
 
 /** `simulateBatchedDecodeStep` summing its terms member by member. */
 StepReport batchedDecodeStepLoopReference(
@@ -236,7 +233,9 @@ StepReport batchedDecodeStepLoopReference(
 /**
  * The analytic step-cost model bound to one (system, model) pair; the
  * one implementation behind `simulate`, `simulateBatchedDecodeStep`,
- * `simulatePrefillChunk` and the serving layer's `StepCostCache`.
+ * `simulatePrefillChunk` and the serving layer's step costs. The model
+ * itself memoizes nothing: the one step-cost memo is the serving
+ * layer's decode memo (`StepCostCache`).
  *
  * Every term that the configuration alone determines and that takes
  * arithmetic to form is computed once at construction: the weight
@@ -298,13 +297,11 @@ class StepCostModel
     EnergyBreakdown energy(std::size_t batch, const StepCosts &c,
                            Time latency) const;
     Power refreshPower(double bytes) const;
-    /** `simulate` of `w` (whose model is the bound one); without
-     *  `memoize_steps`, every decode step is costed afresh. */
-    RunReport run(const Workload &w, bool memoize_steps) const;
+    /** `simulate` of `w` (whose model is the bound one): every
+     *  decode step is costed afresh. */
+    RunReport run(const Workload &w) const;
 
     friend RunReport simulate(const SystemConfig &sys, const Workload &w);
-    friend RunReport detail::simulateLoopReference(const SystemConfig &sys,
-                                                   const Workload &w);
 
     const SystemConfig &sys_;
     const model::ModelConfig &model_;

@@ -627,16 +627,6 @@ DeviceEngine::decodeStepCost(std::size_t batch, std::size_t resident_total)
     return stepScratch_;
 }
 
-const accel::StepReport &
-DeviceEngine::prefillChunkCost(std::size_t kv_offset,
-                               std::size_t chunk_len)
-{
-    if (cfg_.fastSim)
-        return costCache_.prefillChunk(kv_offset, chunk_len);
-    stepScratch_ = costCache_.costModel().prefillChunk(kv_offset, chunk_len);
-    return stepScratch_;
-}
-
 void
 DeviceEngine::runPrefillChunk(const EngineStepPlan &plan)
 {
@@ -649,8 +639,8 @@ DeviceEngine::runPrefillChunk(const EngineStepPlan &plan)
                  "policy planned an invalid prefill chunk");
     ensureCapacity(idx, std::min(r.prefilled + plan.chunkTokens,
                                  r.budgetGranted));
-    const accel::StepReport &step =
-        prefillChunkCost(r.prefilled, plan.chunkTokens);
+    const accel::StepReport step =
+        costCache_.costModel().prefillChunk(r.prefilled, plan.chunkTokens);
     // Slowdown faults stretch the step wall-clock, not its energy.
     const SimTime lat = scaled(step.latency);
     metrics_.addEnergy(step.energy);

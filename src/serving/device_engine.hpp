@@ -30,9 +30,10 @@
  * request is preempted at most once, so traces always drain.
  *
  * Fast path (`DeviceConfig::fastSim`, on by default, bit-identical —
- * see docs/ARCHITECTURE.md "Simulation-core performance"): step costs
- * come from the device's `accel::StepCostCache`, whose decode memo a
- * cluster shares among devices with equal systems; per-step vectors are
+ * see docs/ARCHITECTURE.md "Simulation-core performance"): decode
+ * step costs come from the device's `accel::StepCostCache`, whose memo
+ * a cluster shares among devices with equal systems (prefill chunks
+ * are costed uncached in either mode); per-step vectors are
  * engine-owned scratch reused across steps; completion callbacks
  * capture only `this` (in-flight step state lives in members) so the
  * `std::function` stays in its small-object buffer; and runs of
@@ -409,11 +410,9 @@ class DeviceEngine
      *  (and re-defer) the admission round recorded in `deferScratch_`
      *  to keep the allocator's deferral accounting identical. */
     std::size_t silentStepBudget(bool *replay_deferrals) const;
-    /** Step costs through the cache when fastSim is on. */
+    /** Decode step costs through the cache when fastSim is on. */
     const accel::StepReport &decodeStepCost(std::size_t batch,
                                             std::size_t resident_total);
-    const accel::StepReport &prefillChunkCost(std::size_t kv_offset,
-                                              std::size_t chunk_len);
     void finishRequest(std::size_t idx);
     void rejectRequest(std::size_t idx, std::size_t floor_tokens);
     /** A step latency on the simulation clock, stretched by any

@@ -308,26 +308,6 @@ TEST(StepCostCache, EqualKeyBatchesProduceIdenticalReports)
     }
 }
 
-TEST(StepCostCache, CachedPrefillChunkEqualsUncached)
-{
-    const auto m = model::llama2_7b();
-    std::mt19937_64 rng(13);
-    std::uniform_int_distribution<std::size_t> off(0, 2048);
-    std::uniform_int_distribution<std::size_t> len(1, 512);
-    for (const auto &sys : cacheSystems()) {
-        accel::StepCostCache cache(sys, m);
-        for (int i = 0; i < 50; ++i) {
-            const std::size_t o = off(rng);
-            const std::size_t l = len(rng);
-            const auto &cached = cache.prefillChunk(o, l);
-            const auto uncached =
-                accel::simulatePrefillChunk(sys, m, o, l);
-            expectStepEq(cached, uncached);
-            expectStepEq(cache.prefillChunk(o, l), uncached);
-        }
-    }
-}
-
 TEST(StepCostCache, CapacityCapBypassesWithoutPerturbingValues)
 {
     const auto sys = accel::kelleEdramSystem(2048);
@@ -423,7 +403,7 @@ TEST(StepCostCache, ProbeMissThenInsertCountsOneMiss)
     EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(StepCostCache, EntriesCountDecodeAndChunkShapes)
+TEST(StepCostCache, EntriesCountDecodeShapes)
 {
     const auto sys = accel::kelleEdramSystem(2048);
     const auto m = model::llama2_7b();
@@ -432,20 +412,16 @@ TEST(StepCostCache, EntriesCountDecodeAndChunkShapes)
     cache.decodeStep(1, 10);
     cache.decodeStep(1, 10); // hit
     cache.decodeStep(2, 10); // same N, new B
-    cache.prefillChunk(0, 256);
-    cache.prefillChunk(256, 256);
-    EXPECT_EQ(cache.entries(), 4u);
+    EXPECT_EQ(cache.entries(), 2u);
     cache.decodeStep(1, 11);
-    cache.decodeStep(1, 12); // decode memo full: bypass
-    cache.prefillChunk(512, 256);
-    cache.prefillChunk(768, 256); // chunk memo full: bypass
-    EXPECT_EQ(cache.entries(), 6u);
-    EXPECT_EQ(cache.stats().misses, 6u);
+    cache.decodeStep(1, 12); // memo full: bypass
+    EXPECT_EQ(cache.entries(), 3u);
+    EXPECT_EQ(cache.stats().misses, 3u);
     EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().bypasses, 2u);
+    EXPECT_EQ(cache.stats().bypasses, 1u);
     cache.decodeStep(1, 12); // a bypassed shape was never stored
-    EXPECT_EQ(cache.stats().bypasses, 3u);
-    EXPECT_EQ(cache.entries(), 6u);
+    EXPECT_EQ(cache.stats().bypasses, 2u);
+    EXPECT_EQ(cache.entries(), 3u);
 }
 
 TEST(StepCostCache, GroupMembersShareOneDecodeMemo)
@@ -497,10 +473,6 @@ TEST(StepCostCache, GroupMembersShareOneDecodeMemo)
     EXPECT_EQ(a.entries(), 1002u);
     EXPECT_EQ(&a.decodeStep(4, 1000), &first);
     expectStepEq(first, first_copy);
-    // Each member's prefill-chunk memo stays its own.
-    a.prefillChunk(0, 256);
-    EXPECT_EQ(b.entries(), 1002u);
-    EXPECT_EQ(a.entries(), 1003u);
 }
 
 TEST(StepCostCache, BufferedMissesCountAgainstTheGroupCap)
@@ -522,6 +494,49 @@ TEST(StepCostCache, BufferedMissesCountAgainstTheGroupCap)
     a.decodeStep(1, 13); // the memo is full
     EXPECT_EQ(a.stats().bypasses, 1u);
     EXPECT_EQ(a.stats().hits, 0u);
+}
+
+TEST(StepCostCache, PublishStopsAtTheGroupCap)
+{
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    accel::StepCostCache a(sys, m, /*max_entries=*/4);
+    accel::StepCostCache b = accel::StepCostCache::sharing(a);
+    accel::StepCostCache probe = accel::StepCostCache::sharing(a);
+    // Each member alone stays below the cap; together they buffer 6
+    // distinct shapes for 4 slots. Keys fall in computed order, so a
+    // publish that sorted or hashed them would store other shapes.
+    const std::size_t a_keys[][2] = {{6, 600}, {5, 500}, {4, 400}};
+    const std::size_t b_keys[][2] = {{3, 300}, {2, 200}, {1, 100}};
+    a.bufferMisses();
+    b.bufferMisses();
+    for (const auto &key : a_keys)
+        a.decodeStep(key[0], key[1]);
+    for (const auto &key : b_keys)
+        b.decodeStep(key[0], key[1]);
+    EXPECT_EQ(a.stats().misses, 3u);
+    EXPECT_EQ(b.stats().misses, 3u);
+    EXPECT_EQ(b.stats().bypasses, 0u);
+    a.publish();
+    EXPECT_EQ(a.entries(), 3u);
+    b.publish(); // stores (3, 300), then stops at the cap
+    EXPECT_EQ(a.entries(), 4u);
+
+    // a's shapes and b's first are stored; b's later two bypass, and
+    // every report is still the model's.
+    for (const auto &key : a_keys)
+        expectStepEq(probe.decodeStep(key[0], key[1]),
+                     accel::simulateBatchedDecodeStep(sys, m, key[0],
+                                                      key[1]));
+    EXPECT_EQ(probe.stats().hits, 3u);
+    for (const auto &key : b_keys)
+        expectStepEq(probe.decodeStep(key[0], key[1]),
+                     accel::simulateBatchedDecodeStep(sys, m, key[0],
+                                                      key[1]));
+    EXPECT_EQ(probe.stats().hits, 4u);
+    EXPECT_EQ(probe.stats().misses, 0u);
+    EXPECT_EQ(probe.stats().bypasses, 2u);
+    EXPECT_EQ(probe.entries(), 4u);
 }
 
 // ---- TimingTelescoping ---------------------------------------------
@@ -597,34 +612,6 @@ TEST(TimingTelescoping, SimulateDecodeStepsAreBatchedDecodeSteps)
             expectEnergyEq(run.decodeEnergy, energy);
             EXPECT_EQ(run.dramBytesTotal, dram);
             EXPECT_EQ(run.macsTotal, macs);
-        }
-    }
-}
-
-TEST(TimingTelescoping, MemoizedSimulateDecodeLoopEqualsLoopForm)
-{
-    // decLen spans the budget clamp, so the memoized loop exercises
-    // both the growing prefix and the saturated tail it telescopes.
-    for (const auto &sys : cacheSystems()) {
-        for (std::size_t dec : {std::size_t{64}, std::size_t{1000},
-                                std::size_t{3000}}) {
-            accel::Workload w;
-            w.model = model::llama2_7b();
-            w.ctxLen = 512;
-            w.decLen = dec;
-            w.batch = 4;
-            const auto fast = accel::simulate(sys, w);
-            const auto loop = accel::detail::simulateLoopReference(sys, w);
-            EXPECT_EQ(fast.prefillLatency.sec(), loop.prefillLatency.sec());
-            EXPECT_EQ(fast.decodeLatency.sec(), loop.decodeLatency.sec());
-            EXPECT_EQ(fast.dramBytesTotal, loop.dramBytesTotal);
-            EXPECT_EQ(fast.macsTotal, loop.macsTotal);
-            EXPECT_EQ(fast.recomputedTokensPerStep,
-                      loop.recomputedTokensPerStep);
-            EXPECT_EQ(fast.kvResidentBytesEnd, loop.kvResidentBytesEnd);
-            EXPECT_EQ(fast.kvOnChipFraction, loop.kvOnChipFraction);
-            expectEnergyEq(fast.prefillEnergy, loop.prefillEnergy);
-            expectEnergyEq(fast.decodeEnergy, loop.decodeEnergy);
         }
     }
 }
