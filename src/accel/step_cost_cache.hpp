@@ -2,79 +2,57 @@
  * @file
  * Memoized decode-step costing for the serving/cluster hot loop.
  *
- * A step's cost is a pure function of (SystemConfig, ModelConfig, step
- * shape): a decode step's shape is (batch size B, total resident
- * tokens N). The serving engine needs a decode cost at every step
- * boundary, fast-forwarded ones included, even though the shapes
- * repeat for long stretches. `StepCostCache` costs decode steps with
- * one `StepCostModel` bound to its (system, model) pair and memoizes
- * the resulting `StepReport`s, so a repeated shape costs an index
- * read.
- * A miss evaluates the bound model, which computed every
- * configuration-only term (weight stream, roofline constants, refresh
- * intervals, background power) once at construction, so it pays only
- * the shape-dependent arithmetic. On a 4-vCPU Xeon VM a LLaMA2-7B
- * miss, memo insert included, takes about 62 ns on Kelle+eDRAM and
- * 49 ns on AERP+SRAM (108 and 77 ns before the model was bound); a hit
- * takes about 6.5 ns, which is why the memo stays.
+ * A decode step's cost is a pure function of (SystemConfig,
+ * ModelConfig, batch size B, total resident tokens N), and the engine
+ * needs one at every step boundary, fast-forwarded ones included,
+ * while the shapes repeat for long stretches. `StepCostCache` costs
+ * them with one `StepCostModel` bound to its (system, model) pair and
+ * memoizes the `StepReport`s. On a 4-vCPU Xeon VM a LLaMA2-7B miss,
+ * memo insert included, takes about 62 ns on Kelle+eDRAM and 49 ns on
+ * AERP+SRAM; a hit about 6.5 ns. Prefill chunks (about 3,800 a
+ * `sessions_paged` rep against 708,000 decode lookups, about 50 ns
+ * each) are costed uncached through `costModel().prefillChunk`.
  *
- * Prefill chunks are costed uncached, straight from the same bound
- * model (`costModel().prefillChunk`), because a memo of them does not
- * pay: they are rare (a traced seed-42 `sessions_paged` benchmark rep,
- * the most prefill-heavy workload, runs about 3,800 chunks against
- * 708,000 decode lookups) and one costs about 50 ns, so the chunks of
- * a rep cost well under a millisecond (bench/BENCH_one_step_memo.json).
+ * Why (B, N) is the whole decode shape: every per-member term (MACs,
+ * working-set bytes, SFU ops, resident tokens) is affine in the
+ * member's resident count with integer coefficients, so each batch sum
+ * is an affine function of (B, N), e.g. sum_i macsPerDecodeToken(n_i)
+ * = B*(proj+ffn+head) + 2*d*L*N. `StepCostModel::decode(B, N)`
+ * evaluates these closed forms; each sum is an integer-valued double
+ * far below 2^53, so it equals the member-at-a-time sum bit for bit
+ * (`TimingTelescoping` tests), and equal (B, N) give bitwise-identical
+ * reports however the tokens are distributed. (B, N) walks a small
+ * lattice while members grow, so hit rates are high.
  *
- * Why (B, N) is the whole decode shape: every per-member term of a
- * decode step — MACs, working-set bytes, SFU ops, resident tokens — is
- * affine in the member's resident count n_i with integer
- * coefficients, so each sum over the batch is an affine function of
- * (B, N):
+ * Decode index: inside a decode window B is fixed and N climbs by at
+ * most B per step, so the memo is a per-batch-size paged array,
+ * `index_[B][N >> kPageBits][N & (kPageTokens - 1)]`, of 1-based slots
+ * into a deque of reports (0 = absent). A page is allocated on its
+ * first insert; the deque keeps every returned reference stable. The
+ * memo never evicts: shapes past `maxEntries` are computed uncached
+ * (`bypasses`), so memory stays bounded without perturbing results.
  *
- *     sum_i macsPerDecodeToken(n_i) = B*(proj+ffn+head) + 2*d*L*N
- *     sum_i ws(n_i)                 = 2*nHeads*N + 6*d*B
- *     sum_i sfu(n_i)                = L*(2*nHeads*N + (4d+dFfn)*B)
+ * Memo groups: caches may share one `DecodeMemo`. A cluster groups
+ * every device whose `SystemConfig` compares equal, so identical
+ * accelerators evaluate and store each (B, N) report once; a cache
+ * made from a (system, model) pair is a group of one. Counts stay per
+ * cache. In every lookahead window with two or more active devices,
+ * the cluster switches every cache of a larger group to buffering,
+ * *also when the window runs on one lane*: a cache reads the memo but
+ * puts what it computes into a pending table only it sees, and
+ * `publish()` stores it after the window in device-index order. No
+ * member sees another's reports of the same window, so the memo and
+ * every count are the same at any lane count, with no locks.
  *
- * `StepCostModel::decode(B, N)` evaluates exactly these closed forms,
- * and everything downstream reads only the sums. Every sum is an
- * integer-valued double far below 2^53 for any realistic model, so
- * the closed form equals the member-at-a-time sum bit for bit (the
- * `TimingTelescoping` tests check it against the loop reference), and
- * batches with equal (B, N) have bitwise-identical `StepReport`s
- * however their members are distributed. This is what makes hit
- * rates high in serving: growing batch members permute and trade
- * tokens, but (B, N) walks a small lattice. The `StepCostCache.*`
- * property tests check cached against uncached reports, and the
- * golden-digest tier-1 tests pin the end-to-end outputs and the
- * model's own reports (`GoldenDigest.StepReportGrid`).
- *
- * Decode index: the key space is dense. Inside a decode window the
- * batch size is fixed and N climbs by at most B per step, so the
- * decode memo is a per-batch-size paged array,
- * `index_[B][N >> kPageBits][N & (kPageTokens - 1)]`, whose entries
- * are 1-based slots into a deque of reports (0 = absent). Consecutive
- * lookups read neighbouring words of one page; a page is allocated on
- * its first insert, and the deque keeps every returned reference
- * stable.
- *
- * Memo groups: the decode memo is a `DecodeMemo`, and caches may share
- * one. A cluster puts every device whose `SystemConfig` compares equal
- * into one group (its devices all serve the same model), so a fleet of
- * identical accelerators evaluates and stores each (B, N) report once,
- * not once per device. A cache made from a (system, model) pair is a
- * group of one. Each cache keeps its own hit/miss counts. While the
- * devices of a group run concurrently, a cache in `buffering` mode
- * reads the shared memo but puts the reports it computes into a
- * pending list only it can see; `publish()` moves them into the memo
- * afterwards. The cluster's coordinator switches buffering on for
- * every shared cache before a multi-lane window and publishes in
- * device-index order after the join, so the memo's contents and every
- * cache's counts are the same at any lane count, with no locks: the
- * pool's join orders the writes.
- *
- * The memo never evicts: shapes seen past `maxEntries` are computed
- * uncached (counted as `bypasses`) so memory stays bounded without
- * perturbing results.
+ * Pending table: the pending entries (key, report, table cell) in a
+ * vector, in computed order, plus a flat open-addressing table of
+ * 1-based positions into it: a power of two in size, at most half
+ * full, probed linearly from a multiplicative hash of `B << 32 | N`.
+ * `publish()` zeroes exactly the cells it used; both keep their
+ * storage, so a buffered miss allocates nothing in steady state. On a
+ * 4-vCPU Xeon VM, buffering's own cost per miss fell from about 44 to
+ * 30 ns against the node-based hash map it replaced, and host time per
+ * `fleet16_preempt` rep by 13% (bench/BENCH_pending_table.json).
  */
 
 #ifndef KELLE_ACCEL_STEP_COST_CACHE_HPP
@@ -85,7 +63,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/timing_model.hpp"
@@ -151,8 +128,7 @@ class DecodeMemo
 class StepCostCache
 {
   public:
-    /** Hit/miss accounting of decode lookups, reported by
-     *  bench_simspeed. */
+    /** Hit/miss accounting of decode lookups. */
     struct Stats
     {
         std::uint64_t hits = 0;
@@ -181,28 +157,21 @@ class StepCostCache
         }
     };
 
-    /**
-     * A group of one: a new decode memo bound to copies of `sys` and
-     * `m`.
-     */
+    /** A group of one: a new memo bound to copies of `sys`, `m`. */
     StepCostCache(const SystemConfig &sys, const model::ModelConfig &m,
                   std::size_t max_entries = kDefaultMaxEntries);
 
-    /**
-     * A new member of `peer`'s memo group: it reads and extends the
-     * same decode memo, while its counts start empty and stay its
-     * own. Callers group only caches whose systems and models are
-     * equal.
-     */
+    /** A new member of `peer`'s memo group, with counts of its own.
+     *  Callers group only caches with equal systems and models. */
     static StepCostCache sharing(const StepCostCache &peer);
 
     /**
      * Memoized simulateBatchedDecodeStep of `batch` members holding
      * `resident_total` tokens; counts one hit, miss or bypass. A
      * report from the shared memo stays valid for the memo's
-     * lifetime; a buffered one until the next `publish()`; a
-     * bypassing (memo-full) call returns a slot the next bypass
-     * overwrites.
+     * lifetime; a buffered one until this cache's next `decodeStep`
+     * or `publish()` (a later buffered miss may move it); a bypassing
+     * (memo-full) call returns a slot the next bypass overwrites.
      */
     const StepReport &decodeStep(std::size_t batch,
                                  std::size_t resident_total);
@@ -211,7 +180,7 @@ class StepCostCache
      * @name Concurrent use of a shared memo
      * From `bufferMisses()` to `publish()` the cache writes nothing
      * shared: a decode shape absent from the memo is looked up in, or
-     * computed into, this cache's pending list. `publish()` (with no
+     * computed into, this cache's pending table. `publish()` (with no
      * other member of the group running) stores every pending report
      * the memo still lacks, in the order they were computed, and
      * leaves buffering mode. @{
@@ -230,12 +199,9 @@ class StepCostCache
     /** Decode shapes in the (possibly shared) memo. */
     std::size_t entries() const { return memo_->size(); }
 
-    /** Shapes memoized before new ones bypass the memo. A report is
-     *  80 B and an index word 4 B (a 4 KiB page per 1024 N values of
-     *  one batch size); the decode lattice (B <= maxBatch,
-     *  N <= B*budget) stays far below this for any realistic serving
-     *  run. The cap counts once per memo group, however many caches
-     *  share it. */
+    /** Shapes memoized before new ones bypass, once per memo group.
+     *  A report is 80 B, an index page 4 KiB per 1024 N values of one
+     *  B; the (B, N) lattice of a serving run stays far below this. */
     static constexpr std::size_t kDefaultMaxEntries = 1u << 18;
 
   private:
@@ -244,16 +210,28 @@ class StepCostCache
     /** A decode shape the shared memo lacks, while buffering. */
     const StepReport &bufferedDecode(std::size_t batch,
                                      std::size_t resident_total);
+    /** The cell holding `key`, or the empty one it would take. */
+    std::size_t pendingCell(std::uint64_t key) const;
+    /** Double the pending table; re-seat every entry. */
+    void growPendingCells();
+
+    /** A buffered report and the cell that points at it. */
+    struct Pending
+    {
+        std::uint64_t key; ///< B << 32 | N
+        std::size_t cell;
+        StepReport report;
+    };
 
     std::shared_ptr<DecodeMemo> memo_;
     Stats stats_;
     /** Result slot for bypassing calls (memo at capacity). */
     StepReport overflow_;
     bool buffering_ = false;
-    /** Buffered decode reports, (B << 32 | N) -> report, and their
-     *  keys in the order they were computed. */
-    std::unordered_map<std::uint64_t, StepReport> pending_;
-    std::vector<std::uint64_t> pendingOrder_;
+    /** Buffered reports in the order they were computed. */
+    std::vector<Pending> pending_;
+    /** 1-based positions into pending_ (0 = empty). */
+    std::vector<std::uint32_t> pendingCells_;
 };
 
 } // namespace accel

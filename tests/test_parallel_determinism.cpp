@@ -476,21 +476,33 @@ TEST(ParallelMemoGroup, GroupedFleetsMatchTheOracleAtEveryLaneCount)
     {
         std::string label;
         std::vector<cluster::DeviceSpec> devices;
+        /** sessions_paged's shape: 64-token pages, shared session
+         *  prefixes, edf-chunked. */
+        bool paged = false;
     };
     const auto edram = accel::kelleEdramSystem(2048);
     const Fleet fleets[] = {
         {"homog4", cluster::homogeneousFleet(4, edram, 512, 4)},
         {"homog8", cluster::homogeneousFleet(8, edram, 512, 4)},
         {"hetero2+2", cluster::heteroEdramSramFleet(4, 2048, 512, 128, 4)},
+        {"paged2", cluster::homogeneousFleet(2, edram, 512, 4), true},
     };
     for (const Fleet &fleet : fleets) {
         for (auto dispatch : cluster::allDispatchPolicies()) {
             const std::string label = fleet.label + "/" + toString(dispatch);
             auto cfg = tinyClusterConfig(
                 fleet.devices.size(), dispatch,
-                serving::SchedulePolicy::ContinuousBatching, 600.0, 9, 40);
+                fleet.paged ? serving::SchedulePolicy::EdfChunked
+                            : serving::SchedulePolicy::ContinuousBatching,
+                600.0, 9, 40);
             cfg.devices = fleet.devices;
             cfg.engine.chunkTokens = 16;
+            if (fleet.paged) {
+                cfg.engine.paged.enabled = true;
+                cfg.engine.paged.blockTokens = 64;
+                cfg.engine.paged.sharePrefixes = true;
+                cfg.engine.traffic.sessions = 4;
+            }
 
             cfg.engine.fastSim = false;
             cfg.threads = 1;

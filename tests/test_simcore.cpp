@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -537,6 +538,91 @@ TEST(StepCostCache, PublishStopsAtTheGroupCap)
     EXPECT_EQ(probe.stats().misses, 0u);
     EXPECT_EQ(probe.stats().bypasses, 2u);
     EXPECT_EQ(probe.entries(), 4u);
+}
+
+TEST(StepCostCache, BufferedShapesSurviveTableGrowth)
+{
+    // 200 buffered shapes make the pending table's first 64 cells
+    // double three times; each shape must still be found, and
+    // publish() must store them in computed order. N falls with each
+    // shape, so a publish that walked the table's cells instead would
+    // store other shapes.
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    constexpr std::size_t kShapes = 200, kOther = 30;
+    accel::StepCostCache a(sys, m, /*max_entries=*/kShapes);
+    accel::StepCostCache b = accel::StepCostCache::sharing(a);
+    accel::StepCostCache probe = accel::StepCostCache::sharing(a);
+    const auto key = [](std::size_t i) {
+        return std::array<std::size_t, 2>{1 + i % 16, 40000 - 97 * i};
+    };
+    a.bufferMisses();
+    b.bufferMisses();
+    for (std::size_t i = 0; i < kOther; ++i)
+        a.decodeStep(2, 50000 + i);
+    for (std::size_t i = 0; i < kShapes; ++i) {
+        const auto [batch, n] = key(i);
+        expectStepEq(b.decodeStep(batch, n),
+                     b.costModel().decode(batch, n));
+    }
+    EXPECT_EQ(b.stats().misses, kShapes);
+    for (std::size_t i = 0; i < kShapes; ++i) {
+        const auto [batch, n] = key(i);
+        expectStepEq(b.decodeStep(batch, n),
+                     b.costModel().decode(batch, n));
+    }
+    EXPECT_EQ(b.stats().hits, kShapes);
+    EXPECT_EQ(b.stats().misses, kShapes);
+    EXPECT_EQ(a.entries(), 0u);
+
+    // a's shapes take the first slots, so b stores only its first
+    // kShapes - kOther shapes.
+    a.publish();
+    b.publish();
+    EXPECT_EQ(a.entries(), kShapes);
+    for (std::size_t i = 0; i < kShapes; ++i) {
+        const auto [batch, n] = key(i);
+        SCOPED_TRACE("shape " + std::to_string(i));
+        const auto before = probe.stats();
+        expectStepEq(probe.decodeStep(batch, n),
+                     probe.costModel().decode(batch, n));
+        if (i < kShapes - kOther)
+            EXPECT_EQ(probe.stats().hits, before.hits + 1);
+        else
+            EXPECT_EQ(probe.stats().bypasses, before.bypasses + 1);
+    }
+}
+
+TEST(StepCostCache, PublishLeavesNoStalePendingCell)
+{
+    // A publish that stops at the cap must still empty the pending
+    // table: a shape the memo did not take is not a hit when the same
+    // cache buffers again; the full memo makes it a bypass.
+    const auto sys = accel::kelleEdramSystem(2048);
+    const auto m = model::llama2_7b();
+    accel::StepCostCache a(sys, m, /*max_entries=*/3);
+    accel::StepCostCache b = accel::StepCostCache::sharing(a);
+    a.bufferMisses();
+    b.bufferMisses();
+    a.decodeStep(1, 10);
+    a.decodeStep(1, 11);
+    b.decodeStep(2, 20);
+    b.decodeStep(2, 21);
+    b.decodeStep(2, 22);
+    a.publish();
+    b.publish(); // stores (2, 20), then stops at the cap
+    EXPECT_EQ(a.entries(), 3u);
+
+    b.bufferMisses();
+    const auto before = b.stats();
+    for (std::size_t n : {std::size_t{21}, std::size_t{22}})
+        expectStepEq(b.decodeStep(2, n),
+                     accel::simulateBatchedDecodeStep(sys, m, 2, n));
+    EXPECT_EQ(b.stats().hits, before.hits);
+    EXPECT_EQ(b.stats().bypasses, before.bypasses + 2);
+    EXPECT_EQ(&b.decodeStep(2, 20), &a.decodeStep(2, 20));
+    b.publish();
+    EXPECT_EQ(a.entries(), 3u);
 }
 
 // ---- TimingTelescoping ---------------------------------------------
