@@ -60,12 +60,8 @@ StepCostCache::sharing(const StepCostCache &peer)
 }
 
 const StepReport &
-StepCostCache::decodeStep(std::size_t batch, std::size_t resident_total)
+StepCostCache::missedDecode(std::size_t batch, std::size_t resident_total)
 {
-    if (const StepReport *hit = memo_->find(batch, resident_total)) {
-        ++stats_.hits;
-        return *hit;
-    }
     if (buffering_)
         return bufferedDecode(batch, resident_total);
     if (memo_->size() >= memo_->maxEntries()) {

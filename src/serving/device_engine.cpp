@@ -84,6 +84,73 @@ makeAllocatorConfig(const DeviceConfig &cfg)
     return a;
 }
 
+/**
+ * A fast-forward window's position (see runDecodeStep): the window's
+ * fixed horizon, batch size and whether a waterfall reads the shares,
+ * then the state each boundary advances.
+ */
+struct FastForwardWindow
+{
+    SimTime horizon;
+    std::size_t batch = 0;
+    bool chargeShares = false;
+    SimTime t; ///< the last applied boundary
+    /** The step in flight from `t`, its resident total and its scaled
+     *  latency; `latShares` splits that latency among the members. */
+    const accel::StepReport *step = nullptr;
+    std::size_t nSum = 0;
+    SimTime lat;
+    obs::DecodeShares latShares;
+    /** Over the boundaries deferred since the last sync: the largest
+     *  gap and the summed waterfall charge. */
+    double gapMax = 0.0;
+    obs::DecodeShares shares;
+};
+
+/**
+ * A strided run: up to `runs` boundaries of `w` whose only change is
+ * that the resident total grows by `stride` (>= 1), so each re-costs
+ * the step. Stops before the first boundary at or past the horizon
+ * and returns how many it applied. Every lookup and every IEEE add is
+ * the general loop's, in its order; the energy total, `busy` and the
+ * window stay in locals and are stored once.
+ */
+std::size_t
+stridedRun(FastForwardWindow &w, std::size_t runs, std::size_t stride,
+           double latency_scale, accel::StepCostCache &cache,
+           accel::EnergyBreakdown &energy, SimTime &busy)
+{
+    FastForwardWindow c = w;
+    accel::EnergyBreakdown e = energy;
+    SimTime b = busy;
+    // A boundary before the horizon never saturates, so each gap is
+    // exactly the step latency.
+    double lat_sec = c.lat.sec();
+    std::size_t k = 0;
+    for (; k < runs; ++k) {
+        const SimTime tn = c.t + c.lat;
+        if (!(tn < c.horizon))
+            break;
+        c.gapMax = std::max(c.gapMax, lat_sec);
+        if (c.chargeShares)
+            c.shares += c.latShares;
+        c.t = tn;
+        c.nSum += stride;
+        c.step = &cache.decodeStep(c.batch, c.nSum);
+        // DeviceEngine::scaled(), with the scale in a local.
+        c.lat = SimTime::fromSec(c.step->latency.sec() * latency_scale);
+        lat_sec = c.lat.sec();
+        if (c.chargeShares)
+            c.latShares = obs::DecodeShares::of(c.lat, c.batch);
+        e += c.step->energy;
+        b += c.lat;
+    }
+    w = c;
+    energy = e;
+    busy = b;
+    return k;
+}
+
 } // namespace
 
 std::string
@@ -852,7 +919,9 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // timestamps. The (batch, total-resident)
     // cost key is tracked incrementally — it grows by the number of
     // members still below their budget clamp, and stops changing (no
-    // lookup at all) once every member is clamped. From there each
+    // lookup at all) once every member is clamped. Until then an
+    // untraced window runs the boundaries between syncs, clamp steps
+    // and page edges in `stridedRun`'s tight loop. After it, each
     // boundary repeats the last, and an untraced window applies the
     // whole run in one update: integer counters and ticks by
     // multiplication, energy by `repeatedAdd`, which equals the adds
@@ -915,19 +984,21 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // steps and the next page edge on what they left.
         bool synced = false; ///< the window's first boundary is applied
         std::size_t deferred = 0; ///< boundaries since the last sync
-        // Their steps' waterfall charge, summed only when a waterfall
-        // is attached to read it.
-        const bool charge_shares = wf_ != nullptr;
-        obs::DecodeShares shares;
-        // The split of the step ending at the next boundary; `lat`
-        // and it change only when the step is re-costed.
-        obs::DecodeShares lat_shares;
-        if (charge_shares)
-            lat_shares = obs::DecodeShares::of(lat, batch_size);
+        FastForwardWindow w;
+        w.horizon = horizon;
+        w.batch = batch_size;
+        // The deferred steps' waterfall charge is summed only when a
+        // waterfall is attached to read it.
+        w.chargeShares = wf_ != nullptr;
+        w.t = t;
+        w.step = step;
+        w.nSum = n_sum;
+        w.lat = lat;
+        if (w.chargeShares)
+            w.latShares = obs::DecodeShares::of(lat, batch_size);
         std::size_t clamped = 0;  ///< clampScratch_ entries <= deferred
         // `deferred` at the next page edge; max when none is due
         std::size_t page_edge = std::numeric_limits<std::size_t>::max();
-        double gap_max = 0.0;
         // Apply `add` deferred boundaries, the last at `now`, to a
         // member: the window's first gap is its own, later ones the
         // shared `gap` max. By-value parameters keep the loop's locals
@@ -946,50 +1017,84 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // Traced runs emit one decode slice per boundary.
         const bool collapse_runs = trace_ == nullptr;
         while (silent > 0) {
-            // Every member clamped and the round (if any) at its
-            // fixpoint: each boundary before the horizon repeats the
-            // last. No page edge lies ahead, since a member's page
-            // edge precedes its clamp step and reaching it syncs.
-            if (collapse_runs && synced && clamped == batch_size &&
-                (!replay_deferrals || round_fixpoint)) {
+            // Between syncs, with the round (if any) at its fixpoint,
+            // a boundary only moves the clock and grows the resident
+            // total by the members below their clamp.
+            const bool quiet =
+                collapse_runs && synced &&
+                (!replay_deferrals || round_fixpoint);
+            // Every member clamped: each boundary before the horizon
+            // repeats the last. No page edge lies ahead, since a
+            // member's page edge precedes its clamp step and reaching
+            // it syncs.
+            if (quiet && clamped == batch_size) {
                 KELLE_ASSERT(page_edge ==
                                  std::numeric_limits<std::size_t>::max(),
                              "page edge past every member's clamp");
-                const std::int64_t room = horizon.ns() - 1 - t.ns();
+                const std::int64_t room = w.horizon.ns() - 1 - w.t.ns();
                 const std::size_t m = std::min<std::uint64_t>(
-                    silent, room > 0 ? room / lat.ns() : 0);
+                    silent, room > 0 ? room / w.lat.ns() : 0);
                 if (m > 0) {
                     const SimTime run = SimTime::nanos(
-                        static_cast<std::int64_t>(m) * lat.ns());
-                    gap_max = std::max(gap_max, lat.sec());
+                        static_cast<std::int64_t>(m) * w.lat.ns());
+                    w.gapMax = std::max(w.gapMax, w.lat.sec());
                     deferred += m;
-                    if (charge_shares)
-                        shares += lat_shares * static_cast<std::int64_t>(m);
-                    t += run;
+                    if (w.chargeShares)
+                        w.shares +=
+                            w.latShares * static_cast<std::int64_t>(m);
+                    w.t += run;
                     engineSteps_ += m;
                     decodeSteps_ += m;
                     fastForwarded_ += m;
                     if (replay_deferrals)
                         allocator_.addDeferrals(m * deferScratch_.size());
-                    metrics_.addEnergy(step->energy, m);
+                    metrics_.addEnergy(w.step->energy, m);
                     busy_ += run;
                     silent -= m;
                     continue;
                 }
             }
-            const SimTime tn = t + lat;
-            if (!(tn < horizon))
+            // Some member still growing: the boundaries before the
+            // next clamp step and the next page edge form a strided
+            // run, whose every step is re-costed at N + stride.
+            if (quiet) {
+                while (clamped < batch_size &&
+                       clampScratch_[clamped] <= deferred)
+                    ++clamped;
+                const std::size_t runs =
+                    clamped == batch_size
+                        ? 0
+                        : std::min({silent,
+                                    clampScratch_[clamped] - deferred - 1,
+                                    page_edge - deferred - 1});
+                if (runs > 0) {
+                    const std::size_t k = stridedRun(
+                        w, runs, batch_size - clamped, latencyScale_,
+                        costCache_, metrics_.stepEnergy(), busy_);
+                    deferred += k;
+                    engineSteps_ += k;
+                    decodeSteps_ += k;
+                    fastForwarded_ += k;
+                    if (replay_deferrals)
+                        allocator_.addDeferrals(k * deferScratch_.size());
+                    silent -= k;
+                    if (k < runs) // the horizon
+                        break;
+                    continue;
+                }
+            }
+            const SimTime tn = w.t + w.lat;
+            if (!(tn < w.horizon))
                 break;
-            const double gap = (tn - t).sec();
-            gap_max = deferred == 0 ? gap : std::max(gap_max, gap);
+            w.gapMax = std::max(w.gapMax, w.lat.sec());
             ++deferred;
-            if (charge_shares)
-                shares += lat_shares; // the step ending at `tn`
-            t = tn;
+            if (w.chargeShares)
+                w.shares += w.latShares; // the step ending at `tn`
+            w.t = tn;
             ++engineSteps_;
             ++decodeSteps_;
             ++fastForwarded_;
-            std::size_t ns = n_sum; // the next step's resident total
+            std::size_t ns = w.nSum; // the next step's resident total
             if (synced && deferred != page_edge &&
                 (!replay_deferrals || round_fixpoint)) {
                 // The round stands in for itself; the resident total
@@ -1008,7 +1113,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 const bool real_round = replay_deferrals && !round_fixpoint;
                 if (real_round) {
                     for (std::size_t idx : inFlightBatch_)
-                        flush(idx, deferred, !synced, gap_max, t, shares);
+                        flush(idx, deferred, !synced, w.gapMax, w.t,
+                              w.shares);
                 }
                 PoolMark mark_before;
                 if (replay_deferrals) {
@@ -1059,7 +1165,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 ns = 0;
                 for (std::size_t idx : inFlightBatch_) {
                     if (!real_round)
-                        flush(idx, deferred, !synced, gap_max, t, shares);
+                        flush(idx, deferred, !synced, w.gapMax, w.t,
+                              w.shares);
                     ensureCapacity(idx, requests_[idx].residentTokens());
                     const Request &r = requests_[idx];
                     ns += r.residentTokens();
@@ -1077,39 +1184,42 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 std::sort(clampScratch_.begin(), clampScratch_.end());
                 clamped = 0;
                 deferred = 0;
-                shares = obs::DecodeShares();
+                w.gapMax = 0.0; // gaps are >= 0: max() starts afresh
+                w.shares = obs::DecodeShares();
                 synced = true;
                 if (replay_deferrals)
                     round_fixpoint = poolMark() == mark_before;
             }
             // The (batch, total-resident) pair is the whole cost key,
             // so an unchanged total skips the lookup.
-            if (ns != n_sum) {
-                n_sum = ns;
-                step = &decodeStepCost(batch_size, n_sum);
-                lat = scaled(step->latency);
-                if (charge_shares)
-                    lat_shares = obs::DecodeShares::of(lat, batch_size);
+            if (ns != w.nSum) {
+                w.nSum = ns;
+                w.step = &decodeStepCost(batch_size, w.nSum);
+                w.lat = scaled(w.step->latency);
+                if (w.chargeShares)
+                    w.latShares = obs::DecodeShares::of(w.lat, batch_size);
             }
             if (replay_deferrals && trace_ != nullptr) {
                 for (const auto &defer : deferScratch_)
-                    trace_->deferred(t, defer.req, defer.requested,
+                    trace_->deferred(w.t, defer.req, defer.requested,
                                      defer.floor);
             }
             // Mirror the event path's per-boundary decode slice: the
             // step *starting* at this boundary, costed after any
             // resident growth.
             if (trace_ != nullptr)
-                trace_->decodeStep(t, lat, batch_size,
-                                   step->energy.refresh.j());
-            metrics_.addEnergy(step->energy);
-            busy_ += lat;
+                trace_->decodeStep(w.t, w.lat, batch_size,
+                                   w.step->energy.refresh.j());
+            metrics_.addEnergy(w.step->energy);
+            busy_ += w.lat;
             --silent;
         }
         if (deferred > 0) { // after a sync: the window's first applied
             for (std::size_t idx : inFlightBatch_)
-                flush(idx, deferred, false, gap_max, t, shares);
+                flush(idx, deferred, false, w.gapMax, w.t, w.shares);
         }
+        t = w.t;
+        lat = w.lat;
         if (profiler_ != nullptr)
             profiler_->add(
                 obs::PhaseProfiler::Phase::FastForward,

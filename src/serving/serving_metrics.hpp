@@ -137,6 +137,9 @@ class ServingMetrics
     {
         energy_.addRepeated(e, steps);
     }
+    /** The running energy total, for a loop that adds its steps to a
+     *  local copy and stores it back: the same adds, in order. */
+    accel::EnergyBreakdown &stepEnergy() { return energy_; }
     /** Record an admission that overtook `overtaken` earlier arrivals. */
     void onBypass(std::size_t overtaken);
     /** Record a deadline-doomed decode preemption (grant reclaimed). */

@@ -18,7 +18,6 @@
 #ifndef KELLE_SIM_SIM_TIME_HPP
 #define KELLE_SIM_SIM_TIME_HPP
 
-#include <cmath>
 #include <compare>
 #include <cstdint>
 #include <string>
@@ -55,15 +54,23 @@ class SimTime
     constexpr SimTime() = default;
 
     static constexpr SimTime nanos(std::int64_t ns) { return SimTime(ns); }
-    /** `s` seconds rounded to the nearest tick; +inf, NaN and values
-     *  past the int64 range saturate to `never()`. */
-    static SimTime
+    /** `s` seconds rounded to the nearest tick, halves away from zero
+     *  (`std::round`'s rule, without the libm call); +inf, NaN and
+     *  values from 2^63 ns up saturate to `never()`, values below
+     *  -2^63 ns to INT64_MIN. */
+    static constexpr SimTime
     fromSec(double s)
     {
-        const double ns = std::round(s * 1e9);
-        return ns < 9223372036854775807.0
-                   ? SimTime(static_cast<std::int64_t>(ns))
-                   : never();
+        const double ns = s * 1e9;
+        if (!(ns < 0x1p63))
+            return never();
+        if (ns < -0x1p63)
+            return SimTime(INT64_MIN);
+        // Truncation toward zero; `ns - i` is exact (0 from 2^52 up,
+        // where every double is an integer).
+        const auto i = static_cast<std::int64_t>(ns);
+        const double frac = ns - static_cast<double>(i);
+        return SimTime(frac >= 0.5 ? i + 1 : frac <= -0.5 ? i - 1 : i);
     }
     /** Later than every reachable instant (an empty queue's next
      *  event, an absent bound); adding to it leaves it unchanged. */

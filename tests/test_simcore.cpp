@@ -51,6 +51,7 @@
 #include "cluster/cluster_engine.hpp"
 #include "obs/attribution.hpp"
 #include "obs/trace.hpp"
+#include "sim/sim_time.hpp"
 #include "sim/workloads.hpp"
 
 using namespace kelle;
@@ -848,7 +849,8 @@ TEST(FastPathEquivalence, UntracedClusterEnergyMatchesEventPath)
  *  its arrival, with no-op events at `noops` bounding fast-forward
  *  windows, when `crash_at` > 0 a device crash whose victims are not
  *  re-dispatched, and whatever further events `extra` schedules. A
- *  latency waterfall rides every run. */
+ *  latency waterfall rides the run when `waterfall` is set, a trace
+ *  when `traced` is. */
 struct DeviceRun
 {
     std::vector<serving::Request> requests;
@@ -859,6 +861,7 @@ struct DeviceRun
     serving::ServingSummary summary;
     std::uint64_t deferrals = 0;
     std::uint64_t budgetClips = 0;
+    accel::StepCostCache::Stats cache;
 };
 
 using ExtraEvents =
@@ -869,7 +872,8 @@ DeviceRun
 runDevice(serving::DeviceConfig cfg, bool fast,
           std::vector<serving::Request> requests,
           const std::vector<double> &noops, double crash_at,
-          const ExtraEvents &extra)
+          const ExtraEvents &extra, bool waterfall = true,
+          bool traced = false)
 {
     cfg.fastSim = fast;
     DeviceRun run;
@@ -878,7 +882,11 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     serving::DeviceEngine engine(cfg, queue, run.requests);
     obs::LatencyWaterfall wf;
     wf.beginRun(run.requests.size());
-    engine.setWaterfall(&wf, 0);
+    if (waterfall)
+        engine.setWaterfall(&wf, 0);
+    obs::TraceRecorder rec;
+    if (traced)
+        engine.setTrace(rec.addDeviceTrack("dev"));
     for (double t : noops)
         queue.schedule(sim::SimTime::fromSec(t), [] {});
     std::vector<std::size_t> victims;
@@ -903,6 +911,7 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     run.deferrals = engine.allocator().deferrals();
     run.budgetClips = engine.allocator().budgetClips();
     run.waterfall = wf.entries();
+    run.cache = engine.costCacheStats();
     return run;
 }
 
@@ -968,12 +977,13 @@ expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
                            const std::vector<serving::Request> &requests,
                            const std::vector<double> &noops = {},
                            double crash_at = 0.0,
-                           const ExtraEvents &extra = {})
+                           const ExtraEvents &extra = {},
+                           bool waterfall = true)
 {
-    const DeviceRun fast =
-        runDevice(cfg, true, requests, noops, crash_at, extra);
-    const DeviceRun slow =
-        runDevice(cfg, false, requests, noops, crash_at, extra);
+    const DeviceRun fast = runDevice(cfg, true, requests, noops,
+                                     crash_at, extra, waterfall);
+    const DeviceRun slow = runDevice(cfg, false, requests, noops,
+                                     crash_at, extra, waterfall);
     expectRequestsEq(fast.requests, slow.requests);
     expectWaterfallsEq(fast.waterfall, slow.waterfall);
     expectSummaryEq(fast.summary, slow.summary);
@@ -1203,6 +1213,146 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
             EXPECT_GT(run.deferrals, 250u);
             EXPECT_GT(run.fastForwarded, 550u);
         }
+    }
+}
+
+TEST(FastPathEquivalence, StridedRunsMatchEventPath)
+{
+    // Between syncs of an untraced window, while some member still
+    // grows, a boundary only moves the clock and adds the growing
+    // members to the resident total, so it re-costs the step at
+    // N + stride. Such boundaries run in a tight loop up to the next
+    // clamp step, page edge or horizon, or the end of the window's
+    // budget. Every scenario must match the event path (fastSim off)
+    // field for field, and look the memo up exactly as the traced run
+    // does, which steps boundary by boundary.
+    serving::DeviceConfig cfg;
+    cfg.poolTokens = 16384;
+    const double step_sec =
+        accel::simulateBatchedDecodeStep(cfg.system, cfg.model,
+                                         {513, 513})
+            .latency.sec();
+    serving::DeviceConfig paged = cfg;
+    paged.paged.enabled = true;
+    paged.paged.blockTokens = 16;
+
+    const auto check = [](const serving::DeviceConfig &c,
+                          const std::vector<serving::Request> &reqs,
+                          const std::vector<double> &noops = {},
+                          const ExtraEvents &extra = {},
+                          bool waterfall = true) {
+        const DeviceRun fast = expectDeviceFastEqualsSlow(
+            c, reqs, noops, 0.0, extra, waterfall);
+        const DeviceRun traced =
+            runDevice(c, true, reqs, noops, 0.0, extra, waterfall, true);
+        expectRequestsEq(fast.requests, traced.requests);
+        EXPECT_EQ(fast.cache.hits, traced.cache.hits);
+        EXPECT_EQ(fast.cache.misses, traced.cache.misses);
+        EXPECT_EQ(fast.cache.bypasses, traced.cache.bypasses);
+        EXPECT_EQ(fast.fastForwarded, traced.fastForwarded);
+        return fast;
+    };
+    // Two identical waves of three members; the second replays the
+    // first's cost keys as memo hits, which only a correct stride
+    // finds. `budget_past` tokens past each member's own end.
+    const auto waves = [](std::size_t budget_past0,
+                          std::size_t budget_past1,
+                          std::size_t budget_past2) {
+        std::vector<serving::Request> reqs;
+        for (double at : {0.0, 60.0}) {
+            const auto id = static_cast<std::uint64_t>(reqs.size());
+            reqs.push_back(decodeRequest(id, 512, 300, 512 + budget_past0,
+                                         0.0, at));
+            reqs.push_back(decodeRequest(id + 1, 600, 300,
+                                         600 + budget_past1, 0.0, at));
+            reqs.push_back(decodeRequest(id + 2, 700, 300,
+                                         700 + budget_past2, 0.0, at));
+        }
+        return reqs;
+    };
+
+    // Runs cut by each member's clamp step (after 48, 100 and 200 of
+    // 300 boundaries), with and without a waterfall to charge.
+    for (const bool waterfall : {true, false}) {
+        SCOPED_TRACE(waterfall ? "clamp steps, waterfall"
+                               : "clamp steps, no waterfall");
+        const DeviceRun run =
+            check(cfg, waves(48, 100, 200), {}, {}, waterfall);
+        EXPECT_GT(run.fastForwarded, 500u);
+        EXPECT_GT(run.cache.hits, 150u);
+    }
+
+    // Runs cut by the horizon mid-run: no-ops 7.3, 23.6 and 41.5 steps
+    // apart while every member grows to its end.
+    {
+        SCOPED_TRACE("horizon");
+        std::vector<double> noops;
+        double t = 0.0;
+        for (int i = 0; i < 60; ++i) {
+            t += step_sec * (i % 3 == 0 ? 7.3 : i % 3 == 1 ? 23.6 : 41.5);
+            noops.push_back(t);
+        }
+        const DeviceRun run = check(cfg, waves(400, 400, 400), noops);
+        EXPECT_GT(run.fastForwarded, 500u);
+    }
+
+    // Runs cut by page edges: 16-token pages put one every 16
+    // boundaries of each member, staggered by the prompts.
+    {
+        SCOPED_TRACE("page edges");
+        const DeviceRun run = check(paged, waves(48, 100, 400));
+        EXPECT_GT(run.fastForwarded, 500u);
+        EXPECT_EQ(run.budgetClips, 0u);
+    }
+
+    // A pool too small for every budget: chain growth fails at page
+    // edges and clamps the members there. A run past an edge would
+    // miss that clamp and keep growing the resident total.
+    {
+        SCOPED_TRACE("page edges, growth failure");
+        auto tight = paged;
+        tight.poolTokens = 1700;
+        const DeviceRun run = check(tight, waves(400, 400, 400));
+        EXPECT_GT(run.budgetClips, 0u);
+        EXPECT_GT(run.fastForwarded, 500u);
+    }
+
+    // Runs under a slowdown fault: every re-cost scales the latency
+    // by 1.37 over most of the first wave, where runs end at no-ops
+    // and at two members' clamp steps.
+    {
+        SCOPED_TRACE("slowdown");
+        const ExtraEvents extra = [step_sec](
+                                      sim::EventQueue &q,
+                                      serving::DeviceEngine &e,
+                                      std::vector<serving::Request> &) {
+            q.schedule(sim::SimTime::fromSec(20.5 * step_sec),
+                       [&q, &e] { e.slowdownAt(q.now(), 1.37); });
+            q.schedule(sim::SimTime::fromSec(400.5 * step_sec),
+                       [&q, &e] { e.restoreAt(q.now(), 1); });
+        };
+        const DeviceRun run =
+            check(cfg, waves(48, 100, 400),
+                  {150.3 * step_sec, 260.7 * step_sec}, extra);
+        EXPECT_GT(run.fastForwarded, 500u);
+    }
+
+    // Runs inside a replayed deferral round at its fixpoint: the
+    // growing members' grants hold all but 50 tokens of the pool, so
+    // the waiter's 82-token floor is deferred at every boundary until
+    // member 1 completes, and a run adds its deferrals in one update.
+    {
+        SCOPED_TRACE("fixpoint round");
+        auto tight = cfg;
+        tight.poolTokens = 1250;
+        tight.highWatermark = 1.0;
+        const DeviceRun run =
+            check(tight, {decodeRequest(0, 300, 600, 560),
+                          decodeRequest(1, 400, 400, 640),
+                          decodeRequest(2, 100, 50, 300, 0.0,
+                                        50.5 * step_sec)});
+        EXPECT_GT(run.deferrals, 250u);
+        EXPECT_GT(run.fastForwarded, 550u);
     }
 }
 
@@ -1445,6 +1595,110 @@ TEST(EventQueueWindow, InfiniteExternalEventHookUnboundsFastForward)
     const auto plain = run(false, nullptr);
     EXPECT_EQ(hooked, plain);
     EXPECT_GT(ffwd, 0u);
+}
+
+
+// ---- SimClock ------------------------------------------------------
+// `SimTime::fromSec` rounds without libm: truncation, then a step on
+// the exact fractional part.
+
+/** The rounding `fromSec` replaced: `std::round` of the nanoseconds,
+ *  `never()` from 2^63 up and for NaN, INT64_MIN below -2^63. */
+std::int64_t
+roundedTicks(double s)
+{
+    const double ns = std::round(s * 1e9);
+    if (!(ns < 0x1p63))
+        return INT64_MAX;
+    if (ns < -0x1p63)
+        return INT64_MIN;
+    return static_cast<std::int64_t>(ns);
+}
+
+TEST(SimClock, FromSecMatchesStdRoundAndSaturates)
+{
+    const auto ticks = [](double s) {
+        return sim::SimTime::fromSec(s).ns();
+    };
+    // Halves and their neighbours on both sides of zero: each
+    // candidate x.5 ns, the doubles next to it, and the seconds
+    // value next to x.5 / 1e9 on either side.
+    std::size_t exact_halves = 0;
+    for (std::int64_t k = -5000; k <= 5000; ++k) {
+        for (const double scale : {1.0, 1024.0, 1048576.0, 0x1p40}) {
+            const double ns = (static_cast<double>(k) + 0.5) * scale;
+            for (const double x :
+                 {ns, std::nextafter(ns, -INFINITY),
+                  std::nextafter(ns, INFINITY)}) {
+                const double s = x / 1e9;
+                for (const double v :
+                     {s, std::nextafter(s, -INFINITY),
+                      std::nextafter(s, INFINITY)}) {
+                    const double p = v * 1e9;
+                    if (std::fabs(p - std::trunc(p)) == 0.5)
+                        ++exact_halves;
+                    ASSERT_EQ(ticks(v), roundedTicks(v)) << v;
+                }
+            }
+        }
+    }
+    EXPECT_GT(exact_halves, 1000u);
+    // Random magnitudes from 1e-12 s to 1e10 s, either sign.
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> exp10(-12.0, 10.0);
+    for (int i = 0; i < 200000; ++i) {
+        const double s =
+            std::pow(10.0, exp10(rng)) * (i % 2 ? -1.0 : 1.0);
+        ASSERT_EQ(ticks(s), roundedTicks(s)) << s;
+    }
+    // Around 2^52 ns, where doubles stop having a fractional part.
+    for (int i = -16; i <= 16; ++i) {
+        const double ns = 0x1p52 + 0.5 * i;
+        ASSERT_EQ(ticks(ns / 1e9), roundedTicks(ns / 1e9)) << ns;
+        ASSERT_EQ(ticks(-ns / 1e9), roundedTicks(-ns / 1e9)) << ns;
+    }
+
+    // The int64 edges: NaN, +inf and 2^63 ns up are never(), below
+    // -2^63 ns is INT64_MIN (as addTicks saturates), and the doubles
+    // between convert exactly.
+    const sim::SimTime never = sim::SimTime::never();
+    EXPECT_EQ(sim::SimTime::fromSec(std::nan("")), never);
+    EXPECT_EQ(sim::SimTime::fromSec(INFINITY), never);
+    EXPECT_EQ(sim::SimTime::fromSec(1e10), never);
+    EXPECT_EQ(ticks(-INFINITY), INT64_MIN);
+    EXPECT_EQ(ticks(-1e10), INT64_MIN);
+    std::size_t saturated = 0;
+    std::size_t exact = 0;
+    for (const double edge : {0x1p63 / 1e9, -0x1p63 / 1e9}) {
+        double up = edge;
+        double down = edge;
+        for (int i = 0; i < 64; ++i) {
+            for (const double s : {up, down}) {
+                const double ns = s * 1e9;
+                const std::int64_t t = ticks(s);
+                ASSERT_EQ(t, roundedTicks(s)) << s;
+                if (ns < 0x1p63 && ns >= -0x1p63) {
+                    EXPECT_EQ(t, static_cast<std::int64_t>(ns)) << s;
+                    ++exact;
+                } else {
+                    EXPECT_EQ(t, ns > 0 ? INT64_MAX : INT64_MIN) << s;
+                    ++saturated;
+                }
+            }
+            up = std::nextafter(up, INFINITY);
+            down = std::nextafter(down, -INFINITY);
+        }
+    }
+    EXPECT_GT(saturated, 100u);
+    EXPECT_GT(exact, 100u);
+    // Exact ticks and halves away from zero.
+    EXPECT_EQ(ticks(0.0), 0);
+    EXPECT_EQ(ticks(-0.0), 0);
+    EXPECT_EQ(ticks(1.0), 1000000000);
+    EXPECT_EQ(ticks(2.5e-9), 3);
+    EXPECT_EQ(ticks(-2.5e-9), -3);
+    EXPECT_EQ(ticks(0.5e-9), 1);
+    EXPECT_EQ(ticks(-0.5e-9), -1);
 }
 
 } // namespace
