@@ -84,73 +84,6 @@ makeAllocatorConfig(const DeviceConfig &cfg)
     return a;
 }
 
-/**
- * A fast-forward window's position (see runDecodeStep): the window's
- * fixed horizon, batch size and whether a waterfall reads the shares,
- * then the state each boundary advances.
- */
-struct FastForwardWindow
-{
-    SimTime horizon;
-    std::size_t batch = 0;
-    bool chargeShares = false;
-    SimTime t; ///< the last applied boundary
-    /** The step in flight from `t`, its resident total and its scaled
-     *  latency; `latShares` splits that latency among the members. */
-    const accel::StepReport *step = nullptr;
-    std::size_t nSum = 0;
-    SimTime lat;
-    obs::DecodeShares latShares;
-    /** Over the boundaries deferred since the last sync: the largest
-     *  gap and the summed waterfall charge. */
-    double gapMax = 0.0;
-    obs::DecodeShares shares;
-};
-
-/**
- * A strided run: up to `runs` boundaries of `w` whose only change is
- * that the resident total grows by `stride` (>= 1), so each re-costs
- * the step. Stops before the first boundary at or past the horizon
- * and returns how many it applied. Every lookup and every IEEE add is
- * the general loop's, in its order; the energy total, `busy` and the
- * window stay in locals and are stored once.
- */
-std::size_t
-stridedRun(FastForwardWindow &w, std::size_t runs, std::size_t stride,
-           double latency_scale, accel::StepCostCache &cache,
-           accel::EnergyBreakdown &energy, SimTime &busy)
-{
-    FastForwardWindow c = w;
-    accel::EnergyBreakdown e = energy;
-    SimTime b = busy;
-    // A boundary before the horizon never saturates, so each gap is
-    // exactly the step latency.
-    double lat_sec = c.lat.sec();
-    std::size_t k = 0;
-    for (; k < runs; ++k) {
-        const SimTime tn = c.t + c.lat;
-        if (!(tn < c.horizon))
-            break;
-        c.gapMax = std::max(c.gapMax, lat_sec);
-        if (c.chargeShares)
-            c.shares += c.latShares;
-        c.t = tn;
-        c.nSum += stride;
-        c.step = &cache.decodeStep(c.batch, c.nSum);
-        // DeviceEngine::scaled(), with the scale in a local.
-        c.lat = SimTime::fromSec(c.step->latency.sec() * latency_scale);
-        lat_sec = c.lat.sec();
-        if (c.chargeShares)
-            c.latShares = obs::DecodeShares::of(c.lat, c.batch);
-        e += c.step->energy;
-        b += c.lat;
-    }
-    w = c;
-    energy = e;
-    busy = b;
-    return k;
-}
-
 } // namespace
 
 std::string
@@ -685,15 +618,6 @@ DeviceEngine::admitWaiting()
     }
 }
 
-const accel::StepReport &
-DeviceEngine::decodeStepCost(std::size_t batch, std::size_t resident_total)
-{
-    if (cfg_.fastSim)
-        return costCache_.decodeStep(batch, resident_total);
-    stepScratch_ = costCache_.costModel().decode(batch, resident_total);
-    return stepScratch_;
-}
-
 void
 DeviceEngine::runPrefillChunk(const EngineStepPlan &plan)
 {
@@ -875,6 +799,142 @@ DeviceEngine::nextPossibleRequeueTime(SimTime now) const
     return bound;
 }
 
+/**
+ * A decode fast-forward window (see runDecodeStep): its fixed horizon,
+ * batch size, whether a waterfall reads the shares and whether each
+ * boundary replays the last admission round, then the state each
+ * boundary advances.
+ */
+struct DeviceEngine::FastForwardWindow
+{
+    SimTime horizon;
+    std::size_t batch = 0;
+    bool chargeShares = false;
+    bool replay = false;
+    SimTime t; ///< the last applied boundary
+    /** The step in flight from `t`, its resident total and its scaled
+     *  latency; `latShares` splits that latency among the members. */
+    const accel::StepReport *step = nullptr;
+    std::size_t nSum = 0;
+    SimTime lat;
+    obs::DecodeShares latShares;
+    /** The boundaries deferred since the last sync, and over them the
+     *  largest gap and the summed waterfall charge. */
+    std::size_t deferred = 0;
+    double gapMax = 0.0;
+    obs::DecodeShares shares;
+    /** The `clampScratch_` entries a quiet run has reached (<=
+     *  `deferred` + 1), and `deferred` at the next page edge (max when
+     *  none is due). */
+    std::size_t clamped = 0;
+    std::size_t pageEdge = std::numeric_limits<std::size_t>::max();
+};
+
+void
+DeviceEngine::traceBoundary(const FastForwardWindow &w)
+{
+    if (w.replay) {
+        for (const auto &defer : deferScratch_)
+            trace_->deferred(w.t, defer.req, defer.requested, defer.floor);
+    }
+    trace_->decodeStep(w.t, w.lat, w.batch, w.step->energy.refresh.j());
+}
+
+/**
+ * A quiet run: boundaries that only move the clock and grow the
+ * resident total by the stride, the members still below their clamp
+ * step. The caller stops it short of the next page edge. The stride
+ * holds from one clamp step to the boundary before the next, so each
+ * such stretch runs in a tight loop that re-costs the step at
+ * N + stride. Once the stride is 0 every boundary before the horizon
+ * repeats the last, and the rest apply in one update: ticks, shares
+ * and deferrals by multiplication, energy by `addRepeated`, which
+ * equals the adds one by one bit for bit. A traced run still emits
+ * each boundary's events. Every lookup and IEEE add is the event
+ * path's, in its order; the energy total, `busy_` and the window stay
+ * in locals, stored once.
+ */
+template <bool Traced>
+std::size_t
+DeviceEngine::quietRun(FastForwardWindow &w, std::size_t runs)
+{
+    FastForwardWindow c = w;
+    accel::EnergyBreakdown e = metrics_.stepEnergy();
+    SimTime b = busy_;
+    const double scale = latencyScale_;
+    // A boundary before the horizon never saturates, so each gap is
+    // exactly the step latency.
+    double lat_sec = c.lat.sec();
+    std::size_t k = 0;
+    while (k < runs) {
+        while (c.clamped < c.batch &&
+               clampScratch_[c.clamped] <= c.deferred + 1)
+            ++c.clamped;
+        if (c.clamped == c.batch)
+            break;
+        const std::size_t stride = c.batch - c.clamped;
+        const std::size_t end = std::min(
+            runs, k + (clampScratch_[c.clamped] - c.deferred - 1));
+        const std::size_t first = k;
+        for (; k < end; ++k) {
+            const SimTime tn = c.t + c.lat;
+            if (!(tn < c.horizon))
+                break;
+            c.gapMax = std::max(c.gapMax, lat_sec);
+            if (c.chargeShares)
+                c.shares += c.latShares; // the step ending at `tn`
+            c.t = tn;
+            c.nSum += stride;
+            c.step = &costCache_.decodeStep(c.batch, c.nSum);
+            c.lat = scaled(c.step->latency, scale);
+            lat_sec = c.lat.sec();
+            if (c.chargeShares)
+                c.latShares = obs::DecodeShares::of(c.lat, c.batch);
+            if constexpr (Traced)
+                traceBoundary(c);
+            e += c.step->energy;
+            b += c.lat;
+        }
+        c.deferred += k - first;
+        if (k < end) // the horizon
+            break;
+    }
+    if (c.clamped == c.batch && k < runs) {
+        // No page edge lies ahead: a member's page edge precedes its
+        // clamp step, and reaching it syncs.
+        KELLE_ASSERT(c.pageEdge == std::numeric_limits<std::size_t>::max(),
+                     "page edge past every member's clamp");
+        const std::int64_t room = c.horizon.ns() - 1 - c.t.ns();
+        const std::size_t m = std::min<std::uint64_t>(
+            runs - k, room > 0 ? room / c.lat.ns() : 0);
+        if (m > 0) {
+            const SimTime run =
+                SimTime::nanos(static_cast<std::int64_t>(m) * c.lat.ns());
+            if constexpr (Traced) {
+                for (std::size_t i = 0; i < m; ++i) {
+                    c.t += c.lat;
+                    traceBoundary(c);
+                }
+            } else {
+                c.t += run;
+            }
+            c.gapMax = std::max(c.gapMax, lat_sec);
+            if (c.chargeShares)
+                c.shares += c.latShares * static_cast<std::int64_t>(m);
+            c.deferred += m;
+            e.addRepeated(c.step->energy, m);
+            b += run;
+            k += m;
+        }
+    }
+    if (c.replay)
+        allocator_.addDeferrals(k * deferScratch_.size());
+    w = c;
+    metrics_.stepEnergy() = e;
+    busy_ = b;
+    return k;
+}
+
 void
 DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
 {
@@ -889,8 +949,12 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         ensureCapacity(idx, requests_[idx].residentTokens());
         n_sum += requests_[idx].residentTokens();
     }
-    const accel::StepReport *step =
-        &decodeStepCost(plan.decodeBatch.size(), n_sum);
+    const std::size_t batch_size = plan.decodeBatch.size();
+    const accel::StepReport *step = &stepScratch_;
+    if (cfg_.fastSim)
+        step = &costCache_.decodeStep(batch_size, n_sum);
+    else
+        stepScratch_ = costCache_.costModel().decode(batch_size, n_sum);
     // Slowdown faults stretch step wall-clock, not energy; the scale
     // is constant inside a step window (fault instants bound every
     // fast-forward horizon), so re-deriving `lat` after each re-cost
@@ -901,8 +965,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     inFlightBatch_.assign(plan.decodeBatch.begin(),
                           plan.decodeBatch.end());
     if (trace_ != nullptr)
-        trace_->decodeStep(queue_.now(), lat,
-                           inFlightBatch_.size(),
+        trace_->decodeStep(queue_.now(), lat, batch_size,
                            step->energy.refresh.j());
 
     // Fast-forward: while (a) no batch member completes, (b) admission
@@ -915,28 +978,21 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // the event-driven loop would, in the same order: member token
     // updates at the boundary (batched between sync boundaries, see
     // below), then the next step's resident total, cost lookup, and
-    // energy/busy/counter accumulations, with the same tick
-    // timestamps. The (batch, total-resident)
-    // cost key is tracked incrementally — it grows by the number of
-    // members still below their budget clamp, and stops changing (no
-    // lookup at all) once every member is clamped. Until then an
-    // untraced window runs the boundaries between syncs, clamp steps
-    // and page edges in `stridedRun`'s tight loop. After it, each
-    // boundary repeats the last, and an untraced window applies the
-    // whole run in one update: integer counters and ticks by
-    // multiplication, energy by `repeatedAdd`, which equals the adds
-    // one by one bit for bit. A traced window keeps stepping boundary
-    // by boundary, because the trace records one decode slice (and
-    // the replayed round's defer events) per boundary. Only the final,
+    // energy/busy accumulations, with the same tick timestamps, and
+    // for a traced engine the same trace events. Each boundary is a
+    // sync or quiet. Syncs run in the loop below; the quiet boundaries
+    // between them run in `quietRun`, in one tight loop while some
+    // member grows (the (batch, total-resident) cost key moves by the
+    // stride) and in one update once every member is clamped. Step
+    // counters are written once per window. Only the final,
     // state-changing boundary re-enters the queue.
     SimTime t = queue_.now();
     bool replay_deferrals = false;
-    std::size_t silent = silentStepBudget(&replay_deferrals);
-    if (silent > 0) {
+    const std::size_t budget = silentStepBudget(&replay_deferrals);
+    if (budget > 0) {
         const auto ff0 = profiler_ != nullptr
                              ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point();
-        const std::uint64_t ff_before = fastForwarded_;
         SimTime horizon = queue_.nextEventTime();
         if (hooks_.nextExternalEvent) {
             // The owner vouches that nothing before this timestamp
@@ -961,7 +1017,6 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // boundary: stop before the policy's order can change.
         if (replay_deferrals)
             horizon = std::min(horizon, policy_->nextOrderChange(view()));
-        const std::size_t batch_size = inFlightBatch_.size();
         // The last replayed round and ensureCapacity pass left the pool
         // untouched: the next round may stand in for itself.
         bool round_fixpoint = false;
@@ -977,28 +1032,27 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // member shares every step, so one `shares` sum is exact;
         // budgets and chains stay put, so a member stops growing at a
         // fixed boundary (`clampScratch_`, sorted) and no chain grows
-        // before `page_edge` (a contiguous grant's capacity is its
-        // budget, so it has none). A sync flushes the `deferred`
-        // boundaries (this one included) before the round, then runs
-        // the round and the ensureCapacity pass, and rebases the clamp
-        // steps and the next page edge on what they left.
+        // before the page edge (a contiguous grant's capacity is its
+        // budget, so it has none). Every other boundary is *quiet*:
+        // it moves the clock and adds the stride to the resident
+        // total. A sync flushes the deferred boundaries (this one
+        // included) before the round, then runs the round and the
+        // ensureCapacity pass, and rebases the clamp steps and the
+        // next page edge on what they left.
         bool synced = false; ///< the window's first boundary is applied
-        std::size_t deferred = 0; ///< boundaries since the last sync
         FastForwardWindow w;
         w.horizon = horizon;
         w.batch = batch_size;
         // The deferred steps' waterfall charge is summed only when a
         // waterfall is attached to read it.
         w.chargeShares = wf_ != nullptr;
+        w.replay = replay_deferrals;
         w.t = t;
         w.step = step;
         w.nSum = n_sum;
         w.lat = lat;
         if (w.chargeShares)
             w.latShares = obs::DecodeShares::of(lat, batch_size);
-        std::size_t clamped = 0;  ///< clampScratch_ entries <= deferred
-        // `deferred` at the next page edge; max when none is due
-        std::size_t page_edge = std::numeric_limits<std::size_t>::max();
         // Apply `add` deferred boundaries, the last at `now`, to a
         // member: the window's first gap is its own, later ones the
         // shared `gap` max. By-value parameters keep the loop's locals
@@ -1014,209 +1068,132 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             if (wf_ != nullptr)
                 wf_->onDecodeShares(idx, charge);
         };
-        // Traced runs emit one decode slice per boundary.
-        const bool collapse_runs = trace_ == nullptr;
+        std::size_t silent = budget;
         while (silent > 0) {
-            // Between syncs, with the round (if any) at its fixpoint,
-            // a boundary only moves the clock and grows the resident
-            // total by the members below their clamp.
-            const bool quiet =
-                collapse_runs && synced &&
-                (!replay_deferrals || round_fixpoint);
-            // Every member clamped: each boundary before the horizon
-            // repeats the last. No page edge lies ahead, since a
-            // member's page edge precedes its clamp step and reaching
-            // it syncs.
-            if (quiet && clamped == batch_size) {
-                KELLE_ASSERT(page_edge ==
-                                 std::numeric_limits<std::size_t>::max(),
-                             "page edge past every member's clamp");
-                const std::int64_t room = w.horizon.ns() - 1 - w.t.ns();
-                const std::size_t m = std::min<std::uint64_t>(
-                    silent, room > 0 ? room / w.lat.ns() : 0);
-                if (m > 0) {
-                    const SimTime run = SimTime::nanos(
-                        static_cast<std::int64_t>(m) * w.lat.ns());
-                    w.gapMax = std::max(w.gapMax, w.lat.sec());
-                    deferred += m;
-                    if (w.chargeShares)
-                        w.shares +=
-                            w.latShares * static_cast<std::int64_t>(m);
-                    w.t += run;
-                    engineSteps_ += m;
-                    decodeSteps_ += m;
-                    fastForwarded_ += m;
-                    if (replay_deferrals)
-                        allocator_.addDeferrals(m * deferScratch_.size());
-                    metrics_.addEnergy(w.step->energy, m);
-                    busy_ += run;
-                    silent -= m;
-                    continue;
-                }
-            }
-            // Some member still growing: the boundaries before the
-            // next clamp step and the next page edge form a strided
-            // run, whose every step is re-costed at N + stride.
-            if (quiet) {
-                while (clamped < batch_size &&
-                       clampScratch_[clamped] <= deferred)
-                    ++clamped;
+            if (synced && (!replay_deferrals || round_fixpoint)) {
+                // Quiet boundaries up to the page edge, which syncs.
                 const std::size_t runs =
-                    clamped == batch_size
-                        ? 0
-                        : std::min({silent,
-                                    clampScratch_[clamped] - deferred - 1,
-                                    page_edge - deferred - 1});
-                if (runs > 0) {
-                    const std::size_t k = stridedRun(
-                        w, runs, batch_size - clamped, latencyScale_,
-                        costCache_, metrics_.stepEnergy(), busy_);
-                    deferred += k;
-                    engineSteps_ += k;
-                    decodeSteps_ += k;
-                    fastForwarded_ += k;
-                    if (replay_deferrals)
-                        allocator_.addDeferrals(k * deferScratch_.size());
-                    silent -= k;
-                    if (k < runs) // the horizon
-                        break;
-                    continue;
-                }
+                    std::min(silent, w.pageEdge - w.deferred - 1);
+                const std::size_t k = trace_ != nullptr
+                                          ? quietRun<true>(w, runs)
+                                          : quietRun<false>(w, runs);
+                silent -= k;
+                if (k < runs || silent == 0) // the horizon, or the budget
+                    break;
             }
             const SimTime tn = w.t + w.lat;
             if (!(tn < w.horizon))
                 break;
             w.gapMax = std::max(w.gapMax, w.lat.sec());
-            ++deferred;
+            ++w.deferred;
             if (w.chargeShares)
                 w.shares += w.latShares; // the step ending at `tn`
             w.t = tn;
-            ++engineSteps_;
-            ++decodeSteps_;
-            ++fastForwarded_;
-            std::size_t ns = w.nSum; // the next step's resident total
-            if (synced && deferred != page_edge &&
-                (!replay_deferrals || round_fixpoint)) {
-                // The round stands in for itself; the resident total
-                // grows by the members still below their clamp.
-                if (replay_deferrals)
-                    allocator_.addDeferrals(deferScratch_.size());
-                while (clamped < batch_size &&
-                       clampScratch_[clamped] <= deferred)
-                    ++clamped;
-                ns += batch_size - clamped;
-            } else {
-                // Flush the deferred boundaries, this one included. A
-                // real round's budget clamp reads the residents, so
-                // the flush precedes it; otherwise it rides the
-                // ensureCapacity pass below (members are independent).
-                const bool real_round = replay_deferrals && !round_fixpoint;
-                if (real_round) {
-                    for (std::size_t idx : inFlightBatch_)
-                        flush(idx, deferred, !synced, w.gapMax, w.t,
-                              w.shares);
-                }
-                PoolMark mark_before;
-                if (replay_deferrals) {
-                    mark_before = poolMark();
-                    // The admission round on the frozen queue:
-                    // re-attempt the recorded deferrals in order,
-                    // exactly as tryAdmitAt does. Each must keep
-                    // failing — no member leaves the batch inside the
-                    // window and a clamp frees no page, so nothing
-                    // returns to the pool — and each failure records
-                    // the same deferral the event-driven round would.
-                    //
-                    // Once a round and the ensureCapacity pass after it
-                    // leave the pool as they found it, the next round
-                    // starts from the same counts and prefix index and
-                    // fails the same way again (members' growing
-                    // residents only raise what a budget clamp must
-                    // keep), so the round collapses to its deferral
-                    // count until the pool next changes. The only
-                    // state that then differs from the event path is
-                    // the free list's order — each failed acquire
-                    // pushes its popped pages back reversed — and free
-                    // pages are interchangeable (refs 0, not indexed),
-                    // so no report, trace or digest sees it.
-                    if (!real_round) {
-                        allocator_.addDeferrals(deferScratch_.size());
-                    } else {
-                        for (const auto &defer : deferScratch_) {
-                            const auto grant = attemptGrant(
-                                defer.requested, defer.floor,
-                                defer.prefixKey, defer.prefixLen);
-                            KELLE_ASSERT(!grant.admitted,
-                                         "fast-forward window admitted "
-                                         "a request the event-driven "
-                                         "round had deferred");
-                        }
-                    }
-                }
-                // Mirror the event path: grow each member's chain to
-                // its new resident count (failed growth clamps the
-                // budget, so residents are re-read after it), then
-                // rebase. Deferred boundary j grows a member while
-                // ctx + generated + j < budget, and passes its chain
-                // at j = capacity - (ctx + generated) when the budget
-                // lies beyond the chain.
-                clampScratch_.clear();
-                page_edge = std::numeric_limits<std::size_t>::max();
-                ns = 0;
-                for (std::size_t idx : inFlightBatch_) {
-                    if (!real_round)
-                        flush(idx, deferred, !synced, w.gapMax, w.t,
-                              w.shares);
-                    ensureCapacity(idx, requests_[idx].residentTokens());
-                    const Request &r = requests_[idx];
-                    ns += r.residentTokens();
-                    const std::size_t held = r.task.ctxLen + r.generated;
-                    clampScratch_.push_back(
-                        r.budgetGranted > held ? r.budgetGranted - held
-                                               : 0);
-                    const std::size_t cap = grants_[idx].chainCapacityTokens;
-                    if (r.budgetGranted > cap) {
-                        KELLE_ASSERT(cap > held,
-                                     "chain behind its resident tokens");
-                        page_edge = std::min(page_edge, cap - held);
-                    }
-                }
-                std::sort(clampScratch_.begin(), clampScratch_.end());
-                clamped = 0;
-                deferred = 0;
-                w.gapMax = 0.0; // gaps are >= 0: max() starts afresh
-                w.shares = obs::DecodeShares();
-                synced = true;
-                if (replay_deferrals)
-                    round_fixpoint = poolMark() == mark_before;
+            // Flush the deferred boundaries, this one included. A real
+            // round's budget clamp reads the residents, so the flush
+            // precedes it; otherwise it rides the ensureCapacity pass
+            // below (members are independent).
+            const bool real_round = replay_deferrals && !round_fixpoint;
+            if (real_round) {
+                for (std::size_t idx : inFlightBatch_)
+                    flush(idx, w.deferred, !synced, w.gapMax, w.t,
+                          w.shares);
             }
+            PoolMark mark_before;
+            if (replay_deferrals) {
+                mark_before = poolMark();
+                // The admission round on the frozen queue: re-attempt
+                // the recorded deferrals in order, exactly as
+                // tryAdmitAt does. Each must keep failing — no member
+                // leaves the batch inside the window and a clamp frees
+                // no page, so nothing returns to the pool — and each
+                // failure records the same deferral the event-driven
+                // round would.
+                //
+                // Once a round and the ensureCapacity pass after it
+                // leave the pool as they found it, the next round
+                // starts from the same counts and prefix index and
+                // fails the same way again (members' growing residents
+                // only raise what a budget clamp must keep), so the
+                // round collapses to its deferral count until the pool
+                // next changes. The only state that then differs from
+                // the event path is the free list's order — each
+                // failed acquire pushes its popped pages back reversed
+                // — and free pages are interchangeable (refs 0, not
+                // indexed), so no report, trace or digest sees it.
+                if (!real_round) {
+                    allocator_.addDeferrals(deferScratch_.size());
+                } else {
+                    for (const auto &defer : deferScratch_) {
+                        const auto grant = attemptGrant(
+                            defer.requested, defer.floor,
+                            defer.prefixKey, defer.prefixLen);
+                        KELLE_ASSERT(!grant.admitted,
+                                     "fast-forward window admitted a "
+                                     "request the event-driven round "
+                                     "had deferred");
+                    }
+                }
+            }
+            // Mirror the event path: grow each member's chain to its
+            // new resident count (failed growth clamps the budget, so
+            // residents are re-read after it), then rebase. Deferred
+            // boundary j grows a member while ctx + generated + j <
+            // budget, and passes its chain at j = capacity - (ctx +
+            // generated) when the budget lies beyond the chain.
+            clampScratch_.clear();
+            w.pageEdge = std::numeric_limits<std::size_t>::max();
+            std::size_t ns = 0; // the next step's resident total
+            for (std::size_t idx : inFlightBatch_) {
+                if (!real_round)
+                    flush(idx, w.deferred, !synced, w.gapMax, w.t,
+                          w.shares);
+                ensureCapacity(idx, requests_[idx].residentTokens());
+                const Request &r = requests_[idx];
+                ns += r.residentTokens();
+                const std::size_t held = r.task.ctxLen + r.generated;
+                clampScratch_.push_back(
+                    r.budgetGranted > held ? r.budgetGranted - held : 0);
+                const std::size_t cap = grants_[idx].chainCapacityTokens;
+                if (r.budgetGranted > cap) {
+                    KELLE_ASSERT(cap > held,
+                                 "chain behind its resident tokens");
+                    w.pageEdge = std::min(w.pageEdge, cap - held);
+                }
+            }
+            std::sort(clampScratch_.begin(), clampScratch_.end());
+            w.clamped = 0;
+            w.deferred = 0;
+            w.gapMax = 0.0; // gaps are >= 0: max() starts afresh
+            w.shares = obs::DecodeShares();
+            synced = true;
+            if (replay_deferrals)
+                round_fixpoint = poolMark() == mark_before;
             // The (batch, total-resident) pair is the whole cost key,
             // so an unchanged total skips the lookup.
             if (ns != w.nSum) {
                 w.nSum = ns;
-                w.step = &decodeStepCost(batch_size, w.nSum);
+                w.step = &costCache_.decodeStep(batch_size, w.nSum);
                 w.lat = scaled(w.step->latency);
                 if (w.chargeShares)
                     w.latShares = obs::DecodeShares::of(w.lat, batch_size);
-            }
-            if (replay_deferrals && trace_ != nullptr) {
-                for (const auto &defer : deferScratch_)
-                    trace_->deferred(w.t, defer.req, defer.requested,
-                                     defer.floor);
             }
             // Mirror the event path's per-boundary decode slice: the
             // step *starting* at this boundary, costed after any
             // resident growth.
             if (trace_ != nullptr)
-                trace_->decodeStep(w.t, w.lat, batch_size,
-                                   w.step->energy.refresh.j());
+                traceBoundary(w);
             metrics_.addEnergy(w.step->energy);
             busy_ += w.lat;
             --silent;
         }
-        if (deferred > 0) { // after a sync: the window's first applied
+        const std::uint64_t applied = budget - silent;
+        engineSteps_ += applied;
+        decodeSteps_ += applied;
+        fastForwarded_ += applied;
+        if (w.deferred > 0) { // after a sync: the window's first applied
             for (std::size_t idx : inFlightBatch_)
-                flush(idx, deferred, false, w.gapMax, w.t, w.shares);
+                flush(idx, w.deferred, false, w.gapMax, w.t, w.shares);
         }
         t = w.t;
         lat = w.lat;
@@ -1226,7 +1203,7 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - ff0)
                     .count(),
-                fastForwarded_ - ff_before);
+                applied);
     }
     inFlightStepLatency_ = lat;
     queue_.schedule(t + lat, [this, e = runEpoch_] {

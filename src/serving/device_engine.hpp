@@ -44,13 +44,14 @@
  * step-at-a-time loop would perform. Member token counters and
  * waterfall decode shares are applied in bulk where nothing inside the
  * window reads them; traced and untraced runs and both KV pools share
- * that one window (see runDecodeStep). Once every member is clamped
- * the steps repeat exactly, and an untraced window applies such a run
- * in one update (energy through the exact `repeatedAdd`); a traced
- * window steps it boundary by boundary, because the trace holds one
- * decode slice per boundary. `fastSim = false` keeps the
- * straight-line path; the FastPathEquivalence tests drive both to the
- * same traces and require field-for-field identical reports.
+ * that one window (see runDecodeStep). Its boundaries between syncs
+ * run in one quiet run: a tight loop while some member still grows,
+ * then, once every member is clamped and the steps repeat exactly, one
+ * update (energy through the exact `repeatedAdd`). A traced window
+ * takes the same run and still emits one decode slice per boundary.
+ * `fastSim = false` keeps the straight-line path; the
+ * FastPathEquivalence tests drive both to the same traces and require
+ * field-for-field identical reports and trace bytes.
  */
 
 #ifndef KELLE_SERVING_DEVICE_ENGINE_HPP
@@ -410,19 +411,26 @@ class DeviceEngine
      *  (and re-defer) the admission round recorded in `deferScratch_`
      *  to keep the allocator's deferral accounting identical. */
     std::size_t silentStepBudget(bool *replay_deferrals) const;
-    /** Decode step costs through the cache when fastSim is on. */
-    const accel::StepReport &decodeStepCost(std::size_t batch,
-                                            std::size_t resident_total);
+    /** A decode fast-forward window's state (see runDecodeStep). */
+    struct FastForwardWindow;
+    /** Apply up to `runs` quiet boundaries of `w`, stopping before the
+     *  first at or past its horizon; returns how many it applied. */
+    template <bool Traced>
+    std::size_t quietRun(FastForwardWindow &w, std::size_t runs);
+    /** The replayed round's defer events and the decode slice of the
+     *  step starting at `w`'s last applied boundary. */
+    void traceBoundary(const FastForwardWindow &w);
     void finishRequest(std::size_t idx);
     void rejectRequest(std::size_t idx, std::size_t floor_tokens);
-    /** A step latency on the simulation clock, stretched by any
-     *  slowdown fault: the one place the timing model's `double`
+    /** A step latency on the simulation clock, stretched by `scale`
+     *  (a slowdown fault's): the one place the timing model's `double`
      *  seconds are rounded to ticks. */
-    sim::SimTime
-    scaled(Time lat) const
+    static sim::SimTime
+    scaled(Time lat, double scale)
     {
-        return sim::SimTime::fromSec(lat.sec() * latencyScale_);
+        return sim::SimTime::fromSec(lat.sec() * scale);
     }
+    sim::SimTime scaled(Time lat) const { return scaled(lat, latencyScale_); }
     /** First tick at which the preemption scan would find a running
      *  member doomed (`never()` when none can be). */
     sim::SimTime firstDoomedRunning() const;

@@ -850,7 +850,7 @@ TEST(FastPathEquivalence, UntracedClusterEnergyMatchesEventPath)
  *  windows, when `crash_at` > 0 a device crash whose victims are not
  *  re-dispatched, and whatever further events `extra` schedules. A
  *  latency waterfall rides the run when `waterfall` is set, a trace
- *  when `traced` is. */
+ *  (returned as its JSON) when `traced` is. */
 struct DeviceRun
 {
     std::vector<serving::Request> requests;
@@ -862,6 +862,7 @@ struct DeviceRun
     std::uint64_t deferrals = 0;
     std::uint64_t budgetClips = 0;
     accel::StepCostCache::Stats cache;
+    std::string trace; ///< the trace's JSON, when traced
 };
 
 using ExtraEvents =
@@ -912,6 +913,8 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     run.budgetClips = engine.allocator().budgetClips();
     run.waterfall = wf.entries();
     run.cache = engine.costCacheStats();
+    if (traced)
+        run.trace = rec.toJson();
     return run;
 }
 
@@ -1221,11 +1224,12 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
     // Between syncs of an untraced window, while some member still
     // grows, a boundary only moves the clock and adds the growing
     // members to the resident total, so it re-costs the step at
-    // N + stride. Such boundaries run in a tight loop up to the next
-    // clamp step, page edge or horizon, or the end of the window's
-    // budget. Every scenario must match the event path (fastSim off)
-    // field for field, and look the memo up exactly as the traced run
-    // does, which steps boundary by boundary.
+    // N + stride. Such boundaries run in one loop across clamp steps
+    // up to the next page edge or horizon, or the end of the window's
+    // budget, in traced and untraced windows alike. Every scenario
+    // must match the event path (fastSim off) field for field, look
+    // the memo up exactly as the traced run does, and trace the same
+    // bytes as a traced event-path run.
     serving::DeviceConfig cfg;
     cfg.poolTokens = 16384;
     const double step_sec =
@@ -1250,6 +1254,11 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
         EXPECT_EQ(fast.cache.misses, traced.cache.misses);
         EXPECT_EQ(fast.cache.bypasses, traced.cache.bypasses);
         EXPECT_EQ(fast.fastForwarded, traced.fastForwarded);
+        const DeviceRun traced_slow =
+            runDevice(c, false, reqs, noops, 0.0, extra, waterfall, true);
+        EXPECT_FALSE(traced.trace.empty());
+        EXPECT_TRUE(traced.trace == traced_slow.trace)
+            << "fast and event-path traces differ";
         return fast;
     };
     // Two identical waves of three members; the second replays the
