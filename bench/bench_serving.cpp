@@ -415,10 +415,6 @@ main(int argc, char **argv)
             " the contiguous peak resident tokens (" +
             std::to_string(p_rep.peakLogicalTokens) + " vs " +
             std::to_string(c_rep.peakLogicalTokens) + "); " +
-            // No pool harvests tail pages any more, so both counts
-            // read 0; the wording is pinned by a golden digest.
-            std::to_string(p_rep.paged.tailReclaims) +
-            " tail reclaims freed 0 pages, " +
             std::to_string(p_rep.paged.cachedReclaims) +
             " cached prefixes evicted");
     }

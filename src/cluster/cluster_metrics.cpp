@@ -120,8 +120,6 @@ exportClusterMetrics(const ClusterReport &rep,
                      static_cast<double>(p.cowCopies));
         reg.setGauge("cluster.kv_cached_reclaims",
                      static_cast<double>(p.cachedReclaims));
-        reg.setGauge("cluster.kv_tail_reclaims",
-                     static_cast<double>(p.tailReclaims));
         reg.setGauge("cluster.kv_budget_clips",
                      static_cast<double>(p.budgetClips));
     }

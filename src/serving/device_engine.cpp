@@ -550,6 +550,7 @@ DeviceEngine::admitWaiting()
     const std::size_t cap = policy_->admissionCap(cfg_.maxBatch);
     if (waiting_.empty() || admitted_.size() + running_.size() >= cap)
         return;
+    roundMark_ = poolMark();
     std::vector<std::size_t> &admitted_now = admittedNowScratch_;
     admitted_now.clear();
     deferScratch_.clear();
@@ -800,10 +801,10 @@ DeviceEngine::nextPossibleRequeueTime(SimTime now) const
 }
 
 /**
- * A decode fast-forward window (see runDecodeStep): its fixed horizon,
- * batch size, whether a waterfall reads the shares and whether each
- * boundary replays the last admission round, then the state each
- * boundary advances.
+ * A decode step and the fast-forward window it may open (see
+ * runDecodeStep): the window's fixed horizon, batch size, whether a
+ * waterfall reads the shares and whether each boundary replays the
+ * last admission round, then the state each boundary advances.
  */
 struct DeviceEngine::FastForwardWindow
 {
@@ -811,15 +812,17 @@ struct DeviceEngine::FastForwardWindow
     std::size_t batch = 0;
     bool chargeShares = false;
     bool replay = false;
-    SimTime t; ///< the last applied boundary
+    SimTime t;     ///< the last applied boundary
+    SimTime first; ///< the window's first boundary
     /** The step in flight from `t`, its resident total and its scaled
      *  latency; `latShares` splits that latency among the members. */
     const accel::StepReport *step = nullptr;
     std::size_t nSum = 0;
     SimTime lat;
     obs::DecodeShares latShares;
-    /** The boundaries deferred since the last sync, and over them the
-     *  largest gap and the summed waterfall charge. */
+    /** The boundaries deferred since the step began or the last
+     *  sync, and over them the largest gap and the summed waterfall
+     *  charge. */
     std::size_t deferred = 0;
     double gapMax = 0.0;
     obs::DecodeShares shares;
@@ -935,38 +938,78 @@ DeviceEngine::quietRun(FastForwardWindow &w, std::size_t runs)
     return k;
 }
 
+/**
+ * Begin the decode step of `inFlightBatch_` at `w.t`: the event path's
+ * step and every sync of a window start here. Each member's chain grows
+ * to its resident tokens (failed growth clamps that member's budget, so
+ * residents are read after it), the residents are summed, and the step
+ * is costed (inside a window an unchanged total, the whole cost key
+ * with the batch, keeps the last lookup) and adds its energy and busy
+ * time. With `rebase`, when the step may fast-forward, the members'
+ * clamp steps and the next page edge are counted afresh from this
+ * boundary: deferred boundary j grows a member while ctx + generated +
+ * j < budget, and passes its chain at j = capacity - (ctx + generated)
+ * when the budget lies beyond the chain.
+ */
+void
+DeviceEngine::beginDecodeStep(FastForwardWindow &w, bool rebase)
+{
+    if (rebase) {
+        clampScratch_.clear();
+        w.clamped = 0;
+        w.pageEdge = std::numeric_limits<std::size_t>::max();
+    }
+    std::size_t n_sum = 0;
+    for (std::size_t idx : inFlightBatch_) {
+        const Request &r = requests_[idx];
+        ensureCapacity(idx, r.residentTokens());
+        n_sum += r.residentTokens();
+        if (!rebase)
+            continue;
+        const std::size_t held = r.task.ctxLen + r.generated;
+        clampScratch_.push_back(
+            r.budgetGranted > held ? r.budgetGranted - held : 0);
+        const std::size_t cap = grants_[idx].chainCapacityTokens;
+        if (r.budgetGranted > cap) {
+            KELLE_ASSERT(cap > held, "chain behind its resident tokens");
+            w.pageEdge = std::min(w.pageEdge, cap - held);
+        }
+    }
+    if (rebase)
+        std::sort(clampScratch_.begin(), clampScratch_.end());
+    if (!cfg_.fastSim) {
+        stepScratch_ = costCache_.costModel().decode(w.batch, n_sum);
+        w.step = &stepScratch_;
+    } else if (w.step == nullptr || n_sum != w.nSum) {
+        w.step = &costCache_.decodeStep(w.batch, n_sum);
+    }
+    w.nSum = n_sum;
+    // Slowdown faults stretch step wall-clock, not energy; the scale
+    // is constant inside a window (fault instants bound every horizon).
+    w.lat = scaled(w.step->latency);
+    if (w.chargeShares)
+        w.latShares = obs::DecodeShares::of(w.lat, w.batch);
+    metrics_.addEnergy(w.step->energy);
+    busy_ += w.lat;
+}
+
 void
 DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
 {
     engineBusy_ = true;
     ++decodeSteps_;
-    // Lazy chain growth: each member's pages catch up with its
-    // resident tokens before the step is costed; failed growth clamps
-    // the member's budget (and thus its resident clamp), and no other
-    // member's.
-    std::size_t n_sum = 0;
-    for (std::size_t idx : plan.decodeBatch) {
-        ensureCapacity(idx, requests_[idx].residentTokens());
-        n_sum += requests_[idx].residentTokens();
-    }
-    const std::size_t batch_size = plan.decodeBatch.size();
-    const accel::StepReport *step = &stepScratch_;
-    if (cfg_.fastSim)
-        step = &costCache_.decodeStep(batch_size, n_sum);
-    else
-        stepScratch_ = costCache_.costModel().decode(batch_size, n_sum);
-    // Slowdown faults stretch step wall-clock, not energy; the scale
-    // is constant inside a step window (fault instants bound every
-    // fast-forward horizon), so re-deriving `lat` after each re-cost
-    // keeps every consumer consistent.
-    SimTime lat = scaled(step->latency);
-    metrics_.addEnergy(step->energy);
-    busy_ += lat;
     inFlightBatch_.assign(plan.decodeBatch.begin(),
                           plan.decodeBatch.end());
+    FastForwardWindow w;
+    const std::size_t budget = silentStepBudget(&w.replay);
+    w.batch = inFlightBatch_.size();
+    // The deferred steps' waterfall charge is summed only when a
+    // waterfall is attached to read it.
+    w.chargeShares = wf_ != nullptr;
+    w.t = queue_.now();
+    beginDecodeStep(w, budget > 0);
     if (trace_ != nullptr)
-        trace_->decodeStep(queue_.now(), lat, batch_size,
-                           step->energy.refresh.j());
+        trace_->decodeStep(w.t, w.lat, w.batch, w.step->energy.refresh.j());
 
     // Fast-forward: while (a) no batch member completes, (b) admission
     // and preemption are provably no-ops, and (c) the boundary lands
@@ -975,25 +1018,20 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // membership — nothing else in the simulation can even observe
     // the boundary. Replay those boundaries inline instead of
     // re-entering the event queue, performing exactly the operations
-    // the event-driven loop would, in the same order: member token
-    // updates at the boundary (batched between sync boundaries, see
-    // below), then the next step's resident total, cost lookup, and
-    // energy/busy accumulations, with the same tick timestamps, and
-    // for a traced engine the same trace events. Each boundary is a
-    // sync or quiet. Syncs run in the loop below; the quiet boundaries
-    // between them run in `quietRun`, in one tight loop while some
-    // member grows (the (batch, total-resident) cost key moves by the
-    // stride) and in one update once every member is clamped. Step
-    // counters are written once per window. Only the final,
-    // state-changing boundary re-enters the queue.
-    SimTime t = queue_.now();
-    bool replay_deferrals = false;
-    const std::size_t budget = silentStepBudget(&replay_deferrals);
+    // the event-driven loop would, in the same order, with the same
+    // tick timestamps, and for a traced engine the same trace events.
+    // Each boundary is a sync or quiet. Syncs run in the loop below,
+    // each begun by beginDecodeStep like the step above; the quiet
+    // boundaries between them run in `quietRun`, in one tight loop
+    // while some member grows (the (batch, total-resident) cost key
+    // moves by the stride) and in one update once every member is
+    // clamped. Step counters are written once per window. Only the
+    // final, state-changing boundary re-enters the queue.
     if (budget > 0) {
         const auto ff0 = profiler_ != nullptr
                              ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point();
-        SimTime horizon = queue_.nextEventTime();
+        w.horizon = queue_.nextEventTime();
         if (hooks_.nextExternalEvent) {
             // The owner vouches that nothing before this timestamp
             // can reach this engine (other devices' completions
@@ -1001,9 +1039,9 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             // pending client re-arrivals are invisible to the owner
             // but enqueue into *this* engine, so they bound the
             // window too.
-            horizon = hooks_.nextExternalEvent();
+            w.horizon = hooks_.nextExternalEvent();
             for (const auto &retry : clientRetryAt_)
-                horizon = std::min(horizon, retry.first);
+                w.horizon = std::min(w.horizon, retry.first);
         }
         // Preemption stays armed inside the window: the boundary scan
         // runs only with waiting demand (the waiting queue is frozen
@@ -1011,66 +1049,74 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         // batch member is doomed, and that boundary runs through the
         // real event path.
         if (cfg_.preempt.enabled && !waiting_.empty())
-            horizon = std::min(horizon, firstDoomedRunning());
+            w.horizon = std::min(w.horizon, firstDoomedRunning());
         // A replayed round attempts its candidates in the recorded
         // order, which the event path would recompute at each
         // boundary: stop before the policy's order can change.
-        if (replay_deferrals)
-            horizon = std::min(horizon, policy_->nextOrderChange(view()));
-        // The last replayed round and ensureCapacity pass left the pool
-        // untouched: the next round may stand in for itself.
-        bool round_fixpoint = false;
+        if (w.replay)
+            w.horizon =
+                std::min(w.horizon, policy_->nextOrderChange(view()));
+        w.first = w.t + w.lat;
         // Deferred member bookkeeping. Members are written only at
-        // *sync* boundaries: the window's first (each member's gap
-        // differs there), a page edge (some member's resident passes
-        // its chain's capacity, so the ensureCapacity pass has work),
-        // and a replayed deferral round not at its fixpoint (its
+        // *sync* boundaries: a page edge (some member's resident
+        // passes its chain's capacity, so the ensureCapacity pass has
+        // work) and a replayed deferral round not at its fixpoint (its
         // budget clamp reads residents and may shrink budgets).
         // Between syncs nothing reads a member's counters or its
         // waterfall entry, and the pool cannot move: every gap is the
-        // same `t_k - t_{k-1}`, so one running max is exact; every
-        // member shares every step, so one `shares` sum is exact;
-        // budgets and chains stay put, so a member stops growing at a
-        // fixed boundary (`clampScratch_`, sorted) and no chain grows
-        // before the page edge (a contiguous grant's capacity is its
-        // budget, so it has none). Every other boundary is *quiet*:
-        // it moves the clock and adds the stride to the resident
-        // total. A sync flushes the deferred boundaries (this one
-        // included) before the round, then runs the round and the
-        // ensureCapacity pass, and rebases the clamp steps and the
-        // next page edge on what they left.
-        bool synced = false; ///< the window's first boundary is applied
-        FastForwardWindow w;
-        w.horizon = horizon;
-        w.batch = batch_size;
-        // The deferred steps' waterfall charge is summed only when a
-        // waterfall is attached to read it.
-        w.chargeShares = wf_ != nullptr;
-        w.replay = replay_deferrals;
-        w.t = t;
-        w.step = step;
-        w.nSum = n_sum;
-        w.lat = lat;
-        if (w.chargeShares)
-            w.latShares = obs::DecodeShares::of(lat, batch_size);
-        // Apply `add` deferred boundaries, the last at `now`, to a
-        // member: the window's first gap is its own, later ones the
-        // shared `gap` max. By-value parameters keep the loop's locals
-        // in registers.
-        const auto flush = [this](std::size_t idx, std::size_t add,
-                                  bool first, double gap, SimTime now,
-                                  obs::DecodeShares charge) {
-            Request &r = requests_[idx];
-            r.generated += add;
-            r.maxTokenGapSec = std::max(
-                r.maxTokenGapSec, first ? (now - r.lastToken).sec() : gap);
-            r.lastToken = now;
-            if (wf_ != nullptr)
-                wf_->onDecodeShares(idx, charge);
+        // same `t_k - t_{k-1}`, so one running max is exact (a
+        // member's first gap, from its own last token to `w.first`,
+        // joins it at the flush: gaps are integer ticks and max()
+        // ignores order); every member shares every step, so one
+        // `shares` sum is exact; budgets and chains stay put, so a
+        // member stops growing at a fixed boundary (`clampScratch_`,
+        // sorted) and no chain grows before the page edge (a
+        // contiguous grant's capacity is its budget, so it has none).
+        // Every other boundary is *quiet*: it moves the clock and adds
+        // the stride to the resident total. A sync flushes the
+        // deferred boundaries (this one included), runs the round,
+        // then begins its step, which rebases on what they left.
+        //
+        // The replayed round, on the frozen queue, re-attempts the
+        // recorded deferrals in order, exactly as tryAdmitAt does.
+        // Each must keep failing — no member leaves the batch inside
+        // the window and a clamp frees no page, so nothing returns to
+        // the pool — and each failure records the same deferral the
+        // event-driven round would. Once a round and the ensureCapacity
+        // pass after it leave the pool as they found it (`roundMark_`,
+        // taken as the round starts, equals the pool after the pass),
+        // the next round starts from the same counts and prefix index
+        // and fails the same way again (members' growing residents
+        // only raise what a budget clamp must keep), so the round
+        // collapses to its deferral count until the pool next changes.
+        // The event path's round that planned this step is the
+        // window's first: admitWaiting took its mark, and the step
+        // above ran its pass. The only state that then differs from the
+        // event path is the free list's order — each failed acquire
+        // pushes its popped pages back reversed — and free pages are
+        // interchangeable (refs 0, not indexed), so no report, trace
+        // or digest sees it.
+        bool round_fixpoint = !w.replay || poolMark() == roundMark_;
+        // Apply the `deferred` boundaries, the last at `t`, to every
+        // member, and start the next stretch.
+        const auto flush = [this](FastForwardWindow &fw) {
+            for (std::size_t idx : inFlightBatch_) {
+                Request &r = requests_[idx];
+                r.generated += fw.deferred;
+                r.maxTokenGapSec =
+                    std::max({r.maxTokenGapSec, fw.gapMax,
+                              (fw.first - r.lastToken).sec()});
+                r.lastToken = fw.t;
+                if (wf_ != nullptr)
+                    wf_->onDecodeShares(idx, fw.shares);
+            }
+            fw.deferred = 0;
+            fw.gapMax = 0.0; // gaps are >= 0: max() starts afresh
+            fw.shares = obs::DecodeShares();
         };
         std::size_t silent = budget;
         while (silent > 0) {
-            if (synced && (!replay_deferrals || round_fixpoint)) {
+            if (round_fixpoint) {
                 // Quiet boundaries up to the page edge, which syncs.
                 const std::size_t runs =
                     std::min(silent, w.pageEdge - w.deferred - 1);
@@ -1089,39 +1135,12 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             if (w.chargeShares)
                 w.shares += w.latShares; // the step ending at `tn`
             w.t = tn;
-            // Flush the deferred boundaries, this one included. A real
-            // round's budget clamp reads the residents, so the flush
-            // precedes it; otherwise it rides the ensureCapacity pass
-            // below (members are independent).
-            const bool real_round = replay_deferrals && !round_fixpoint;
-            if (real_round) {
-                for (std::size_t idx : inFlightBatch_)
-                    flush(idx, w.deferred, !synced, w.gapMax, w.t,
-                          w.shares);
-            }
-            PoolMark mark_before;
-            if (replay_deferrals) {
-                mark_before = poolMark();
-                // The admission round on the frozen queue: re-attempt
-                // the recorded deferrals in order, exactly as
-                // tryAdmitAt does. Each must keep failing — no member
-                // leaves the batch inside the window and a clamp frees
-                // no page, so nothing returns to the pool — and each
-                // failure records the same deferral the event-driven
-                // round would.
-                //
-                // Once a round and the ensureCapacity pass after it
-                // leave the pool as they found it, the next round
-                // starts from the same counts and prefix index and
-                // fails the same way again (members' growing residents
-                // only raise what a budget clamp must keep), so the
-                // round collapses to its deferral count until the pool
-                // next changes. The only state that then differs from
-                // the event path is the free list's order — each
-                // failed acquire pushes its popped pages back reversed
-                // — and free pages are interchangeable (refs 0, not
-                // indexed), so no report, trace or digest sees it.
-                if (!real_round) {
+            // A real round's budget clamp reads the residents, so the
+            // flush precedes it.
+            flush(w);
+            if (w.replay) {
+                roundMark_ = poolMark();
+                if (round_fixpoint) {
                     allocator_.addDeferrals(deferScratch_.size());
                 } else {
                     for (const auto &defer : deferScratch_) {
@@ -1135,68 +1154,21 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     }
                 }
             }
-            // Mirror the event path: grow each member's chain to its
-            // new resident count (failed growth clamps the budget, so
-            // residents are re-read after it), then rebase. Deferred
-            // boundary j grows a member while ctx + generated + j <
-            // budget, and passes its chain at j = capacity - (ctx +
-            // generated) when the budget lies beyond the chain.
-            clampScratch_.clear();
-            w.pageEdge = std::numeric_limits<std::size_t>::max();
-            std::size_t ns = 0; // the next step's resident total
-            for (std::size_t idx : inFlightBatch_) {
-                if (!real_round)
-                    flush(idx, w.deferred, !synced, w.gapMax, w.t,
-                          w.shares);
-                ensureCapacity(idx, requests_[idx].residentTokens());
-                const Request &r = requests_[idx];
-                ns += r.residentTokens();
-                const std::size_t held = r.task.ctxLen + r.generated;
-                clampScratch_.push_back(
-                    r.budgetGranted > held ? r.budgetGranted - held : 0);
-                const std::size_t cap = grants_[idx].chainCapacityTokens;
-                if (r.budgetGranted > cap) {
-                    KELLE_ASSERT(cap > held,
-                                 "chain behind its resident tokens");
-                    w.pageEdge = std::min(w.pageEdge, cap - held);
-                }
-            }
-            std::sort(clampScratch_.begin(), clampScratch_.end());
-            w.clamped = 0;
-            w.deferred = 0;
-            w.gapMax = 0.0; // gaps are >= 0: max() starts afresh
-            w.shares = obs::DecodeShares();
-            synced = true;
-            if (replay_deferrals)
-                round_fixpoint = poolMark() == mark_before;
-            // The (batch, total-resident) pair is the whole cost key,
-            // so an unchanged total skips the lookup.
-            if (ns != w.nSum) {
-                w.nSum = ns;
-                w.step = &costCache_.decodeStep(batch_size, w.nSum);
-                w.lat = scaled(w.step->latency);
-                if (w.chargeShares)
-                    w.latShares = obs::DecodeShares::of(w.lat, batch_size);
-            }
+            beginDecodeStep(w, true);
+            round_fixpoint = !w.replay || poolMark() == roundMark_;
             // Mirror the event path's per-boundary decode slice: the
             // step *starting* at this boundary, costed after any
             // resident growth.
             if (trace_ != nullptr)
                 traceBoundary(w);
-            metrics_.addEnergy(w.step->energy);
-            busy_ += w.lat;
             --silent;
         }
         const std::uint64_t applied = budget - silent;
         engineSteps_ += applied;
         decodeSteps_ += applied;
         fastForwarded_ += applied;
-        if (w.deferred > 0) { // after a sync: the window's first applied
-            for (std::size_t idx : inFlightBatch_)
-                flush(idx, w.deferred, false, w.gapMax, w.t, w.shares);
-        }
-        t = w.t;
-        lat = w.lat;
+        if (w.deferred > 0)
+            flush(w);
         if (profiler_ != nullptr)
             profiler_->add(
                 obs::PhaseProfiler::Phase::FastForward,
@@ -1205,8 +1177,8 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                     .count(),
                 applied);
     }
-    inFlightStepLatency_ = lat;
-    queue_.schedule(t + lat, [this, e = runEpoch_] {
+    inFlightStepLatency_ = w.lat;
+    queue_.schedule(w.t + w.lat, [this, e = runEpoch_] {
         if (e == runEpoch_)
             onDecodeDone();
     });

@@ -49,6 +49,11 @@
  * then, once every member is clamped and the steps repeat exactly, one
  * update (energy through the exact `repeatedAdd`). A traced window
  * takes the same run and still emits one decode slice per boundary.
+ * The event path's decode step and every sync of a window (a page
+ * edge, or a replayed admission round not at its fixpoint) begin in
+ * one body, `beginDecodeStep`; the round that planned the step is the
+ * window's first replayed round, so a window whose round and chain
+ * growth left the pool unchanged starts quiet.
  * `fastSim = false` keeps the straight-line path; the
  * FastPathEquivalence tests drive both to the same traces and require
  * field-for-field identical reports and trace bytes.
@@ -411,8 +416,13 @@ class DeviceEngine
      *  (and re-defer) the admission round recorded in `deferScratch_`
      *  to keep the allocator's deferral accounting identical. */
     std::size_t silentStepBudget(bool *replay_deferrals) const;
-    /** A decode fast-forward window's state (see runDecodeStep). */
+    /** A decode step's and its fast-forward window's state (see
+     *  runDecodeStep). */
     struct FastForwardWindow;
+    /** Grow the members' chains, cost the step starting at `w.t` and
+     *  add its energy and busy time; with `rebase`, also count the
+     *  clamp steps and the page edge from there. */
+    void beginDecodeStep(FastForwardWindow &w, bool rebase);
     /** Apply up to `runs` quiet boundaries of `w`, stopping before the
      *  first at or past its horizon; returns how many it applied. */
     template <bool Traced>
@@ -540,8 +550,9 @@ class DeviceEngine
     std::vector<DeferredAdmit> deferScratch_;
     /** Per batch member, the deferred fast-forward boundary from
      *  which its resident stops growing (budget - ctx - generated,
-     *  floored at 0), sorted; rebased at each sync boundary of the
-     *  window, whose flush and pool work move generated and budgets. */
+     *  floored at 0), sorted; rebased where a window's step and each
+     *  of its syncs begin, since the flush and pool work move
+     *  generated and budgets. */
     std::vector<std::size_t> clampScratch_;
     /** @} */
 
@@ -549,6 +560,11 @@ class DeviceEngine
      *  attempt was an allocator deferral (none admitted or rejected):
      *  the round is bit-exactly replayable from frozen state. */
     bool lastRoundAllDeferred_ = false;
+    /** The pool as the last admission round found it: admitWaiting's
+     *  rounds and a window's replayed ones mark it before attempting,
+     *  so a window can tell whether the round and the ensureCapacity
+     *  pass after it left the pool unchanged. */
+    PoolMark roundMark_;
 
     bool engineBusy_ = false;
     bool truncated_ = false;

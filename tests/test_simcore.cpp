@@ -1002,9 +1002,10 @@ expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
 TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
 {
     // Inside a fast-forward window the members' token counters and
-    // waterfall decode shares are applied at sync boundaries (the
-    // first; with a paged pool also page edges and deferral rounds
-    // not at their fixpoint) and again when the window ends.
+    // waterfall decode shares are applied at sync boundaries (with a
+    // paged pool, page edges; with a replayed round, rounds not at
+    // their fixpoint) and when the window ends, where each member's
+    // own first gap joins the shared running max.
     serving::DeviceConfig cfg;
     cfg.poolTokens = 16384;
     const double step_sec =
@@ -1136,7 +1137,6 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
     // push the free pages below that floor, and the round after such
     // an edge clamps both members to what they hold.
     {
-        SCOPED_TRACE("paged budget clamp");
         auto tight = paged;
         tight.poolTokens = 1216;
         std::vector<serving::Request> reqs = {
@@ -1151,10 +1151,46 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
             q.schedule(sim::SimTime::fromSec(10.0 * step_sec),
                        [&q, &e] { e.shrinkPoolAt(q.now(), 0.5); });
         };
-        const DeviceRun run =
-            expectDeviceFastEqualsSlow(tight, reqs, {}, 0.0, extra);
+        {
+            SCOPED_TRACE("paged budget clamp");
+            const DeviceRun run =
+                expectDeviceFastEqualsSlow(tight, reqs, {}, 0.0, extra);
+            EXPECT_EQ(run.budgetClips, 2u);
+            EXPECT_GT(run.deferrals, 100u);
+            EXPECT_GT(run.fastForwarded, 500u);
+        }
+
+        // The same run with that page edge on the step that opens a
+        // window: a no-op just before the edge's boundary ends the
+        // window there, so the event path runs the round (which
+        // clamps nothing) and the step's chain growth, which takes
+        // the free pages below the floor. The event path's round is
+        // the window's first replayed round, and it is not at its
+        // fixpoint: the window's first boundary runs a real round,
+        // which clamps both members. Taking it for a fixpoint would
+        // clamp them a page edge late. The edge is found on the event
+        // path, so the scenario holds if step costs change.
+        SCOPED_TRACE("paged clamp on a window's first round");
+        sim::SimTime edge;
+        {
+            auto slow = tight;
+            slow.fastSim = false;
+            std::vector<serving::Request> probe = reqs;
+            sim::EventQueue q;
+            serving::DeviceEngine e(slow, q, probe);
+            extra(q, e, probe);
+            for (std::size_t i = 0; i < probe.size(); ++i)
+                q.schedule(probe[i].arrival, [&e, i] { e.enqueue(i); });
+            const std::size_t floor = 218;
+            while (edge == sim::SimTime() && q.runNext()) {
+                if (e.allocator().availableTokens() < floor)
+                    edge = q.now();
+            }
+            ASSERT_GT(edge.sec(), reqs[2].arrival.sec());
+        }
+        const DeviceRun run = expectDeviceFastEqualsSlow(
+            tight, reqs, {edge.sec() - 0.5 * step_sec}, 0.0, extra);
         EXPECT_EQ(run.budgetClips, 2u);
-        EXPECT_GT(run.deferrals, 100u);
         EXPECT_GT(run.fastForwarded, 500u);
     }
 
@@ -1451,7 +1487,7 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
     // step two on. Dummy events pace the queue so both real and
     // fast-forwarded boundaries are exercised. In the paged run the
     // member is clamped inside its chain (prefill grew it to the
-    // budget), so its windows sync only at their first boundary.
+    // budget), so its windows have no sync boundary at all.
     for (const bool paged : {false, true}) {
         SCOPED_TRACE(paged ? "paged" : "contiguous");
         sim::EventQueue queue;
