@@ -52,10 +52,6 @@ baseConfig(const common::ArgParser &args)
     cfg.budgetOverride = args.getSize("budget");
     cfg.poolTokens = args.getSize("pool");
     cfg.maxEngineSteps = args.getSize("steps");
-    cfg.clientRetries =
-        static_cast<std::uint32_t>(args.getInt("client-retries"));
-    cfg.clientRetryBackoffSec =
-        args.getDouble("client-retry-backoff");
     cfg.fastSim = args.getBool("fastsim");
     cfg.traffic.sessions = args.getSize("sessions");
     cfg.traffic.sessionPrefixFrac = args.getDouble("prefix-frac");
@@ -140,15 +136,6 @@ main(int argc, char **argv)
     args.addInt("requests", 64, "trace length in requests",
                 common::IntRange::AtLeastOne);
     args.addBool("burst", false, "bursty (MMPP) arrivals");
-    args.addInt("client-retries", 0,
-                "client-side resubmits of an overload-rejected "
-                "request after a jittered backoff (0 = reject is "
-                "final; the base arrival trace is unchanged)",
-                common::IntRange::Uint32);
-    args.addDouble("client-retry-backoff", 5.0,
-                   "client retry backoff base, seconds (doubles per "
-                   "attempt, seeded jitter)",
-                   common::NumRange::PositiveFinite);
     args.addInt("maxbatch", 16, "continuous-batching batch cap",
                 common::IntRange::AtLeastOne);
     args.addInt("pool", 0, "KV pool tokens (0 = capacity analysis)",

@@ -157,11 +157,6 @@ main(int argc, char **argv)
                    "mean time to recovery per fault, sim seconds "
                    "(with --faults)",
                    common::NumRange::PositiveFinite);
-    args.addInt("client-retries", 0,
-                "client-side resubmits of an overload-rejected "
-                "request after a jittered backoff (0 = reject is "
-                "final)",
-                common::IntRange::Uint32);
     args.addString("trace-out", "",
                    "also record the session as Chrome trace-event "
                    "JSON (open in https://ui.perfetto.dev; see "
@@ -185,8 +180,6 @@ main(int argc, char **argv)
     cfg.maxEngineSteps = args.getSize("steps");
     cfg.chunkTokens = args.getSize("chunk-tokens");
     cfg.preempt.enabled = args.getBool("preempt");
-    cfg.clientRetries =
-        static_cast<std::uint32_t>(args.getInt("client-retries"));
     if (!serving::parseSchedulePolicy(args.getString("policy"),
                                       &cfg.policy)) {
         std::fprintf(stderr, "unknown --policy '%s' (%s)\n",

@@ -391,14 +391,8 @@ ClusterEngine::applyFault(const faults::FaultEvent &ev)
         // and shed waiters whose TTFT deadline already expired back to
         // the retry path.
         for (std::size_t j = 0; j < devices_.size(); ++j) {
-            if (j == ev.device || health_[j] == DeviceHealth::Down)
-                continue;
-            devices_[j]->pressureReclaimAt(ev.at);
-            shedScratch_.clear();
-            devices_[j]->shedStaleWaitingAt(ev.at, &shedScratch_);
-            shedRequests_ += shedScratch_.size();
-            for (std::size_t idx : shedScratch_)
-                scheduleRetry(idx, ev.at);
+            if (j != ev.device && health_[j] != DeviceHealth::Down)
+                degradeDevice(j, ev.at);
         }
         break;
       }
@@ -411,14 +405,9 @@ ClusterEngine::applyFault(const faults::FaultEvent &ev)
         health_[ev.device] = DeviceHealth::Degraded;
         ++shrinks_;
         dev.shrinkPoolAt(ev.at, faults::kShrinkFactor);
-        // Self ladder: shrink grants back under the scaled capacity
-        // and shed hopeless waiters rather than serving sure misses.
-        dev.pressureReclaimAt(ev.at);
-        shedScratch_.clear();
-        dev.shedStaleWaitingAt(ev.at, &shedScratch_);
-        shedRequests_ += shedScratch_.size();
-        for (std::size_t idx : shedScratch_)
-            scheduleRetry(idx, ev.at);
+        // Self ladder: clamp paged grants to what they hold and shed
+        // hopeless waiters rather than serving sure misses.
+        degradeDevice(ev.device, ev.at);
         break;
       }
       case faults::FaultKind::Recover:
@@ -443,6 +432,16 @@ ClusterEngine::applyFault(const faults::FaultEvent &ev)
         health_[ev.device] = DeviceHealth::Healthy;
         break;
     }
+}
+
+void
+ClusterEngine::degradeDevice(std::size_t d, SimTime t)
+{
+    shedScratch_.clear();
+    devices_[d]->degradeAt(t, &shedScratch_);
+    shedRequests_ += shedScratch_.size();
+    for (std::size_t idx : shedScratch_)
+        scheduleRetry(idx, t);
 }
 
 void

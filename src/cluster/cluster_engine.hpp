@@ -186,6 +186,9 @@ class ClusterEngine
      *  ladder. Requires every (relevant) event queue advanced to
      *  `ev.at`. */
     void applyFault(const faults::FaultEvent &ev);
+    /** Run device `d`'s degradation ladder at `t` and send what it
+     *  sheds down the retry path. */
+    void degradeDevice(std::size_t d, sim::SimTime t);
     /** Re-dispatch `idx` after a capped exponential backoff, or fail
      *  it permanently once the retry budget is spent. */
     void scheduleRetry(std::size_t idx, sim::SimTime now);

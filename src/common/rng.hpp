@@ -117,9 +117,8 @@ class Rng
 
 /**
  * SplitMix64-style hash of (a, b) to a uniform double in [0, 1) — the
- * retry backoff jitter (client retries, fault re-dispatch). A pure
- * hash instead of a shared Rng stream, so enabling retries cannot
- * perturb any other draw.
+ * backoff jitter of fault re-dispatch. A pure hash instead of a shared
+ * Rng stream, so enabling retries cannot perturb any other draw.
  */
 inline double
 hashUnit(std::uint64_t a, std::uint64_t b)

@@ -11,16 +11,16 @@
  * before the device counts as healthy again; slowdown and shrink
  * recoveries restore the device directly.
  *
- * `FaultPlan` owns one seeded Rng per device (`seed ^ splitmix(dev)`),
- * so a device's fault history is a pure function of (seed, device
- * index, mtbf, mttr, weights) — independent of fleet size ordering,
- * of how far any other device's stream was consumed, and of the
- * engine mode consuming it. `FaultInjector` merges the per-device
- * streams into one chronological feed keyed (time, device index); the
- * cluster engine drains it interleaved with its event queue, applying
- * each fault *before* any same-time queue event, and publishes
- * `nextEventTime()` into the drive loop's lookahead horizon so
- * no device can fast-forward across a fault instant. Streams are
+ * `FaultInjector` seeds one Rng per device (`seed ^ mix(d + 1)`, with
+ * `mix` a SplitMix64 finalizer), so a device's fault history is a pure
+ * function of (seed, device index, mtbf, mttr, weights) — independent
+ * of fleet size ordering, of how far any other device's stream was
+ * consumed, and of the engine mode consuming it. It merges the
+ * per-device streams into one chronological feed keyed (time, device
+ * index); the cluster engine drains it interleaved with its event
+ * queue, applying each fault *before* any same-time queue event, and
+ * publishes `nextEventTime()` into the drive loop's lookahead horizon
+ * so no device can fast-forward across a fault instant. Streams are
  * generated lazily (one pending event per device), so the injector
  * never materializes the infinite renewal process.
  *

@@ -6,7 +6,6 @@
 
 #include "accel/capacity.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "tensor/quant.hpp"
 
@@ -196,18 +195,12 @@ DeviceEngine::enqueue(std::size_t idx)
     if (grants_.size() < requests_.size())
         grants_.resize(requests_.size());
     ++dispatched_;
-    waiting_.push_back(idx);
-    if (secondLife(requests_[idx]))
-        ++waitingPreempted_;
-    metrics_.sampleQueueDepth(waiting_.size());
-    if (!secondLife(requests_[idx]))
-        recordArrival(trace_, wf_, idx, requests_[idx], queue_.now());
+    Request &r = requests_[idx];
+    if (!secondLife(r))
+        recordArrival(trace_, wf_, idx, r, queue_.now());
     else if (trace_ != nullptr)
-        trace_->requestRequeued(queue_.now(), requests_[idx].id);
-    if (trace_ != nullptr)
-        trace_->queueDepth(queue_.now(), waiting_.size());
+        trace_->requestRequeued(queue_.now(), r.id);
     if (cfg_.verbose) {
-        const Request &r = requests_[idx];
         if (!secondLife(r))
             inform("t=", toString(queue_.now()), label_, " request #",
                    r.id, " [", r.task.name, "] arrived (ctx ",
@@ -218,17 +211,35 @@ DeviceEngine::enqueue(std::size_t idx)
             inform("t=", toString(queue_.now()), label_, " request #",
                    r.id, " [", r.task.name,
                    "] requeued after preemption");
-        else if (r.faultRetries > 0)
+        else
             inform("t=", toString(queue_.now()), label_, " request #",
                    r.id, " [", r.task.name,
                    "] re-dispatched after device fault (retry ",
                    r.faultRetries, ")");
-        else
-            inform("t=", toString(queue_.now()), label_, " request #",
-                   r.id, " [", r.task.name,
-                   "] re-arrived after overload (client retry ",
-                   r.clientRetries, ")");
     }
+    if (!canEverAdmit(r)) {
+        // Even an empty pool could never hold the floor. Rejected
+        // before it waits, it never counts as demand: no preemption
+        // frees budget for it and no queue-depth sample counts it.
+        const std::size_t floor_tokens = minBudget(r.task);
+        r.state = RequestState::Rejected;
+        metrics_.onRejected(r);
+        if (wf_ != nullptr)
+            wf_->onRejected(idx, queue_.now(), wfDevice_);
+        if (trace_ != nullptr)
+            trace_->rejected(queue_.now(), r.id, floor_tokens);
+        if (cfg_.verbose)
+            inform("t=", toString(queue_.now()), label_, " request #",
+                   r.id, " rejected: floor ", floor_tokens,
+                   " tokens exceeds the KV pool");
+        return;
+    }
+    waiting_.push_back(idx);
+    if (secondLife(r))
+        ++waitingPreempted_;
+    metrics_.sampleQueueDepth(waiting_.size());
+    if (trace_ != nullptr)
+        trace_->queueDepth(queue_.now(), waiting_.size());
     dispatch();
 }
 
@@ -300,17 +311,10 @@ DeviceEngine::preemptDoomed()
         Request &r = requests_[idx];
         running_.erase(
             std::find(running_.begin(), running_.end(), idx));
-        allocator_.release(grants_[idx]);
-        // Reset progress: the KV is gone, prompt and emitted tokens
-        // must rerun. Arrival and first-token timestamps survive, so
-        // the restart is charged as a decode stall and the TPOT miss
+        // The restart is charged as a decode stall and the TPOT miss
         // stays on the books.
+        resetVictim(idx);
         ++r.preemptions;
-        r.state = RequestState::Waiting;
-        r.prefilled = 0;
-        r.generated = 0;
-        r.budgetRequested = 0;
-        r.budgetGranted = 0;
         metrics_.onPreempted();
         if (wf_ != nullptr)
             wf_->onPreempt(idx, queue_.now());
@@ -416,75 +420,21 @@ DeviceEngine::tracePagedCounters(SimTime t)
     trace_->kvPrefixHitTokens(t, pool->prefixHitTokens());
 }
 
-void
-DeviceEngine::rejectRequest(std::size_t idx, std::size_t floor_tokens)
-{
-    Request &r = requests_[idx];
-    if (cfg_.clientRetries > 0 &&
-        r.clientRetries < cfg_.clientRetries) {
-        // Client-side retry: the request re-arrives after a seeded
-        // backoff instead of failing terminally. The caller has (or
-        // is about to) remove it from the waiting queue; it lives at
-        // the client until the re-arrival event fires.
-        ++r.clientRetries;
-        const double u = hashUnit(r.id, r.clientRetries);
-        const SimTime at =
-            queue_.now() +
-            SimTime::fromSec(cfg_.clientRetryBackoffSec * (0.5 + u));
-        clientRetryAt_.emplace_back(at, idx);
-        queue_.schedule(at, [this] { fireClientRetry(); });
-        if (cfg_.verbose)
-            inform("t=", toString(queue_.now()), label_,
-                   " request #", r.id, " overloaded; client retry ",
-                   r.clientRetries, "/", cfg_.clientRetries,
-                   " at t=", toString(at));
-        return;
-    }
-    r.state = RequestState::Rejected;
-    metrics_.onRejected(r);
-    if (wf_ != nullptr)
-        wf_->onRejected(idx, queue_.now(), wfDevice_);
-    if (trace_ != nullptr)
-        trace_->rejected(queue_.now(), r.id, floor_tokens);
-    if (cfg_.verbose)
-        inform("t=", toString(queue_.now()), label_, " request #",
-               r.id, " rejected: floor ", floor_tokens,
-               " tokens exceeds the KV pool");
-}
-
 /**
  * Attempt admission of `idx`, currently at `waiting_[pos]` — or at a
  * position to be looked up lazily when `pos` is `kFindPos` (the
  * reordering policies don't track positions, and searching up front
- * would cost O(W) per *attempted* candidate; only the rare removal
- * paths need the position). Returns false when the candidate is
- * blocked by the allocator; true otherwise (admitted or rejected,
- * entry removed from waiting_).
+ * would cost O(W) per *attempted* candidate; only an admission needs
+ * the position). Returns false when the candidate is blocked by the
+ * allocator; true when it was admitted and removed from waiting_.
  */
 bool
 DeviceEngine::tryAdmitAt(std::size_t pos, std::size_t idx)
 {
-    const auto erase_at = [this](std::size_t p, std::size_t i) {
-        if (p == kFindPos)
-            p = static_cast<std::size_t>(
-                std::find(waiting_.begin(), waiting_.end(), i) -
-                waiting_.begin());
-        waiting_.erase(waiting_.begin() +
-                       static_cast<std::ptrdiff_t>(p));
-    };
     Request &r = requests_[idx];
     // requestedBudget() already clamps to >= the floor.
     const std::size_t requested = requestedBudget(r.task);
     const std::size_t floor_tokens = minBudget(r.task);
-    if (floor_tokens > allocator_.capacityTokens()) {
-        // Even an empty pool could never hold the floor (or a client
-        // retry is scheduled; either way the entry leaves the queue).
-        rejectRequest(idx, floor_tokens);
-        if (secondLife(r))
-            --waitingPreempted_;
-        erase_at(pos, idx);
-        return true;
-    }
     const std::size_t prefix_len = std::min(r.prefixLen, r.task.ctxLen);
     const auto grant =
         attemptGrant(requested, floor_tokens, r.prefixKey, prefix_len);
@@ -501,14 +451,18 @@ DeviceEngine::tryAdmitAt(std::size_t pos, std::size_t idx)
 
     if (secondLife(r))
         --waitingPreempted_;
-    erase_at(pos, idx);
+    if (pos == kFindPos)
+        pos = static_cast<std::size_t>(
+            std::find(waiting_.begin(), waiting_.end(), idx) -
+            waiting_.begin());
+    waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(pos));
     admittedNowScratch_.push_back(idx);
     r.state = RequestState::Prefilling;
     // A re-admitted preemption (or fault-eviction) victim keeps its
     // first-life admission stamp: (admitted - arrival) is the
     // queue-wait metric, and the victim's first life was service,
     // not queue. Victims that were never admitted — crashed out of
-    // the waiting queue, or client retries — stamp now.
+    // the waiting queue — stamp now.
     if (r.admitted == SimTime())
         r.admitted = queue_.now();
     if (wf_ != nullptr)
@@ -554,7 +508,6 @@ DeviceEngine::admitWaiting()
     std::vector<std::size_t> &admitted_now = admittedNowScratch_;
     admitted_now.clear();
     deferScratch_.clear();
-    const std::size_t waiting_before = waiting_.size();
     if (policy_->fifoAdmission()) {
         // Arrival-order admission straight off the waiting queue: no
         // order snapshot, and every removal pops the current position
@@ -585,19 +538,16 @@ DeviceEngine::admitWaiting()
     }
 
     // A round that attempted candidates and deferred every one of
-    // them (none admitted, none rejected — the waiting queue is
-    // unchanged) left no observable state behind except the
-    // deferrals just recorded in deferScratch_ (and, in paged mode,
-    // whatever budget clamp the attempts ran), and from this
-    // frozen queue the next round attempts the same candidates. It
-    // attempts them in the recorded order only until the policy's
-    // time-dependent order next changes (Policy::nextOrderChange),
-    // which bounds the window. The decode fast-forward uses this to
+    // them (none admitted — the waiting queue is unchanged) left no
+    // observable state behind except the deferrals just recorded in
+    // deferScratch_ (and, in paged mode, whatever budget clamp the
+    // attempts ran), and from this frozen queue the next round
+    // attempts the same candidates. It attempts them in the recorded
+    // order only until the policy's time-dependent order next changes
+    // (Policy::nextOrderChange), which bounds the window. The decode fast-forward uses this to
     // replay KV-blocked boundaries for every policy, including the
     // reordering ones, and in both pool modes.
-    lastRoundAllDeferred_ = admitted_now.empty() &&
-                            waiting_.size() == waiting_before &&
-                            !deferScratch_.empty();
+    lastRoundAllDeferred_ = admitted_now.empty() && !deferScratch_.empty();
 
     // Starvation accounting, settled after the round: an admission
     // overtook only the earlier arrivals it left *still waiting* —
@@ -671,8 +621,8 @@ DeviceEngine::onPrefillDone()
         req.state = RequestState::Decoding;
         // A restart re-emits a token the user already saw; requests
         // evicted *before* their first token (crashed out of the
-        // waiting/prefilling queues, client retries) stamp the real
-        // first token whenever it finally lands.
+        // waiting/prefilling queues) stamp the real first token
+        // whenever it finally lands.
         const bool restart = req.firstToken != SimTime();
         if (!restart) {
             req.firstToken = queue_.now();
@@ -772,10 +722,7 @@ DeviceEngine::firstDoomedRunning() const
 SimTime
 DeviceEngine::nextPossibleRequeueTime(SimTime now) const
 {
-    // A pending client re-arrival is waiting demand to come: it lands
-    // in waiting_ from this engine's own queue, inside any window.
-    if (!cfg_.preempt.enabled ||
-        (waiting_.empty() && clientRetryAt_.empty()))
+    if (!cfg_.preempt.enabled || waiting_.empty())
         return SimTime::never();
     SimTime bound = firstDoomedRunning();
     // Waiters and prefilling admits may start decoding inside another
@@ -795,8 +742,6 @@ DeviceEngine::nextPossibleRequeueTime(SimTime now) const
         consider(idx);
     for (std::size_t idx : waiting_)
         consider(idx);
-    for (const auto &retry : clientRetryAt_)
-        consider(retry.second);
     return bound;
 }
 
@@ -1032,17 +977,11 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                              ? std::chrono::steady_clock::now()
                              : std::chrono::steady_clock::time_point();
         w.horizon = queue_.nextEventTime();
-        if (hooks_.nextExternalEvent) {
-            // The owner vouches that nothing before this timestamp
-            // can reach this engine (other devices' completions
-            // commute with our boundaries; see Hooks). Our own
-            // pending client re-arrivals are invisible to the owner
-            // but enqueue into *this* engine, so they bound the
-            // window too.
+        // The owner vouches that nothing before this timestamp can
+        // reach this engine (other devices' completions commute with
+        // our boundaries; see Hooks).
+        if (hooks_.nextExternalEvent)
             w.horizon = hooks_.nextExternalEvent();
-            for (const auto &retry : clientRetryAt_)
-                w.horizon = std::min(w.horizon, retry.first);
-        }
         // Preemption stays armed inside the window: the boundary scan
         // runs only with waiting demand (the waiting queue is frozen
         // here), so the window stops before the first tick at which a
@@ -1229,29 +1168,27 @@ DeviceEngine::finishRequest(std::size_t idx)
 }
 
 void
-DeviceEngine::fireClientRetry()
+DeviceEngine::resetVictim(std::size_t idx)
 {
-    KELLE_ASSERT(!clientRetryAt_.empty(),
-                 "client retry fired with none pending");
-    // Min (at, insertion order): matches the event queue's
-    // (time, seq) order for the schedule() calls that created them.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < clientRetryAt_.size(); ++i) {
-        if (clientRetryAt_[i].first < clientRetryAt_[best].first)
-            best = i;
-    }
-    const std::size_t idx = clientRetryAt_[best].second;
-    KELLE_ASSERT(!(queue_.now() < clientRetryAt_[best].first),
-                 "client retry fired early");
-    clientRetryAt_.erase(clientRetryAt_.begin() +
-                         static_cast<std::ptrdiff_t>(best));
-    if (crashed_) {
-        // The device died while the client was backing off: burn
-        // another retry (or fail terminally through the reject path).
-        rejectRequest(idx, minBudget(requests_[idx].task));
-        return;
-    }
-    enqueue(idx);
+    Request &r = requests_[idx];
+    if (grants_[idx].admitted)
+        allocator_.release(grants_[idx]);
+    r.state = RequestState::Waiting;
+    r.prefilled = 0;
+    r.generated = 0;
+    r.budgetRequested = 0;
+    r.budgetGranted = 0;
+}
+
+void
+DeviceEngine::recordFaultEvict(SimTime t, std::size_t idx,
+                               std::uint64_t work)
+{
+    requests_[idx].faulted = true;
+    if (trace_ != nullptr)
+        trace_->faultEvicted(t, requests_[idx].id, work);
+    if (wf_ != nullptr)
+        wf_->onFaultEvict(idx, t);
 }
 
 void
@@ -1290,18 +1227,8 @@ DeviceEngine::crashAt(SimTime t, std::vector<std::size_t> *victims,
             static_cast<std::uint64_t>(r.prefilled + r.generated);
         r.lostTokens += work;
         *lost_tokens += work;
-        r.faulted = true;
-        r.state = RequestState::Waiting;
-        r.prefilled = 0;
-        r.generated = 0;
-        r.budgetRequested = 0;
-        r.budgetGranted = 0;
-        if (grants_[idx].admitted)
-            allocator_.release(grants_[idx]);
-        if (trace_ != nullptr)
-            trace_->faultEvicted(t, r.id, work);
-        if (wf_ != nullptr)
-            wf_->onFaultEvict(idx, t);
+        resetVictim(idx);
+        recordFaultEvict(t, idx, work);
     }
     if (trace_ != nullptr) {
         trace_->queueDepth(t, 0);
@@ -1369,27 +1296,20 @@ DeviceEngine::restoreAt(SimTime t, int kind_code)
         dispatch();
 }
 
-std::size_t
-DeviceEngine::pressureReclaimAt(SimTime t)
-{
-    if (!allocator_.paged())
-        return 0; // contiguous reservations have nothing cached
-    lastRoundAllDeferred_ = false;
-    const std::size_t freed = allocator_.dropCachedPrefixes();
-    clampRunningBudgets();
-    if (freed > 0 && trace_ != nullptr) {
-        trace_->kvInUse(t, allocator_.inUseBytes());
-        tracePagedCounters(t);
-    }
-    // Freed pages can admit blocked waiters right away.
-    dispatch();
-    return freed;
-}
-
 void
-DeviceEngine::shedStaleWaitingAt(SimTime t,
-                                 std::vector<std::size_t> *shed)
+DeviceEngine::degradeAt(SimTime t, std::vector<std::size_t> *shed)
 {
+    if (allocator_.paged()) { // contiguous reservations cache nothing
+        lastRoundAllDeferred_ = false;
+        const std::size_t freed = allocator_.dropCachedPrefixes();
+        clampRunningBudgets();
+        if (freed > 0 && trace_ != nullptr) {
+            trace_->kvInUse(t, allocator_.inUseBytes());
+            tracePagedCounters(t);
+        }
+        // Freed pages can admit blocked waiters right away.
+        dispatch();
+    }
     if (waiting_.empty())
         return;
     const std::size_t shed_before = shed->size();
@@ -1409,12 +1329,8 @@ DeviceEngine::shedStaleWaitingAt(SimTime t,
         }
         if (secondLife(r))
             --waitingPreempted_;
-        r.faulted = true;
         shed->push_back(*it);
-        if (trace_ != nullptr)
-            trace_->faultEvicted(t, r.id, 0);
-        if (wf_ != nullptr)
-            wf_->onFaultEvict(*it, t);
+        recordFaultEvict(t, *it, 0);
         if (cfg_.verbose)
             inform("t=", toString(t), label_, " request #", r.id,
                    " shed under fleet pressure (TTFT deadline "

@@ -159,18 +159,6 @@ struct DeviceConfig
      *  iterations); 0 = run the trace to completion. */
     std::uint64_t maxEngineSteps = 0;
     /**
-     * Client-side retry budget for overload rejections: instead of
-     * failing terminally, a request whose floor exceeds the pool
-     * re-arrives after a seeded backoff, up to this many times. 0 (the
-     * default) keeps the immediate-reject path bit-identical. The
-     * backoff stream is a pure hash of (request id, attempt) —
-     * independent of the arrival-trace RNG, so the base arrival trace
-     * stays byte-identical whether retries are on or off.
-     */
-    std::uint32_t clientRetries = 0;
-    /** Mean client re-arrival backoff, seconds (jittered 0.5-1.5x). */
-    double clientRetryBackoffSec = 5.0;
-    /**
      * Bit-identical simulation fast path: memoized step costing plus
      * fast-forwarding of provably identical decode steps. Off reverts
      * to uncached step-at-a-time execution (the equivalence oracle
@@ -245,18 +233,18 @@ class DeviceEngine
         wfDevice_ = device;
     }
 
-    /** Hand an arrived (or requeued) request to this device. */
+    /** Hand an arrived (or requeued) request to this device. One
+     *  whose floor the whole pool can never hold (`canEverAdmit`) is
+     *  rejected on the spot: it never waits, so it is never demand. */
     void enqueue(std::size_t idx);
 
-    /** A request re-entering the queue after a first life (preempt,
-     *  fault eviction, or client retry): enqueue logs a requeue, not
-     *  an arrival, and the bypass accounting treats it as an old id
-     *  arriving late. */
+    /** A request re-entering the queue after a first life (preempt or
+     *  fault eviction): enqueue logs a requeue, not an arrival, and
+     *  the bypass accounting treats it as an old id arriving late. */
     static bool
     secondLife(const Request &r)
     {
-        return r.preemptions > 0 || r.faultRetries > 0 ||
-               r.clientRetries > 0;
+        return r.preemptions > 0 || r.faultRetries > 0;
     }
     /** Record a first-life arrival at `t`: the span begin (plus the
      *  SLO targets when attribution is on) on `trace` and the
@@ -298,10 +286,9 @@ class DeviceEngine
      * Conservative lower bound on when this device could next hand a
      * preemption victim back through `Hooks::requeue`, `never()` when
      * it provably cannot before new work reaches it (preemption off,
-     * or no waiting demand and no pending client re-arrival — the
-     * waiting queue only shrinks until the owner enqueues again). The
-     * cluster drive loop bounds every device's lookahead window with
-     * this: the preemption scan fires once `t - firstToken >
+     * or no waiting demand — the waiting queue only shrinks until the
+     * owner enqueues again). The cluster drive loop bounds every
+     * device's lookahead window with this: the preemption scan fires once `t - firstToken >
      * doomAfter()`, so a decode that is running now is not doomed
      * before the tick `firstToken + doomAfter() + 1`, and one that
      * starts decoding later starts its doom clock no earlier than
@@ -345,19 +332,15 @@ class DeviceEngine
      *  faults::FaultKind value (1 slowdown, 2 pool shrink). */
     void restoreAt(sim::SimTime t, int kind_code);
     /**
-     * Graceful-degradation ladder, rung 1-2: drop cached shared-
-     * prefix pages, then clamp running budgets to what they hold
-     * (paged mode; contiguous pools have nothing reclaimable).
-     * Returns pages freed. Re-runs dispatch so freed pages can admit
-     * blocked waiters immediately.
+     * Graceful-degradation ladder. Rungs 1-2 (paged mode; contiguous
+     * pools have nothing reclaimable): drop cached shared-prefix
+     * pages, clamp running budgets to what they hold, and re-run
+     * dispatch so freed pages admit blocked waiters at once. Rung 3:
+     * shed waiting requests whose TTFT deadline has already expired,
+     * appending them to `shed` for the owner to re-dispatch through
+     * the retry path.
      */
-    std::size_t pressureReclaimAt(sim::SimTime t);
-    /**
-     * Ladder rung 3: shed waiting requests whose TTFT deadline has
-     * already expired, appending them to `shed` for the owner to
-     * re-dispatch through the retry path.
-     */
-    void shedStaleWaitingAt(sim::SimTime t, std::vector<std::size_t> *shed);
+    void degradeAt(sim::SimTime t, std::vector<std::size_t> *shed);
     /**
      * Terminal fault failure: the owner's retry budget for `idx` ran
      * out. Counts as a rejection in the SLO metrics, lands in the
@@ -431,7 +414,16 @@ class DeviceEngine
      *  step starting at `w`'s last applied boundary. */
     void traceBoundary(const FastForwardWindow &w);
     void finishRequest(std::size_t idx);
-    void rejectRequest(std::size_t idx, std::size_t floor_tokens);
+    /** Release a preempted or crash-evicted victim's grant (if it
+     *  holds one) and reset its state, progress and budgets: the KV is
+     *  gone, so the prompt and emitted tokens must rerun. Arrival and
+     *  first-token stamps survive. */
+    void resetVictim(std::size_t idx);
+    /** A crash or shed eviction's record: the request is marked
+     *  faulted, and the trace and waterfall log the eviction with the
+     *  `work` tokens it discarded. */
+    void recordFaultEvict(sim::SimTime t, std::size_t idx,
+                          std::uint64_t work);
     /** A step latency on the simulation clock, stretched by `scale`
      *  (a slowdown fault's): the one place the timing model's `double`
      *  seconds are rounded to ticks. */
@@ -444,11 +436,6 @@ class DeviceEngine
     /** First tick at which the preemption scan would find a running
      *  member doomed (`never()` when none can be). */
     sim::SimTime firstDoomedRunning() const;
-    /** Pop the earliest pending client re-arrival (ties: earliest
-     *  scheduled, matching the event queue's seq order) and re-enqueue
-     *  it — or re-enter the reject path if the device crashed while
-     *  the client was backing off. */
-    void fireClientRetry();
     /** Ensure `idx`'s grant holds `tokens`, clamping the budget to
      *  the chain's capacity when the page pool is exhausted (never
      *  below the floor acquired at admission). Callers never ask for
@@ -570,8 +557,7 @@ class DeviceEngine
     bool truncated_ = false;
     /** @name Fault state (src/faults; inert without an injector). @{ */
     /** Down after crashAt until recoverAt: dispatch and enqueue are
-     *  refused (the cluster blacklists the device; client retries
-     *  re-enter the reject path). */
+     *  refused (the cluster blacklists the device). */
     bool crashed_ = false;
     /** Slowdown-fault step-latency multiplier (1.0 = healthy). */
     double latencyScale_ = 1.0;
@@ -579,9 +565,6 @@ class DeviceEngine
      *  schedule time and no-op when it no longer matches, orphaning
      *  the in-flight step of a crashed device. */
     std::uint32_t runEpoch_ = 0;
-    /** Pending client re-arrivals (instant, request idx), unordered;
-     *  linear scans — retries are rare. */
-    std::vector<std::pair<sim::SimTime, std::size_t>> clientRetryAt_;
     /** @} */
     EngineStepKind lastStep_ = EngineStepKind::Idle;
     std::size_t dispatched_ = 0;

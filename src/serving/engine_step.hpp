@@ -4,9 +4,9 @@
  *
  * At every step boundary the serving engine asks its `Policy` for an
  * `EngineStepPlan`: either one request's next prefill *chunk* (a fixed
- * number of prompt tokens costed by accel::simulatePrefillChunk at the
- * request's current KV offset) or one decode iteration over the named
- * continuous-batch members. Splitting prefill into chunks is what lets
+ * number of prompt tokens costed by the step-cost model's
+ * `prefillChunk` at the request's current KV offset) or one decode
+ * iteration over the named continuous-batch members. Splitting prefill into chunks is what lets
  * a policy interleave a long prompt with decode iterations
  * (Sarathi-style) instead of stalling the whole batch for the full
  * prefill latency.

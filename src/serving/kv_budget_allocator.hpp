@@ -135,7 +135,6 @@ class KvBudgetAllocator
      * never-scaled allocator, so faults-off digests are untouched.
      */
     void setCapacityScale(double scale);
-    double capacityScale() const { return capacityScale_; }
     /** Fault-pressure reclaim: drop all cached shared-prefix pages
      *  (paged mode; 0 in contiguous mode). Returns pages freed. */
     std::size_t dropCachedPrefixes();

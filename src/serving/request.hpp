@@ -83,9 +83,6 @@ struct Request
     /** Cluster re-dispatches after a device fault evicted this
      *  request (capped by FaultConfig::maxRetries). */
     std::uint32_t faultRetries = 0;
-    /** Client-side re-arrivals after an overload rejection (capped by
-     *  TrafficConfig::clientRetries). */
-    std::uint32_t clientRetries = 0;
     /** Prefill + decode tokens discarded by device crashes — the
      *  regeneration cost of this request's fault history. */
     std::uint64_t lostTokens = 0;

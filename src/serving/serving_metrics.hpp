@@ -130,13 +130,6 @@ class ServingMetrics
     void sampleQueueDepth(std::size_t depth);
     /** Accumulate one engine step's energy. */
     void addEnergy(const accel::EnergyBreakdown &e) { energy_ += e; }
-    /** Accumulate `steps` engine steps of the same energy, bit-identical
-     *  to `steps` calls of addEnergy(e). */
-    void
-    addEnergy(const accel::EnergyBreakdown &e, std::uint64_t steps)
-    {
-        energy_.addRepeated(e, steps);
-    }
     /** The running energy total, for a loop that adds its steps to a
      *  local copy and stores it back: the same adds, in order. */
     accel::EnergyBreakdown &stepEnergy() { return energy_; }

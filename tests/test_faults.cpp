@@ -18,8 +18,6 @@
  *  - FaultTrace: the offline reader parses fault traces with zero
  *    unknown events and zero decode-batch mismatches, and replays the
  *    device_fault miss cause.
- *  - ClientRetry: overload-rejection resubmits respect their budget
- *    and never perturb the base arrival trace.
  */
 
 #include <string>
@@ -393,99 +391,6 @@ TEST(FaultTrace, ReaderParsesFaultTaxonomyAndMissCause)
         EXPECT_GT(pre.report.aggregate.summary.preemptions, 0u)
             << "seed " << seed;
         EXPECT_EQ(r.stats().batchMismatches, 0u) << "seed " << seed;
-    }
-}
-
-// ---- ClientRetry --------------------------------------------------------
-
-TEST(ClientRetry, BudgetRespectedAndArrivalTraceUnchanged)
-{
-    // A pool below the larger task's floor makes that class an
-    // overload reject; client retries resubmit it (futile here, so
-    // the budget must be exactly spent) without touching arrivals.
-    // Budget floors (sink + recent + slack): lambada-tiny 19 tokens,
-    // triviaQa-tiny 35 — a 24-token pool admits one class and
-    // overload-rejects the other.
-    cluster::ClusterConfig base = tinyFaultCluster(1);
-    base.faults.enabled = false;
-    base.engine.poolTokens = 24;
-    for (auto &d : base.devices)
-        d.poolTokens = 24;
-
-    cluster::ClusterConfig plain = base;
-    cluster::ClusterEngine p(plain);
-    const cluster::ClusterReport prep = p.run();
-
-    cluster::ClusterConfig retry = base;
-    retry.engine.clientRetries = 2;
-    retry.engine.clientRetryBackoffSec = 0.01;
-    cluster::ClusterEngine q(retry);
-    const cluster::ClusterReport qrep = q.run();
-
-    ASSERT_GT(prep.aggregate.summary.rejected, 0u);
-    EXPECT_EQ(prep.aggregate.summary.rejected,
-              qrep.aggregate.summary.rejected);
-    EXPECT_EQ(prep.aggregate.summary.completed,
-              qrep.aggregate.summary.completed);
-
-    ASSERT_EQ(p.requests().size(), q.requests().size());
-    for (std::size_t i = 0; i < p.requests().size(); ++i) {
-        // The base arrival trace is byte-identical: retries re-enter
-        // the admission path, they do not append arrivals.
-        EXPECT_EQ(p.requests()[i].arrival.sec(),
-                  q.requests()[i].arrival.sec())
-            << i;
-        EXPECT_EQ(p.requests()[i].id, q.requests()[i].id) << i;
-        const serving::Request &r = q.requests()[i];
-        EXPECT_LE(r.clientRetries, 2u);
-        if (r.state == serving::RequestState::Rejected) {
-            EXPECT_EQ(r.clientRetries, 2u) << i;
-        }
-    }
-}
-
-TEST(ClientRetry, ReArrivalBoundsPreemptionWindows)
-{
-    // A pool just above the smaller task's floor: the larger task is
-    // rejected and re-arrives from the device's own queue while
-    // doomed decodes run. The re-arrival is waiting demand that can
-    // trigger a preemption, so it must bound the lookahead window like
-    // a waiter does — on one device as on two.
-    for (std::size_t devices : {std::size_t{1}, std::size_t{2}}) {
-        cluster::ClusterConfig cfg = tinyFaultCluster(devices, 1);
-        cfg.faults = faults::FaultConfig{};
-        cfg.devices = cluster::homogeneousFleet(
-            devices, cfg.engine.system, 24, cfg.engine.maxBatch);
-        cfg.engine.traffic.ratePerSec = 2000.0;
-        cfg.engine.traffic.slo.tpotSec = 2e-6;
-        cfg.engine.preempt.enabled = true;
-        cfg.engine.clientRetries = 3;
-        cfg.engine.clientRetryBackoffSec = 1e-4;
-        const FaultRun one = runFaultCell(cfg, 1, true);
-        const std::string label =
-            std::to_string(devices) + " device(s)";
-        ASSERT_GT(one.report.aggregate.summary.preemptions, 0u)
-            << label;
-        std::uint32_t retried = 0;
-        for (const serving::Request &r : one.requests)
-            retried += r.clientRetries;
-        ASSERT_GT(retried, 0u) << label;
-        const FaultRun oracle = runFaultCell(cfg, devices, false);
-        EXPECT_EQ(one.traceJson, oracle.traceJson) << label;
-    }
-}
-
-TEST(ClientRetry, ThreadInvariantUnderFaults)
-{
-    cluster::ClusterConfig cfg = tinyFaultCluster(2, 42);
-    cfg.engine.clientRetries = 2;
-    cfg.engine.clientRetryBackoffSec = 0.005;
-    const FaultRun serial = runFaultCell(cfg, 1, true);
-    for (std::size_t threads : {std::size_t{2}}) {
-        const FaultRun par = runFaultCell(cfg, threads, false);
-        EXPECT_EQ(serial.traceJson, par.traceJson);
-        expectFaultReportsEqual(serial.report.faults,
-                                par.report.faults, "client-retry");
     }
 }
 

@@ -632,20 +632,6 @@ TEST(HostileFlags, ServingZeroBatchCapIsRejected)
                        "--maxbatch");
 }
 
-TEST(HostileFlags, NonPositiveOrNanRetryBackoffIsRejected)
-{
-    // A negative backoff scheduled the client's re-arrival into the
-    // past and aborted the run; nan ran silently.
-    for (const char *backoff : {"-1", "0", "nan"})
-        expectFlagRejected("bench/bench_serving",
-                           std::string("--client-retry-backoff ") +
-                               backoff +
-                               " --client-retries 2 --pool 600 "
-                               "--requests 8 --sweep 0 --study 0 "
-                               "--policy contbatch",
-                           "--client-retry-backoff");
-}
-
 TEST(HostileFlags, PrefixFractionOutsideUnitIntervalIsRejected)
 {
     for (const char *frac : {"1.5", "-0.5", "nan"})
@@ -668,22 +654,34 @@ TEST(HostileFlags, NegativeOrNanChunkSlackIsRejected)
 
 TEST(HostileFlags, RetryCountOutsideUint32IsRejected)
 {
-    // -1 used to wrap to 4,294,967,295 client retries (bench_serving
-    // then never exited on an overloaded pool); 2^32 wrapped to 0.
-    for (const char *n : {"-1", "4294967296"}) {
-        expectFlagRejected("bench/bench_serving",
-                           std::string("--client-retries ") + n +
-                               " --pool 64 --requests 4 --policy fcfs "
-                               "--sweep 0 --study 0",
-                           "--client-retries");
+    // -1 used to wrap to 4,294,967,295 retries; 2^32 wrapped to 0.
+    for (const char *n : {"-1", "4294967296"})
         expectFlagRejected("bench/bench_cluster",
                            std::string("--retries ") + n +
                                " --faults --requests 4 --sweep 0 "
                                "--study 0",
                            "--retries");
-        expectFlagRejected("examples/edge_server",
-                           std::string("--client-retries ") + n,
-                           "--client-retries");
+}
+
+TEST(HostileFlags, ClientRetriesFlagIsUnknown)
+{
+    // Client retries were deleted: a floor the whole pool cannot hold
+    // is rejected again on every resubmit, so the flag is gone. An
+    // unknown flag exits 1 and prints the usage after its one line.
+    for (const char *binary :
+         {"bench/bench_serving", "examples/edge_server"}) {
+        const std::string path =
+            std::string(KELLE_BIN_DIR) + "/" + binary;
+        if (!fileExists(path))
+            GTEST_SKIP() << path << " not built";
+        int status = 0;
+        const std::string out =
+            capture(path + " --client-retries 2", &status);
+        ASSERT_TRUE(WIFEXITED(status)) << binary << "\n" << out;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << binary << "\n" << out;
+        EXPECT_NE(out.find("unknown flag --client-retries\n"),
+                  std::string::npos)
+            << binary << "\n" << out;
     }
 }
 

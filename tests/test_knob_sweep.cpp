@@ -9,7 +9,7 @@
  *  - `fig13`: one Figure 13 cell, `accel::simulate` of the Kelle
  *    system on PG19 with LLaMA2-7B at batch 16;
  *  - `contiguous`: a 3-device contiguous-KV cluster run with
- *    preemption, fault injection and client retries on;
+ *    preemption and fault injection on, and overload rejections;
  *  - `paged`: a 2-device paged-KV cluster run with shared session
  *    prefixes under bursty PG19-heavy `edf-chunked` traffic;
  *  - `kvcache`: a ManagedKvCache driving the functional TinyLM through
@@ -170,7 +170,6 @@ clusterDigest(const cluster::ClusterConfig &cfg)
         h.add(r.generated);
         h.add(r.preemptions);
         h.add(r.faultRetries);
-        h.add(r.clientRetries);
         h.add(r.lostTokens);
         h.add(r.faultFailed);
         h.add(r.maxTokenGapSec);
@@ -232,12 +231,14 @@ baseInputs()
         serving::ServingConfig &e = s.contiguous.engine;
         e.preempt.enabled = true;
         e.poolTokens = 4000;
-        e.clientRetries = 2;
         // PG19 with a recent window wider than the pool: its floor
-        // never fits, so these requests take the client-retry path.
+        // never fits, so these requests are overload rejections.
+        // LAMBADA's double weight makes some short decodes run alone,
+        // below the resident total where the popular-token cap of
+        // recomputation binds.
         sim::Task oversized = sim::pg19();
         oversized.recentWindow = 4096;
-        e.traffic.mix = {{sim::lambada(), 1.0},
+        e.traffic.mix = {{sim::lambada(), 2.0},
                          {sim::triviaQa(), 1.0},
                          {sim::qasper(), 1.0},
                          {oversized, 1.0}};
@@ -430,10 +431,6 @@ sweptKnobs(Observers &o)
                    [](ServingConfig &e) { e.chunkSlackFrac = 0.5; }),
         engineKnob("DeviceConfig::maxEngineSteps",
                    [](ServingConfig &e) { e.maxEngineSteps = 200; }),
-        engineKnob("DeviceConfig::clientRetries",
-                   [](ServingConfig &e) { e.clientRetries = 0; }),
-        engineKnob("DeviceConfig::clientRetryBackoffSec",
-                   [](ServingConfig &e) { e.clientRetryBackoffSec = 1.0; }),
         engineKnob("DeviceConfig::fastSim",
                    [](ServingConfig &e) { e.fastSim = false; }),
         engineKnob("DeviceConfig::verbose",

@@ -1477,6 +1477,56 @@ TEST(DoomClock, DoomOnAStepBoundaryPreemptsAtThatBoundary)
     EXPECT_EQ(slow.fastForwarded, 0u);
 }
 
+TEST(DoomClock, NeverAdmittableArrivalPreemptsNothing)
+{
+    // Request 0 is doomed from its first decode step (a 1 ns TPOT
+    // target) and preemption is on. Request 1 arrives mid-decode with
+    // a floor above the whole pool: it is rejected on arrival, so it
+    // is never waiting demand and the doomed decode keeps its grant.
+    serving::DeviceConfig cfg;
+    cfg.poolTokens = 4096;
+    cfg.preempt.enabled = true;
+    std::vector<serving::Request> base = {
+        decodeRequest(0, 512, 400, 600, 1e-9),
+        decodeRequest(1, 512, 400, 600)};
+    base[1].task.recentWindow = 8192; // floor 8210 > 4096
+    // Request 0 alone finds its decode span; request 1 arrives halfway
+    // through it.
+    sim::SimTime arrive;
+    {
+        std::vector<serving::Request> dry = base;
+        sim::EventQueue queue;
+        serving::DeviceEngine engine(cfg, queue, dry);
+        engine.enqueue(0);
+        queue.runAll();
+        arrive = dry[0].firstToken +
+                 sim::SimTime::nanos(
+                     (dry[0].completed - dry[0].firstToken).ns() / 2);
+    }
+    for (const bool fast : {true, false}) {
+        SCOPED_TRACE(fast ? "fastSim on" : "fastSim off");
+        cfg.fastSim = fast;
+        std::vector<serving::Request> requests = base;
+        sim::EventQueue queue;
+        serving::DeviceEngine engine(cfg, queue, requests);
+        ASSERT_FALSE(engine.canEverAdmit(requests[1]));
+        engine.enqueue(0);
+        queue.schedule(arrive, [&] {
+            EXPECT_EQ(requests[0].state, serving::RequestState::Decoding);
+            engine.enqueue(1);
+            EXPECT_EQ(engine.waitingCount(), 0u);
+        });
+        queue.runAll();
+        EXPECT_EQ(requests[0].preemptions, 0u);
+        EXPECT_EQ(requests[0].state, serving::RequestState::Completed);
+        EXPECT_EQ(requests[1].state, serving::RequestState::Rejected);
+        const serving::ServingSummary s = engine.metrics().summarize(
+            Time::seconds(queue.now().sec()));
+        EXPECT_EQ(s.preemptions, 0u);
+        EXPECT_EQ(s.rejected, 1u);
+    }
+}
+
 // ---- AllocationFree ------------------------------------------------
 
 TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
