@@ -18,9 +18,11 @@
  * absolute steps/sec floor it replaces.
  *
  * `--devices` scales the alternating eDRAM/SRAM fleet and `--threads`
- * sets the cluster drive loop's worker lanes; with threads > 1 the
- * sweep is additionally timed at `threads = 1` and the report
- * carries a `thread_scaling` section with the speedup (outputs are
+ * caps the cluster drive loop's worker lanes (the engine clamps them
+ * to its memo groups: 2 for this fleet, and the report prints the
+ * lanes that ran); when more than one lane ran, the sweep is
+ * additionally timed at `threads = 1` and the report carries a
+ * `thread_scaling` section with the speedup (outputs are
  * bit-identical by construction — only wall-clock varies).
  *
  * Cells run serially (never on a ThreadPool): each wall-clock sample
@@ -94,6 +96,8 @@ struct CellResult
     std::uint64_t engineSteps = 0;
     std::uint64_t fastForwarded = 0;
     accel::StepCostCache::Stats cache;
+    /** Lanes the cluster engine resolved `--threads` to. */
+    std::size_t lanes = 1;
 };
 
 CellResult
@@ -111,6 +115,7 @@ runCell(const cluster::ClusterConfig &base,
     c.dispatch = toString(dispatch);
     c.wallSec = std::chrono::duration<double>(t1 - t0).count();
     c.completed = rep.aggregate.summary.completed;
+    c.lanes = engine.lanes();
     for (std::size_t i = 0; i < engine.deviceCount(); ++i) {
         c.engineSteps += engine.device(i).engineSteps();
         c.fastForwarded += engine.device(i).fastForwardedSteps();
@@ -126,10 +131,12 @@ struct Aggregate
     std::uint64_t engineSteps = 0;
     std::uint64_t fastForwarded = 0;
     accel::StepCostCache::Stats cache;
+    std::size_t lanes = 1; ///< every cell runs the same fleet
 
     void
     add(const CellResult &c)
     {
+        lanes = c.lanes;
         wallSec += c.wallSec;
         completed += c.completed;
         engineSteps += c.engineSteps;
@@ -177,7 +184,7 @@ writeJson(std::FILE *f, const std::string &path,
                  "\"requests\": %zu, \"rate_per_sec\": %.6g, "
                  "\"seed\": %llu, \"policy\": \"%s\", "
                  "\"quick\": %s},\n",
-                 base.devices.size(), base.threads,
+                 base.devices.size(), fast.lanes,
                  common::defaultParallelism(),
                  base.engine.traffic.numRequests,
                  base.engine.traffic.ratePerSec,
@@ -230,7 +237,7 @@ writeJson(std::FILE *f, const std::string &path,
             "\"serial_wall_sec\": %.6f, "
             "\"serial_engine_steps_per_sec\": %.1f, "
             "\"speedup\": %.2f}",
-            base.threads, serial->wallSec, serial->stepsPerSec(),
+            fast.lanes, serial->wallSec, serial->stepsPerSec(),
             serial->wallSec > 0.0 && fast.wallSec > 0.0
                 ? serial->wallSec / fast.wallSec
                 : 0.0);
@@ -285,9 +292,9 @@ main(int argc, char **argv)
     args.addInt("threads", 1,
                 "worker lanes per cluster run (1 = one lane, run "
                 "inline, 0 = hardware threads); outputs stay "
-                "bit-identical — with threads > 1 the sweep is also "
-                "timed on one lane and the report gains a "
-                "thread_scaling section",
+                "bit-identical — when more than one lane runs, the "
+                "sweep is also timed on one lane and the report gains "
+                "a thread_scaling section",
                 common::IntRange::NonNegative);
     args.addInt("seed", 42, "arrival-trace seed");
     args.addString("policy", "contbatch",
@@ -340,7 +347,7 @@ main(int argc, char **argv)
         " requests/cell at " +
         Table::num(base.engine.traffic.ratePerSec, 4) +
         " req/s, policy " + toString(base.engine.policy) + ", " +
-        std::to_string(base.threads) + " worker lane(s), seed " +
+        "--threads " + std::to_string(base.threads) + ", seed " +
         std::to_string(base.engine.traffic.seed));
 
     // Self-profile the fast sweep only: the serial and reference
@@ -406,7 +413,8 @@ main(int argc, char **argv)
     }
 
     Aggregate serial;
-    const bool with_scaling = base.threads != 1;
+    // A sweep that ran on one lane has nothing to scale against.
+    const bool with_scaling = fast.lanes > 1;
     if (with_scaling) {
         cluster::ClusterConfig one = base;
         one.threads = 1;
@@ -424,7 +432,7 @@ main(int argc, char **argv)
         }
         st.print("bit-identical outputs; only wall-clock differs");
         bench::note("thread scaling at " +
-                    std::to_string(base.threads) + " lanes: " +
+                    std::to_string(fast.lanes) + " lanes: " +
                     Table::mult(serial.wallSec /
                                 std::max(fast.wallSec, 1e-9)));
     }

@@ -8,7 +8,7 @@
  * while the shapes repeat for long stretches. `StepCostCache` costs
  * them with one `StepCostModel` bound to its (system, model) pair and
  * memoizes the `StepReport`s. The hit path of `decodeStep` is inline
- * here; misses, buffering and bypasses stay out of line. On a 4-vCPU
+ * here; misses and bypasses stay out of line. On a 4-vCPU
  * Xeon VM, looking up 4,096 fresh LLaMA2-7B shapes at B = 16 into a
  * new cache costs about 125 ns a miss on Kelle+eDRAM and 91 ns on
  * AERP+SRAM (memo insert and first-touch pages included), and looking
@@ -40,23 +40,10 @@
  * every device whose `SystemConfig` compares equal, so identical
  * accelerators evaluate and store each (B, N) report once; a cache
  * made from a (system, model) pair is a group of one. Counts stay per
- * cache. In every lookahead window with two or more active devices,
- * the cluster switches every cache of a larger group to buffering,
- * *also when the window runs on one lane*: a cache reads the memo but
- * puts what it computes into a pending table only it sees, and
- * `publish()` stores it after the window in device-index order. No
- * member sees another's reports of the same window, so the memo and
- * every count are the same at any lane count, with no locks.
- *
- * Pending table: the pending entries (key, report, table cell) in a
- * vector, in computed order, plus a flat open-addressing table of
- * 1-based positions into it: a power of two in size, at most half
- * full, probed linearly from a multiplicative hash of `B << 32 | N`.
- * `publish()` zeroes exactly the cells it used; both keep their
- * storage, so a buffered miss allocates nothing in steady state. On a
- * 4-vCPU Xeon VM, buffering's own cost per miss fell from about 44 to
- * 30 ns against the node-based hash map it replaced, and host time per
- * `fleet16_preempt` rep by 13% (bench/BENCH_pending_table.json).
+ * cache. The memo has no locks: the cluster runs each group's devices
+ * on one lane, one after another in index order, so a memo is touched
+ * by one thread at a time and every lookup's outcome, and with it
+ * every count, is the same at any lane count.
  */
 
 #ifndef KELLE_ACCEL_STEP_COST_CACHE_HPP
@@ -173,9 +160,8 @@ class StepCostCache
      * Memoized simulateBatchedDecodeStep of `batch` members holding
      * `resident_total` tokens; counts one hit, miss or bypass. A
      * report from the shared memo stays valid for the memo's
-     * lifetime; a buffered one until this cache's next `decodeStep`
-     * or `publish()` (a later buffered miss may move it); a bypassing
-     * (memo-full) call returns a slot the next bypass overwrites.
+     * lifetime; a bypassing (memo-full) call returns a slot the next
+     * bypass overwrites.
      */
     const StepReport &
     decodeStep(std::size_t batch, std::size_t resident_total)
@@ -186,19 +172,6 @@ class StepCostCache
         }
         return missedDecode(batch, resident_total);
     }
-
-    /**
-     * @name Concurrent use of a shared memo
-     * From `bufferMisses()` to `publish()` the cache writes nothing
-     * shared: a decode shape absent from the memo is looked up in, or
-     * computed into, this cache's pending table. `publish()` (with no
-     * other member of the group running) stores every pending report
-     * the memo still lacks, in the order they were computed, and
-     * leaves buffering mode. @{
-     */
-    void bufferMisses() { buffering_ = true; }
-    void publish();
-    /** @} */
 
     /** The bound cost model every miss and bypass evaluates, and
      *  the one that costs prefill chunks uncached. */
@@ -218,36 +191,15 @@ class StepCostCache
   private:
     explicit StepCostCache(std::shared_ptr<DecodeMemo> memo);
 
-    /** decodeStep of a shape the shared memo lacks: buffer, bypass or
-     *  miss (out of line; the hit path above stays inline). */
+    /** decodeStep of a shape the shared memo lacks: bypass or miss
+     *  (out of line; the hit path above stays inline). */
     const StepReport &missedDecode(std::size_t batch,
                                    std::size_t resident_total);
-
-    /** A decode shape the shared memo lacks, while buffering. */
-    const StepReport &bufferedDecode(std::size_t batch,
-                                     std::size_t resident_total);
-    /** The cell holding `key`, or the empty one it would take. */
-    std::size_t pendingCell(std::uint64_t key) const;
-    /** Double the pending table; re-seat every entry. */
-    void growPendingCells();
-
-    /** A buffered report and the cell that points at it. */
-    struct Pending
-    {
-        std::uint64_t key; ///< B << 32 | N
-        std::size_t cell;
-        StepReport report;
-    };
 
     std::shared_ptr<DecodeMemo> memo_;
     Stats stats_;
     /** Result slot for bypassing calls (memo at capacity). */
     StepReport overflow_;
-    bool buffering_ = false;
-    /** Buffered reports in the order they were computed. */
-    std::vector<Pending> pending_;
-    /** 1-based positions into pending_ (0 = empty). */
-    std::vector<std::uint32_t> pendingCells_;
 };
 
 } // namespace accel

@@ -71,14 +71,6 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
                  "a cluster needs at least one device");
     if (cfg_.engine.trace != nullptr)
         clusterTrack_ = cfg_.engine.trace->requestsTrack();
-    threads_ =
-        cfg_.threads ? cfg_.threads : common::defaultParallelism();
-    threads_ = std::min(threads_, cfg_.devices.size());
-    // Verbose runs take one lane: the state is bit-identical at any
-    // lane count, but concurrent windows would interleave log lines
-    // nondeterministically.
-    if (cfg_.engine.verbose)
-        threads_ = 1;
     if (cfg_.faults.enabled) {
         injector_ = std::make_unique<faults::FaultInjector>(
             cfg_.faults, cfg_.devices.size());
@@ -90,20 +82,22 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     requeueBufs_.resize(cfg_.devices.size());
     requeueBufPos_.assign(cfg_.devices.size(), 0);
     devices_.reserve(cfg_.devices.size());
-    // Devices with equal systems cost every step alike: each joins
-    // the decode memo of the first of them.
-    std::vector<std::size_t> leader;
-    for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
-        const auto begin = cfg_.devices.begin();
-        leader.push_back(static_cast<std::size_t>(
-            std::find_if(begin, begin + static_cast<std::ptrdiff_t>(i),
-                         [&](const DeviceSpec &d) {
-                             return d.system == cfg_.devices[i].system;
-                         }) -
-            begin));
-    }
     for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
         const DeviceSpec &spec = cfg_.devices[i];
+        // Devices with equal systems cost every step alike: each
+        // joins the memo group of the first of them.
+        auto group = std::find_if(
+            memoGroups_.begin(), memoGroups_.end(),
+            [&](const std::vector<std::size_t> &g) {
+                return cfg_.devices[g.front()].system == spec.system;
+            });
+        const accel::StepCostCache *memo_peer =
+            group != memoGroups_.end()
+                ? &devices_[group->front()]->costCache()
+                : nullptr;
+        if (group == memoGroups_.end())
+            group = memoGroups_.emplace(memoGroups_.end());
+        group->push_back(i);
         // The shared knobs, then what a DeviceSpec overrides.
         serving::DeviceConfig d = cfg_.engine;
         d.system = spec.system;
@@ -118,10 +112,7 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
         devices_.push_back(std::make_unique<serving::DeviceEngine>(
             d, q, requests_,
             cfg_.devices.size() > 1 ? spec.name : std::string(),
-            leader[i] != i ? &devices_[leader[i]]->costCache()
-                           : nullptr));
-        if (std::count(leader.begin(), leader.end(), leader[i]) > 1)
-            sharedMemo_.push_back(i);
+            memo_peer));
         if (cfg_.engine.trace != nullptr)
             devices_.back()->setTrace(cfg_.engine.trace->addDeviceTrack(
                 spec.name.empty() ? "device" : spec.name));
@@ -144,6 +135,15 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
         hooks.nextExternalEvent = [this] { return windowHorizon_; };
         devices_.back()->setHooks(std::move(hooks));
     }
+    // A memo group is the unit of lane work, so more lanes than
+    // groups would idle. Verbose runs take one lane: the state is
+    // bit-identical at any lane count, but concurrent windows would
+    // interleave log lines nondeterministically.
+    threads_ =
+        cfg_.threads ? cfg_.threads : common::defaultParallelism();
+    threads_ = std::min(threads_, memoGroups_.size());
+    if (cfg_.engine.verbose)
+        threads_ = 1;
 }
 
 DeviceStatus
@@ -516,35 +516,34 @@ ClusterEngine::drive()
             // (its own in-window preemptions are stopped by the
             // engine's doom check, everyone else's by the bound).
             windowHorizon_ = horizon;
-            // A window with one active partition needs no barrier:
-            // run it inline and leave the workers parked (the common
-            // shape between sparse arrivals).
+            // Each memo group runs on one lane, its devices one after
+            // another in index order, so a memo is touched by one
+            // thread at a time and every lookup's outcome is the same
+            // at any lane count. A window with one active group needs
+            // no barrier: run it inline and leave the workers parked
+            // (the common shape between sparse arrivals).
             std::size_t active = 0, only = 0;
-            for (std::size_t i = 0; i < nd; ++i) {
-                if (localQueues_[i]->nextEventTime() < horizon) {
-                    ++active;
-                    only = i;
+            for (std::size_t g = 0; g < memoGroups_.size(); ++g) {
+                for (std::size_t i : memoGroups_[g]) {
+                    if (localQueues_[i]->nextEventTime() < horizon) {
+                        ++active;
+                        only = g;
+                        break;
+                    }
                 }
             }
+            const auto run_group = [this](std::size_t g) {
+                for (std::size_t i : memoGroups_[g])
+                    localQueues_[i]->runBefore(windowHorizon_);
+            };
             {
                 obs::PhaseProfiler::Timer timer(
                     cfg_.engine.profiler,
                     obs::PhaseProfiler::Phase::Window);
-                if (active == 1) {
-                    localQueues_[only]->runBefore(windowHorizon_);
-                } else {
-                    // Devices sharing a decode memo buffer the reports
-                    // they compute while the lanes run; publishing them
-                    // after the join in device-index order makes every
-                    // lookup's outcome independent of the lane count.
-                    for (std::size_t i : sharedMemo_)
-                        devices_[i]->costCache().bufferMisses();
-                    pool.forEach(nd, [this](std::size_t i) {
-                        localQueues_[i]->runBefore(windowHorizon_);
-                    });
-                    for (std::size_t i : sharedMemo_)
-                        devices_[i]->costCache().publish();
-                }
+                if (active == 1)
+                    run_group(only);
+                else
+                    pool.forEach(memoGroups_.size(), run_group);
             }
             for (std::size_t i = 0; i < nd; ++i)
                 KELLE_ASSERT(requeueBufs_[i].empty(),

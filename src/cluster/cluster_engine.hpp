@@ -77,13 +77,15 @@ struct ClusterConfig
     /**
      * Worker lanes for the drive loop's lookahead windows: 1 (default)
      * runs every window inline on the calling thread; 0 means one
-     * lane per hardware thread; N caps at N lanes. Lanes are clamped
-     * to the fleet size, and verbose runs always take one lane so the
-     * log order is deterministic. Every value yields a bit-identical
-     * ClusterReport — each device advances only to a conservative
-     * lookahead horizon and cross-device effects merge in serialized
-     * rounds in a canonical order (see docs/ARCHITECTURE.md, "Cluster
-     * drive loop").
+     * lane per hardware thread; N caps at N lanes. A lane runs whole
+     * memo groups (the devices with equal systems, which share one
+     * decode memo), so lanes are clamped to the number of groups: a
+     * homogeneous fleet runs on one lane. Verbose runs always take
+     * one lane so the log order is deterministic. Every value yields
+     * a bit-identical ClusterReport — each device advances only to a
+     * conservative lookahead horizon and cross-device effects merge
+     * in serialized rounds in a canonical order (see
+     * docs/ARCHITECTURE.md, "Cluster drive loop").
      */
     std::size_t threads = 1;
     /**
@@ -141,6 +143,9 @@ class ClusterEngine
     ClusterReport run();
 
     std::size_t deviceCount() const { return devices_.size(); }
+    /** Worker lanes the drive loop runs: `ClusterConfig::threads`
+     *  resolved and clamped (1 = every window runs inline). */
+    std::size_t lanes() const { return threads_; }
     /** Per-device engine state after run() (tests/examples). */
     const serving::DeviceEngine &device(std::size_t i) const
     {
@@ -216,11 +221,10 @@ class ClusterEngine
 
     /** Resolved worker lanes (1 = every window runs inline). */
     std::size_t threads_ = 1;
-    /** Devices whose decode memo another device shares (groups of
-     *  two or more), in index order: they buffer new step reports in
-     *  multi-lane windows, and the loop publishes them after the join
-     *  (see accel/step_cost_cache.hpp). */
-    std::vector<std::size_t> sharedMemo_;
+    /** Devices by decode memo: one group per distinct system, in
+     *  order of first device, each in index order. A window runs a
+     *  group's devices one after another on one lane. */
+    std::vector<std::vector<std::size_t>> memoGroups_;
     /** @name Drive-loop state
      * Each device steps its own event-queue partition; the drive loop
      * alternates lock-free lookahead windows (no cross-device effect

@@ -366,9 +366,9 @@ class DeviceEngine
     {
         return costCache_.stats();
     }
-    /** The step-cost cache, for an owner that groups devices onto one
-     *  decode memo (buffering and publishing around its windows). */
-    accel::StepCostCache &costCache() { return costCache_; }
+    /** The step-cost cache: the peer a later device's constructor
+     *  joins to share this device's decode memo. */
+    const accel::StepCostCache &costCache() const { return costCache_; }
     /** Decode boundaries replayed without re-entering the event
      *  queue; a subset of decodeSteps(). */
     std::uint64_t fastForwardedSteps() const { return fastForwarded_; }

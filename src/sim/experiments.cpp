@@ -6,19 +6,15 @@
 namespace kelle {
 namespace sim {
 
+namespace {
+
+/** Run `systems` on one task's workload, normalized to the first. */
 std::vector<SystemResult>
-runFigure13(const Task &task, const model::ModelConfig &model,
-            std::size_t batch)
+runSystems(const Task &task, const model::ModelConfig &model,
+           std::size_t batch,
+           const std::vector<accel::SystemConfig> &systems)
 {
     const accel::Workload w = makeWorkload(task, model, batch);
-    std::vector<accel::SystemConfig> systems = {
-        accel::originalSramSystem(),
-        accel::originalEdramSystem(),
-        accel::aepSramSystem(task.budget),
-        accel::aerpSramSystem(task.budget),
-        accel::kelleEdramSystem(task.budget),
-    };
-
     std::vector<SystemResult> out;
     accel::RunReport base;
     for (std::size_t i = 0; i < systems.size(); ++i) {
@@ -40,38 +36,39 @@ runFigure13(const Task &task, const model::ModelConfig &model,
     return out;
 }
 
+} // namespace
+
+std::vector<accel::SystemConfig>
+figure13Systems(const Task &task)
+{
+    return {
+        accel::originalSramSystem(),
+        accel::originalEdramSystem(),
+        accel::aepSramSystem(task.budget),
+        accel::aerpSramSystem(task.budget),
+        accel::kelleEdramSystem(task.budget),
+    };
+}
+
+std::vector<SystemResult>
+runFigure13(const Task &task, const model::ModelConfig &model,
+            std::size_t batch)
+{
+    return runSystems(task, model, batch, figure13Systems(task));
+}
+
 std::vector<SystemResult>
 runFigure14(const Task &task, const model::ModelConfig &model,
             std::size_t batch)
 {
-    const accel::Workload w = makeWorkload(task, model, batch);
-    std::vector<accel::SystemConfig> systems = {
-        accel::comparators::jetsonOrin(),
-        accel::comparators::llmNpu(),
-        accel::comparators::dynaX(),
-        accel::comparators::comet(),
-        accel::kelleEdramSystem(task.budget),
-    };
-
-    std::vector<SystemResult> out;
-    accel::RunReport base;
-    for (std::size_t i = 0; i < systems.size(); ++i) {
-        SystemResult r;
-        r.system = systems[i].name;
-        r.task = task.name;
-        r.report = accel::simulate(systems[i], w);
-        if (i == 0) {
-            base = r.report;
-            r.speedup = 1.0;
-            r.energyEfficiency = 1.0;
-        } else {
-            const auto cmp = accel::compare(base, r.report);
-            r.speedup = cmp.speedup;
-            r.energyEfficiency = cmp.energyEfficiency;
-        }
-        out.push_back(std::move(r));
-    }
-    return out;
+    return runSystems(task, model, batch,
+                      {
+                          accel::comparators::jetsonOrin(),
+                          accel::comparators::llmNpu(),
+                          accel::comparators::dynaX(),
+                          accel::comparators::comet(),
+                          accel::kelleEdramSystem(task.budget),
+                      });
 }
 
 AccuracyBench::AccuracyBench(const Task &scaled_task, std::uint64_t seed,

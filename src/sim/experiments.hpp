@@ -31,6 +31,10 @@ struct SystemResult
     double energyEfficiency = 1.0; ///< vs Original+SRAM
 };
 
+/** The five Figure 13 systems at `task`'s budget, Original+SRAM
+ *  (the baseline) first. */
+std::vector<accel::SystemConfig> figure13Systems(const Task &task);
+
 /** Run the five Figure 13 systems on one task. */
 std::vector<SystemResult> runFigure13(const Task &task,
                                       const model::ModelConfig &model,

@@ -23,11 +23,14 @@
  *    preemption and under deferral-replay policies, serial and
  *    threaded alike.
  *  - ParallelMemoGroup: devices with equal systems share one decode
- *    memo. Grouped fleets match the oracle at every lane count with
- *    the same per-device cache counts, and equal systems really do
- *    share (fewer misses than the same fleet with distinct names).
+ *    memo and step on one lane. Grouped fleets match the oracle at
+ *    every lane count with the same per-device cache counts, equal
+ *    systems really do share (fewer misses than the same fleet with
+ *    distinct names), and a group's devices hit the reports its first
+ *    device stored in the same window.
  */
 
+#include <algorithm>
 #include <bit>
 #include <string>
 #include <vector>
@@ -467,11 +470,11 @@ fleetStats(const cluster::ClusterEngine &engine)
 
 TEST(ParallelMemoGroup, GroupedFleetsMatchTheOracleAtEveryLaneCount)
 {
-    // Devices of a group buffer the reports they compute in multi-lane
-    // windows and the loop publishes them after the join, so each
-    // lookup's outcome, and with it every count, is the same at any
-    // lane count; the reports are a pure function of the key, so the
-    // outputs equal the uncached step-at-a-time oracle's.
+    // A window runs each memo group's devices one after another, in
+    // index order, on one lane, so each lookup's outcome, and with it
+    // every count, is the same at any lane count; the reports are a
+    // pure function of the key, so the outputs equal the uncached
+    // step-at-a-time oracle's.
     struct Fleet
     {
         std::string label;
@@ -572,32 +575,67 @@ TEST(ParallelMemoGroup, EqualSystemsShareOneMemo)
     }
 }
 
-TEST(ParallelMemoGroup, WindowMissesStayPrivateUntilTheJoin)
+TEST(ParallelMemoGroup, GroupMembersReuseEachOthersWindowReports)
 {
-    // Eight identical requests land on eight identical devices within
-    // microseconds, so one multi-lane window runs them all and every
-    // device looks up the same decode shapes in it. A report computed
-    // inside the window is visible only to its device until the
-    // join, so all eight miss alike; a device that read another's
-    // in-window report would hit instead.
-    auto cfg = tinyClusterConfig(8, cluster::DispatchKind::RoundRobin,
-                                 serving::SchedulePolicy::Fcfs, 1e6, 3, 8);
-    cfg.engine.traffic.mix = {
-        {sim::scaledForTiny(sim::triviaQa(), 128), 1.0}};
-    for (std::size_t threads : {1, 2, 4}) {
-        const std::string label = std::to_string(threads) + " lanes";
-        cfg.threads = threads;
-        cluster::ClusterEngine engine(cfg);
-        engine.run();
-        const auto stats = cacheStats(engine);
-        EXPECT_GT(stats[0].misses, 0u) << label;
-        for (std::size_t i = 1; i < stats.size(); ++i) {
-            const std::string dev = label + " dev" + std::to_string(i);
-            EXPECT_EQ(engine.device(i).decodeSteps(),
-                      engine.device(0).decodeSteps())
-                << dev;
-            EXPECT_EQ(stats[i].misses, stats[0].misses) << dev;
-            EXPECT_EQ(stats[i].hits, stats[0].hits) << dev;
+    // Eight identical requests land on eight devices within
+    // microseconds, so one window runs them all and every device looks
+    // up the same decode shapes in it. A memo group's devices step one
+    // after another on one lane, so the first of a group misses each
+    // shape and the others hit the report it stored, with the same
+    // counts at any lane count. The hetero fleet's two groups run on
+    // two lanes once two are asked for.
+    struct Fleet
+    {
+        std::string label;
+        std::vector<cluster::DeviceSpec> devices;
+        std::size_t groups;
+    };
+    const Fleet fleets[] = {
+        {"homog8",
+         cluster::homogeneousFleet(8, accel::kelleEdramSystem(2048), 512,
+                                   4),
+         1},
+        {"hetero4+4", cluster::heteroEdramSramFleet(8, 2048, 512, 512, 4),
+         2},
+    };
+    for (const Fleet &fleet : fleets) {
+        auto cfg = tinyClusterConfig(8, cluster::DispatchKind::RoundRobin,
+                                     serving::SchedulePolicy::Fcfs, 1e6, 3,
+                                     8);
+        cfg.devices = fleet.devices;
+        cfg.engine.traffic.mix = {
+            {sim::scaledForTiny(sim::triviaQa(), 128), 1.0}};
+        std::vector<accel::StepCostCache::Stats> one_lane;
+        for (std::size_t threads : {1, 2, 4}) {
+            const std::string label =
+                fleet.label + "/" + std::to_string(threads) + " lanes";
+            cfg.threads = threads;
+            cluster::ClusterEngine engine(cfg);
+            engine.run();
+            EXPECT_EQ(engine.lanes(), std::min(threads, fleet.groups))
+                << label;
+            const auto stats = cacheStats(engine);
+            for (std::size_t i = 0; i < stats.size(); ++i) {
+                const std::string dev = label + " dev" + std::to_string(i);
+                EXPECT_EQ(engine.device(i).decodeSteps(),
+                          engine.device(0).decodeSteps())
+                    << dev;
+                EXPECT_EQ(stats[i].lookups(), stats[0].lookups()) << dev;
+                EXPECT_EQ(stats[i].bypasses, 0u) << dev;
+                if (i < fleet.groups)
+                    EXPECT_GT(stats[i].misses, 0u) << dev;
+                else
+                    EXPECT_EQ(stats[i].misses, 0u) << dev;
+            }
+            if (threads == 1) {
+                one_lane = stats;
+                continue;
+            }
+            for (std::size_t i = 0; i < stats.size(); ++i) {
+                const std::string dev = label + " dev" + std::to_string(i);
+                EXPECT_EQ(stats[i].hits, one_lane[i].hits) << dev;
+                EXPECT_EQ(stats[i].misses, one_lane[i].misses) << dev;
+            }
         }
     }
 }

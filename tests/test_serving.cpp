@@ -18,9 +18,12 @@
 #include "accel/timing_model.hpp"
 #include "cluster/cluster_engine.hpp"
 #include "common/rng.hpp"
+#include "serving/device_engine.hpp"
 #include "serving/kv_budget_allocator.hpp"
 #include "serving/request_generator.hpp"
 #include "serving/serving_metrics.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/experiments.hpp"
 
 namespace kelle {
 namespace {
@@ -328,6 +331,60 @@ TEST(BatchedTiming, PrefillStepMatchesTheIntegratedModel)
         accel::simulatePrefillChunk(sys, w.model, 0, w.ctxLen);
     EXPECT_DOUBLE_EQ(step.latency.sec(),
                      integrated.prefillLatency.sec());
+}
+
+TEST(BatchedTiming, EngineMatchesTheFigure13RunnerOnEveryCell)
+{
+    // Sixteen identical requests at t = 0 on a bare DeviceEngine with
+    // a pool that never binds, against simulate() on the same
+    // workload: the five Figure 13 systems on the four tasks. The
+    // engine prefills each request alone, where simulate() prefills
+    // the batch in one batch-16 step; with that prefill swapped for
+    // sixteen batch-1 prefills the two agree (docs/ARCHITECTURE.md,
+    // "Data flow", the deviation). Unswapped, the engine reads up to
+    // 1.4% slower and 2.4% costlier, on LAMBADA, the shortest decode.
+    constexpr std::size_t kBatch = 16;
+    const auto m = model::llama2_7b();
+    for (const sim::Task &task : sim::hardwareTasks()) {
+        const accel::Workload w = sim::makeWorkload(task, m, kBatch);
+        for (const accel::SystemConfig &sys : sim::figure13Systems(task)) {
+            SCOPED_TRACE(sys.name + " on " + task.name);
+            serving::DeviceConfig cfg;
+            cfg.system = sys;
+            cfg.model = m;
+            cfg.maxBatch = kBatch;
+            cfg.poolTokens = 10'000'000;
+            std::vector<serving::Request> requests(kBatch);
+            for (std::size_t i = 0; i < kBatch; ++i) {
+                requests[i].id = i;
+                requests[i].task = task;
+            }
+            sim::EventQueue queue;
+            serving::DeviceEngine engine(cfg, queue, requests);
+            for (std::size_t i = 0; i < kBatch; ++i)
+                engine.enqueue(i);
+            queue.runAll();
+            const Time makespan =
+                Time::seconds(engine.lastCompletion().sec());
+            const serving::ServingSummary got =
+                engine.metrics().summarize(makespan);
+            ASSERT_EQ(got.completed, kBatch);
+
+            const accel::RunReport run = accel::simulate(sys, w);
+            const accel::StepReport one =
+                accel::simulatePrefillChunk(sys, m, 0, task.ctxLen);
+            const double want_s = run.decodeLatency.sec() +
+                                  kBatch * one.latency.sec();
+            const double want_j = run.decodeEnergy.total().j() +
+                                  kBatch * one.energy.total().j();
+            // The engine's clock counts whole nanoseconds, so each
+            // step may round by up to half of one; energies are sums
+            // of the same step energies in another order.
+            EXPECT_NEAR(makespan.sec(), want_s,
+                        1e-9 * static_cast<double>(engine.engineSteps()));
+            EXPECT_NEAR(got.energy.total().j(), want_j, 1e-12 * want_j);
+        }
+    }
 }
 
 // ---- Single-device serving (a 1-device cluster) -------------------------

@@ -30,7 +30,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -410,20 +409,28 @@ TEST(StepCostCache, EntriesCountDecodeShapes)
     const auto sys = accel::kelleEdramSystem(2048);
     const auto m = model::llama2_7b();
     accel::StepCostCache cache(sys, m, /*max_entries=*/3);
+    accel::StepCostCache peer = accel::StepCostCache::sharing(cache);
     EXPECT_EQ(cache.entries(), 0u);
     cache.decodeStep(1, 10);
     cache.decodeStep(1, 10); // hit
-    cache.decodeStep(2, 10); // same N, new B
+    peer.decodeStep(2, 10);  // same N, new B, from a group member
     EXPECT_EQ(cache.entries(), 2u);
     cache.decodeStep(1, 11);
     cache.decodeStep(1, 12); // memo full: bypass
     EXPECT_EQ(cache.entries(), 3u);
-    EXPECT_EQ(cache.stats().misses, 3u);
+    EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().bypasses, 1u);
     cache.decodeStep(1, 12); // a bypassed shape was never stored
     EXPECT_EQ(cache.stats().bypasses, 2u);
     EXPECT_EQ(cache.entries(), 3u);
+    // The cap counts once per group: the member's one store took a
+    // slot of the three, and its next new shape bypasses as well.
+    expectStepEq(peer.decodeStep(2, 11),
+                 accel::simulateBatchedDecodeStep(sys, m, 2, 11));
+    EXPECT_EQ(peer.stats().misses, 1u);
+    EXPECT_EQ(peer.stats().bypasses, 1u);
+    EXPECT_EQ(peer.entries(), 3u);
 }
 
 TEST(StepCostCache, GroupMembersShareOneDecodeMemo)
@@ -442,188 +449,26 @@ TEST(StepCostCache, GroupMembersShareOneDecodeMemo)
     EXPECT_EQ(b.stats().misses, 0u);
     EXPECT_EQ(b.entries(), 1u);
 
-    // Buffered reports: a hit for the member that made them, a miss
-    // for every other member until published.
-    b.bufferMisses();
-    c.bufferMisses();
-    const accel::StepReport &pending = b.decodeStep(4, 2000);
-    expectStepEq(pending,
+    // A member's miss is stored at once: every other member hits it,
+    // at the address the first lookup returned.
+    const accel::StepReport &second = b.decodeStep(4, 2000);
+    expectStepEq(second,
                  accel::simulateBatchedDecodeStep(sys, m, 4, 2000));
-    EXPECT_EQ(&b.decodeStep(4, 2000), &pending);
     EXPECT_EQ(b.stats().misses, 1u);
-    EXPECT_EQ(b.stats().hits, 2u);
-    expectStepEq(c.decodeStep(4, 2000), pending);
-    EXPECT_EQ(c.stats().misses, 1u);
-    EXPECT_EQ(c.stats().hits, 0u);
-    EXPECT_EQ(a.entries(), 1u); // nothing published yet
-
-    // Publishing stores the shape once; c's copy is a duplicate.
-    b.publish();
-    c.publish();
-    EXPECT_EQ(a.entries(), 2u);
-    expectStepEq(a.decodeStep(4, 2000),
-                 accel::simulateBatchedDecodeStep(sys, m, 4, 2000));
+    EXPECT_EQ(&c.decodeStep(4, 2000), &second);
+    EXPECT_EQ(&a.decodeStep(4, 2000), &second);
+    EXPECT_EQ(c.stats().hits, 1u);
+    EXPECT_EQ(c.stats().misses, 0u);
     EXPECT_EQ(a.stats().hits, 1u);
     EXPECT_EQ(a.stats().misses, 1u);
+    EXPECT_EQ(a.entries(), 2u);
 
-    // Stored references survive many later publishes.
-    for (std::size_t i = 0; i < 1000; ++i) {
-        c.bufferMisses();
+    // Stored references survive many later inserts by other members.
+    for (std::size_t i = 0; i < 1000; ++i)
         c.decodeStep(1 + i % 16, 3000 + 7 * i);
-        c.publish();
-    }
     EXPECT_EQ(a.entries(), 1002u);
     EXPECT_EQ(&a.decodeStep(4, 1000), &first);
     expectStepEq(first, first_copy);
-}
-
-TEST(StepCostCache, BufferedMissesCountAgainstTheGroupCap)
-{
-    const auto sys = accel::kelleEdramSystem(2048);
-    const auto m = model::llama2_7b();
-    accel::StepCostCache a(sys, m, /*max_entries=*/3);
-    accel::StepCostCache b = accel::StepCostCache::sharing(a);
-    a.decodeStep(1, 10);
-    b.bufferMisses();
-    b.decodeStep(1, 11);
-    b.decodeStep(1, 12); // memo 1 + pending 2 reach the cap
-    expectStepEq(b.decodeStep(1, 13),
-                 accel::simulateBatchedDecodeStep(sys, m, 1, 13));
-    EXPECT_EQ(b.stats().misses, 2u);
-    EXPECT_EQ(b.stats().bypasses, 1u);
-    b.publish();
-    EXPECT_EQ(a.entries(), 3u);
-    a.decodeStep(1, 13); // the memo is full
-    EXPECT_EQ(a.stats().bypasses, 1u);
-    EXPECT_EQ(a.stats().hits, 0u);
-}
-
-TEST(StepCostCache, PublishStopsAtTheGroupCap)
-{
-    const auto sys = accel::kelleEdramSystem(2048);
-    const auto m = model::llama2_7b();
-    accel::StepCostCache a(sys, m, /*max_entries=*/4);
-    accel::StepCostCache b = accel::StepCostCache::sharing(a);
-    accel::StepCostCache probe = accel::StepCostCache::sharing(a);
-    // Each member alone stays below the cap; together they buffer 6
-    // distinct shapes for 4 slots. Keys fall in computed order, so a
-    // publish that sorted or hashed them would store other shapes.
-    const std::size_t a_keys[][2] = {{6, 600}, {5, 500}, {4, 400}};
-    const std::size_t b_keys[][2] = {{3, 300}, {2, 200}, {1, 100}};
-    a.bufferMisses();
-    b.bufferMisses();
-    for (const auto &key : a_keys)
-        a.decodeStep(key[0], key[1]);
-    for (const auto &key : b_keys)
-        b.decodeStep(key[0], key[1]);
-    EXPECT_EQ(a.stats().misses, 3u);
-    EXPECT_EQ(b.stats().misses, 3u);
-    EXPECT_EQ(b.stats().bypasses, 0u);
-    a.publish();
-    EXPECT_EQ(a.entries(), 3u);
-    b.publish(); // stores (3, 300), then stops at the cap
-    EXPECT_EQ(a.entries(), 4u);
-
-    // a's shapes and b's first are stored; b's later two bypass, and
-    // every report is still the model's.
-    for (const auto &key : a_keys)
-        expectStepEq(probe.decodeStep(key[0], key[1]),
-                     accel::simulateBatchedDecodeStep(sys, m, key[0],
-                                                      key[1]));
-    EXPECT_EQ(probe.stats().hits, 3u);
-    for (const auto &key : b_keys)
-        expectStepEq(probe.decodeStep(key[0], key[1]),
-                     accel::simulateBatchedDecodeStep(sys, m, key[0],
-                                                      key[1]));
-    EXPECT_EQ(probe.stats().hits, 4u);
-    EXPECT_EQ(probe.stats().misses, 0u);
-    EXPECT_EQ(probe.stats().bypasses, 2u);
-    EXPECT_EQ(probe.entries(), 4u);
-}
-
-TEST(StepCostCache, BufferedShapesSurviveTableGrowth)
-{
-    // 200 buffered shapes make the pending table's first 64 cells
-    // double three times; each shape must still be found, and
-    // publish() must store them in computed order. N falls with each
-    // shape, so a publish that walked the table's cells instead would
-    // store other shapes.
-    const auto sys = accel::kelleEdramSystem(2048);
-    const auto m = model::llama2_7b();
-    constexpr std::size_t kShapes = 200, kOther = 30;
-    accel::StepCostCache a(sys, m, /*max_entries=*/kShapes);
-    accel::StepCostCache b = accel::StepCostCache::sharing(a);
-    accel::StepCostCache probe = accel::StepCostCache::sharing(a);
-    const auto key = [](std::size_t i) {
-        return std::array<std::size_t, 2>{1 + i % 16, 40000 - 97 * i};
-    };
-    a.bufferMisses();
-    b.bufferMisses();
-    for (std::size_t i = 0; i < kOther; ++i)
-        a.decodeStep(2, 50000 + i);
-    for (std::size_t i = 0; i < kShapes; ++i) {
-        const auto [batch, n] = key(i);
-        expectStepEq(b.decodeStep(batch, n),
-                     b.costModel().decode(batch, n));
-    }
-    EXPECT_EQ(b.stats().misses, kShapes);
-    for (std::size_t i = 0; i < kShapes; ++i) {
-        const auto [batch, n] = key(i);
-        expectStepEq(b.decodeStep(batch, n),
-                     b.costModel().decode(batch, n));
-    }
-    EXPECT_EQ(b.stats().hits, kShapes);
-    EXPECT_EQ(b.stats().misses, kShapes);
-    EXPECT_EQ(a.entries(), 0u);
-
-    // a's shapes take the first slots, so b stores only its first
-    // kShapes - kOther shapes.
-    a.publish();
-    b.publish();
-    EXPECT_EQ(a.entries(), kShapes);
-    for (std::size_t i = 0; i < kShapes; ++i) {
-        const auto [batch, n] = key(i);
-        SCOPED_TRACE("shape " + std::to_string(i));
-        const auto before = probe.stats();
-        expectStepEq(probe.decodeStep(batch, n),
-                     probe.costModel().decode(batch, n));
-        if (i < kShapes - kOther)
-            EXPECT_EQ(probe.stats().hits, before.hits + 1);
-        else
-            EXPECT_EQ(probe.stats().bypasses, before.bypasses + 1);
-    }
-}
-
-TEST(StepCostCache, PublishLeavesNoStalePendingCell)
-{
-    // A publish that stops at the cap must still empty the pending
-    // table: a shape the memo did not take is not a hit when the same
-    // cache buffers again; the full memo makes it a bypass.
-    const auto sys = accel::kelleEdramSystem(2048);
-    const auto m = model::llama2_7b();
-    accel::StepCostCache a(sys, m, /*max_entries=*/3);
-    accel::StepCostCache b = accel::StepCostCache::sharing(a);
-    a.bufferMisses();
-    b.bufferMisses();
-    a.decodeStep(1, 10);
-    a.decodeStep(1, 11);
-    b.decodeStep(2, 20);
-    b.decodeStep(2, 21);
-    b.decodeStep(2, 22);
-    a.publish();
-    b.publish(); // stores (2, 20), then stops at the cap
-    EXPECT_EQ(a.entries(), 3u);
-
-    b.bufferMisses();
-    const auto before = b.stats();
-    for (std::size_t n : {std::size_t{21}, std::size_t{22}})
-        expectStepEq(b.decodeStep(2, n),
-                     accel::simulateBatchedDecodeStep(sys, m, 2, n));
-    EXPECT_EQ(b.stats().hits, before.hits);
-    EXPECT_EQ(b.stats().bypasses, before.bypasses + 2);
-    EXPECT_EQ(&b.decodeStep(2, 20), &a.decodeStep(2, 20));
-    b.publish();
-    EXPECT_EQ(a.entries(), 3u);
 }
 
 // ---- TimingTelescoping ---------------------------------------------
