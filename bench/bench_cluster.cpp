@@ -42,11 +42,8 @@ std::size_t
 analysisPoolTokens(const accel::SystemConfig &sys,
                    const model::ModelConfig &m)
 {
-    accel::CapacitySpec spec;
-    spec.dramCapacity = sys.tech.dram.capacity();
-    spec.weightBits = sys.tech.weightBits;
-    spec.kvBits = sys.kv.kvBits;
-    return accel::maxSupportedTokens(m, spec).maxTokens;
+    return accel::maxSupportedTokens(m, accel::capacitySpecOf(sys))
+        .maxTokens;
 }
 
 struct FleetSpec

@@ -47,10 +47,8 @@ baseConfig(const common::ArgParser &args)
                               : serving::ArrivalProcess::Poisson;
     if (args.getString("mix") == "pg19")
         cfg.traffic.mix = serving::pg19HeavyMix();
-    cfg.maxBatch = args.getSize("maxbatch");
     cfg.chunkSlackFrac = args.getDouble("chunk-slack");
     cfg.budgetOverride = args.getSize("budget");
-    cfg.poolTokens = args.getSize("pool");
     cfg.maxEngineSteps = args.getSize("steps");
     cfg.fastSim = args.getBool("fastsim");
     cfg.traffic.sessions = args.getSize("sessions");
@@ -63,17 +61,29 @@ baseConfig(const common::ArgParser &args)
     return cfg;
 }
 
+/** The device every cell runs on (Kelle+eDRAM unless a sweep cell
+ *  swaps the system). */
+serving::DeviceSpec
+deviceSpec(const common::ArgParser &args)
+{
+    serving::DeviceSpec d;
+    d.poolTokens = args.getSize("pool");
+    d.maxBatch = args.getSize("maxbatch");
+    return d;
+}
+
 serving::ServingReport
-runCell(serving::ServingConfig cfg, serving::SchedulePolicy policy,
-        std::size_t chunk_tokens)
+runCell(serving::ServingConfig cfg, const serving::DeviceSpec &device,
+        serving::SchedulePolicy policy, std::size_t chunk_tokens)
 {
     cfg.policy = policy;
     cfg.chunkTokens = chunk_tokens;
-    return cluster::ClusterEngine(
-               cluster::clusterConfigFrom(
-                   cfg, 1, cluster::DispatchKind::RoundRobin))
-        .run()
-        .aggregate;
+    cluster::ClusterConfig c;
+    c.engine = cfg;
+    c.devices = cluster::homogeneousFleet(1, device.system,
+                                          device.poolTokens,
+                                          device.maxBatch);
+    return cluster::ClusterEngine(c).run().aggregate;
 }
 
 std::string
@@ -222,6 +232,7 @@ main(int argc, char **argv)
     }
 
     serving::ServingConfig base = baseConfig(args);
+    const serving::DeviceSpec device = deviceSpec(args);
     const double slo_scale = args.getDouble("slo-scale");
     base.traffic.slo.ttftBaseSec *= slo_scale;
     base.traffic.slo.ttftPerCtxTokenSec *= slo_scale;
@@ -265,14 +276,14 @@ main(int argc, char **argv)
             cfg.trace = &recorder;
         if (i == 0 && attribution)
             cfg.waterfall = &waterfall;
-        runs[i] = runCell(cfg, policies[i], headline_chunk);
+        runs[i] = runCell(cfg, device, policies[i], headline_chunk);
     });
     Table headline(kSummaryHeader);
     for (std::size_t i = 0; i < policies.size(); ++i)
         addSummaryRow(headline, toString(policies[i]), headline_chunk,
                       runs[i]);
     headline.print(
-        "system " + base.system.name + ", model " + base.model.name +
+        "system " + device.system.name + ", model " + base.model.name +
         ", KV pool " + std::to_string(runs.front().poolTokens) +
         " tokens, TTFT deadline " +
         Table::num(base.traffic.slo.ttftBaseSec, 0) + "s + " +
@@ -325,9 +336,11 @@ main(int argc, char **argv)
         obs::TraceRecorder paged_rec;
         serving::ServingConfig paged_cfg = base;
         paged_cfg.trace = &paged_rec;
-        const auto c_rep = runCell(contig, pol, headline_chunk);
-        const auto n_rep = runCell(shared_off, pol, headline_chunk);
-        const auto p_rep = runCell(paged_cfg, pol, headline_chunk);
+        const auto c_rep = runCell(contig, device, pol, headline_chunk);
+        const auto n_rep =
+            runCell(shared_off, device, pol, headline_chunk);
+        const auto p_rep =
+            runCell(paged_cfg, device, pol, headline_chunk);
 
         obs::MetricsRegistry reg;
         reg.ingestTrace(paged_rec);
@@ -451,8 +464,8 @@ main(int argc, char **argv)
             common::ThreadPool lanes(
                 std::min(cases.size(), common::defaultParallelism()));
             lanes.forEach(cases.size(), [&](std::size_t i) {
-                reps[i] =
-                    runCell(study, cases[i].policy, cases[i].chunk);
+                reps[i] = runCell(study, device, cases[i].policy,
+                                  cases[i].chunk);
             });
 
             bench::banner(
@@ -471,7 +484,7 @@ main(int argc, char **argv)
                 serving::ServingConfig noslack = study;
                 noslack.chunkSlackFrac = 0.0;
                 const auto base_rep = runCell(
-                    noslack, serving::SchedulePolicy::EdfChunked,
+                    noslack, device, serving::SchedulePolicy::EdfChunked,
                     chunk);
                 addSummaryRow(t, "edf-chunked slack0", chunk,
                               base_rep);
@@ -556,11 +569,12 @@ main(int argc, char **argv)
             std::min(cells.size(), common::defaultParallelism()));
         lanes.forEach(cells.size(), [&](std::size_t i) {
             serving::ServingConfig cfg = base;
-            cfg.system = cells[i].system->sys;
+            serving::DeviceSpec d = device;
+            d.system = cells[i].system->sys;
             cfg.traffic.ratePerSec *= cells[i].rateScale;
             cfg.traffic.numRequests =
                 std::min<std::size_t>(cfg.traffic.numRequests, 48);
-            reps[i] = runCell(cfg, cells[i].policy, cells[i].chunk);
+            reps[i] = runCell(cfg, d, cells[i].policy, cells[i].chunk);
         });
 
         bench::banner(

@@ -77,13 +77,10 @@ peakRssBytes()
 std::vector<cluster::DeviceSpec>
 kneeFleet(const model::ModelConfig &m, std::size_t n)
 {
-    const auto edram_sys = accel::kelleEdramSystem(2048);
-    accel::CapacitySpec spec;
-    spec.dramCapacity = edram_sys.tech.dram.capacity();
-    spec.weightBits = edram_sys.tech.weightBits;
-    spec.kvBits = edram_sys.kv.kvBits;
     const std::size_t edram_pool =
-        accel::maxSupportedTokens(m, spec).maxTokens;
+        accel::maxSupportedTokens(
+            m, accel::capacitySpecOf(accel::kelleEdramSystem(2048)))
+            .maxTokens;
     return cluster::heteroEdramSramFleet(n, 2048, edram_pool,
                                          edram_pool / 2, 16);
 }

@@ -87,10 +87,7 @@ main(int argc, char **argv)
 
         serving::ServingConfig base;
         base.model = model::tinyLm();
-        base.system = accel::kelleEdramSystem(2048);
         base.policy = serving::SchedulePolicy::ContinuousBatching;
-        base.maxBatch = 12;
-        base.poolTokens = 256;
         base.highWatermark = 0.85;
         base.traffic.ratePerSec = 2000.0;
         base.traffic.numRequests = 32;
@@ -104,11 +101,11 @@ main(int argc, char **argv)
         Table k({"N'", "contig peak N'", "paged+shared peak N'",
                  "resident mult", "prefix-hit tok", "clips"});
         const auto one = [](const serving::ServingConfig &cfg) {
-            return cluster::ClusterEngine(
-                       cluster::clusterConfigFrom(
-                           cfg, 1, cluster::DispatchKind::RoundRobin))
-                .run()
-                .aggregate;
+            cluster::ClusterConfig c;
+            c.engine = cfg;
+            c.devices = cluster::homogeneousFleet(
+                1, accel::kelleEdramSystem(2048), 256, 12);
+            return cluster::ClusterEngine(c).run().aggregate;
         };
         for (std::size_t budget : {96u, 64u, 48u, 32u}) {
             serving::ServingConfig contig = base;

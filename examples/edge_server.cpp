@@ -198,8 +198,8 @@ main(int argc, char **argv)
     // A pool of ~6 concurrent TQ-sized budgets: small enough that a
     // burst pushes utilization over the watermark and later grants
     // come back shrunk.
-    cfg.poolTokens = 6144;
-    cfg.maxBatch = 8;
+    constexpr std::size_t kPoolTokens = 6144;
+    constexpr std::size_t kMaxBatch = 8;
     cfg.verbose = true;
     setLogLevel(LogLevel::Verbose); // lifecycle lines use inform()
 
@@ -218,14 +218,17 @@ main(int argc, char **argv)
     const std::size_t devices =
         faults ? std::max<std::size_t>(2, args.getSize("devices"))
                : args.getSize("devices");
+    cluster::ClusterConfig ccfg;
+    ccfg.engine = cfg;
     if (devices <= 1) {
         std::printf("edge_server: %zu requests at %.3f req/s (bursty), "
                     "policy %s, KV pool %zu tokens\n\n",
                     cfg.traffic.numRequests, cfg.traffic.ratePerSec,
-                    toString(cfg.policy).c_str(), cfg.poolTokens);
+                    toString(cfg.policy).c_str(), kPoolTokens);
 
-        cluster::ClusterEngine engine(cluster::clusterConfigFrom(
-            cfg, 1, cluster::DispatchKind::RoundRobin));
+        ccfg.devices = cluster::homogeneousFleet(
+            1, accel::kelleEdramSystem(2048), kPoolTokens, kMaxBatch);
+        cluster::ClusterEngine engine(ccfg);
         const serving::ServingReport rep = engine.run().aggregate;
         printSummary(rep);
         obs::MetricsRegistry reg;
@@ -243,15 +246,16 @@ main(int argc, char **argv)
     }
 
     // ---- Multi-device session: the same burst over a cluster ------
-    cluster::ClusterConfig ccfg =
-        cluster::clusterConfigFrom(cfg, devices, dispatch);
-    if (args.getBool("hetero")) {
-        // SRAM-backed devices run half the pool: the KV-capacity
-        // asymmetry the dispatch policy has to balance.
-        ccfg.devices = cluster::heteroEdramSramFleet(
-            devices, 2048, cfg.poolTokens, cfg.poolTokens / 2,
-            cfg.maxBatch);
-    }
+    ccfg.dispatch = dispatch;
+    // Hetero SRAM-backed devices run half the pool: the KV-capacity
+    // asymmetry the dispatch policy has to balance.
+    ccfg.devices =
+        args.getBool("hetero")
+            ? cluster::heteroEdramSramFleet(devices, 2048, kPoolTokens,
+                                            kPoolTokens / 2, kMaxBatch)
+            : cluster::homogeneousFleet(devices,
+                                        accel::kelleEdramSystem(2048),
+                                        kPoolTokens, kMaxBatch);
     if (faults) {
         ccfg.faults.enabled = true;
         ccfg.faults.mtbfSec = args.getDouble("mtbf");

@@ -8,6 +8,16 @@
 namespace kelle {
 namespace accel {
 
+CapacitySpec
+capacitySpecOf(const SystemConfig &system)
+{
+    CapacitySpec spec;
+    spec.dramCapacity = system.tech.dram.capacity();
+    spec.weightBits = system.tech.weightBits;
+    spec.kvBits = system.kv.kvBits;
+    return spec;
+}
+
 CapacityReport
 maxSupportedTokens(const model::ModelConfig &m, const CapacitySpec &spec)
 {

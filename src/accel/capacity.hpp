@@ -12,6 +12,7 @@
 #ifndef KELLE_ACCEL_CAPACITY_HPP
 #define KELLE_ACCEL_CAPACITY_HPP
 
+#include "accel/timing_model.hpp"
 #include "common/units.hpp"
 #include "model/model_config.hpp"
 
@@ -51,6 +52,10 @@ struct CapacityReport
     double bytesPerTokenPeak = 0.0; ///< peak KV bytes per input token
     std::size_t maxTokens = 0;
 };
+
+/** A system's DRAM capacity, weight bits and KV bits (no layer-wise
+ *  release): the one mapping from a device to its §8.4.1 KV pool. */
+CapacitySpec capacitySpecOf(const SystemConfig &system);
 
 /** Maximum supported input length for a model on a device. */
 CapacityReport maxSupportedTokens(const model::ModelConfig &m,

@@ -140,7 +140,10 @@ struct RunReport
     double achievedOpsPerSec() const;
 };
 
-/** Run the analytic simulation. */
+/** Run the analytic simulation: the fast oracle the serving engine
+ *  is pinned to (`BatchedTiming.EngineMatchesTheFigure13RunnerOnEveryCell`;
+ *  the Fig. 13 grid takes 2-3 ms here, 3-5 ms through the engine, see
+ *  docs/ARCHITECTURE.md "Data flow"). */
 RunReport simulate(const SystemConfig &sys, const Workload &w);
 
 /**

@@ -52,18 +52,6 @@ heteroEdramSramFleet(std::size_t n, std::size_t budget,
     return fleet;
 }
 
-ClusterConfig
-clusterConfigFrom(const serving::ServingConfig &cfg,
-                  std::size_t n_devices, DispatchKind dispatch)
-{
-    ClusterConfig c;
-    c.engine = cfg;
-    c.dispatch = dispatch;
-    c.devices = homogeneousFleet(n_devices, cfg.system, cfg.poolTokens,
-                                 cfg.maxBatch);
-    return c;
-}
-
 ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     : cfg_(cfg), dispatch_(makeDispatchPolicy(cfg.dispatch))
 {
@@ -98,21 +86,17 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
         if (group == memoGroups_.end())
             group = memoGroups_.emplace(memoGroups_.end());
         group->push_back(i);
-        // The shared knobs, then what a DeviceSpec overrides.
-        serving::DeviceConfig d = cfg_.engine;
-        d.system = spec.system;
-        d.poolTokens = spec.poolTokens;
-        d.maxBatch = spec.maxBatch;
         // Each device steps its own event-queue partition so a
         // lookahead window touches no shared state.
         sim::EventQueue &q = *localQueues_.emplace_back(
             std::make_unique<sim::EventQueue>());
         // A 1-device fleet keeps the empty label: its verbose log
         // reads like a single-device session.
+        DeviceSpec labeled = spec;
+        if (cfg_.devices.size() == 1)
+            labeled.name.clear();
         devices_.push_back(std::make_unique<serving::DeviceEngine>(
-            d, q, requests_,
-            cfg_.devices.size() > 1 ? spec.name : std::string(),
-            memo_peer));
+            cfg_.engine, labeled, q, requests_, memo_peer));
         if (cfg_.engine.trace != nullptr)
             devices_.back()->setTrace(cfg_.engine.trace->addDeviceTrack(
                 spec.name.empty() ? "device" : spec.name));

@@ -48,31 +48,22 @@
 namespace kelle {
 namespace cluster {
 
-/** What differs per device in a (possibly heterogeneous) fleet. */
-struct DeviceSpec
-{
-    std::string name;
-    accel::SystemConfig system = accel::kelleEdramSystem(2048);
-    /** KV pool tokens; 0 = §8.4.1 capacity analysis of `system`. */
-    std::size_t poolTokens = 0;
-    std::size_t maxBatch = 16;
-};
+using DeviceSpec = serving::DeviceSpec;
 
 /** Full configuration of a cluster run. */
 struct ClusterConfig
 {
     /**
      * The traffic of the shared stream plus every engine knob the
-     * devices inherit — model, scheduling policy, chunking and its
+     * devices share — model, scheduling policy, chunking and its
      * slack rule, preemption, budget override, watermark, step cap,
      * verbosity. Each device engine gets this config's
-     * `serving::DeviceConfig` base with its `DeviceSpec` applied, so
-     * `system` / `poolTokens` / `maxBatch` here are overridden per
-     * device (`clusterConfigFrom` builds a fleet from them).
+     * `serving::DeviceConfig` base and its own `DeviceSpec`.
      */
     serving::ServingConfig engine;
     DispatchKind dispatch = DispatchKind::RoundRobin;
-    /** The fleet; must not be empty. */
+    /** The fleet, the only source of each device's system, KV pool
+     *  and batch cap; must not be empty. */
     std::vector<DeviceSpec> devices;
     /**
      * Worker lanes for the drive loop's lookahead windows: 1 (default)
@@ -116,14 +107,6 @@ std::vector<DeviceSpec> heteroEdramSramFleet(
     std::size_t n, std::size_t budget = 2048,
     std::size_t edram_pool_tokens = 0,
     std::size_t sram_pool_tokens = 0, std::size_t max_batch = 16);
-
-/**
- * Lift a single-device ServingConfig onto an n-device homogeneous
- * cluster; n = 1 is how a single-device session runs.
- */
-ClusterConfig clusterConfigFrom(const serving::ServingConfig &cfg,
-                                std::size_t n_devices,
-                                DispatchKind dispatch);
 
 /** Cluster-side health of one device (driven by the fault stream). */
 enum class DeviceHealth : std::uint8_t

@@ -37,30 +37,27 @@ constexpr std::size_t kPageQuantGroup = 32;
  * built: timing, energy, refresh, and capacity all see the quantized
  * bits through the existing accel model.
  */
-DeviceConfig
-normalizedConfig(DeviceConfig cfg)
+DeviceSpec
+normalizedSpec(const DeviceConfig &cfg, DeviceSpec spec)
 {
     if (cfg.paged.enabled && cfg.paged.quantBits > 0)
-        cfg.system.kv.kvBits = cfg.paged.quantBits;
-    return cfg;
+        spec.system.kv.kvBits = cfg.paged.quantBits;
+    return spec;
 }
 
 AllocatorConfig
-makeAllocatorConfig(const DeviceConfig &cfg)
+makeAllocatorConfig(const DeviceConfig &cfg, const DeviceSpec &spec)
 {
     AllocatorConfig a;
     a.bytesPerToken =
-        cfg.model.kvBytesPerToken(cfg.system.kv.kvBits);
-    std::size_t pool = cfg.poolTokens;
-    if (pool == 0) {
-        // §8.4.1: device DRAM net of resident weights bounds the KV
-        // pool shared by all concurrent requests.
-        accel::CapacitySpec spec;
-        spec.dramCapacity = cfg.system.tech.dram.capacity();
-        spec.weightBits = cfg.system.tech.weightBits;
-        spec.kvBits = cfg.system.kv.kvBits;
-        pool = accel::maxSupportedTokens(cfg.model, spec).maxTokens;
-    }
+        cfg.model.kvBytesPerToken(spec.system.kv.kvBits);
+    std::size_t pool = spec.poolTokens;
+    // §8.4.1: device DRAM net of resident weights bounds the KV pool
+    // shared by all concurrent requests.
+    if (pool == 0)
+        pool = accel::maxSupportedTokens(
+                   cfg.model, accel::capacitySpecOf(spec.system))
+                   .maxTokens;
     KELLE_ASSERT(pool > 0, "KV pool has no room for any token");
     a.capacityBytes = static_cast<double>(pool) * a.bytesPerToken;
     a.highWatermark = cfg.highWatermark;
@@ -74,7 +71,7 @@ makeAllocatorConfig(const DeviceConfig &cfg)
             cfg.model.kvBytesPerToken(16) / 2.0);
         a.pagedBytesPerPage = tensor::quantizedStoreBytes(
             values_per_token * a.pagedBlockTokens,
-            cfg.system.kv.kvBits, kPageQuantGroup);
+            spec.system.kv.kvBits, kPageQuantGroup);
         a.pagedTotalPages = std::max<std::size_t>(
             1, static_cast<std::size_t>(a.capacityBytes /
                                         a.pagedBytesPerPage));
@@ -134,25 +131,25 @@ deviceReport(const DeviceEngine &dev, Time makespan)
 }
 
 DeviceEngine::DeviceEngine(const DeviceConfig &cfg,
+                           const DeviceSpec &spec,
                            sim::EventQueue &queue,
                            std::vector<Request> &requests,
-                           const std::string &name,
                            const accel::StepCostCache *memo_peer)
-    : cfg_(normalizedConfig(cfg)), name_(name),
-      label_(name.empty() ? "" : " [" + name + "]"),
+    : cfg_(cfg), spec_(normalizedSpec(cfg, spec)),
+      label_(spec.name.empty() ? "" : " [" + spec.name + "]"),
       queue_(queue), requests_(requests),
-      allocator_(makeAllocatorConfig(cfg_)),
+      allocator_(makeAllocatorConfig(cfg_, spec_)),
       policy_(makePolicy(cfg.policy)),
       costCache_(memo_peer != nullptr
                      ? accel::StepCostCache::sharing(*memo_peer)
-                     : accel::StepCostCache(cfg_.system, cfg_.model)),
+                     : accel::StepCostCache(spec_.system, cfg_.model)),
       profiler_(cfg.profiler)
 {
-    KELLE_ASSERT(costCache_.system() == cfg_.system,
+    KELLE_ASSERT(costCache_.system() == spec_.system,
                  "a decode-memo group spans unequal systems");
     const std::string err = cfg_.model.validate();
     KELLE_ASSERT(err.empty(), "bad model config: ", err);
-    KELLE_ASSERT(cfg_.maxBatch > 0, "maxBatch must be positive");
+    KELLE_ASSERT(spec_.maxBatch > 0, "maxBatch must be positive");
 }
 
 std::size_t
@@ -161,7 +158,7 @@ DeviceEngine::requestedBudget(const sim::Task &task) const
     // No-eviction baselines hold the full cache: the request must
     // reserve its whole ctx+dec footprint (+1 for the in-flight
     // token) and nothing can be shrunk away.
-    if (!cfg_.system.kv.evict)
+    if (!spec_.system.kv.evict)
         return task.ctxLen + task.decLen + 1;
     const std::size_t req =
         cfg_.budgetOverride ? cfg_.budgetOverride : task.budget;
@@ -171,7 +168,7 @@ DeviceEngine::requestedBudget(const sim::Task &task) const
 std::size_t
 DeviceEngine::minBudget(const sim::Task &task) const
 {
-    if (!cfg_.system.kv.evict)
+    if (!spec_.system.kv.evict)
         return task.ctxLen + task.decLen + 1;
     return task.sinkTokens + task.recentWindow + kFloorSlackTokens;
 }
@@ -181,7 +178,7 @@ DeviceEngine::view() const
 {
     return EngineView{queue_.now(),     requests_,
                       waiting_,         admitted_,
-                      running_,         cfg_.maxBatch,
+                      running_,         spec_.maxBatch,
                       cfg_.chunkTokens, cfg_.chunkSlackFrac,
                       lastStep_};
 }
@@ -501,7 +498,7 @@ DeviceEngine::admitWaiting()
     // Under overload the batch sits at cap on most steps: skip the
     // order computation (an O(W log W) sort for the reordering
     // policies) before it could admit anything.
-    const std::size_t cap = policy_->admissionCap(cfg_.maxBatch);
+    const std::size_t cap = policy_->admissionCap(spec_.maxBatch);
     if (waiting_.empty() || admitted_.size() + running_.size() >= cap)
         return;
     roundMark_ = poolMark();
@@ -681,7 +678,7 @@ DeviceEngine::silentStepBudget(bool *replay_deferrals) const
         // fast-forwarding: runDecodeStep stops the window before the
         // first boundary whose preemption scan would fire.
         if (admitted_.size() + running_.size() <
-            policy_->admissionCap(cfg_.maxBatch)) {
+            policy_->admissionCap(spec_.maxBatch)) {
             if (!lastRoundAllDeferred_)
                 return 0;
             *replay_deferrals = true;

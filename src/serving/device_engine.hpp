@@ -119,14 +119,27 @@ struct PagedKvConfig
     bool sharePrefixes = true;
 };
 
-/** Everything per-accelerator about a serving engine. */
-struct DeviceConfig
+/** What differs per device in a (possibly heterogeneous) fleet; the
+ *  only place a device's system, KV pool and batch cap are set. */
+struct DeviceSpec
 {
+    /** Verbose-log and trace-track label. */
+    std::string name;
     accel::SystemConfig system = accel::kelleEdramSystem(2048);
-    model::ModelConfig model = model::llama2_7b();
-    SchedulePolicy policy = SchedulePolicy::ContinuousBatching;
+    /**
+     * KV pool size in tokens; 0 derives it from the §8.4.1 capacity
+     * analysis of `system` (device DRAM net of resident weights).
+     */
+    std::size_t poolTokens = 0;
     /** Decode-batch cap (Fcfs always serves one request). */
     std::size_t maxBatch = 16;
+};
+
+/** The engine knobs every device of a run shares. */
+struct DeviceConfig
+{
+    model::ModelConfig model = model::llama2_7b();
+    SchedulePolicy policy = SchedulePolicy::ContinuousBatching;
     /**
      * Prefill chunk size in prompt tokens; 0 runs each prompt as one
      * monolithic step. Smaller chunks let policies preempt long
@@ -136,11 +149,6 @@ struct DeviceConfig
     std::size_t chunkTokens = 0;
     /** Per-request budget override; 0 keeps each task's N'. */
     std::size_t budgetOverride = 0;
-    /**
-     * KV pool size in tokens; 0 derives it from the §8.4.1 capacity
-     * analysis (device DRAM net of resident weights).
-     */
-    std::size_t poolTokens = 0;
     /** Allocator pressure watermark. */
     double highWatermark = 0.85;
     /**
@@ -198,15 +206,15 @@ class DeviceEngine
     /**
      * Bind the engine to the owner's event queue and request table.
      * Both must outlive the engine; `requests` may grow only before
-     * the first `enqueue`. `name` labels the verbose log; empty for a
-     * single-device session. With `memo_peer`, the engine's step-cost
-     * cache joins that cache's decode-memo group instead of starting
-     * its own; the peer's system must equal this engine's (after the
-     * paged quantization override) and its model must be the same.
+     * the first `enqueue`. `spec.name` labels the verbose log; empty
+     * for a single-device session. With `memo_peer`, the engine's
+     * step-cost cache joins that cache's decode-memo group instead of
+     * starting its own; the peer's system must equal this engine's
+     * (after the paged quantization override) and its model must be
+     * the same.
      */
-    DeviceEngine(const DeviceConfig &cfg, sim::EventQueue &queue,
-                 std::vector<Request> &requests,
-                 const std::string &name = "",
+    DeviceEngine(const DeviceConfig &cfg, const DeviceSpec &spec,
+                 sim::EventQueue &queue, std::vector<Request> &requests,
                  const accel::StepCostCache *memo_peer = nullptr);
 
     void setHooks(Hooks hooks) { hooks_ = std::move(hooks); }
@@ -257,8 +265,8 @@ class DeviceEngine
 
     /** @name Status for dispatch policies and roll-ups. @{ */
     const DeviceConfig &config() const { return cfg_; }
-    /** The constructor's verbose-log label ("" if unnamed). */
-    const std::string &name() const { return name_; }
+    /** The verbose-log label ("" if unnamed). */
+    const std::string &name() const { return spec_.name; }
     const KvBudgetAllocator &allocator() const { return allocator_; }
     double freeKvBytes() const
     {
@@ -474,14 +482,14 @@ class DeviceEngine
     std::size_t minBudget(const sim::Task &task) const;
 
     DeviceConfig cfg_;
-    std::string name_;
+    DeviceSpec spec_;
     std::string label_; ///< " [name]" verbose-log infix, "" if unnamed
     sim::EventQueue &queue_;
     std::vector<Request> &requests_;
     KvBudgetAllocator allocator_;
     ServingMetrics metrics_;
     std::unique_ptr<Policy> policy_;
-    /** Built from cfg_.system/cfg_.model (declared above it), or
+    /** Built from spec_.system/cfg_.model (declared above it), or
      *  joined to a peer's decode-memo group. */
     accel::StepCostCache costCache_;
     Hooks hooks_;
@@ -578,11 +586,12 @@ class DeviceEngine
 };
 
 /**
- * Full configuration of a serving run: every engine knob a device
- * inherits, plus the traffic and the run-wide observers. A
- * single-device session runs it as a 1-device cluster
- * (`cluster::clusterConfigFrom(cfg, 1, ...)`); a cluster hands each
- * device the `DeviceConfig` base, with its `DeviceSpec` applied.
+ * The shared half of a serving run's configuration: every engine knob
+ * the devices share, plus the traffic and the run-wide observers. A
+ * run is a `cluster::ClusterConfig` whose `devices` hold one
+ * `DeviceSpec` per device (a single-device session is a 1-device
+ * fleet); the cluster builds each device from the `DeviceConfig` base
+ * and that device's spec.
  */
 struct ServingConfig : DeviceConfig
 {

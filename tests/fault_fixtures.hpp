@@ -43,18 +43,16 @@ inline cluster::ClusterConfig
 tinyFaultCluster(std::size_t n_devices, std::uint64_t seed = 42,
                  std::size_t requests = 24)
 {
-    serving::ServingConfig cfg;
+    cluster::ClusterConfig ccfg;
+    serving::ServingConfig &cfg = ccfg.engine;
     cfg.model = model::tinyLm();
-    cfg.system = accel::kelleEdramSystem(2048);
     cfg.policy = serving::SchedulePolicy::ContinuousBatching;
-    cfg.maxBatch = 4;
-    cfg.poolTokens = 512;
     cfg.traffic.ratePerSec = 300.0;
     cfg.traffic.seed = seed;
     cfg.traffic.numRequests = requests;
     cfg.traffic.mix = tinyMix();
-    auto ccfg = cluster::clusterConfigFrom(
-        cfg, n_devices, cluster::DispatchKind::RoundRobin);
+    ccfg.devices = cluster::homogeneousFleet(
+        n_devices, accel::kelleEdramSystem(2048), 512, 4);
     ccfg.faults = tinyFaults(seed);
     return ccfg;
 }

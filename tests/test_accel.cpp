@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/area_model.hpp"
+#include "accel/capacity.hpp"
 #include "accel/comparators.hpp"
 #include "accel/energy_model.hpp"
 #include "accel/scheduler.hpp"
@@ -356,6 +357,28 @@ smallWorkload()
     w.decLen = 64; // keep tests fast
     w.batch = 4;
     return w;
+}
+
+TEST(Capacity, SystemSpecGivesTheKelleEdramPool)
+{
+    // The §8.4.1 pool of a device: 16 GB DRAM net of 8-bit LLaMA2-7B
+    // weights, at fp16 KV. The helper must match the CapacitySpec
+    // built by hand from the same system (the repository benchmark's
+    // own copy) and leave layer-wise release off.
+    const SystemConfig sys = kelleEdramSystem(2048);
+    const CapacitySpec got = capacitySpecOf(sys);
+    CapacitySpec hand;
+    hand.dramCapacity = sys.tech.dram.capacity();
+    hand.weightBits = sys.tech.weightBits;
+    hand.kvBits = sys.kv.kvBits;
+    EXPECT_EQ(got.dramCapacity.b(), hand.dramCapacity.b());
+    EXPECT_EQ(got.weightBits, hand.weightBits);
+    EXPECT_EQ(got.kvBits, hand.kvBits);
+    EXPECT_FALSE(got.aerpLayerwise);
+    const auto m = model::llama2_7b();
+    EXPECT_EQ(maxSupportedTokens(m, got).maxTokens,
+              maxSupportedTokens(m, hand).maxTokens);
+    EXPECT_EQ(maxSupportedTokens(m, got).maxTokens, 20165u);
 }
 
 TEST(TimingModel, KelleFasterAndGreenerThanBaseline)

@@ -46,12 +46,16 @@ using namespace kelle;
 
 namespace {
 
-/** A single-device session: a 1-device round-robin cluster. */
+/** A single-device session: a 1-device round-robin cluster of the
+ *  edge_server device (6144-token pool, batch cap 8). */
 cluster::ClusterConfig
 oneDevice(const serving::ServingConfig &cfg)
 {
-    return cluster::clusterConfigFrom(cfg, 1,
-                                      cluster::DispatchKind::RoundRobin);
+    cluster::ClusterConfig c;
+    c.engine = cfg;
+    c.devices = cluster::homogeneousFleet(
+        1, accel::kelleEdramSystem(2048), 6144, 8);
+    return c;
 }
 
 // ---- AttributionMath -----------------------------------------------
@@ -156,8 +160,6 @@ runServing(obs::LatencyWaterfall &wf, serving::SchedulePolicy policy,
     cfg.policy = policy;
     cfg.chunkTokens = chunk_tokens;
     cfg.paged.enabled = paged;
-    cfg.poolTokens = 6144;
-    cfg.maxBatch = 8;
     cfg.fastSim = fast_sim;
     cfg.waterfall = &wf;
     return cluster::ClusterEngine(oneDevice(cfg)).run().aggregate;
@@ -547,8 +549,6 @@ TEST(TraceReaderRoundTrip, EveryRecordedTraceParsesClean)
         cfg.traffic.seed = 42;
         cfg.policy = serving::SchedulePolicy::EdfChunked;
         cfg.chunkTokens = 256;
-        cfg.poolTokens = 6144;
-        cfg.maxBatch = 8;
         obs::TraceRecorder rec;
         obs::LatencyWaterfall wf;
         cfg.trace = &rec;
@@ -565,8 +565,6 @@ TEST(TraceReaderRoundTrip, EveryRecordedTraceParsesClean)
         cfg.traffic.seed = 42;
         cfg.traffic.sessions = 4;
         cfg.paged.enabled = true;
-        cfg.poolTokens = 6144;
-        cfg.maxBatch = 8;
         obs::TraceRecorder rec;
         cfg.trace = &rec;
         cluster::ClusterEngine engine(oneDevice(cfg));

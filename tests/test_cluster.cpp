@@ -23,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/capacity.hpp"
 #include "cluster/cluster_engine.hpp"
+#include "obs/trace.hpp"
 
 namespace kelle {
 namespace {
@@ -42,15 +44,26 @@ tinyServingConfig(serving::SchedulePolicy policy, double rate,
 {
     serving::ServingConfig cfg;
     cfg.model = model::tinyLm();
-    cfg.system = accel::kelleEdramSystem(2048);
     cfg.policy = policy;
-    cfg.maxBatch = 4;
-    cfg.poolTokens = 512; // a handful of concurrent tiny budgets
     cfg.traffic.ratePerSec = rate;
     cfg.traffic.seed = seed;
     cfg.traffic.numRequests = requests;
     cfg.traffic.mix = tinyMix();
     return cfg;
+}
+
+/** `cfg` on n identical tiny devices: Kelle+eDRAM at batch cap 4,
+ *  each pool a handful of concurrent tiny budgets. */
+cluster::ClusterConfig
+onTinyFleet(const serving::ServingConfig &cfg, std::size_t n_devices,
+            cluster::DispatchKind dispatch)
+{
+    cluster::ClusterConfig c;
+    c.engine = cfg;
+    c.dispatch = dispatch;
+    c.devices = cluster::homogeneousFleet(
+        n_devices, accel::kelleEdramSystem(2048), 512, 4);
+    return c;
 }
 
 /** A tiny n-device homogeneous cluster over the same traffic. */
@@ -59,9 +72,8 @@ tinyClusterConfig(std::size_t n_devices, cluster::DispatchKind dispatch,
                   serving::SchedulePolicy policy, double rate,
                   std::uint64_t seed, std::size_t requests)
 {
-    return cluster::clusterConfigFrom(
-        tinyServingConfig(policy, rate, seed, requests), n_devices,
-        dispatch);
+    return onTinyFleet(tinyServingConfig(policy, rate, seed, requests),
+                       n_devices, dispatch);
 }
 
 void
@@ -121,8 +133,7 @@ serving::ServingReport
 runOneDevice(const serving::ServingConfig &cfg)
 {
     return cluster::ClusterEngine(
-               cluster::clusterConfigFrom(
-                   cfg, 1, cluster::DispatchKind::RoundRobin))
+               onTinyFleet(cfg, 1, cluster::DispatchKind::RoundRobin))
         .run()
         .aggregate;
 }
@@ -141,7 +152,7 @@ TEST(ClusterEquivalence, OneDeviceReportIsTheSameUnderEveryDispatch)
             const auto ref = runOneDevice(scfg);
             for (auto dispatch : cluster::allDispatchPolicies()) {
                 cluster::ClusterEngine engine(
-                    cluster::clusterConfigFrom(scfg, 1, dispatch));
+                    onTinyFleet(scfg, 1, dispatch));
                 const auto clus = engine.run();
                 const std::string label =
                     toString(policy) + "/" + toString(dispatch) +
@@ -168,8 +179,7 @@ TEST(ClusterEquivalence, OneDeviceTinyTpotTargetPreempts)
     const auto ref = runOneDevice(scfg);
     ASSERT_GT(ref.summary.preemptions, 0u);
     for (auto dispatch : cluster::allDispatchPolicies()) {
-        cluster::ClusterEngine engine(
-            cluster::clusterConfigFrom(scfg, 1, dispatch));
+        cluster::ClusterEngine engine(onTinyFleet(scfg, 1, dispatch));
         expectReportsBitIdentical(ref, engine.run().aggregate,
                                   "preempt/" + toString(dispatch));
     }
@@ -507,6 +517,52 @@ TEST(ClusterHetero, MixedFleetServesAndRollsUpPoolsPerDevice)
     EXPECT_EQ(sram_refresh, 0.0);
     EXPECT_NEAR(rep.refreshEnergyJ, edram_refresh + sram_refresh,
                 1e-12 * std::max(1.0, edram_refresh));
+}
+
+TEST(ClusterHetero, DerivedPoolsAndBatchCapsResolvePerDevice)
+{
+    // Two devices whose specs differ in KV precision and batch cap,
+    // both with a derived pool (poolTokens = 0): each device's pool is
+    // the §8.4.1 pool of its own system, and no decode step of a
+    // device batches more than its own cap. Saturating arrivals of
+    // tiny requests keep both batches at their caps.
+    serving::DeviceSpec int8;
+    int8.name = "int8";
+    int8.system.kv.kvBits = 8;
+    int8.maxBatch = 3;
+    serving::DeviceSpec fp16;
+    fp16.name = "fp16";
+    fp16.maxBatch = 5;
+    obs::TraceRecorder rec;
+    cluster::ClusterConfig cfg;
+    cfg.engine.traffic.ratePerSec = 2000.0;
+    cfg.engine.traffic.numRequests = 32;
+    cfg.engine.traffic.seed = 5;
+    cfg.engine.traffic.mix = tinyMix();
+    cfg.engine.trace = &rec;
+    cfg.devices = {int8, fp16};
+    cluster::ClusterEngine engine(cfg);
+    const auto rep = engine.run();
+    ASSERT_TRUE(rep.aggregate.drained);
+
+    const model::ModelConfig &m = cfg.engine.model;
+    std::size_t pools[2] = {};
+    for (std::size_t i = 0; i < 2; ++i) {
+        const serving::DeviceSpec &spec = cfg.devices[i];
+        SCOPED_TRACE(spec.name);
+        pools[i] = engine.device(i).allocator().capacityTokens();
+        EXPECT_EQ(pools[i],
+                  accel::maxSupportedTokens(
+                      m, accel::capacitySpecOf(spec.system))
+                      .maxTokens);
+        std::size_t widest = 0;
+        for (const obs::TraceEvent &e : rec.deviceTracks()[i]->events())
+            if (e.kind == obs::TraceEventKind::DecodeStep)
+                widest = std::max(widest, static_cast<std::size_t>(e.v0));
+        EXPECT_EQ(widest, spec.maxBatch);
+    }
+    // Half-width KV fits twice the tokens in the same DRAM.
+    EXPECT_GT(pools[0], pools[1] * 19 / 10);
 }
 
 // ---- Roll-up arithmetic -------------------------------------------------

@@ -153,6 +153,16 @@ TEST(GoldenDigest, BenchServingPagedAdmissionPressure)
                  0x7e32321b30fa9674ull);
 }
 
+TEST(GoldenDigest, BenchTable3PagedKnee)
+{
+    // The Table 3 bench's paged axis: contiguous and paged 1-device
+    // runs of a tight 256-token pool at batch cap 12, over four
+    // budgets. It is the only serving path of that bench, and it sets
+    // the device's system, pool and batch cap itself.
+    expectDigest("bench/bench_table3_budget", "--paged 1",
+                 0x9510cbad8e3f557cull);
+}
+
 TEST(GoldenDigest, BenchClusterSmallHeteroConfig)
 {
     expectDigest("bench/bench_cluster",

@@ -33,6 +33,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -207,18 +208,20 @@ constexpr const char *kCaseNames[kCaseCount] = {"fig13", "contiguous",
 
 /**
  * Everything the case set reads. The two cluster configs leave
- * `devices` empty to mean "a homogeneous fleet lifted from the
- * engine" (the `clusterConfigFrom` shape), so the per-device engine
- * knobs (`system`, `poolTokens`, `maxBatch`) reach the devices; a
- * perturbation of `ClusterConfig::devices` fills it explicitly.
- * `system` is the accelerator every case runs.
+ * `devices` empty to mean "a homogeneous fleet of the case's device
+ * spec", so a perturbed `DeviceSpec` field (`name`, `poolTokens`,
+ * `maxBatch`) reaches every device; a perturbation of
+ * `ClusterConfig::devices` fills it explicitly. `system` is the
+ * accelerator every case runs, the fig13 cell's and every device's.
  */
 struct Inputs
 {
     accel::SystemConfig system = accel::kelleEdramSystem(2048);
     cluster::ClusterConfig contiguous;
+    serving::DeviceSpec contiguousDevice;
     std::size_t contiguousDevices = 3;
     cluster::ClusterConfig paged;
+    serving::DeviceSpec pagedDevice;
     std::size_t pagedDevices = 2;
     kv::KvCacheConfig kv;
 };
@@ -227,10 +230,11 @@ Inputs
 baseInputs()
 {
     Inputs s;
+    s.contiguousDevice.name = s.pagedDevice.name = "dev";
     {
+        s.contiguousDevice.poolTokens = 4000;
         serving::ServingConfig &e = s.contiguous.engine;
         e.preempt.enabled = true;
-        e.poolTokens = 4000;
         // PG19 with a recent window wider than the pool: its floor
         // never fits, so these requests are overload rejections.
         // LAMBADA's double weight makes some short decodes run alone,
@@ -250,8 +254,8 @@ baseInputs()
         s.contiguous.faults.mttrSec = 20.0;
     }
     {
+        s.pagedDevice.poolTokens = 12000;
         serving::ServingConfig &e = s.paged.engine;
-        e.poolTokens = 12000;
         e.paged.enabled = true;
         e.traffic.numRequests = 40;
         e.traffic.sessions = 4;
@@ -266,15 +270,20 @@ baseInputs()
     return s;
 }
 
+/** `c` on its explicit fleet, or on n copies of `device` running
+ *  `system`, named as `homogeneousFleet` names them. */
 cluster::ClusterConfig
-lift(const cluster::ClusterConfig &c, std::size_t n,
-     const accel::SystemConfig &system)
+lift(const cluster::ClusterConfig &c, const serving::DeviceSpec &device,
+     std::size_t n, const accel::SystemConfig &system)
 {
     cluster::ClusterConfig out = c;
-    out.engine.system = system;
-    if (out.devices.empty())
-        out.devices = cluster::homogeneousFleet(
-            n, system, out.engine.poolTokens, out.engine.maxBatch);
+    if (!out.devices.empty())
+        return out;
+    for (std::size_t i = 0; i < n; ++i) {
+        serving::DeviceSpec &d = out.devices.emplace_back(device);
+        d.name = device.name + std::to_string(i);
+        d.system = system;
+    }
     return out;
 }
 
@@ -334,11 +343,11 @@ runCases(const Inputs &s, unsigned mask)
     if (mask & (1u << kFig13))
         d[kFig13] = fig13Digest(s);
     if (mask & (1u << kContiguous))
-        d[kContiguous] = clusterDigest(
-            lift(s.contiguous, s.contiguousDevices, s.system));
+        d[kContiguous] = clusterDigest(lift(
+            s.contiguous, s.contiguousDevice, s.contiguousDevices, s.system));
     if (mask & (1u << kPaged))
-        d[kPaged] =
-            clusterDigest(lift(s.paged, s.pagedDevices, s.system));
+        d[kPaged] = clusterDigest(
+            lift(s.paged, s.pagedDevice, s.pagedDevices, s.system));
     if (mask & (1u << kKvCache))
         d[kKvCache] = kvCacheDigest(s);
     return d;
@@ -365,6 +374,17 @@ engineKnob(std::string field,
     return {std::move(field), kServing, [f](Inputs &s) {
                 f(s.contiguous.engine);
                 f(s.paged.engine);
+            }};
+}
+
+/** A field of both cluster cases' device spec. */
+Knob
+deviceKnob(std::string field,
+           std::function<void(serving::DeviceSpec &)> f)
+{
+    return {std::move(field), kServing, [f](Inputs &s) {
+                f(s.contiguousDevice);
+                f(s.pagedDevice);
             }};
 }
 
@@ -410,21 +430,24 @@ sweptKnobs(Observers &o)
     using accel::SystemConfig;
     using kv::KvCacheConfig;
     return {
-        // DeviceConfig (`system` is swept as SystemConfig below).
+        // DeviceSpec (`system` is swept as SystemConfig below).
+        deviceKnob("DeviceSpec::name",
+                   [](serving::DeviceSpec &d) { d.name = "renamed"; }),
+        deviceKnob("DeviceSpec::poolTokens",
+                   [](serving::DeviceSpec &d) { d.poolTokens /= 2; }),
+        deviceKnob("DeviceSpec::maxBatch",
+                   [](serving::DeviceSpec &d) { d.maxBatch = 4; }),
+        // DeviceConfig.
         engineKnob("DeviceConfig::model",
                    [](ServingConfig &e) { e.model = model::llama32_3b(); }),
         engineKnob("DeviceConfig::policy",
                    [](ServingConfig &e) {
                        e.policy = serving::SchedulePolicy::SjfWithinDeadline;
                    }),
-        engineKnob("DeviceConfig::maxBatch",
-                   [](ServingConfig &e) { e.maxBatch = 4; }),
         engineKnob("DeviceConfig::chunkTokens",
                    [](ServingConfig &e) { e.chunkTokens = 128; }),
         engineKnob("DeviceConfig::budgetOverride",
                    [](ServingConfig &e) { e.budgetOverride = 600; }),
-        engineKnob("DeviceConfig::poolTokens",
-                   [](ServingConfig &e) { e.poolTokens /= 2; }),
         engineKnob("DeviceConfig::highWatermark",
                    [](ServingConfig &e) { e.highWatermark = 0.5; }),
         engineKnob("DeviceConfig::chunkSlackFrac",
@@ -468,11 +491,11 @@ sweptKnobs(Observers &o)
          [](Inputs &s) {
              s.contiguous.devices = cluster::heteroEdramSramFleet(
                  s.contiguousDevices, 2048,
-                 s.contiguous.engine.poolTokens,
-                 s.contiguous.engine.poolTokens / 2);
+                 s.contiguousDevice.poolTokens,
+                 s.contiguousDevice.poolTokens / 2);
              s.paged.devices = cluster::heteroEdramSramFleet(
-                 s.pagedDevices, 2048, s.paged.engine.poolTokens,
-                 s.paged.engine.poolTokens / 2);
+                 s.pagedDevices, 2048, s.pagedDevice.poolTokens,
+                 s.pagedDevice.poolTokens / 2);
          }},
         clusterKnob("ClusterConfig::threads",
                     [](ClusterConfig &c) { c.threads = 2; }),
@@ -569,8 +592,8 @@ sweptKnobs(Observers &o)
 
 /** Members swept through another struct's knobs (`Owner::member`). */
 const std::set<std::string> kExpanded = {
-    "DeviceConfig::system", "DeviceConfig::preempt",
-    "DeviceConfig::paged",  "ClusterConfig::engine",
+    "DeviceSpec::system",    "DeviceConfig::preempt",
+    "DeviceConfig::paged",   "ClusterConfig::engine",
     "ClusterConfig::faults", "SystemConfig::kv",
     "SystemConfig::refresh",
 };
@@ -578,6 +601,7 @@ const std::set<std::string> kExpanded = {
 /** Member count of every swept struct. ServingConfig's count
  *  excludes its DeviceConfig base. */
 const std::map<std::string, std::size_t> kFieldCounts = {
+    {"DeviceSpec", fieldCount<serving::DeviceSpec>()},
     {"DeviceConfig", fieldCount<serving::DeviceConfig>()},
     {"PreemptConfig", fieldCount<serving::PreemptConfig>()},
     {"PagedKvConfig", fieldCount<serving::PagedKvConfig>()},
@@ -661,12 +685,17 @@ TEST(KnobSweep, FieldCountsMatchTheSweep)
         ++swept[ownerOf(k.field)];
     for (const std::string &e : kExpanded)
         ++swept[ownerOf(e)];
-    for (const auto &[owner, count] : kFieldCounts)
+    std::size_t total = 0;
+    for (const auto &[owner, count] : kFieldCounts) {
         EXPECT_EQ(swept[owner], count)
             << owner << " has " << count << " fields but the sweep "
             << "covers " << swept[owner]
             << ": perturb the new field in sweptKnobs() and give it a "
                "verdict in docs/KNOBS.md";
+        total += count;
+    }
+    // The options count next to the line count (CI run summary).
+    std::printf("swept config fields: %zu\n", total);
 }
 
 TEST(KnobSweep, EveryFieldBindsOrHasAVerdict)

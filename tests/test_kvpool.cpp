@@ -40,15 +40,25 @@
 namespace kelle {
 namespace {
 
+/** `n` Kelle+eDRAM devices; by default batch cap 4 on a pool no
+ *  tiny trace fills. */
+std::vector<serving::DeviceSpec>
+tinyFleet(std::size_t n, std::size_t pool_tokens = 16384,
+          std::size_t max_batch = 4)
+{
+    return cluster::homogeneousFleet(n, accel::kelleEdramSystem(2048),
+                                     pool_tokens, max_batch);
+}
+
 /** A single-device session: a 1-device round-robin cluster. */
 serving::ServingReport
-runOneDevice(const serving::ServingConfig &cfg)
+runOneDevice(const serving::ServingConfig &cfg,
+             std::vector<serving::DeviceSpec> fleet = tinyFleet(1))
 {
-    return cluster::ClusterEngine(
-               cluster::clusterConfigFrom(
-                   cfg, 1, cluster::DispatchKind::RoundRobin))
-        .run()
-        .aggregate;
+    cluster::ClusterConfig c;
+    c.engine = cfg;
+    c.devices = std::move(fleet);
+    return cluster::ClusterEngine(c).run().aggregate;
 }
 
 kv::KvPagePoolConfig
@@ -286,10 +296,7 @@ tinyServingConfig(std::uint64_t seed = 42)
 {
     serving::ServingConfig cfg;
     cfg.model = model::tinyLm();
-    cfg.system = accel::kelleEdramSystem(2048);
     cfg.policy = serving::SchedulePolicy::ContinuousBatching;
-    cfg.maxBatch = 4;
-    cfg.poolTokens = 16384;
     cfg.highWatermark = 1.0;
     cfg.traffic.ratePerSec = 0.2;
     cfg.traffic.seed = seed;
@@ -338,11 +345,10 @@ TEST(PagedServing, QuantizedPagesMultiplyDerivedTokenCapacity)
     // same bytes.
     auto pagesAt = [](int bits) {
         serving::ServingConfig cfg = tinyServingConfig();
-        cfg.poolTokens = 0;
         cfg.traffic.numRequests = 2;
         cfg.paged.enabled = true;
         cfg.paged.quantBits = bits;
-        return runOneDevice(cfg).paged.totalPages;
+        return runOneDevice(cfg, tinyFleet(1, 0)).paged.totalPages;
     };
     const std::size_t p16 = pagesAt(0);
     const std::size_t p8 = pagesAt(8);
@@ -393,9 +399,10 @@ TEST(PagedServing, SharedPrefixesRaiseResidentTokensOnTightPool)
     // The headline claim at test scale: same trace, same tight pool —
     // prefix sharing stores each session's system prompt once, so the
     // pool holds more logical resident tokens at peak.
+    // 12 batch slots outnumber what a 256-token pool holds, so the
+    // pool is the binding constraint.
+    const auto tight = tinyFleet(1, 256, 12);
     serving::ServingConfig cfg = tinyServingConfig();
-    cfg.maxBatch = 12;     // batch slots outnumber what the pool holds
-    cfg.poolTokens = 256;  // ... so the pool is the binding constraint
     cfg.highWatermark = 0.85;
     cfg.budgetOverride = 48; // N' large enough for multi-page prefixes
     cfg.traffic.ratePerSec = 2000.0; // saturating arrivals
@@ -407,8 +414,8 @@ TEST(PagedServing, SharedPrefixesRaiseResidentTokensOnTightPool)
     paged.paged.enabled = true;
     paged.paged.blockTokens = 8;
 
-    const auto contig = runOneDevice(cfg);
-    const auto shared = runOneDevice(paged);
+    const auto contig = runOneDevice(cfg, tight);
+    const auto shared = runOneDevice(paged, tight);
     EXPECT_GT(shared.paged.prefixHitTokens, 0u);
     EXPECT_GT(shared.peakLogicalTokens, contig.peakLogicalTokens);
 }
@@ -419,8 +426,6 @@ cluster::ClusterConfig
 pagedClusterConfig(std::size_t threads, bool fast_sim)
 {
     serving::ServingConfig cfg = tinyServingConfig();
-    cfg.maxBatch = 12;
-    cfg.poolTokens = 256; // tight: growth and clips fire
     cfg.budgetOverride = 48;
     cfg.traffic.ratePerSec = 5000.0; // split across 2 devices
     cfg.traffic.numRequests = 32;
@@ -429,8 +434,10 @@ pagedClusterConfig(std::size_t threads, bool fast_sim)
     cfg.fastSim = fast_sim;
     cfg.paged.enabled = true;
     cfg.paged.blockTokens = 8;
-    cluster::ClusterConfig ccfg = cluster::clusterConfigFrom(
-        cfg, 2, cluster::DispatchKind::JoinShortestKv);
+    cluster::ClusterConfig ccfg;
+    ccfg.engine = cfg;
+    ccfg.dispatch = cluster::DispatchKind::JoinShortestKv;
+    ccfg.devices = tinyFleet(2, 256, 12); // tight: growth and clips fire
     ccfg.threads = threads;
     return ccfg;
 }

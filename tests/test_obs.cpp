@@ -167,8 +167,6 @@ runSjfDeadlineTraced(bool fast_sim, bool paged)
     obs::LatencyWaterfall wf;
     serving::ServingConfig cfg;
     cfg.policy = serving::SchedulePolicy::SjfWithinDeadline;
-    cfg.poolTokens = 3000;
-    cfg.maxBatch = 8;
     cfg.traffic.ratePerSec = 0.05;
     cfg.traffic.numRequests = 8;
     cfg.traffic.seed = 1;
@@ -176,10 +174,11 @@ runSjfDeadlineTraced(bool fast_sim, bool paged)
     cfg.fastSim = fast_sim;
     cfg.trace = &rec;
     cfg.waterfall = &wf;
-    cluster::ClusterEngine(
-        cluster::clusterConfigFrom(cfg, 1,
-                                   cluster::DispatchKind::RoundRobin))
-        .run();
+    cluster::ClusterConfig c;
+    c.engine = cfg;
+    c.devices = cluster::homogeneousFleet(
+        1, accel::kelleEdramSystem(2048), 3000, 8);
+    cluster::ClusterEngine(c).run();
     return rec.toJson();
 }
 
@@ -298,9 +297,10 @@ TEST(DisabledRecorder, SteadyStateDecodeStaysAllocationFree)
     requests.push_back(r);
 
     serving::DeviceConfig cfg;
-    cfg.poolTokens = 4096;
+    serving::DeviceSpec device;
+    device.poolTokens = 4096;
     ASSERT_EQ(cfg.profiler, nullptr);
-    serving::DeviceEngine engine(cfg, queue, requests);
+    serving::DeviceEngine engine(cfg, device, queue, requests);
     for (int i = 1; i <= 1200; ++i)
         queue.schedule(sim::SimTime::fromSec(0.3 * i), [] {});
     engine.enqueue(0);

@@ -54,17 +54,18 @@ tinyClusterConfig(std::size_t n_devices, cluster::DispatchKind dispatch,
                   serving::SchedulePolicy policy, double rate,
                   std::uint64_t seed, std::size_t requests)
 {
-    serving::ServingConfig cfg;
+    cluster::ClusterConfig c;
+    serving::ServingConfig &cfg = c.engine;
     cfg.model = model::tinyLm();
-    cfg.system = accel::kelleEdramSystem(2048);
     cfg.policy = policy;
-    cfg.maxBatch = 4;
-    cfg.poolTokens = 512;
     cfg.traffic.ratePerSec = rate;
     cfg.traffic.seed = seed;
     cfg.traffic.numRequests = requests;
     cfg.traffic.mix = tinyMix();
-    return cluster::clusterConfigFrom(cfg, n_devices, dispatch);
+    c.dispatch = dispatch;
+    c.devices = cluster::homogeneousFleet(
+        n_devices, accel::kelleEdramSystem(2048), 512, 4);
+    return c;
 }
 
 /** Field-for-field bitwise equality of two serving summaries. */
@@ -313,7 +314,6 @@ TEST(ParallelFastForward, KvBlockedSkipPoliciesFastForwardAndMatch)
             cfg.engine.chunkTokens = 16;
             for (auto &d : cfg.devices)
                 d.poolTokens = 96; // tight: forces deferrals
-            cfg.engine.poolTokens = 96;
             const std::string label = "kvblock/" + toString(policy) +
                                       "/s" + std::to_string(seed);
             expectThreadInvariant(cfg, label);
@@ -389,7 +389,6 @@ TEST(ParallelOracle, SlowPathAgreesUnderDeferralReplay)
     cfg.engine.chunkTokens = 16;
     for (auto &d : cfg.devices)
         d.poolTokens = 96;
-    cfg.engine.poolTokens = 96;
 
     cfg.engine.fastSim = false;
     cfg.threads = 1;

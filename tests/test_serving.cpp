@@ -28,12 +28,28 @@
 namespace kelle {
 namespace {
 
+/** A Kelle+eDRAM device at batch cap 4 whose default pool holds a
+ *  handful of concurrent tiny budgets. */
+serving::DeviceSpec
+tinyDevice(std::size_t pool_tokens = 512)
+{
+    serving::DeviceSpec d;
+    d.poolTokens = pool_tokens;
+    d.maxBatch = 4;
+    return d;
+}
+
 /** A single-device session: a 1-device round-robin cluster. */
 cluster::ClusterConfig
-oneDevice(const serving::ServingConfig &cfg)
+oneDevice(const serving::ServingConfig &cfg,
+          const serving::DeviceSpec &device = tinyDevice())
 {
-    return cluster::clusterConfigFrom(cfg, 1,
-                                      cluster::DispatchKind::RoundRobin);
+    cluster::ClusterConfig c;
+    c.engine = cfg;
+    c.devices = cluster::homogeneousFleet(1, device.system,
+                                          device.poolTokens,
+                                          device.maxBatch);
+    return c;
 }
 
 serving::ServingReport
@@ -56,10 +72,7 @@ tinyServingConfig(serving::SchedulePolicy policy, double rate,
 {
     serving::ServingConfig cfg;
     cfg.model = model::tinyLm();
-    cfg.system = accel::kelleEdramSystem(2048);
     cfg.policy = policy;
-    cfg.maxBatch = 4;
-    cfg.poolTokens = 512; // a handful of concurrent tiny budgets
     cfg.traffic.ratePerSec = rate;
     cfg.traffic.seed = seed;
     cfg.traffic.numRequests = requests;
@@ -350,17 +363,18 @@ TEST(BatchedTiming, EngineMatchesTheFigure13RunnerOnEveryCell)
         for (const accel::SystemConfig &sys : sim::figure13Systems(task)) {
             SCOPED_TRACE(sys.name + " on " + task.name);
             serving::DeviceConfig cfg;
-            cfg.system = sys;
             cfg.model = m;
-            cfg.maxBatch = kBatch;
-            cfg.poolTokens = 10'000'000;
+            serving::DeviceSpec device;
+            device.system = sys;
+            device.poolTokens = 10'000'000;
+            device.maxBatch = kBatch;
             std::vector<serving::Request> requests(kBatch);
             for (std::size_t i = 0; i < kBatch; ++i) {
                 requests[i].id = i;
                 requests[i].task = task;
             }
             sim::EventQueue queue;
-            serving::DeviceEngine engine(cfg, queue, requests);
+            serving::DeviceEngine engine(cfg, device, queue, requests);
             for (std::size_t i = 0; i < kBatch; ++i)
                 engine.enqueue(i);
             queue.runAll();
@@ -482,8 +496,8 @@ TEST(Scheduler, TinyPoolForcesShrunkGrantsNotOversubscription)
     // Saturating arrivals so several requests contend for the pool.
     auto cfg = tinyServingConfig(
         serving::SchedulePolicy::ContinuousBatching, 2000.0, 13, 24);
-    cfg.poolTokens = 128; // roughly two shrunk tiny budgets
-    cluster::ClusterEngine engine(oneDevice(cfg));
+    // A pool of roughly two shrunk tiny budgets.
+    cluster::ClusterEngine engine(oneDevice(cfg, tinyDevice(128)));
     const auto rep = engine.run().aggregate;
     EXPECT_TRUE(rep.drained);
     EXPECT_EQ(rep.summary.completed + rep.summary.rejected,
@@ -501,8 +515,7 @@ TEST(Scheduler, FullGrantsReportNoBudgetPressure)
     auto cfg = tinyServingConfig(
         serving::SchedulePolicy::ContinuousBatching, 10.0, 31, 8);
     cfg.budgetOverride = 4; // far below every task's floor
-    cfg.poolTokens = 4096;
-    cluster::ClusterEngine engine(oneDevice(cfg));
+    cluster::ClusterEngine engine(oneDevice(cfg, tinyDevice(4096)));
     const auto rep = engine.run().aggregate;
     ASSERT_EQ(rep.summary.completed, cfg.traffic.numRequests);
     EXPECT_EQ(rep.shrunkGrants, 0u);
@@ -515,9 +528,9 @@ TEST(Scheduler, NoEvictionBaselineReservesTheFullFootprint)
     // whole ctx+dec footprint, so fewer requests fit concurrently.
     auto cfg = tinyServingConfig(
         serving::SchedulePolicy::ContinuousBatching, 2000.0, 41, 8);
-    cfg.system = accel::originalEdramSystem();
-    cfg.poolTokens = 1024;
-    cluster::ClusterEngine engine(oneDevice(cfg));
+    serving::DeviceSpec device = tinyDevice(1024);
+    device.system = accel::originalEdramSystem();
+    cluster::ClusterEngine engine(oneDevice(cfg, device));
     const auto rep = engine.run().aggregate;
     ASSERT_EQ(rep.summary.completed + rep.summary.rejected,
               cfg.traffic.numRequests);
@@ -604,11 +617,10 @@ TEST(Policy, SkipBlockedAdmissionBypassesTheHeadOfLine)
     // blocked or larger requests and record every overtake.
     auto base = tinyServingConfig(
         serving::SchedulePolicy::ContinuousBatching, 2000.0, 13, 24);
-    base.poolTokens = 128;
     for (auto policy : serving::allSchedulePolicies()) {
         auto cfg = base;
         cfg.policy = policy;
-        cluster::ClusterEngine engine(oneDevice(cfg));
+        cluster::ClusterEngine engine(oneDevice(cfg, tinyDevice(128)));
         const auto rep = engine.run().aggregate;
         EXPECT_TRUE(rep.drained) << toString(policy);
         const bool reorders =

@@ -563,15 +563,15 @@ smallServingConfig(std::uint64_t seed, serving::SchedulePolicy policy,
     return cfg;
 }
 
-/** A single-device session: a 1-device round-robin cluster. */
+/** A single-device session: a 1-device round-robin cluster of the
+ *  default device (Kelle+eDRAM, §8.4.1 pool, batch cap 16). */
 serving::ServingReport
 runOneDevice(const serving::ServingConfig &cfg)
 {
-    return cluster::ClusterEngine(
-               cluster::clusterConfigFrom(
-                   cfg, 1, cluster::DispatchKind::RoundRobin))
-        .run()
-        .aggregate;
+    cluster::ClusterConfig c;
+    c.engine = cfg;
+    c.devices = cluster::homogeneousFleet(1);
+    return cluster::ClusterEngine(c).run().aggregate;
 }
 
 TEST(FastPathEquivalence, SchedulerFastVsSlowAcrossPolicies)
@@ -638,11 +638,9 @@ TEST(FastPathEquivalence, UntracedClusterEnergyMatchesEventPath)
     // homogeneous fleet's devices share one decode memo.
     const auto m = model::llama2_7b();
     const auto edram = accel::kelleEdramSystem(2048);
-    accel::CapacitySpec spec;
-    spec.dramCapacity = edram.tech.dram.capacity();
-    spec.weightBits = edram.tech.weightBits;
-    spec.kvBits = edram.kv.kvBits;
-    const std::size_t pool = accel::maxSupportedTokens(m, spec).maxTokens;
+    const std::size_t pool =
+        accel::maxSupportedTokens(m, accel::capacitySpecOf(edram))
+            .maxTokens;
     struct Fleet
     {
         const char *label;
@@ -715,7 +713,8 @@ using ExtraEvents =
                        std::vector<serving::Request> &)>;
 
 DeviceRun
-runDevice(serving::DeviceConfig cfg, bool fast,
+runDevice(serving::DeviceConfig cfg, const serving::DeviceSpec &spec,
+          bool fast,
           std::vector<serving::Request> requests,
           const std::vector<double> &noops, double crash_at,
           const ExtraEvents &extra, bool waterfall = true,
@@ -725,7 +724,7 @@ runDevice(serving::DeviceConfig cfg, bool fast,
     DeviceRun run;
     run.requests = std::move(requests);
     sim::EventQueue queue;
-    serving::DeviceEngine engine(cfg, queue, run.requests);
+    serving::DeviceEngine engine(cfg, spec, queue, run.requests);
     obs::LatencyWaterfall wf;
     wf.beginRun(run.requests.size());
     if (waterfall)
@@ -818,19 +817,30 @@ decodeRequest(std::uint64_t id, std::size_t ctx, std::size_t dec,
     return r;
 }
 
+/** A Kelle+eDRAM device with a `pool_tokens`-token KV pool. */
+serving::DeviceSpec
+deviceWithPool(std::size_t pool_tokens, std::size_t max_batch = 16)
+{
+    serving::DeviceSpec d;
+    d.poolTokens = pool_tokens;
+    d.maxBatch = max_batch;
+    return d;
+}
+
 /** Fast and slow runs of one scenario agree on every request field
  *  and report; returns the fast run for scenario-specific checks. */
 DeviceRun
 expectDeviceFastEqualsSlow(const serving::DeviceConfig &cfg,
+                           const serving::DeviceSpec &spec,
                            const std::vector<serving::Request> &requests,
                            const std::vector<double> &noops = {},
                            double crash_at = 0.0,
                            const ExtraEvents &extra = {},
                            bool waterfall = true)
 {
-    const DeviceRun fast = runDevice(cfg, true, requests, noops,
+    const DeviceRun fast = runDevice(cfg, spec, true, requests, noops,
                                      crash_at, extra, waterfall);
-    const DeviceRun slow = runDevice(cfg, false, requests, noops,
+    const DeviceRun slow = runDevice(cfg, spec, false, requests, noops,
                                      crash_at, extra, waterfall);
     expectRequestsEq(fast.requests, slow.requests);
     expectWaterfallsEq(fast.waterfall, slow.waterfall);
@@ -852,9 +862,9 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
     // their fixpoint) and when the window ends, where each member's
     // own first gap joins the shared running max.
     serving::DeviceConfig cfg;
-    cfg.poolTokens = 16384;
+    const serving::DeviceSpec roomy = deviceWithPool(16384);
     const double step_sec =
-        accel::simulateBatchedDecodeStep(cfg.system, cfg.model,
+        accel::simulateBatchedDecodeStep(roomy.system, cfg.model,
                                          {513, 513})
             .latency.sec();
 
@@ -872,7 +882,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
             waves.push_back(decodeRequest(id + 1, 600, 300, 700, 0.0, at));
             waves.push_back(decodeRequest(id + 2, 700, 300, 900, 0.0, at));
         }
-        const DeviceRun run = expectDeviceFastEqualsSlow(cfg, waves);
+        const DeviceRun run = expectDeviceFastEqualsSlow(cfg, roomy, waves);
         EXPECT_GT(run.fastForwarded, 500u);
     }
 
@@ -883,7 +893,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
         SCOPED_TRACE("crash after window");
         const double crash_at = 5.0 + 150.0 * step_sec;
         const DeviceRun run = expectDeviceFastEqualsSlow(
-            cfg,
+            cfg, roomy,
             {decodeRequest(0, 512, 400, 1000),
              decodeRequest(1, 512, 400, 1000)},
             {}, crash_at);
@@ -898,12 +908,12 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
     {
         SCOPED_TRACE("doom stop");
         auto pcfg = cfg;
-        pcfg.maxBatch = 2;
         pcfg.preempt.enabled = true;
         const DeviceRun run = expectDeviceFastEqualsSlow(
-            pcfg, {decodeRequest(0, 512, 400, 600, 0.5 * step_sec),
-                   decodeRequest(1, 512, 400, 600),
-                   decodeRequest(2, 512, 50, 600)});
+            pcfg, deviceWithPool(16384, 2),
+            {decodeRequest(0, 512, 400, 600, 0.5 * step_sec),
+             decodeRequest(1, 512, 400, 600),
+             decodeRequest(2, 512, 50, 600)});
         EXPECT_EQ(run.requests[0].preemptions, 1u);
         EXPECT_GT(run.fastForwarded, 300u);
     }
@@ -919,7 +929,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
             noops.push_back(t);
         }
         const DeviceRun run = expectDeviceFastEqualsSlow(
-            cfg,
+            cfg, roomy,
             {decodeRequest(0, 512, 600, 560),
              decodeRequest(1, 512, 600, 900)},
             noops);
@@ -945,7 +955,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
             waves.push_back(decodeRequest(id + 1, 600, 300, 700, 0.0, at));
             waves.push_back(decodeRequest(id + 2, 700, 300, 900, 0.0, at));
         }
-        const DeviceRun run = expectDeviceFastEqualsSlow(paged, waves);
+        const DeviceRun run = expectDeviceFastEqualsSlow(paged, roomy, waves);
         EXPECT_GT(run.fastForwarded, 500u);
         EXPECT_EQ(run.budgetClips, 0u);
     }
@@ -959,8 +969,6 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
     // wrong entry.
     {
         SCOPED_TRACE("paged growth failure");
-        auto tight = paged;
-        tight.poolTokens = 1700;
         std::vector<serving::Request> waves;
         for (double at : {0.0, 60.0}) {
             const auto id = static_cast<std::uint64_t>(waves.size());
@@ -968,7 +976,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
             waves.push_back(decodeRequest(id + 1, 520, 300, 900, 0.0, at));
             waves.push_back(decodeRequest(id + 2, 530, 300, 900, 0.0, at));
         }
-        const DeviceRun run = expectDeviceFastEqualsSlow(tight, waves);
+        const DeviceRun run = expectDeviceFastEqualsSlow(paged, deviceWithPool(1700), waves);
         EXPECT_GT(run.budgetClips, 0u);
         EXPECT_GT(run.fastForwarded, 500u);
     }
@@ -982,8 +990,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
     // push the free pages below that floor, and the round after such
     // an edge clamps both members to what they hold.
     {
-        auto tight = paged;
-        tight.poolTokens = 1216;
+        const serving::DeviceSpec tight = deviceWithPool(1216);
         std::vector<serving::Request> reqs = {
             decodeRequest(0, 32, 600, 700),
             decodeRequest(1, 400, 600, 1200),
@@ -999,7 +1006,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
         {
             SCOPED_TRACE("paged budget clamp");
             const DeviceRun run =
-                expectDeviceFastEqualsSlow(tight, reqs, {}, 0.0, extra);
+                expectDeviceFastEqualsSlow(paged, tight, reqs, {}, 0.0, extra);
             EXPECT_EQ(run.budgetClips, 2u);
             EXPECT_GT(run.deferrals, 100u);
             EXPECT_GT(run.fastForwarded, 500u);
@@ -1018,11 +1025,11 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
         SCOPED_TRACE("paged clamp on a window's first round");
         sim::SimTime edge;
         {
-            auto slow = tight;
+            auto slow = paged;
             slow.fastSim = false;
             std::vector<serving::Request> probe = reqs;
             sim::EventQueue q;
-            serving::DeviceEngine e(slow, q, probe);
+            serving::DeviceEngine e(slow, tight, q, probe);
             extra(q, e, probe);
             for (std::size_t i = 0; i < probe.size(); ++i)
                 q.schedule(probe[i].arrival, [&e, i] { e.enqueue(i); });
@@ -1034,7 +1041,8 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
             ASSERT_GT(edge.sec(), reqs[2].arrival.sec());
         }
         const DeviceRun run = expectDeviceFastEqualsSlow(
-            tight, reqs, {edge.sec() - 0.5 * step_sec}, 0.0, extra);
+            paged, tight, reqs, {edge.sec() - 0.5 * step_sec}, 0.0,
+            extra);
         EXPECT_EQ(run.budgetClips, 2u);
         EXPECT_GT(run.fastForwarded, 500u);
     }
@@ -1046,7 +1054,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
         SCOPED_TRACE("paged crash after window");
         const double crash_at = 5.0 + 150.0 * step_sec;
         const DeviceRun run = expectDeviceFastEqualsSlow(
-            paged,
+            paged, roomy,
             {decodeRequest(0, 512, 400, 1000),
              decodeRequest(1, 512, 400, 1000)},
             {}, crash_at);
@@ -1070,7 +1078,7 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
         {
             SCOPED_TRACE("clamped run cut by the horizon");
             const DeviceRun run = expectDeviceFastEqualsSlow(
-                base,
+                base, roomy,
                 {decodeRequest(0, 512, 600, 560),
                  decodeRequest(1, 600, 600, 640),
                  decodeRequest(2, 512, 300, 540, 0.0, 150.5 * step_sec)},
@@ -1087,10 +1095,9 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
         {
             SCOPED_TRACE("clamped run in a fixpoint deferral replay");
             auto tight = base;
-            tight.poolTokens = 1250;
             tight.highWatermark = 1.0;
             const DeviceRun run = expectDeviceFastEqualsSlow(
-                tight,
+                tight, deviceWithPool(1250),
                 {decodeRequest(0, 512, 600, 560),
                  decodeRequest(1, 600, 400, 640),
                  decodeRequest(2, 100, 50, 300, 0.0, 100.5 * step_sec)});
@@ -1112,9 +1119,9 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
     // the memo up exactly as the traced run does, and trace the same
     // bytes as a traced event-path run.
     serving::DeviceConfig cfg;
-    cfg.poolTokens = 16384;
+    const serving::DeviceSpec roomy = deviceWithPool(16384);
     const double step_sec =
-        accel::simulateBatchedDecodeStep(cfg.system, cfg.model,
+        accel::simulateBatchedDecodeStep(roomy.system, cfg.model,
                                          {513, 513})
             .latency.sec();
     serving::DeviceConfig paged = cfg;
@@ -1122,21 +1129,22 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
     paged.paged.blockTokens = 16;
 
     const auto check = [](const serving::DeviceConfig &c,
+                          const serving::DeviceSpec &spec,
                           const std::vector<serving::Request> &reqs,
                           const std::vector<double> &noops = {},
                           const ExtraEvents &extra = {},
                           bool waterfall = true) {
         const DeviceRun fast = expectDeviceFastEqualsSlow(
-            c, reqs, noops, 0.0, extra, waterfall);
-        const DeviceRun traced =
-            runDevice(c, true, reqs, noops, 0.0, extra, waterfall, true);
+            c, spec, reqs, noops, 0.0, extra, waterfall);
+        const DeviceRun traced = runDevice(c, spec, true, reqs, noops, 0.0,
+                                           extra, waterfall, true);
         expectRequestsEq(fast.requests, traced.requests);
         EXPECT_EQ(fast.cache.hits, traced.cache.hits);
         EXPECT_EQ(fast.cache.misses, traced.cache.misses);
         EXPECT_EQ(fast.cache.bypasses, traced.cache.bypasses);
         EXPECT_EQ(fast.fastForwarded, traced.fastForwarded);
-        const DeviceRun traced_slow =
-            runDevice(c, false, reqs, noops, 0.0, extra, waterfall, true);
+        const DeviceRun traced_slow = runDevice(
+            c, spec, false, reqs, noops, 0.0, extra, waterfall, true);
         EXPECT_FALSE(traced.trace.empty());
         EXPECT_TRUE(traced.trace == traced_slow.trace)
             << "fast and event-path traces differ";
@@ -1167,7 +1175,7 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
         SCOPED_TRACE(waterfall ? "clamp steps, waterfall"
                                : "clamp steps, no waterfall");
         const DeviceRun run =
-            check(cfg, waves(48, 100, 200), {}, {}, waterfall);
+            check(cfg, roomy, waves(48, 100, 200), {}, {}, waterfall);
         EXPECT_GT(run.fastForwarded, 500u);
         EXPECT_GT(run.cache.hits, 150u);
     }
@@ -1182,7 +1190,7 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
             t += step_sec * (i % 3 == 0 ? 7.3 : i % 3 == 1 ? 23.6 : 41.5);
             noops.push_back(t);
         }
-        const DeviceRun run = check(cfg, waves(400, 400, 400), noops);
+        const DeviceRun run = check(cfg, roomy, waves(400, 400, 400), noops);
         EXPECT_GT(run.fastForwarded, 500u);
     }
 
@@ -1190,7 +1198,7 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
     // boundaries of each member, staggered by the prompts.
     {
         SCOPED_TRACE("page edges");
-        const DeviceRun run = check(paged, waves(48, 100, 400));
+        const DeviceRun run = check(paged, roomy, waves(48, 100, 400));
         EXPECT_GT(run.fastForwarded, 500u);
         EXPECT_EQ(run.budgetClips, 0u);
     }
@@ -1200,9 +1208,8 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
     // miss that clamp and keep growing the resident total.
     {
         SCOPED_TRACE("page edges, growth failure");
-        auto tight = paged;
-        tight.poolTokens = 1700;
-        const DeviceRun run = check(tight, waves(400, 400, 400));
+        const DeviceRun run =
+            check(paged, deviceWithPool(1700), waves(400, 400, 400));
         EXPECT_GT(run.budgetClips, 0u);
         EXPECT_GT(run.fastForwarded, 500u);
     }
@@ -1222,7 +1229,7 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
                        [&q, &e] { e.restoreAt(q.now(), 1); });
         };
         const DeviceRun run =
-            check(cfg, waves(48, 100, 400),
+            check(cfg, roomy, waves(48, 100, 400),
                   {150.3 * step_sec, 260.7 * step_sec}, extra);
         EXPECT_GT(run.fastForwarded, 500u);
     }
@@ -1234,13 +1241,12 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
     {
         SCOPED_TRACE("fixpoint round");
         auto tight = cfg;
-        tight.poolTokens = 1250;
         tight.highWatermark = 1.0;
         const DeviceRun run =
-            check(tight, {decodeRequest(0, 300, 600, 560),
-                          decodeRequest(1, 400, 400, 640),
-                          decodeRequest(2, 100, 50, 300, 0.0,
-                                        50.5 * step_sec)});
+            check(tight, deviceWithPool(1250),
+                  {decodeRequest(0, 300, 600, 560),
+                   decodeRequest(1, 400, 400, 640),
+                   decodeRequest(2, 100, 50, 300, 0.0, 50.5 * step_sec)});
         EXPECT_GT(run.deferrals, 250u);
         EXPECT_GT(run.fastForwarded, 550u);
     }
@@ -1259,8 +1265,7 @@ TEST(DoomClock, DoomOnAStepBoundaryPreemptsAtThatBoundary)
     // past it. Request 1 waits on the batch cap, so the scan runs at
     // every boundary.
     serving::DeviceConfig cfg;
-    cfg.poolTokens = 16384;
-    cfg.maxBatch = 1;
+    const serving::DeviceSpec single = deviceWithPool(16384, 1);
     struct Run
     {
         std::vector<serving::Request> requests;
@@ -1269,8 +1274,8 @@ TEST(DoomClock, DoomOnAStepBoundaryPreemptsAtThatBoundary)
         sim::SimTime latestBound; ///< max requeue bound before it
         std::uint64_t fastForwarded = 0;
     };
-    const auto run = [&cfg](std::vector<serving::Request> reqs,
-                            bool fast) {
+    const auto run = [&cfg, &single](std::vector<serving::Request> reqs,
+                                     bool fast) {
         serving::DeviceConfig c = cfg;
         c.fastSim = fast;
         c.preempt.enabled = reqs[0].tpotTargetSec > 0.0;
@@ -1278,7 +1283,7 @@ TEST(DoomClock, DoomOnAStepBoundaryPreemptsAtThatBoundary)
         out.requests = std::move(reqs);
         sim::EventQueue queue;
         obs::TraceRecorder rec;
-        serving::DeviceEngine engine(c, queue, out.requests);
+        serving::DeviceEngine engine(c, single, queue, out.requests);
         engine.setTrace(rec.addDeviceTrack("dev"));
         engine.enqueue(0);
         engine.enqueue(1);
@@ -1329,7 +1334,7 @@ TEST(DoomClock, NeverAdmittableArrivalPreemptsNothing)
     // a floor above the whole pool: it is rejected on arrival, so it
     // is never waiting demand and the doomed decode keeps its grant.
     serving::DeviceConfig cfg;
-    cfg.poolTokens = 4096;
+    const serving::DeviceSpec device = deviceWithPool(4096);
     cfg.preempt.enabled = true;
     std::vector<serving::Request> base = {
         decodeRequest(0, 512, 400, 600, 1e-9),
@@ -1341,7 +1346,7 @@ TEST(DoomClock, NeverAdmittableArrivalPreemptsNothing)
     {
         std::vector<serving::Request> dry = base;
         sim::EventQueue queue;
-        serving::DeviceEngine engine(cfg, queue, dry);
+        serving::DeviceEngine engine(cfg, device, queue, dry);
         engine.enqueue(0);
         queue.runAll();
         arrive = dry[0].firstToken +
@@ -1353,7 +1358,7 @@ TEST(DoomClock, NeverAdmittableArrivalPreemptsNothing)
         cfg.fastSim = fast;
         std::vector<serving::Request> requests = base;
         sim::EventQueue queue;
-        serving::DeviceEngine engine(cfg, queue, requests);
+        serving::DeviceEngine engine(cfg, device, queue, requests);
         ASSERT_FALSE(engine.canEverAdmit(requests[1]));
         engine.enqueue(0);
         queue.schedule(arrive, [&] {
@@ -1395,9 +1400,9 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
         requests.push_back(r);
 
         serving::DeviceConfig cfg;
-        cfg.poolTokens = 4096;
         cfg.paged.enabled = paged;
-        serving::DeviceEngine engine(cfg, queue, requests);
+        serving::DeviceEngine engine(cfg, deviceWithPool(4096), queue,
+                                     requests);
         for (int i = 1; i <= 1200; ++i)
             queue.schedule(sim::SimTime::fromSec(0.3 * i), [] {});
         engine.enqueue(0);
@@ -1511,9 +1516,8 @@ TEST(EventQueueWindow, InfiniteExternalEventHookUnboundsFastForward)
         r.task = sim::scaledForTiny(sim::lambada(), 96);
         r.arrival = sim::SimTime::fromSec(0);
         requests.push_back(r);
-        serving::DeviceConfig cfg;
-        cfg.poolTokens = 512;
-        serving::DeviceEngine engine(cfg, queue, requests);
+        serving::DeviceEngine engine(serving::DeviceConfig{},
+                                     deviceWithPool(512), queue, requests);
         if (with_hook) {
             serving::DeviceEngine::Hooks hooks;
             hooks.nextExternalEvent = [] {
