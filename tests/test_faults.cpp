@@ -20,6 +20,7 @@
  *    device_fault miss cause.
  */
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,40 @@ TEST(FaultInjector, StreamIsDeterministic)
         // The merged stream is chronological.
         EXPECT_LE(ea.at.sec(), a.nextEventTime().sec()) << i;
     }
+}
+
+TEST(FaultInjector, StreamDigestIsPinned)
+{
+    // The first 500 disruptions and recoveries of a 4-device stream
+    // at the default rates and a 5 s crash warm-up, hashed (FNV-1a
+    // over device, kind, cause and tick). Only those four kinds are
+    // hashed: an instant that changes no device is not part of the
+    // contract.
+    faults::FaultConfig cfg;
+    cfg.enabled = true;
+    cfg.recoverWarmupSec = 5.0;
+    faults::FaultInjector inj(cfg, 4);
+    std::uint64_t h = 14695981039346656037ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    for (int seen = 0; seen < 500;) {
+        const faults::FaultEvent ev = inj.pop();
+        if (ev.kind != faults::FaultKind::Crash &&
+            ev.kind != faults::FaultKind::Slowdown &&
+            ev.kind != faults::FaultKind::PoolShrink &&
+            ev.kind != faults::FaultKind::Recover)
+            continue;
+        mix(ev.device);
+        mix(static_cast<std::uint64_t>(ev.kind));
+        mix(static_cast<std::uint64_t>(ev.cause));
+        mix(static_cast<std::uint64_t>(ev.at.ns()));
+        ++seen;
+    }
+    EXPECT_EQ(h, 0xe9ca398ee975a3c2ull) << std::hex << h;
 }
 
 TEST(FaultInjector, StreamIndependentOfFleetSize)

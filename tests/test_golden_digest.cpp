@@ -247,6 +247,15 @@ TEST(GoldenDigest, EdgeServerTwoDeviceHeteroSession)
                  0x8d0c0a15032438f4ull);
 }
 
+TEST(GoldenDigest, EdgeServerFaultSession)
+{
+    // The narrated fault session: crash, slowdown and pool-degrade
+    // lines and their recoveries, the evictions, retries and the fault
+    // report, on the default two-device fleet.
+    expectDigest("examples/edge_server", "--devices 2 --faults",
+                 0x58ed224241e317f7ull);
+}
+
 // The Fig. 13-16 and Table 7-9 benches print the analytic model's
 // paper tables; each runs in milliseconds and takes no flags. A change
 // to the decode, prefill or energy model that moves a printed figure
