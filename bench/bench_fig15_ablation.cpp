@@ -51,9 +51,6 @@ main()
     sim::Task task = sim::pg19();
     const auto w = sim::makeWorkload(task, model::llama2_7b(), 16);
     const auto base = simulate(originalSramSystem(), w);
-    const edram::TwoDRefreshPolicy policy(
-        edram::RefreshIntervals::paper2drp(),
-        edram::RetentionModel::paper65nm());
 
     Table b({"strategy", "energy_eff", "refresh share", "latency (s)"});
     auto run = [&](const char *name, RefreshSpec::Mode mode,
@@ -74,7 +71,6 @@ main()
     // Section 8.3.3: the uniform interval that matches 2DRP's accuracy
     // is 0.36 ms — a uniform policy must refresh *everything* at the
     // rate 2DRP reserves for its most sensitive group (HST MSBs).
-    (void)policy;
     run("Org (45 us)", RefreshSpec::Mode::Retention,
         edram::RefreshIntervals::paper2drp(), SchedulerKind::Baseline);
     run("Uni (0.36 ms iso-accuracy)", RefreshSpec::Mode::Uniform,

@@ -62,7 +62,6 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     if (cfg_.faults.enabled) {
         injector_ = std::make_unique<faults::FaultInjector>(
             cfg_.faults, cfg_.devices.size());
-        health_.assign(cfg_.devices.size(), DeviceHealth::Healthy);
         downSince_.assign(cfg_.devices.size(), SimTime());
         faultDevs_.resize(cfg_.devices.size());
     }
@@ -169,7 +168,7 @@ ClusterEngine::pickDevice(SimTime t, std::size_t idx)
         statusScratch_.clear();
         upIndexScratch_.clear();
         for (std::size_t i = 0; i < devices_.size(); ++i) {
-            if (health_[i] == DeviceHealth::Down)
+            if (devices_[i]->crashed())
                 continue;
             statusScratch_.push_back(status(i));
             upIndexScratch_.push_back(i);
@@ -188,7 +187,7 @@ ClusterEngine::pickDevice(SimTime t, std::size_t idx)
     if (!devices_[d]->canEverAdmit(requests_[idx])) {
         std::size_t best = devices_.size();
         for (std::size_t i = 0; i < devices_.size(); ++i) {
-            if (downCount_ > 0 && health_[i] == DeviceHealth::Down)
+            if (devices_[i]->crashed())
                 continue;
             if (!devices_[i]->canEverAdmit(requests_[idx]))
                 continue;
@@ -359,11 +358,9 @@ ClusterEngine::applyFault(const faults::FaultEvent &ev)
     serving::DeviceEngine &dev = *devices_[ev.device];
     switch (ev.kind) {
       case faults::FaultKind::Crash: {
-        health_[ev.device] = DeviceHealth::Down;
         ++downCount_;
         downSince_[ev.device] = ev.at;
         ++faultDevs_[ev.device].crashes;
-        ++crashes_;
         std::uint64_t lost = 0;
         dev.crashAt(ev.at, &victimScratch_, &lost);
         lostTokens_ += lost;
@@ -375,45 +372,29 @@ ClusterEngine::applyFault(const faults::FaultEvent &ev)
         // and shed waiters whose TTFT deadline already expired back to
         // the retry path.
         for (std::size_t j = 0; j < devices_.size(); ++j) {
-            if (j != ev.device && health_[j] != DeviceHealth::Down)
+            if (!devices_[j]->crashed())
                 degradeDevice(j, ev.at);
         }
         break;
       }
       case faults::FaultKind::Slowdown:
-        health_[ev.device] = DeviceHealth::Degraded;
         ++slowdowns_;
-        dev.slowdownAt(ev.at, faults::kSlowdownFactor);
+        dev.disruptAt(ev.at, ev.kind, faults::kSlowdownFactor);
         break;
-      case faults::FaultKind::PoolShrink: {
-        health_[ev.device] = DeviceHealth::Degraded;
+      case faults::FaultKind::PoolShrink:
         ++shrinks_;
-        dev.shrinkPoolAt(ev.at, faults::kShrinkFactor);
+        dev.disruptAt(ev.at, ev.kind, faults::kShrinkFactor);
         // Self ladder: clamp paged grants to what they hold and shed
         // hopeless waiters rather than serving sure misses.
         degradeDevice(ev.device, ev.at);
         break;
-      }
       case faults::FaultKind::Recover:
         if (ev.cause == faults::FaultKind::Crash) {
             faultDevs_[ev.device].downtimeSec +=
                 (ev.at - downSince_[ev.device]).sec();
             --downCount_;
-            health_[ev.device] =
-                cfg_.faults.recoverWarmupSec > 0.0
-                    ? DeviceHealth::Recovering
-                    : DeviceHealth::Healthy;
-            dev.recoverAt(ev.at);
-        } else {
-            health_[ev.device] = DeviceHealth::Healthy;
-            dev.restoreAt(ev.at,
-                          ev.cause == faults::FaultKind::Slowdown
-                              ? 1
-                              : 2);
         }
-        break;
-      case faults::FaultKind::RecoverDone:
-        health_[ev.device] = DeviceHealth::Healthy;
+        dev.recoverAt(ev.at, ev.cause);
         break;
     }
 }
@@ -433,7 +414,6 @@ ClusterEngine::fillFaultReport(ClusterReport *rep, SimTime last) const
 {
     ClusterFaultReport &f = rep->faults;
     f.enabled = true;
-    f.crashes = crashes_;
     f.slowdowns = slowdowns_;
     f.shrinks = shrinks_;
     f.lostTokens = lostTokens_;
@@ -444,9 +424,10 @@ ClusterEngine::fillFaultReport(ClusterReport *rep, SimTime last) const
     for (std::size_t i = 0; i < devices_.size(); ++i) {
         // A device still down at the end of the run is down until the
         // last completion (or its own crash, whichever is later).
-        if (health_[i] == DeviceHealth::Down)
+        if (devices_[i]->crashed())
             f.devices[i].downtimeSec +=
                 (std::max(last, downSince_[i]) - downSince_[i]).sec();
+        f.crashes += f.devices[i].crashes;
         f.totalDowntimeSec += f.devices[i].downtimeSec;
     }
     for (const serving::Request &r : requests_)

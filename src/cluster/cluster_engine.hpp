@@ -108,15 +108,6 @@ std::vector<DeviceSpec> heteroEdramSramFleet(
     std::size_t edram_pool_tokens = 0,
     std::size_t sram_pool_tokens = 0, std::size_t max_batch = 16);
 
-/** Cluster-side health of one device (driven by the fault stream). */
-enum class DeviceHealth : std::uint8_t
-{
-    Healthy,
-    Degraded,   ///< slowdown or pool-shrink disruption active
-    Down,       ///< crashed: blacklisted from dispatch
-    Recovering, ///< crash repaired, warm-up running (dispatchable)
-};
-
 class ClusterEngine
 {
   public:
@@ -140,15 +131,9 @@ class ClusterEngine
         return requests_;
     }
 
-    /** Per-device health after run() (Healthy without faults). */
-    DeviceHealth health(std::size_t i) const
-    {
-        return health_.empty() ? DeviceHealth::Healthy : health_[i];
-    }
-
   private:
     /** Dispatch-policy pick plus the canEverAdmit fallback at round
-     *  time `t` (which stamps the verbose dispatch line). Down
+     *  time `t` (which stamps the verbose dispatch line). Crashed
      *  devices are blacklisted; `devices_.size()` is returned when
      *  the whole fleet is down (the caller schedules a retry). */
     std::size_t pickDevice(sim::SimTime t, std::size_t idx);
@@ -169,10 +154,9 @@ class ClusterEngine
      *  none). */
     sim::SimTime nextRequeueBound() const;
     /** @name Fault machinery (injector_ != nullptr only). @{ */
-    /** Apply one fault instant: flip health, drive the device's fault
-     *  surface, schedule eviction retries, run the degradation
-     *  ladder. Requires every (relevant) event queue advanced to
-     *  `ev.at`. */
+    /** Apply one fault instant: drive the device's fault surface,
+     *  schedule eviction retries, run the degradation ladder.
+     *  Requires every (relevant) event queue advanced to `ev.at`. */
     void applyFault(const faults::FaultEvent &ev);
     /** Run device `d`'s degradation ladder at `t` and send what it
      *  sheds down the retry path. */
@@ -229,9 +213,9 @@ class ClusterEngine
      * every guard below is a pointer test, so the faults-off paths
      * are byte-identical to the pre-fault build). @{ */
     std::unique_ptr<faults::FaultInjector> injector_;
-    std::vector<DeviceHealth> health_;
+    /** Devices crashed now; dispatch skips the blacklist at 0. */
     std::size_t downCount_ = 0;
-    /** Crash-start instant per device (meaningful while Down). */
+    /** Crash-start instant per device (meaningful while crashed). */
     std::vector<sim::SimTime> downSince_;
     /** Last device each request was dispatched to (terminal fault
      *  failures land on it). */
@@ -250,8 +234,8 @@ class ClusterEngine
     std::vector<std::size_t> shedScratch_;
     /** Compacted-status index map: statusScratch_ row -> device. */
     std::vector<std::size_t> upIndexScratch_;
-    /** Aggregate fault accounting (ClusterFaultReport source). */
-    std::uint64_t crashes_ = 0;
+    /** Aggregate fault accounting (ClusterFaultReport source; crashes
+     *  are summed from `faultDevs_`). */
     std::uint64_t slowdowns_ = 0;
     std::uint64_t shrinks_ = 0;
     std::uint64_t lostTokens_ = 0;

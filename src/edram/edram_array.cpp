@@ -79,7 +79,7 @@ KvEdramArray::writeRow(std::size_t row, Time now)
 
     accessEnergy_ +=
         cfg_.accessEnergy * Bytes(cfg_.laneRowBytes.b() * kNumLanes);
-    stats_.add("writes", 1);
+    ++stats_.writes;
     return {start, complete};
 }
 
@@ -107,7 +107,7 @@ KvEdramArray::readRow(std::size_t row, Time now)
 
     accessEnergy_ +=
         cfg_.accessEnergy * Bytes(cfg_.laneRowBytes.b() * kNumLanes);
-    stats_.add("reads", 1);
+    ++stats_.reads;
     return {start, complete};
 }
 
@@ -129,7 +129,6 @@ KvEdramArray::readLane(std::size_t row, Lane lane, Time now)
     demandBusy_[static_cast<std::size_t>(lane)][bank] = complete;
 
     accessEnergy_ += cfg_.accessEnergy * cfg_.laneRowBytes;
-    stats_.add("lane_reads", 1);
     return {start, complete};
 }
 
@@ -139,7 +138,6 @@ KvEdramArray::evictRow(std::size_t row)
     KELLE_ASSERT(row < rows_.size(), "row out of range");
     rows_[row].valid = false;
     rows_[row].score = 0;
-    stats_.add("evictions", 1);
 }
 
 void
@@ -183,8 +181,7 @@ KvEdramArray::runRefreshPass(const GroupTimer &timer, Time due)
     const double bytes = static_cast<double>(count) *
                          cfg_.laneRowBytes.b() * 2.0;
     refreshEnergy_ += cfg_.refreshEnergy * Bytes(bytes);
-    refreshOps_ += count;
-    stats_.add("refresh_rows", static_cast<double>(count));
+    stats_.refreshRows += count;
 
     // Refresh occupies the controller's banks. Work that fits in the
     // idle window before the next demand access is hidden; the rest

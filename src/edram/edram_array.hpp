@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "edram/refresh_policy.hpp"
 
@@ -114,11 +113,19 @@ class KvEdramArray
     Energy accessEnergySpent() const { return accessEnergy_; }
     Time hiddenRefreshTime() const { return hiddenRefresh_; }
     Time stallTime() const { return stall_; }
-    std::uint64_t refreshOps() const { return refreshOps_; }
+    std::uint64_t refreshOps() const { return stats_.refreshRows; }
     std::size_t validRows() const;
 
+    /** Row operation counts since construction. */
+    struct Stats
+    {
+        std::uint64_t reads = 0;       ///< full-row reads (both lanes)
+        std::uint64_t writes = 0;      ///< full-row writes
+        std::uint64_t refreshRows = 0; ///< rows refreshed, all passes
+    };
+
     const EdramArrayConfig &config() const { return cfg_; }
-    const stats::Group &statistics() const { return stats_; }
+    const Stats &stats() const { return stats_; }
 
   private:
     struct Row
@@ -159,8 +166,7 @@ class KvEdramArray
     Energy refreshEnergy_;
     Time hiddenRefresh_;
     Time stall_;
-    std::uint64_t refreshOps_ = 0;
-    stats::Group stats_{"kv_edram"};
+    Stats stats_;
 };
 
 } // namespace edram

@@ -19,8 +19,6 @@ toString(FaultKind k)
         return "pool_shrink";
       case FaultKind::Recover:
         return "recover";
-      case FaultKind::RecoverDone:
-        return "recover_done";
     }
     return "?";
 }
@@ -44,8 +42,9 @@ FaultInjector::FaultInjector(const FaultConfig &cfg,
     : cfg_(cfg)
 {
     KELLE_ASSERT(n_devices > 0, "fault injector over an empty fleet");
-    KELLE_ASSERT(cfg_.mtbfSec > 0.0 && cfg_.mttrSec > 0.0,
-                 "MTBF/MTTR must be positive");
+    KELLE_ASSERT(cfg_.mtbfSec > 0.0 && cfg_.mttrSec > 0.0 &&
+                     cfg_.recoverWarmupSec >= 0.0,
+                 "MTBF/MTTR must be positive, the warm-up not negative");
     KELLE_ASSERT(cfg_.crashWeight + cfg_.slowdownWeight +
                          cfg_.shrinkWeight >
                      0.0,
@@ -56,10 +55,11 @@ FaultInjector::FaultInjector(const FaultConfig &cfg,
         // A device's whole fault history depends only on (seed, d).
         s.rng = Rng(cfg_.seed ^ mix(static_cast<std::uint64_t>(d) + 1));
         s.next.device = d;
-        s.atSec = expDraw(s, cfg_.mtbfSec);
-        s.next.at = sim::SimTime::fromSec(s.atSec);
-        s.next.kind = drawKind(s);
-        s.next.cause = s.next.kind;
+        // As if a slowdown ended at t = 0: advance() times the first
+        // up phase.
+        s.next.kind = FaultKind::Recover;
+        s.next.cause = FaultKind::Slowdown;
+        advance(s);
     }
 }
 
@@ -91,22 +91,15 @@ FaultInjector::advance(DeviceStream &s)
       case FaultKind::Crash:
       case FaultKind::Slowdown:
       case FaultKind::PoolShrink:
-        // Disruption starts; time the repair.
-        s.active = e.kind;
+        // Disruption starts (its cause is its kind); time the repair.
         s.atSec += expDraw(s, cfg_.mttrSec);
         e.kind = FaultKind::Recover;
-        e.cause = s.active;
         break;
       case FaultKind::Recover:
-        if (e.cause == FaultKind::Crash &&
-            cfg_.recoverWarmupSec > 0.0) {
+        // Up phase starts; time the next disruption. A crash repair's
+        // warm-up delays it and emits no event of its own.
+        if (e.cause == FaultKind::Crash)
             s.atSec += cfg_.recoverWarmupSec;
-            e.kind = FaultKind::RecoverDone;
-            break;
-        }
-        [[fallthrough]];
-      case FaultKind::RecoverDone:
-        // Up phase starts; time the next disruption.
         s.atSec += expDraw(s, cfg_.mtbfSec);
         e.kind = drawKind(s);
         e.cause = e.kind;

@@ -6,10 +6,9 @@
  * "up" phase whose length is exponential with mean `mtbfSec` ends in
  * a disruption (crash, transient slowdown, or KV-pool shrink, drawn
  * from the configured weights), and a "disrupted" phase whose length
- * is exponential with mean `mttrSec` ends in a recovery. A crash
- * repair passes through a `Recovering` warm-up of `recoverWarmupSec`
- * before the device counts as healthy again; slowdown and shrink
- * recoveries restore the device directly.
+ * is exponential with mean `mttrSec` ends in a recovery, which restores
+ * the device at once. A crash repair's warm-up of `recoverWarmupSec`
+ * delays the next disruption and emits no event.
  *
  * `FaultInjector` seeds one Rng per device (`seed ^ mix(d + 1)`, with
  * `mix` a SplitMix64 finalizer), so a device's fault history is a pure
@@ -66,7 +65,7 @@ struct FaultConfig
     double slowdownWeight = 1.0;
     double shrinkWeight = 1.0;
     /** @} */
-    /** Crash repair -> healthy warm-up (the `Recovering` label). */
+    /** Added to the up phase that follows a crash repair. */
     double recoverWarmupSec = 5.0;
     /** At-most-N re-dispatches per crash-evicted request; the N+1-th
      *  eviction is a permanent, accounted failure. */
@@ -78,14 +77,15 @@ struct FaultConfig
     std::uint64_t seed = 42;
 };
 
-/** What happened to a device at a fault instant. */
+/** What happened to a device at a fault instant. A disruption's value
+ *  is its code in the `device_fault` and `device_recover` trace
+ *  events. */
 enum class FaultKind : std::uint8_t
 {
     Crash,       ///< device lost: KV chains dropped, work evicted
     Slowdown,    ///< transient compute degradation (latency scale)
     PoolShrink,  ///< eDRAM degrade: KV capacity scaled down
-    Recover,     ///< disruption over (crash -> Recovering warm-up)
-    RecoverDone, ///< crash warm-up over: device healthy again
+    Recover,     ///< disruption over: the device is restored
 };
 
 const char *toString(FaultKind k);
@@ -96,7 +96,8 @@ struct FaultEvent
     sim::SimTime at;
     std::size_t device = 0;
     FaultKind kind = FaultKind::Crash;
-    /** For Recover/RecoverDone: the disruption being recovered. */
+    /** The disruption: the event's own kind, or the one a Recover
+     *  ends. */
     FaultKind cause = FaultKind::Crash;
 };
 
@@ -115,8 +116,6 @@ class FaultInjector
     /** Consume the earliest event and advance that device's stream. */
     FaultEvent pop();
 
-    const FaultConfig &config() const { return cfg_; }
-
   private:
     struct DeviceStream
     {
@@ -125,8 +124,6 @@ class FaultInjector
          *  rounded to ticks, once per instant. */
         double atSec = 0.0;
         FaultEvent next;
-        /** Disruption kind of the phase being timed (for recovery). */
-        FaultKind active = FaultKind::Crash;
         DeviceStream() : rng(0) {}
     };
 

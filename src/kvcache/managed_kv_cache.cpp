@@ -153,7 +153,7 @@ ManagedKvCache::evictSlot(LayerState &ls, std::size_t head, std::size_t slot)
         tok.xBits.shrink_to_fit();
         tok.xStored = false;
     }
-    stats_.add("evictions", 1);
+    ++stats_.evictions;
 }
 
 void
@@ -220,7 +220,7 @@ ManagedKvCache::resolveProbation(LayerState &ls, std::int64_t now)
                     }
                 }
             }
-            stats_.add("x_stored_tokens", 1);
+            ++stats_.xStoredTokens;
         } else {
             tok.xBits.clear();
             tok.xBits.shrink_to_fit();
@@ -279,7 +279,7 @@ ManagedKvCache::append(std::size_t layer, std::int64_t pos,
                          e.vScale);
         entries.push_back(std::move(e));
     }
-    stats_.add("appends", 1);
+    ++stats_.appends;
 }
 
 void
@@ -380,7 +380,7 @@ ManagedKvCache::loadPrefill(std::size_t layer, const tensor::Matrix &k,
         } else if (popular) {
             tok.xStored = true;
             tok.xBits = encode(x.row(n), tok.xScale);
-            stats_.add("x_stored_tokens", 1);
+            ++stats_.xStoredTokens;
         }
         const auto token_id = static_cast<std::int32_t>(ls.tokens.size());
         ls.tokens.push_back(std::move(tok));
@@ -405,7 +405,6 @@ ManagedKvCache::loadPrefill(std::size_t layer, const tensor::Matrix &k,
         }
     }
     ls.lastPos = static_cast<std::int64_t>(n_ctx) - 1;
-    stats_.add("prefill_tokens", static_cast<double>(n_ctx));
 }
 
 void
@@ -452,7 +451,7 @@ ManagedKvCache::recomputeToken(LayerState &ls, std::size_t layer,
     ls.memoIds.push_back(token_id);
     ls.memoK.push_back(k_out);
     ls.memoV.push_back(v_out);
-    stats_.add("recomputes", 1);
+    ++stats_.recomputes;
 }
 
 Gathered
@@ -520,7 +519,7 @@ ManagedKvCache::gather(std::size_t layer, std::size_t kv_head)
             out.v.at(i, d) = decode(e.vBits[d], e.vScale);
         }
     }
-    stats_.add("gathers", 1);
+    ++stats_.gathers;
     return out;
 }
 

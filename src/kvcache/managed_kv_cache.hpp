@@ -42,7 +42,6 @@
 #include <span>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "kvcache/fault.hpp"
 #include "kvcache/kv_config.hpp"
 #include "tensor/matrix.hpp"
@@ -127,9 +126,19 @@ class ManagedKvCache
     /** Resident probation activation bytes (activation eDRAM). */
     double residentActivationBytes() const;
 
+    /** Operation counts since construction; an append is one decode
+     *  token into one layer. */
+    struct Stats
+    {
+        std::uint64_t appends = 0;       ///< append() calls
+        std::uint64_t evictions = 0;     ///< (layer, head) slots evicted
+        std::uint64_t xStoredTokens = 0; ///< tokens kept only as input x
+        std::uint64_t recomputes = 0;    ///< x-stored tokens recomputed
+        std::uint64_t gathers = 0;       ///< gather() calls
+    };
+
     const KvCacheConfig &config() const { return cfg_; }
-    stats::Group &statistics() { return stats_; }
-    const stats::Group &statistics() const { return stats_; }
+    const Stats &stats() const { return stats_; }
 
   private:
     struct TokenRec
@@ -217,7 +226,7 @@ class ManagedKvCache
     FaultInjector *injector_ = nullptr;
     NoFaults noFaults_;
     Recomputer recomputer_;
-    stats::Group stats_{"kv_cache"};
+    Stats stats_;
 };
 
 /** Build a cache from a baseline preset (see kv_config.hpp). */

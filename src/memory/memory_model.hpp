@@ -16,7 +16,6 @@
 
 #include <string>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 
 namespace kelle {

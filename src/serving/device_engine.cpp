@@ -1239,57 +1239,49 @@ DeviceEngine::crashAt(SimTime t, std::vector<std::size_t> *victims,
 }
 
 void
-DeviceEngine::recoverAt(SimTime t)
+DeviceEngine::disruptAt(SimTime t, faults::FaultKind kind, double factor)
 {
-    KELLE_ASSERT(crashed_, "recovering a device that is not down");
-    crashed_ = false;
+    const bool slow = kind == faults::FaultKind::Slowdown;
+    KELLE_ASSERT(slow || kind == faults::FaultKind::PoolShrink,
+                 "a crash disrupts through crashAt");
+    if (slow) {
+        KELLE_ASSERT(factor >= 1.0, "slowdown must not speed up");
+        latencyScale_ = factor;
+    } else {
+        allocator_.setCapacityScale(factor);
+        lastRoundAllDeferred_ = false; // admission verdicts changed
+    }
     if (trace_ != nullptr)
-        trace_->deviceRecover(t, 0);
+        trace_->deviceFault(t, static_cast<int>(kind), factor);
     if (cfg_.verbose)
         inform("t=", toString(t), label_,
-               " device recovered from crash, accepting work");
+               slow ? " device slowdown: step latency x"
+                    : " eDRAM degrade: KV capacity x",
+               factor);
 }
 
 void
-DeviceEngine::slowdownAt(SimTime t, double factor)
+DeviceEngine::recoverAt(SimTime t, faults::FaultKind cause)
 {
-    KELLE_ASSERT(factor >= 1.0, "slowdown must not speed up");
-    latencyScale_ = factor;
-    if (trace_ != nullptr)
-        trace_->deviceFault(t, 1, factor);
-    if (cfg_.verbose)
-        inform("t=", toString(t), label_,
-               " device slowdown: step latency x", factor);
-}
-
-void
-DeviceEngine::shrinkPoolAt(SimTime t, double factor)
-{
-    allocator_.setCapacityScale(factor);
-    lastRoundAllDeferred_ = false; // admission verdicts changed
-    if (trace_ != nullptr)
-        trace_->deviceFault(t, 2, factor);
-    if (cfg_.verbose)
-        inform("t=", toString(t), label_,
-               " eDRAM degrade: KV capacity x", factor);
-}
-
-void
-DeviceEngine::restoreAt(SimTime t, int kind_code)
-{
-    if (kind_code == 1) {
+    using faults::FaultKind;
+    if (cause == FaultKind::Crash) {
+        KELLE_ASSERT(crashed_, "recovering a device that is not down");
+        crashed_ = false;
+    } else if (cause == FaultKind::Slowdown) {
         latencyScale_ = 1.0;
     } else {
         allocator_.setCapacityScale(1.0);
         lastRoundAllDeferred_ = false;
     }
     if (trace_ != nullptr)
-        trace_->deviceRecover(t, kind_code);
+        trace_->deviceRecover(t, static_cast<int>(cause));
     if (cfg_.verbose)
         inform("t=", toString(t), label_, " device recovered from ",
-               kind_code == 1 ? "slowdown" : "pool degrade");
+               cause == FaultKind::Crash      ? "crash, accepting work"
+               : cause == FaultKind::Slowdown ? "slowdown"
+                                              : "pool degrade");
     // Restored capacity can admit blocked waiters right away.
-    if (kind_code == 2)
+    if (cause == FaultKind::PoolShrink)
         dispatch();
 }
 

@@ -72,6 +72,7 @@
 
 #include "accel/step_cost_cache.hpp"
 #include "accel/timing_model.hpp"
+#include "faults/fault_injector.hpp"
 #include "model/model_config.hpp"
 #include "obs/attribution.hpp"
 #include "obs/profile.hpp"
@@ -264,7 +265,6 @@ class DeviceEngine
                               sim::SimTime t);
 
     /** @name Status for dispatch policies and roll-ups. @{ */
-    const DeviceConfig &config() const { return cfg_; }
     /** The verbose-log label ("" if unnamed). */
     const std::string &name() const { return spec_.name; }
     const KvBudgetAllocator &allocator() const { return allocator_; }
@@ -310,11 +310,15 @@ class DeviceEngine
 
     /**
      * @name Fault surface (src/faults), driven by the cluster engine.
-     * Every method takes the fault instant `t` and requires the bound
-     * event queue to have been advanced to `t` (`queue_.now() == t`),
-     * so any admission or trace activity it triggers stamps the fault
-     * time. All device-track trace writes stay on this engine — the
-     * single-writer contract the cluster drive loop relies on (it
+     * `crashAt` and `disruptAt` start a disruption and `recoverAt`
+     * ends either kind; `degradeAt` and `failRequestAt` serve the
+     * owner's degradation ladder and retry budget. `crashed()` is the
+     * device's one health state: a slowed or shrunk device still takes
+     * work. Every method takes the fault instant `t` and requires the
+     * bound event queue to have been advanced to `t` (`queue_.now() ==
+     * t`), so any admission or trace activity it triggers stamps the
+     * fault time. All device-track trace writes stay on this engine —
+     * the single-writer contract the cluster drive loop relies on (it
      * calls these only with the worker pool joined).
      * @{
      */
@@ -330,15 +334,14 @@ class DeviceEngine
      */
     void crashAt(sim::SimTime t, std::vector<std::size_t> *victims,
                  std::uint64_t *lost_tokens);
-    /** Crash repair done: accept dispatches again. */
-    void recoverAt(sim::SimTime t);
-    /** Transient compute degradation: scale step latencies. */
-    void slowdownAt(sim::SimTime t, double factor);
-    /** eDRAM degrade: scale the KV capacity admission sees. */
-    void shrinkPoolAt(sim::SimTime t, double factor);
-    /** Recovery of a non-crash disruption; `kind_code` mirrors the
-     *  faults::FaultKind value (1 slowdown, 2 pool shrink). */
-    void restoreAt(sim::SimTime t, int kind_code);
+    /** A disruption short of a crash: a Slowdown scales step
+     *  latencies by `factor`, a PoolShrink the KV capacity admission
+     *  sees. */
+    void disruptAt(sim::SimTime t, faults::FaultKind kind, double factor);
+    /** The `cause` disruption is over: a crashed device accepts
+     *  dispatches again, a slowed one steps at full speed, a shrunk
+     *  pool regains its capacity and admits blocked waiters. */
+    void recoverAt(sim::SimTime t, faults::FaultKind cause);
     /**
      * Graceful-degradation ladder. Rungs 1-2 (paged mode; contiguous
      * pools have nothing reclaimable): drop cached shared-prefix

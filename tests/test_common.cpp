@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common library: units, the exact repeated add,
- * RNG, stats, tables, the thread pool, the CLI flag parser.
+ * RNG, tables, the thread pool, the CLI flag parser.
  */
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include "common/arg_parser.hpp"
 #include "common/repeated_add.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
@@ -291,59 +290,6 @@ TEST(Rng, ForkDecorrelates)
     for (int i = 0; i < 64; ++i)
         same += a.next() == b.next();
     EXPECT_LT(same, 2);
-}
-
-TEST(Stats, SummaryMoments)
-{
-    stats::Summary s;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        s.sample(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-}
-
-TEST(Stats, SummaryEmpty)
-{
-    stats::Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(Stats, HistogramBinning)
-{
-    stats::Histogram h(0.0, 10.0, 10);
-    h.sample(0.5);
-    h.sample(5.5);
-    h.sample(9.99);
-    h.sample(-3.0); // clamps to first bin
-    h.sample(42.0); // clamps to last bin
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Stats, GroupCounters)
-{
-    stats::Group g("test");
-    g.add("a", 1.0);
-    g.add("a", 2.0);
-    g.set("b", 7.0);
-    EXPECT_DOUBLE_EQ(g.get("a"), 3.0);
-    EXPECT_DOUBLE_EQ(g.get("b"), 7.0);
-    EXPECT_DOUBLE_EQ(g.get("missing"), 0.0);
-    EXPECT_TRUE(g.has("a"));
-    EXPECT_FALSE(g.has("missing"));
-
-    stats::Group other;
-    other.add("a", 10.0);
-    g.merge(other);
-    EXPECT_DOUBLE_EQ(g.get("a"), 13.0);
 }
 
 TEST(Table, RendersAligned)

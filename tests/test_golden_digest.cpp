@@ -251,9 +251,13 @@ TEST(GoldenDigest, EdgeServerFaultSession)
 {
     // The narrated fault session: crash, slowdown and pool-degrade
     // lines and their recoveries, the evictions, retries and the fault
-    // report, on the default two-device fleet.
+    // report, on the default two-device fleet. Re-pinned once when a
+    // crash warm-up's end stopped being a fault instant: it no longer
+    // splits a lookahead window, so one dev1 line at t=538 s now
+    // prints after dev0's lines of the same window. The sorted lines
+    // are unchanged.
     expectDigest("examples/edge_server", "--devices 2 --faults",
-                 0x58ed224241e317f7ull);
+                 0x3f385a28d475e17full);
 }
 
 // The Fig. 13-16 and Table 7-9 benches print the analytic model's

@@ -89,7 +89,7 @@ TEST(ManagedKv, FullPolicyNeverEvicts)
     for (std::int64_t p = 0; p < 50; ++p)
         appendConst(cache, 0, p, 0.1f);
     EXPECT_EQ(cache.numEntries(0, 0), 50u);
-    EXPECT_DOUBLE_EQ(cache.statistics().get("evictions"), 0.0);
+    EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(ManagedKv, GatherRoundTripsValues)
@@ -296,7 +296,7 @@ TEST(ManagedKv, RecomputeRoundTrip)
         }
     }
     EXPECT_TRUE(any_x);
-    EXPECT_GT(cache.statistics().get("recomputes"), 0.0);
+    EXPECT_GT(cache.stats().recomputes, 0u);
 }
 
 TEST(ManagedKv, PopularityThresholdControlsXStorage)
@@ -504,9 +504,52 @@ TEST(ManagedKv, StatisticsTrackEvictions)
     for (std::int64_t p = 0; p < 10; ++p)
         appendConst(cache, 0, p, 1.0f);
     // 6 evictions per head (10 appends - 4 slots).
-    EXPECT_DOUBLE_EQ(cache.statistics().get("evictions"),
-                     6.0 * kHeads);
-    EXPECT_DOUBLE_EQ(cache.statistics().get("appends"), 10.0);
+    EXPECT_EQ(cache.stats().evictions, 6u * kHeads);
+    EXPECT_EQ(cache.stats().appends, 10u);
+}
+
+TEST(ManagedKv, CountsAddUp)
+{
+    // A decode-only AERP run whose 6-slot budget binds from the 7th
+    // token on, with per-head attention drawn at random so the heads
+    // evict different tokens and some graduates are x-stored.
+    auto cfg = makeAerpConfig(6, 1, 2);
+    cfg.popularityTheta = 0.5;
+    ManagedKvCache cache(cfg, kLayers, kHeads, kHeadDim, kDModel);
+    cache.setRecomputer([](std::size_t, std::span<const float> x,
+                           std::int64_t, std::span<float> k_out,
+                           std::span<float> v_out) {
+        for (std::size_t i = 0; i < k_out.size(); ++i) {
+            k_out[i] = x[i % x.size()];
+            v_out[i] = -x[i % x.size()];
+        }
+    });
+    Rng rng(17);
+    std::uint64_t gathers = 0;
+    for (std::int64_t p = 0; p < 40; ++p) {
+        for (std::size_t l = 0; l < kLayers; ++l) {
+            appendConst(cache, l, p, static_cast<float>(p % 5));
+            for (std::size_t h = 0; h < kHeads; ++h) {
+                const Gathered g = cache.gather(l, h);
+                ++gathers;
+                std::vector<float> probs(g.slots.size());
+                for (float &q : probs)
+                    q = static_cast<float>(rng.uniform());
+                cache.observeAttention(l, h, probs, g.slots);
+            }
+        }
+    }
+    const ManagedKvCache::Stats &st = cache.stats();
+    std::uint64_t resident = 0;
+    for (std::size_t l = 0; l < kLayers; ++l)
+        for (std::size_t h = 0; h < kHeads; ++h)
+            resident += cache.numEntries(l, h);
+    EXPECT_EQ(st.appends, 40u * kLayers);
+    EXPECT_GT(st.evictions, 0u);
+    EXPECT_EQ(resident, kHeads * st.appends - st.evictions);
+    EXPECT_EQ(st.gathers, gathers);
+    EXPECT_GT(st.recomputes, 0u);
+    EXPECT_GT(st.xStoredTokens, 0u);
 }
 
 /** Property: decode output is invariant to slot permutation — verified

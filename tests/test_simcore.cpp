@@ -1001,7 +1001,10 @@ TEST(FastPathEquivalence, DeferredMemberBookkeepingMatchesEventPath)
                                       serving::DeviceEngine &e,
                                       std::vector<serving::Request> &) {
             q.schedule(sim::SimTime::fromSec(10.0 * step_sec),
-                       [&q, &e] { e.shrinkPoolAt(q.now(), 0.5); });
+                       [&q, &e] {
+                           e.disruptAt(q.now(),
+                                       faults::FaultKind::PoolShrink, 0.5);
+                       });
         };
         {
             SCOPED_TRACE("paged budget clamp");
@@ -1224,9 +1227,15 @@ TEST(FastPathEquivalence, StridedRunsMatchEventPath)
                                       serving::DeviceEngine &e,
                                       std::vector<serving::Request> &) {
             q.schedule(sim::SimTime::fromSec(20.5 * step_sec),
-                       [&q, &e] { e.slowdownAt(q.now(), 1.37); });
+                       [&q, &e] {
+                           e.disruptAt(q.now(),
+                                       faults::FaultKind::Slowdown, 1.37);
+                       });
             q.schedule(sim::SimTime::fromSec(400.5 * step_sec),
-                       [&q, &e] { e.restoreAt(q.now(), 1); });
+                       [&q, &e] {
+                           e.recoverAt(q.now(),
+                                       faults::FaultKind::Slowdown);
+                       });
         };
         const DeviceRun run =
             check(cfg, roomy, waves(48, 100, 400),
