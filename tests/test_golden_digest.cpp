@@ -260,10 +260,25 @@ TEST(GoldenDigest, EdgeServerFaultSession)
                  0x3f385a28d475e17full);
 }
 
-// The Fig. 13-16 and Table 7-9 benches print the analytic model's
-// paper tables; each runs in milliseconds and takes no flags. A change
-// to the decode, prefill or energy model that moves a printed figure
-// fails here.
+// The Fig. 3, Fig. 13-16, Table 1 and Table 7-9 benches print the
+// analytic model's paper tables; each runs in milliseconds and takes
+// no flags. A change to the memory, decode, prefill or energy model
+// that moves a printed figure fails here.
+
+TEST(GoldenDigest, BenchFig3Motivation)
+{
+    // Prints the SRAM and eDRAM system variants of the motivation
+    // study, including the unoptimized eDRAM system's refresh share.
+    expectDigest("bench/bench_fig3_motivation", "",
+                 0x3dfb093ccebb2efcull);
+}
+
+TEST(GoldenDigest, BenchTable1Memcmp)
+{
+    // Prints the 4 MB SRAM and eDRAM memory models field by field.
+    expectDigest("bench/bench_table1_memcmp", "",
+                 0xe737388dfdbae875ull);
+}
 
 TEST(GoldenDigest, BenchFig13EndToEnd)
 {
