@@ -53,11 +53,9 @@ main()
     const auto base = simulate(originalSramSystem(), w);
 
     Table b({"strategy", "energy_eff", "refresh share", "latency (s)"});
-    auto run = [&](const char *name, RefreshSpec::Mode mode,
-                   edram::RefreshIntervals intervals,
+    auto run = [&](const char *name, edram::RefreshIntervals intervals,
                    SchedulerKind sched) {
         auto sys = kelleEdramSystem(task.budget);
-        sys.refresh.mode = mode;
         sys.refresh.intervals = intervals;
         sys.scheduler = sched;
         const auto r = simulate(sys, w);
@@ -71,14 +69,14 @@ main()
     // Section 8.3.3: the uniform interval that matches 2DRP's accuracy
     // is 0.36 ms — a uniform policy must refresh *everything* at the
     // rate 2DRP reserves for its most sensitive group (HST MSBs).
-    run("Org (45 us)", RefreshSpec::Mode::Retention,
-        edram::RefreshIntervals::paper2drp(), SchedulerKind::Baseline);
-    run("Uni (0.36 ms iso-accuracy)", RefreshSpec::Mode::Uniform,
+    run("Org (45 us)", edram::RefreshIntervals::retentionFloor(),
+        SchedulerKind::Baseline);
+    run("Uni (0.36 ms iso-accuracy)",
         edram::RefreshIntervals::uniform(Time::millis(0.36)),
         SchedulerKind::Baseline);
-    run("2D (2DRP)", RefreshSpec::Mode::TwoD,
-        edram::RefreshIntervals::paper2drp(), SchedulerKind::Baseline);
-    run("2K (2DRP + Kelle scheduler)", RefreshSpec::Mode::TwoD,
+    run("2D (2DRP)", edram::RefreshIntervals::paper2drp(),
+        SchedulerKind::Baseline);
+    run("2K (2DRP + Kelle scheduler)",
         edram::RefreshIntervals::paper2drp(), SchedulerKind::Kelle);
     b.print();
     bench::note("paper 15b: 1.00 -> 1.21 -> 1.51 -> 1.61 "

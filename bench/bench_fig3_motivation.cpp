@@ -29,7 +29,6 @@ plainSramSystem(Bytes sram)
     s.kv.evict = false;
     s.kv.recompute = RecomputeMode::None;
     s.kv.systolicEvictor = false;
-    s.refresh.mode = RefreshSpec::Mode::None;
     return s;
 }
 
@@ -44,7 +43,7 @@ plainEdramSystem(Bytes cap)
     s.kv.evict = false;
     s.kv.recompute = RecomputeMode::None;
     s.kv.systolicEvictor = false;
-    s.refresh.mode = RefreshSpec::Mode::Retention; // 45 us floor
+    s.refresh.intervals = edram::RefreshIntervals::retentionFloor();
     return s;
 }
 

@@ -56,8 +56,6 @@ main()
         auto sys = kelleEdramSystem(task.budget);
         sys.tech.kvMemory =
             mem::edram(Bytes::mib(4), Bandwidth::gibPerSec(128));
-        sys.tech.kvEdram.totalBandwidth = Bandwidth::gibPerSec(128);
-        sys.tech.kvEdram.banksPerLane = 4; // half the banks
         const auto r = simulate(sys, w);
         b.addRow({task.name,
                   Table::mult(compare(base, r).energyEfficiency),

@@ -24,9 +24,7 @@ gpuTech()
     t.rsa.macEnergy = Energy::picos(0.9);
     // L2-like on-chip storage, SRAM, 4 MB.
     t.kvMemory = mem::sram(Bytes::mib(4), Bandwidth::gibPerSec(512));
-    t.kvIsEdram = false;
     t.actBuffer = mem::sram(Bytes::kib(512), Bandwidth::gibPerSec(512));
-    t.actIsEdram = false;
     // Orin-class LPDDR5: ~102 GB/s.
     t.dram = mem::MemoryModel("lpddr5", Bytes::gib(16),
                               Bandwidth::gibPerSec(102),
@@ -52,7 +50,6 @@ gpuBase(const char *name)
     s.kv.evict = false;
     s.kv.recompute = RecomputeMode::None;
     s.kv.systolicEvictor = false;
-    s.refresh.mode = RefreshSpec::Mode::None;
     return s;
 }
 

@@ -3,30 +3,10 @@
 namespace kelle {
 namespace accel {
 
-namespace {
-
-/**
- * Steady-state refresh energy used by the analytic system model.
- * Table 1 characterizes a full array rewrite at 1.14 mJ / 4 MiB
- * (~272 pJ/B) including the sense/IO periphery, but a row-granular
- * refresh controller recharges cells without driving the IO path,
- * whose cost our access-energy account already covers. 112 pJ/B is
- * calibrated so the unoptimized 45 us system reproduces Figure 3c's
- * "refresh takes up to 46% of total energy".
- */
-const EnergyPerByte kSteadyStateRefresh =
-    EnergyPerByte::picojoules(112);
-
-} // namespace
-
 TechnologyConfig
 kelleTech()
 {
-    TechnologyConfig t;
-    t.kvEdram.capacity = t.kvMemory.capacity();
-    t.kvEdram.totalBandwidth = t.kvMemory.bandwidth();
-    t.kvEdram.refreshEnergy = kSteadyStateRefresh;
-    return t;
+    return TechnologyConfig{};
 }
 
 TechnologyConfig
@@ -39,20 +19,7 @@ originalSramTech()
     t.rsa.cols = 24;
     t.rsa.area = Area::mm2(2.19 * (24.0 * 24.0) / (32.0 * 32.0));
     t.kvMemory = mem::sram(Bytes::mib(4), Bandwidth::gibPerSec(128));
-    t.kvIsEdram = false;
     t.actBuffer = mem::sram(Bytes::kib(256), Bandwidth::gibPerSec(128));
-    t.actIsEdram = false;
-    return t;
-}
-
-TechnologyConfig
-kelleSramTech()
-{
-    TechnologyConfig t = kelleTech();
-    t.kvMemory = mem::sram(Bytes::mib(4), Bandwidth::gibPerSec(128));
-    t.kvIsEdram = false;
-    t.actBuffer = mem::sram(Bytes::kib(256), Bandwidth::gibPerSec(128));
-    t.actIsEdram = false;
     return t;
 }
 
@@ -63,9 +30,7 @@ sramSystemTech(Bytes sram_capacity, std::size_t rsa_dim)
     t.rsa.rows = rsa_dim;
     t.rsa.cols = rsa_dim;
     t.kvMemory = mem::sram(sram_capacity, Bandwidth::gibPerSec(128));
-    t.kvIsEdram = false;
     t.actBuffer = mem::sram(Bytes::kib(256), Bandwidth::gibPerSec(128));
-    t.actIsEdram = false;
     return t;
 }
 
@@ -74,10 +39,6 @@ edramSystemTech(Bytes edram_capacity)
 {
     TechnologyConfig t;
     t.kvMemory = mem::edram(edram_capacity, Bandwidth::gibPerSec(256));
-    t.kvIsEdram = true;
-    t.kvEdram.capacity = edram_capacity;
-    t.kvEdram.totalBandwidth = t.kvMemory.bandwidth();
-    t.kvEdram.refreshEnergy = kSteadyStateRefresh;
     return t;
 }
 

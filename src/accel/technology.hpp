@@ -4,7 +4,10 @@
  * baselines (Sections 5 and 8). Every constant cites the table or
  * paragraph it comes from; everything downstream (timing, energy,
  * area) derives from this one struct so experiments can perturb a
- * single knob.
+ * single knob. Each memory is one `mem::MemoryModel` that describes
+ * itself whole, refresh included: an eDRAM refreshes at its own
+ * per-byte energy, an SRAM at none, so no flag here repeats which
+ * technology a memory is.
  */
 
 #ifndef KELLE_ACCEL_TECHNOLOGY_HPP
@@ -13,7 +16,6 @@
 #include <cstddef>
 
 #include "common/units.hpp"
-#include "edram/edram_array.hpp"
 #include "memory/memory_model.hpp"
 
 namespace kelle {
@@ -80,26 +82,20 @@ struct TechnologyConfig
         mem::sram(Bytes::mib(2), Bandwidth::gibPerSec(128));
 
     /** KV storage: 4 MB eDRAM at 256 GB/s (Section 8), or SRAM in the
-     *  SRAM-based systems. Refresh parameters in `kvEdram`. */
+     *  SRAM-based systems. Its refresh energy prices resident KV. */
     mem::MemoryModel kvMemory =
         mem::edram(Bytes::mib(4), Bandwidth::gibPerSec(256));
-    bool kvIsEdram = true;
 
-    /** Activation buffer: 256 KB eDRAM (Section 5.1). */
+    /** Activation buffer: 256 KB eDRAM (Section 5.1). Its refresh
+     *  energy prices transient activations. */
     mem::MemoryModel actBuffer =
         mem::edram(Bytes::kib(256), Bandwidth::gibPerSec(256));
-    bool actIsEdram = true;
-
-    /** Electrical eDRAM parameters shared by the refresh model. */
-    edram::EdramArrayConfig kvEdram;
 
     /** Off-chip LPDDR4. */
     mem::MemoryModel dram = mem::lpddr4();
 
     /** Weight precision in bits (Section 5: weights quantized to 8). */
     int weightBits = 8;
-    /** Activation precision in bits (16 by default). */
-    int activationBits = 16;
 
     /**
      * Fraction of peak DRAM bandwidth the platform sustains on decode
@@ -123,9 +119,6 @@ TechnologyConfig kelleTech();
  * and 4 MB of SRAM (Section 8.1.1), 16 GB DRAM.
  */
 TechnologyConfig originalSramTech();
-
-/** Kelle accelerator with SRAM in place of eDRAM (AEP/AERP+SRAM). */
-TechnologyConfig kelleSramTech();
 
 /** A 4 MB- or 8 MB-SRAM variant used by the Figure 3 motivation. */
 TechnologyConfig sramSystemTech(Bytes sram_capacity,

@@ -17,9 +17,6 @@ constexpr double kSoftwareEvictLatencyOverhead = 0.07;
 constexpr double kSoftwareEvictEnergyOverhead = 0.05;
 constexpr double kEvictorPowerW = 0.028;
 
-/** Refresh interval of the retention floor (Table 1). */
-const Time kRetentionFloor = Time::micros(45);
-
 /** Resident tokens in the cache at attention time of step t. */
 std::size_t
 residentTokens(const SystemConfig &sys, const Workload &w, std::size_t t)
@@ -28,23 +25,6 @@ residentTokens(const SystemConfig &sys, const Workload &w, std::size_t t)
     if (sys.kv.evict && sys.kv.budget > 0)
         return std::min(n, sys.kv.budget);
     return n;
-}
-
-/** Average refresh interval used for transient-data refresh costs. */
-Time
-transientRefreshInterval(const SystemConfig &sys)
-{
-    switch (sys.refresh.mode) {
-      case RefreshSpec::Mode::None:
-        return Time::seconds(0);
-      case RefreshSpec::Mode::Retention:
-        return kRetentionFloor;
-      case RefreshSpec::Mode::Uniform:
-        return sys.refresh.intervals.interval[0];
-      case RefreshSpec::Mode::TwoD:
-        return sys.refresh.intervals.averageInterval();
-    }
-    return Time::seconds(0);
 }
 
 } // namespace
@@ -110,9 +90,7 @@ StepCostModel::StepCostModel(const SystemConfig &sys,
     const double save_per_tok = L_ * kvTok_ / dramBw_;
     recompCostPlusSave_ = cost_per_tok + save_per_tok;
 
-    transientInterval_ = Time::seconds(0);
-    if (tech.actIsEdram && sys.refresh.mode != RefreshSpec::Mode::None)
-        transientInterval_ = transientRefreshInterval(sys);
+    transientInterval_ = sys.refresh.intervals.averageInterval();
 
     background_ = tech.weightSram.leakage() + tech.kvMemory.leakage() +
                   tech.actBuffer.leakage() + tech.dram.leakage() +
@@ -122,23 +100,18 @@ StepCostModel::StepCostModel(const SystemConfig &sys,
     swEvict_ = sys.kv.evict && !sys.kv.systolicEvictor;
 }
 
-/** Refresh power of `bytes` resident data under the refresh spec. */
+/** Refresh power of `bytes` resident KV in the KV memory. */
 Power
 StepCostModel::refreshPower(double bytes) const
 {
     const auto &r = sys_.refresh;
-    if (r.mode == RefreshSpec::Mode::None || bytes <= 0.0)
+    const EnergyPerByte e = sys_.tech.kvMemory.refreshEnergy();
+    if (e.value <= 0.0 || bytes <= 0.0)
         return Power::watts(0);
-    const EnergyPerByte e = sys_.tech.kvEdram.refreshEnergy;
 
     auto groupPower = [&](double group_bytes, Time interval) {
         return Power::watts(e.value * group_bytes / interval.sec());
     };
-
-    if (r.mode == RefreshSpec::Mode::Retention)
-        return groupPower(bytes, kRetentionFloor);
-    if (r.mode == RefreshSpec::Mode::Uniform)
-        return groupPower(bytes, r.intervals.interval[0]);
 
     // 2DRP: bytes split into the four groups of Figure 7b: the MSB/LSB
     // byte split is exactly half; the HST/LST split follows the score
@@ -335,12 +308,12 @@ StepCostModel::energy(std::size_t batch, const StepCosts &c,
     e.kvMem = tech.kvMemory.accessEnergy() * Bytes(c.onChipKvBytes);
     e.dram = tech.dram.accessEnergy() * Bytes(c.dramBytes);
 
-    // Refresh: resident KV in eDRAM plus transient activations whose
-    // lifetime follows the scheduler (Eq. 7-8).
-    if (tech.kvIsEdram) {
-        e.refresh += refreshPower(c.onChipResidentKvBytes) * latency;
-    }
-    if (transientInterval_.sec() > 0) {
+    // Refresh: resident KV in the KV memory plus transient activations
+    // in the activation buffer, whose lifetime follows the scheduler
+    // (Eq. 7-8). Each memory prices its own refresh.
+    e.refresh += refreshPower(c.onChipResidentKvBytes) * latency;
+    const EnergyPerByte act_refresh = tech.actBuffer.refreshEnergy();
+    if (act_refresh.value > 0.0) {
         const Time lifetime =
             transientLifetime(sys_.scheduler, sramWLayer_,
                               Time::seconds(c.phases.kvMem.sec() / L_));
@@ -348,8 +321,8 @@ StepCostModel::energy(std::size_t batch, const StepCosts &c,
             static_cast<double>(batch) * 4.0 * d_ * 2.0 * L_;
         const double refreshes_per_byte =
             lifetime.sec() / transientInterval_.sec();
-        e.refresh += Energy::joules(tech.kvEdram.refreshEnergy.value *
-                                    act_bytes * refreshes_per_byte);
+        e.refresh += Energy::joules(act_refresh.value * act_bytes *
+                                    refreshes_per_byte);
     }
 
     e.leakage = background_ * latency;
@@ -582,7 +555,6 @@ originalSramSystem()
     s.kv.evict = false;
     s.kv.recompute = RecomputeMode::None;
     s.kv.systolicEvictor = false;
-    s.refresh.mode = RefreshSpec::Mode::None;
     return s;
 }
 
@@ -596,7 +568,7 @@ originalEdramSystem()
     s.kv.evict = false;
     s.kv.recompute = RecomputeMode::None;
     s.kv.systolicEvictor = false;
-    s.refresh.mode = RefreshSpec::Mode::Retention;
+    s.refresh.intervals = edram::RefreshIntervals::retentionFloor();
     return s;
 }
 
@@ -611,7 +583,6 @@ aepSramSystem(std::size_t budget)
     s.kv.budget = budget;
     s.kv.recompute = RecomputeMode::None;
     s.kv.systolicEvictor = true;
-    s.refresh.mode = RefreshSpec::Mode::None;
     return s;
 }
 
@@ -635,7 +606,6 @@ kelleEdramSystem(std::size_t budget)
     s.kv.budget = budget;
     s.kv.recompute = RecomputeMode::Auto;
     s.kv.systolicEvictor = true;
-    s.refresh.mode = RefreshSpec::Mode::TwoD;
     return s;
 }
 

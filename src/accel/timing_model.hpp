@@ -9,8 +9,10 @@
  *   - RSA compute from the model's MAC counts (+ AERP recomputation);
  *   - SFU time for softmax/normalization/activations;
  *   - the schedule of Section 6 (serial baseline vs overlapped Kelle);
- *   - eDRAM refresh energy: resident KV per 2DRP group plus transient
- *     activations weighted by the Eq. 7-8 lifetimes;
+ *   - refresh energy: resident KV per 2DRP group at the KV memory's
+ *     refresh energy, plus transient activations weighted by the
+ *     Eq. 7-8 lifetimes at the activation buffer's (both zero for
+ *     SRAM, so an SRAM system is charged no refresh);
  *   - leakage and DRAM background power.
  *
  * Working-set model: each step's attention intermediates
@@ -63,17 +65,16 @@ struct KvPolicySpec
     bool operator==(const KvPolicySpec &) const = default;
 };
 
-/** eDRAM refresh configuration. */
+/**
+ * Refresh intervals of the on-chip eDRAM. The four 2DRP group
+ * intervals alone set the refresh rates: the unoptimized "Org" system
+ * uses `RefreshIntervals::retentionFloor()`, a uniform policy
+ * `RefreshIntervals::uniform(t)`. What one refresh costs is a property
+ * of the memory (`mem::MemoryModel::refreshEnergy`), so an SRAM
+ * system pays none whatever its intervals.
+ */
 struct RefreshSpec
 {
-    enum class Mode
-    {
-        None,      ///< SRAM system: no refresh
-        Retention, ///< refresh at the 45 us retention floor ("Org")
-        Uniform,   ///< one uniform interval
-        TwoD,      ///< 2DRP group intervals
-    };
-    Mode mode = Mode::TwoD;
     edram::RefreshIntervals intervals =
         edram::RefreshIntervals::paper2drp();
     /** Fraction of resident tokens in the HST group. */
@@ -245,8 +246,9 @@ StepReport batchedDecodeStepLoopReference(
  * stream's bytes, phase time, per-layer share and SRAM energy, a
  * decode member's context-free MACs, the recompute roofline's
  * per-token cost and saving, the prefill attention block size, the
- * transient refresh interval and the background power. A step then
- * does only the arithmetic its shape changes. The hoisted terms are whole
+ * transient refresh interval (the intervals' average) and the
+ * background power. A step then does only the arithmetic its shape
+ * changes. The hoisted terms are whole
  * subexpressions of the step formulas, evaluated in the same IEEE
  * operations and order (nothing is reassociated or turned from a
  * division into a multiplication), so a bound step is bit-identical
@@ -344,8 +346,8 @@ class StepCostModel
     double flops_;
     double prefillFlops_;
     double sfuRate_;
-    // Transient-activation refresh interval (zero: none charged) and
-    // the on-chip + DRAM background power.
+    // Transient-activation refresh interval (the intervals' average)
+    // and the on-chip + DRAM background power.
     Time transientInterval_;
     Power background_;
     bool swEvict_; ///< decode steps pay the software-eviction overhead

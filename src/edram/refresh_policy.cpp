@@ -43,6 +43,12 @@ RefreshIntervals::uniform(Time t)
     return r;
 }
 
+RefreshIntervals
+RefreshIntervals::retentionFloor()
+{
+    return uniform(Time::micros(45));
+}
+
 Time
 RefreshIntervals::averageInterval() const
 {

@@ -57,6 +57,10 @@ struct RefreshIntervals
     /** Uniform policy: every group refreshed at the same interval. */
     static RefreshIntervals uniform(Time t);
 
+    /** The unoptimized "Org" policy: every group refreshed at the
+     *  45 us retention floor of Table 1. */
+    static RefreshIntervals retentionFloor();
+
     /**
      * Refresh-rate-weighted (harmonic-mean) average interval; this is
      * what determines total refresh energy for equal-sized groups.

@@ -1,10 +1,11 @@
 /**
  * @file
- * Analytic latency/energy/area models for the non-eDRAM memories of the
- * Kelle system: on-chip SRAM (weight buffer, or KV storage in the
- * SRAM-based baselines) and off-chip LPDDR4 DRAM.
+ * Analytic latency/energy/area/refresh models of the Kelle system's
+ * memories: on-chip SRAM (weight buffer, or KV storage in the
+ * SRAM-based baselines), on-chip eDRAM (KV storage and activation
+ * buffer) and off-chip LPDDR4 DRAM.
  *
- * Constants follow Table 1 (65 nm SRAM characterized with Destiny) and
+ * Constants follow Table 1 (65 nm SRAM and eDRAM, Destiny) and
  * Section 8 (16 GB LPDDR4 at 64 GB/s simulated with CACTI-7, as in the
  * Google Coral-class edge platform). Capacity scaling: area and leakage
  * scale linearly with capacity; per-byte access energy scales with
@@ -28,7 +29,8 @@ class MemoryModel
     MemoryModel() = default;
     MemoryModel(std::string name, Bytes capacity, Bandwidth bw,
                 Time access_latency, EnergyPerByte access_energy,
-                Power leakage, Area area);
+                Power leakage, Area area,
+                EnergyPerByte refresh_energy = EnergyPerByte(0));
 
     const std::string &name() const { return name_; }
     Bytes capacity() const { return capacity_; }
@@ -37,6 +39,10 @@ class MemoryModel
     EnergyPerByte accessEnergy() const { return accessEnergy_; }
     Power leakage() const { return leakage_; }
     Area area() const { return area_; }
+    /** Energy to refresh one resident byte once; zero for memories
+     *  that hold data without refresh (SRAM, and DRAM, whose refresh
+     *  is in its background power). */
+    EnergyPerByte refreshEnergy() const { return refreshEnergy_; }
 
     /** Streaming transfer time for a volume (bandwidth-bound). */
     Time transferTime(Bytes bytes) const { return bytes / bandwidth_; }
@@ -57,6 +63,7 @@ class MemoryModel
     EnergyPerByte accessEnergy_;
     Power leakage_;
     Area area_;
+    EnergyPerByte refreshEnergy_;
 };
 
 /**
@@ -67,9 +74,10 @@ MemoryModel sram(Bytes capacity, Bandwidth bw);
 
 /**
  * On-chip eDRAM scaled from the Table 1 4 MB anchor
- * (3.2 mm^2, 1.9 ns, 84.8 pJ/B, 154 mW). The refresh machinery lives
- * in src/edram; this point model covers bandwidth/energy/area for the
- * analytic timing model.
+ * (3.2 mm^2, 1.9 ns, 84.8 pJ/B, 154 mW), refreshed at a steady-state
+ * 112 pJ/B (see memory_model.cpp). The banked array and its 2DRP
+ * refresh controllers live in src/edram; this point model covers
+ * bandwidth/energy/area/refresh for the analytic timing model.
  */
 MemoryModel edram(Bytes capacity, Bandwidth bw);
 

@@ -408,12 +408,18 @@ TEST(TimingModel, RefreshEnergyOrderingOrgUniform2drp)
 {
     const auto w = smallWorkload();
     auto org = kelleEdramSystem(256);
-    org.refresh.mode = RefreshSpec::Mode::Retention;
+    org.refresh.intervals = edram::RefreshIntervals::retentionFloor();
     auto uni = kelleEdramSystem(256);
-    uni.refresh.mode = RefreshSpec::Mode::Uniform;
     uni.refresh.intervals =
         edram::RefreshIntervals::uniform(Time::micros(360));
     auto twod = kelleEdramSystem(256);
+    // Refresh is the memory's: with SRAM KV and activation memories
+    // the same 2DRP intervals cost no refresh at all.
+    auto sram = kelleEdramSystem(256);
+    sram.tech.kvMemory =
+        mem::sram(Bytes::mib(4), Bandwidth::gibPerSec(128));
+    sram.tech.actBuffer =
+        mem::sram(Bytes::kib(256), Bandwidth::gibPerSec(128));
 
     const double e_org =
         simulate(org, w).decodeEnergy.refresh.j();
@@ -423,6 +429,10 @@ TEST(TimingModel, RefreshEnergyOrderingOrgUniform2drp)
         simulate(twod, w).decodeEnergy.refresh.j();
     EXPECT_GT(e_org, e_uni);
     EXPECT_GT(e_uni, e_2d);
+    EXPECT_GT(e_2d, 0.0);
+    const auto r_sram = simulate(sram, w);
+    EXPECT_EQ(r_sram.prefillEnergy.refresh.j(), 0.0);
+    EXPECT_EQ(r_sram.decodeEnergy.refresh.j(), 0.0);
 }
 
 TEST(TimingModel, RecomputeReducesResidentBytes)

@@ -364,9 +364,11 @@ TEST(GoldenDigest, StepReportGrid)
     systems.push_back(kelle);
     systems.back().kv.systolicEvictor = false;
     systems.push_back(kelle);
-    systems.back().refresh.mode = accel::RefreshSpec::Mode::Uniform;
+    systems.back().refresh.intervals =
+        edram::RefreshIntervals::uniform(Time::millis(0.36));
     systems.push_back(kelle);
-    systems.back().refresh.mode = accel::RefreshSpec::Mode::Retention;
+    systems.back().refresh.intervals =
+        edram::RefreshIntervals::retentionFloor();
     systems.push_back(kelle);
     systems.back().kv.kvBits = 4;
     systems.push_back(accel::comparators::jetsonOrin());

@@ -1,9 +1,10 @@
 /**
  * @file
  * Knob-sensitivity sweep: every field of the engine, cluster, fault,
- * accelerator-system and managed-KV-cache configs, changed one at a
- * time, must move the output digest of at least one case of a small
- * fixed case set — or carry a written verdict in docs/KNOBS.md.
+ * accelerator-system (its technology field by field) and managed-KV-
+ * cache configs, changed one at a time, must move the output digest of
+ * at least one case of a small fixed case set — or carry a written
+ * verdict in docs/KNOBS.md.
  *
  * The case set:
  *  - `fig13`: one Figure 13 cell, `accel::simulate` of the Kelle
@@ -413,6 +414,15 @@ kvKnob(std::string field, std::function<void(kv::KvCacheConfig &)> f)
     return {std::move(field), kKv, [f](Inputs &s) { f(s.kv); }};
 }
 
+/** A field of the system's technology. */
+Knob
+techKnob(std::string field,
+         std::function<void(accel::TechnologyConfig &)> f)
+{
+    return systemKnob(std::move(field),
+                      [f](accel::SystemConfig &s) { f(s.tech); });
+}
+
 /** Observers whose pointers a perturbation installs; they outlive
  *  every run of the sweep. */
 struct Observers
@@ -428,6 +438,7 @@ sweptKnobs(Observers &o)
     using serving::ServingConfig;
     using cluster::ClusterConfig;
     using accel::SystemConfig;
+    using accel::TechnologyConfig;
     using kv::KvCacheConfig;
     return {
         // DeviceSpec (`system` is swept as SystemConfig below).
@@ -528,11 +539,9 @@ sweptKnobs(Observers &o)
                     }),
         clusterKnob("FaultConfig::seed",
                     [](ClusterConfig &c) { c.faults.seed = 7; }),
-        // SystemConfig (`kv` and `refresh` are expanded).
+        // SystemConfig (`tech`, `kv` and `refresh` are expanded).
         systemKnob("SystemConfig::name",
                    [](SystemConfig &s) { s.name = "renamed"; }),
-        systemKnob("SystemConfig::tech",
-                   [](SystemConfig &s) { s.tech = accel::kelleSramTech(); }),
         systemKnob("SystemConfig::scheduler",
                    [](SystemConfig &s) {
                        s.scheduler = accel::SchedulerKind::Baseline;
@@ -555,10 +564,6 @@ sweptKnobs(Observers &o)
                    [](SystemConfig &s) { s.kv.kvBits = 8; }),
         systemKnob("KvPolicySpec::systolicEvictor",
                    [](SystemConfig &s) { s.kv.systolicEvictor = false; }),
-        systemKnob("RefreshSpec::mode",
-                   [](SystemConfig &s) {
-                       s.refresh.mode = accel::RefreshSpec::Mode::Retention;
-                   }),
         systemKnob("RefreshSpec::intervals",
                    [](SystemConfig &s) {
                        s.refresh.intervals = edram::RefreshIntervals::uniform(
@@ -566,6 +571,62 @@ sweptKnobs(Observers &o)
                    }),
         systemKnob("RefreshSpec::hstFraction",
                    [](SystemConfig &s) { s.refresh.hstFraction = 0.2; }),
+        // TechnologyConfig (`rsa` and `sfu` are expanded).
+        techKnob("RsaConfig::rows",
+                 [](TechnologyConfig &t) { t.rsa.rows = 24; }),
+        techKnob("RsaConfig::cols",
+                 [](TechnologyConfig &t) { t.rsa.cols = 24; }),
+        techKnob("RsaConfig::clockHz",
+                 [](TechnologyConfig &t) { t.rsa.clockHz = 0.8e9; }),
+        techKnob("RsaConfig::macsPerPeCycle",
+                 [](TechnologyConfig &t) { t.rsa.macsPerPeCycle = 1.0; }),
+        techKnob("RsaConfig::macEnergy",
+                 [](TechnologyConfig &t) {
+                     t.rsa.macEnergy = Energy::picos(0.5);
+                 }),
+        techKnob("RsaConfig::area",
+                 [](TechnologyConfig &t) { t.rsa.area = Area::mm2(3.0); }),
+        techKnob("RsaConfig::utilization",
+                 [](TechnologyConfig &t) { t.rsa.utilization = 0.5; }),
+        techKnob("SfuConfig::opEnergy",
+                 [](TechnologyConfig &t) {
+                     t.sfu.opEnergy = Energy::picos(2.4);
+                 }),
+        techKnob("SfuConfig::lanes",
+                 [](TechnologyConfig &t) { t.sfu.lanes = 8; }),
+        techKnob("SfuConfig::area",
+                 [](TechnologyConfig &t) { t.sfu.area = Area::mm2(1.0); }),
+        techKnob("TechnologyConfig::weightSram",
+                 [](TechnologyConfig &t) {
+                     t.weightSram =
+                         mem::sram(Bytes::mib(2), Bandwidth::gibPerSec(64));
+                 }),
+        techKnob("TechnologyConfig::kvMemory",
+                 [](TechnologyConfig &t) {
+                     t.kvMemory =
+                         mem::sram(Bytes::mib(4), Bandwidth::gibPerSec(128));
+                 }),
+        techKnob("TechnologyConfig::actBuffer",
+                 [](TechnologyConfig &t) {
+                     t.actBuffer = mem::sram(Bytes::kib(256),
+                                             Bandwidth::gibPerSec(128));
+                 }),
+        techKnob("TechnologyConfig::dram",
+                 [](TechnologyConfig &t) {
+                     t.dram = mem::MemoryModel(
+                         "lpddr4-half", Bytes::gib(16),
+                         Bandwidth::gibPerSec(32), Time::nanos(100),
+                         EnergyPerByte::picojoules(120.0),
+                         Power::watts(0.55), Area::mm2(16.0));
+                 }),
+        techKnob("TechnologyConfig::weightBits",
+                 [](TechnologyConfig &t) { t.weightBits = 4; }),
+        techKnob("TechnologyConfig::dramEfficiency",
+                 [](TechnologyConfig &t) { t.dramEfficiency = 0.5; }),
+        techKnob("TechnologyConfig::socStaticPower",
+                 [](TechnologyConfig &t) {
+                     t.socStaticPower = Power::watts(1.0);
+                 }),
         // KvCacheConfig.
         kvKnob("KvCacheConfig::policy",
                [](KvCacheConfig &k) { k.policy = kv::Policy::H2O; }),
@@ -594,8 +655,9 @@ sweptKnobs(Observers &o)
 const std::set<std::string> kExpanded = {
     "DeviceSpec::system",    "DeviceConfig::preempt",
     "DeviceConfig::paged",   "ClusterConfig::engine",
-    "ClusterConfig::faults", "SystemConfig::kv",
-    "SystemConfig::refresh",
+    "ClusterConfig::faults", "SystemConfig::tech",
+    "SystemConfig::kv",      "SystemConfig::refresh",
+    "TechnologyConfig::rsa", "TechnologyConfig::sfu",
 };
 
 /** Member count of every swept struct. ServingConfig's count
@@ -609,6 +671,9 @@ const std::map<std::string, std::size_t> kFieldCounts = {
     {"ClusterConfig", fieldCount<cluster::ClusterConfig>()},
     {"FaultConfig", fieldCount<faults::FaultConfig>()},
     {"SystemConfig", fieldCount<accel::SystemConfig>()},
+    {"TechnologyConfig", fieldCount<accel::TechnologyConfig>()},
+    {"RsaConfig", fieldCount<accel::RsaConfig>()},
+    {"SfuConfig", fieldCount<accel::SfuConfig>()},
     {"KvPolicySpec", fieldCount<accel::KvPolicySpec>()},
     {"RefreshSpec", fieldCount<accel::RefreshSpec>()},
     {"KvCacheConfig", fieldCount<kv::KvCacheConfig>()},
@@ -772,7 +837,8 @@ TEST(KnobSweep, SystemPerturbationsCompareUnequal)
     // with different systems share step costs, and no digest would
     // notice while both systems cost alike.
     const std::set<std::string> system_owners = {
-        "SystemConfig", "KvPolicySpec", "RefreshSpec"};
+        "SystemConfig", "TechnologyConfig", "RsaConfig", "SfuConfig",
+        "KvPolicySpec", "RefreshSpec"};
     Observers o;
     const Inputs base = baseInputs();
     std::size_t checked = 0;
@@ -786,8 +852,12 @@ TEST(KnobSweep, SystemPerturbationsCompareUnequal)
                "equal to the base";
         ++checked;
     }
-    // Every system field but `kv` and `refresh`, which are expanded.
-    EXPECT_EQ(checked, kFieldCounts.at("SystemConfig") - 2 +
+    // Every system field but `tech`, `kv`, `refresh`, `tech.rsa` and
+    // `tech.sfu`, which are expanded.
+    EXPECT_EQ(checked, kFieldCounts.at("SystemConfig") - 3 +
+                           kFieldCounts.at("TechnologyConfig") - 2 +
+                           kFieldCounts.at("RsaConfig") +
+                           kFieldCounts.at("SfuConfig") +
                            kFieldCounts.at("KvPolicySpec") +
                            kFieldCounts.at("RefreshSpec"));
 }

@@ -21,6 +21,7 @@ TEST(MemoryModel, SramAnchorsAtTable1)
     EXPECT_NEAR(m.leakage().mw(), 415.0, 0.1);
     EXPECT_NEAR(m.area().inMm2(), 7.3, 0.01);
     EXPECT_NEAR(m.accessLatency().ns(), 2.6, 0.01);
+    EXPECT_EQ(m.refreshEnergy().value, 0.0); // SRAM needs no refresh
 }
 
 TEST(MemoryModel, EdramAnchorsAtTable1)
@@ -29,6 +30,12 @@ TEST(MemoryModel, EdramAnchorsAtTable1)
     EXPECT_NEAR(m.accessEnergy().pjPerByte(), 84.8, 0.1);
     EXPECT_NEAR(m.leakage().mw(), 154.0, 0.1);
     EXPECT_NEAR(m.area().inMm2(), 3.2, 0.01);
+    // Steady-state refresh, the same per byte at every capacity.
+    EXPECT_NEAR(m.refreshEnergy().pjPerByte(), 112.0, 1e-9);
+    EXPECT_EQ(mem::edram(Bytes::kib(256), Bandwidth::gibPerSec(256))
+                  .refreshEnergy(),
+              m.refreshEnergy());
+    EXPECT_EQ(mem::lpddr4().refreshEnergy().value, 0.0);
 }
 
 TEST(MemoryModel, EdramDensityAdvantage)
